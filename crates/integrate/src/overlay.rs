@@ -96,6 +96,9 @@ pub struct Overlay {
     catalog: Catalog,
     fingerprints: FxHashMap<String, Fingerprint>,
     molecules: FxHashMap<String, Molecule>,
+    /// Ligand ids merged away by structure-level identity, mapped to
+    /// the id that survived in the ligand table.
+    ligand_aliases: FxHashMap<String, String>,
     report: OverlayReport,
 }
 
@@ -110,13 +113,37 @@ impl Overlay {
         &mut self.catalog
     }
 
-    /// Fingerprint of a ligand, when its structure parsed.
+    /// The id a ligand is catalogued under: the surviving id for one
+    /// merged away as a structural duplicate, the id itself otherwise.
+    fn catalogued_id<'a>(&'a self, ligand_id: &'a str) -> &'a str {
+        self.ligand_aliases
+            .get(ligand_id)
+            .map_or(ligand_id, String::as_str)
+    }
+
+    /// Fingerprint of the ligand a user names, when its structure
+    /// parsed. A merged-away id answers with its surviving duplicate's.
     pub fn fingerprint(&self, ligand_id: &str) -> Option<&Fingerprint> {
+        self.catalogued_fingerprint(self.catalogued_id(ligand_id))
+    }
+
+    /// Parsed molecule of the ligand a user names, when its structure
+    /// parsed. A merged-away id answers with its surviving duplicate's.
+    pub fn molecule(&self, ligand_id: &str) -> Option<&Molecule> {
+        self.catalogued_molecule(self.catalogued_id(ligand_id))
+    }
+
+    /// Fingerprint of a ligand-table row, by its own id: no alias is
+    /// followed. What the executor filters activity rows with — a row
+    /// naming an id the ligand table does not hold joins to NULL cells
+    /// and, likewise, has no structure to compare.
+    pub fn catalogued_fingerprint(&self, ligand_id: &str) -> Option<&Fingerprint> {
         self.fingerprints.get(ligand_id)
     }
 
-    /// Parsed molecule of a ligand, when its structure parsed.
-    pub fn molecule(&self, ligand_id: &str) -> Option<&Molecule> {
+    /// Parsed molecule of a ligand-table row, by its own id (see
+    /// [`Overlay::catalogued_fingerprint`]).
+    pub fn catalogued_molecule(&self, ligand_id: &str) -> Option<&Molecule> {
         self.molecules.get(ligand_id)
     }
 
@@ -164,6 +191,9 @@ impl Overlay {
             catalog,
             fingerprints,
             molecules,
+            // The merged-away ids were never materialized, so a restored
+            // catalog cannot name them.
+            ligand_aliases: FxHashMap::default(),
             report: OverlayReport {
                 ligands,
                 ligands_unparsed,
@@ -335,6 +365,7 @@ impl<'a> OverlayBuilder<'a> {
             catalog,
             fingerprints,
             molecules,
+            ligand_aliases,
             report: OverlayReport {
                 activities_overlaid: overlaid,
                 activities_unresolved: unresolved,
@@ -531,8 +562,20 @@ mod tests {
             .map(|(_, r)| r[2].as_text().unwrap().to_string())
             .collect();
         assert_eq!(ids, vec!["CHEMBL25", "CHEMBL25"]);
+        // The merged-away id still resolves, to the survivor's
+        // structure; an id nobody catalogued does not.
+        assert_eq!(
+            overlay.fingerprint("DB00945"),
+            overlay.fingerprint("CHEMBL25")
+        );
         assert!(overlay.fingerprint("CHEMBL25").is_some());
-        assert!(overlay.fingerprint("DB00945").is_none());
+        assert!(overlay.molecule("DB00945").is_some());
+        assert!(overlay.fingerprint("DB99999").is_none());
+        // Row-level lookups follow no alias: the ligand table has no
+        // DB00945 row.
+        assert!(overlay.catalogued_fingerprint("DB00945").is_none());
+        assert!(overlay.catalogued_molecule("DB00945").is_none());
+        assert_eq!(overlay.fingerprints().count(), 1);
     }
 
     #[test]

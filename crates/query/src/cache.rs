@@ -11,7 +11,10 @@
 //! * the pushdown predicate they were fetched under (`None` = all
 //!   rows), and
 //! * the unified activity rows, **sorted by leaf rank** so containment
-//!   hits slice by binary search instead of scanning.
+//!   hits slice by binary search instead of scanning, held as one
+//!   immutable shared snapshot (`Arc`): a hit borrows the entry's rows
+//!   instead of copying them, and keeps reading its snapshot even if
+//!   the entry is evicted or invalidated meanwhile.
 //!
 //! A query `(interval Q, pushdown P)` is answerable by an entry
 //! `(interval E, pushdown F)` iff `E ⊇ Q` and `F` is *implied by* `P`
@@ -26,6 +29,12 @@ use drugtree_store::expr::Predicate;
 use drugtree_store::value::Value;
 use rustc_hash::FxHashMap;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
+use std::sync::Arc;
+
+/// Rank-sorted activity rows shared between a cache entry and the
+/// queries reading it. Never mutated once an entry holds it.
+pub type SharedRows = Arc<Vec<Vec<Value>>>;
 
 /// One cached fetch result.
 #[derive(Debug, Clone)]
@@ -35,16 +44,27 @@ pub struct CacheEntry {
     /// Pushdown predicate the rows were fetched under (`None` = all).
     pub pushdown: Option<Predicate>,
     /// Unified activity rows, sorted by leaf rank (column 0).
-    pub rows: Vec<Vec<Value>>,
+    pub rows: SharedRows,
 }
 
-/// Result of a successful probe.
+/// Result of a successful probe: the matched entry's rows, shared, and
+/// the part of them the probe interval covers.
 #[derive(Debug)]
 pub struct CacheHit {
-    /// Rows restricted to the probe interval (cloned out of the entry).
-    pub rows: Vec<Vec<Value>>,
+    /// All rows of the matched entry (shared with it, not copied).
+    pub entry_rows: SharedRows,
+    /// Positions in `entry_rows` whose leaf rank falls in the probe
+    /// interval.
+    pub range: Range<usize>,
     /// The matched entry's interval (for EXPLAIN output).
     pub entry_interval: LeafInterval,
+}
+
+impl CacheHit {
+    /// The rows restricted to the probe interval.
+    pub fn rows(&self) -> &[Vec<Value>] {
+        &self.entry_rows[self.range.clone()]
+    }
 }
 
 /// Configuration for the semantic cache.
@@ -161,7 +181,8 @@ impl SemanticCache {
                 let entry = &self.entries[&id];
                 self.stats.hits += 1;
                 Some(CacheHit {
-                    rows: slice_rows(&entry.rows, interval),
+                    entry_rows: Arc::clone(&entry.rows),
+                    range: rank_range(&entry.rows, interval),
                     entry_interval: entry.interval,
                 })
             }
@@ -172,18 +193,23 @@ impl SemanticCache {
         }
     }
 
-    /// Insert a fetch result. Rows need not be pre-sorted. Entries
-    /// subsumed by the new one are dropped (the new entry answers
-    /// everything they could). Returns the entries evicted by budget
-    /// enforcement, so a sharded wrapper can aggregate counters
-    /// without re-locking.
+    /// Insert a fetch result, sharing `rows` with the caller. Rows need
+    /// not be pre-sorted: unsorted input is sorted here (on a private
+    /// copy when the caller still holds the `Arc`). Entries subsumed by
+    /// the new one are dropped (the new entry answers everything they
+    /// could). Returns the entries evicted by budget enforcement, so a
+    /// sharded wrapper can aggregate counters without re-locking; when
+    /// the new entry itself was evicted the caller's `Arc` is unique
+    /// again.
     pub fn insert(
         &mut self,
         interval: LeafInterval,
         pushdown: Option<Predicate>,
-        mut rows: Vec<Vec<Value>>,
+        mut rows: SharedRows,
     ) -> u64 {
-        rows.sort_by_key(|r| r.first().and_then(Value::as_int).unwrap_or(i64::MAX));
+        if !rows.is_sorted_by_key(|r| rank_of(r)) {
+            Arc::make_mut(&mut rows).sort_by_key(|r| rank_of(r));
+        }
         // Drop entries the new one subsumes. Contained entries have
         // `lo' ∈ [lo, hi]`, so the interval index prunes candidates.
         let subsumed: Vec<u64> =
@@ -305,13 +331,18 @@ impl SemanticCache {
     }
 }
 
-/// Binary-search the sorted rows down to those whose leaf rank falls in
-/// `interval`.
-fn slice_rows(rows: &[Vec<Value>], interval: LeafInterval) -> Vec<Vec<Value>> {
-    let rank_of = |r: &Vec<Value>| r.first().and_then(Value::as_int).unwrap_or(i64::MAX);
-    let lo = rows.partition_point(|r| rank_of(r) < interval.lo as i64);
-    let hi = rows.partition_point(|r| rank_of(r) < interval.hi as i64);
-    rows[lo..hi].to_vec()
+/// Sort key of an activity row: its leaf rank (column 0), rows without
+/// one last.
+pub(crate) fn rank_of(row: &[Value]) -> i64 {
+    row.first().and_then(Value::as_int).unwrap_or(i64::MAX)
+}
+
+/// Binary-search rank-sorted rows down to the positions whose leaf rank
+/// falls in `interval`.
+pub(crate) fn rank_range(rows: &[Vec<Value>], interval: LeafInterval) -> Range<usize> {
+    let lo = rows.partition_point(|r| rank_of(r) < i64::from(interval.lo));
+    let hi = rows.partition_point(|r| rank_of(r) < i64::from(interval.hi));
+    lo..hi
 }
 
 /// Sound (incomplete) implication: does `query` imply `entry`?
@@ -418,30 +449,34 @@ mod tests {
     #[test]
     fn exact_hit() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(iv(0, 4), None, vec![row(0, "a"), row(2, "b")]);
+        c.insert(iv(0, 4), None, Arc::new(vec![row(0, "a"), row(2, "b")]));
         let hit = c.probe(iv(0, 4), None).unwrap();
-        assert_eq!(hit.rows.len(), 2);
+        assert_eq!(hit.rows().len(), 2);
         assert_eq!(c.stats().hits, 1);
     }
 
     #[test]
     fn containment_hit_slices_rows() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(iv(0, 8), None, vec![row(1, "a"), row(3, "b"), row(6, "c")]);
+        c.insert(
+            iv(0, 8),
+            None,
+            Arc::new(vec![row(1, "a"), row(3, "b"), row(6, "c")]),
+        );
         // Drill-down: child interval [2,5).
         let hit = c.probe(iv(2, 5), None).unwrap();
-        assert_eq!(hit.rows, vec![row(3, "b")]);
+        assert_eq!(hit.rows(), [row(3, "b")]);
         assert_eq!(hit.entry_interval, iv(0, 8));
         // Sibling interval outside: rows empty but still a hit (the
         // cache *knows* there is nothing there).
         let hit = c.probe(iv(7, 8), None).unwrap();
-        assert!(hit.rows.is_empty());
+        assert!(hit.rows().is_empty());
     }
 
     #[test]
     fn non_contained_probe_misses() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(iv(2, 5), None, vec![row(3, "a")]);
+        c.insert(iv(2, 5), None, Arc::new(vec![row(3, "a")]));
         assert!(
             c.probe(iv(0, 4), None).is_none(),
             "partial overlap is a miss"
@@ -458,7 +493,7 @@ mod tests {
 
         let mut c = SemanticCache::new(CacheConfig::default());
         // Entry fetched under p_ge.
-        c.insert(iv(0, 8), Some(p_ge.clone()), vec![row(1, "a")]);
+        c.insert(iv(0, 8), Some(p_ge.clone()), Arc::new(vec![row(1, "a")]));
         // Query pushing down p_ge AND year: entry's rows are a superset.
         assert!(c.probe(iv(0, 4), Some(&both)).is_some());
         // Query pushing down only year: entry may be missing rows
@@ -471,7 +506,7 @@ mod tests {
     #[test]
     fn unfiltered_entry_answers_any_pushdown() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(iv(0, 8), None, vec![row(1, "a")]);
+        c.insert(iv(0, 8), None, Arc::new(vec![row(1, "a")]));
         let p = Predicate::cmp("p_activity", CompareOp::Ge, 6.0);
         assert!(c.probe(iv(0, 4), Some(&p)).is_some());
     }
@@ -479,13 +514,13 @@ mod tests {
     #[test]
     fn insert_subsumes_smaller_entries() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(iv(2, 4), None, vec![row(2, "a")]);
-        c.insert(iv(0, 8), None, vec![row(2, "a"), row(5, "b")]);
+        c.insert(iv(2, 4), None, Arc::new(vec![row(2, "a")]));
+        c.insert(iv(0, 8), None, Arc::new(vec![row(2, "a"), row(5, "b")]));
         assert_eq!(c.len(), 1, "small entry subsumed by the big one");
         // But a *filtered* big entry does not subsume an unfiltered
         // small one.
         let p = Predicate::cmp("p_activity", CompareOp::Ge, 6.0);
-        c.insert(iv(0, 8), Some(p), vec![row(5, "b")]);
+        c.insert(iv(0, 8), Some(p), Arc::new(vec![row(5, "b")]));
         assert_eq!(c.len(), 2);
     }
 
@@ -496,11 +531,11 @@ mod tests {
             max_rows: 1000,
             ..CacheConfig::default()
         });
-        c.insert(iv(0, 1), None, vec![row(0, "a")]);
-        c.insert(iv(1, 2), None, vec![row(1, "b")]);
+        c.insert(iv(0, 1), None, Arc::new(vec![row(0, "a")]));
+        c.insert(iv(1, 2), None, Arc::new(vec![row(1, "b")]));
         // Touch the first entry so the second becomes LRU.
         assert!(c.probe(iv(0, 1), None).is_some());
-        c.insert(iv(2, 3), None, vec![row(2, "c")]);
+        c.insert(iv(2, 3), None, Arc::new(vec![row(2, "c")]));
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().evictions, 1);
         assert!(c.probe(iv(1, 2), None).is_none(), "LRU entry evicted");
@@ -514,8 +549,8 @@ mod tests {
             max_rows: 3,
             ..CacheConfig::default()
         });
-        c.insert(iv(0, 4), None, vec![row(0, "a"), row(1, "b")]);
-        c.insert(iv(4, 8), None, vec![row(4, "c"), row(5, "d")]);
+        c.insert(iv(0, 4), None, Arc::new(vec![row(0, "a"), row(1, "b")]));
+        c.insert(iv(4, 8), None, Arc::new(vec![row(4, "c"), row(5, "d")]));
         assert_eq!(c.len(), 1, "row budget forced eviction");
         assert!(c.total_rows() <= 3);
     }
@@ -527,24 +562,28 @@ mod tests {
             max_rows: 2,
             ..CacheConfig::default()
         });
-        c.insert(iv(0, 8), None, vec![row(0, "a"), row(1, "b"), row(2, "c")]);
+        c.insert(
+            iv(0, 8),
+            None,
+            Arc::new(vec![row(0, "a"), row(1, "b"), row(2, "c")]),
+        );
         assert!(c.is_empty(), "whole-database result exceeds the budget");
         assert_eq!(c.stats().evictions, 1);
         // Smaller entries still cache fine afterwards.
-        c.insert(iv(0, 2), None, vec![row(0, "a")]);
+        c.insert(iv(0, 2), None, Arc::new(vec![row(0, "a")]));
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn invalidation() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(iv(0, 4), None, vec![row(0, "a")]);
-        c.insert(iv(4, 8), None, vec![row(5, "b")]);
+        c.insert(iv(0, 4), None, Arc::new(vec![row(0, "a")]));
+        c.insert(iv(4, 8), None, Arc::new(vec![row(5, "b")]));
         c.invalidate_interval(iv(3, 5));
         assert_eq!(c.len(), 0, "both entries overlap [3,5)");
         assert_eq!(c.stats().invalidations, 2);
 
-        c.insert(iv(0, 4), None, vec![row(0, "a")]);
+        c.insert(iv(0, 4), None, Arc::new(vec![row(0, "a")]));
         c.invalidate_all();
         assert!(c.is_empty());
     }
@@ -570,7 +609,11 @@ mod tests {
         // other on insert, so all eight coexist.
         let pred = |i: usize| Predicate::eq("source_id", i as i64);
         for (i, (interval, _)) in cases.iter().enumerate() {
-            c.insert(*interval, Some(pred(i)), vec![row(interval.lo as i64, "x")]);
+            c.insert(
+                *interval,
+                Some(pred(i)),
+                Arc::new(vec![row(interval.lo as i64, "x")]),
+            );
         }
         assert_eq!(c.len(), 8);
         let dropped = c.invalidate_interval(iv(4, 8));
@@ -591,7 +634,7 @@ mod tests {
     #[test]
     fn probes_always_equal_hits_plus_misses() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(iv(0, 8), None, vec![row(1, "a")]);
+        c.insert(iv(0, 8), None, Arc::new(vec![row(1, "a")]));
         let _ = c.probe(iv(0, 4), None);
         let _ = c.probe(iv(6, 12), None);
         let _ = c.probe(iv(2, 3), None);
@@ -644,7 +687,7 @@ mod tests {
         c.insert(
             iv(0, 8),
             Some(Predicate::cmp("p_activity", Ge, 6.0)),
-            vec![row(1, "a"), row(3, "b")],
+            Arc::new(vec![row(1, "a"), row(3, "b")]),
         );
         // Stricter query bound: rows are a superset of what it needs.
         let strict = Predicate::cmp("p_activity", Ge, 7.5);
@@ -657,9 +700,65 @@ mod tests {
     #[test]
     fn rows_sorted_on_insert() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(iv(0, 8), None, vec![row(6, "c"), row(1, "a"), row(3, "b")]);
+        // The caller keeps its handle: the cache sorts a private copy
+        // and leaves the caller's rows as they were.
+        let unsorted = Arc::new(vec![row(6, "c"), row(1, "a"), row(3, "b")]);
+        c.insert(iv(0, 8), None, Arc::clone(&unsorted));
         let hit = c.probe(iv(0, 8), None).unwrap();
-        let ranks: Vec<i64> = hit.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
+        let ranks: Vec<i64> = hit.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(ranks, vec![1, 3, 6]);
+        assert_eq!(unsorted[0], row(6, "c"));
+        // Containment slicing works on what was sorted here.
+        assert_eq!(c.probe(iv(2, 5), None).unwrap().rows(), [row(3, "b")]);
+    }
+
+    #[test]
+    fn probe_shares_the_entry_rows() {
+        let mut c = SemanticCache::new(CacheConfig::default());
+        let rows = Arc::new(vec![row(1, "a"), row(3, "b"), row(6, "c")]);
+        c.insert(iv(0, 8), None, Arc::clone(&rows));
+        // Sorted input is adopted as is: entry, inserter and every hit
+        // read one allocation.
+        let whole = c.probe(iv(0, 8), None).unwrap();
+        let part = c.probe(iv(2, 7), None).unwrap();
+        assert!(Arc::ptr_eq(&whole.entry_rows, &rows));
+        assert!(Arc::ptr_eq(&part.entry_rows, &rows));
+        assert_eq!(whole.range, 0..3);
+        assert_eq!(part.range, 1..3);
+        assert_eq!(c.total_rows(), 3, "shared rows are counted once");
+    }
+
+    #[test]
+    fn a_hit_outlives_its_entry() {
+        let mut c = SemanticCache::new(CacheConfig {
+            max_entries: 1,
+            ..CacheConfig::default()
+        });
+        c.insert(iv(0, 8), None, Arc::new(vec![row(1, "a"), row(3, "b")]));
+        let before_invalidate = c.probe(iv(0, 4), None).unwrap();
+        c.invalidate_all();
+        assert!(c.is_empty());
+        assert_eq!(c.total_rows(), 0);
+        assert_eq!(before_invalidate.rows(), [row(1, "a"), row(3, "b")]);
+
+        c.insert(iv(0, 8), None, Arc::new(vec![row(2, "x")]));
+        let before_evict = c.probe(iv(0, 8), None).unwrap();
+        c.insert(iv(8, 16), None, Arc::new(vec![row(9, "y")]));
+        assert_eq!(c.stats().evictions, 1);
+        assert!(c.probe(iv(0, 8), None).is_none(), "entry evicted");
+        assert_eq!(before_evict.rows(), [row(2, "x")]);
+        assert_eq!(c.total_rows(), 1);
+    }
+
+    #[test]
+    fn a_declined_insert_hands_the_rows_back() {
+        let mut c = SemanticCache::new(CacheConfig {
+            max_rows: 2,
+            ..CacheConfig::default()
+        });
+        let rows = Arc::new(vec![row(0, "a"), row(1, "b"), row(2, "c")]);
+        assert_eq!(c.insert(iv(0, 8), None, Arc::clone(&rows)), 1);
+        assert_eq!(c.total_rows(), 0);
+        assert!(Arc::try_unwrap(rows).is_ok(), "the cache kept no handle");
     }
 }

@@ -66,7 +66,7 @@ impl ActivityColumns {
             rows = dedupe_most_recent(rows);
         }
         rows.sort_by_key(|r| r[0].as_int().unwrap_or(i64::MAX));
-        let mut table = ColumnarTable::from_rows("activity", activity_half_schema(), rows)?;
+        let mut table = ColumnarTable::from_rows("activity", activity_half_schema().clone(), rows)?;
         table.declare_sorted("leaf_rank")?;
         Ok(ActivityColumns {
             table,

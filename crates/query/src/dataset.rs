@@ -10,7 +10,7 @@ use drugtree_sources::federation::SourceRegistry;
 use drugtree_store::schema::{Column, Schema};
 use drugtree_store::value::{Value, ValueType};
 use rustc_hash::FxHashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Everything a query executes against.
 ///
@@ -145,39 +145,40 @@ impl Dataset {
 
 /// Schema of the unified (activity ⋈ ligand) rows query predicates and
 /// results range over. Ligand columns are nullable: an activity may
-/// reference a ligand absent from the ligand catalog.
-pub fn unified_schema() -> Schema {
-    Schema::new(vec![
-        Column::required("leaf_rank", ValueType::Int),
-        Column::required("protein_accession", ValueType::Text),
-        Column::required("ligand_id", ValueType::Text),
-        Column::required("activity_type", ValueType::Text),
-        Column::required("value_nm", ValueType::Float),
-        Column::required("p_activity", ValueType::Float),
-        Column::required("source", ValueType::Text),
-        Column::required("year", ValueType::Int),
-        Column::nullable("name", ValueType::Text),
-        Column::nullable("smiles", ValueType::Text),
-        Column::nullable("mw", ValueType::Float),
-        Column::nullable("hbd", ValueType::Int),
-        Column::nullable("hba", ValueType::Int),
-        Column::nullable("rings", ValueType::Int),
-    ])
+/// reference a ligand absent from the ligand catalog. Built once;
+/// every query binds its residual and names its columns against it.
+pub fn unified_schema() -> &'static Schema {
+    static SCHEMA: OnceLock<Schema> = OnceLock::new();
+    SCHEMA.get_or_init(|| {
+        let mut columns = activity_half_schema().columns().to_vec();
+        columns.extend([
+            Column::nullable("name", ValueType::Text),
+            Column::nullable("smiles", ValueType::Text),
+            Column::nullable("mw", ValueType::Float),
+            Column::nullable("hbd", ValueType::Int),
+            Column::nullable("hba", ValueType::Int),
+            Column::nullable("rings", ValueType::Int),
+        ]);
+        Schema::new(columns)
+    })
 }
 
 /// Schema of the activity-only half (what sources ship, plus the
-/// locally derived leaf_rank and p_activity columns).
-pub fn activity_half_schema() -> Schema {
-    Schema::new(vec![
-        Column::required("leaf_rank", ValueType::Int),
-        Column::required("protein_accession", ValueType::Text),
-        Column::required("ligand_id", ValueType::Text),
-        Column::required("activity_type", ValueType::Text),
-        Column::required("value_nm", ValueType::Float),
-        Column::required("p_activity", ValueType::Float),
-        Column::required("source", ValueType::Text),
-        Column::required("year", ValueType::Int),
-    ])
+/// locally derived leaf_rank and p_activity columns). Built once.
+pub fn activity_half_schema() -> &'static Schema {
+    static SCHEMA: OnceLock<Schema> = OnceLock::new();
+    SCHEMA.get_or_init(|| {
+        Schema::new(vec![
+            Column::required("leaf_rank", ValueType::Int),
+            Column::required("protein_accession", ValueType::Text),
+            Column::required("ligand_id", ValueType::Text),
+            Column::required("activity_type", ValueType::Text),
+            Column::required("value_nm", ValueType::Float),
+            Column::required("p_activity", ValueType::Float),
+            Column::required("source", ValueType::Text),
+            Column::required("year", ValueType::Int),
+        ])
+    })
 }
 
 /// Convert a raw assay-source row into the activity half of the

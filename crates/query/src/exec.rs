@@ -8,7 +8,7 @@
 
 use crate::adaptive::{AdaptiveRuntime, QueryFeedback};
 use crate::ast::{Metric, Query};
-use crate::cache::{CacheConfig, CacheStats};
+use crate::cache::{rank_of, CacheConfig, CacheStats, SharedRows};
 use crate::columnar::ActivityColumns;
 use crate::cost::{CalibrationReport, CostModel};
 use crate::dataset::{unified_schema, unify_assay_row, Dataset};
@@ -33,6 +33,7 @@ use drugtree_store::expr::{BoundPredicate, Predicate};
 use drugtree_store::kernel;
 use drugtree_store::value::Value;
 use rustc_hash::FxHashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -471,9 +472,10 @@ impl Executor {
         }
 
         // 1. Obtain activity-half rows.
-        let activity_rows: Vec<Vec<Value>> = match &plan.access {
-            Access::ProvedEmpty => Vec::new(),
-            Access::MaterializedView => Vec::new(), // finish reads the view directly
+        let activity = match &plan.access {
+            Access::ProvedEmpty => ActivityRows::Owned(Vec::new()),
+            // Finish reads the view directly.
+            Access::MaterializedView => ActivityRows::Owned(Vec::new()),
             Access::ColumnarScan { pushdown } => {
                 let (_, selection) = self.columnar_select(
                     dataset,
@@ -484,21 +486,23 @@ impl Executor {
                     "columnar-scan",
                 )?;
                 let cols = self.columnar_mirror()?;
-                selection
-                    .iter_ones()
-                    .map(|i| cols.table().get_row(i))
-                    .collect()
+                ActivityRows::Owned(
+                    selection
+                        .iter_ones()
+                        .map(|i| cols.table().get_row(i))
+                        .collect(),
+                )
             }
             Access::Fetch {
                 fetches,
                 concurrent_sources,
-            } => self.run_fetches(
+            } => ActivityRows::Owned(self.run_fetches(
                 dataset,
                 fetches,
                 *concurrent_sources,
                 &mut m,
                 sink.as_deref_mut(),
-            )?,
+            )?),
             Access::CacheProbe {
                 pushdown,
                 on_miss,
@@ -512,10 +516,10 @@ impl Executor {
                         if let Some(tb) = sink.as_deref_mut() {
                             let mut span =
                                 QuerySpan::new(Stage::CacheProbe, "hit", dataset.clock.now());
-                            span.rows = Some(hit.rows.len() as u64);
+                            span.rows = Some(hit.range.len() as u64);
                             tb.push(span);
                         }
-                        hit.rows
+                        ActivityRows::Shared(hit.entry_rows, hit.range)
                     }
                     None => {
                         m.cache_hit = Some(false);
@@ -534,31 +538,63 @@ impl Executor {
                             sink.as_deref_mut(),
                         )?;
                         if *insert_on_miss {
+                            let shared = Arc::new(rows);
                             self.cache
-                                .insert(plan.interval, pushdown.clone(), rows.clone());
+                                .insert(plan.interval, pushdown.clone(), Arc::clone(&shared));
+                            // The cache declines an entry over its row
+                            // budget; the rows are then this query's
+                            // alone again.
+                            match Arc::try_unwrap(shared) {
+                                Ok(rows) => ActivityRows::Owned(rows),
+                                Err(shared) => {
+                                    let all = 0..shared.len();
+                                    ActivityRows::Shared(shared, all)
+                                }
+                            }
+                        } else {
+                            ActivityRows::Owned(rows)
                         }
-                        rows
                     }
                 }
             }
         };
 
-        // 2. Widen to unified rows (ligand join when required).
+        // Steps 2–5 borrow the activity rows and select *survivor
+        // positions*; no unified row exists until step 6 builds the
+        // ones that survive (design decision D16).
         let overlay_started = dataset.clock.now();
-        let rows_in = activity_rows.len() as u64;
-        let mut rows = self.widen_rows(dataset, activity_rows, plan.ligand_join)?;
+        let rows = activity.as_slice();
+        let rows_in = rows.len() as u64;
+        let mut survivors: Vec<usize> = (0..rows.len()).collect();
 
-        // 3. Residual filter.
+        // 2. Ligand join: per row, the catalog's cells for its ligand,
+        // borrowed. Rows a filter is about to drop are joined only when
+        // the residual reads a ligand column.
+        let residual = plan.residual.bind(unified_schema())?;
+        let mut ligand_cells: Vec<Option<&[Value]>> = Vec::new();
+        let join_before_filters = plan.ligand_join && reads_ligand_cells(&residual);
+        if plan.ligand_join {
+            if rows.iter().any(|r| r[2].as_text().is_none()) {
+                return Err(QueryError::Plan("non-text ligand_id".into()));
+            }
+            ligand_cells.resize(rows.len(), None);
+        }
+        if join_before_filters {
+            join_ligands(dataset, rows, &survivors, &mut ligand_cells)?;
+        }
+
+        // 3. Residual filter, over activity cells ‖ ligand cells ‖ NULL.
         if plan.residual != Predicate::True {
-            let bound = plan.residual.bind(&unified_schema())?;
-            rows.retain(|r| bound.matches(r));
+            survivors
+                .retain(|&i| residual.matches_with(&|c| unified_cell(rows, &ligand_cells, i, c)));
         }
 
         // 4. Similarity filter.
         if let Some(sim) = &plan.similarity {
-            rows.retain(|r| {
-                r[2].as_text()
-                    .and_then(|lig| dataset.overlay.fingerprint(lig))
+            survivors.retain(|&i| {
+                rows[i][2]
+                    .as_text()
+                    .and_then(|lig| dataset.overlay.catalogued_fingerprint(lig))
                     .is_some_and(|fp| tanimoto(fp, &sim.fingerprint) >= sim.min_tanimoto)
             });
         }
@@ -566,30 +602,34 @@ impl Executor {
         // 5. Substructure filter: fingerprint prescreen, then exact
         // subgraph match, memoized per distinct ligand.
         if let Some(sub) = &plan.substructure {
-            let mut verdicts: FxHashMap<String, bool> = FxHashMap::default();
-            rows.retain(|r| {
-                let Some(lig) = r[2].as_text() else {
+            let mut verdicts: FxHashMap<&str, bool> = FxHashMap::default();
+            survivors.retain(|&i| {
+                let Some(lig) = rows[i][2].as_text() else {
                     return false;
                 };
-                *verdicts.entry(lig.to_string()).or_insert_with(|| {
-                    let Some(fp) = dataset.overlay.fingerprint(lig) else {
+                *verdicts.entry(lig).or_insert_with(|| {
+                    let Some(fp) = dataset.overlay.catalogued_fingerprint(lig) else {
                         return false;
                     };
                     if !drugtree_chem::substructure::fingerprint_prescreen(&sub.pattern_fp, fp) {
                         return false;
                     }
-                    dataset.overlay.molecule(lig).is_some_and(|m| {
+                    dataset.overlay.catalogued_molecule(lig).is_some_and(|m| {
                         drugtree_chem::substructure::is_substructure(&sub.pattern, m)
                     })
                 })
             });
         }
 
+        if plan.ligand_join && !join_before_filters {
+            join_ligands(dataset, rows, &survivors, &mut ligand_cells)?;
+        }
+
         if let Some(tb) = sink.as_deref_mut() {
             let mut span = QuerySpan::new(Stage::Overlay, "", overlay_started);
             span.ended = dataset.clock.now();
             span.attrs.push(("rows_in", rows_in));
-            span.attrs.push(("rows_out", rows.len() as u64));
+            span.attrs.push(("rows_out", survivors.len() as u64));
             tb.push(span);
         }
 
@@ -601,7 +641,8 @@ impl Executor {
             Finish::AggregateChildren { .. } => "aggregate",
             Finish::CountPerLeaf => "count-per-leaf",
         };
-        let (columns, out_rows) = self.finish(dataset, &plan, rows, view)?;
+        let (columns, out_rows) =
+            finish_survivors(dataset, &plan, view, activity, survivors, &ligand_cells)?;
         if let Some(tb) = sink {
             let mut span = QuerySpan::new(Stage::Finish, finish_label, finish_started);
             span.ended = dataset.clock.now();
@@ -924,151 +965,6 @@ impl Executor {
         rows.sort_by_key(|r| r[0].as_int().unwrap_or(i64::MAX));
         Ok(rows)
     }
-
-    /// Pad activity rows to the unified 14-column layout, joining the
-    /// local ligand table when required.
-    fn widen_rows(
-        &self,
-        dataset: &Dataset,
-        activity_rows: Vec<Vec<Value>>,
-        join: bool,
-    ) -> Result<Vec<Vec<Value>>> {
-        let ligand_cols = crate::ast::columns::LIGAND.len();
-        if !join {
-            return Ok(activity_rows
-                .into_iter()
-                .map(|mut r| {
-                    r.extend(std::iter::repeat_with(|| Value::Null).take(ligand_cols));
-                    r
-                })
-                .collect());
-        }
-        let ligands = dataset.overlay.catalog().table(tables::LIGAND)?;
-        // ligand table columns: ligand_id, name, smiles, mw, hbd, hba, rings.
-        let mut cache: FxHashMap<String, Option<Vec<Value>>> = FxHashMap::default();
-        let mut out = Vec::with_capacity(activity_rows.len());
-        for mut row in activity_rows {
-            let ligand_id = row[2]
-                .as_text()
-                .ok_or_else(|| QueryError::Plan("non-text ligand_id".into()))?
-                .to_string();
-            let entry = cache.entry(ligand_id.clone()).or_insert_with(|| {
-                ligands
-                    .lookup_eq("ligand_id", &Value::from(ligand_id.clone()))
-                    .ok()
-                    .and_then(|ids| ids.first().copied())
-                    .and_then(|id| ligands.get(id).ok())
-                    .map(|r| r[1..].to_vec())
-            });
-            match entry {
-                Some(cols) => row.extend(cols.iter().cloned()),
-                None => row.extend(std::iter::repeat_with(|| Value::Null).take(ligand_cols)),
-            }
-            out.push(row);
-        }
-        Ok(out)
-    }
-
-    fn finish(
-        &self,
-        dataset: &Dataset,
-        plan: &PhysicalPlan,
-        mut rows: Vec<Vec<Value>>,
-        view: Option<&MaterializedAggregates>,
-    ) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
-        let unified_columns: Vec<String> = unified_schema()
-            .columns()
-            .iter()
-            .map(|c| c.name.clone())
-            .collect();
-        Ok(match &plan.finish {
-            Finish::Collect => (unified_columns, rows),
-            Finish::TopK {
-                column,
-                k,
-                descending,
-            } => {
-                rows.sort_by(|a, b| {
-                    let ord = a[*column].cmp(&b[*column]);
-                    if *descending {
-                        ord.reverse()
-                    } else {
-                        ord
-                    }
-                });
-                rows.truncate(*k);
-                (unified_columns, rows)
-            }
-            Finish::AggregateChildren { children, metric } => {
-                let columns = vec![
-                    "clade".to_string(),
-                    "leaf_lo".to_string(),
-                    "leaf_hi".to_string(),
-                    metric.label().to_string(),
-                ];
-                let out = if plan.access == Access::MaterializedView {
-                    let view =
-                        view.ok_or_else(|| QueryError::Plan("matview plan without view".into()))?;
-                    children
-                        .iter()
-                        .map(|(node, label, iv)| {
-                            vec![
-                                Value::from(label.clone()),
-                                Value::from(iv.lo),
-                                Value::from(iv.hi),
-                                view.value(*node, *metric),
-                            ]
-                        })
-                        .collect()
-                } else {
-                    children
-                        .iter()
-                        .map(|(_, label, iv)| {
-                            let group: Vec<&Vec<Value>> = rows
-                                .iter()
-                                .filter(|r| {
-                                    r[0].as_int()
-                                        .is_some_and(|rank| iv.contains_rank(rank as u32))
-                                })
-                                .collect();
-                            vec![
-                                Value::from(label.clone()),
-                                Value::from(iv.lo),
-                                Value::from(iv.hi),
-                                aggregate_group(&group, *metric),
-                            ]
-                        })
-                        .collect()
-                };
-                (columns, out)
-            }
-            Finish::CountPerLeaf => {
-                let columns = vec![
-                    "leaf_rank".to_string(),
-                    "accession".to_string(),
-                    "count".to_string(),
-                ];
-                let mut counts: FxHashMap<u32, i64> = FxHashMap::default();
-                for r in &rows {
-                    if let Some(rank) = r[0].as_int() {
-                        *counts.entry(rank as u32).or_default() += 1;
-                    }
-                }
-                let out = (plan.interval.lo..plan.interval.hi)
-                    .map(|rank| {
-                        vec![
-                            Value::from(rank),
-                            dataset
-                                .accession_of_rank(rank)
-                                .map_or(Value::Null, Value::from),
-                            Value::Int(counts.get(&rank).copied().unwrap_or(0)),
-                        ]
-                    })
-                    .collect();
-                (columns, out)
-            }
-        })
-    }
 }
 
 /// Keep the most recent measurement per (rank, ligand, type). Shared
@@ -1093,27 +989,278 @@ pub(crate) fn dedupe_most_recent(rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     best.into_values().collect()
 }
 
-fn aggregate_group(group: &[&Vec<Value>], metric: Metric) -> Value {
+/// Activity-half width of a unified row; ligand cells follow.
+const ACTIVITY_CELLS: usize = crate::ast::columns::ACTIVITY.len();
+/// Cells the ligand join contributes (the ligand table minus its id).
+const LIGAND_CELLS: usize = crate::ast::columns::LIGAND.len();
+
+/// The activity-half rows step 1 obtained. Steps 2–6 borrow them; the
+/// output rows are built from them last, and only for survivors.
+enum ActivityRows {
+    /// Rows this query owns outright (direct fetch, columnar scan, a
+    /// miss the cache declined to keep): survivors are moved out.
+    Owned(Vec<Vec<Value>>),
+    /// A cache entry's immutable snapshot, shared with the cache (a
+    /// hit, or a miss whose rows the cache kept), and the positions in
+    /// scope: survivors are cloned out.
+    Shared(SharedRows, Range<usize>),
+}
+
+impl ActivityRows {
+    fn as_slice(&self) -> &[Vec<Value>] {
+        match self {
+            ActivityRows::Owned(rows) => rows,
+            ActivityRows::Shared(rows, range) => &rows[range.clone()],
+        }
+    }
+
+    /// Build the unified output rows at `picked` positions (each at
+    /// most once), in that order.
+    fn into_unified(self, picked: &[usize], ligand_cells: &[Option<&[Value]>]) -> Vec<Vec<Value>> {
+        let ligand_at = |i: usize| ligand_cells.get(i).copied().flatten();
+        match self {
+            ActivityRows::Owned(mut rows) => picked
+                .iter()
+                .map(|&i| unified_row(std::mem::take(&mut rows[i]).into_iter(), ligand_at(i)))
+                .collect(),
+            ActivityRows::Shared(rows, range) => {
+                let rows = &rows[range];
+                picked
+                    .iter()
+                    .map(|&i| unified_row(rows[i].iter().cloned(), ligand_at(i)))
+                    .collect()
+            }
+        }
+    }
+}
+
+/// One output row, allocated once at its full width: the activity
+/// cells, then the joined ligand cells or NULLs.
+fn unified_row(
+    activity_cells: impl Iterator<Item = Value>,
+    ligand: Option<&[Value]>,
+) -> Vec<Value> {
+    let mut row = Vec::with_capacity(ACTIVITY_CELLS + LIGAND_CELLS);
+    row.extend(activity_cells);
+    match ligand {
+        Some(cells) => row.extend_from_slice(cells),
+        None => row.resize(ACTIVITY_CELLS + LIGAND_CELLS, Value::Null),
+    }
+    row
+}
+
+/// True when the predicate reads a cell the ligand join supplies.
+fn reads_ligand_cells(pred: &BoundPredicate) -> bool {
+    match pred {
+        BoundPredicate::True => false,
+        BoundPredicate::Compare { column, .. }
+        | BoundPredicate::Between { column, .. }
+        | BoundPredicate::InSet { column, .. }
+        | BoundPredicate::IsNull { column } => *column >= ACTIVITY_CELLS,
+        BoundPredicate::And(ps) | BoundPredicate::Or(ps) => ps.iter().any(reads_ligand_cells),
+        BoundPredicate::Not(p) => reads_ligand_cells(p),
+    }
+}
+
+/// Join the rows at `targets` to the overlay's ligand table: one
+/// catalog lookup per distinct ligand, the cells borrowed in place.
+/// A ligand absent from the catalog leaves `None` (NULL cells).
+fn join_ligands<'d>(
+    dataset: &'d Dataset,
+    rows: &[Vec<Value>],
+    targets: &[usize],
+    ligand_cells: &mut [Option<&'d [Value]>],
+) -> Result<()> {
+    let ligands = dataset.overlay.catalog().table(tables::LIGAND)?;
+    // ligand table columns: ligand_id, name, smiles, mw, hbd, hba, rings.
+    let mut seen: FxHashMap<&str, Option<&'d [Value]>> = FxHashMap::default();
+    for &i in targets {
+        let Some(ligand_id) = rows[i][2].as_text() else {
+            continue;
+        };
+        ligand_cells[i] = *seen.entry(ligand_id).or_insert_with(|| {
+            ligands
+                .lookup_eq("ligand_id", &Value::from(ligand_id))
+                .ok()
+                .and_then(|ids| ids.first().copied())
+                .and_then(|id| ligands.get(id).ok())
+                .map(|r| &r[1..])
+        });
+    }
+    Ok(())
+}
+
+/// Cell `column` of the unified row at position `i`, without building
+/// the row: an activity cell, a joined ligand cell, or NULL.
+fn unified_cell<'a>(
+    rows: &'a [Vec<Value>],
+    ligand_cells: &[Option<&'a [Value]>],
+    i: usize,
+    column: usize,
+) -> &'a Value {
+    static NULL: Value = Value::Null;
+    if column < ACTIVITY_CELLS {
+        return &rows[i][column];
+    }
+    ligand_cells
+        .get(i)
+        .copied()
+        .flatten()
+        .map_or(&NULL, |cells| &cells[column - ACTIVITY_CELLS])
+}
+
+fn unified_columns() -> Vec<String> {
+    unified_schema()
+        .columns()
+        .iter()
+        .map(|c| c.name.clone())
+        .collect()
+}
+
+/// Step 6, finish, on survivor positions: rank, group or count over
+/// the borrowed rows, and build unified rows only for what is returned.
+fn finish_survivors(
+    dataset: &Dataset,
+    plan: &PhysicalPlan,
+    view: Option<&MaterializedAggregates>,
+    activity: ActivityRows,
+    mut survivors: Vec<usize>,
+    ligand_cells: &[Option<&[Value]>],
+) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
+    Ok(match &plan.finish {
+        Finish::Collect => (
+            unified_columns(),
+            activity.into_unified(&survivors, ligand_cells),
+        ),
+        Finish::TopK {
+            column,
+            k,
+            descending,
+        } => {
+            let rows = activity.as_slice();
+            // Stable, like the row sort it replaces: ties keep rank order.
+            survivors.sort_by(|&a, &b| {
+                let ord = unified_cell(rows, ligand_cells, a, *column).cmp(unified_cell(
+                    rows,
+                    ligand_cells,
+                    b,
+                    *column,
+                ));
+                if *descending {
+                    ord.reverse()
+                } else {
+                    ord
+                }
+            });
+            survivors.truncate(*k);
+            (
+                unified_columns(),
+                activity.into_unified(&survivors, ligand_cells),
+            )
+        }
+        Finish::AggregateChildren { children, metric } => {
+            let columns = vec![
+                "clade".to_string(),
+                "leaf_lo".to_string(),
+                "leaf_hi".to_string(),
+                metric.label().to_string(),
+            ];
+            let out = if plan.access == Access::MaterializedView {
+                let view =
+                    view.ok_or_else(|| QueryError::Plan("matview plan without view".into()))?;
+                children
+                    .iter()
+                    .map(|(node, label, iv)| {
+                        vec![
+                            Value::from(label.clone()),
+                            Value::from(iv.lo),
+                            Value::from(iv.hi),
+                            view.value(*node, *metric),
+                        ]
+                    })
+                    .collect()
+            } else {
+                let rows = activity.as_slice();
+                // Every access hands over rank-sorted rows and filtering
+                // keeps positions ascending, so a child's group is one
+                // run of survivors, found by binary search.
+                debug_assert!(rows.is_sorted_by_key(|r| rank_of(r)));
+                children
+                    .iter()
+                    .map(|(_, label, iv)| {
+                        let start =
+                            survivors.partition_point(|&i| rank_of(&rows[i]) < i64::from(iv.lo));
+                        let end =
+                            survivors.partition_point(|&i| rank_of(&rows[i]) < i64::from(iv.hi));
+                        vec![
+                            Value::from(label.clone()),
+                            Value::from(iv.lo),
+                            Value::from(iv.hi),
+                            aggregate_group(rows, &survivors[start..end.max(start)], *metric),
+                        ]
+                    })
+                    .collect()
+            };
+            (columns, out)
+        }
+        Finish::CountPerLeaf => {
+            let columns = vec![
+                "leaf_rank".to_string(),
+                "accession".to_string(),
+                "count".to_string(),
+            ];
+            let rows = activity.as_slice();
+            let mut counts = vec![0i64; plan.interval.len() as usize];
+            for &i in &survivors {
+                let slot = rows[i][0]
+                    .as_int()
+                    .and_then(|rank| (rank as u32).checked_sub(plan.interval.lo))
+                    .and_then(|offset| counts.get_mut(offset as usize));
+                if let Some(slot) = slot {
+                    *slot += 1;
+                }
+            }
+            let out = (plan.interval.lo..plan.interval.hi)
+                .zip(counts)
+                .map(|(rank, count)| {
+                    vec![
+                        Value::from(rank),
+                        dataset
+                            .accession_of_rank(rank)
+                            .map_or(Value::Null, Value::from),
+                        Value::Int(count),
+                    ]
+                })
+                .collect();
+            (columns, out)
+        }
+    })
+}
+
+/// One child clade's metric over the rows at `group` positions.
+fn aggregate_group(rows: &[Vec<Value>], group: &[usize], metric: Metric) -> Value {
+    let potencies = || group.iter().filter_map(|&i| rows[i][5].as_f64());
     match metric {
         Metric::Count => Value::Int(group.len() as i64),
         Metric::DistinctLigands => {
             let distinct: std::collections::HashSet<&str> =
-                group.iter().filter_map(|r| r[2].as_text()).collect();
+                group.iter().filter_map(|&i| rows[i][2].as_text()).collect();
             Value::Int(distinct.len() as i64)
         }
-        Metric::MaxPActivity => group
-            .iter()
-            .filter_map(|r| r[5].as_f64())
+        Metric::MaxPActivity => potencies()
             .fold(None, |acc: Option<f64>, p| {
                 Some(acc.map_or(p, |a| a.max(p)))
             })
             .map_or(Value::Null, Value::Float),
         Metric::MeanPActivity => {
-            let ps: Vec<f64> = group.iter().filter_map(|r| r[5].as_f64()).collect();
-            if ps.is_empty() {
+            // Summed in rank order: the order the matview and the
+            // columnar kernels reproduce bit for bit.
+            let mut n = 0usize;
+            let sum: f64 = potencies().inspect(|_| n += 1).sum();
+            if n == 0 {
                 Value::Null
             } else {
-                Value::Float(ps.iter().sum::<f64>() / ps.len() as f64)
+                Value::Float(sum / n as f64)
             }
         }
     }

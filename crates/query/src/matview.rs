@@ -31,8 +31,10 @@ pub struct MaterializedAggregates {
 }
 
 impl MaterializedAggregates {
-    /// Build by scanning every assay source once and folding each row
-    /// up the leaf-to-root path.
+    /// Build by scanning every assay source once and folding each
+    /// measurement up the leaf-to-root path, in leaf-rank order — the
+    /// order the naive plan sums in, so a float sum (and hence
+    /// `mean_p_activity`) is bit-for-bit the naive plan's.
     pub fn build(dataset: &Dataset) -> Result<MaterializedAggregates> {
         let n = dataset.tree.len();
         let mut count = vec![0u64; n];
@@ -42,6 +44,8 @@ impl MaterializedAggregates {
         let mut build_cost = Duration::ZERO;
         let mut source_counts = Vec::new();
 
+        // (rank, p_activity, ligand_id) in source-scan order.
+        let mut measurements: Vec<(u32, f64, String)> = Vec::new();
         for source in dataset.registry.distinct_by_kind(SourceKind::Assay) {
             let resp = source.fetch(&FetchRequest::scan())?;
             build_cost += resp.cost;
@@ -57,23 +61,27 @@ impl MaterializedAggregates {
                 else {
                     continue;
                 };
-                let rank = rank as u32;
-                let ligand = ligand.to_string();
-                let leaf = dataset.index.leaf_at(rank)?;
-                // Fold up the ancestor path (including the leaf).
-                let mut node = leaf;
-                loop {
-                    let i = node.index();
-                    count[i] += 1;
-                    max_p[i] = max_p[i].max(p);
-                    sum_p[i] += p;
-                    ligand_sets[i].insert(ligand.clone());
-                    let parent = dataset.index.parent(node);
-                    if parent == node {
-                        break;
-                    }
-                    node = parent;
+                measurements.push((rank as u32, p, ligand.to_string()));
+            }
+        }
+        // Stable: measurements of one leaf keep their scan order, as
+        // they do under the fetch path's rank sort.
+        measurements.sort_by_key(|(rank, _, _)| *rank);
+
+        for (rank, p, ligand) in measurements {
+            // Fold up the ancestor path (including the leaf).
+            let mut node = dataset.index.leaf_at(rank)?;
+            loop {
+                let i = node.index();
+                count[i] += 1;
+                max_p[i] = max_p[i].max(p);
+                sum_p[i] += p;
+                ligand_sets[i].insert(ligand.clone());
+                let parent = dataset.index.parent(node);
+                if parent == node {
+                    break;
                 }
+                node = parent;
             }
         }
 

@@ -34,11 +34,10 @@ pub use drugtree_sources::serve::{
     ServeViolation, RULE_COALESCE_BATCH, RULE_FLIGHT_PREDICATE,
 };
 
-use crate::cache::{CacheConfig, CacheHit, CacheStats, SemanticCache};
+use crate::cache::{CacheConfig, CacheHit, CacheStats, SemanticCache, SharedRows};
 use drugtree_phylo::index::LeafInterval;
 use drugtree_sources::sync::Mutex;
 use drugtree_store::expr::Predicate;
-use drugtree_store::value::Value;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -92,7 +91,9 @@ impl ShardedSemanticCache {
     /// Probe for an entry answering `(interval, pushdown)`. Locks the
     /// home shard of the pushdown key; a filtered probe that misses
     /// additionally tries the unfiltered shard (whose `None`-pushdown
-    /// entries answer any predicate).
+    /// entries answer any predicate). A shard lock covers the entry
+    /// search and a reference-count bump, never a row copy: the hit
+    /// shares the entry's rows.
     pub fn probe(&self, interval: LeafInterval, pushdown: Option<&Predicate>) -> Option<CacheHit> {
         self.probes.fetch_add(1, Ordering::Relaxed);
         let home = self.shard_of(pushdown);
@@ -110,13 +111,9 @@ impl ShardedSemanticCache {
         hit
     }
 
-    /// Insert a fetch result into the pushdown key's home shard.
-    pub fn insert(
-        &self,
-        interval: LeafInterval,
-        pushdown: Option<Predicate>,
-        rows: Vec<Vec<Value>>,
-    ) {
+    /// Insert a fetch result into the pushdown key's home shard,
+    /// sharing `rows` with the caller.
+    pub fn insert(&self, interval: LeafInterval, pushdown: Option<Predicate>, rows: SharedRows) {
         let shard = self.shard_of(pushdown.as_ref());
         let evicted = self.shards[shard].lock().insert(interval, pushdown, rows);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
@@ -174,6 +171,8 @@ impl ShardedSemanticCache {
 mod tests {
     use super::*;
     use drugtree_store::expr::CompareOp;
+    use drugtree_store::value::Value;
+    use std::sync::Arc;
 
     fn iv(lo: u32, hi: u32) -> LeafInterval {
         LeafInterval { lo, hi }
@@ -202,10 +201,13 @@ mod tests {
     fn drilldown_hits_survive_sharding() {
         let c = cache(8);
         let p = Predicate::cmp("p_activity", CompareOp::Ge, 6.0);
-        c.insert(iv(0, 16), Some(p.clone()), vec![row(1), row(9)]);
-        // Child probe under the same pushdown key: same shard, hit.
+        let rows = Arc::new(vec![row(1), row(9)]);
+        c.insert(iv(0, 16), Some(p.clone()), Arc::clone(&rows));
+        // Child probe under the same pushdown key: same shard, hit,
+        // and the hit reads the entry's rows in place.
         let hit = c.probe(iv(0, 8), Some(&p)).unwrap();
-        assert_eq!(hit.rows, vec![row(1)]);
+        assert_eq!(hit.rows(), [row(1)]);
+        assert!(Arc::ptr_eq(&hit.entry_rows, &rows));
         let s = c.stats();
         assert_eq!((s.probes, s.hits, s.misses), (1, 1, 0));
     }
@@ -213,7 +215,7 @@ mod tests {
     #[test]
     fn unfiltered_shard_answers_filtered_probes() {
         let c = cache(8);
-        c.insert(iv(0, 16), None, vec![row(3)]);
+        c.insert(iv(0, 16), None, Arc::new(vec![row(3)]));
         // A filtered probe whose home shard is empty falls back to the
         // unfiltered shard.
         let p = Predicate::cmp("p_activity", CompareOp::Ge, 6.0);
@@ -224,7 +226,7 @@ mod tests {
     #[test]
     fn stats_reads_are_consistent_and_lock_free() {
         let c = cache(4);
-        c.insert(iv(0, 8), None, vec![row(1)]);
+        c.insert(iv(0, 8), None, Arc::new(vec![row(1)]));
         let _ = c.probe(iv(0, 4), None);
         let _ = c.probe(iv(9, 12), None);
         // Hold every shard lock: stats() must still return (it reads
@@ -249,7 +251,11 @@ mod tests {
             })
             .collect();
         for (i, p) in preds.iter().enumerate() {
-            c.insert(iv(i as u32, i as u32 + 2), p.clone(), vec![row(i as i64)]);
+            c.insert(
+                iv(i as u32, i as u32 + 2),
+                p.clone(),
+                Arc::new(vec![row(i as i64)]),
+            );
         }
         assert_eq!(c.len(), 6);
         c.invalidate_interval(iv(0, 3));
@@ -275,7 +281,11 @@ mod tests {
         // in at the per-shard budget, not the global one.
         let p = Predicate::eq("year", 2012i64);
         for i in 0..5u32 {
-            c.insert(iv(10 + i, 11 + i), Some(p.clone()), vec![row(i as i64)]);
+            c.insert(
+                iv(10 + i, 11 + i),
+                Some(p.clone()),
+                Arc::new(vec![row(i as i64)]),
+            );
         }
         assert!(c.stats().evictions >= 3, "per-shard entry budget enforced");
     }

@@ -116,6 +116,11 @@ fn latency(rtt_ms: u64) -> LatencyModel {
 }
 
 fn build_dataset() -> Dataset {
+    build_dataset_with(&[])
+}
+
+/// The oracle's dataset plus `extra` activities the sources also ship.
+fn build_dataset_with(extra: &[ActivityRecord]) -> Dataset {
     let tree = parse_newick(NEWICK).expect("valid newick");
     let index = TreeIndex::build(&tree);
 
@@ -163,6 +168,7 @@ fn build_dataset() -> Dataset {
         }
     }
     assert!(acts.len() >= 35, "dataset holds {} activities", acts.len());
+    acts.extend_from_slice(extra);
 
     let overlay = OverlayBuilder::new(&tree, &index)
         .build(&proteins, &ligands, &[])
@@ -492,5 +498,144 @@ fn concurrent_shared_executor_matches_naive_baseline() {
     assert!(
         serve.requests_issued > 0,
         "the concurrent stream reached the sources"
+    );
+}
+
+/// A cache hit must be indistinguishable from the miss it replaces:
+/// every query of the oracle's corpus returns the same columns and rows
+/// cold (cache invalidated), warm from the exact entry its own miss
+/// inserted, and warm from a containing parent entry (the whole-tree
+/// listing, sliced by binary search) — the shared-rows path of design
+/// decision D16 under the same oracle as the optimizer rules. The two
+/// warm forms borrow differently sized entries and must still agree
+/// row for row, *in order*.
+#[test]
+fn cache_hits_return_what_misses_return() {
+    // One activity names a ligand the catalog does not hold: its
+    // ligand cells are NULL on every path.
+    let dataset = build_dataset_with(&[ActivityRecord {
+        protein_accession: "P5".into(),
+        ligand_id: "LX".into(),
+        activity_type: ActivityType::Ki,
+        value_nm: 250_000.0,
+        source: "chembl-sim".into(),
+        year: 2010,
+    }]);
+    let executor = || {
+        let mut exec = Executor::new(Optimizer::new(OptimizerConfig::full()));
+        exec.collect_stats(&dataset).expect("stats");
+        exec
+    };
+    let (cold, exact, parent) = (executor(), executor(), executor());
+    let whole_tree = Query::activities(Scope::Tree);
+
+    let mut queries = generated_queries();
+    queries.extend([
+        // Top-k over heavily tied ranking keys: tie order is rank order.
+        Query::activities(Scope::Tree).top_k("year", 7, true),
+        Query::activities(Scope::Subtree("c6".into())).top_k("activity_type", 4, false),
+        // ... and over a ligand column holding a NULL.
+        Query::activities(Scope::Subtree("c5".into())).top_k("mw", 3, false),
+        // Residuals on a ligand column, with the absent ligand in scope.
+        Query::activities(Scope::Tree).filter(Predicate::cmp("mw", CompareOp::Lt, 150.0)),
+        Query::activities(Scope::Subtree("c5".into())).filter(Predicate::IsNull {
+            column: "mw".into(),
+        }),
+        Query::activities(Scope::Subtree("c2".into()))
+            .filter(Predicate::Not(Box::new(Predicate::cmp(
+                "mw",
+                CompareOp::Ge,
+                100.0,
+            ))))
+            .aggregate(Metric::Count),
+    ]);
+
+    let mut hits = 0;
+    let mut null_ligand_rows = 0;
+    for (i, query) in queries.iter().enumerate() {
+        let run = |exec: &Executor| {
+            exec.execute(&dataset, query)
+                .unwrap_or_else(|e| panic!("query #{i} `{query}` failed: {e}"))
+        };
+        cold.invalidate();
+        let miss = run(&cold);
+
+        exact.invalidate();
+        run(&exact);
+        let from_exact = run(&exact);
+
+        parent.invalidate();
+        parent
+            .execute(&dataset, &whole_tree)
+            .expect("whole-tree listing");
+        let from_parent = run(&parent);
+
+        if miss.metrics.cache_hit.is_some() {
+            assert_eq!(miss.metrics.cache_hit, Some(false), "query #{i} `{query}`");
+            assert_eq!(
+                from_exact.metrics.cache_hit,
+                Some(true),
+                "query #{i} `{query}`"
+            );
+            assert_eq!(
+                from_parent.metrics.cache_hit,
+                Some(true),
+                "query #{i} `{query}`"
+            );
+            assert_eq!(from_exact.metrics.source_requests, 0);
+            assert_eq!(from_parent.metrics.source_requests, 0);
+            hits += 1;
+        }
+
+        assert_eq!(
+            from_exact.columns, from_parent.columns,
+            "query #{i} `{query}`"
+        );
+        assert_eq!(
+            from_exact.rows, from_parent.rows,
+            "query #{i} `{query}`: the two warm forms differ (or differ in order)"
+        );
+        assert_eq!(miss.columns, from_exact.columns, "query #{i} `{query}`");
+        match &query.kind {
+            // Equal-key rows may tie-break differently between a miss
+            // and a hit: compare the multiset of ranking keys.
+            QueryKind::TopK { by, .. } => {
+                let col = miss.columns.iter().position(|c| c == by).expect("column");
+                let keys = |rows: &[Vec<Value>]| {
+                    let mut keys: Vec<Value> = rows.iter().map(|r| r[col].clone()).collect();
+                    keys.sort();
+                    keys
+                };
+                assert_eq!(
+                    keys(&miss.rows),
+                    keys(&from_exact.rows),
+                    "query #{i} `{query}`"
+                );
+            }
+            _ => {
+                let sorted = |rows: &[Vec<Value>]| {
+                    let mut rows = rows.to_vec();
+                    rows.sort();
+                    rows
+                };
+                assert_eq!(
+                    sorted(&miss.rows),
+                    sorted(&from_exact.rows),
+                    "query #{i} `{query}`"
+                );
+            }
+        }
+        if miss.columns.len() == 14 {
+            null_ligand_rows += from_parent
+                .rows
+                .iter()
+                .filter(|r| r[2] == Value::from("LX") && r[8..].iter().all(Value::is_null))
+                .count();
+        }
+    }
+    assert!(hits > QUERIES / 2, "only {hits} queries probed the cache");
+    assert!(
+        null_ligand_rows > 0,
+        "no hit returned the absent ligand's NULL cells"
     );
 }

@@ -30,7 +30,8 @@ fn row(rank: i64) -> Vec<Value> {
 
 /// An invalidation sweeping the shards races a prober hammering the
 /// same interval. Under every schedule: a hit returns the full,
-/// untorn row set (never a partially-invalidated entry), hits are
+/// untorn row set (never a partially-invalidated entry) and shares the
+/// inserted snapshot rather than a copy of it, hits are
 /// monotone (once the prober observes the invalidation, the entry
 /// never resurrects), the atomic counters account for every probe,
 /// and the cache ends empty.
@@ -42,17 +43,21 @@ fn invalidation_racing_probes_never_tears_results() {
             max_rows: 1600,
             shards: 4,
         }));
-        let rows = vec![row(1), row(2), row(3)];
-        cache.insert(iv(0, 8), None, rows.clone());
+        let rows = Arc::new(vec![row(1), row(2), row(3)]);
+        cache.insert(iv(0, 8), None, Arc::clone(&rows));
 
         let prober = {
-            let (c, expect) = (Arc::clone(&cache), rows.clone());
+            let (c, expect) = (Arc::clone(&cache), Arc::clone(&rows));
             loom::thread::spawn(move || {
                 let mut hits = Vec::new();
                 for _ in 0..4 {
                     match c.probe(iv(0, 8), None) {
                         Some(hit) => {
-                            assert_eq!(hit.rows, expect, "hit returned a torn row set");
+                            assert_eq!(hit.rows(), &expect[..], "hit returned a torn row set");
+                            assert!(
+                                Arc::ptr_eq(&hit.entry_rows, &expect),
+                                "hit copied the entry instead of sharing it"
+                            );
                             hits.push(true);
                         }
                         None => hits.push(false),

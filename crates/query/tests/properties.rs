@@ -209,8 +209,8 @@ proptest! {
             .fold(Predicate::True, Predicate::and);
         let each: bool = preds
             .iter()
-            .all(|p| p.bind(&schema).unwrap().matches(&row));
-        prop_assert_eq!(folded.bind(&schema).unwrap().matches(&row), each);
+            .all(|p| p.bind(schema).unwrap().matches(&row));
+        prop_assert_eq!(folded.bind(schema).unwrap().matches(&row), each);
     }
 
     /// The Canonicalize phase's fixpoint contract (enforced at the
@@ -239,8 +239,8 @@ proptest! {
         let schema = unified_schema();
         let row = row_from_seed(&seed);
         let n = normalize(p.clone());
-        let original = p.bind(&schema).unwrap().matches(&row);
-        let canonical = n.bind(&schema).unwrap().matches(&row);
+        let original = p.bind(schema).unwrap().matches(&row);
+        let canonical = n.bind(schema).unwrap().matches(&row);
         prop_assert_eq!(original, canonical, "original {:?} vs canonical {:?}", p, n);
     }
 }

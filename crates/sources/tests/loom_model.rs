@@ -284,7 +284,10 @@ fn event_queue_never_loses_completion_racing_deadline_expiry() {
                 q.push(Ev::DeadlineExpired);
                 // The expiry side also initiates shutdown, racing the
                 // consumer's drain: close must never drop the queued
-                // completion.
+                // completion. (Queued: an event pushed after the close
+                // and the drain is not lost, it is late — so shutdown
+                // waits for the other producer.)
+                completion.join().unwrap();
                 q.close();
             })
         };
@@ -298,7 +301,6 @@ fn event_queue_never_loses_completion_racing_deadline_expiry() {
                 .expect("event lost: pop returned None before both arrived");
             seen.insert(ev);
         }
-        completion.join().unwrap();
         expiry.join().unwrap();
 
         assert!(seen.contains(&Ev::CoalescerDone));

@@ -250,24 +250,32 @@ impl BoundPredicate {
     /// `IsNull` (two-valued simplification of SQL's three-valued logic:
     /// unknown collapses to false).
     pub fn matches(&self, row: &[Value]) -> bool {
+        self.matches_with(&|column| &row[column])
+    }
+
+    /// Evaluate against a row that is not stored contiguously: `cell`
+    /// hands out the value at a bound column index. The executor
+    /// filters a borrowed activity row, its joined ligand cells and
+    /// NULL padding through this without first building the row.
+    pub fn matches_with<'a>(&self, cell: &dyn Fn(usize) -> &'a Value) -> bool {
         match self {
             BoundPredicate::True => true,
             BoundPredicate::Compare { column, op, value } => {
-                let cell = &row[*column];
+                let cell = cell(*column);
                 !cell.is_null() && !value.is_null() && op.matches(cell.cmp(value))
             }
             BoundPredicate::Between { column, lo, hi } => {
-                let cell = &row[*column];
+                let cell = cell(*column);
                 !cell.is_null() && cell >= lo && cell <= hi
             }
             BoundPredicate::InSet { column, values } => {
-                let cell = &row[*column];
+                let cell = cell(*column);
                 !cell.is_null() && values.contains(cell)
             }
-            BoundPredicate::IsNull { column } => row[*column].is_null(),
-            BoundPredicate::And(ps) => ps.iter().all(|p| p.matches(row)),
-            BoundPredicate::Or(ps) => ps.iter().any(|p| p.matches(row)),
-            BoundPredicate::Not(p) => !p.matches(row),
+            BoundPredicate::IsNull { column } => cell(*column).is_null(),
+            BoundPredicate::And(ps) => ps.iter().all(|p| p.matches_with(cell)),
+            BoundPredicate::Or(ps) => ps.iter().any(|p| p.matches_with(cell)),
+            BoundPredicate::Not(p) => !p.matches_with(cell),
         }
     }
 }

@@ -250,6 +250,17 @@ proptest! {
         let via_kernels: Vec<usize> = ct.eval(&bound, 0..ct.len()).iter_ones().collect();
         prop_assert_eq!(&via_kernels, &via_rows, "pred {:?}", pred);
 
+        // The cell-accessor form over a row held in two pieces (the
+        // executor's activity cells ‖ joined cells) selects the same.
+        let split = cut % schema.arity();
+        let via_cells: Vec<usize> = (0..rows.len())
+            .filter(|&i| {
+                let (head, tail) = t.get(RowId(i as u64)).unwrap().split_at(split);
+                bound.matches_with(&|c| if c < split { &head[c] } else { &tail[c - split] })
+            })
+            .collect();
+        prop_assert_eq!(&via_cells, &via_rows, "pred {:?} split {}", pred, split);
+
         // A restricted row range must agree with filtering the same
         // window of the row scan.
         let cut = cut.min(rows.len());

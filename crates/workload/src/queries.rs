@@ -254,6 +254,66 @@ mod tests {
     }
 
     #[test]
+    fn similarity_references_to_merged_ligands_resolve() {
+        // The benchmark's deployment draws 1,024 ligands from seed
+        // 1101; two of them are one structure, so the overlay merges
+        // the later id away — and the stream still names it.
+        let b = SyntheticBundle::generate(
+            &WorkloadSpec::default().leaves(256).ligands(1024).seed(1101),
+        );
+        let (_, aliases, _) = drugtree_integrate::ligand_identity::dedupe_ligands(&b.ligands);
+        assert!(!aliases.is_empty(), "deployment has a merged ligand");
+        let d = b.build_dataset();
+        let e = Executor::new(Optimizer::new(OptimizerConfig::full()));
+        let qs = class_stream(
+            QueryClass::SimilarityTopK,
+            &b.tree,
+            &b.index,
+            &b.ligands,
+            &QueryWorkloadConfig {
+                len: 200,
+                seed: 1,
+                ..Default::default()
+            },
+        );
+        let mut merged_references = 0;
+        for q in &qs {
+            let got = e
+                .execute(&d, q)
+                .unwrap_or_else(|err| panic!("{q:?}: {err}"));
+            let sim = q.similarity.as_ref().expect("similarity class");
+            if let Some(canonical) = aliases.get(&sim.reference) {
+                merged_references += 1;
+                let mut by_canonical = q.clone();
+                by_canonical.similarity = Some(drugtree_query::ast::SimilaritySpec {
+                    reference: canonical.clone(),
+                    ..sim.clone()
+                });
+                let expected = e.execute(&d, &by_canonical).expect("canonical id resolves");
+                assert_eq!(got.columns, expected.columns);
+                assert_eq!(got.rows, expected.rows, "{q:?}");
+            }
+        }
+        assert!(merged_references > 0, "stream named a merged-away ligand");
+        // `containing '<id>'` resolves the same way.
+        for (merged, canonical) in &aliases {
+            let by_merged = e
+                .execute(
+                    &d,
+                    &Query::activities(Scope::Tree).containing(merged.clone()),
+                )
+                .expect("merged id resolves as a substructure pattern");
+            let by_canonical = e
+                .execute(
+                    &d,
+                    &Query::activities(Scope::Tree).containing(canonical.clone()),
+                )
+                .expect("canonical id resolves");
+            assert_eq!(by_merged.rows, by_canonical.rows);
+        }
+    }
+
+    #[test]
     fn scope_skew_follows_theta() {
         let b = bundle();
         let scopes_of = |theta: f64| {

@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use drugtree::prelude::*;
-use drugtree_query::ast::QueryKind;
+use drugtree_query::ast::{Metric, QueryKind};
 use drugtree_workload::queries::{mixed_stream, QueryWorkloadConfig};
 
 fn sorted_rows(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
@@ -163,4 +163,68 @@ fn multi_source_partitioning_is_transparent() {
         let b = sorted_rows(sys_four.query(text).unwrap().rows);
         assert_eq!(a, b, "{text}");
     }
+}
+
+#[test]
+fn local_structures_return_the_naive_plans_mean_bit_for_bit() {
+    // `mean_p_activity` is a float sum, so it depends on the order of
+    // summation. The naive plan sums in leaf-rank order; the
+    // materialized view and the columnar sum kernel must do the same,
+    // to the last bit — not merely to nine decimal places.
+    let bundle =
+        SyntheticBundle::generate(&WorkloadSpec::default().leaves(4096).ligands(64).seed(1101));
+    let naive = DrugTree::builder()
+        .dataset(bundle.build_dataset())
+        .optimizer(OptimizerConfig::naive())
+        .with_stats(false)
+        .build()
+        .unwrap();
+    let matview = DrugTree::builder()
+        .dataset(bundle.build_dataset())
+        .with_matview()
+        .build()
+        .unwrap();
+    let columnar = DrugTree::builder()
+        .dataset(bundle.build_dataset())
+        .with_columnar()
+        .build()
+        .unwrap();
+
+    // Every labelled clade of at least two leaves: the root's whole
+    // 4,096-leaf sum down to two-leaf cherries. Each clade is some
+    // parent's child, so each is compared at every size in between.
+    let clades: Vec<String> = bundle
+        .tree
+        .node_ids()
+        .filter(|&id| !bundle.tree.node_unchecked(id).is_leaf())
+        .filter_map(|id| bundle.tree.node_unchecked(id).label.clone())
+        .collect();
+    assert!(clades.len() > 1000, "{} labelled clades", clades.len());
+
+    let mut means = 0;
+    for label in &clades {
+        let query =
+            Query::activities(Scope::Subtree(label.clone())).aggregate(Metric::MeanPActivity);
+        let expected = naive.execute(&query).unwrap();
+        for (name, system) in [("matview", &matview), ("columnar", &columnar)] {
+            let got = system.execute(&query).unwrap();
+            assert_eq!(got.metrics.source_requests, 0, "[{name}] answered locally");
+            assert_eq!(expected.rows.len(), got.rows.len());
+            for (e, g) in expected.rows.iter().zip(&got.rows) {
+                assert_eq!(e[..3], g[..3], "[{name}] {label}");
+                match (&e[3], &g[3]) {
+                    (Value::Float(e), Value::Float(g)) => {
+                        means += 1;
+                        assert_eq!(
+                            e.to_bits(),
+                            g.to_bits(),
+                            "[{name}] mean under {label} differs: naive {e:?}, got {g:?}"
+                        );
+                    }
+                    (e, g) => assert_eq!(e, g, "[{name}] {label}"),
+                }
+            }
+        }
+    }
+    assert!(means > 1000, "compared {means} means");
 }
