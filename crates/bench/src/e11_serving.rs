@@ -13,8 +13,8 @@
 //!    shared executor: sharded semantic cache, virtual-time flight
 //!    coalescing — one session's miss warms every session).
 //! 2. **Fleet scale** — the shared scheduler alone from 64 up to
-//!    16,384 sessions; the event-driven design keeps the worker pool
-//!    fixed while the fleet grows.
+//!    16,384 sessions; the event-driven design runs them all on one
+//!    thread.
 //! 3. **Shard sweep** — cache shard counts at a fixed fleet, the
 //!    contention knob [`FleetBuilder::with_shards`] exposes.
 //! 4. **Failure scenarios** — an *sla* row (deadlines + admission
@@ -24,8 +24,8 @@
 //!    `degraded` column reads `shed/deadline/hedged/outage`.
 //!
 //! All numbers are **virtual-clock** and deterministic — the scheduler
-//! replays a fleet byte-identically regardless of worker count (the
-//! full run proves it by replaying the 4,096-session cell twice).
+//! replays a fleet byte-identically (the full run proves it by
+//! replaying the 4,096-session cell twice).
 //! Throughput is gestures per virtual second of makespan; wall-clock
 //! CPU is measured separately by Criterion (E9).
 

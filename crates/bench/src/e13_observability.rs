@@ -111,7 +111,7 @@ pub fn run(config: RunConfig) -> ExperimentTable {
 
         let n = registry.queries.get().max(1);
         let query_ns = registry.stage_nanos(Stage::Query).max(1);
-        let fetch_ns = registry.stage_nanos(Stage::Fetch) + registry.stage_nanos(Stage::Coalesce);
+        let fetch_ns = registry.stage_nanos(Stage::Fetch);
         table.row(vec![
             class.label().to_string(),
             fmt_ms(observed_mean),

@@ -53,13 +53,12 @@ pub mod prelude {
     pub use crate::serve::{FleetBuilder, ServeError, ServeReport};
     pub use crate::system::{DrugTree, DrugTreeError, SystemReport};
     pub use drugtree_mobile::gestures::{drill_down_script, GestureConfig};
-    pub use drugtree_mobile::serve::{zipf_sessions, SessionWorkload};
+    pub use drugtree_mobile::{zipf_sessions, SessionWorkload};
     pub use drugtree_mobile::{Gesture, MobileSession, NetworkProfile};
     pub use drugtree_phylo::newick::{parse_newick, to_newick};
     pub use drugtree_phylo::{NodeId, Tree, TreeIndex};
     pub use drugtree_query::ast::{Metric, Query, QueryKind, Scope};
     pub use drugtree_query::optimizer::{Optimizer, OptimizerConfig};
-    pub use drugtree_query::serve::{ServeConfig, ServeStats};
     pub use drugtree_query::{
         AnalyzedResult, GestureObservation, MetricsRegistry, Observer, QuerySpan, QueryTrace, Stage,
     };

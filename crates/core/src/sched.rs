@@ -1,34 +1,26 @@
 //! The event-driven fleet scheduler (D14).
 //!
-//! The original server spawned one OS thread per mobile session and
-//! let the kernel interleave them — honest concurrency, but capped at
-//! tens of sessions and nondeterministic in every replay. This module
-//! replaces it with a discrete-event scheduler over *session state
-//! machines* ([`drugtree_mobile::SessionMachine`]):
-//!
-//! * A **coordinator** owns a priority event queue keyed on
-//!   virtual-clock deadlines `(due_ns, seq)`. A session's `due` is its
-//!   private virtual cursor — the sum of the charged latencies it has
-//!   accumulated — so the heap interleaves 4k–16k independent clients
-//!   exactly as their virtual timelines dictate, deterministically.
-//! * A small **worker pool** (not one thread per session) owns the
-//!   session machines, sharded `session % workers`. The coordinator
-//!   mails commands through each worker's [`EventQueue`] mailbox and
-//!   workers mail replies back on one shared completion queue. Whole
-//!   same-instant cohorts *begin* their gestures in parallel (private
-//!   per-session state); everything that touches shared state — query
-//!   execution, clock advances, observer emissions — is serialized by
-//!   the coordinator in heap order, which is what makes two replays of
-//!   the same fleet byte-identical.
+//! A single-threaded discrete-event engine over *session state
+//! machines* ([`drugtree_mobile::SessionMachine`]). The scheduler owns
+//! every machine and a priority queue of events keyed on virtual-clock
+//! deadlines `(due_ns, seq)`. A session's `due` is its private virtual
+//! cursor — the sum of the charged latencies it has accumulated — so
+//! the heap interleaves 4k–16k independent clients exactly as their
+//! virtual timelines dictate. Events are handled strictly one at a
+//! time in heap order: every gesture begin, query execution, clock
+//! advance and observer emission happens on the calling thread in one
+//! total order, which is what makes two replays of the same fleet
+//! byte-identical. (Beginning a gesture touches only that session's
+//! private state and the read-only dataset, so there is nothing a
+//! second thread could do without joining that order.)
 //!
 //! On top of the event loop sit the production failure scenarios:
 //!
 //! * **Virtual-time coalescing** — a query opens a *flight* keyed on
 //!   the query's identity and held open for a coalesce window of
 //!   virtual time; identical queries arriving inside the window join
-//!   the flight and share one execution (the fleet-scale analogue of
-//!   the executor's wall-clock single-flight, which a serialized
-//!   scheduler can never trigger).
+//!   the flight and share one execution. This is the system's only
+//!   cross-session coalescing layer.
 //! * **Admission control** — a bound on concurrently open flights;
 //!   arrivals beyond it are *shed* with a degraded result and a small
 //!   rejection cost, counted per query class.
@@ -41,22 +33,22 @@
 //!   models a hedge against a replica: the effective cost is capped at
 //!   `percentile + replica estimate`, and hedges that actually improve
 //!   latency are counted as wins.
-//! * **Outage storms** — a failed execution (e.g. a
+//! * **Outage storms** — an execution that fails at a source (e.g. a
 //!   [`FlakySource`](drugtree_sources::flaky::FlakySource) storm
 //!   window) degrades every participant with a partial result charged
-//!   the failed attempt's virtual cost; the fleet keeps running.
+//!   the failed attempt's virtual cost; the fleet keeps running. Any
+//!   other query error is the script's fault and ends the run, as it
+//!   ends a solo replay of the same script.
 
 use crate::serve::ServeError;
 use drugtree_mobile::layout::TreeLayout;
-use drugtree_mobile::serve::SessionWorkload;
 use drugtree_mobile::{
-    DegradedReason, GestureStep, MobileError, QueryOutcome, QueryPending, SessionMachine,
-    ViewPending,
+    DegradedReason, GestureStep, MachineState, MobileError, QueryOutcome, QueryPending,
+    SessionMachine, SessionWorkload,
 };
 use drugtree_query::ast::Query;
 use drugtree_query::obs::{QueryClass, ServeClassCounters};
-use drugtree_query::{Dataset, Executor};
-use drugtree_sources::sched::{EventQueue, EventQueueStats};
+use drugtree_query::{Dataset, Executor, QueryError};
 use drugtree_sources::telemetry::FixedHistogram;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -172,7 +164,9 @@ impl HedgePolicy {
 /// Counters describing one fleet run's scheduling work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Worker threads in the pool (not sessions!).
+    /// Always 1: the scheduler is one thread. Inert: `benchmark/`,
+    /// which this tree may not edit, gates its `core.*` rows on
+    /// `workers > 0`; goes when a benchmark issue releases it.
     pub workers: usize,
     /// Heap events processed.
     pub events: u64,
@@ -182,17 +176,22 @@ pub struct SchedStats {
     pub flight_joins: u64,
     /// High-water mark of concurrently open flights.
     pub max_open_flights: u64,
-    /// Aggregated worker-mailbox traffic.
-    pub mailbox: EventQueueStats,
-    /// Completion-queue traffic.
-    pub completions: EventQueueStats,
+    /// Always zero. Inert: `benchmark/` reads `mailbox.waits`; frozen
+    /// like `workers`.
+    pub mailbox: MailboxStats,
+}
+
+/// Always zero: there are no mailboxes. Inert, see
+/// [`SchedStats::mailbox`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MailboxStats {
+    /// Always 0.
+    pub waits: u64,
 }
 
 /// Everything the scheduler needs beyond the workload itself.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SchedulerConfig {
-    /// Worker threads; `0` picks the fixed default pool.
-    pub workers: usize,
     pub deadline: DeadlinePolicy,
     pub admission: AdmissionControl,
     pub hedging: HedgePolicy,
@@ -203,7 +202,6 @@ pub(crate) struct SchedulerConfig {
 impl Default for SchedulerConfig {
     fn default() -> SchedulerConfig {
         SchedulerConfig {
-            workers: 0,
             deadline: DeadlinePolicy::none(),
             admission: AdmissionControl::default(),
             hedging: HedgePolicy::default(),
@@ -257,37 +255,6 @@ struct Event {
     kind: EventKind,
 }
 
-enum Command {
-    Begin {
-        session: usize,
-    },
-    CommitView {
-        session: usize,
-        pending: ViewPending,
-    },
-    CommitQuery {
-        session: usize,
-        pending: QueryPending,
-        outcome: QueryOutcome,
-    },
-}
-
-enum Reply {
-    Begun {
-        session: usize,
-        step: Option<GestureStep>,
-    },
-    BeginFailed {
-        session: usize,
-        error: MobileError,
-    },
-    Committed {
-        session: usize,
-        charged: Duration,
-        query: bool,
-    },
-}
-
 struct Part {
     session: usize,
     pending: QueryPending,
@@ -328,176 +295,48 @@ pub(crate) fn run_fleet(
     workloads: &[SessionWorkload],
     config: &SchedulerConfig,
 ) -> Result<FleetOutcome, ServeError> {
-    let sessions = workloads.len();
-    let workers = if config.workers == 0 {
-        4
-    } else {
-        config.workers
-    }
-    .min(sessions.max(1))
-    .max(1);
     let layout = Arc::new(TreeLayout::compute(&dataset.tree, &dataset.index));
-    let mailboxes: Vec<Arc<EventQueue<Command>>> =
-        (0..workers).map(|_| Arc::new(EventQueue::new())).collect();
-    let completions: Arc<EventQueue<Reply>> = Arc::new(EventQueue::new());
-
-    std::thread::scope(|scope| {
-        for (w, mailbox) in mailboxes.iter().enumerate() {
-            let mailbox = Arc::clone(mailbox);
-            let completions = Arc::clone(&completions);
-            let layout = Arc::clone(&layout);
-            scope.spawn(move || {
-                worker_loop(
-                    w,
-                    workers,
-                    dataset,
-                    executor,
-                    workloads,
-                    layout,
-                    &mailbox,
-                    &completions,
-                );
-            });
-        }
-        let mut sched = Sched {
-            dataset,
-            executor,
-            config,
-            mailboxes: &mailboxes,
-            completions: &completions,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            cursors: vec![0u64; sessions],
-            totals: vec![Duration::ZERO; sessions],
-            latencies: Vec::new(),
-            counters: [ClassAcc::default(); CLASSES],
-            hists: std::array::from_fn(|_| FixedHistogram::latency_buckets()),
-            open_by_key: HashMap::new(),
-            flights: HashMap::new(),
-            next_flight: 0,
-            gestures: 0,
-            done: 0,
-            stats: SchedStats {
-                workers,
-                ..SchedStats::default()
-            },
-        };
-        let result = sched.drive(sessions);
-        // Always unblock the pool, success or error: workers drain
-        // their mailboxes and exit on `None`.
-        for mailbox in &mailboxes {
-            mailbox.close();
-        }
-        result?;
-        let mut mailbox_stats = EventQueueStats::default();
-        for mb in &mailboxes {
-            let s = mb.stats();
-            mailbox_stats.pushed += s.pushed;
-            mailbox_stats.popped += s.popped;
-            mailbox_stats.waits += s.waits;
-        }
-        sched.stats.mailbox = mailbox_stats;
-        sched.stats.completions = completions.stats();
-        Ok(sched.into_outcome())
-    })
-}
-
-/// One worker: owns the machines of its shard (`session % workers`)
-/// and executes coordinator commands until its mailbox closes.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<'a>(
-    worker: usize,
-    workers: usize,
-    dataset: &'a Dataset,
-    executor: &'a Executor,
-    workloads: &[SessionWorkload],
-    layout: Arc<TreeLayout>,
-    mailbox: &EventQueue<Command>,
-    completions: &EventQueue<Reply>,
-) {
-    // Fleet construction is the one genuinely parallel bulk phase:
-    // each worker builds its shard's machines while the others do the
-    // same.
-    let mut machines: HashMap<usize, SessionMachine<'a>> = workloads
+    let machines = workloads
         .iter()
-        .enumerate()
-        .filter(|(i, _)| i % workers == worker)
-        .map(|(i, w)| {
-            (
-                i,
-                SessionMachine::new(dataset, executor, Arc::clone(&layout), w),
-            )
-        })
+        .map(|w| SessionMachine::new(dataset, executor, Arc::clone(&layout), w))
         .collect();
-    while let Some(cmd) = mailbox.pop() {
-        match cmd {
-            // A command for a session outside this shard can only come
-            // from a mis-routed coordinator; answer with a terminal /
-            // zero-cost reply so the ping-pong protocol never stalls.
-            Command::Begin { session } => {
-                let Some(m) = machines.get_mut(&session) else {
-                    completions.push(Reply::Begun {
-                        session,
-                        step: None,
-                    });
-                    continue;
-                };
-                match m.begin_next() {
-                    Ok(step) => completions.push(Reply::Begun { session, step }),
-                    Err(error) => completions.push(Reply::BeginFailed { session, error }),
-                }
-            }
-            Command::CommitView { session, pending } => {
-                let Some(m) = machines.get_mut(&session) else {
-                    completions.push(Reply::Committed {
-                        session,
-                        charged: Duration::ZERO,
-                        query: false,
-                    });
-                    continue;
-                };
-                let r = m.commit_view(pending);
-                completions.push(Reply::Committed {
-                    session,
-                    charged: r.charged_latency,
-                    query: false,
-                });
-            }
-            Command::CommitQuery {
-                session,
-                pending,
-                outcome,
-            } => {
-                let Some(m) = machines.get_mut(&session) else {
-                    completions.push(Reply::Committed {
-                        session,
-                        charged: Duration::ZERO,
-                        query: true,
-                    });
-                    continue;
-                };
-                let r = m.commit_query(pending, &outcome);
-                completions.push(Reply::Committed {
-                    session,
-                    charged: r.charged_latency,
-                    query: true,
-                });
-            }
-        }
-    }
+    let queries = workloads
+        .iter()
+        .flat_map(|w| &w.script)
+        .filter(|g| g.bears_query())
+        .count();
+    let mut sched = Sched {
+        dataset,
+        executor,
+        config,
+        machines,
+        heap: BinaryHeap::new(),
+        seq: 0,
+        latencies: Vec::with_capacity(queries),
+        counters: [ClassAcc::default(); CLASSES],
+        hists: std::array::from_fn(|_| FixedHistogram::latency_buckets()),
+        open_by_key: HashMap::new(),
+        flights: HashMap::new(),
+        next_flight: 0,
+        gestures: 0,
+        stats: SchedStats {
+            workers: 1,
+            ..SchedStats::default()
+        },
+    };
+    sched.drive()?;
+    Ok(sched.into_outcome())
 }
 
 struct Sched<'a> {
     dataset: &'a Dataset,
     executor: &'a Executor,
     config: &'a SchedulerConfig,
-    mailboxes: &'a [Arc<EventQueue<Command>>],
-    completions: &'a EventQueue<Reply>,
+    /// One machine per session; its virtual cursor is the session's
+    /// fleet time.
+    machines: Vec<SessionMachine<'a>>,
     heap: BinaryHeap<Reverse<Event>>,
     seq: u64,
-    /// Per-session fleet time (ns): the machine's virtual cursor.
-    cursors: Vec<u64>,
-    totals: Vec<Duration>,
     latencies: Vec<Duration>,
     counters: [ClassAcc; CLASSES],
     /// Learned per-class execution-cost history (hedging trigger).
@@ -506,137 +345,81 @@ struct Sched<'a> {
     flights: HashMap<u64, Flight>,
     next_flight: u64,
     gestures: usize,
-    done: usize,
     stats: SchedStats,
 }
 
-impl<'a> Sched<'a> {
-    fn mailbox_for(&self, session: usize) -> &EventQueue<Command> {
-        &self.mailboxes[session % self.mailboxes.len()]
-    }
-
+impl Sched<'_> {
     fn push_event(&mut self, due: u64, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(Event { due, seq, kind }));
     }
 
-    /// Serialized commit: mail the command, block for its reply. The
-    /// ping-pong is what makes clock advances and observer emissions
-    /// replay in one deterministic total order.
-    fn commit(&mut self, session: usize, cmd: Command) -> Result<(Duration, bool), ServeError> {
-        self.mailbox_for(session).push(cmd);
-        match self.completions.pop() {
-            Some(Reply::Committed {
-                session: s,
-                charged,
-                query,
-            }) if s == session => Ok((charged, query)),
-            _ => Err(ServeError::Worker(format!(
-                "worker pool hung up while committing session {session}"
-            ))),
-        }
+    /// Schedule a session's next event at its (just advanced) cursor.
+    fn reschedule(&mut self, session: usize) {
+        let due = nanos(self.machines[session].cursor());
+        self.push_event(due, EventKind::Session(session));
     }
 
-    /// Account a committed interaction and schedule the session's
-    /// next event at its new virtual cursor.
-    fn settle(&mut self, session: usize, charged: Duration, query: bool) {
-        self.totals[session] += charged;
-        self.cursors[session] = self.cursors[session].saturating_add(nanos(charged));
-        if query {
-            self.latencies.push(charged);
-        }
-        self.push_event(self.cursors[session], EventKind::Session(session));
+    /// Resume a parked session with its query's resolution; returns
+    /// the latency the session was charged.
+    fn commit_query(
+        &mut self,
+        session: usize,
+        pending: QueryPending,
+        outcome: &QueryOutcome,
+    ) -> Duration {
+        let charged = self.machines[session]
+            .commit_query(pending, outcome)
+            .charged_latency;
+        self.latencies.push(charged);
+        self.reschedule(session);
+        charged
     }
 
-    fn drive(&mut self, sessions: usize) -> Result<(), ServeError> {
-        for s in 0..sessions {
+    fn drive(&mut self) -> Result<(), ServeError> {
+        for s in 0..self.machines.len() {
             self.push_event(0, EventKind::Session(s));
         }
         while let Some(Reverse(event)) = self.heap.pop() {
             self.stats.events += 1;
             match event.kind {
-                EventKind::Session(first) => self.begin_cohort(event.due, first)?,
+                EventKind::Session(s) => self.begin_gesture(event.due, s)?,
                 EventKind::Flight(id) => self.dispatch_flight(event.due, id)?,
             }
         }
-        debug_assert_eq!(self.done, sessions, "every session ran to completion");
+        debug_assert!(
+            self.machines
+                .iter()
+                .all(|m| m.state() == MachineState::Done),
+            "every session ran to completion"
+        );
         Ok(())
     }
 
-    /// Pop every same-instant session event, begin the whole cohort in
-    /// parallel across the pool, then process the steps in heap order.
-    fn begin_cohort(&mut self, due: u64, first: usize) -> Result<(), ServeError> {
-        let mut cohort = vec![first];
-        while let Some(Reverse(peek)) = self.heap.peek() {
-            if peek.due != due || !matches!(peek.kind, EventKind::Session(_)) {
-                break;
+    /// Begin a session's next gesture: commit a view change on the
+    /// spot, hand a query to the flight layer.
+    fn begin_gesture(&mut self, now: u64, session: usize) -> Result<(), ServeError> {
+        let step = self.machines[session]
+            .begin_next()
+            .map_err(|source| ServeError::Session { session, source })?;
+        let Some(step) = step else {
+            return Ok(());
+        };
+        self.gestures += 1;
+        match step {
+            GestureStep::View(pending) => {
+                self.machines[session].commit_view(pending);
+                self.reschedule(session);
             }
-            let Some(Reverse(next)) = self.heap.pop() else {
-                break;
-            };
-            self.stats.events += 1;
-            if let EventKind::Session(s) = next.kind {
-                cohort.push(s);
-            }
-        }
-        for &s in &cohort {
-            self.mailbox_for(s).push(Command::Begin { session: s });
-        }
-        let mut steps: HashMap<usize, Result<Option<GestureStep>, MobileError>> =
-            HashMap::with_capacity(cohort.len());
-        for _ in 0..cohort.len() {
-            match self.completions.pop() {
-                Some(Reply::Begun { session, step }) => {
-                    steps.insert(session, Ok(step));
-                }
-                Some(Reply::BeginFailed { session, error }) => {
-                    steps.insert(session, Err(error));
-                }
-                _ => {
-                    return Err(ServeError::Worker(
-                        "worker pool hung up while beginning a cohort".into(),
-                    ))
-                }
-            }
-        }
-        for s in cohort {
-            let Some(step) = steps.remove(&s) else {
-                return Err(ServeError::Worker(format!(
-                    "worker pool never replied for session {s}"
-                )));
-            };
-            match step {
-                Err(source) => return Err(ServeError::Session { session: s, source }),
-                Ok(None) => self.done += 1,
-                Ok(Some(GestureStep::View(pending))) => {
-                    self.gestures += 1;
-                    let (charged, query) = self.commit(
-                        s,
-                        Command::CommitView {
-                            session: s,
-                            pending,
-                        },
-                    )?;
-                    self.settle(s, charged, query);
-                }
-                Ok(Some(GestureStep::Query(pending))) => {
-                    self.gestures += 1;
-                    self.query_arrival(due, s, pending)?;
-                }
-            }
+            GestureStep::Query(pending) => self.query_arrival(now, session, pending),
         }
         Ok(())
     }
 
     /// Route a begun query: join an open flight, shed, or open a new
     /// flight due after the coalesce window.
-    fn query_arrival(
-        &mut self,
-        now: u64,
-        session: usize,
-        pending: QueryPending,
-    ) -> Result<(), ServeError> {
+    fn query_arrival(&mut self, now: u64, session: usize, pending: QueryPending) {
         let class = QueryClass::of(&pending.query);
         let key = format!("{:?}", pending.query);
         if let Some(&id) = self.open_by_key.get(&key) {
@@ -647,7 +430,7 @@ impl<'a> Sched<'a> {
                     pending,
                     arrived: now,
                 });
-                return Ok(());
+                return;
             }
             // Stale key (flight already dispatched): open a new flight.
             self.open_by_key.remove(&key);
@@ -659,16 +442,8 @@ impl<'a> Sched<'a> {
                 reason: DegradedReason::Shed,
                 charged: admission.shed_cost,
             };
-            let (charged, query) = self.commit(
-                session,
-                Command::CommitQuery {
-                    session,
-                    pending,
-                    outcome,
-                },
-            )?;
-            self.settle(session, charged, query);
-            return Ok(());
+            self.commit_query(session, pending, &outcome);
+            return;
         }
         let id = self.next_flight;
         self.next_flight += 1;
@@ -695,7 +470,6 @@ impl<'a> Sched<'a> {
             now.saturating_add(nanos(self.config.coalesce_window)),
             EventKind::Flight(id),
         );
-        Ok(())
     }
 
     /// Close and execute a flight, then resolve every participant —
@@ -744,23 +518,15 @@ impl<'a> Sched<'a> {
                             query_latency,
                         }
                     };
-                    let (charged, query) = self.commit(
-                        part.session,
-                        Command::CommitQuery {
-                            session: part.session,
-                            pending: part.pending,
-                            outcome,
-                        },
-                    )?;
+                    let charged = self.commit_query(part.session, part.pending, &outcome);
                     // Soft miss: delivered, but transfer pushed the
                     // final charged latency past the deadline.
                     if !hard_miss && deadline.is_some_and(|d| charged > d) {
                         self.counters[idx].deadline_missed += 1;
                     }
-                    self.settle(part.session, charged, query);
                 }
             }
-            Err(_outage) => {
+            Err(QueryError::Source(_outage)) => {
                 // Graceful partial results: every participant gets a
                 // degraded (empty) answer charged its wait plus the
                 // failed attempt's virtual cost, and the fleet keeps
@@ -776,16 +542,17 @@ impl<'a> Sched<'a> {
                         reason: DegradedReason::SourceOutage,
                         charged: wait + exec_delta,
                     };
-                    let (charged, query) = self.commit(
-                        part.session,
-                        Command::CommitQuery {
-                            session: part.session,
-                            pending: part.pending,
-                            outcome,
-                        },
-                    )?;
-                    self.settle(part.session, charged, query);
+                    self.commit_query(part.session, part.pending, &outcome);
                 }
+            }
+            // Not an outage: the query itself is bad (unknown column,
+            // unparseable similarity reference, broken plan). A solo
+            // replay of the script fails on it, so the fleet does too.
+            Err(error) => {
+                return Err(ServeError::Session {
+                    session: flight.parts.first().map_or(0, |p| p.session),
+                    source: MobileError::Query(error),
+                });
             }
         }
         Ok(())
@@ -838,7 +605,7 @@ impl<'a> Sched<'a> {
             })
             .collect();
         FleetOutcome {
-            session_totals: self.totals,
+            session_totals: self.machines.iter().map(SessionMachine::cursor).collect(),
             latencies: self.latencies,
             gestures: self.gestures,
             classes,

@@ -4,24 +4,21 @@
 //! in [`crate::sched`]: it owns a dataset/executor pair, takes a fleet
 //! of [`SessionWorkload`]s, and drives every session as a poll-able
 //! state machine on the virtual clock — 4k–16k Zipf sessions replay
-//! deterministically on a worker pool the size of a desk, not a
-//! datacenter. The builder's `with_*` methods opt into the production
-//! failure scenarios (per-class deadlines, admission control with load
-//! shedding, hedged requests, graceful outage degradation) and the
-//! cache shard-count sweep; [`FleetBuilder::run`] returns a
+//! deterministically on one thread. The builder's `with_*` methods
+//! opt into the production failure scenarios (per-class deadlines,
+//! admission control with load shedding, hedged requests, graceful
+//! outage degradation) and the cache shard-count sweep; [`FleetBuilder::run`] returns a
 //! [`ServeReport`] whose per-class [`ServeClassCounters`] expose the
 //! shed/hedged/deadline-missed counts, also emitted to any attached
 //! observer as `{"event":"serve"}` JSONL records for `drugtree top`.
 
 use crate::sched::{run_fleet, SchedStats, SchedulerConfig};
 use crate::system::{DrugTree, DrugTreeError};
-use drugtree_mobile::serve::SessionWorkload;
-use drugtree_mobile::MobileError;
+use drugtree_mobile::{MobileError, SessionWorkload};
 use drugtree_query::cache::CacheStats;
 use drugtree_query::obs::ServeClassCounters;
-use drugtree_query::serve::ServeStats;
 use drugtree_query::trace::Observer;
-use drugtree_query::{Dataset, Executor, ServeConfig};
+use drugtree_query::{Dataset, Executor};
 use drugtree_sources::clock::wall_now;
 use std::fmt;
 use std::sync::Arc;
@@ -37,8 +34,9 @@ pub use crate::sched::{AdmissionControl, DeadlinePolicy, HedgePolicy};
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum ServeError {
-    /// A session failed while beginning a gesture (e.g. an unknown
-    /// node in its script).
+    /// A session's script is at fault: a gesture failed to begin
+    /// (e.g. an unknown node) or its query is one no retry can answer
+    /// (e.g. an unknown column).
     Session {
         /// The failing session's index.
         session: usize,
@@ -47,8 +45,6 @@ pub enum ServeError {
     },
     /// The fleet was misconfigured.
     Config(String),
-    /// The worker pool failed mid-run.
-    Worker(String),
 }
 
 impl fmt::Display for ServeError {
@@ -58,7 +54,6 @@ impl fmt::Display for ServeError {
                 write!(f, "session {session} failed: {source}")
             }
             ServeError::Config(msg) => write!(f, "fleet misconfigured: {msg}"),
-            ServeError::Worker(msg) => write!(f, "worker pool error: {msg}"),
         }
     }
 }
@@ -67,7 +62,7 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::Session { source, .. } => Some(source),
-            ServeError::Config(_) | ServeError::Worker(_) => None,
+            ServeError::Config(_) => None,
         }
     }
 }
@@ -98,12 +93,10 @@ pub struct ServeReport {
     pub session_totals: Vec<Duration>,
     /// Cache counters after the run.
     pub cache: CacheStats,
-    /// Coordinator counters after the run (when serving was enabled).
-    pub serve: Option<ServeStats>,
     /// Per-class shed/hedge/deadline/outage counters, in class display
     /// order, omitting classes that saw no traffic.
     pub classes: Vec<ServeClassCounters>,
-    /// Scheduler counters (events, flights, queue traffic).
+    /// Scheduler counters (events, flights).
     pub sched: Option<SchedStats>,
 }
 
@@ -207,7 +200,6 @@ pub struct FleetBuilder {
     workloads: Vec<SessionWorkload>,
     config: SchedulerConfig,
     shards: Option<usize>,
-    serve_config: ServeConfig,
 }
 
 impl FleetBuilder {
@@ -218,13 +210,6 @@ impl FleetBuilder {
             workloads: Vec::new(),
             config: SchedulerConfig::default(),
             shards: None,
-            // The scheduler serializes execution, so the executor's
-            // wall-clock coalescing delay buys nothing: cross-session
-            // sharing happens in virtual time at the flight layer.
-            serve_config: ServeConfig {
-                delay_yields: 0,
-                ..ServeConfig::default()
-            },
         }
     }
 
@@ -253,29 +238,23 @@ impl FleetBuilder {
     }
 
     /// Pin the semantic cache's shard count (the E11 shard sweep).
-    /// Without this the serving default
-    /// ([`Executor::SERVING_CACHE_SHARDS`]) applies.
+    /// Without this the cache is raised to at least
+    /// [`Executor::SERVING_CACHE_SHARDS`].
     pub fn with_shards(mut self, shards: usize) -> FleetBuilder {
         self.shards = Some(shards);
         self
     }
 
-    /// Worker threads in the scheduler pool (`0` = default pool of 4).
-    /// The pool size never affects results — only wall-clock speed.
-    pub fn with_workers(mut self, workers: usize) -> FleetBuilder {
-        self.config.workers = workers;
+    /// Accepted and ignored: the scheduler is one thread. Inert:
+    /// called by `benchmark/`, which this tree may not edit; goes when
+    /// a benchmark issue releases it.
+    pub fn with_workers(self, _workers: usize) -> FleetBuilder {
         self
     }
 
     /// Virtual time a flight stays open for same-query joiners.
     pub fn with_coalesce_window(mut self, window: Duration) -> FleetBuilder {
         self.config.coalesce_window = window;
-        self
-    }
-
-    /// Override the executor-level fetch-coordination tuning.
-    pub fn with_serve_config(mut self, config: ServeConfig) -> FleetBuilder {
-        self.serve_config = config;
         self
     }
 
@@ -304,9 +283,17 @@ impl FleetBuilder {
 
     /// Run the fleet to completion and roll up the measurements.
     pub fn run(mut self) -> Result<ServeReport, ServeError> {
-        self.executor.enable_serving(self.serve_config);
-        if let Some(shards) = self.shards {
-            self.executor.set_cache_shards(shards);
+        self.serve()
+    }
+
+    fn serve(&mut self) -> Result<ServeReport, ServeError> {
+        match self.shards {
+            Some(shards) => self.executor.set_cache_shards(shards),
+            None if self.executor.cache_shards() < Executor::SERVING_CACHE_SHARDS => {
+                self.executor
+                    .set_cache_shards(Executor::SERVING_CACHE_SHARDS);
+            }
+            None => {}
         }
         let started = wall_now();
         let outcome = run_fleet(&self.dataset, &self.executor, &self.workloads, &self.config)?;
@@ -323,7 +310,6 @@ impl FleetBuilder {
             latencies: outcome.latencies,
             session_totals: outcome.session_totals,
             cache: self.executor.cache_stats(),
-            serve: self.executor.serve_stats(),
             classes: outcome.classes,
             sched: Some(outcome.stats),
         })
@@ -342,10 +328,11 @@ impl DrugTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drugtree_mobile::fleet_workload::{hot_clade_ranking, zipf_sessions};
     use drugtree_mobile::gestures::GestureConfig;
-    use drugtree_mobile::serve::{hot_clade_ranking, zipf_sessions};
     use drugtree_mobile::{Gesture, NetworkProfile};
     use drugtree_query::optimizer::OptimizerConfig;
+    use drugtree_query::{Query, QueryError};
     use drugtree_sources::flaky::{FlakySource, OutageWindow};
     use drugtree_sources::SourceRegistry;
     use drugtree_workload::{SyntheticBundle, WorkloadSpec};
@@ -379,7 +366,6 @@ mod tests {
             latencies,
             session_totals: Vec::new(),
             cache: CacheStats::default(),
-            serve: None,
             classes: Vec::new(),
             sched: None,
         }
@@ -389,14 +375,18 @@ mod tests {
     fn fleet_serves_zipf_sessions() {
         let fleet = system().fleet();
         let workloads = fleet_workloads(&fleet, 4, 20);
-        let report = fleet.with_sessions(workloads).run().unwrap();
+        let mut fleet = fleet.with_sessions(workloads);
+        let report = fleet.serve().unwrap();
         assert_eq!(report.sessions, 4);
         assert_eq!(report.gestures, 80);
         assert!(!report.latencies.is_empty());
         assert!(report.throughput() > 0.0);
         let stats = report.cache;
         assert_eq!(stats.hits + stats.misses, stats.probes);
-        assert!(report.serve.is_some(), "run enables fetch coordination");
+        assert!(
+            fleet.executor.cache_shards() >= Executor::SERVING_CACHE_SHARDS,
+            "a fleet run shards the cache"
+        );
         let sched = report.sched.expect("scheduler stats present");
         assert!(sched.flights > 0);
         assert!(sched.events as usize >= report.gestures);
@@ -512,6 +502,43 @@ mod tests {
             "storms must degrade some queries"
         );
         assert_eq!(report.sessions, 4, "the fleet rides through the storm");
+    }
+
+    #[test]
+    fn a_bad_query_is_an_error_not_an_outage() {
+        let fleet = system().fleet();
+        // Valid query text, but the similarity reference is no SMILES:
+        // the executor rejects it before any source is asked.
+        let bad = Query::parse("activities similar to 'C(' >= 0.5").unwrap();
+        let clade = hot_clade_ranking(&fleet.dataset().tree, &fleet.dataset().index)[0];
+        let workloads: Vec<SessionWorkload> = (0..2)
+            .map(|session| SessionWorkload {
+                session,
+                network: NetworkProfile::CELL_4G,
+                script: vec![
+                    Gesture::Expand { node: clade },
+                    Gesture::RunQuery(Box::new(bad.clone())),
+                ],
+            })
+            .collect();
+        // The solo replay of the script fails on the query ...
+        let solo_system = system();
+        let mut solo = solo_system.mobile_session(NetworkProfile::CELL_4G);
+        solo.apply(&workloads[0].script[0]).unwrap();
+        let solo_err = solo.apply(&workloads[0].script[1]).unwrap_err();
+        // ... and so does the fleet, with the same error.
+        let err = fleet.with_sessions(workloads).run().unwrap_err();
+        match err {
+            ServeError::Session { session, source } => {
+                assert_eq!(session, 0, "the flight's first participant");
+                assert_eq!(source, solo_err);
+                assert!(matches!(
+                    source,
+                    MobileError::Query(QueryError::BadSimilarityReference(_))
+                ));
+            }
+            other => panic!("expected a session error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Multi-session workload generation for the concurrent serving path.
+//! Multi-session workload generation for session fleets.
 //!
 //! Experiment E11 drives M concurrent mobile sessions against one
 //! shared executor. What makes sharing pay off is *cross-session
 //! locality*: real users of one dataset cluster on the same hot
 //! clades (the well-studied protein families), so concurrent sessions
-//! issue overlapping subtree queries that single-flight and batch
-//! coalescing can merge. The generator here produces one deterministic
-//! gesture script per session, all sampling the **same global
-//! hot-clade ranking** with per-session RNG streams: sessions disagree
-//! on order and timing but agree on what is hot, exactly the workload
-//! shape the serving layer exploits.
+//! issue overlapping subtree queries that the shared cache and the
+//! scheduler's flights can merge. The generator here produces one
+//! deterministic gesture script per session, all sampling the **same
+//! global hot-clade ranking** with per-session RNG streams: sessions
+//! disagree on order and timing but agree on what is hot, exactly the
+//! workload shape the fleet scheduler exploits.
 
 use crate::gestures::{zipf_sample, GestureConfig};
 use crate::network::NetworkProfile;
@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 /// One session's share of a concurrent workload.
 #[derive(Debug, Clone)]
 pub struct SessionWorkload {
-    /// Session index (also the OS-thread index in the server harness).
+    /// Session index.
     pub session: usize,
     /// Network profile this session's transfers are charged under.
     pub network: NetworkProfile,

@@ -23,10 +23,13 @@
 //!   query executor, viewport, and network together.
 //! * [`gestures`] — seeded gesture-script generation (drill-down walks
 //!   with Zipf-skewed locality) for the session experiments.
-//! * [`serve`] — multi-session workload generation: per-session Zipf
-//!   scripts over a shared hot-clade ranking, for concurrent serving.
+//! * [`machine`] — a session as a poll-able state machine, split at
+//!   the query boundary, for the fleet scheduler.
+//! * [`fleet_workload`] — multi-session workload generation:
+//!   per-session Zipf scripts over a shared hot-clade ranking.
 
 pub mod error;
+pub mod fleet_workload;
 pub mod gestures;
 pub mod layout;
 pub mod lod;
@@ -35,15 +38,14 @@ pub mod network;
 pub mod pattern;
 pub mod prefetch;
 pub mod progressive;
-pub mod serve;
 pub mod session;
 pub mod viewport;
 
 pub use error::MobileError;
+pub use fleet_workload::{zipf_sessions, SessionWorkload};
 pub use machine::{MachineState, SessionMachine};
 pub use network::NetworkProfile;
 pub use pattern::{ExpandRelation, PatternClassifier, SessionPattern};
-pub use serve::{zipf_sessions, SessionWorkload};
 pub use session::{
     DegradedReason, Gesture, GestureStep, MobileSession, QueryOutcome, QueryPending, ViewPending,
 };

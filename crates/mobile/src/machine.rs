@@ -8,8 +8,7 @@
 //!
 //! * [`SessionMachine::begin_next`] runs the session-local half of the
 //!   next gesture (viewport move, query construction) — pure CPU over
-//!   private state, so a scheduler's worker pool begins whole cohorts
-//!   in parallel;
+//!   private state, so the order sessions begin in never matters;
 //! * a view gesture is then committed directly, while a query gesture
 //!   parks the machine in [`MachineState::AwaitingQuery`] until the
 //!   scheduler resolves the query (executed, coalesced into a shared
@@ -21,8 +20,8 @@
 //! cursor, which doubles as the session's next event deadline in the
 //! fleet scheduler's priority queue.
 
+use crate::fleet_workload::SessionWorkload;
 use crate::layout::TreeLayout;
-use crate::serve::SessionWorkload;
 use crate::session::{
     Gesture, GestureStep, InteractionResult, MobileSession, QueryOutcome, QueryPending, ViewPending,
 };
@@ -46,14 +45,12 @@ pub enum MachineState {
 pub struct SessionMachine<'a> {
     id: usize,
     session: MobileSession<'a>,
-    script: Vec<Gesture>,
+    script: &'a [Gesture],
     next: usize,
     state: MachineState,
     /// The session's private virtual timeline: the sum of every
     /// committed interaction's charged latency.
     cursor: Duration,
-    /// Charged latency of every query-bearing interaction.
-    latencies: Vec<Duration>,
 }
 
 impl<'a> SessionMachine<'a> {
@@ -63,7 +60,7 @@ impl<'a> SessionMachine<'a> {
         dataset: &'a Dataset,
         executor: &'a Executor,
         layout: Arc<TreeLayout>,
-        workload: &SessionWorkload,
+        workload: &'a SessionWorkload,
     ) -> SessionMachine<'a> {
         let mut session = MobileSession::with_layout(dataset, executor, workload.network, layout);
         session.set_session_id(workload.session as u32);
@@ -71,7 +68,7 @@ impl<'a> SessionMachine<'a> {
         SessionMachine {
             id: workload.session,
             session,
-            script: workload.script.clone(),
+            script: &workload.script,
             next: 0,
             state: if workload.script.is_empty() {
                 MachineState::Done
@@ -79,7 +76,6 @@ impl<'a> SessionMachine<'a> {
                 MachineState::Ready
             },
             cursor: Duration::ZERO,
-            latencies: Vec::new(),
         }
     }
 
@@ -105,11 +101,6 @@ impl<'a> SessionMachine<'a> {
         self.cursor
     }
 
-    /// Charged latencies of committed query-bearing interactions.
-    pub fn latencies(&self) -> &[Duration] {
-        &self.latencies
-    }
-
     /// The wrapped session (e.g. for viewport inspection in tests).
     pub fn session(&self) -> &MobileSession<'a> {
         &self.session
@@ -129,13 +120,13 @@ impl<'a> SessionMachine<'a> {
         if self.state == MachineState::Done {
             return Ok(None);
         }
-        let Some(gesture) = self.script.get(self.next) else {
+        let script = self.script;
+        let Some(gesture) = script.get(self.next) else {
             self.state = MachineState::Done;
             return Ok(None);
         };
-        let gesture = gesture.clone();
         self.next += 1;
-        let step = self.session.begin_gesture(&gesture)?;
+        let step = self.session.begin_gesture(gesture)?;
         if matches!(step, GestureStep::Query(_)) {
             self.state = MachineState::AwaitingQuery;
         }
@@ -145,7 +136,7 @@ impl<'a> SessionMachine<'a> {
     /// Commit a begun view gesture and advance the virtual cursor.
     pub fn commit_view(&mut self, pending: ViewPending) -> InteractionResult {
         let result = self.session.commit_view(pending);
-        self.settle(&result)
+        self.settle(result)
     }
 
     /// Resume a parked machine with its query's resolution.
@@ -161,25 +152,24 @@ impl<'a> SessionMachine<'a> {
         );
         let result = self.session.commit_query(pending, outcome);
         self.state = MachineState::Ready;
-        self.latencies.push(result.charged_latency);
-        self.settle(&result)
+        self.settle(result)
     }
 
-    fn settle(&mut self, result: &InteractionResult) -> InteractionResult {
+    fn settle(&mut self, result: InteractionResult) -> InteractionResult {
         self.cursor += result.charged_latency;
         if self.next >= self.script.len() && self.state == MachineState::Ready {
             self.state = MachineState::Done;
         }
-        result.clone()
+        result
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet_workload::zipf_sessions;
     use crate::gestures::GestureConfig;
     use crate::network::NetworkProfile;
-    use crate::serve::zipf_sessions;
     use drugtree_query::optimizer::{Optimizer, OptimizerConfig};
     use drugtree_sources::source::SourceCapabilities;
 
@@ -192,8 +182,14 @@ mod tests {
     }
 
     /// Drive one machine to completion, resolving queries inline the
-    /// way `MobileSession::apply` would.
-    fn drive(machine: &mut SessionMachine<'_>, dataset: &Dataset, executor: &Executor) {
+    /// way `MobileSession::apply` would; returns the charged latency
+    /// of every query commit.
+    fn drive(
+        machine: &mut SessionMachine<'_>,
+        dataset: &Dataset,
+        executor: &Executor,
+    ) -> Vec<Duration> {
+        let mut latencies = Vec::new();
         while let Some(step) = machine.begin_next().expect("begin") {
             match step {
                 GestureStep::View(p) => {
@@ -206,11 +202,12 @@ mod tests {
                         query_latency: result.metrics.virtual_cost,
                         result,
                     };
-                    machine.commit_query(p, &outcome);
+                    latencies.push(machine.commit_query(p, &outcome).charged_latency);
                 }
             }
         }
         assert_eq!(machine.state(), MachineState::Done);
+        latencies
     }
 
     #[test]
@@ -244,20 +241,12 @@ mod tests {
         let e2 = executor();
         let layout = Arc::new(TreeLayout::compute(&d.tree, &d.index));
         let mut machine = SessionMachine::new(&d, &e2, layout, &workloads[0]);
-        drive(&mut machine, &d, &e2);
+        let latencies = drive(&mut machine, &d, &e2);
 
         assert_eq!(machine.cursor(), applied_total, "same charged total");
         assert_eq!(
-            machine.latencies().len(),
-            workloads[0]
-                .script
-                .iter()
-                .filter(|g| !matches!(
-                    g,
-                    Gesture::Pan { .. } | Gesture::ZoomIn { .. } | Gesture::ZoomOut { .. }
-                ))
-                .count(),
-            "every query gesture recorded a latency"
+            latencies, applied_latencies,
+            "every query gesture charged what apply() charged"
         );
     }
 

@@ -64,6 +64,15 @@ impl Gesture {
             Gesture::RunQuery(_) => "query",
         }
     }
+
+    /// Whether the gesture needs a query answered (a pure view change
+    /// does not).
+    pub fn bears_query(&self) -> bool {
+        match self {
+            Gesture::Pan { .. } | Gesture::ZoomIn { .. } | Gesture::ZoomOut { .. } => false,
+            Gesture::Expand { .. } | Gesture::InspectViewport | Gesture::RunQuery(_) => true,
+        }
+    }
 }
 
 /// What one gesture cost and produced.
@@ -335,8 +344,7 @@ impl<'a> MobileSession<'a> {
 
     /// Run the session-local half of a gesture: move the viewport and
     /// decide what (if anything) must be asked of the shared executor.
-    /// Touches no shared state — fleet workers begin whole cohorts of
-    /// sessions in parallel — and a failed begin leaves nothing to
+    /// Touches no shared state, and a failed begin leaves nothing to
     /// commit (the gesture is not logged).
     pub fn begin_gesture(&mut self, gesture: &Gesture) -> Result<GestureStep> {
         let step = match gesture {

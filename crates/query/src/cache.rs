@@ -32,6 +32,9 @@ use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 
+mod sharded;
+pub use sharded::ShardedSemanticCache;
+
 /// Rank-sorted activity rows shared between a cache entry and the
 /// queries reading it. Never mutated once an entry holds it.
 pub type SharedRows = Arc<Vec<Vec<Value>>>;
@@ -78,8 +81,8 @@ pub struct CacheConfig {
     /// a power of two; 1 = a single globally locked cache). Budgets
     /// above are split evenly across shards. Defaults to 1 so a
     /// single-session executor keeps its full budget and subsumption
-    /// reach in one shard; `Executor::enable_serving` re-shards for
-    /// concurrency.
+    /// reach in one shard; `Executor::set_cache_shards` re-shards for
+    /// a fleet.
     pub shards: usize,
 }
 
@@ -123,7 +126,7 @@ impl CacheStats {
 }
 
 /// The semantic cache. Not internally synchronized; the executor holds
-/// one per shard behind a shard lock (see `serve::ShardedSemanticCache`).
+/// one per shard behind a shard lock (see [`ShardedSemanticCache`]).
 ///
 /// Entries live in an id-keyed map with two access paths: an LRU queue
 /// of ids (front = coldest) driving probe order and eviction, and an

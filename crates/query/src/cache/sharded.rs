@@ -1,4 +1,4 @@
-//! Executor-side serving layer: the N-way sharded semantic cache.
+//! The N-way sharded semantic cache the executor holds.
 //!
 //! A single `Mutex<SemanticCache>` serializes every concurrent query
 //! behind one lock — under M sessions the cache becomes the hottest
@@ -23,23 +23,23 @@
 //!   shard lock.
 //! * **Budgets** — `max_entries`/`max_rows` are split evenly across
 //!   shards; each shard enforces its slice independently.
-//!
-//! The cross-session fetch-coordination half of the serving layer
-//! (single-flight, batch coalescing) lives downstream in
-//! [`drugtree_sources::serve`] and is re-exported here so executor
-//! users configure both halves from one place.
 
-pub use drugtree_sources::serve::{
-    pred_key, validate_coalesced, CoordinatedFetch, FetchCoordinator, ServeConfig, ServeStats,
-    ServeViolation, RULE_COALESCE_BATCH, RULE_FLIGHT_PREDICATE,
-};
-
-use crate::cache::{CacheConfig, CacheHit, CacheStats, SemanticCache, SharedRows};
+use super::{CacheConfig, CacheHit, CacheStats, SemanticCache, SharedRows};
 use drugtree_phylo::index::LeafInterval;
 use drugtree_sources::sync::Mutex;
 use drugtree_store::expr::Predicate;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Stable per-process identity of a pushdown predicate; its hash picks
+/// the entry's shard. Semantically equal but differently shaped
+/// predicates get different keys, which costs reuse, never soundness.
+fn pred_key(pushdown: Option<&Predicate>) -> String {
+    match pushdown {
+        None => "∅".to_string(),
+        Some(p) => format!("{p:?}"),
+    }
+}
 
 /// The N-way sharded semantic cache.
 pub struct ShardedSemanticCache {

@@ -28,14 +28,13 @@
 //!   rules` listing, and the EXPLAIN rule trace (design decision D13).
 //! * [`cost`] — the calibrated cost model pricing plan alternatives
 //!   (design decision D8).
-//! * [`cache`] — the semantic result cache (design decision D2).
+//! * [`cache`] — the semantic result cache (design decision D2) and
+//!   its N-way sharded form, which the executor holds.
 //! * [`exec`] — the executor and its metrics.
 //! * [`columnar`] — the columnar activity mirror: rank-sorted typed
 //!   segments answering interval scopes with vectorized kernels
 //!   instead of source round-trips (design decision D12).
 //! * [`matview`] — materialized per-subtree aggregate views.
-//! * [`serve`] — the concurrent serving layer: N-way sharded semantic
-//!   cache plus re-exports of the cross-session fetch coordinator.
 //! * [`trace`] — the observability layer: per-query span trees on the
 //!   virtual clock, the [`Observer`] hook, lock-free metrics, and the
 //!   `EXPLAIN ANALYZE` rendering (design decision D9).
@@ -63,7 +62,6 @@ pub mod optimizer;
 pub mod parser;
 pub mod phases;
 pub mod plan;
-pub mod serve;
 pub mod stats;
 pub mod trace;
 pub mod validate;
@@ -72,6 +70,7 @@ pub use adaptive::{
     AdaptiveConfig, AdaptiveRuntime, AdaptiveSnapshot, LearnedStats, SelectivitySource, StatsView,
 };
 pub use ast::{Query, QueryKind, Scope};
+pub use cache::ShardedSemanticCache;
 pub use columnar::ActivityColumns;
 pub use cost::{CalibrationReport, CostModel, CostParams};
 pub use dataset::Dataset;
@@ -83,7 +82,6 @@ pub use obs::{
 };
 pub use optimizer::{Optimizer, OptimizerConfig};
 pub use phases::{PassTrace, RewritePhase, RuleDef, RuleFiring, RuleOutcome};
-pub use serve::{FetchCoordinator, ServeConfig, ServeStats, ShardedSemanticCache};
 pub use trace::{
     AnalyzedResult, GestureObservation, MetricsRegistry, Observer, QuerySpan, QueryTrace, Stage,
 };

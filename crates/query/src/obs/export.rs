@@ -77,8 +77,7 @@ pub struct QueryEvent {
     pub started_ns: u64,
     /// Virtual clock at query end.
     pub ended_ns: u64,
-    /// Cost charged to this query alone (its share of coalesced
-    /// work), in nanoseconds.
+    /// Cost charged to this query alone, in nanoseconds.
     pub charged_ns: u64,
     /// End-to-end virtual cost, in nanoseconds.
     pub total_ns: u64,

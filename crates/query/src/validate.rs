@@ -40,15 +40,6 @@
 //! * **cost-estimates-sane** — every enumerated candidate's cost is
 //!   finite and non-negative.
 //!
-//! Two further *serving* invariants guard the concurrent read path at
-//! dispatch time rather than plan time: **coalesce-batch-limit** (a
-//! coalesced cross-session batch still respects the source's
-//! `max_batch` per request) and **flight-predicate-uniform**
-//! (coalescing never merges fetches with different pushdown
-//! predicates). They are checked by
-//! [`drugtree_sources::serve::validate_coalesced`] on every dispatched
-//! batch and lift into [`InvariantViolation`] via `From`.
-//!
 //! Violations come back as structured [`InvariantViolation`]s (rule
 //! name, plan path, explanation) rather than panics, so the executor
 //! can surface them as a [`QueryError::Invariant`] and EXPLAIN output
@@ -109,23 +100,6 @@ pub const RULE_COST_SANE: &str = "cost-estimates-sane";
 /// Rule name: the Canonicalize phase's output is a fixpoint of every
 /// enabled normalization step.
 pub const RULE_CANONICAL_FORM: &str = "canonical-form";
-
-pub use drugtree_sources::serve::{RULE_COALESCE_BATCH, RULE_FLIGHT_PREDICATE};
-
-use drugtree_sources::serve::ServeViolation;
-
-impl From<ServeViolation> for InvariantViolation {
-    /// Lift a runtime serving violation (coalesced batch shape,
-    /// single-flight keying) into the plan-invariant vocabulary, so
-    /// the differential oracle and CI report one violation type.
-    fn from(v: ServeViolation) -> InvariantViolation {
-        InvariantViolation {
-            rule: v.rule,
-            path: "serve".to_string(),
-            explanation: v.explanation,
-        }
-    }
-}
 
 /// Walks a [`PhysicalPlan`] and checks every structural invariant
 /// against the dataset it will execute on.

@@ -1,10 +1,9 @@
-//! Tier-1 concurrency stress: 8 OS threads hammer one shared
-//! serving-enabled executor with mixed query streams, and every result
-//! must match a single-threaded replay of the same streams on a fresh
-//! executor of the same configuration. Divergence means the sharded
-//! cache, single-flight layer, or batch coalescer corrupted a result
-//! under contention; the replay also pins the lock-free cache
-//! accounting (`hits + misses == probes`).
+//! Tier-1 concurrency stress: 8 OS threads hammer one shared executor
+//! (cache sharded as for a fleet) with mixed query streams, and every
+//! result must match a single-threaded replay of the same streams on a
+//! fresh executor of the same configuration. Divergence means the
+//! sharded cache corrupted a result under contention; the replay also
+//! pins the lock-free cache accounting (`hits + misses == probes`).
 //!
 //! Run with: `cargo test -p drugtree-query --test concurrent_stress`
 
@@ -16,7 +15,7 @@ use drugtree_integrate::overlay::OverlayBuilder;
 use drugtree_phylo::index::{LeafInterval, TreeIndex};
 use drugtree_phylo::newick::parse_newick;
 use drugtree_query::ast::Metric;
-use drugtree_query::{Dataset, Executor, Optimizer, OptimizerConfig, Query, Scope, ServeConfig};
+use drugtree_query::{Dataset, Executor, Optimizer, OptimizerConfig, Query, Scope};
 use drugtree_sources::assay_db::assay_source;
 use drugtree_sources::clock::VirtualClock;
 use drugtree_sources::federation::SourceRegistry;
@@ -183,7 +182,7 @@ fn gen_query(rng: &mut XorShift) -> Query {
         }
         3 | 4 => {
             // Aligned power-of-two intervals: many threads request the
-            // exact same clades, the single-flight/coalescer hot path.
+            // exact same clades and contend on the same cache shard.
             let span = 1u32 << rng.below(4);
             let lo = (rng.below(LEAVES as u64) as u32 / span) * span;
             LeafInterval {
@@ -271,7 +270,7 @@ fn serving_executor(dataset: &Dataset) -> Executor {
     let mut exec = Executor::new(Optimizer::new(config));
     exec.collect_stats(dataset).expect("stats");
     exec.build_matview(dataset).expect("matview");
-    exec.enable_serving(ServeConfig::default());
+    exec.set_cache_shards(Executor::SERVING_CACHE_SHARDS);
     exec
 }
 

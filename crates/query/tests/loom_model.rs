@@ -15,8 +15,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use drugtree_phylo::index::LeafInterval;
-use drugtree_query::cache::CacheConfig;
-use drugtree_query::serve::ShardedSemanticCache;
+use drugtree_query::cache::{CacheConfig, ShardedSemanticCache};
 use drugtree_store::value::Value;
 use std::sync::Arc;
 

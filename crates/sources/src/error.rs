@@ -37,9 +37,6 @@ pub enum SourceError {
     Record(drugtree_chem::ChemError),
     /// A schema-mapping adapter wrapped around the source failed.
     Adapter(String),
-    /// The cross-session serving layer detected an invariant violation
-    /// or a malformed coalesced response.
-    Serve(String),
     /// The source does not accept ingests (named source).
     IngestRejected(String),
     /// A transient failure (timeout/503): safe to retry. Carries the
@@ -68,7 +65,6 @@ impl fmt::Display for SourceError {
             SourceError::Store(e) => write!(f, "store error: {e}"),
             SourceError::Record(e) => write!(f, "invalid record: {e}"),
             SourceError::Adapter(msg) => write!(f, "adapter error: {msg}"),
-            SourceError::Serve(msg) => write!(f, "serving error: {msg}"),
             SourceError::IngestRejected(name) => {
                 write!(f, "source {name:?} does not accept ingests")
             }

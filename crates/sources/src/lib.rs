@@ -20,14 +20,11 @@
 //! * [`batcher`] — request coalescing: k key lookups into ⌈k/B⌉
 //!   round-trips (design decision D3).
 //! * [`federation`] — the registry the mediator resolves sources from.
-//! * [`serve`] — cross-session fetch coordination: single-flight
-//!   deduplication of identical concurrent fetches plus bounded-delay
-//!   batch coalescing across queries.
 //! * [`flaky`] — failure injection: wrap any source to fail a
 //!   deterministic fraction of requests transiently.
-//! * [`sync`] — loom-swappable lock primitives for the serving stack
-//!   (parking_lot normally, loom's instrumented types under
-//!   `--cfg loom` for model checking).
+//! * [`sync`] — loom-swappable lock primitives for the shared
+//!   executor's caches and telemetry (parking_lot normally, loom's
+//!   instrumented types under `--cfg loom` for model checking).
 
 pub mod assay_db;
 pub mod batcher;
@@ -38,8 +35,6 @@ pub mod flaky;
 pub mod latency;
 pub mod ligand_db;
 pub mod protein_db;
-pub mod sched;
-pub mod serve;
 pub mod source;
 pub mod sync;
 pub mod telemetry;
@@ -48,7 +43,6 @@ pub use clock::VirtualClock;
 pub use error::SourceError;
 pub use federation::SourceRegistry;
 pub use latency::LatencyModel;
-pub use sched::{EventQueue, EventQueueStats};
 pub use source::{DataSource, FetchRequest, FetchResponse, SimulatedSource, SourceKind};
 
 /// Convenience result alias used throughout the crate.

@@ -3,9 +3,9 @@
 //!
 //! These are the building blocks of the query-path observability layer
 //! (design decision D9). They live in the sources crate — the lowest
-//! layer every other crate already depends on — so the federation
-//! coordinator can record batch shapes with the same primitives the
-//! query layer's `MetricsRegistry` aggregates into.
+//! layer every other crate already depends on — so the scheduler in
+//! `drugtree` and the query layer's `MetricsRegistry` record with the
+//! same primitives.
 //!
 //! Both types are updated with single relaxed atomic operations: a
 //! recording thread never takes a lock, so instrumenting the serving

@@ -37,7 +37,7 @@ impl Cache {
         drop(held);
     }
 
-    // BAD: guard held across a coalescer-style scheduler yield.
+    // BAD: guard held across a scheduler yield.
     fn yield_holding(&self) {
         let q = self.queue.lock();
         std::thread::yield_now();

@@ -1,16 +1,15 @@
 // Seeded violations for the lock-order pass. The path mimics the real
-// sources crate so class names land in the canonical order's
-// namespace (`sources:batches`, `sources:state`).
+// query crate so class names land in the canonical order's namespace
+// (`query:shards`, `query:per_source`).
 
-impl Coordinator {
-    // BAD (canonical reversal): the canonical order ranks batches
-    // before state, so taking batches under a live state guard runs
-    // backwards through it.
-    fn close_wrong_order(&self, slot: &BatchSlot) {
-        let mut st = slot.state.lock();
-        let mut batches = self.batches.lock();
-        st.phase = Phase::Done;
-        batches.remove(&self.key);
+impl Registry {
+    // BAD (canonical reversal): the canonical order ranks cache shards
+    // before the metrics registry (a leaf), so taking a shard under a
+    // live per_source guard runs backwards through it.
+    fn record_wrong_order(&self, cache: &Cache) {
+        let mut sources = self.per_source.write();
+        let shard = cache.shards.lock();
+        sources.insert(self.key.clone(), shard.len());
     }
 }
 

@@ -3,7 +3,7 @@
 //! fine — the model strips comments before the pass runs.)
 
 pub fn run(workloads: &[usize]) -> Vec<usize> {
-    // The scheduler owns the worker pool; the facade just forwards.
+    // The scheduler owns the event loop; the facade just forwards.
     schedule(workloads)
 }
 

@@ -13,8 +13,8 @@
 //!
 //! 2. **Guards held across blocking points.** A guard (other than the
 //!    one a `Condvar::wait` atomically releases) held across a wait,
-//!    a coalescer `yield_now` window, or an `.await` stalls every
-//!    thread contending for that lock.
+//!    a `yield_now` spin, or an `.await` stalls every thread
+//!    contending for that lock.
 
 use crate::model::{GuardKind, SourceModel};
 use crate::registry::{Pass, Violation};
