@@ -206,6 +206,25 @@ fn quote(s: &str) -> String {
     format!("'{}'", s.replace('\'', "''"))
 }
 
+/// Deepest predicate nesting accepted: `(` / `not` levels around an
+/// atom in query text ([`crate::parser`]), `not` / `and` / `or` levels
+/// above a leaf in a built [`Query`] (the planner's validation).
+/// Parsing, canonicalization, column collection, rendering and `Drop`
+/// all recurse on that nesting, so unbounded input would overflow the
+/// stack.
+pub const MAX_PREDICATE_DEPTH: usize = 128;
+
+/// Whether `p` stacks more than `levels` connectives above some leaf.
+/// Recurses `levels + 1` frames at most, whatever the predicate's depth.
+pub(crate) fn nests_deeper_than(p: &Predicate, levels: usize) -> bool {
+    let members = match p {
+        Predicate::Not(inner) => std::slice::from_ref(&**inner),
+        Predicate::And(ps) | Predicate::Or(ps) => ps.as_slice(),
+        _ => return false,
+    };
+    levels == 0 || members.iter().any(|m| nests_deeper_than(m, levels - 1))
+}
+
 /// The unified column names a query predicate may reference.
 pub mod columns {
     /// Columns served directly by assay sources (pushdown candidates).
@@ -233,33 +252,58 @@ pub mod columns {
     }
 }
 
-/// Canonical (normalized) predicate forms — the Canonicalize phase's
-/// rewrite steps (design decision D13).
+/// Canonical (normalized) predicate form — the Canonicalize phase's
+/// rewrite (design decision D13).
 ///
-/// Each step takes a predicate and returns the rewritten form plus a
-/// `changed` flag; the phase driver runs the enabled steps to a
-/// bounded fixpoint, and the phase-boundary check re-runs them to
-/// prove the result is stable. Every step is **exact** under the
-/// engine's two-valued `BoundPredicate::matches` semantics (a
-/// comparison against — or of — a NULL is `false`, and `not` is plain
-/// boolean negation):
+/// [`canonicalize`](canon::canonicalize) runs five steps — negation-
+/// normal form, flattening, constant folding, `between` merging,
+/// deduplication — in that order, repeated to a bounded fixpoint; the
+/// phase-boundary check re-runs it to prove the result is stable.
+/// Every step is **exact** under the engine's two-valued
+/// `BoundPredicate::matches` semantics (a comparison against — or of —
+/// a NULL is `false`, and `not` is plain boolean negation):
 ///
-/// * [`nnf`](canon::nnf) only eliminates double negation and applies De Morgan; it
+/// * NNF only eliminates double negation and applies De Morgan; it
 ///   never rewrites `not (c op v)` into the flipped comparison,
 ///   because on a NULL cell `not (c = v)` is *true* while `c != v` is
 ///   *false*.
 /// * `false` is spelled `Not(True)` (exactly as the parser produces
 ///   it), so folding needs no extra variant.
-/// * [`between_merge`](canon::between_merge) only fires when both bound literals are
+/// * `between` merging only fires when both bound literals are
 ///   non-null: `c >= lo and c <= hi` then matches exactly the rows of
 ///   `c between lo and hi`, including the empty `lo > hi` case.
 pub mod canon {
+    use crate::phases::MAX_PASSES_PER_PHASE;
+    use crate::{QueryError, Result};
     use drugtree_store::expr::{CompareOp, Predicate};
+
+    /// Normalize a predicate: every step once per pass, repeated until
+    /// a pass changes nothing. Returns the canonical form and whether
+    /// it differs from the input; a predicate still changing after
+    /// [`MAX_PASSES_PER_PHASE`] passes is a planning error.
+    pub fn canonicalize(mut p: Predicate) -> Result<(Predicate, bool)> {
+        let mut changed = false;
+        for _ in 0..MAX_PASSES_PER_PHASE {
+            let mut pass_changed = false;
+            for step in [nnf, flatten, fold, between_merge, dedup] {
+                let (next, c) = step(p);
+                p = next;
+                pass_changed |= c;
+            }
+            if !pass_changed {
+                return Ok((p, changed));
+            }
+            changed = true;
+        }
+        Err(QueryError::Plan(format!(
+            "phase canonicalize did not reach a fixpoint within {MAX_PASSES_PER_PHASE} passes"
+        )))
+    }
 
     /// Negation-normal form: push `not` to the leaves via double-
     /// negation elimination and De Morgan. Leaf negations (including
     /// the `Not(True)` spelling of `false`) are left alone.
-    pub fn nnf(p: Predicate) -> (Predicate, bool) {
+    fn nnf(p: Predicate) -> (Predicate, bool) {
         match p {
             Predicate::Not(inner) => match *inner {
                 Predicate::Not(x) => {
@@ -291,7 +335,7 @@ pub mod canon {
     /// Flatten `and`-in-`and` / `or`-in-`or`, unwrap single-member
     /// connectives, and normalize the empty cases (`and()` is `true`,
     /// `or()` is `false`).
-    pub fn flatten(p: Predicate) -> (Predicate, bool) {
+    fn flatten(p: Predicate) -> (Predicate, bool) {
         match p {
             Predicate::And(ps) => flatten_connective(ps, true),
             Predicate::Or(ps) => flatten_connective(ps, false),
@@ -354,7 +398,7 @@ pub mod canon {
     /// Constant folding: drop `true` from conjunctions and `false`
     /// from disjunctions; collapse a conjunction containing `false`
     /// (or a disjunction containing `true`) to the constant.
-    pub fn fold(p: Predicate) -> (Predicate, bool) {
+    fn fold(p: Predicate) -> (Predicate, bool) {
         match p {
             Predicate::And(ps) => fold_connective(ps, true),
             Predicate::Or(ps) => fold_connective(ps, false),
@@ -407,7 +451,7 @@ pub mod canon {
     /// Merge a conjunction's `c >= lo` / `c <= hi` pair (same column,
     /// both literals non-null) into `c between lo and hi`. Exact even
     /// when `lo > hi`: both forms match no row.
-    pub fn between_merge(p: Predicate) -> (Predicate, bool) {
+    fn between_merge(p: Predicate) -> (Predicate, bool) {
         match p {
             Predicate::And(ps) => {
                 let mut changed = false;
@@ -476,7 +520,7 @@ pub mod canon {
 
     /// Drop exact duplicate members from conjunctions and
     /// disjunctions, preserving first-occurrence order.
-    pub fn dedup(p: Predicate) -> (Predicate, bool) {
+    fn dedup(p: Predicate) -> (Predicate, bool) {
         match p {
             Predicate::And(ps) => dedup_connective(ps, Predicate::And),
             Predicate::Or(ps) => dedup_connective(ps, Predicate::Or),

@@ -13,7 +13,7 @@ use crate::columnar::ActivityColumns;
 use crate::cost::{CalibrationReport, CostModel};
 use crate::dataset::{unified_schema, unify_assay_row, Dataset};
 use crate::matview::MaterializedAggregates;
-use crate::optimizer::Optimizer;
+use crate::optimizer::{Optimizer, PlanInputs};
 use crate::plan::{Access, FetchPlan, Finish, PhysicalPlan};
 use crate::stats::OverlayStats;
 use crate::trace::{AnalyzedResult, Observer, QuerySpan, Stage, TraceBuilder};
@@ -317,17 +317,16 @@ impl Executor {
         view: Option<&MaterializedAggregates>,
         query: &Query,
     ) -> Result<PhysicalPlan> {
-        let learned = self.adaptive.as_ref().and_then(|a| a.planning_stats());
-        self.optimizer.plan_adaptive(
+        let inputs = PlanInputs {
             dataset,
-            self.stats.as_ref(),
-            learned,
-            dataset.clock.now().0,
-            view,
-            self.columnar.as_ref(),
-            Some(&self.cost),
-            query,
-        )
+            stats: self.stats.as_ref(),
+            learned: self.adaptive.as_ref().and_then(|a| a.planning_stats()),
+            now_ns: dataset.clock.now().0,
+            matview: view,
+            columnar: self.columnar.as_ref(),
+            cost: Some(&self.cost),
+        };
+        self.optimizer.plan(&inputs, query)
     }
 
     /// EXPLAIN a query without executing it.
@@ -339,17 +338,14 @@ impl Executor {
         Ok(plan.explain())
     }
 
-    /// Validate the plan's structural invariants when the config asks
-    /// for it. The optimizer already validates under
-    /// `cfg(debug_assertions)`; this unconditional check is what
-    /// release builds (benches) toggle to measure the validator's cost.
+    /// Validate the plan's structural invariants. The optimizer
+    /// validates only under `cfg(debug_assertions)`; this check runs
+    /// in every build, on every plan the executor is about to run or
+    /// render.
     fn validate_plan(&self, dataset: &Dataset, plan: &PhysicalPlan) -> Result<()> {
-        if self.optimizer.config().validate {
-            crate::validate::PlanValidator::new(dataset)
-                .validate(plan)
-                .map_err(QueryError::Invariant)?;
-        }
-        Ok(())
+        crate::validate::PlanValidator::new(dataset)
+            .validate(plan)
+            .map_err(QueryError::Invariant)
     }
 
     /// Plan and execute a query.
@@ -1224,6 +1220,37 @@ mod tests {
             assert_eq!(a.columns, b.columns);
             assert_eq!(a.rows, b.rows, "query {query:?}");
         }
+    }
+
+    #[test]
+    fn nesting_at_the_bound_answers_as_the_flat_query() {
+        use crate::ast::MAX_PREDICATE_DEPTH;
+        let d = small_dataset(SourceCapabilities::full());
+        let flat = Query::parse("activities where year >= 2012").unwrap();
+        let wrapped = |open: &str, close: &str| {
+            let text = format!(
+                "activities where {}year >= 2012{}",
+                open.repeat(MAX_PREDICATE_DEPTH),
+                close.repeat(MAX_PREDICATE_DEPTH)
+            );
+            Query::parse(&text).unwrap()
+        };
+        // An even number of negations is the identity.
+        for nested in [wrapped("(", ")"), wrapped("not ", "")] {
+            for e in [
+                executor(OptimizerConfig::naive()),
+                full_executor_with_stats(&d),
+            ] {
+                let expected = e.execute(&d, &flat).unwrap();
+                assert_eq!(expected.rows.len(), 3);
+                assert_eq!(e.execute(&d, &nested).unwrap().rows, expected.rows);
+            }
+        }
+        // A built query one level deeper is refused, not followed.
+        let mut deep = wrapped("not ", "");
+        deep.predicate = Predicate::Not(Box::new(deep.predicate));
+        let e = executor(OptimizerConfig::full());
+        assert!(matches!(e.execute(&d, &deep), Err(QueryError::Plan(_))));
     }
 
     #[test]

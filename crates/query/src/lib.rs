@@ -80,7 +80,7 @@ pub use obs::{
     AdaptEvent, FleetObserver, QueryClass, RollingWindows, ServeClassCounters, Sink, SloPolicy,
     SlowQueryLog, TraceExport, VecSink, WindowSummary,
 };
-pub use optimizer::{Optimizer, OptimizerConfig};
+pub use optimizer::{Optimizer, OptimizerConfig, PlanInputs};
 pub use phases::{PassTrace, RewritePhase, RuleDef, RuleFiring, RuleOutcome};
 pub use trace::{
     AnalyzedResult, GestureObservation, MetricsRegistry, Observer, QuerySpan, QueryTrace, Stage,

@@ -10,9 +10,10 @@
 //!    substructure references resolve to fingerprints/patterns, and
 //!    the assay sources, candidate keys, and ligand-join need are
 //!    discovered.
-//! 2. **Canonicalize** normalizes the predicate ([`crate::ast::canon`]):
-//!    negation-normal form, flattening, constant folding, `between`
-//!    merging, and conjunct deduplication, each individually gated.
+//! 2. **Canonicalize** normalizes the predicate
+//!    ([`crate::ast::canon::canonicalize`]): negation-normal form,
+//!    flattening, constant folding, `between` merging, and conjunct
+//!    deduplication, iterated to a fixpoint inside the one rule.
 //! 3. **Optimize** applies the cost-reducing rewrites: statistics
 //!    pruning (D4), predicate pushdown, selectivity ordering,
 //!    cardinality estimation from the overlay histograms, replica
@@ -22,36 +23,33 @@
 //!    (including the semantic cache wrap, D2), and the finish operator.
 //!
 //! Every rule lives in the per-phase registry
-//! ([`crate::phases::REGISTRY`]) with a name, description, and — for
-//! flag-gated rules — a toggle into [`OptimizerConfig`], so experiment
-//! E4's ablations and the `drugtree rules` listing derive from one
-//! table. Within a phase the driver repeats its rules until a pass
-//! changes nothing (bounded by [`crate::phases::MAX_PASSES_PER_PHASE`]),
-//! records every firing in the plan's rule trace for EXPLAIN, and
-//! checks that phase's structural invariants at the boundary
-//! (`crate::validate`). `OptimizerConfig::naive()` reproduces the
-//! unoptimized DrugTree described in the paper's opening: one
-//! sequential round-trip per leaf per source, all filtering
-//! client-side, no caching, no pruning.
+//! ([`crate::phases::REGISTRY`]) with a name, description, body (in
+//! this module's `rules`), and — for flag-gated rules — a toggle into
+//! [`OptimizerConfig`], so experiment E4's ablations and the `drugtree
+//! rules` listing derive from one table. The driver runs each phase's
+//! rules once, in registry order, records every firing in the plan's
+//! rule trace for EXPLAIN, and checks that phase's structural
+//! invariants at the boundary (`crate::validate`).
+//! `OptimizerConfig::naive()` reproduces the unoptimized DrugTree
+//! described in the paper's opening: one sequential round-trip per leaf
+//! per source, all filtering client-side, no caching, no pruning.
 //!
-//! With [`OptimizerConfig::cost_based`] set, the Lower phase's
-//! access-path selection switches from the flag-driven fixed order to
-//! enumeration: rules *propose* alternatives
-//! ([`crate::plan::PlanCandidate`] — matview answer vs. batched vs.
-//! per-key fetch; per-replica access paths; cached vs. direct) and the
-//! calibrated cost model ([`crate::cost::CostModel`], design decision
-//! D8) prices each one; the cheapest correct alternative wins and
-//! every candidate is recorded on the plan for EXPLAIN and validation.
+//! The access path is chosen by one fixed order in every mode:
+//! proved-empty, materialized view, columnar scan, cache wrap, fetch.
+//! [`OptimizerConfig::cost_based`] changes two things only: replica
+//! selection prices each group member with the calibrated cost model
+//! ([`crate::cost::CostModel`], design decision D8) at this query's
+//! estimated shape and records every member as a
+//! [`crate::plan::PlanCandidate`], and each fetch's `est_cost` is that
+//! model's price instead of the source's self-declared latency.
 
 use crate::adaptive::{LearnedStats, SelectivitySource, StatsView};
-use crate::ast::{columns, Query, QueryKind, SimilaritySpec};
+use crate::ast::{columns, Query, QueryKind, SimilaritySpec, MAX_PREDICATE_DEPTH};
 use crate::columnar::ActivityColumns;
 use crate::cost::CostModel;
 use crate::dataset::{unified_schema, Dataset};
 use crate::matview::MaterializedAggregates;
-use crate::phases::{
-    PassTrace, RewritePhase, RuleDef, RuleFiring, RuleOutcome, MAX_PASSES_PER_PHASE, PHASE_ORDER,
-};
+use crate::phases::{PassTrace, RewritePhase, RuleFiring, RuleOutcome, PHASE_ORDER};
 use crate::plan::{
     Access, FetchPlan, Finish, PhysicalPlan, PlanCandidate, ResolvedSimilarity,
     ResolvedSubstructure,
@@ -66,29 +64,15 @@ use drugtree_sources::source::SourceKind;
 use drugtree_sources::DataSource;
 use drugtree_store::expr::{CompareOp, Predicate};
 use drugtree_store::value::Value;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Which rewrites are enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizerConfig {
-    /// Canonicalize: push negations to the predicate leaves
-    /// (double-negation elimination, De Morgan).
-    #[serde(default)]
-    pub canon_nnf: bool,
-    /// Canonicalize: flatten nested and/or, unwrap singletons.
-    #[serde(default)]
-    pub canon_flatten: bool,
-    /// Canonicalize: fold constant true/false subterms.
-    #[serde(default)]
-    pub canon_fold: bool,
-    /// Canonicalize: merge a column's >= and <= bounds into `between`.
-    #[serde(default)]
-    pub canon_between: bool,
-    /// Canonicalize: drop duplicate conjuncts and disjuncts.
-    #[serde(default)]
-    pub canon_dedup: bool,
+    /// Normalize the predicate (negation-normal form, flattening,
+    /// constant folding, `between` merging, deduplication).
+    pub canonicalize: bool,
     /// Push supported predicate conjuncts into source fetches.
     pub pushdown: bool,
     /// Coalesce key lookups into batches.
@@ -110,15 +94,9 @@ pub struct OptimizerConfig {
     /// (when one is built and fresh) with vectorized kernels instead
     /// of fetching from sources.
     pub columnar_scan: bool,
-    /// Run the plan-invariant validator on every plan the executor
-    /// receives (debug builds always validate inside the optimizer;
-    /// this flag extends the check to release builds so benches can
-    /// measure its cost). Not a rewrite rule: absent from
-    /// [`crate::phases::REGISTRY`] and untouched by `ablate`.
-    pub validate: bool,
-    /// Choose access paths by enumerating alternatives and pricing
-    /// them with the calibrated cost model instead of applying the
-    /// fixed rule order. Not a rewrite rule: absent from
+    /// Price replica-group members and fetch estimates with the
+    /// calibrated cost model instead of the sources' self-declared
+    /// latency. Not a rewrite rule: absent from
     /// [`crate::phases::REGISTRY`] and untouched by `ablate`.
     pub cost_based: bool,
 }
@@ -127,11 +105,7 @@ impl OptimizerConfig {
     /// Everything on.
     pub fn full() -> OptimizerConfig {
         OptimizerConfig {
-            canon_nnf: true,
-            canon_flatten: true,
-            canon_fold: true,
-            canon_between: true,
-            canon_dedup: true,
+            canonicalize: true,
             pushdown: true,
             batching: true,
             concurrent_dispatch: true,
@@ -141,13 +115,12 @@ impl OptimizerConfig {
             use_matview: true,
             replica_selection: true,
             columnar_scan: true,
-            validate: true,
             cost_based: false,
         }
     }
 
-    /// Everything on, with access paths chosen by the calibrated cost
-    /// model instead of the fixed rule order.
+    /// Everything on, with replicas and fetch estimates priced by the
+    /// calibrated cost model.
     pub fn cost_based() -> OptimizerConfig {
         OptimizerConfig {
             cost_based: true,
@@ -158,11 +131,7 @@ impl OptimizerConfig {
     /// The unoptimized baseline.
     pub fn naive() -> OptimizerConfig {
         OptimizerConfig {
-            canon_nnf: false,
-            canon_flatten: false,
-            canon_fold: false,
-            canon_between: false,
-            canon_dedup: false,
+            canonicalize: false,
             pushdown: false,
             batching: false,
             concurrent_dispatch: false,
@@ -172,7 +141,6 @@ impl OptimizerConfig {
             use_matview: false,
             replica_selection: false,
             columnar_scan: false,
-            validate: false,
             cost_based: false,
         }
     }
@@ -195,6 +163,46 @@ impl OptimizerConfig {
     }
 }
 
+/// Everything the planner borrows besides the query. Only `dataset` is
+/// required; [`PlanInputs::new`] leaves the rest absent.
+#[derive(Clone, Copy)]
+pub struct PlanInputs<'a> {
+    /// The dataset the plan will execute on.
+    pub dataset: &'a Dataset,
+    /// Overlay statistics (pruning, selectivity, cardinality).
+    pub stats: Option<&'a OverlayStats>,
+    /// The adaptive layer's learned statistics (design decision D15):
+    /// when present, selectivity ordering and cardinality estimation
+    /// route through a [`StatsView`] that prefers fresh learned
+    /// coverage over the nominal histograms.
+    pub learned: Option<&'a LearnedStats>,
+    /// Virtual-clock instant for the learned staleness check.
+    pub now_ns: u64,
+    /// The materialized aggregate view.
+    pub matview: Option<&'a MaterializedAggregates>,
+    /// The columnar activity mirror.
+    pub columnar: Option<&'a ActivityColumns>,
+    /// The calibrated cost model. Read only under
+    /// [`OptimizerConfig::cost_based`], where an absent model means the
+    /// prior-only default.
+    pub cost: Option<&'a CostModel>,
+}
+
+impl<'a> PlanInputs<'a> {
+    /// Inputs with the dataset alone.
+    pub fn new(dataset: &'a Dataset) -> PlanInputs<'a> {
+        PlanInputs {
+            dataset,
+            stats: None,
+            learned: None,
+            now_ns: 0,
+            matview: None,
+            columnar: None,
+            cost: None,
+        }
+    }
+}
+
 /// The planner.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
@@ -212,73 +220,12 @@ impl Optimizer {
         self.config
     }
 
-    /// Plan a query. In cost-based mode alternatives are priced with
-    /// an uncalibrated (prior-only) model; executors that carry a
-    /// calibrated [`CostModel`] use [`Optimizer::plan_with`] instead.
-    pub fn plan(
-        &self,
-        dataset: &Dataset,
-        stats: Option<&OverlayStats>,
-        matview: Option<&MaterializedAggregates>,
-        query: &Query,
-    ) -> Result<PhysicalPlan> {
-        self.plan_with(dataset, stats, matview, None, query)
-    }
-
-    /// Plan a query, pricing cost-based alternatives with `cost` (the
-    /// prior-only default model when absent). Fixed-order planning
-    /// ignores `cost` entirely. Plans without a columnar mirror; the
-    /// executor carries one via [`Optimizer::plan_full`].
-    pub fn plan_with(
-        &self,
-        dataset: &Dataset,
-        stats: Option<&OverlayStats>,
-        matview: Option<&MaterializedAggregates>,
-        cost: Option<&CostModel>,
-        query: &Query,
-    ) -> Result<PhysicalPlan> {
-        self.plan_full(dataset, stats, matview, None, cost, query)
-    }
-
-    /// Plan with every auxiliary structure the executor can carry: the
-    /// materialized aggregate view, the columnar activity mirror, and
-    /// the calibrated cost model.
-    pub fn plan_full(
-        &self,
-        dataset: &Dataset,
-        stats: Option<&OverlayStats>,
-        matview: Option<&MaterializedAggregates>,
-        columnar: Option<&ActivityColumns>,
-        cost: Option<&CostModel>,
-        query: &Query,
-    ) -> Result<PhysicalPlan> {
-        self.plan_adaptive(dataset, stats, None, 0, matview, columnar, cost, query)
-    }
-
-    /// Plan with every auxiliary structure *plus* the adaptive layer's
-    /// learned statistics (design decision D15). When `learned` is
-    /// present, selectivity ordering and cardinality estimation route
-    /// through a [`StatsView`] that prefers fresh learned coverage over
-    /// the nominal histograms; `now_ns` is the virtual-clock instant
-    /// used for the learned staleness check. `plan_full` delegates here
-    /// with no learned provider, so nominal-only planning is
-    /// byte-identical to before the seam existed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn plan_adaptive(
-        &self,
-        dataset: &Dataset,
-        stats: Option<&OverlayStats>,
-        learned: Option<&LearnedStats>,
-        now_ns: u64,
-        matview: Option<&MaterializedAggregates>,
-        columnar: Option<&ActivityColumns>,
-        cost: Option<&CostModel>,
-        query: &Query,
-    ) -> Result<PhysicalPlan> {
+    /// Plan a query.
+    pub fn plan(&self, inputs: &PlanInputs<'_>, query: &Query) -> Result<PhysicalPlan> {
         validate(query)?;
         let default_cost_model;
-        let cost_model: Option<&CostModel> = if self.config.cost_based {
-            Some(match cost {
+        let cost_model = if self.config.cost_based {
+            Some(match inputs.cost {
                 Some(c) => c,
                 None => {
                     default_cost_model = CostModel::new();
@@ -289,17 +236,7 @@ impl Optimizer {
             None
         };
 
-        let mut rw = Rewrite::new(
-            &self.config,
-            dataset,
-            stats,
-            learned,
-            now_ns,
-            matview,
-            columnar,
-            cost_model,
-            query,
-        );
+        let mut rw = Rewrite::new(&self.config, *inputs, cost_model, query);
         for phase in PHASE_ORDER {
             rw.run_phase(phase)?;
             rw.check_phase_boundary(phase)?;
@@ -308,12 +245,11 @@ impl Optimizer {
 
         // In debug builds every plan the rewrite pipeline emits is
         // validated, so a rule regression fails fast in any test that
-        // plans a query. Release builds opt in via `config.validate`
-        // (checked by the executor) to keep the planner's hot path
-        // measurable with and without the cost. This full-plan check
-        // doubles as the Lower phase's boundary validation.
+        // plans a query (the executor validates every plan it receives
+        // in every build). This full-plan check doubles as the Lower
+        // phase's boundary validation.
         #[cfg(debug_assertions)]
-        crate::validate::PlanValidator::new(dataset)
+        crate::validate::PlanValidator::new(inputs.dataset)
             .validate(&plan)
             .map_err(QueryError::Invariant)?;
 
@@ -323,30 +259,19 @@ impl Optimizer {
 
 /// The in-flight draft the phased engine rewrites (design decision
 /// D13): the planning inputs plus every product a phase computes.
-/// Rules mutate the draft through [`Rewrite::apply`] and report a
-/// [`RuleOutcome`]; [`Rewrite::into_plan`] assembles the final
-/// [`PhysicalPlan`] once every phase has run.
-struct Rewrite<'a> {
+/// Rules ([`rules`]) mutate the draft and report a [`RuleOutcome`];
+/// [`Rewrite::into_plan`] assembles the final [`PhysicalPlan`] once
+/// every phase has run.
+pub(crate) struct Rewrite<'a> {
     config: &'a OptimizerConfig,
-    dataset: &'a Dataset,
-    stats: Option<&'a OverlayStats>,
-    /// Learned statistics provider (adaptive layer); selectivity
-    /// estimates route through [`StatsView`] so fresh learned coverage
-    /// wins over the nominal histograms when it exists.
-    learned: Option<&'a LearnedStats>,
-    /// Virtual-clock instant for the learned staleness check.
-    now_ns: u64,
-    matview: Option<&'a MaterializedAggregates>,
-    columnar: Option<&'a ActivityColumns>,
+    inputs: PlanInputs<'a>,
+    /// The pricing model: `Some` exactly when the config is cost-based.
     cost_model: Option<&'a CostModel>,
     query: &'a Query,
 
     notes: Vec<String>,
     candidates: Vec<PlanCandidate>,
     rule_trace: Vec<PassTrace>,
-    /// Structural and run-once rules that already fired (so every
-    /// later pass honestly reports `NoChange`).
-    done: Vec<&'static str>,
 
     // Analyze products.
     scope_node: Option<NodeId>,
@@ -359,7 +284,7 @@ struct Rewrite<'a> {
     total_leaves: usize,
 
     // Canonicalize product: the normalized predicate. Starts as the
-    // query predicate verbatim; with every canon flag off it stays
+    // query predicate verbatim; with the rule off it stays
     // byte-identical to it.
     canonical: Predicate,
 
@@ -384,38 +309,26 @@ struct Rewrite<'a> {
     cache_pred: Option<Predicate>,
 
     // Lower products.
-    fixed_fetches: Vec<FetchPlan>,
+    fetches: Vec<FetchPlan>,
     access: Option<Access>,
     finish: Option<Finish>,
 }
 
 impl<'a> Rewrite<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         config: &'a OptimizerConfig,
-        dataset: &'a Dataset,
-        stats: Option<&'a OverlayStats>,
-        learned: Option<&'a LearnedStats>,
-        now_ns: u64,
-        matview: Option<&'a MaterializedAggregates>,
-        columnar: Option<&'a ActivityColumns>,
+        inputs: PlanInputs<'a>,
         cost_model: Option<&'a CostModel>,
         query: &'a Query,
     ) -> Rewrite<'a> {
         Rewrite {
             config,
-            dataset,
-            stats,
-            learned,
-            now_ns,
-            matview,
-            columnar,
+            inputs,
             cost_model,
             query,
             notes: Vec::new(),
             candidates: Vec::new(),
             rule_trace: Vec::new(),
-            done: Vec::new(),
             scope_node: None,
             interval: None,
             similarity: None,
@@ -438,7 +351,7 @@ impl<'a> Rewrite<'a> {
             columnar_ready: false,
             cache_wrap: false,
             cache_pred: None,
-            fixed_fetches: Vec::new(),
+            fetches: Vec::new(),
             access: None,
             finish: None,
         }
@@ -448,59 +361,43 @@ impl<'a> Rewrite<'a> {
     /// over the nominal histograms plus any learned provider. `None`
     /// only when no statistics were collected at all.
     fn stats_view(&self) -> Option<StatsView<'a>> {
-        self.stats
-            .map(|s| StatsView::with_learned(s, self.learned, self.now_ns))
+        self.inputs
+            .stats
+            .map(|s| StatsView::with_learned(s, self.inputs.learned, self.inputs.now_ns))
     }
 
-    /// Run one phase's rules to a fixpoint (every rule once per pass,
-    /// repeated until a pass changes nothing), recording each firing.
+    /// Run one phase: each of its rules once, in registry order,
+    /// recording the firings.
     fn run_phase(&mut self, phase: RewritePhase) -> Result<()> {
-        for pass in 1..=MAX_PASSES_PER_PHASE {
-            let mut firings = Vec::new();
-            let mut any_changed = false;
-            for rule in crate::phases::rules_in(phase) {
-                let outcome = self.apply(rule)?;
-                any_changed |= outcome == RuleOutcome::Changed;
-                firings.push(RuleFiring {
-                    rule: rule.name,
-                    outcome,
-                });
-            }
-            self.rule_trace.push(PassTrace {
-                phase,
-                pass,
-                firings,
+        let mut firings = Vec::new();
+        for rule in crate::phases::rules_in(phase) {
+            firings.push(RuleFiring {
+                rule: rule.name,
+                outcome: (rule.apply)(self)?,
             });
-            if !any_changed {
-                return Ok(());
-            }
         }
-        Err(QueryError::Plan(format!(
-            "phase {} did not reach a fixpoint within {MAX_PASSES_PER_PHASE} passes",
-            phase.label()
-        )))
+        self.rule_trace.push(PassTrace { phase, firings });
+        Ok(())
     }
 
     /// The phase's structural postconditions, checked the moment it
     /// completes so a bad rule fails at its own boundary. Lower's
     /// boundary is the full [`crate::validate::PlanValidator`], run on
-    /// the assembled plan by `plan_full`.
+    /// the assembled plan by [`Optimizer::plan`].
     fn check_phase_boundary(&self, phase: RewritePhase) -> Result<()> {
         let mut violations = Vec::new();
         match phase {
             RewritePhase::Analyze => {
                 crate::validate::phase_interval_bounds(
-                    self.dataset,
+                    self.inputs.dataset,
                     self.interval(),
                     &mut violations,
                 );
             }
             RewritePhase::Canonicalize => {
-                crate::validate::phase_canonical_form(
-                    self.config,
-                    &self.canonical,
-                    &mut violations,
-                );
+                if self.config.canonicalize {
+                    crate::validate::phase_canonical_form(&self.canonical, &mut violations);
+                }
             }
             RewritePhase::Optimize => {
                 crate::validate::phase_key_order(&self.key_values, &mut violations);
@@ -540,14 +437,6 @@ impl<'a> Rewrite<'a> {
         }
     }
 
-    fn is_done(&self, rule: &'static str) -> bool {
-        self.done.contains(&rule)
-    }
-
-    fn mark_done(&mut self, rule: &'static str) {
-        self.done.push(rule);
-    }
-
     /// The sources the fetch path targets: the replica-selection
     /// winners when that rule ran, every assay source otherwise.
     fn sources_for_fetch(&self) -> Vec<Arc<dyn DataSource>> {
@@ -556,415 +445,16 @@ impl<'a> Rewrite<'a> {
             .unwrap_or_else(|| self.assay_sources.clone())
     }
 
-    /// Apply one canonicalization step to the draft predicate.
-    fn canon_step(
-        &mut self,
-        enabled: bool,
-        step: fn(Predicate) -> (Predicate, bool),
-    ) -> RuleOutcome {
-        if !enabled {
-            return RuleOutcome::Off;
-        }
-        let (p, changed) = step(std::mem::replace(&mut self.canonical, Predicate::True));
-        self.canonical = p;
-        if changed {
-            RuleOutcome::Changed
-        } else {
-            RuleOutcome::NoChange
-        }
-    }
-
-    /// Apply one registered rule to the draft.
-    fn apply(&mut self, rule: &'static RuleDef) -> Result<RuleOutcome> {
-        use RuleOutcome::{Changed, NoChange, NotApplicable, Off};
-        Ok(match rule.name {
-            // ---------------- Analyze ----------------
-            "interval_rewrite" => {
-                if self.is_done(rule.name) {
-                    NoChange
-                } else {
-                    self.mark_done(rule.name);
-                    let (node, interval) = self.dataset.resolve_scope(&self.query.scope)?;
-                    self.notes.push(format!(
-                        "interval-rewrite: scope -> [{}, {})",
-                        interval.lo, interval.hi
-                    ));
-                    self.scope_node = Some(node);
-                    self.interval = Some(interval);
-                    Changed
-                }
-            }
-            "similarity_resolve" => match &self.query.similarity {
-                None => NotApplicable,
-                Some(spec) => {
-                    if self.is_done(rule.name) {
-                        NoChange
-                    } else {
-                        self.mark_done(rule.name);
-                        self.similarity = Some(resolve_similarity(self.dataset, spec)?);
-                        Changed
-                    }
-                }
-            },
-            "substructure_resolve" => match &self.query.substructure {
-                None => NotApplicable,
-                Some(pattern) => {
-                    if self.is_done(rule.name) {
-                        NoChange
-                    } else {
-                        self.mark_done(rule.name);
-                        self.substructure = Some(resolve_substructure(self.dataset, pattern)?);
-                        Changed
-                    }
-                }
-            },
-            "column_discovery" => {
-                if self.is_done(rule.name) {
-                    NoChange
-                } else {
-                    self.mark_done(rule.name);
-                    let sources = self.dataset.registry.by_kind(SourceKind::Assay);
-                    if sources.is_empty() {
-                        return Err(QueryError::Plan("no assay sources registered".into()));
-                    }
-                    self.assay_sources = sources;
-                    self.keys = self
-                        .dataset
-                        .accessions_in(self.interval())
-                        .into_iter()
-                        .map(|(rank, acc)| (rank, Value::from(acc)))
-                        .collect();
-                    self.total_leaves = self.keys.len();
-                    let residual_needs_ligand = self
-                        .query
-                        .predicate
-                        .columns()
-                        .iter()
-                        .any(|c| columns::LIGAND.contains(c));
-                    let output_needs_ligand = matches!(
-                        self.query.kind,
-                        QueryKind::Activities | QueryKind::TopK { .. }
-                    );
-                    self.ligand_join = residual_needs_ligand
-                        || output_needs_ligand
-                        || self.similarity.is_some()
-                        || self.substructure.is_some();
-                    Changed
-                }
-            }
-            // ---------------- Canonicalize ----------------
-            "canon_nnf" => self.canon_step(self.config.canon_nnf, crate::ast::canon::nnf),
-            "canon_flatten" => {
-                self.canon_step(self.config.canon_flatten, crate::ast::canon::flatten)
-            }
-            "canon_fold" => self.canon_step(self.config.canon_fold, crate::ast::canon::fold),
-            "canon_between" => {
-                self.canon_step(self.config.canon_between, crate::ast::canon::between_merge)
-            }
-            "canon_dedup" => self.canon_step(self.config.canon_dedup, crate::ast::canon::dedup),
-            // ---------------- Optimize ----------------
-            "selectivity_ordering" => {
-                if !self.config.selectivity_ordering {
-                    Off
-                } else {
-                    let Some(view) = self.stats_view() else {
-                        return Ok(NotApplicable);
-                    };
-                    if self.is_done(rule.name) {
-                        NoChange
-                    } else {
-                        self.mark_done(rule.name);
-                        self.residual = Some(order_by_selectivity(self.canonical.clone(), &view));
-                        self.notes
-                            .push("selectivity-ordering: residual conjuncts reordered".into());
-                        Changed
-                    }
-                }
-            }
-            "stats_pruning" => {
-                if !self.config.stats_pruning {
-                    Off
-                } else {
-                    let Some(stats) = self.stats else {
-                        return Ok(NotApplicable);
-                    };
-                    if self.is_done(rule.name) {
-                        NoChange
-                    } else {
-                        self.mark_done(rule.name);
-                        let interval = self.interval();
-                        if stats.interval_count(interval) == 0 {
-                            self.proved_empty = true;
-                            self.notes
-                                .push("stats-pruning: interval proven empty".into());
-                            Changed
-                        } else {
-                            let p_bound = min_p_activity_bound(&self.canonical);
-                            self.pruning_bound = p_bound;
-                            let before = self.keys.len();
-                            self.keys.retain(|(rank, _)| {
-                                let leaf_iv = LeafInterval {
-                                    lo: *rank,
-                                    hi: rank + 1,
-                                };
-                                if stats.interval_count(leaf_iv) == 0 {
-                                    return false;
-                                }
-                                if let Some(bound) = p_bound {
-                                    if stats.interval_max_p(leaf_iv).is_none_or(|m| m < bound) {
-                                        return false;
-                                    }
-                                }
-                                true
-                            });
-                            self.pruned = before - self.keys.len();
-                            if self.pruned > 0 {
-                                let pruned = self.pruned;
-                                self.notes
-                                    .push(format!("stats-pruning: {pruned} leaves dropped"));
-                                Changed
-                            } else {
-                                NoChange
-                            }
-                        }
-                    }
-                }
-            }
-            "pushdown" => {
-                if !self.config.pushdown {
-                    Off
-                } else if self.is_done(rule.name) {
-                    NoChange
-                } else {
-                    // Conjuncts translated into the remote assay schema
-                    // (derived columns like p_activity become value_nm
-                    // bounds) and supported by every assay source; the
-                    // local forms are kept for histogram pricing.
-                    let mut remote = Vec::new();
-                    let mut local = Vec::new();
-                    for conjunct in conjuncts_of(&self.canonical) {
-                        let Some(r) = remote_form(conjunct) else {
-                            continue;
-                        };
-                        if self
-                            .assay_sources
-                            .iter()
-                            .all(|s| s.capabilities().supports_predicate(&r))
-                        {
-                            remote.push(r);
-                            local.push(conjunct.clone());
-                        }
-                    }
-                    if remote.is_empty() {
-                        NotApplicable
-                    } else {
-                        self.mark_done(rule.name);
-                        let combined = remote.into_iter().fold(Predicate::True, Predicate::and);
-                        self.notes
-                            .push(format!("pushdown: {}", crate::plan::fmt_pred(&combined)));
-                        self.pushdown = Some(combined);
-                        self.pushed_local =
-                            Some(local.into_iter().fold(Predicate::True, Predicate::and));
-                        Changed
-                    }
-                }
-            }
-            "cardinality_estimate" => {
-                if self.is_done(rule.name) {
-                    NoChange
-                } else {
-                    self.mark_done(rule.name);
-                    // Keys ship sorted and deduplicated (a plan
-                    // invariant): batching is deterministic and the
-                    // executor's rank re-sort makes row order
-                    // config-independent.
-                    let mut key_values: Vec<Value> =
-                        self.keys.iter().map(|(_, k)| k.clone()).collect();
-                    key_values.sort();
-                    key_values.dedup();
-                    self.key_values = key_values;
-                    let (rows, source) =
-                        estimate_rows(self.stats_view(), self.interval(), &self.pushed_local);
-                    self.expected_rows = rows;
-                    // Only annotate when a learned provider is
-                    // installed and a pushdown exists to price — plans
-                    // from nominal-only sessions (and every golden
-                    // EXPLAIN) stay byte-identical.
-                    if self.learned.is_some() && self.pushed_local.is_some() {
-                        let label = match source {
-                            SelectivitySource::Learned => "learned",
-                            SelectivitySource::Nominal => "nominal",
-                        };
-                        self.notes.push(format!("selectivity-source: {label}"));
-                    }
-                    Changed
-                }
-            }
-            "replica_selection" => {
-                if !self.config.replica_selection {
-                    Off
-                } else if !self
-                    .assay_sources
-                    .iter()
-                    .any(|s| self.dataset.registry.replica_group_of(s.name()).is_some())
-                {
-                    // No declared replica groups: every source
-                    // participates (chosen_sources stays None).
-                    NotApplicable
-                } else if self.is_done(rule.name) {
-                    NoChange
-                } else {
-                    self.mark_done(rule.name);
-                    self.select_replicas();
-                    Changed
-                }
-            }
-            "use_matview" => {
-                if !self.config.use_matview {
-                    Off
-                } else if self.is_done(rule.name) {
-                    NoChange
-                } else {
-                    // Eligibility is a correctness gate: the view holds
-                    // whole-clade aggregates, so the scope must cover
-                    // the clade exactly — an interval or leaf-set scope
-                    // that only partially covers its tightest enclosing
-                    // clade aggregates a subset of each child's rows,
-                    // which the view cannot answer. (Found by the
-                    // differential oracle.)
-                    let eligible = self.matview.is_some_and(|v| v.is_fresh(self.dataset))
-                        && matches!(self.query.kind, QueryKind::AggregateChildren { .. })
-                        && self.interval() == self.dataset.index.interval(self.scope())
-                        && self.canonical == Predicate::True
-                        && self.similarity.is_none()
-                        && self.substructure.is_none();
-                    if eligible {
-                        self.mark_done(rule.name);
-                        self.matview_eligible = true;
-                        Changed
-                    } else {
-                        NotApplicable
-                    }
-                }
-            }
-            "columnar_scan" => {
-                if !self.config.columnar_scan {
-                    Off
-                } else if self.is_done(rule.name) {
-                    NoChange
-                } else if !self.columnar.is_some_and(|c| c.is_fresh(self.dataset)) {
-                    // The mirror replays the fetch path's row pipeline
-                    // at build time, so any interval scope can be
-                    // served locally as long as no source has drifted.
-                    NotApplicable
-                } else {
-                    self.mark_done(rule.name);
-                    self.columnar_ready = true;
-                    Changed
-                }
-            }
-            "semantic_cache" => {
-                if !self.config.semantic_cache {
-                    Off
-                } else if self.is_done(rule.name) {
-                    NoChange
-                } else {
-                    self.mark_done(rule.name);
-                    // The cache key must capture every row-reducing
-                    // effect of this plan's fetch: the source pushdown
-                    // AND any statistics-pruning potency bound (pruned
-                    // leaves' weak rows are absent from the fetched
-                    // set, so an entry without the bound in its key
-                    // would wrongly answer unfiltered probes).
-                    let mut key = self.pushdown.clone().unwrap_or(Predicate::True);
-                    if let Some(bound) = self.pruning_bound {
-                        key = key.and(Predicate::cmp("p_activity", CompareOp::Ge, bound));
-                    }
-                    self.cache_pred = match key {
-                        Predicate::True => None,
-                        other => Some(other),
-                    };
-                    self.cache_wrap = true;
-                    Changed
-                }
-            }
-            // ---------------- Lower ----------------
-            "batching" => {
-                if !self.config.batching {
-                    Off
-                } else if self.cost_model.is_some() {
-                    // Cost-based planning prices batched vs per-key as
-                    // access alternatives instead of applying the flag.
-                    NotApplicable
-                } else if self.is_done(rule.name) {
-                    NoChange
-                } else {
-                    self.mark_done(rule.name);
-                    self.notes.push("batching: keyed lookups coalesced".into());
-                    Changed
-                }
-            }
-            "concurrent_dispatch" => {
-                if !self.config.concurrent_dispatch {
-                    Off
-                } else if self.is_done(rule.name) {
-                    NoChange
-                } else {
-                    self.mark_done(rule.name);
-                    Changed
-                }
-            }
-            "lower_fetches" => {
-                if self.cost_model.is_some() {
-                    // Cost-based fetches are built during access
-                    // selection, where batched vs per-key is priced.
-                    NotApplicable
-                } else if self.is_done(rule.name) {
-                    NoChange
-                } else {
-                    self.mark_done(rule.name);
-                    let sources = self.sources_for_fetch();
-                    self.fixed_fetches = sources
-                        .iter()
-                        .map(|s| {
-                            fetch_for_source(
-                                s.as_ref(),
-                                &self.key_values,
-                                &self.pushdown,
-                                self.config.batching,
-                                self.config.concurrent_dispatch,
-                                self.expected_rows,
-                            )
-                        })
-                        .collect();
-                    Changed
-                }
-            }
-            "access_select" => {
-                if self.is_done(rule.name) {
-                    NoChange
-                } else {
-                    self.mark_done(rule.name);
-                    let access = self.select_access();
-                    self.access = Some(access);
-                    Changed
-                }
-            }
-            "finish_build" => {
-                if self.is_done(rule.name) {
-                    NoChange
-                } else {
-                    self.mark_done(rule.name);
-                    self.finish = Some(build_finish(self.dataset, self.scope(), self.query)?);
-                    Changed
-                }
-            }
-            other => {
-                return Err(QueryError::Plan(format!(
-                    "registered rule {other:?} has no implementation"
-                )))
-            }
-        })
+    /// A source's calibrated price for this query's fetch shape.
+    fn priced(&self, model: &CostModel, source: &dyn DataSource) -> f64 {
+        let requests = effective_requests(
+            self.config,
+            self.key_values.len(),
+            source.capabilities().max_batch,
+        );
+        model
+            .params_for(source.name())
+            .price(requests, self.expected_rows)
     }
 
     /// Replica selection: from each declared replica group, fetch only
@@ -976,12 +466,11 @@ impl<'a> Rewrite<'a> {
     /// candidate.
     fn select_replicas(&mut self) {
         let sources = self.assay_sources.clone();
-        let key_count = self.key_values.len();
         let expected_rows = self.expected_rows;
         let mut chosen: Vec<Arc<dyn DataSource>> = Vec::new();
         let mut handled_groups: Vec<&[String]> = Vec::new();
         for s in &sources {
-            match self.dataset.registry.replica_group_of(s.name()) {
+            match self.inputs.dataset.registry.replica_group_of(s.name()) {
                 None => chosen.push(s.clone()),
                 Some(group) => {
                     if handled_groups.contains(&group) {
@@ -996,13 +485,7 @@ impl<'a> Rewrite<'a> {
                         let group_name = format!("replica:{}", group[0]);
                         let mut group_candidates = Vec::new();
                         for c in members {
-                            let reqs = effective_requests(
-                                self.config,
-                                key_count,
-                                self.config.batching,
-                                c.capabilities().max_batch,
-                            );
-                            let secs = model.params_for(c.name()).price(reqs, expected_rows);
+                            let secs = self.priced(model, c.as_ref());
                             group_candidates.push(PlanCandidate {
                                 group: group_name.clone(),
                                 label: c.name().to_string(),
@@ -1043,156 +526,6 @@ impl<'a> Rewrite<'a> {
             }
         }
         self.chosen_sources = Some(chosen);
-    }
-
-    /// Access-path selection: the fixed pipeline decides by flag order,
-    /// cost-based planning enumerates the correct alternatives, prices
-    /// each, and keeps the cheapest (first minimum on ties).
-    fn select_access(&mut self) -> Access {
-        let expected_rows = self.expected_rows;
-        if self.proved_empty {
-            return Access::ProvedEmpty;
-        }
-        if let Some(model) = self.cost_model {
-            let config = *self.config;
-            let sources = self.sources_for_fetch();
-            let key_count = self.key_values.len();
-            let price_variant = |batched: bool| -> f64 {
-                let per_source = sources.iter().map(|s| {
-                    let reqs =
-                        effective_requests(&config, key_count, batched, s.capabilities().max_batch);
-                    model.params_for(s.name()).price(reqs, expected_rows)
-                });
-                if config.concurrent_dispatch {
-                    per_source.fold(0.0, f64::max)
-                } else {
-                    per_source.sum()
-                }
-            };
-            let mut alternatives: Vec<(&str, f64)> = Vec::new();
-            if self.matview_eligible {
-                alternatives.push(("matview", 0.0));
-            }
-            if self.columnar_ready {
-                alternatives.push((
-                    "columnar-scan",
-                    crate::cost::columnar_scan_secs(expected_rows),
-                ));
-            }
-            alternatives.push(("batched-fetch", price_variant(true)));
-            alternatives.push(("per-key-fetch", price_variant(false)));
-            let best = alternatives
-                .iter()
-                .map(|(_, c)| *c)
-                .fold(f64::INFINITY, f64::min);
-            let chosen_label = alternatives
-                .iter()
-                .find(|(_, c)| *c <= best)
-                .map_or("batched-fetch", |(l, _)| *l);
-            for (label, cost_secs) in &alternatives {
-                self.candidates.push(PlanCandidate {
-                    group: "access".into(),
-                    label: (*label).to_string(),
-                    cost_secs: *cost_secs,
-                    rows: if *label == "matview" {
-                        0
-                    } else {
-                        expected_rows
-                    },
-                    chosen: *label == chosen_label,
-                });
-            }
-            self.notes.push(format!(
-                "cost-based: access={chosen_label} est={:?} est_rows={expected_rows}",
-                crate::cost::secs_to_duration(best)
-            ));
-            if chosen_label == "matview" {
-                self.notes
-                    .push("matview: aggregate served from materialized view".into());
-                return Access::MaterializedView;
-            }
-            if chosen_label == "columnar-scan" {
-                let interval = self.interval();
-                self.notes.push(format!(
-                    "columnar-scan: interval [{}, {}) served by vectorized kernels",
-                    interval.lo, interval.hi
-                ));
-                return Access::ColumnarScan {
-                    pushdown: self.pushdown.clone(),
-                };
-            }
-            let batched = chosen_label == "batched-fetch";
-            let fetches: Vec<FetchPlan> = sources
-                .iter()
-                .map(|s| {
-                    let reqs =
-                        effective_requests(&config, key_count, batched, s.capabilities().max_batch);
-                    let est = model.params_for(s.name()).price(reqs, expected_rows);
-                    let mut f = fetch_for_source(
-                        s.as_ref(),
-                        &self.key_values,
-                        &self.pushdown,
-                        batched,
-                        config.concurrent_dispatch,
-                        expected_rows,
-                    );
-                    f.est_cost = crate::cost::secs_to_duration(est);
-                    f
-                })
-                .collect();
-            // Cache wrapping: a probe costs nothing on a hit and the
-            // same as the direct fetch on a miss, so it is never worse;
-            // both alternatives are recorded priced at the miss path.
-            return if self.cache_wrap {
-                for (label, chosen) in [("cache-probe", true), ("direct", false)] {
-                    self.candidates.push(PlanCandidate {
-                        group: "cache".into(),
-                        label: label.to_string(),
-                        cost_secs: best,
-                        rows: expected_rows,
-                        chosen,
-                    });
-                }
-                Access::CacheProbe {
-                    pushdown: self.cache_pred.clone(),
-                    on_miss: fetches,
-                    insert_on_miss: true,
-                    concurrent_sources: config.concurrent_dispatch,
-                }
-            } else {
-                Access::Fetch {
-                    fetches,
-                    concurrent_sources: config.concurrent_dispatch,
-                }
-            };
-        }
-        // Fixed pipeline: flag order decides.
-        if self.matview_eligible {
-            self.notes
-                .push("matview: aggregate served from materialized view".into());
-            Access::MaterializedView
-        } else if self.columnar_ready {
-            let interval = self.interval();
-            self.notes.push(format!(
-                "columnar-scan: interval [{}, {}) served by vectorized kernels",
-                interval.lo, interval.hi
-            ));
-            Access::ColumnarScan {
-                pushdown: self.pushdown.clone(),
-            }
-        } else if self.cache_wrap {
-            Access::CacheProbe {
-                pushdown: self.cache_pred.clone(),
-                on_miss: std::mem::take(&mut self.fixed_fetches),
-                insert_on_miss: true,
-                concurrent_sources: self.config.concurrent_dispatch,
-            }
-        } else {
-            Access::Fetch {
-                fetches: std::mem::take(&mut self.fixed_fetches),
-                concurrent_sources: self.config.concurrent_dispatch,
-            }
-        }
     }
 
     /// Assemble the physical plan from the finished draft.
@@ -1240,8 +573,361 @@ impl<'a> Rewrite<'a> {
     }
 }
 
-/// Reject queries referencing unknown columns early, with a good error.
+/// The rule bodies [`crate::phases::REGISTRY`] points at, one function
+/// per registered rule, in registry order.
+pub(crate) mod rules {
+    use super::*;
+    use RuleOutcome::{Changed, NoChange, NotApplicable, Off};
+
+    // ---------------- Analyze ----------------
+
+    pub(crate) fn interval_rewrite(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        let (node, interval) = rw.inputs.dataset.resolve_scope(&rw.query.scope)?;
+        rw.notes.push(format!(
+            "interval-rewrite: scope -> [{}, {})",
+            interval.lo, interval.hi
+        ));
+        rw.scope_node = Some(node);
+        rw.interval = Some(interval);
+        Ok(Changed)
+    }
+
+    pub(crate) fn similarity_resolve(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        let Some(spec) = &rw.query.similarity else {
+            return Ok(NotApplicable);
+        };
+        rw.similarity = Some(resolve_similarity(rw.inputs.dataset, spec)?);
+        Ok(Changed)
+    }
+
+    pub(crate) fn substructure_resolve(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        let Some(pattern) = &rw.query.substructure else {
+            return Ok(NotApplicable);
+        };
+        rw.substructure = Some(resolve_substructure(rw.inputs.dataset, pattern)?);
+        Ok(Changed)
+    }
+
+    pub(crate) fn column_discovery(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        let dataset = rw.inputs.dataset;
+        let sources = dataset.registry.by_kind(SourceKind::Assay);
+        if sources.is_empty() {
+            return Err(QueryError::Plan("no assay sources registered".into()));
+        }
+        rw.assay_sources = sources;
+        rw.keys = dataset
+            .accessions_in(rw.interval())
+            .into_iter()
+            .map(|(rank, acc)| (rank, Value::from(acc)))
+            .collect();
+        rw.total_leaves = rw.keys.len();
+        let residual_needs_ligand = rw
+            .query
+            .predicate
+            .columns()
+            .iter()
+            .any(|c| columns::LIGAND.contains(c));
+        let output_needs_ligand = matches!(
+            rw.query.kind,
+            QueryKind::Activities | QueryKind::TopK { .. }
+        );
+        rw.ligand_join = residual_needs_ligand
+            || output_needs_ligand
+            || rw.similarity.is_some()
+            || rw.substructure.is_some();
+        Ok(Changed)
+    }
+
+    // ---------------- Canonicalize ----------------
+
+    pub(crate) fn canonicalize(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        if !rw.config.canonicalize {
+            return Ok(Off);
+        }
+        let draft = std::mem::replace(&mut rw.canonical, Predicate::True);
+        let (canonical, changed) = crate::ast::canon::canonicalize(draft)?;
+        rw.canonical = canonical;
+        Ok(if changed { Changed } else { NoChange })
+    }
+
+    // ---------------- Optimize ----------------
+
+    pub(crate) fn selectivity_ordering(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        if !rw.config.selectivity_ordering {
+            return Ok(Off);
+        }
+        let Some(view) = rw.stats_view() else {
+            return Ok(NotApplicable);
+        };
+        rw.residual = Some(order_by_selectivity(rw.canonical.clone(), &view));
+        rw.notes
+            .push("selectivity-ordering: residual conjuncts reordered".into());
+        Ok(Changed)
+    }
+
+    pub(crate) fn stats_pruning(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        if !rw.config.stats_pruning {
+            return Ok(Off);
+        }
+        let Some(stats) = rw.inputs.stats else {
+            return Ok(NotApplicable);
+        };
+        if stats.interval_count(rw.interval()) == 0 {
+            rw.proved_empty = true;
+            rw.notes.push("stats-pruning: interval proven empty".into());
+            return Ok(Changed);
+        }
+        let p_bound = min_p_activity_bound(&rw.canonical);
+        rw.pruning_bound = p_bound;
+        let before = rw.keys.len();
+        rw.keys.retain(|(rank, _)| {
+            let leaf_iv = LeafInterval {
+                lo: *rank,
+                hi: rank + 1,
+            };
+            if stats.interval_count(leaf_iv) == 0 {
+                return false;
+            }
+            if let Some(bound) = p_bound {
+                if stats.interval_max_p(leaf_iv).is_none_or(|m| m < bound) {
+                    return false;
+                }
+            }
+            true
+        });
+        rw.pruned = before - rw.keys.len();
+        if rw.pruned == 0 {
+            return Ok(NoChange);
+        }
+        rw.notes
+            .push(format!("stats-pruning: {} leaves dropped", rw.pruned));
+        Ok(Changed)
+    }
+
+    pub(crate) fn pushdown(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        if !rw.config.pushdown {
+            return Ok(Off);
+        }
+        // Conjuncts translated into the remote assay schema (derived
+        // columns like p_activity become value_nm bounds) and supported
+        // by every assay source; the local forms are kept for
+        // histogram pricing.
+        let mut remote = Vec::new();
+        let mut local = Vec::new();
+        for conjunct in conjuncts_of(&rw.canonical) {
+            let Some(r) = remote_form(conjunct) else {
+                continue;
+            };
+            if rw
+                .assay_sources
+                .iter()
+                .all(|s| s.capabilities().supports_predicate(&r))
+            {
+                remote.push(r);
+                local.push(conjunct.clone());
+            }
+        }
+        if remote.is_empty() {
+            return Ok(NotApplicable);
+        }
+        let combined = remote.into_iter().fold(Predicate::True, Predicate::and);
+        rw.notes
+            .push(format!("pushdown: {}", crate::plan::fmt_pred(&combined)));
+        rw.pushdown = Some(combined);
+        rw.pushed_local = Some(local.into_iter().fold(Predicate::True, Predicate::and));
+        Ok(Changed)
+    }
+
+    pub(crate) fn cardinality_estimate(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        // Keys ship sorted and deduplicated (a plan invariant):
+        // batching is deterministic and the executor's rank re-sort
+        // makes row order config-independent.
+        let mut key_values: Vec<Value> = rw.keys.iter().map(|(_, k)| k.clone()).collect();
+        key_values.sort();
+        key_values.dedup();
+        rw.key_values = key_values;
+        let (rows, source) = estimate_rows(rw.stats_view(), rw.interval(), &rw.pushed_local);
+        rw.expected_rows = rows;
+        // Only annotate when a learned provider is installed and a
+        // pushdown exists to price — plans from nominal-only sessions
+        // (and every golden EXPLAIN) stay byte-identical.
+        if rw.inputs.learned.is_some() && rw.pushed_local.is_some() {
+            let label = match source {
+                SelectivitySource::Learned => "learned",
+                SelectivitySource::Nominal => "nominal",
+            };
+            rw.notes.push(format!("selectivity-source: {label}"));
+        }
+        Ok(Changed)
+    }
+
+    pub(crate) fn replica_selection(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        if !rw.config.replica_selection {
+            return Ok(Off);
+        }
+        let registry = &rw.inputs.dataset.registry;
+        if !rw
+            .assay_sources
+            .iter()
+            .any(|s| registry.replica_group_of(s.name()).is_some())
+        {
+            // No declared replica groups: every source participates
+            // (chosen_sources stays None).
+            return Ok(NotApplicable);
+        }
+        rw.select_replicas();
+        Ok(Changed)
+    }
+
+    pub(crate) fn use_matview(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        if !rw.config.use_matview {
+            return Ok(Off);
+        }
+        // Eligibility is a correctness gate: the view holds whole-clade
+        // aggregates, so the scope must cover the clade exactly — an
+        // interval or leaf-set scope that only partially covers its
+        // tightest enclosing clade aggregates a subset of each child's
+        // rows, which the view cannot answer. (Found by the
+        // differential oracle.)
+        let dataset = rw.inputs.dataset;
+        rw.matview_eligible = rw.inputs.matview.is_some_and(|v| v.is_fresh(dataset))
+            && matches!(rw.query.kind, QueryKind::AggregateChildren { .. })
+            && rw.interval() == dataset.index.interval(rw.scope())
+            && rw.canonical == Predicate::True
+            && rw.similarity.is_none()
+            && rw.substructure.is_none();
+        Ok(if rw.matview_eligible {
+            Changed
+        } else {
+            NotApplicable
+        })
+    }
+
+    pub(crate) fn columnar_scan(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        if !rw.config.columnar_scan {
+            return Ok(Off);
+        }
+        // The mirror replays the fetch path's row pipeline at build
+        // time, so any interval scope can be served locally as long as
+        // no source has drifted.
+        let dataset = rw.inputs.dataset;
+        rw.columnar_ready = rw.inputs.columnar.is_some_and(|c| c.is_fresh(dataset));
+        Ok(if rw.columnar_ready {
+            Changed
+        } else {
+            NotApplicable
+        })
+    }
+
+    pub(crate) fn semantic_cache(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        if !rw.config.semantic_cache {
+            return Ok(Off);
+        }
+        // The cache key must capture every row-reducing effect of this
+        // plan's fetch: the source pushdown AND any statistics-pruning
+        // potency bound (pruned leaves' weak rows are absent from the
+        // fetched set, so an entry without the bound in its key would
+        // wrongly answer unfiltered probes).
+        let mut key = rw.pushdown.clone().unwrap_or(Predicate::True);
+        if let Some(bound) = rw.pruning_bound {
+            key = key.and(Predicate::cmp("p_activity", CompareOp::Ge, bound));
+        }
+        rw.cache_pred = match key {
+            Predicate::True => None,
+            other => Some(other),
+        };
+        rw.cache_wrap = true;
+        Ok(Changed)
+    }
+
+    // ---------------- Lower ----------------
+
+    pub(crate) fn batching(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        if !rw.config.batching {
+            return Ok(Off);
+        }
+        rw.notes.push("batching: keyed lookups coalesced".into());
+        Ok(Changed)
+    }
+
+    pub(crate) fn concurrent_dispatch(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        Ok(if rw.config.concurrent_dispatch {
+            Changed
+        } else {
+            Off
+        })
+    }
+
+    pub(crate) fn lower_fetches(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        rw.fetches = rw
+            .sources_for_fetch()
+            .iter()
+            .map(|s| {
+                let mut fetch = fetch_for_source(
+                    s.as_ref(),
+                    &rw.key_values,
+                    &rw.pushdown,
+                    rw.config.batching,
+                    rw.config.concurrent_dispatch,
+                    rw.expected_rows,
+                );
+                if let Some(model) = rw.cost_model {
+                    fetch.est_cost = crate::cost::secs_to_duration(rw.priced(model, s.as_ref()));
+                }
+                fetch
+            })
+            .collect();
+        Ok(Changed)
+    }
+
+    /// By fixed order: proved-empty, matview, columnar scan, cache
+    /// wrap, plain fetch.
+    pub(crate) fn access_select(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        rw.access = Some(if rw.proved_empty {
+            Access::ProvedEmpty
+        } else if rw.matview_eligible {
+            rw.notes
+                .push("matview: aggregate served from materialized view".into());
+            Access::MaterializedView
+        } else if rw.columnar_ready {
+            let interval = rw.interval();
+            rw.notes.push(format!(
+                "columnar-scan: interval [{}, {}) served by vectorized kernels",
+                interval.lo, interval.hi
+            ));
+            Access::ColumnarScan {
+                pushdown: rw.pushdown.clone(),
+            }
+        } else if rw.cache_wrap {
+            Access::CacheProbe {
+                pushdown: rw.cache_pred.clone(),
+                on_miss: std::mem::take(&mut rw.fetches),
+                insert_on_miss: true,
+                concurrent_sources: rw.config.concurrent_dispatch,
+            }
+        } else {
+            Access::Fetch {
+                fetches: std::mem::take(&mut rw.fetches),
+                concurrent_sources: rw.config.concurrent_dispatch,
+            }
+        });
+        Ok(Changed)
+    }
+
+    pub(crate) fn finish_build(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        rw.finish = Some(build_finish(rw.inputs.dataset, rw.scope(), rw.query)?);
+        Ok(Changed)
+    }
+}
+
+/// Reject over-nested predicates (before anything recurses on them)
+/// and unknown columns early, with a good error.
 fn validate(query: &Query) -> Result<()> {
+    if crate::ast::nests_deeper_than(&query.predicate, MAX_PREDICATE_DEPTH) {
+        return Err(QueryError::Plan(format!(
+            "predicate nested deeper than {MAX_PREDICATE_DEPTH} levels"
+        )));
+    }
     for col in query.predicate.columns() {
         if !columns::is_known(col) {
             return Err(QueryError::UnknownColumn(col.to_string()));
@@ -1455,16 +1141,11 @@ fn estimate_rows(
 
 /// Effective sequential round trips for cost-model pricing: concurrent
 /// dispatch overlaps every request into one effective RTT.
-fn effective_requests(
-    config: &OptimizerConfig,
-    key_count: usize,
-    batched: bool,
-    max_batch: usize,
-) -> u64 {
+fn effective_requests(config: &OptimizerConfig, key_count: usize, max_batch: usize) -> u64 {
     if config.concurrent_dispatch {
         return 1;
     }
-    let requests = if batched {
+    let requests = if config.batching {
         key_count.div_ceil(max_batch.max(1))
     } else {
         key_count
@@ -1472,10 +1153,9 @@ fn effective_requests(
     requests.max(1) as u64
 }
 
-/// Build one source's fetch plan with its fixed-pipeline latency
-/// estimate: exact `Duration` arithmetic from the source's
-/// self-declared latency model (the cost-based planner overwrites
-/// `est_cost` with its calibrated price).
+/// Build one source's fetch plan with an exact-`Duration` latency
+/// estimate from the source's self-declared latency model (cost-based
+/// planning overwrites `est_cost` with its calibrated price).
 fn fetch_for_source(
     source: &dyn drugtree_sources::DataSource,
     key_values: &[Value],
@@ -1558,12 +1238,24 @@ mod tests {
         small_dataset(SourceCapabilities::full())
     }
 
+    fn inputs<'a>(
+        dataset: &'a Dataset,
+        stats: Option<&'a OverlayStats>,
+        matview: Option<&'a MaterializedAggregates>,
+    ) -> PlanInputs<'a> {
+        PlanInputs {
+            stats,
+            matview,
+            ..PlanInputs::new(dataset)
+        }
+    }
+
     #[test]
     fn naive_plan_shape() {
         let d = dataset();
         let q = Query::activities(Scope::Tree);
         let plan = Optimizer::new(OptimizerConfig::naive())
-            .plan(&d, None, None, &q)
+            .plan(&inputs(&d, None, None), &q)
             .unwrap();
         match &plan.access {
             Access::Fetch {
@@ -1592,7 +1284,7 @@ mod tests {
             6.5,
         ));
         let plan = Optimizer::new(OptimizerConfig::full())
-            .plan(&d, Some(&stats), None, &q)
+            .plan(&inputs(&d, Some(&stats), None), &q)
             .unwrap();
         match &plan.access {
             Access::CacheProbe {
@@ -1617,7 +1309,7 @@ mod tests {
             .filter(Predicate::cmp("mw", CompareOp::Lt, 500.0))
             .filter(Predicate::cmp("year", CompareOp::Ge, 2012i64));
         let plan = Optimizer::new(OptimizerConfig::full())
-            .plan(&d, None, None, &q)
+            .plan(&inputs(&d, None, None), &q)
             .unwrap();
         let pushdown = match &plan.access {
             Access::CacheProbe { pushdown, .. } => pushdown.clone(),
@@ -1635,7 +1327,7 @@ mod tests {
         let q =
             Query::activities(Scope::Tree).filter(Predicate::cmp("year", CompareOp::Ge, 2012i64));
         let plan = Optimizer::new(OptimizerConfig::full())
-            .plan(&d, None, None, &q)
+            .plan(&inputs(&d, None, None), &q)
             .unwrap();
         match &plan.access {
             Access::CacheProbe { pushdown, .. } => assert!(pushdown.is_none()),
@@ -1650,7 +1342,7 @@ mod tests {
         // P4 (rank 3) has no activities.
         let q = Query::activities(Scope::Tree);
         let plan = Optimizer::new(OptimizerConfig::full())
-            .plan(&d, Some(&stats), None, &q)
+            .plan(&inputs(&d, Some(&stats), None), &q)
             .unwrap();
         assert_eq!(plan.pruned_leaves, 1);
         match &plan.access {
@@ -1669,7 +1361,7 @@ mod tests {
         let q =
             Query::activities(Scope::Tree).filter(Predicate::cmp("p_activity", CompareOp::Ge, 8.5));
         let plan = Optimizer::new(OptimizerConfig::full())
-            .plan(&d, Some(&stats), None, &q)
+            .plan(&inputs(&d, Some(&stats), None), &q)
             .unwrap();
         assert_eq!(plan.pruned_leaves, 3);
     }
@@ -1681,7 +1373,7 @@ mod tests {
         // cladeB's P4 side: leaves [3, 4) hold nothing.
         let q = Query::activities(Scope::Subtree("P4".into()));
         let plan = Optimizer::new(OptimizerConfig::full())
-            .plan(&d, Some(&stats), None, &q)
+            .plan(&inputs(&d, Some(&stats), None), &q)
             .unwrap();
         assert_eq!(plan.access, Access::ProvedEmpty);
         assert_eq!(plan.estimated_cost, Duration::ZERO);
@@ -1693,19 +1385,19 @@ mod tests {
         let opt = Optimizer::new(OptimizerConfig::full());
         let q = Query::activities(Scope::Tree).filter(Predicate::eq("bogus", 1i64));
         assert!(matches!(
-            opt.plan(&d, None, None, &q),
+            opt.plan(&inputs(&d, None, None), &q),
             Err(QueryError::UnknownColumn(_))
         ));
         let q = Query::activities(Scope::Tree).top_k("nope", 5, true);
         assert!(matches!(
-            opt.plan(&d, None, None, &q),
+            opt.plan(&inputs(&d, None, None), &q),
             Err(QueryError::UnknownColumn(_))
         ));
         let q = Query::activities(Scope::Tree).similar_to("CCO", 1.5);
-        assert!(opt.plan(&d, None, None, &q).is_err());
+        assert!(opt.plan(&inputs(&d, None, None), &q).is_err());
         let q = Query::activities(Scope::Tree).similar_to("((((", 0.5);
         assert!(matches!(
-            opt.plan(&d, None, None, &q),
+            opt.plan(&inputs(&d, None, None), &q),
             Err(QueryError::BadSimilarityReference(_))
         ));
     }
@@ -1716,11 +1408,11 @@ mod tests {
         let opt = Optimizer::new(OptimizerConfig::full());
         // Known ligand id.
         let q = Query::activities(Scope::Tree).similar_to("L1", 0.5);
-        let plan = opt.plan(&d, None, None, &q).unwrap();
+        let plan = opt.plan(&inputs(&d, None, None), &q).unwrap();
         assert!(plan.similarity.is_some());
         // Raw SMILES.
         let q = Query::activities(Scope::Tree).similar_to("CCO", 0.5);
-        let plan = opt.plan(&d, None, None, &q).unwrap();
+        let plan = opt.plan(&inputs(&d, None, None), &q).unwrap();
         let sim = plan.similarity.unwrap();
         let ethanol_fp = d.overlay.fingerprint("L2").unwrap();
         assert_eq!(&sim.fingerprint, ethanol_fp, "SMILES CCO == ligand L2");
@@ -1731,7 +1423,7 @@ mod tests {
         let d = dataset();
         let q = Query::activities(Scope::Tree).aggregate(Metric::Count);
         let plan = Optimizer::new(OptimizerConfig::naive())
-            .plan(&d, None, None, &q)
+            .plan(&inputs(&d, None, None), &q)
             .unwrap();
         match &plan.finish {
             Finish::AggregateChildren { children, .. } => {
@@ -1746,13 +1438,12 @@ mod tests {
 
     #[test]
     fn matview_rejected_for_partial_clade_coverage() {
-        use crate::matview::MaterializedAggregates;
         let d = dataset();
         let view = MaterializedAggregates::build(&d).unwrap();
         let opt = Optimizer::new(OptimizerConfig::full());
         // Whole tree: eligible.
         let q = Query::activities(Scope::Tree).aggregate(Metric::Count);
-        let plan = opt.plan(&d, None, Some(&view), &q).unwrap();
+        let plan = opt.plan(&inputs(&d, None, Some(&view)), &q).unwrap();
         assert_eq!(plan.access, Access::MaterializedView);
         // Leaves P2..P3 span clades A and B, so the tightest clade is
         // the whole root but the interval is [1, 3): the view's whole-
@@ -1760,7 +1451,7 @@ mod tests {
         // regression.)
         let q = Query::activities(Scope::Leaves(vec!["P2".into(), "P3".into()]))
             .aggregate(Metric::Count);
-        let plan = opt.plan(&d, None, Some(&view), &q).unwrap();
+        let plan = opt.plan(&inputs(&d, None, Some(&view)), &q).unwrap();
         assert_ne!(plan.access, Access::MaterializedView);
     }
 
@@ -1774,7 +1465,7 @@ mod tests {
             .filter(wide.clone())
             .filter(narrow.clone());
         let plan = Optimizer::new(OptimizerConfig::full())
-            .plan(&d, Some(&stats), None, &q)
+            .plan(&inputs(&d, Some(&stats), None), &q)
             .unwrap();
         match &plan.residual {
             Predicate::And(ps) => {
@@ -1791,10 +1482,10 @@ mod tests {
         let stats = OverlayStats::collect(&d).unwrap();
         let q = Query::activities(Scope::Tree);
         let naive = Optimizer::new(OptimizerConfig::naive())
-            .plan(&d, Some(&stats), None, &q)
+            .plan(&inputs(&d, Some(&stats), None), &q)
             .unwrap();
         let full = Optimizer::new(OptimizerConfig::full())
-            .plan(&d, Some(&stats), None, &q)
+            .plan(&inputs(&d, Some(&stats), None), &q)
             .unwrap();
         assert!(
             full.estimated_cost < naive.estimated_cost,
@@ -1818,6 +1509,13 @@ mod tests {
         assert!(OptimizerConfig::ablate("no_such_rule").is_err());
         // Structural rules are registered but not ablatable.
         assert!(OptimizerConfig::ablate("interval_rewrite").is_err());
+        // The five per-step canonicalization toggles merged into one.
+        for step in ["nnf", "flatten", "fold", "between", "dedup"] {
+            assert!(matches!(
+                OptimizerConfig::ablate(&format!("canon_{step}")),
+                Err(QueryError::UnknownRule(_))
+            ));
+        }
     }
 
     #[test]
@@ -1864,29 +1562,33 @@ mod tests {
     }
 
     #[test]
-    fn cost_based_plan_enumerates_candidates_and_picks_minimum() {
+    fn cost_based_plan_has_the_fixed_pipelines_shape() {
         let d = dataset();
         let stats = OverlayStats::collect(&d).unwrap();
         let q = Query::activities(Scope::Tree);
-        let plan = Optimizer::new(OptimizerConfig::cost_based())
-            .plan(&d, Some(&stats), None, &q)
+        let fixed = Optimizer::new(OptimizerConfig::full())
+            .plan(&inputs(&d, Some(&stats), None), &q)
             .unwrap();
-        assert!(!plan.candidates.is_empty(), "candidates must be recorded");
-        let access: Vec<&PlanCandidate> = plan
-            .candidates
-            .iter()
-            .filter(|c| c.group == "access")
-            .collect();
-        assert_eq!(access.iter().filter(|c| c.chosen).count(), 1);
-        let chosen = access.iter().find(|c| c.chosen).unwrap();
-        for c in &access {
-            assert!(c.cost_secs.is_finite() && c.cost_secs >= 0.0);
-            assert!(chosen.cost_secs <= c.cost_secs, "chosen must be minimal");
-        }
-        // Same result shape as the fixed pipeline: still a cache probe
-        // over batched concurrent fetches on this dataset.
-        assert!(matches!(plan.access, Access::CacheProbe { .. }));
-        assert!(plan.estimated_rows > 0);
+        let priced = Optimizer::new(OptimizerConfig::cost_based())
+            .plan(&inputs(&d, Some(&stats), None), &q)
+            .unwrap();
+        // No replica group declared: nothing to enumerate, and the
+        // same cache probe over batched concurrent fetches — only the
+        // estimate comes from the cost model's prior.
+        assert!(priced.candidates.is_empty());
+        let (Access::CacheProbe { on_miss: a, .. }, Access::CacheProbe { on_miss: b, .. }) =
+            (&fixed.access, &priced.access)
+        else {
+            panic!("{:?} / {:?}", fixed.access, priced.access);
+        };
+        assert_eq!(
+            (a[0].batched, a[0].max_batch),
+            (b[0].batched, b[0].max_batch)
+        );
+        assert_eq!(a[0].keys, b[0].keys);
+        assert_ne!(fixed.estimated_cost, priced.estimated_cost);
+        assert_eq!(fixed.estimated_rows, priced.estimated_rows);
+        assert_eq!(fixed.notes, priced.notes);
     }
 
     #[test]
@@ -1894,7 +1596,7 @@ mod tests {
         let d = dataset();
         let q = Query::activities(Scope::Tree);
         let plan = Optimizer::new(OptimizerConfig::full())
-            .plan(&d, None, None, &q)
+            .plan(&inputs(&d, None, None), &q)
             .unwrap();
         assert!(plan.candidates.is_empty());
     }
@@ -1907,9 +1609,11 @@ mod tests {
         let q = Query::activities(Scope::Tree);
         let opt = Optimizer::new(OptimizerConfig::cost_based());
         let model = CostModel::new();
-        let prior_plan = opt
-            .plan_with(&d, Some(&stats), None, Some(&model), &q)
-            .unwrap();
+        let priced = PlanInputs {
+            cost: Some(&model),
+            ..inputs(&d, Some(&stats), None)
+        };
+        let prior_plan = opt.plan(&priced, &q).unwrap();
         // Teach the model that assay-sim is 10x the prior's round trip.
         let slow = CostParams {
             rtt_secs: CostParams::prior().rtt_secs * 10.0,
@@ -1919,9 +1623,7 @@ mod tests {
             let obs = crate::cost::secs_to_duration(slow.price(reqs, rows));
             model.observe("assay-sim", reqs, rows, obs, Duration::from_millis(1));
         }
-        let calibrated_plan = opt
-            .plan_with(&d, Some(&stats), None, Some(&model), &q)
-            .unwrap();
+        let calibrated_plan = opt.plan(&priced, &q).unwrap();
         assert!(
             calibrated_plan.estimated_cost > prior_plan.estimated_cost,
             "calibration must raise the estimate for a slow source: {:?} vs {:?}",

@@ -29,8 +29,12 @@
 //! similar  := 'similar' 'to' string ('>=' number)?
 //! top      := 'top' int ('by' ident)? ('asc' | 'desc')?
 //! ```
+//!
+//! An atom may sit inside at most [`MAX_PREDICATE_DEPTH`] levels of
+//! `(` and `not`; deeper text is a parse error at the offending token,
+//! raised on descent, before any of the nested tree is built.
 
-use crate::ast::{Metric, Query, QueryKind, Scope, SimilaritySpec};
+use crate::ast::{Metric, Query, QueryKind, Scope, SimilaritySpec, MAX_PREDICATE_DEPTH};
 use crate::{QueryError, Result};
 use drugtree_store::expr::{CompareOp, Predicate};
 use drugtree_store::value::Value;
@@ -38,7 +42,11 @@ use drugtree_store::value::Value;
 /// Parse query text into a [`Query`].
 pub fn parse_query(text: &str) -> Result<Query> {
     let tokens = tokenize(text)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let q = p.parse_query()?;
     if p.pos != p.tokens.len() {
         return Err(p.err("unexpected trailing input"));
@@ -175,6 +183,8 @@ fn tokenize(text: &str) -> Result<Vec<(usize, Token)>> {
 struct Parser {
     tokens: Vec<(usize, Token)>,
     pos: usize,
+    /// `(` / `not` levels enclosing the atom being parsed.
+    depth: usize,
 }
 
 impl Parser {
@@ -385,14 +395,31 @@ impl Parser {
         })
     }
 
+    /// Enter the nesting level opened by the `(` or `not` just eaten.
+    fn descend(&mut self) -> Result<()> {
+        if self.depth == MAX_PREDICATE_DEPTH {
+            self.pos -= 1;
+            return Err(self.err(format!(
+                "predicate nested deeper than {MAX_PREDICATE_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn parse_atom(&mut self) -> Result<Predicate> {
         if self.eat_sym("(") {
+            self.descend()?;
             let inner = self.parse_or()?;
+            self.depth -= 1;
             self.expect_sym(")")?;
             return Ok(inner);
         }
         if self.eat_kw("not") {
-            return Ok(Predicate::Not(Box::new(self.parse_atom()?)));
+            self.descend()?;
+            let inner = self.parse_atom()?;
+            self.depth -= 1;
+            return Ok(Predicate::Not(Box::new(inner)));
         }
         if self.eat_kw("true") {
             return Ok(Predicate::True);
@@ -629,6 +656,48 @@ mod tests {
         ] {
             assert!(parse_query(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_on_descent() {
+        let parens = |n: usize| {
+            format!(
+                "activities where {}year = 2010{}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        let nots = |n: usize| format!("activities where {}year = 2010", "not ".repeat(n));
+        let atom = Predicate::eq("year", 2010i64);
+
+        // Exactly at the bound both forms parse to what they always did.
+        let q = parse_query(&parens(MAX_PREDICATE_DEPTH)).unwrap();
+        assert_eq!(q.predicate, atom);
+        let q = parse_query(&nots(MAX_PREDICATE_DEPTH)).unwrap();
+        let (mut p, mut levels) = (&q.predicate, 0);
+        while let Predicate::Not(inner) = p {
+            (p, levels) = (inner, levels + 1);
+        }
+        assert_eq!((p, levels), (&atom, MAX_PREDICATE_DEPTH));
+
+        // One level past it is an error at the offending token...
+        let at = |text: &str| match parse_query(text).unwrap_err() {
+            QueryError::Parse { offset, .. } => offset,
+            other => panic!("{other:?}"),
+        };
+        let prefix = "activities where ".len();
+        assert_eq!(
+            at(&parens(MAX_PREDICATE_DEPTH + 1)),
+            prefix + MAX_PREDICATE_DEPTH
+        );
+        assert_eq!(
+            at(&nots(MAX_PREDICATE_DEPTH + 1)),
+            prefix + 4 * MAX_PREDICATE_DEPTH
+        );
+        // ...and so is input deep enough to overflow the stack if it
+        // were followed (or its tree built and dropped).
+        assert_eq!(at(&parens(200_000)), prefix + MAX_PREDICATE_DEPTH);
+        assert_eq!(at(&nots(200_000)), prefix + 4 * MAX_PREDICATE_DEPTH);
     }
 
     #[test]

@@ -3,26 +3,26 @@
 //! The optimizer runs four explicit phases in a fixed order
 //! ([`PHASE_ORDER`]): **Analyze** resolves the query against the
 //! dataset (scope interval, similarity/substructure references, source
-//! and key discovery), **Canonicalize** normalizes the predicate (NNF,
-//! flattening, constant folding, `between` merging, deduplication),
-//! **Optimize** applies the cost-reducing rewrites (pruning, pushdown,
+//! and key discovery), **Canonicalize** normalizes the predicate
+//! ([`crate::ast::canon::canonicalize`]), **Optimize** applies the cost-reducing rewrites (pruning, pushdown,
 //! selectivity ordering, matview/cache/candidate enumeration), and
 //! **Lower** turns the optimized draft into the physical plan
 //! (batching, fetch construction, access selection, finish shape).
 //!
 //! Every rule is registered here as a [`RuleDef`] with its phase, a
-//! one-line description, and — for flag-gated rules — a toggle into
-//! [`OptimizerConfig`], so ablation (`OptimizerConfig::ablate`), the
-//! `drugtree rules` listing, the differential oracle's single-rule
-//! configs, and the repo-lint registry check all derive from one
-//! table instead of hand-maintained `match` arms.
+//! one-line description, its body, and — for flag-gated rules — a
+//! toggle into [`OptimizerConfig`], so the driver, ablation
+//! (`OptimizerConfig::ablate`), the `drugtree rules` listing, the
+//! differential oracle's single-rule configs, and the repo-lint
+//! registry check all derive from one table the compiler checks.
 //!
-//! Within each phase the driver runs every rule once per pass and
-//! repeats until a pass changes nothing, bounded by
-//! [`MAX_PASSES_PER_PHASE`]; each firing's [`RuleOutcome`] is recorded
+//! The driver runs each phase's rules once, in registry order: no rule
+//! reads a product of a later rule of its own phase. Only the
+//! canonicalize rule iterates, inside itself, bounded by
+//! [`MAX_PASSES_PER_PHASE`]. Each firing's [`RuleOutcome`] is recorded
 //! in the plan's rule trace ([`PassTrace`]) and rendered by EXPLAIN.
 
-use crate::optimizer::OptimizerConfig;
+use crate::optimizer::{rules, OptimizerConfig, Rewrite};
 
 /// One of the rewrite engine's four phases, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -57,11 +57,11 @@ pub const PHASE_ORDER: [RewritePhase; 4] = [
     RewritePhase::Lower,
 ];
 
-/// Upper bound on fixpoint passes within one phase. Canonicalization
-/// strictly shrinks a measure of the predicate each changing pass, so
-/// real queries converge in two or three passes; the bound exists so a
-/// buggy rule oscillating between forms fails loudly instead of
-/// spinning.
+/// Upper bound on the canonicalize rule's fixpoint passes (the only
+/// rule that iterates). Canonicalization strictly shrinks a measure of
+/// the predicate each changing pass, so real queries converge in two
+/// or three passes; the bound exists so a buggy step oscillating
+/// between forms fails loudly instead of spinning.
 pub const MAX_PASSES_PER_PHASE: usize = 32;
 
 /// What one rule application did to the draft.
@@ -71,7 +71,7 @@ pub enum RuleOutcome {
     Off,
     /// Enabled, but the rule's context gate did not match this query.
     NotApplicable,
-    /// Ran and left the draft as it was (already at fixpoint).
+    /// Ran and left the draft as it was.
     NoChange,
     /// Ran and changed the draft.
     Changed,
@@ -101,6 +101,8 @@ pub struct RuleDef {
     /// Flag setter on [`OptimizerConfig`] for ablatable rules;
     /// `None` marks a structural rule that always runs.
     pub toggle: Option<fn(&mut OptimizerConfig, bool)>,
+    /// The rule's body: applies it to the planning draft.
+    pub(crate) apply: for<'a> fn(&mut Rewrite<'a>) -> crate::Result<RuleOutcome>,
 }
 
 impl RuleDef {
@@ -112,20 +114,8 @@ impl RuleDef {
 
 // Named toggle functions: function pointers in a `const` table must be
 // items, not closures.
-fn t_canon_nnf(c: &mut OptimizerConfig, on: bool) {
-    c.canon_nnf = on;
-}
-fn t_canon_flatten(c: &mut OptimizerConfig, on: bool) {
-    c.canon_flatten = on;
-}
-fn t_canon_fold(c: &mut OptimizerConfig, on: bool) {
-    c.canon_fold = on;
-}
-fn t_canon_between(c: &mut OptimizerConfig, on: bool) {
-    c.canon_between = on;
-}
-fn t_canon_dedup(c: &mut OptimizerConfig, on: bool) {
-    c.canon_dedup = on;
+fn t_canonicalize(c: &mut OptimizerConfig, on: bool) {
+    c.canonicalize = on;
 }
 fn t_selectivity_ordering(c: &mut OptimizerConfig, on: bool) {
     c.selectivity_ordering = on;
@@ -165,55 +155,36 @@ pub const REGISTRY: &[RuleDef] = &[
         phase: RewritePhase::Analyze,
         description: "resolve the scope to a leaf interval via the tree index",
         toggle: None,
+        apply: rules::interval_rewrite,
     },
     RuleDef {
         name: "similarity_resolve",
         phase: RewritePhase::Analyze,
         description: "resolve a similarity reference to a fingerprint",
         toggle: None,
+        apply: rules::similarity_resolve,
     },
     RuleDef {
         name: "substructure_resolve",
         phase: RewritePhase::Analyze,
         description: "parse a substructure pattern and its prescreen fingerprint",
         toggle: None,
+        apply: rules::substructure_resolve,
     },
     RuleDef {
         name: "column_discovery",
         phase: RewritePhase::Analyze,
         description: "discover assay sources, candidate keys, and the ligand-join need",
         toggle: None,
+        apply: rules::column_discovery,
     },
     // -------- Canonicalize --------
     RuleDef {
-        name: "canon_nnf",
+        name: "canonicalize",
         phase: RewritePhase::Canonicalize,
-        description: "push negations to the leaves (double negation, De Morgan)",
-        toggle: Some(t_canon_nnf),
-    },
-    RuleDef {
-        name: "canon_flatten",
-        phase: RewritePhase::Canonicalize,
-        description: "flatten nested and/or and unwrap single-member connectives",
-        toggle: Some(t_canon_flatten),
-    },
-    RuleDef {
-        name: "canon_fold",
-        phase: RewritePhase::Canonicalize,
-        description: "fold constant true/false subterms",
-        toggle: Some(t_canon_fold),
-    },
-    RuleDef {
-        name: "canon_between",
-        phase: RewritePhase::Canonicalize,
-        description: "merge a column's >= and <= bounds into one between",
-        toggle: Some(t_canon_between),
-    },
-    RuleDef {
-        name: "canon_dedup",
-        phase: RewritePhase::Canonicalize,
-        description: "drop duplicate conjuncts and disjuncts",
-        toggle: Some(t_canon_dedup),
+        description: "normalize the predicate: NNF, flatten, fold, between-merge, dedup",
+        toggle: Some(t_canonicalize),
+        apply: rules::canonicalize,
     },
     // -------- Optimize --------
     RuleDef {
@@ -221,48 +192,56 @@ pub const REGISTRY: &[RuleDef] = &[
         phase: RewritePhase::Optimize,
         description: "reorder residual conjuncts most-selective-first",
         toggle: Some(t_selectivity_ordering),
+        apply: rules::selectivity_ordering,
     },
     RuleDef {
         name: "stats_pruning",
         phase: RewritePhase::Optimize,
         description: "drop leaves (or the whole interval) proven empty by statistics",
         toggle: Some(t_stats_pruning),
+        apply: rules::stats_pruning,
     },
     RuleDef {
         name: "pushdown",
         phase: RewritePhase::Optimize,
         description: "push remotely evaluable conjuncts into the source fetches",
         toggle: Some(t_pushdown),
+        apply: rules::pushdown,
     },
     RuleDef {
         name: "cardinality_estimate",
         phase: RewritePhase::Optimize,
         description: "sort/dedup the key set and estimate shipped rows from histograms",
         toggle: None,
+        apply: rules::cardinality_estimate,
     },
     RuleDef {
         name: "replica_selection",
         phase: RewritePhase::Optimize,
         description: "fetch each replica group from its cheapest member only",
         toggle: Some(t_replica_selection),
+        apply: rules::replica_selection,
     },
     RuleDef {
         name: "use_matview",
         phase: RewritePhase::Optimize,
         description: "answer eligible aggregates from the materialized view",
         toggle: Some(t_use_matview),
+        apply: rules::use_matview,
     },
     RuleDef {
         name: "columnar_scan",
         phase: RewritePhase::Optimize,
         description: "serve interval scopes from the columnar mirror's kernels",
         toggle: Some(t_columnar_scan),
+        apply: rules::columnar_scan,
     },
     RuleDef {
         name: "semantic_cache",
         phase: RewritePhase::Optimize,
         description: "wrap the fetch in a semantic cache probe",
         toggle: Some(t_semantic_cache),
+        apply: rules::semantic_cache,
     },
     // -------- Lower --------
     RuleDef {
@@ -270,30 +249,35 @@ pub const REGISTRY: &[RuleDef] = &[
         phase: RewritePhase::Lower,
         description: "coalesce key lookups into max-batch requests",
         toggle: Some(t_batching),
+        apply: rules::batching,
     },
     RuleDef {
         name: "concurrent_dispatch",
         phase: RewritePhase::Lower,
         description: "dispatch batches and sources concurrently",
         toggle: Some(t_concurrent_dispatch),
+        apply: rules::concurrent_dispatch,
     },
     RuleDef {
         name: "lower_fetches",
         phase: RewritePhase::Lower,
         description: "build per-source fetch plans with latency estimates",
         toggle: None,
+        apply: rules::lower_fetches,
     },
     RuleDef {
         name: "access_select",
         phase: RewritePhase::Lower,
-        description: "select the access path (flag order, or priced enumeration)",
+        description: "select the access path: proved-empty, matview, columnar, cache wrap, fetch",
         toggle: None,
+        apply: rules::access_select,
     },
     RuleDef {
         name: "finish_build",
         phase: RewritePhase::Lower,
         description: "construct the finishing operator",
         toggle: None,
+        apply: rules::finish_build,
     },
 ];
 
@@ -321,13 +305,11 @@ pub struct RuleFiring {
     pub outcome: RuleOutcome,
 }
 
-/// One fixpoint pass of one phase: every rule of the phase fired once.
+/// The one pass of one phase: every rule of the phase fired once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassTrace {
     /// The phase the pass belongs to.
     pub phase: RewritePhase,
-    /// 1-based pass number within the phase.
-    pub pass: usize,
     /// Per-rule outcomes, in registry order.
     pub firings: Vec<RuleFiring>,
 }
@@ -376,6 +358,7 @@ mod tests {
         assert!(rule_named("interval_rewrite").is_some());
         assert!(rule_named("warp-drive").is_none());
         assert!(!rule_named("access_select").unwrap().ablatable());
-        assert!(rule_named("canon_nnf").unwrap().ablatable());
+        assert!(rule_named("canonicalize").unwrap().ablatable());
+        assert_eq!((REGISTRY.len(), ablatable_rules().count()), (18, 10));
     }
 }

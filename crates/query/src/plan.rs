@@ -34,15 +34,16 @@ pub struct FetchPlan {
 
 /// One enumerated plan alternative.
 ///
-/// Populated only by the cost-based planner; the fixed-order rule
-/// pipeline decides by flags and emits no candidates. Within each
-/// `group` exactly one candidate is `chosen`, and the validator checks
-/// that its cost is minimal and every cost is finite and non-negative.
+/// Populated only by cost-based replica selection, one group per
+/// declared replica group; fixed pricing emits no candidates. Within
+/// each `group` exactly one candidate is `chosen`, and the validator
+/// checks that its cost is minimal and every cost is finite and
+/// non-negative.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanCandidate {
-    /// Choice group: "access", "cache", or "replica:\<group leader\>".
+    /// Choice group: "replica:\<group leader\>".
     pub group: String,
-    /// Alternative label (e.g. "batched-fetch", a replica name).
+    /// Alternative label (a replica's source name).
     pub label: String,
     /// Priced cost in seconds.
     pub cost_secs: f64,
@@ -165,11 +166,11 @@ pub struct PhysicalPlan {
     pub estimated_cost: Duration,
     /// Cost-model cardinality estimate (rows shipped by the access).
     pub estimated_rows: u64,
-    /// Alternatives the cost-based planner enumerated (empty under the
-    /// fixed rule pipeline).
+    /// Replica alternatives cost-based planning enumerated (empty
+    /// under fixed pricing).
     pub candidates: Vec<PlanCandidate>,
     /// Per-phase rule firings recorded by the phased rewrite engine
-    /// (one entry per fixpoint pass), rendered by EXPLAIN.
+    /// (one entry per phase), rendered by EXPLAIN.
     pub rule_trace: Vec<crate::phases::PassTrace>,
 }
 
@@ -289,9 +290,8 @@ impl PhysicalPlan {
                 .collect();
             let _ = writeln!(
                 out,
-                "  RuleTrace {}/{}: {}",
+                "  RuleTrace {}: {}",
                 pass.phase.label(),
-                pass.pass,
                 firings.join(" ")
             );
         }
@@ -402,15 +402,15 @@ mod tests {
             estimated_rows: 7,
             candidates: vec![
                 PlanCandidate {
-                    group: "access".into(),
-                    label: "batched-fetch".into(),
+                    group: "replica:assay-sim".into(),
+                    label: "assay-sim".into(),
                     cost_secs: 0.012,
                     rows: 7,
                     chosen: true,
                 },
                 PlanCandidate {
-                    group: "access".into(),
-                    label: "per-key-fetch".into(),
+                    group: "replica:assay-sim".into(),
+                    label: "assay-far".into(),
                     cost_secs: 0.024,
                     rows: 7,
                     chosen: false,
@@ -418,7 +418,6 @@ mod tests {
             ],
             rule_trace: vec![crate::phases::PassTrace {
                 phase: crate::phases::RewritePhase::Optimize,
-                pass: 1,
                 firings: vec![crate::phases::RuleFiring {
                     rule: "pushdown",
                     outcome: crate::phases::RuleOutcome::Changed,
@@ -431,15 +430,17 @@ mod tests {
         assert!(text.contains("SourceFetch source=assay-sim keys=2"));
         assert!(text.contains("batched=true"));
         assert!(text.contains("est_cost=12ms est_rows=7"));
+        assert!(text.contains(
+            "Candidate [replica:assay-sim] assay-sim: est_cost=12ms est_rows=7 (chosen)"
+        ));
         assert!(
-            text.contains("Candidate [access] batched-fetch: est_cost=12ms est_rows=7 (chosen)")
+            text.contains("Candidate [replica:assay-sim] assay-far: est_cost=24ms est_rows=7\n")
         );
-        assert!(text.contains("Candidate [access] per-key-fetch: est_cost=24ms est_rows=7\n"));
         assert!(text.contains("mw < 500"));
         assert!(text.contains("LigandJoin"));
         assert!(text.contains("TopK k=10"));
         assert!(text.contains("# pushdown"));
-        assert!(text.contains("RuleTrace optimize/1: pushdown=changed"));
+        assert!(text.contains("RuleTrace optimize: pushdown=changed"));
     }
 
     #[test]

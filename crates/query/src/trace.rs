@@ -249,25 +249,17 @@ impl TraceBuilder {
         span.est_rows = Some(plan.estimated_rows);
         span.attrs
             .push(("candidates", plan.candidates.len() as u64));
-        // One child span per rewrite phase, summarizing its fixpoint
-        // run (pass count and rules that changed the draft) so a trace
-        // shows where planning effort went.
-        for phase in crate::phases::PHASE_ORDER {
-            let passes: Vec<_> = plan
-                .rule_trace
+        // One child span per rewrite phase, counting the rules that
+        // changed the draft, so a trace shows where planning effort
+        // went.
+        for pass in &plan.rule_trace {
+            let changed = pass
+                .firings
                 .iter()
-                .filter(|p| p.phase == phase)
-                .collect();
-            if passes.is_empty() {
-                continue;
-            }
-            let changed = passes
-                .iter()
-                .flat_map(|p| &p.firings)
                 .filter(|f| f.outcome == crate::phases::RuleOutcome::Changed)
                 .count() as u64;
-            let mut child = QuerySpan::new(Stage::Plan, format!("phase {}", phase.label()), at);
-            child.attrs.push(("passes", passes.len() as u64));
+            let mut child =
+                QuerySpan::new(Stage::Plan, format!("phase {}", pass.phase.label()), at);
             child.attrs.push(("changed", changed));
             span.children.push(child);
         }

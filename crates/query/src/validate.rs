@@ -45,10 +45,8 @@
 //! can surface them as a [`QueryError::Invariant`] and EXPLAIN output
 //! stays printable for debugging. The optimizer runs the validator on
 //! every plan it emits under `cfg(debug_assertions)`; the executor
-//! runs it unconditionally when [`OptimizerConfig::validate`] is set,
-//! so benches can measure its cost.
+//! validates every plan it receives, in every build.
 //!
-//! [`OptimizerConfig::validate`]: crate::optimizer::OptimizerConfig
 //! [`QueryError::Invariant`]: crate::QueryError
 
 use crate::dataset::{unified_schema, Dataset};
@@ -97,8 +95,8 @@ pub const RULE_FINISH: &str = "finish-shape";
 pub const RULE_COST_CHOICE: &str = "cost-choice-minimal";
 /// Rule name: candidate cost estimates finite and non-negative.
 pub const RULE_COST_SANE: &str = "cost-estimates-sane";
-/// Rule name: the Canonicalize phase's output is a fixpoint of every
-/// enabled normalization step.
+/// Rule name: the Canonicalize phase's output is a fixpoint of the
+/// normalization.
 pub const RULE_CANONICAL_FORM: &str = "canonical-form";
 
 /// Walks a [`PhysicalPlan`] and checks every structural invariant
@@ -137,10 +135,10 @@ impl<'a> PlanValidator<'a> {
         out
     }
 
-    /// Cost-based plan-choice invariants: candidates (when enumerated)
-    /// carry sane estimates, and within each group exactly one is
-    /// chosen with the minimal cost. Fixed-pipeline plans enumerate no
-    /// candidates and pass trivially.
+    /// Cost-based plan-choice invariants: candidates (replica-group
+    /// members, when enumerated) carry sane estimates, and within each
+    /// group exactly one is chosen with the minimal cost. Plans without
+    /// candidates pass trivially.
     fn check_costs(&self, plan: &PhysicalPlan, out: &mut Vec<InvariantViolation>) {
         let mut groups: Vec<&str> = plan.candidates.iter().map(|c| c.group.as_str()).collect();
         groups.sort_unstable();
@@ -551,37 +549,21 @@ pub(crate) fn phase_interval_bounds(
     }
 }
 
-/// Canonicalize boundary: re-running every enabled normalization step
-/// must change nothing (the phase reported a fixpoint).
-pub(crate) fn phase_canonical_form(
-    config: &crate::optimizer::OptimizerConfig,
-    canonical: &Predicate,
-    out: &mut Vec<InvariantViolation>,
-) {
-    use crate::ast::canon;
-    type CanonStep = fn(Predicate) -> (Predicate, bool);
-    let steps: [(&str, bool, CanonStep); 5] = [
-        ("canon_nnf", config.canon_nnf, canon::nnf),
-        ("canon_flatten", config.canon_flatten, canon::flatten),
-        ("canon_fold", config.canon_fold, canon::fold),
-        ("canon_between", config.canon_between, canon::between_merge),
-        ("canon_dedup", config.canon_dedup, canon::dedup),
-    ];
-    for (name, enabled, step) in steps {
-        if !enabled {
-            continue;
-        }
-        let (_, changed) = step(canonical.clone());
-        if changed {
-            out.push(InvariantViolation {
-                rule: RULE_CANONICAL_FORM,
-                path: "canonicalize.predicate".into(),
-                explanation: format!(
-                    "{name} still rewrites `{}` after the phase reported a fixpoint",
-                    fmt_pred(canonical)
-                ),
-            });
-        }
+/// Canonicalize boundary: re-running the normalization must change
+/// nothing (the rule reported a fixpoint).
+pub(crate) fn phase_canonical_form(canonical: &Predicate, out: &mut Vec<InvariantViolation>) {
+    if !matches!(
+        crate::ast::canon::canonicalize(canonical.clone()),
+        Ok((_, false))
+    ) {
+        out.push(InvariantViolation {
+            rule: RULE_CANONICAL_FORM,
+            path: "canonicalize.predicate".into(),
+            explanation: format!(
+                "canonicalize still rewrites `{}` after the rule reported a fixpoint",
+                fmt_pred(canonical)
+            ),
+        });
     }
 }
 
@@ -706,7 +688,7 @@ mod tests {
     use super::*;
     use crate::ast::{Metric, Query, Scope};
     use crate::dataset::test_fixtures::small_dataset;
-    use crate::optimizer::{Optimizer, OptimizerConfig};
+    use crate::optimizer::{Optimizer, OptimizerConfig, PlanInputs};
     use crate::stats::OverlayStats;
     use drugtree_phylo::index::LeafInterval;
     use drugtree_sources::source::SourceCapabilities;
@@ -714,10 +696,30 @@ mod tests {
 
     fn planned(dataset: &Dataset, config: OptimizerConfig, query: &Query) -> PhysicalPlan {
         let stats = OverlayStats::collect(dataset).unwrap();
-        Optimizer::new(config)
-            .plan(dataset, Some(&stats), None, query)
-            .unwrap()
+        let inputs = PlanInputs {
+            stats: Some(&stats),
+            ..PlanInputs::new(dataset)
+        };
+        Optimizer::new(config).plan(&inputs, query).unwrap()
     }
+
+    /// The small dataset with a second, empty copy of its assay source
+    /// declared as a replica: cost-based plans over it enumerate the
+    /// `replica:assay-sim` candidate group.
+    fn replica_dataset() -> Dataset {
+        use crate::dataset::test_fixtures::test_latency;
+        use drugtree_sources::assay_db::assay_source;
+        let caps = SourceCapabilities::full();
+        let mut d = small_dataset(caps);
+        let mirror = assay_source("assay-mirror", &[], caps, test_latency()).unwrap();
+        d.registry.register(std::sync::Arc::new(mirror)).unwrap();
+        d.registry
+            .declare_replicas(vec!["assay-sim".into(), "assay-mirror".into()])
+            .unwrap();
+        d
+    }
+
+    const REPLICA_GROUP: &str = "replica:assay-sim";
 
     fn filtered_query() -> Query {
         use drugtree_store::expr::CompareOp;
@@ -740,13 +742,14 @@ mod tests {
     #[test]
     fn cost_choice_must_be_minimal_and_unique() {
         use crate::plan::PlanCandidate;
-        let d = small_dataset(SourceCapabilities::full());
+        let d = replica_dataset();
         let mut plan = planned(
             &d,
             OptimizerConfig::cost_based(),
             &Query::activities(Scope::Tree),
         );
         assert_eq!(PlanValidator::new(&d).check(&plan), vec![]);
+        assert!(plan.candidates.iter().any(|c| c.group == REPLICA_GROUP));
 
         // Append a second chosen alternative that is also more
         // expensive than the winner: both the uniqueness and the
@@ -757,7 +760,7 @@ mod tests {
             .map(|c| c.cost_secs)
             .fold(0.0, f64::max);
         plan.candidates.push(PlanCandidate {
-            group: "access".into(),
+            group: REPLICA_GROUP.into(),
             label: "bogus".into(),
             cost_secs: max + 1.0,
             rows: 1,
@@ -773,12 +776,12 @@ mod tests {
             &Query::activities(Scope::Tree),
         );
         for c in &mut plan.candidates {
-            if c.group == "access" {
+            if c.group == REPLICA_GROUP {
                 c.chosen = false;
             }
         }
         plan.candidates.push(PlanCandidate {
-            group: "access".into(),
+            group: REPLICA_GROUP.into(),
             label: "bogus".into(),
             cost_secs: max + 1.0,
             rows: 1,

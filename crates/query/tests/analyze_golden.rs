@@ -54,20 +54,17 @@ Plan: scope=n1 interval=[0, 2) pruned_leaves=0 est_cost=12ms est_rows=2 | actual
   # selectivity-ordering: residual conjuncts reordered
   # pushdown: year >= 2012
   # batching: keyed lookups coalesced
-  RuleTrace analyze/1: interval_rewrite=changed similarity_resolve=n/a substructure_resolve=n/a column_discovery=changed
-  RuleTrace analyze/2: interval_rewrite=no-change similarity_resolve=n/a substructure_resolve=n/a column_discovery=no-change
-  RuleTrace canonicalize/1: canon_nnf=no-change canon_flatten=no-change canon_fold=no-change canon_between=no-change canon_dedup=no-change
-  RuleTrace optimize/1: selectivity_ordering=changed stats_pruning=no-change pushdown=changed cardinality_estimate=changed replica_selection=n/a use_matview=n/a columnar_scan=n/a semantic_cache=changed
-  RuleTrace optimize/2: selectivity_ordering=no-change stats_pruning=no-change pushdown=no-change cardinality_estimate=no-change replica_selection=n/a use_matview=n/a columnar_scan=n/a semantic_cache=no-change
-  RuleTrace lower/1: batching=changed concurrent_dispatch=changed lower_fetches=changed access_select=changed finish_build=changed
-  RuleTrace lower/2: batching=no-change concurrent_dispatch=no-change lower_fetches=no-change access_select=no-change finish_build=no-change
+  RuleTrace analyze: interval_rewrite=changed similarity_resolve=n/a substructure_resolve=n/a column_discovery=changed
+  RuleTrace canonicalize: canonicalize=no-change
+  RuleTrace optimize: selectivity_ordering=changed stats_pruning=no-change pushdown=changed cardinality_estimate=changed replica_selection=n/a use_matview=n/a columnar_scan=n/a semantic_cache=changed
+  RuleTrace lower: batching=changed concurrent_dispatch=changed lower_fetches=changed access_select=changed finish_build=changed
   Trace:
     query: actual=12ms est=12ms
       plan: actual=0ns est=12ms candidates=0
-        plan phase analyze: actual=0ns passes=2 changed=2
-        plan phase canonicalize: actual=0ns passes=1 changed=0
-        plan phase optimize: actual=0ns passes=2 changed=4
-        plan phase lower: actual=0ns passes=2 changed=5
+        plan phase analyze: actual=0ns changed=2
+        plan phase canonicalize: actual=0ns changed=0
+        plan phase optimize: actual=0ns changed=4
+        plan phase lower: actual=0ns changed=5
       cache-probe miss: actual=0ns
       fetch assay-sim: actual=12ms est=12ms rows=2 requests=1 keys=2 retries=0
       overlay: actual=0ns rows_in=2 rows_out=2
@@ -142,10 +139,6 @@ fn calibrated_analyze_error_under_ceiling() {
     );
     let text = analyzed.render();
     assert!(text.contains("| actual: cost="), "{text}");
-    assert!(
-        text.contains("Candidate ["),
-        "cost-based plan renders candidates: {text}"
-    );
 }
 
 /// Deterministic replay: analyzing the same query from the same state

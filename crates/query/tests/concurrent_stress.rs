@@ -265,9 +265,7 @@ fn normalize(rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
 }
 
 fn serving_executor(dataset: &Dataset) -> Executor {
-    let mut config = OptimizerConfig::full();
-    config.validate = true;
-    let mut exec = Executor::new(Optimizer::new(config));
+    let mut exec = Executor::new(Optimizer::new(OptimizerConfig::full()));
     exec.collect_stats(dataset).expect("stats");
     exec.build_matview(dataset).expect("matview");
     exec.set_cache_shards(Executor::SERVING_CACHE_SHARDS);

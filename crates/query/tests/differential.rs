@@ -21,7 +21,7 @@ use drugtree_integrate::overlay::OverlayBuilder;
 use drugtree_phylo::index::{LeafInterval, TreeIndex};
 use drugtree_phylo::newick::parse_newick;
 use drugtree_query::ast::{Metric, QueryKind};
-use drugtree_query::{Dataset, Executor, Optimizer, OptimizerConfig, Query, Scope};
+use drugtree_query::{Dataset, Executor, Optimizer, OptimizerConfig, PlanInputs, Query, Scope};
 use drugtree_sources::assay_db::assay_source;
 use drugtree_sources::clock::VirtualClock;
 use drugtree_sources::federation::SourceRegistry;
@@ -347,9 +347,7 @@ fn optimizer_rules_preserve_query_semantics() {
     // Persistent executor per config: the semantic cache accumulates
     // across the stream, so cache *reuse* (not just first-miss inserts)
     // is under differential test.
-    let mut baseline_cfg = OptimizerConfig::naive();
-    baseline_cfg.validate = true;
-    let mut baseline = Executor::new(Optimizer::new(baseline_cfg));
+    let mut baseline = Executor::new(Optimizer::new(OptimizerConfig::naive()));
     baseline.collect_stats(&dataset).expect("stats");
 
     let mut candidates: Vec<(String, Executor)> = Vec::new();
@@ -361,8 +359,7 @@ fn optimizer_rules_preserve_query_semantics() {
     // the cost model mid-run, so later queries exercise plans priced
     // with fitted (not prior) parameters.
     configs.push(("cost-based".into(), OptimizerConfig::cost_based()));
-    for (name, mut config) in configs {
-        config.validate = true;
+    for (name, config) in configs {
         let mut exec = Executor::new(Optimizer::new(config));
         exec.collect_stats(&dataset).expect("stats");
         exec.build_matview(&dataset).expect("matview");
@@ -432,9 +429,7 @@ fn concurrent_shared_executor_matches_naive_baseline() {
     const THREADS: usize = 4;
     let dataset = build_dataset();
 
-    let mut baseline_cfg = OptimizerConfig::naive();
-    baseline_cfg.validate = true;
-    let mut baseline = Executor::new(Optimizer::new(baseline_cfg));
+    let mut baseline = Executor::new(Optimizer::new(OptimizerConfig::naive()));
     baseline.collect_stats(&dataset).expect("stats");
 
     let queries = generated_queries();
@@ -449,9 +444,7 @@ fn concurrent_shared_executor_matches_naive_baseline() {
         })
         .collect();
 
-    let mut config = OptimizerConfig::full();
-    config.validate = true;
-    let mut exec = Executor::new(Optimizer::new(config));
+    let mut exec = Executor::new(Optimizer::new(OptimizerConfig::full()));
     exec.collect_stats(&dataset).expect("stats");
     exec.build_matview(&dataset).expect("matview");
     // No columnar mirror here on purpose: a fresh mirror answers every
@@ -632,4 +625,170 @@ fn cache_hits_return_what_misses_return() {
         null_ligand_rows > 0,
         "no hit returned the absent ligand's NULL cells"
     );
+}
+
+// ---------------------------------------------------------------------
+// Plan shape against the pre-diet planner. The oracle above compares
+// answers; this pins what every plan *is*, over the same corpus.
+// ---------------------------------------------------------------------
+
+/// FNV-1a/64 digests recorded from the planner as it stood before the
+/// planner diet (commit 80bb7c3: 22 rules, per-phase fixpoint driver,
+/// priced access enumeration), per config over [`generated_queries`]:
+/// `plan.explain()` with the lines that diet declared it would change
+/// stripped (see [`plan_shape`]), planned with statistics only (the
+/// fetch path) and with the matview and columnar mirror as well.
+/// `ablate-canonicalize` was recorded with all five former `canon_*`
+/// flags off.
+const PRE_DIET_PLAN_DIGESTS: &[(&str, u64, u64)] = &[
+    ("full", 0x938E_DBA3_B696_3301, 0xA565_C16C_3AB3_F993),
+    ("naive", 0x08B5_4DFA_1EC9_F92F, 0x08B5_4DFA_1EC9_F92F),
+    ("cost-based", 0x50CC_E807_2D60_A144, 0xD6D8_ECD0_A050_FBAC),
+    (
+        "ablate-canonicalize",
+        0x2E62_2F2C_5C42_ED4B,
+        0x1D39_CDE6_B5DC_3462,
+    ),
+    (
+        "ablate-selectivity_ordering",
+        0x3773_B600_819E_DF13,
+        0x68E5_651C_AADF_FFA3,
+    ),
+    (
+        "ablate-stats_pruning",
+        0xD1D8_6857_E643_94A9,
+        0xBD95_FD6A_CBA6_2FDE,
+    ),
+    (
+        "ablate-pushdown",
+        0x30CF_30F4_F9AC_9A4C,
+        0x25D5_4B00_78B4_C7AB,
+    ),
+    (
+        "ablate-replica_selection",
+        0xE2AB_6AE4_C322_C6FC,
+        0xAE3B_AD54_DE87_A03F,
+    ),
+    (
+        "ablate-use_matview",
+        0x938E_DBA3_B696_3301,
+        0x9931_EC10_5D06_E143,
+    ),
+    (
+        "ablate-columnar_scan",
+        0x938E_DBA3_B696_3301,
+        0x1678_A1BD_0443_A7B9,
+    ),
+    (
+        "ablate-semantic_cache",
+        0x1DBC_27C1_C212_1982,
+        0xA565_C16C_3AB3_F993,
+    ),
+    (
+        "ablate-batching",
+        0x8179_7146_F3DE_F28D,
+        0x7560_84EE_15F1_8011,
+    ),
+    (
+        "ablate-concurrent_dispatch",
+        0xAE5D_15FE_AFCD_40C7,
+        0xA565_C16C_3AB3_F993,
+    ),
+];
+
+/// EXPLAIN minus the renderings the diet changed on purpose: the rule
+/// trace (one line per phase, one canonicalize entry), the `access` /
+/// `cache` candidate groups and the `# cost-based:` note (all three
+/// deleted), and — under cost-based pricing only — the `# batching:`
+/// note, which that mode used to suppress and now prints like every
+/// other mode (the fetch line's `batched=` is digested either way).
+fn plan_shape(explain: &str, cost_based: bool) -> String {
+    explain
+        .lines()
+        .filter(|line| {
+            let line = line.trim_start();
+            !(line.starts_with("RuleTrace")
+                || line.starts_with("Candidate [access]")
+                || line.starts_with("Candidate [cache]")
+                || line.starts_with("# cost-based:")
+                || (cost_based && line.starts_with("# batching:")))
+        })
+        .flat_map(|line| [line, "\n"])
+        .collect()
+}
+
+#[test]
+fn planner_reproduces_the_pre_diet_plans() {
+    use drugtree_query::cost::CostModel;
+    use drugtree_query::matview::MaterializedAggregates;
+    use drugtree_query::stats::OverlayStats;
+    use drugtree_query::ActivityColumns;
+
+    let dataset = build_dataset();
+    let stats = OverlayStats::collect(&dataset).expect("stats");
+    let view = MaterializedAggregates::build(&dataset).expect("view");
+    let mirror = ActivityColumns::build(&dataset).expect("mirror");
+    // The cost-based golden's calibration, applied to the replica the
+    // declared latencies favour: four observations whose exact fit is
+    // 200 ms RTT + 1 ms/row, so priced replica choice flips to assay-b.
+    let model = CostModel::new();
+    for (reqs, rows, obs_ms) in [
+        (1u64, 10u64, 210u64),
+        (2, 50, 450),
+        (1, 200, 400),
+        (3, 30, 630),
+    ] {
+        model.observe(
+            "assay-a",
+            reqs,
+            rows,
+            Duration::from_millis(obs_ms),
+            Duration::ZERO,
+        );
+    }
+    let fetch_path = PlanInputs {
+        stats: Some(&stats),
+        cost: Some(&model),
+        ..PlanInputs::new(&dataset)
+    };
+    let local = PlanInputs {
+        matview: Some(&view),
+        columnar: Some(&mirror),
+        ..fetch_path
+    };
+
+    let mut configs = vec![
+        ("full".to_string(), OptimizerConfig::full()),
+        ("naive".to_string(), OptimizerConfig::naive()),
+        ("cost-based".to_string(), OptimizerConfig::cost_based()),
+    ];
+    configs.extend(drugtree_query::phases::ablatable_rules().map(|rule| {
+        let config = OptimizerConfig::ablate(rule.name).expect("ablatable");
+        (format!("ablate-{}", rule.name), config)
+    }));
+    assert_eq!(configs.len(), PRE_DIET_PLAN_DIGESTS.len());
+
+    let queries = generated_queries();
+    for (name, config) in configs {
+        let optimizer = Optimizer::new(config);
+        let digest = |inputs: &PlanInputs<'_>| {
+            let mut hash = 0xCBF2_9CE4_8422_2325_u64;
+            for query in &queries {
+                let plan = optimizer.plan(inputs, query).expect("plans");
+                for byte in plan_shape(&plan.explain(), config.cost_based).bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            }
+            hash
+        };
+        let pinned = PRE_DIET_PLAN_DIGESTS
+            .iter()
+            .find(|(pinned, _, _)| *pinned == name)
+            .unwrap_or_else(|| panic!("no pre-diet digest for config {name}"));
+        assert_eq!(
+            (digest(&fetch_path), digest(&local)),
+            (pinned.1, pinned.2),
+            "plans under {name} differ from the pre-diet planner's"
+        );
+    }
 }

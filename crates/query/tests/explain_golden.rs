@@ -2,8 +2,9 @@
 //! between `OptimizerConfig` and the rest of the system (experiment
 //! logs, the differential oracle's divergence reports, DESIGN.md
 //! walkthroughs all quote it). Two exact-text goldens pin the full and
-//! naive renderings, and one test per optimizer rule asserts that
-//! toggling exactly that rule changes exactly the plan text it owns.
+//! naive renderings, a third the cost-based replica choice, and one
+//! test per plan-changing optimizer rule asserts that toggling exactly
+//! that rule changes exactly the plan text it owns.
 
 // Test code: panicking on a malformed fixture is the right failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -14,16 +15,19 @@ use drugtree_query::dataset::test_fixtures::{small_dataset, test_latency};
 use drugtree_query::matview::MaterializedAggregates;
 use drugtree_query::plan::PhysicalPlan;
 use drugtree_query::stats::OverlayStats;
-use drugtree_query::{Dataset, Optimizer, OptimizerConfig, Query, Scope};
+use drugtree_query::{Dataset, Optimizer, OptimizerConfig, PlanInputs, Query, Scope};
 use drugtree_store::expr::{CompareOp, Predicate};
 use std::time::Duration;
 
 fn planned(d: &Dataset, config: OptimizerConfig, q: &Query) -> PhysicalPlan {
     let stats = OverlayStats::collect(d).expect("stats");
     let view = MaterializedAggregates::build(d).expect("view");
-    Optimizer::new(config)
-        .plan(d, Some(&stats), Some(&view), q)
-        .expect("plans")
+    let inputs = PlanInputs {
+        stats: Some(&stats),
+        matview: Some(&view),
+        ..PlanInputs::new(d)
+    };
+    Optimizer::new(config).plan(&inputs, q).expect("plans")
 }
 
 fn full_caps() -> drugtree_sources::source::SourceCapabilities {
@@ -58,13 +62,10 @@ Plan: scope=n1 interval=[0, 2) pruned_leaves=0 est_cost=12ms est_rows=2
   # selectivity-ordering: residual conjuncts reordered
   # pushdown: year >= 2012
   # batching: keyed lookups coalesced
-  RuleTrace analyze/1: interval_rewrite=changed similarity_resolve=n/a substructure_resolve=n/a column_discovery=changed
-  RuleTrace analyze/2: interval_rewrite=no-change similarity_resolve=n/a substructure_resolve=n/a column_discovery=no-change
-  RuleTrace canonicalize/1: canon_nnf=no-change canon_flatten=no-change canon_fold=no-change canon_between=no-change canon_dedup=no-change
-  RuleTrace optimize/1: selectivity_ordering=changed stats_pruning=no-change pushdown=changed cardinality_estimate=changed replica_selection=n/a use_matview=n/a columnar_scan=n/a semantic_cache=changed
-  RuleTrace optimize/2: selectivity_ordering=no-change stats_pruning=no-change pushdown=no-change cardinality_estimate=no-change replica_selection=n/a use_matview=n/a columnar_scan=n/a semantic_cache=no-change
-  RuleTrace lower/1: batching=changed concurrent_dispatch=changed lower_fetches=changed access_select=changed finish_build=changed
-  RuleTrace lower/2: batching=no-change concurrent_dispatch=no-change lower_fetches=no-change access_select=no-change finish_build=no-change
+  RuleTrace analyze: interval_rewrite=changed similarity_resolve=n/a substructure_resolve=n/a column_discovery=changed
+  RuleTrace canonicalize: canonicalize=no-change
+  RuleTrace optimize: selectivity_ordering=changed stats_pruning=no-change pushdown=changed cardinality_estimate=changed replica_selection=n/a use_matview=n/a columnar_scan=n/a semantic_cache=changed
+  RuleTrace lower: batching=changed concurrent_dispatch=changed lower_fetches=changed access_select=changed finish_build=changed
 "
     );
 }
@@ -83,13 +84,10 @@ Plan: scope=n1 interval=[0, 2) pruned_leaves=0 est_cost=23ms est_rows=3
   LigandJoin
   Collect
   # interval-rewrite: scope -> [0, 2)
-  RuleTrace analyze/1: interval_rewrite=changed similarity_resolve=n/a substructure_resolve=n/a column_discovery=changed
-  RuleTrace analyze/2: interval_rewrite=no-change similarity_resolve=n/a substructure_resolve=n/a column_discovery=no-change
-  RuleTrace canonicalize/1: canon_nnf=off canon_flatten=off canon_fold=off canon_between=off canon_dedup=off
-  RuleTrace optimize/1: selectivity_ordering=off stats_pruning=off pushdown=off cardinality_estimate=changed replica_selection=off use_matview=off columnar_scan=off semantic_cache=off
-  RuleTrace optimize/2: selectivity_ordering=off stats_pruning=off pushdown=off cardinality_estimate=no-change replica_selection=off use_matview=off columnar_scan=off semantic_cache=off
-  RuleTrace lower/1: batching=off concurrent_dispatch=off lower_fetches=changed access_select=changed finish_build=changed
-  RuleTrace lower/2: batching=off concurrent_dispatch=off lower_fetches=no-change access_select=no-change finish_build=no-change
+  RuleTrace analyze: interval_rewrite=changed similarity_resolve=n/a substructure_resolve=n/a column_discovery=changed
+  RuleTrace canonicalize: canonicalize=off
+  RuleTrace optimize: selectivity_ordering=off stats_pruning=off pushdown=off cardinality_estimate=changed replica_selection=off use_matview=off columnar_scan=off semantic_cache=off
+  RuleTrace lower: batching=off concurrent_dispatch=off lower_fetches=changed access_select=changed finish_build=changed
 "
     );
 }
@@ -99,6 +97,28 @@ fn toggled(d: &Dataset, rule: &str, q: &Query) -> (String, String) {
     let on = planned(d, OptimizerConfig::full(), q).explain();
     let off = planned(d, OptimizerConfig::ablate(rule).expect("known rule"), q).explain();
     (on, off)
+}
+
+#[test]
+fn toggle_canonicalize() {
+    let d = small_dataset(full_caps());
+    // No source evaluates a `not` (`SourceCapabilities::
+    // supports_predicate` refuses every one), so the doubly negated
+    // conjunct ships unpushed unless canonicalization strips it.
+    let q = Query::activities(Scope::Subtree("cladeA".into())).filter(Predicate::Not(Box::new(
+        Predicate::Not(Box::new(Predicate::cmp("year", CompareOp::Ge, 2012i64))),
+    )));
+    let (on, off) = toggled(&d, "canonicalize", &q);
+    assert!(on.contains("CacheProbe pushdown=year >= 2012"), "{on}");
+    assert!(on.contains("SourceFetch source=assay-sim keys=2 pushdown=year >= 2012"));
+    assert!(on.contains("# pushdown: year >= 2012"), "{on}");
+    assert!(on.contains("Residual: year >= 2012"), "{on}");
+    assert!(on.contains("canonicalize=changed"), "{on}");
+    assert!(off.contains("CacheProbe pushdown=- "), "{off}");
+    assert!(off.contains("keys=2 pushdown=- "), "{off}");
+    assert!(!off.contains("# pushdown"), "{off}");
+    assert!(off.contains("Residual: not not year >= 2012"), "{off}");
+    assert!(off.contains("canonicalize=off"), "{off}");
 }
 
 #[test]
@@ -262,8 +282,8 @@ fn toggle_replica_selection() {
 /// `assay-near` (the fixed heuristic's pick — 10 ms declared RTT vs
 /// 80 ms) actually costs 200 ms per round trip plus 1 ms per row, the
 /// planner routes the fetch to `assay-far`, still priced at the prior.
-/// Every enumerated candidate appears in the rendering with its
-/// estimate.
+/// Both replica candidates appear in the rendering with their
+/// estimates.
 #[test]
 fn golden_cost_based_explain() {
     use drugtree_query::cost::CostModel;
@@ -290,14 +310,13 @@ fn golden_cost_based_explain() {
     }
 
     let stats = OverlayStats::collect(&d).expect("stats");
+    let inputs = PlanInputs {
+        stats: Some(&stats),
+        cost: Some(&model),
+        ..PlanInputs::new(&d)
+    };
     let plan = Optimizer::new(OptimizerConfig::cost_based())
-        .plan_with(
-            &d,
-            Some(&stats),
-            None,
-            Some(&model),
-            &Query::activities(Scope::Tree),
-        )
+        .plan(&inputs, &Query::activities(Scope::Tree))
         .expect("plans");
     assert_eq!(
         plan.explain(),
@@ -307,10 +326,6 @@ Plan: scope=n0 interval=[0, 2) pruned_leaves=1 est_cost=50.02ms est_rows=1
     miss-> SourceFetch source=assay-far keys=1 pushdown=- batched=true max_batch=100 concurrent=true est_cost=50.02ms est_rows=1
   Candidate [replica:assay-near] assay-near: est_cost=201ms est_rows=1
   Candidate [replica:assay-near] assay-far: est_cost=50.02ms est_rows=1 (chosen)
-  Candidate [access] batched-fetch: est_cost=50.02ms est_rows=1 (chosen)
-  Candidate [access] per-key-fetch: est_cost=50.02ms est_rows=1
-  Candidate [cache] cache-probe: est_cost=50.02ms est_rows=1 (chosen)
-  Candidate [cache] direct: est_cost=50.02ms est_rows=1
   Residual: true
   LigandJoin
   Collect
@@ -318,14 +333,11 @@ Plan: scope=n0 interval=[0, 2) pruned_leaves=1 est_cost=50.02ms est_rows=1
   # selectivity-ordering: residual conjuncts reordered
   # stats-pruning: 1 leaves dropped
   # replica-selection: assay-far chosen from [\"assay-near\", \"assay-far\"]
-  # cost-based: access=batched-fetch est=50.02ms est_rows=1
-  RuleTrace analyze/1: interval_rewrite=changed similarity_resolve=n/a substructure_resolve=n/a column_discovery=changed
-  RuleTrace analyze/2: interval_rewrite=no-change similarity_resolve=n/a substructure_resolve=n/a column_discovery=no-change
-  RuleTrace canonicalize/1: canon_nnf=no-change canon_flatten=no-change canon_fold=no-change canon_between=no-change canon_dedup=no-change
-  RuleTrace optimize/1: selectivity_ordering=changed stats_pruning=changed pushdown=n/a cardinality_estimate=changed replica_selection=changed use_matview=n/a columnar_scan=n/a semantic_cache=changed
-  RuleTrace optimize/2: selectivity_ordering=no-change stats_pruning=no-change pushdown=n/a cardinality_estimate=no-change replica_selection=no-change use_matview=n/a columnar_scan=n/a semantic_cache=no-change
-  RuleTrace lower/1: batching=n/a concurrent_dispatch=changed lower_fetches=n/a access_select=changed finish_build=changed
-  RuleTrace lower/2: batching=n/a concurrent_dispatch=no-change lower_fetches=n/a access_select=no-change finish_build=no-change
+  # batching: keyed lookups coalesced
+  RuleTrace analyze: interval_rewrite=changed similarity_resolve=n/a substructure_resolve=n/a column_discovery=changed
+  RuleTrace canonicalize: canonicalize=no-change
+  RuleTrace optimize: selectivity_ordering=changed stats_pruning=changed pushdown=n/a cardinality_estimate=changed replica_selection=changed use_matview=n/a columnar_scan=n/a semantic_cache=changed
+  RuleTrace lower: batching=changed concurrent_dispatch=changed lower_fetches=changed access_select=changed finish_build=changed
 "
     );
 }

@@ -3,6 +3,6 @@
 
 #[test]
 fn golden_trace() {
-    let expected = "RuleTrace analyze/1: interval_rewrite=changed";
+    let expected = "RuleTrace analyze: interval_rewrite=changed";
     assert_eq!(render(), expected);
 }

@@ -3,7 +3,7 @@
 #[test]
 fn golden_trace() {
     let expected = "\
-RuleTrace analyze/1: interval_rewrite=changed
-RuleTrace lower/1: finish_build=changed";
+RuleTrace analyze: interval_rewrite=changed
+RuleTrace lower: finish_build=changed";
     assert_eq!(render(), expected);
 }

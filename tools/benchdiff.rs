@@ -7,18 +7,21 @@
 //!
 //! Both directories hold `ExperimentTable` JSON files as written by the
 //! `experiments` binary (`--out <dir>` redirects them). Every file
-//! present in both trees is compared cell by cell: the header name
-//! decides whether a metric is lower-better (latencies, round-trips)
-//! or higher-better (speedups, throughput, hit rates); unknown columns
-//! and label columns are skipped. (Shared-fleet rows used to be
+//! present in both trees is compared row by row, rows matched by their
+//! label (the cells left of the first gated column), and cell by cell:
+//! the header name decides whether a metric is lower-better
+//! (latencies, round-trips) or higher-better (speedups, throughput,
+//! hit rates); unknown columns and label columns are skipped. (Shared-fleet rows used to be
 //! excluded as scheduling-dependent; the event-driven session
 //! scheduler made them byte-deterministic, so every E11 row is gated
 //! now.) A candidate worse than baseline by more than the relative
 //! threshold
 //! on any compared cell is a regression and the exit code is 1. A
-//! baseline table with no counterpart file in the candidate tree is a
-//! coverage failure, not a skip: it exits 3 so CI can distinguish "got
-//! slower" from "the gate never looked". Usage and I/O errors exit 2.
+//! baseline table with no counterpart file in the candidate tree, a
+//! baseline row with no counterpart row, or a table whose headers
+//! changed is a coverage failure, not a skip: it exits 3 so CI can
+//! distinguish "got slower" from "the gate never looked". Usage and
+//! I/O errors exit 2.
 //!
 //! CI runs the quick experiment suite into a scratch directory and
 //! gates it against the committed `bench_results/quick/` baselines.
@@ -92,7 +95,8 @@ const MIN_BASE: f64 = 0.05;
 /// Exit codes, kept distinct so CI can tell "the candidate got slower"
 /// (fix the code) from "the gate lost coverage" (fix the harness):
 /// 0 clean, 1 regression past threshold, 2 usage or I/O error,
-/// 3 baseline table(s) missing from the candidate tree.
+/// 3 baseline table(s), row(s) or headers missing from the candidate
+/// tree.
 const EXIT_REGRESSION: u8 = 1;
 const EXIT_ERROR: u8 = 2;
 const EXIT_MISSING_BASELINE: u8 = 3;
@@ -121,25 +125,46 @@ struct Regression {
     ratio: f64,
 }
 
+/// A row's label: its cells left of the first gated column (`sessions`
+/// and `mode` in E11, `class` in E1) — `width` of them.
+fn row_label(row: &[String], width: usize) -> &[String] {
+    &row[..width.min(row.len())]
+}
+
 /// Compare two parsed tables; returns regressions past `threshold`.
-fn compare_tables(baseline: &Table, candidate: &Table, threshold: f64) -> Vec<Regression> {
+/// Rows are matched by label, so a candidate that drops or reorders
+/// rows is still gated on the rows it kept; what the baseline has and
+/// the candidate lacks (a row, or the headers) is appended to
+/// `uncovered`.
+fn compare_tables(
+    baseline: &Table,
+    candidate: &Table,
+    threshold: f64,
+    uncovered: &mut Vec<String>,
+) -> Vec<Regression> {
     let mut regressions = Vec::new();
-    if baseline.headers != candidate.headers || baseline.rows.len() != candidate.rows.len() {
-        eprintln!(
-            "note: {} structure changed (headers or row count); skipping",
-            baseline.id
-        );
+    if baseline.headers != candidate.headers {
+        uncovered.push(format!(
+            "{}: headers changed from {:?} to {:?}",
+            baseline.id, baseline.headers, candidate.headers
+        ));
         return regressions;
     }
-    for (base_row, cand_row) in baseline.rows.iter().zip(&candidate.rows) {
-        let label = base_row.first().cloned().unwrap_or_default();
-        if base_row.first() != cand_row.first() {
-            eprintln!(
-                "note: {} row labels diverge ({label:?}); skipping row",
-                baseline.id
-            );
+    let label_width = baseline
+        .headers
+        .iter()
+        .position(|h| direction(h) != Direction::Skip)
+        .unwrap_or(baseline.headers.len());
+    for base_row in &baseline.rows {
+        let label = row_label(base_row, label_width);
+        let Some(cand_row) = candidate
+            .rows
+            .iter()
+            .find(|r| row_label(r, label_width) == label)
+        else {
+            uncovered.push(format!("{}: row {label:?}", baseline.id));
             continue;
-        }
+        };
         for (i, header) in baseline.headers.iter().enumerate() {
             let dir = direction(header);
             if dir == Direction::Skip {
@@ -162,7 +187,7 @@ fn compare_tables(baseline: &Table, candidate: &Table, threshold: f64) -> Vec<Re
             if ratio > threshold {
                 regressions.push(Regression {
                     table: baseline.id.clone(),
-                    row: label.clone(),
+                    row: label.join(" / "),
                     column: header.clone(),
                     baseline: base,
                     candidate: cand,
@@ -192,7 +217,7 @@ fn json_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
 
 fn run(baseline_dir: &Path, candidate_dir: &Path, threshold: f64) -> Result<ExitCode, String> {
     let mut regressions = Vec::new();
-    let mut missing: Vec<PathBuf> = Vec::new();
+    let mut missing: Vec<String> = Vec::new();
     let mut compared = 0usize;
     for base_path in json_files(baseline_dir)? {
         let Some(name) = base_path.file_name() else {
@@ -200,13 +225,18 @@ fn run(baseline_dir: &Path, candidate_dir: &Path, threshold: f64) -> Result<Exit
         };
         let cand_path = candidate_dir.join(name);
         if !cand_path.is_file() {
-            missing.push(cand_path);
+            missing.push(format!("table {}", cand_path.display()));
             continue;
         }
         let baseline = load_table(&base_path)?;
         let candidate = load_table(&cand_path)?;
         compared += 1;
-        regressions.extend(compare_tables(&baseline, &candidate, threshold));
+        regressions.extend(compare_tables(
+            &baseline,
+            &candidate,
+            threshold,
+            &mut missing,
+        ));
     }
     if compared == 0 && missing.is_empty() {
         return Err(format!(
@@ -235,12 +265,13 @@ fn run(baseline_dir: &Path, candidate_dir: &Path, threshold: f64) -> Result<Exit
     }
     if !missing.is_empty() {
         eprintln!(
-            "error: {} baseline table(s) have no counterpart in the candidate tree \
-             — the gate did not cover them (did the experiment suite fail to emit them?):",
+            "error: {} baseline table(s), row(s) or header set(s) have no counterpart in the \
+             candidate tree — the gate did not cover them (did the experiment suite fail to \
+             emit them, or is the baseline stale?):",
             missing.len()
         );
-        for path in &missing {
-            eprintln!("  missing: {}", path.display());
+        for what in &missing {
+            eprintln!("  missing: {what}");
         }
     }
     match verdict(missing.len(), regressions.len()) {
@@ -333,12 +364,12 @@ mod tests {
         let headers = ["class", "opt mean", "speedup"];
         let base = table("E1", &headers, &[&["listing", "10.0ms", "100.0x"]]);
         let cand = table("E1", &headers, &[&["listing", "12.0ms", "100.0x"]]);
-        let found = compare_tables(&base, &cand, 0.10);
+        let found = compare_tables(&base, &cand, 0.10, &mut Vec::new());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].column, "opt mean");
         assert!((found[0].ratio - 0.2).abs() < 1e-9);
         // The same 20% move is fine under a 25% threshold.
-        assert!(compare_tables(&base, &cand, 0.25).is_empty());
+        assert!(compare_tables(&base, &cand, 0.25, &mut Vec::new()).is_empty());
     }
 
     #[test]
@@ -347,8 +378,11 @@ mod tests {
         let base = table("E1", &headers, &[&["listing", "100.0x"]]);
         let slower = table("E1", &headers, &[&["listing", "80.0x"]]);
         let faster = table("E1", &headers, &[&["listing", "140.0x"]]);
-        assert_eq!(compare_tables(&base, &slower, 0.10).len(), 1);
-        assert!(compare_tables(&base, &faster, 0.10).is_empty());
+        assert_eq!(
+            compare_tables(&base, &slower, 0.10, &mut Vec::new()).len(),
+            1
+        );
+        assert!(compare_tables(&base, &faster, 0.10, &mut Vec::new()).is_empty());
     }
 
     #[test]
@@ -357,12 +391,12 @@ mod tests {
         // Noise-floor baselines never flag...
         let base = table("E11", &headers, &[&["8", "per-session-opt", "0.01"]]);
         let cand = table("E11", &headers, &[&["8", "per-session-opt", "0.04"]]);
-        assert!(compare_tables(&base, &cand, 0.10).is_empty());
+        assert!(compare_tables(&base, &cand, 0.10, &mut Vec::new()).is_empty());
         // ...but shared-fleet rows are ordinary gated rows now: the
         // event scheduler made them deterministic.
         let base = table("E11", &headers, &[&["1024", "fleet", "10.0ms"]]);
         let cand = table("E11", &headers, &[&["1024", "fleet", "99.0ms"]]);
-        assert_eq!(compare_tables(&base, &cand, 0.10).len(), 1);
+        assert_eq!(compare_tables(&base, &cand, 0.10, &mut Vec::new()).len(), 1);
     }
 
     #[test]
@@ -383,10 +417,48 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_row_loses_coverage_without_hiding_the_rows_that_remain() {
+        let headers = ["sessions", "mode", "p95"];
+        let base = table(
+            "E11",
+            &headers,
+            &[
+                &["8", "naive", "100.0ms"],
+                &["8", "fleet", "10.0ms"],
+                &["64", "fleet", "10.0ms"],
+            ],
+        );
+        // The candidate dropped one row, so the survivors sit at other
+        // positions; one of them got slower.
+        let cand = table(
+            "E11",
+            &headers,
+            &[&["64", "fleet", "20.0ms"], &["8", "naive", "100.0ms"]],
+        );
+        let mut uncovered = Vec::new();
+        let found = compare_tables(&base, &cand, 0.10, &mut uncovered);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].row, "64 / fleet");
+        assert_eq!(uncovered.len(), 1, "{uncovered:?}");
+        assert!(uncovered[0].contains("\"8\", \"fleet\""), "{uncovered:?}");
+        assert_eq!(verdict(uncovered.len(), found.len()), EXIT_MISSING_BASELINE);
+
+        // A header change leaves the whole table uncovered.
+        let renamed = table("E11", &["sessions", "mode", "p99"], &[]);
+        let mut uncovered = Vec::new();
+        assert!(compare_tables(&base, &renamed, 0.10, &mut uncovered).is_empty());
+        assert_eq!(uncovered.len(), 1, "{uncovered:?}");
+        // Extra candidate rows are not the baseline's concern.
+        let mut uncovered = Vec::new();
+        compare_tables(&cand, &base, 0.10, &mut uncovered);
+        assert!(uncovered.is_empty(), "{uncovered:?}");
+    }
+
+    #[test]
     fn identical_tables_have_no_regressions() {
         let headers = ["class", "opt mean"];
         let base = table("E1", &headers, &[&["listing", "10.0ms"]]);
         let same = table("E1", &headers, &[&["listing", "10.0ms"]]);
-        assert!(compare_tables(&base, &same, 0.10).is_empty());
+        assert!(compare_tables(&base, &same, 0.10, &mut Vec::new()).is_empty());
     }
 }
