@@ -5,11 +5,10 @@
 //! rank ("Ki < 100 nM", "pActivity >= 6.5", "top 10 by potency").
 
 use crate::{ChemError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Measured activity type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ActivityType {
     /// Inhibition constant.
     Ki,
@@ -59,7 +58,7 @@ impl fmt::Display for ActivityType {
 }
 
 /// One activity measurement of a ligand against a protein target.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivityRecord {
     /// Protein accession the assay targeted.
     pub protein_accession: String,
@@ -96,29 +95,6 @@ impl ActivityRecord {
     }
 }
 
-/// Convert a value in the given unit to nanomolar.
-pub fn to_nanomolar(value: f64, unit: &str) -> Result<f64> {
-    let factor = match unit.trim() {
-        "M" | "mol/L" => 1e9,
-        "mM" => 1e6,
-        "uM" | "µM" | "um" => 1e3,
-        "nM" | "nm" => 1.0,
-        "pM" | "pm" => 1e-3,
-        other => {
-            return Err(ChemError::InvalidActivity(format!(
-                "unknown unit {other:?}"
-            )))
-        }
-    };
-    let nm = value * factor;
-    if !(nm.is_finite() && nm > 0.0) {
-        return Err(ChemError::InvalidActivity(format!(
-            "non-positive activity {value} {unit}"
-        )));
-    }
-    Ok(nm)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,18 +126,6 @@ mod tests {
         assert!(record(-1.0).validate().is_err());
         assert!(record(f64::NAN).validate().is_err());
         assert!(record(f64::INFINITY).validate().is_err());
-    }
-
-    #[test]
-    fn unit_conversion() {
-        assert_eq!(to_nanomolar(1.0, "nM").unwrap(), 1.0);
-        assert_eq!(to_nanomolar(1.0, "uM").unwrap(), 1000.0);
-        assert_eq!(to_nanomolar(2.0, "mM").unwrap(), 2e6);
-        assert_eq!(to_nanomolar(1.0, "M").unwrap(), 1e9);
-        assert_eq!(to_nanomolar(500.0, "pM").unwrap(), 0.5);
-        assert!(to_nanomolar(1.0, "furlongs").is_err());
-        assert!(to_nanomolar(-1.0, "nM").is_err());
-        assert!(to_nanomolar(0.0, "nM").is_err());
     }
 
     #[test]

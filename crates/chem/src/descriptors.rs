@@ -1,15 +1,14 @@
 //! Physicochemical descriptors for drug-likeness filtering.
 //!
 //! DrugTree query predicates filter ligands on exactly these properties
-//! ("MW < 500", "Lipinski-compliant", …), so the descriptor set mirrors
-//! what a 2013-era medicinal-chemistry database exposes.
+//! ("MW < 500", "hbd <= 5", …), so the descriptor set mirrors what a
+//! 2013-era medicinal-chemistry database exposes.
 
 use crate::element::Element;
 use crate::mol::{BondOrder, Molecule};
-use serde::{Deserialize, Serialize};
 
 /// Computed descriptor block for one molecule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Descriptors {
     /// Molecular weight, including implicit hydrogens (g/mol).
     pub molecular_weight: f64,
@@ -77,29 +76,6 @@ impl Descriptors {
             net_charge,
         }
     }
-
-    /// Number of Lipinski rule-of-five violations (MW > 500, HBD > 5,
-    /// HBA > 10). LogP is not modeled, so the classic fourth rule is
-    /// omitted; this matches the three-rule variant used when partition
-    /// coefficients are unavailable.
-    pub fn lipinski_violations(&self) -> u32 {
-        let mut v = 0;
-        if self.molecular_weight > 500.0 {
-            v += 1;
-        }
-        if self.hbd > 5 {
-            v += 1;
-        }
-        if self.hba > 10 {
-            v += 1;
-        }
-        v
-    }
-
-    /// Drug-likeness shortcut: at most one Lipinski violation.
-    pub fn is_drug_like(&self) -> bool {
-        self.lipinski_violations() <= 1
-    }
 }
 
 #[cfg(test)]
@@ -155,8 +131,6 @@ mod tests {
         assert_eq!(d.hbd, 1); // carboxylic OH
         assert_eq!(d.hba, 4); // four oxygens
         assert_eq!(d.rings, 1);
-        assert!(d.is_drug_like());
-        assert_eq!(d.lipinski_violations(), 0);
     }
 
     #[test]
@@ -167,14 +141,12 @@ mod tests {
     }
 
     #[test]
-    fn lipinski_violations_trigger() {
+    fn polyol_descriptors() {
         // A long polyol: lots of donors/acceptors and high weight.
         let polyol = "OCC(O)C(O)C(O)C(O)C(O)C(O)C(O)C(O)C(O)C(O)C(O)C(O)C(O)C(O)C(O)CO";
         let d = Descriptors::compute(&parse_smiles(polyol).unwrap());
         assert!(d.molecular_weight > 500.0);
         assert!(d.hbd > 5);
         assert!(d.hba > 10);
-        assert_eq!(d.lipinski_violations(), 3);
-        assert!(!d.is_drug_like());
     }
 }

@@ -2,11 +2,10 @@
 //! halogens and a few common hetero-atoms appearing in drug-like
 //! molecules).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Elements supported by the ligand model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)] // element symbols are self-describing
 pub enum Element {
     H,

@@ -6,7 +6,6 @@
 //! the representation DrugTree's "ligands similar to X" queries run on.
 
 use crate::mol::{BondOrder, Molecule};
-use serde::{Deserialize, Serialize};
 
 /// Default fingerprint width in bits.
 pub const DEFAULT_BITS: usize = 1024;
@@ -15,7 +14,7 @@ pub const DEFAULT_BITS: usize = 1024;
 pub const DEFAULT_MAX_PATH: usize = 5;
 
 /// A fixed-width bitset fingerprint.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Fingerprint {
     bits: Vec<u64>,
     nbits: u32,

@@ -11,7 +11,7 @@
 //! * [`smiles`] — a SMILES parser/writer for the organic subset,
 //!   brackets, branches, ring closures and charges.
 //! * [`descriptors`] — physicochemical descriptors (MW, H-bond
-//!   donors/acceptors, rotatable bonds, Lipinski's rule of five).
+//!   donors/acceptors, rings, rotatable bonds).
 //! * [`fingerprint`] — hashed linear-path fingerprints over a compact
 //!   bitset, the classic similarity-search representation.
 //! * [`similarity`] — Tanimoto and Dice coefficients.

@@ -2,10 +2,9 @@
 
 use crate::element::Element;
 use crate::{ChemError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Bond order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BondOrder {
     /// Single bond.
     Single,
@@ -32,7 +31,7 @@ impl BondOrder {
 }
 
 /// One atom of a molecule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Atom {
     /// Chemical element.
     pub element: Element,
@@ -68,7 +67,7 @@ impl Atom {
 }
 
 /// One bond of a molecule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bond {
     /// First endpoint (atom index).
     pub a: u32,
@@ -79,7 +78,7 @@ pub struct Bond {
 }
 
 /// A small-molecule graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Molecule {
     atoms: Vec<Atom>,
     bonds: Vec<Bond>,

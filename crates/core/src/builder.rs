@@ -18,9 +18,7 @@ use drugtree_phylo::distance::{pairwise_distances, DistanceModel};
 use drugtree_phylo::index::TreeIndex;
 use drugtree_phylo::matrices::ScoringMatrix;
 use drugtree_phylo::nj::neighbor_joining;
-use drugtree_phylo::reroot::midpoint_root;
 use drugtree_phylo::seq::ProteinSequence;
-use drugtree_phylo::upgma::upgma;
 use drugtree_query::cache::CacheConfig;
 use drugtree_query::optimizer::{Optimizer, OptimizerConfig};
 use drugtree_query::{AdaptiveRuntime, Dataset, Executor, Observer};
@@ -31,27 +29,15 @@ use drugtree_sources::protein_db::protein_from_row;
 use drugtree_sources::source::{DataSource, FetchRequest, SourceKind};
 use std::sync::Arc;
 
-/// Tree construction method for the from-sources path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TreeMethod {
-    /// Neighbor joining (default; recovers additive distances).
-    NeighborJoining,
-    /// UPGMA (assumes a molecular clock).
-    Upgma,
-}
-
 /// Builder for [`DrugTree`].
 pub struct DrugTreeBuilder {
     dataset: Option<Dataset>,
     registry: SourceRegistry,
     optimizer: OptimizerConfig,
     cache: CacheConfig,
-    tree_method: TreeMethod,
-    distance_model: DistanceModel,
     collect_stats: bool,
     build_matview: bool,
     build_columnar: bool,
-    midpoint_rooting: bool,
     observer: Option<Arc<dyn Observer>>,
     adaptive: Option<Arc<AdaptiveRuntime>>,
 }
@@ -70,12 +56,9 @@ impl DrugTreeBuilder {
             registry: SourceRegistry::new(),
             optimizer: OptimizerConfig::full(),
             cache: CacheConfig::default(),
-            tree_method: TreeMethod::NeighborJoining,
-            distance_model: DistanceModel::Poisson,
             collect_stats: true,
             build_matview: false,
             build_columnar: false,
-            midpoint_rooting: false,
             observer: None,
             adaptive: None,
         }
@@ -117,18 +100,6 @@ impl DrugTreeBuilder {
         self
     }
 
-    /// Choose the tree-construction method (from-sources path).
-    pub fn tree_method(mut self, method: TreeMethod) -> Self {
-        self.tree_method = method;
-        self
-    }
-
-    /// Choose the evolutionary distance model (from-sources path).
-    pub fn distance_model(mut self, model: DistanceModel) -> Self {
-        self.distance_model = model;
-        self
-    }
-
     /// Enable or disable startup statistics collection (on by
     /// default; disabling turns off the pruning/selectivity rules).
     pub fn with_stats(mut self, collect: bool) -> Self {
@@ -148,13 +119,6 @@ impl DrugTreeBuilder {
     /// (design decision D12).
     pub fn with_columnar(mut self) -> Self {
         self.build_columnar = true;
-        self
-    }
-
-    /// Midpoint-root the constructed tree (from-sources path with
-    /// neighbor joining, whose root placement is otherwise arbitrary).
-    pub fn with_midpoint_rooting(mut self) -> Self {
-        self.midpoint_rooting = true;
         self
     }
 
@@ -184,12 +148,7 @@ impl DrugTreeBuilder {
     pub fn build(self) -> Result<DrugTree, DrugTreeError> {
         let dataset = match self.dataset {
             Some(d) => d,
-            None => build_from_sources(
-                self.registry,
-                self.tree_method,
-                self.distance_model,
-                self.midpoint_rooting,
-            )?,
+            None => build_from_sources(self.registry)?,
         };
         let mut executor = Executor::with_cache_config(Optimizer::new(self.optimizer), self.cache);
         if let Some(observer) = self.observer {
@@ -211,14 +170,10 @@ impl DrugTreeBuilder {
     }
 }
 
-/// The full pipeline: fetch proteins, build the tree from sequences,
-/// fetch ligands, integrate, assemble.
-fn build_from_sources(
-    registry: SourceRegistry,
-    tree_method: TreeMethod,
-    distance_model: DistanceModel,
-    midpoint_rooting: bool,
-) -> Result<Dataset, DrugTreeError> {
+/// The full pipeline: fetch proteins, build the tree from sequences
+/// (neighbor joining over Poisson-corrected distances, rooted where the
+/// last join leaves it), fetch ligands, integrate, assemble.
+fn build_from_sources(registry: SourceRegistry) -> Result<Dataset, DrugTreeError> {
     let clock = VirtualClock::new();
 
     // 1. Protein records (the integration pass pays real virtual time).
@@ -252,17 +207,10 @@ fn build_from_sources(
         &sequences,
         &ScoringMatrix::blosum62(),
         GapPenalty::BLOSUM62_DEFAULT,
-        distance_model,
+        DistanceModel::Poisson,
     )
     .map_err(DrugTreeError::Phylo)?;
-    let mut tree = match tree_method {
-        TreeMethod::NeighborJoining => neighbor_joining(&dm),
-        TreeMethod::Upgma => upgma(&dm),
-    }
-    .map_err(DrugTreeError::Phylo)?;
-    if midpoint_rooting {
-        tree = midpoint_root(&tree).map_err(DrugTreeError::Phylo)?;
-    }
+    let tree = neighbor_joining(&dm).map_err(DrugTreeError::Phylo)?;
     let index = TreeIndex::build(&tree);
 
     // 3. Ligand records.
@@ -296,6 +244,7 @@ mod tests {
     use super::*;
     use drugtree_chem::affinity::{ActivityRecord, ActivityType};
     use drugtree_phylo::index::LeafInterval;
+    use drugtree_phylo::newick::to_newick;
     use drugtree_query::ast::{Query, Scope};
     use drugtree_sources::assay_db::assay_source;
     use drugtree_sources::latency::LatencyModel;
@@ -377,6 +326,15 @@ mod tests {
             .unwrap();
         let d = system.dataset();
         assert_eq!(d.leaf_count(), 4);
+        // Recorded before the tree-method, distance-model and re-rooting
+        // knobs were deleted: neighbor joining over Poisson distances,
+        // rooted where the last join left it, is what always ran.
+        assert_eq!(
+            to_newick(&d.tree),
+            "((P1:0.025647,P2:0.025647):6.01874,P3:0,P4:3.955614);"
+        );
+        let order: Vec<_> = (0..4).map(|r| d.accession_of_rank(r).unwrap()).collect();
+        assert_eq!(order, ["P1", "P2", "P3", "P4"]);
         // Sequence similarity must group P1 with P2: their ranks are
         // adjacent under some internal node of size exactly 2.
         let r1 = d.rank_of_accession("P1").unwrap();
@@ -394,50 +352,6 @@ mod tests {
         assert_eq!(r.rows.len(), 1);
         // Integration charged the clock.
         assert!(d.clock.now().0 > 0);
-    }
-
-    #[test]
-    fn upgma_variant_builds() {
-        let (p, l, a) = sources();
-        let system = DrugTree::builder()
-            .register_source(p)
-            .register_source(l)
-            .register_source(a)
-            .tree_method(TreeMethod::Upgma)
-            .distance_model(DistanceModel::Kimura)
-            .build()
-            .unwrap();
-        assert_eq!(system.dataset().leaf_count(), 4);
-    }
-
-    #[test]
-    fn midpoint_rooting_balances_the_tree() {
-        let (p, l, a) = sources();
-        let system = DrugTree::builder()
-            .register_source(p)
-            .register_source(l)
-            .register_source(a)
-            .with_midpoint_rooting()
-            .build()
-            .unwrap();
-        let d = system.dataset();
-        assert_eq!(d.leaf_count(), 4);
-        // Midpoint rooting: the deepest leaf distance equals half the
-        // tree diameter, so no leaf exceeds it.
-        let depths: Vec<f64> = d
-            .tree
-            .leaves()
-            .iter()
-            .map(|&leaf| d.tree.root_distance(leaf).unwrap())
-            .collect();
-        let max = depths.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let (x, y, diameter) = drugtree_phylo::reroot::longest_leaf_path(&d.tree).unwrap();
-        let _ = (x, y);
-        assert!((max - diameter / 2.0).abs() < 1e-9);
-        // Family pairing still holds.
-        let r1 = d.rank_of_accession("P1").unwrap();
-        let r2 = d.rank_of_accession("P2").unwrap();
-        assert_eq!(r1.abs_diff(r2), 1);
     }
 
     #[test]
@@ -467,16 +381,14 @@ mod tests {
     #[test]
     fn with_names_cover_the_old_builder_surface() {
         // The PR-4 `#[deprecated]` shims (`without_stats`,
-        // `midpoint_rooting`, `cost_based_planner`) are gone; this
-        // pins that the `with_*` spellings reach the same
-        // configuration the shims used to.
+        // `cost_based_planner`) are gone; this pins that the `with_*`
+        // spellings reach the same configuration the shims used to.
         let (p, l, a) = sources();
         let system = DrugTree::builder()
             .register_source(p)
             .register_source(l)
             .register_source(a)
             .with_stats(false)
-            .with_midpoint_rooting()
             .with_cost_based_planner()
             .build()
             .unwrap();

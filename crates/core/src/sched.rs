@@ -113,11 +113,6 @@ impl Default for AdmissionControl {
 }
 
 impl AdmissionControl {
-    /// Admit everything.
-    pub fn unlimited() -> AdmissionControl {
-        AdmissionControl::default()
-    }
-
     /// Shed arrivals beyond `max` open flights.
     pub fn max_open(max: usize) -> AdmissionControl {
         AdmissionControl {
@@ -149,17 +144,7 @@ impl Default for HedgePolicy {
     }
 }
 
-impl HedgePolicy {
-    /// Hedge once a class's history is past warmup and an execution
-    /// runs beyond its `quantile` (0.0–1.0) cost.
-    pub fn at_quantile(quantile: f64) -> HedgePolicy {
-        HedgePolicy {
-            enabled: true,
-            quantile: quantile.clamp(0.5, 0.9999),
-            ..HedgePolicy::default()
-        }
-    }
-}
+impl HedgePolicy {}
 
 /// Counters describing one fleet run's scheduling work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -667,12 +652,5 @@ mod tests {
         }));
         let order: Vec<u64> = std::iter::from_fn(|| heap.pop().map(|Reverse(e)| e.seq)).collect();
         assert_eq!(order, vec![2, 0, 1]);
-    }
-
-    #[test]
-    fn hedge_policy_clamps_quantile() {
-        let p = HedgePolicy::at_quantile(2.0);
-        assert!(p.enabled);
-        assert!(p.quantile <= 0.9999);
     }
 }

@@ -124,30 +124,6 @@ impl ServeReport {
         }
     }
 
-    /// The `p`-th percentile (0–100, clamped) of charged query
-    /// latency, linearly interpolated between order statistics:
-    /// `p = 0` is the minimum, `p = 100` the maximum, a single sample
-    /// answers every `p`, and an empty report answers
-    /// [`Duration::ZERO`].
-    pub fn latency_percentile(&self, p: f64) -> Duration {
-        if self.latencies.is_empty() {
-            return Duration::ZERO;
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 100.0) };
-        let position = (p / 100.0) * (sorted.len() - 1) as f64;
-        let lower = position.floor() as usize;
-        let upper = position.ceil() as usize;
-        if lower == upper {
-            return sorted[lower];
-        }
-        let fraction = position - lower as f64;
-        let a = sorted[lower].as_secs_f64();
-        let b = sorted[upper].as_secs_f64();
-        Duration::from_secs_f64(a + (b - a) * fraction)
-    }
-
     /// Total queries shed by admission control, across classes.
     pub fn total_shed(&self) -> u64 {
         self.classes.iter().map(|c| c.shed).sum()
@@ -252,12 +228,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Virtual time a flight stays open for same-query joiners.
-    pub fn with_coalesce_window(mut self, window: Duration) -> FleetBuilder {
-        self.config.coalesce_window = window;
-        self
-    }
-
     /// Attach an observer (e.g. a
     /// [`FleetObserver`](drugtree_query::obs::FleetObserver) with a
     /// JSONL export) to the executor; the run's per-class serve
@@ -356,19 +326,6 @@ mod tests {
                 ..Default::default()
             },
         )
-    }
-
-    fn report_with(latencies: Vec<Duration>) -> ServeReport {
-        ServeReport {
-            sessions: 0,
-            gestures: 0,
-            wall: Duration::ZERO,
-            latencies,
-            session_totals: Vec::new(),
-            cache: CacheStats::default(),
-            classes: Vec::new(),
-            sched: None,
-        }
     }
 
     #[test]
@@ -539,52 +496,6 @@ mod tests {
             }
             other => panic!("expected a session error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn percentiles_are_ordered() {
-        let fleet = system().fleet();
-        let workloads = fleet_workloads(&fleet, 2, 30);
-        let report = fleet.with_sessions(workloads).run().unwrap();
-        let p50 = report.latency_percentile(50.0);
-        let p95 = report.latency_percentile(95.0);
-        let p99 = report.latency_percentile(99.0);
-        assert!(p50 <= p95 && p95 <= p99);
-    }
-
-    #[test]
-    fn latency_percentile_handles_empty_and_single() {
-        let empty = report_with(Vec::new());
-        assert_eq!(empty.latency_percentile(50.0), Duration::ZERO);
-        let single = report_with(vec![Duration::from_millis(7)]);
-        for p in [0.0, 50.0, 100.0] {
-            assert_eq!(single.latency_percentile(p), Duration::from_millis(7));
-        }
-    }
-
-    #[test]
-    fn latency_percentile_interpolates_linearly() {
-        let r = report_with(vec![Duration::from_millis(20), Duration::from_millis(10)]);
-        assert_eq!(r.latency_percentile(0.0), Duration::from_millis(10));
-        assert_eq!(r.latency_percentile(100.0), Duration::from_millis(20));
-        assert_eq!(r.latency_percentile(50.0), Duration::from_millis(15));
-        assert_eq!(r.latency_percentile(25.0), Duration::from_micros(12_500));
-        // Three samples: p50 is exactly the middle order statistic.
-        let r3 = report_with(vec![
-            Duration::from_millis(30),
-            Duration::from_millis(10),
-            Duration::from_millis(20),
-        ]);
-        assert_eq!(r3.latency_percentile(50.0), Duration::from_millis(20));
-        assert_eq!(r3.latency_percentile(75.0), Duration::from_millis(25));
-    }
-
-    #[test]
-    fn latency_percentile_clamps_out_of_range() {
-        let r = report_with(vec![Duration::from_millis(10), Duration::from_millis(20)]);
-        assert_eq!(r.latency_percentile(-5.0), Duration::from_millis(10));
-        assert_eq!(r.latency_percentile(250.0), Duration::from_millis(20));
-        assert_eq!(r.latency_percentile(f64::NAN), Duration::from_millis(10));
     }
 
     #[test]

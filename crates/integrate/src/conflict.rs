@@ -7,10 +7,9 @@
 
 use drugtree_chem::affinity::ActivityRecord;
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// How to collapse a conflicting group to one record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConflictPolicy {
     /// Prefer the earliest-listed source; recency breaks ties.
     SourcePriority(Vec<String>),

@@ -8,10 +8,9 @@
 use crate::{IntegrateError, Result};
 use drugtree_store::schema::Schema;
 use drugtree_store::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// Cell-level transform applied during mapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Transform {
     /// Copy unchanged.
     Identity,
@@ -70,7 +69,7 @@ impl Transform {
 }
 
 /// One target column's provenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FieldMapping {
     /// Column in the source schema.
     pub source_column: String,
@@ -81,7 +80,7 @@ pub struct FieldMapping {
 }
 
 /// A full source→target row mapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchemaMapping {
     fields: Vec<FieldMapping>,
 }

@@ -108,11 +108,6 @@ impl Overlay {
         &self.catalog
     }
 
-    /// Mutable access (materialized-view maintenance, refreshes).
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// The id a ligand is catalogued under: the surviving id for one
     /// merged away as a structural duplicate, the id itself otherwise.
     fn catalogued_id<'a>(&'a self, ligand_id: &'a str) -> &'a str {

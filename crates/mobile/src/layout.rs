@@ -8,10 +8,9 @@
 
 use drugtree_phylo::index::TreeIndex;
 use drugtree_phylo::tree::{NodeId, Tree};
-use serde::{Deserialize, Serialize};
 
 /// Layout coordinates for one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodePosition {
     /// Horizontal position in `[0, 1]` (root at 0, deepest tip at 1).
     pub x: f64,
@@ -20,7 +19,7 @@ pub struct NodePosition {
 }
 
 /// Layout of a whole tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TreeLayout {
     positions: Vec<NodePosition>,
     /// Height of the layout in leaf units.

@@ -11,13 +11,12 @@
 use crate::viewport::Viewport;
 use drugtree_phylo::index::{LeafInterval, TreeIndex};
 use drugtree_phylo::tree::{NodeId, Tree};
-use serde::{Deserialize, Serialize};
 
 /// Minimum on-screen height (pixels) for a clade to stay expanded.
 pub const MIN_PIXELS_PER_GLYPH: f64 = 12.0;
 
 /// One drawable item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RenderItem {
     /// An individually drawn leaf.
     Leaf {
@@ -45,7 +44,7 @@ pub enum RenderItem {
 }
 
 /// The LOD pass output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RenderList {
     /// Drawable items in preorder.
     pub items: Vec<RenderItem>,

@@ -4,11 +4,10 @@
 //! latency: `rtt + bytes / bandwidth`. Profiles approximate 2013-era
 //! radio links — the environment the paper's mobile users sat behind.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A last-hop network link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkProfile {
     /// Display name.
     pub name: &'static str,

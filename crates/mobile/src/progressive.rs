@@ -9,14 +9,13 @@
 
 use crate::network::{estimate_row_bytes, NetworkProfile};
 use drugtree_store::value::Value;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Default rows per chunk.
 pub const DEFAULT_CHUNK_ROWS: usize = 20;
 
 /// Arrival schedule of one chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkTiming {
     /// Rows in the chunk.
     pub rows: usize,
@@ -27,7 +26,7 @@ pub struct ChunkTiming {
 }
 
 /// The delivery schedule of one result set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeliverySchedule {
     /// Chunk arrivals, in order.
     pub chunks: Vec<ChunkTiming>,
@@ -102,24 +101,6 @@ pub fn progressive_delivery(
         chunks,
         total_bytes,
     }
-}
-
-/// Pick the largest chunk size whose *first chunk* still arrives
-/// within `deadline` on the given network — the adaptive policy a
-/// client tunes per connection. Falls back to one row per chunk when
-/// even that misses the deadline (the RTT alone may exceed it).
-pub fn budgeted_chunk_rows(
-    net: &NetworkProfile,
-    bytes_per_row: usize,
-    deadline: Duration,
-) -> usize {
-    let bytes_per_row = bytes_per_row.max(1);
-    if deadline <= net.rtt {
-        return 1;
-    }
-    let budget = (deadline - net.rtt).as_secs_f64();
-    let rows = (budget * net.bandwidth_bps as f64 / 8.0 / bytes_per_row as f64).floor();
-    (rows as usize).max(1)
 }
 
 #[cfg(test)]
@@ -198,38 +179,6 @@ mod tests {
         let s = progressive_delivery(&rows, &NetworkProfile::WIFI, 20);
         assert_eq!(s.chunks.len(), 1);
         assert_eq!(s.first_usable(), s.complete());
-    }
-
-    #[test]
-    fn budgeted_chunk_meets_deadline() {
-        let deadline = Duration::from_millis(250);
-        let row_bytes = 60;
-        for net in NetworkProfile::ALL {
-            let rows_per_chunk = budgeted_chunk_rows(&net, row_bytes, deadline);
-            assert!(rows_per_chunk >= 1);
-            let data = rows(rows_per_chunk.min(2000));
-            let schedule = progressive_delivery(&data, &net, rows_per_chunk);
-            if deadline > net.rtt {
-                assert!(
-                    schedule.first_usable() <= deadline + Duration::from_millis(20),
-                    "{}: first chunk {:?} blows the {deadline:?} deadline",
-                    net.name,
-                    schedule.first_usable()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn faster_links_earn_bigger_chunks() {
-        let a = budgeted_chunk_rows(&NetworkProfile::WIFI, 60, Duration::from_millis(200));
-        let b = budgeted_chunk_rows(&NetworkProfile::EDGE, 60, Duration::from_millis(200));
-        assert!(a > b, "wifi {a} vs edge {b}");
-        // Impossible deadline degrades to single-row chunks.
-        assert_eq!(
-            budgeted_chunk_rows(&NetworkProfile::EDGE, 60, Duration::from_millis(1)),
-            1
-        );
     }
 
     #[test]

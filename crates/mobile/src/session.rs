@@ -297,12 +297,6 @@ impl<'a> MobileSession<'a> {
         self.progressive = progressive;
     }
 
-    /// Tune the progressive chunk size so the first chunk lands within
-    /// `deadline` on this session's network (assuming ~100-byte rows).
-    pub fn set_first_chunk_deadline(&mut self, deadline: Duration) {
-        self.chunk_rows = crate::progressive::budgeted_chunk_rows(&self.network, 100, deadline);
-    }
-
     /// Current viewport.
     pub fn viewport(&self) -> Viewport {
         self.viewport
@@ -810,17 +804,6 @@ mod tests {
         let r_pre = pre.apply(&Gesture::Expand { node: clade_a }).unwrap();
         assert_eq!(r_plain.first_usable, r_pre.first_usable);
         assert_eq!(r_plain.complete, r_pre.complete);
-    }
-
-    #[test]
-    fn deadline_tuning_adjusts_chunk_size() {
-        let d = dataset();
-        let e = executor();
-        let mut fast = MobileSession::new(&d, &e, NetworkProfile::WIFI);
-        fast.set_first_chunk_deadline(Duration::from_millis(100));
-        let mut slow = MobileSession::new(&d, &e, NetworkProfile::EDGE);
-        slow.set_first_chunk_deadline(Duration::from_millis(100));
-        assert!(fast.chunk_rows > slow.chunk_rows);
     }
 
     #[test]

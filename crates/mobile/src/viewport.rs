@@ -9,10 +9,9 @@
 use crate::layout::TreeLayout;
 use crate::{MobileError, Result};
 use drugtree_phylo::index::LeafInterval;
-use serde::{Deserialize, Serialize};
 
 /// A pan/zoom window over the tree layout.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Viewport {
     /// Visible y range, in leaf units.
     pub y_lo: f64,

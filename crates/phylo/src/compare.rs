@@ -8,7 +8,6 @@
 use crate::index::TreeIndex;
 use crate::tree::Tree;
 use crate::{PhyloError, Result};
-use rustc_hash::FxHashMap;
 use std::collections::BTreeSet;
 
 /// The bipartitions (splits) induced by a tree's internal edges,
@@ -110,20 +109,6 @@ pub fn recovered_splits(reference: &Tree, estimate: &Tree) -> Result<(usize, usi
     Ok((sr.intersection(&se).count(), sr.len()))
 }
 
-/// Map each leaf label of `a` to its rank in `b` (diagnostics for
-/// reconstruction drift). Labels absent from `b` map to `None`.
-pub fn leaf_rank_map(a: &Tree, b: &Tree) -> FxHashMap<String, Option<u32>> {
-    let ib = TreeIndex::build(b);
-    a.leaves()
-        .into_iter()
-        .filter_map(|l| a.node_unchecked(l).label.clone())
-        .map(|label| {
-            let rank = ib.by_label(&label).ok().and_then(|n| ib.rank_of(n));
-            (label, rank)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,17 +170,5 @@ mod tests {
         // Tiny trees degrade gracefully.
         let t2 = parse_newick("(a,b);").unwrap();
         assert_eq!(normalized_robinson_foulds(&t2, &t2).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn leaf_rank_map_reports_positions() {
-        let a = parse_newick("((a,b),(c,d));").unwrap();
-        let b = parse_newick("((d,c),(b,a));").unwrap();
-        let map = leaf_rank_map(&a, &b);
-        assert_eq!(map["a"], Some(3));
-        assert_eq!(map["d"], Some(0));
-        let c = parse_newick("((a,b),(c,x));").unwrap();
-        let map = leaf_rank_map(&a, &c);
-        assert_eq!(map["d"], None);
     }
 }

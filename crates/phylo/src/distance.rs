@@ -4,11 +4,10 @@ use crate::align::{global_align, GapPenalty};
 use crate::matrices::ScoringMatrix;
 use crate::seq::ProteinSequence;
 use crate::{PhyloError, Result};
-use serde::{Deserialize, Serialize};
 
 /// How to convert an observed proportion of differing sites (p-distance)
 /// into an evolutionary distance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistanceModel {
     /// Raw proportion of differing sites.
     PDistance,
@@ -52,7 +51,7 @@ impl DistanceModel {
 
 /// A symmetric `n × n` distance matrix with zero diagonal, stored in
 /// condensed upper-triangular form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistanceMatrix {
     n: usize,
     labels: Vec<String>,
@@ -147,12 +146,6 @@ impl DistanceMatrix {
             self.offset(j, i)
         };
         self.data[off] = value;
-    }
-
-    /// Sum of distances from taxon `i` to every other taxon (the `R_i`
-    /// term of neighbor joining).
-    pub fn row_sum(&self, i: usize) -> f64 {
-        (0..self.n).map(|j| self.get(i, j)).sum()
     }
 }
 
@@ -258,23 +251,6 @@ mod tests {
         assert!(asym.is_err());
         let diag = DistanceMatrix::from_square(labels, &[vec![1.0, 2.0], vec![2.0, 0.0]]);
         assert!(diag.is_err());
-    }
-
-    #[test]
-    fn row_sum() {
-        let labels = vec!["a".into(), "b".into(), "c".into()];
-        let m = DistanceMatrix::from_square(
-            labels,
-            &[
-                vec![0.0, 1.0, 2.0],
-                vec![1.0, 0.0, 4.0],
-                vec![2.0, 4.0, 0.0],
-            ],
-        )
-        .unwrap();
-        assert_eq!(m.row_sum(0), 3.0);
-        assert_eq!(m.row_sum(1), 5.0);
-        assert_eq!(m.row_sum(2), 6.0);
     }
 
     #[test]

@@ -12,10 +12,9 @@
 use crate::tree::{NodeId, Tree};
 use crate::{PhyloError, Result};
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// Half-open interval over leaf ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LeafInterval {
     /// Inclusive lower leaf rank.
     pub lo: u32,
@@ -63,7 +62,7 @@ impl LeafInterval {
 }
 
 /// Immutable index over a [`Tree`]. Rebuild after structural changes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TreeIndex {
     /// Per-node leaf interval, indexed by `NodeId::index()`.
     intervals: Vec<LeafInterval>,

@@ -12,19 +12,13 @@
 //!   [`distance::DistanceMatrix`] type.
 //! * [`tree`] — the arena-allocated [`tree::Tree`] structure.
 //! * [`newick`] — Newick serialization and parsing.
-//! * [`nj`] / [`upgma`] — distance-based tree construction.
+//! * [`nj`] — neighbor-joining tree construction.
 //! * [`index`] — the [`index::TreeIndex`]: Euler-tour intervals, leaf
 //!   ranks, depths and binary-lifting LCA. This is the structure the
 //!   DrugTree query optimizer rewrites subtree predicates against
 //!   (design decision D1 in DESIGN.md).
-//! * [`succinct`] — flat parent/enter/exit arrays with a leaf-count
-//!   prefix: O(1) ancestry and Euler-tour intervals at ~16 bytes per
-//!   node, the representation million-leaf trees are queried through.
-//! * [`stats`] — per-subtree structural statistics.
 //! * [`compare`] — Robinson–Foulds distances for validating
 //!   reconstructions against ground truth.
-//! * [`reroot`] — midpoint rooting and edge re-rooting for the
-//!   unrooted topologies neighbor joining produces.
 
 pub mod align;
 pub mod compare;
@@ -34,16 +28,11 @@ pub mod index;
 pub mod matrices;
 pub mod newick;
 pub mod nj;
-pub mod reroot;
 pub mod seq;
-pub mod stats;
-pub mod succinct;
 pub mod tree;
-pub mod upgma;
 
 pub use error::PhyloError;
 pub use index::TreeIndex;
-pub use succinct::SuccinctTree;
 pub use tree::{NodeId, Tree};
 
 /// Convenience result alias used throughout the crate.

@@ -9,35 +9,39 @@ use crate::tree::{NodeId, Tree};
 use crate::{PhyloError, Result};
 
 /// Serialize a tree to a Newick string (with branch lengths).
+///
+/// Walks the tree with an explicit stack, so depth is bounded by memory
+/// and not by the thread's stack: a caterpillar phylogeny of *n* leaves
+/// is *n − 1* deep.
 pub fn to_newick(tree: &Tree) -> String {
     let mut out = String::with_capacity(tree.len() * 8);
-    write_node(tree, tree.root(), true, &mut out);
+    // Each open node with the index of its next unwritten child.
+    let mut open = vec![(tree.root(), 0usize)];
+    while let Some((id, next)) = open.last_mut() {
+        let node = tree.node_unchecked(*id);
+        if let Some(&child) = node.children.get(*next) {
+            out.push(if *next == 0 { '(' } else { ',' });
+            *next += 1;
+            open.push((child, 0));
+            continue;
+        }
+        if !node.children.is_empty() {
+            out.push(')');
+        }
+        if let Some(label) = &node.label {
+            write_label(label, &mut out);
+        }
+        open.pop();
+        if !open.is_empty() {
+            out.push(':');
+            // Trim trailing zeros for readability while keeping precision.
+            let formatted = format!("{:.6}", node.branch_length);
+            let trimmed = formatted.trim_end_matches('0').trim_end_matches('.');
+            out.push_str(if trimmed.is_empty() { "0" } else { trimmed });
+        }
+    }
     out.push(';');
     out
-}
-
-fn write_node(tree: &Tree, id: NodeId, is_root: bool, out: &mut String) {
-    let node = tree.node_unchecked(id);
-    if !node.children.is_empty() {
-        out.push('(');
-        for (i, &c) in node.children.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_node(tree, c, false, out);
-        }
-        out.push(')');
-    }
-    if let Some(label) = &node.label {
-        write_label(label, out);
-    }
-    if !is_root {
-        out.push(':');
-        // Trim trailing zeros for readability while keeping precision.
-        let formatted = format!("{:.6}", node.branch_length);
-        let trimmed = formatted.trim_end_matches('0').trim_end_matches('.');
-        out.push_str(if trimmed.is_empty() { "0" } else { trimmed });
-    }
 }
 
 fn write_label(label: &str, out: &mut String) {
@@ -66,8 +70,7 @@ pub fn parse_newick(input: &str) -> Result<Tree> {
     };
     p.skip_ws();
     let mut tree = Tree::with_root(None);
-    let root = tree.root();
-    p.parse_node(&mut tree, root)?;
+    p.parse_nodes(&mut tree)?;
     p.skip_ws();
     if !p.eat(b';') {
         return Err(p.err("expected ';'"));
@@ -111,23 +114,44 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parse the node whose arena slot is `id` (children, label, length).
-    fn parse_node(&mut self, tree: &mut Tree, id: NodeId) -> Result<()> {
-        self.skip_ws();
-        if self.eat(b'(') {
+    /// Parse the whole nested node list into `tree`, whose root exists.
+    ///
+    /// Iterative over an explicit stack of the nodes whose `(` is still
+    /// open: nesting depth is a property of the data (see
+    /// [`to_newick`]), so there is no depth to refuse, only memory
+    /// proportional to the input.
+    fn parse_nodes(&mut self, tree: &mut Tree) -> Result<()> {
+        let mut open: Vec<NodeId> = Vec::new();
+        let mut id = tree.root();
+        loop {
+            self.skip_ws();
+            if self.eat(b'(') {
+                open.push(id);
+                id = tree.add_child(id, None, 0.0)?;
+                continue;
+            }
+            // `id` has all its children: read its label and length,
+            // then close finished ancestors until a sibling starts.
             loop {
-                let child = tree.add_child(id, None, 0.0)?;
-                self.parse_node(tree, child)?;
+                self.parse_label_and_length(tree, id)?;
                 self.skip_ws();
+                let Some(&parent) = open.last() else {
+                    return Ok(());
+                };
                 if self.eat(b',') {
-                    continue;
-                }
-                if self.eat(b')') {
+                    id = tree.add_child(parent, None, 0.0)?;
                     break;
                 }
-                return Err(self.err("expected ',' or ')'"));
+                if !self.eat(b')') {
+                    return Err(self.err("expected ',' or ')'"));
+                }
+                open.pop();
+                id = parent;
             }
         }
+    }
+
+    fn parse_label_and_length(&mut self, tree: &mut Tree, id: NodeId) -> Result<()> {
         self.skip_ws();
         if let Some(label) = self.parse_label()? {
             tree.set_label(id, Some(label))?;
@@ -288,6 +312,33 @@ mod tests {
                 matches!(err, PhyloError::MalformedNewick { .. }),
                 "{bad} gave {err:?}"
             );
+        }
+    }
+
+    /// Runs on an ordinary 2 MiB test-thread stack: the recursive
+    /// parser and writer overflowed it (SIGABRT) well before this depth.
+    #[test]
+    fn nesting_depth_is_bounded_by_memory_not_the_stack() {
+        const DEPTH: usize = 200_000;
+        let text = format!("{}a{};", "(".repeat(DEPTH), ")".repeat(DEPTH));
+        let tree = parse_newick(&text).unwrap();
+        assert_eq!(tree.len(), DEPTH + 1);
+        let index = crate::TreeIndex::build(&tree);
+        assert_eq!(index.leaf_count(), 1);
+        assert_eq!(index.depth(index.leaf_at(0).unwrap()) as usize, DEPTH);
+        let rendered = to_newick(&tree);
+        assert_eq!(rendered.len(), text.len() + ":0".len() * DEPTH);
+        assert_eq!(parse_newick(&rendered).unwrap(), tree);
+
+        // The same nest without its closers fails where the input ends.
+        let unclosed = "(".repeat(DEPTH);
+        match parse_newick(&unclosed).unwrap_err() {
+            PhyloError::MalformedNewick { offset, .. } => assert_eq!(offset, DEPTH),
+            other => panic!("expected MalformedNewick, got {other:?}"),
+        }
+        match parse_newick("((((").unwrap_err() {
+            PhyloError::MalformedNewick { offset, .. } => assert_eq!(offset, 4),
+            other => panic!("expected MalformedNewick, got {other:?}"),
         }
     }
 

@@ -1,14 +1,13 @@
 //! Amino-acid alphabet, protein sequences, and FASTA I/O.
 
 use crate::{PhyloError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The 20 canonical amino acids plus `X` (unknown/any).
 ///
 /// The discriminant doubles as the row/column index into scoring
 /// matrices (see [`crate::matrices`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 #[allow(missing_docs)] // the three-letter variant names are the documentation
 pub enum AminoAcid {
@@ -102,16 +101,6 @@ impl AminoAcid {
     pub fn index(self) -> usize {
         self as usize
     }
-
-    /// Residue from a matrix index; panics if out of range.
-    pub fn from_index(i: usize) -> AminoAcid {
-        assert!(i < ALPHABET_SIZE, "residue index {i} out of range");
-        if i < 20 {
-            CANONICAL[i]
-        } else {
-            AminoAcid::Xaa
-        }
-    }
 }
 
 impl fmt::Display for AminoAcid {
@@ -122,7 +111,7 @@ impl fmt::Display for AminoAcid {
 
 /// An immutable protein sequence with an identifier and optional
 /// free-text description.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProteinSequence {
     id: String,
     description: Option<String>,
@@ -281,13 +270,6 @@ mod tests {
         assert_eq!(AminoAcid::from_byte(b'x'), Some(AminoAcid::Xaa));
         assert_eq!(AminoAcid::from_byte(b'1'), None);
         assert_eq!(AminoAcid::from_byte(b'*'), None);
-    }
-
-    #[test]
-    fn residue_index_roundtrip() {
-        for i in 0..ALPHABET_SIZE {
-            assert_eq!(AminoAcid::from_index(i).index(), i);
-        }
     }
 
     #[test]

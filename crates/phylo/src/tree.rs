@@ -217,21 +217,8 @@ impl Tree {
             .ok_or_else(|| PhyloError::UnknownLabel(label.to_string()))
     }
 
-    /// Sum of branch lengths along the path from the root to `id`.
-    pub fn root_distance(&self, id: NodeId) -> Result<f64> {
-        let mut total = 0.0;
-        let mut cur = self.node(id)?;
-        let mut cur_id = id;
-        while let Some(p) = cur.parent {
-            total += self.node_unchecked(cur_id).branch_length;
-            cur_id = p;
-            cur = self.node_unchecked(p);
-        }
-        Ok(total)
-    }
-
     /// Crate-internal mutable node access, used by construction
-    /// algorithms (NJ/UPGMA) that re-parent nodes during joins.
+    /// algorithms (neighbor joining) that re-parent nodes during joins.
     pub(crate) fn node_mut_internal(&mut self, id: NodeId) -> &mut Node {
         &mut self.nodes[id.index()]
     }
@@ -333,13 +320,6 @@ mod tests {
         assert_eq!(path, vec![ids[6], ids[3], ids[0]]);
         assert_eq!(t.depth(f).unwrap(), 2);
         assert_eq!(t.depth(t.root()).unwrap(), 0);
-    }
-
-    #[test]
-    fn root_distance_sums_branches() {
-        let (t, ids) = sample();
-        assert!((t.root_distance(ids[6]).unwrap() - 7.0).abs() < 1e-12);
-        assert_eq!(t.root_distance(t.root()).unwrap(), 0.0);
     }
 
     #[test]

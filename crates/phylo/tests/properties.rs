@@ -3,15 +3,12 @@
 // Test code: panicking on a malformed fixture is the right failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use drugtree_phylo::compare::robinson_foulds;
 use drugtree_phylo::distance::{DistanceMatrix, DistanceModel};
 use drugtree_phylo::index::{LeafInterval, TreeIndex};
 use drugtree_phylo::newick::{parse_newick, to_newick};
 use drugtree_phylo::nj::neighbor_joining;
-use drugtree_phylo::reroot::{longest_leaf_path, midpoint_root, normalize};
 use drugtree_phylo::seq::{parse_fasta, write_fasta, AminoAcid, ProteinSequence, CANONICAL};
 use drugtree_phylo::tree::{NodeId, Tree};
-use drugtree_phylo::upgma::upgma;
 use proptest::prelude::*;
 
 /// Strategy: a random rooted tree with `n` leaves, built by repeatedly
@@ -118,40 +115,6 @@ proptest! {
     }
 
     #[test]
-    fn midpoint_rooting_preserves_topology(tree in arb_tree(40)) {
-        prop_assume!(tree.leaf_count() >= 3);
-        let Ok((_, _, diameter)) = longest_leaf_path(&tree) else {
-            return Ok(());
-        };
-        prop_assume!(diameter > 1e-6);
-        let rooted = midpoint_root(&tree).unwrap();
-        rooted.check_invariants().unwrap();
-        // Leaf label sets agree.
-        let labels = |t: &Tree| -> std::collections::BTreeSet<String> {
-            t.leaves()
-                .into_iter()
-                .filter_map(|l| t.node_unchecked(l).label.clone())
-                .collect()
-        };
-        prop_assert_eq!(labels(&tree), labels(&rooted));
-        // Unrooted topology unchanged (splits are an unrooted invariant).
-        prop_assert_eq!(robinson_foulds(&tree, &rooted).unwrap(), 0);
-        // Total branch length conserved relative to the normalized
-        // input (unary chains collapse by definition).
-        let total = |t: &Tree| -> f64 {
-            t.node_ids().map(|id| t.node_unchecked(id).branch_length).sum()
-        };
-        prop_assert!((total(&normalize(&tree)) - total(&rooted)).abs() < 1e-6);
-        // Midpoint property: deepest leaf sits at diameter / 2.
-        let max_depth = rooted
-            .leaves()
-            .iter()
-            .map(|&l| rooted.root_distance(l).unwrap())
-            .fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!((max_depth - diameter / 2.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn newick_parser_never_panics(text in "\\PC{0,80}") {
         let _ = parse_newick(&text);
     }
@@ -179,26 +142,6 @@ proptest! {
         for i in 0..n {
             let leaf = t.find_by_label(&format!("t{i}")).unwrap();
             prop_assert!(t.node(leaf).unwrap().is_leaf());
-        }
-    }
-
-    #[test]
-    fn upgma_is_ultrametric(dists in proptest::collection::vec(0.01f64..10.0, 28)) {
-        // 8 taxa -> 28 condensed entries.
-        let n = 8;
-        let labels: Vec<String> = (0..n).map(|i| format!("t{i}")).collect();
-        let mut dm = DistanceMatrix::zeros(labels);
-        let mut it = dists.into_iter();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                dm.set(i, j, it.next().unwrap());
-            }
-        }
-        let t = upgma(&dm).unwrap();
-        let depths: Vec<f64> =
-            t.leaves().iter().map(|&l| t.root_distance(l).unwrap()).collect();
-        for d in &depths {
-            prop_assert!((d - depths[0]).abs() < 1e-6);
         }
     }
 

@@ -155,11 +155,6 @@ impl MatviewAdvisor {
         }
     }
 
-    /// Whether the built view has earned back its build cost.
-    pub fn amortized(&self) -> bool {
-        self.built.is_some_and(|b| b.saved >= b.build_cost)
-    }
-
     /// Whether the built view should be evicted: it has served nothing
     /// for the configured idle window — it never paid off.
     pub fn should_evict(&self, now_ns: u64) -> bool {
@@ -260,15 +255,12 @@ mod tests {
     }
 
     #[test]
-    fn amortization_tracks_build_cost_vs_saved() {
+    fn hits_accumulate_saved_cost() {
         let mut a = advisor();
         a.note_candidate(1, || "agg".into(), ms(50), 1, ms(10));
         a.record_build(1, ms(30));
-        assert!(!a.amortized());
         a.note_hit(ms(20), 2);
-        assert!(!a.amortized());
         a.note_hit(ms(20), 3);
-        assert!(a.amortized(), "40ms saved >= 30ms build");
         let snap = a.snapshot();
         assert_eq!(snap.hits, 2);
         assert_eq!(snap.saved, ms(40));

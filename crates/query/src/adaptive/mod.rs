@@ -57,8 +57,9 @@ pub struct AdaptiveConfig {
     pub advisor: AdvisorConfig,
     /// Regret guardrail tuning.
     pub regret: RegretConfig,
-    /// Start frozen: observe nothing, apply nothing (the E17 control
-    /// arm measuring the plumbing's own overhead).
+    /// Frozen for the runtime's whole life: observe nothing, apply
+    /// nothing (the E17 control arm measuring the plumbing's own
+    /// overhead).
     pub frozen: bool,
 }
 
@@ -125,7 +126,6 @@ const ARM_MATVIEW: &str = "matview";
 /// two streams are joined on `at_ns`, not `seq`.
 pub struct AdaptiveRuntime {
     config: AdaptiveConfig,
-    frozen: AtomicBool,
     learned_enabled: AtomicBool,
     learned: LearnedStats,
     view: RwLock<Option<Arc<MaterializedAggregates>>>,
@@ -141,7 +141,7 @@ pub struct AdaptiveRuntime {
 impl std::fmt::Debug for AdaptiveRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AdaptiveRuntime")
-            .field("frozen", &self.frozen.load(Ordering::Relaxed))
+            .field("frozen", &self.config.frozen)
             .field("learned", &self.learned.snapshot())
             .finish()
     }
@@ -151,7 +151,6 @@ impl AdaptiveRuntime {
     /// A runtime with no exporter attached.
     pub fn new(config: AdaptiveConfig) -> AdaptiveRuntime {
         AdaptiveRuntime {
-            frozen: AtomicBool::new(config.frozen),
             learned_enabled: AtomicBool::new(true),
             learned: LearnedStats::new(config.learned),
             view: RwLock::new(None),
@@ -172,12 +171,7 @@ impl AdaptiveRuntime {
 
     /// Whether the runtime is frozen (observing and applying nothing).
     pub fn frozen(&self) -> bool {
-        self.frozen.load(Ordering::Relaxed)
-    }
-
-    /// Freeze or thaw the runtime.
-    pub fn set_frozen(&self, frozen: bool) {
-        self.frozen.store(frozen, Ordering::Relaxed);
+        self.config.frozen
     }
 
     /// The learned statistics for planning, when they should be

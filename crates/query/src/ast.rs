@@ -7,11 +7,10 @@
 
 use drugtree_phylo::index::LeafInterval;
 use drugtree_store::expr::Predicate;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which part of the tree a query addresses.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Scope {
     /// The whole tree.
     Tree,
@@ -25,7 +24,7 @@ pub enum Scope {
 }
 
 /// Aggregation metric for per-clade summaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Metric {
     /// Number of activity records.
     Count,
@@ -50,7 +49,7 @@ impl Metric {
 }
 
 /// Structural similarity constraint ("ligands similar to X").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimilaritySpec {
     /// A SMILES string or a known ligand id.
     pub reference: String,
@@ -59,7 +58,7 @@ pub struct SimilaritySpec {
 }
 
 /// How the query finishes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QueryKind {
     /// List matching activity rows (joined with ligand metadata).
     Activities,
@@ -83,7 +82,7 @@ pub enum QueryKind {
 }
 
 /// A complete query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Tree region.
     pub scope: Scope,
@@ -240,11 +239,6 @@ pub mod columns {
     ];
     /// Columns contributed by the ligand join (always client-side).
     pub const LIGAND: &[&str] = &["name", "smiles", "mw", "hbd", "hba", "rings"];
-
-    /// True when the column belongs to the activity half.
-    pub fn is_activity_column(name: &str) -> bool {
-        ACTIVITY.contains(&name)
-    }
 
     /// True when the column exists at all.
     pub fn is_known(name: &str) -> bool {
@@ -604,8 +598,6 @@ mod tests {
 
     #[test]
     fn column_classification() {
-        assert!(columns::is_activity_column("p_activity"));
-        assert!(!columns::is_activity_column("mw"));
         assert!(columns::is_known("mw"));
         assert!(!columns::is_known("bogus"));
     }

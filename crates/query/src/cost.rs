@@ -15,7 +15,6 @@
 //! estimation error before and after calibration.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -25,7 +24,7 @@ use std::time::Duration;
 const MIN_OBSERVATIONS: u64 = 3;
 
 /// Per-source pricing parameters, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Fixed cost charged per request round trip.
     pub rtt_secs: f64,
@@ -122,7 +121,7 @@ struct CostState {
 }
 
 /// Calibration summary for one source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceCalibration {
     /// Source name.
     pub source: String,
@@ -134,7 +133,7 @@ pub struct SourceCalibration {
 
 /// Snapshot of the calibration state: per-source fitted parameters plus the
 /// estimate-vs-actual error tracker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationReport {
     /// Total fetch observations with a positive observed latency.
     pub observations: u64,

@@ -183,12 +183,6 @@ impl Executor {
         &self.cost
     }
 
-    /// Replace the cost model, e.g. to share one calibration state
-    /// across executors.
-    pub fn set_cost_model(&mut self, cost: Arc<CostModel>) {
-        self.cost = cost;
-    }
-
     /// Snapshot the calibration state: per-source fitted parameters
     /// plus the estimate-vs-actual error tracker.
     pub fn calibration(&self) -> CalibrationReport {

@@ -152,22 +152,6 @@ impl SlowQueryLog {
         true
     }
 
-    /// Age out shapes that stopped appearing: drop every entry whose
-    /// most recent occurrence is more than `idle` before `now_ns` on
-    /// the virtual clock, freeing its top-K slot for live traffic
-    /// instead of letting a one-off spike squat forever.
-    ///
-    /// Returns how many entries decayed. Heap entries for removed
-    /// shapes go stale and are popped lazily by `settle`, so decay is
-    /// O(entries) with deferred heap cleanup.
-    pub fn decay_idle(&self, now_ns: u64, idle: Duration) -> usize {
-        let horizon = now_ns.saturating_sub(u64::try_from(idle.as_nanos()).unwrap_or(u64::MAX));
-        let mut state = self.state.lock();
-        let before = state.entries.len();
-        state.entries.retain(|_, e| e.last_seen_ns >= horizon);
-        before - state.entries.len()
-    }
-
     /// Retained entries, slowest first (ties break on fingerprint for
     /// deterministic output).
     pub fn entries(&self) -> Vec<SlowLogEntry> {
@@ -242,65 +226,6 @@ mod tests {
         assert!(offer(&log, 3, ms(25)));
         let fps: Vec<u64> = log.entries().iter().map(|e| e.fingerprint).collect();
         assert_eq!(fps, vec![1, 3]);
-    }
-
-    #[test]
-    fn idle_shapes_decay_out_of_the_top_k() {
-        let log = SlowQueryLog::new(4);
-        // A slow one-off spike at t=10ms, then steady cheaper traffic.
-        offer(&log, 1, ms(10));
-        offer(&log, 2, ms(8));
-        // Steady shape keeps re-occurring; re-offer refreshes its
-        // last_seen even when the occurrence is not slower.
-        log.offer(
-            2,
-            ms(3),
-            ms(500).as_nanos() as u64,
-            "q",
-            String::new,
-            String::new,
-        );
-        assert_eq!(log.len(), 2);
-        // One virtual second later, a 100ms idle horizon drops the
-        // spike (last seen at 10ms) but keeps the live shape (500ms).
-        let decayed = log.decay_idle(ms(550).as_nanos() as u64, ms(100));
-        assert_eq!(decayed, 1);
-        let fps: Vec<u64> = log.entries().iter().map(|e| e.fingerprint).collect();
-        assert_eq!(
-            fps,
-            vec![2],
-            "the idle spike decayed, the live shape stayed"
-        );
-    }
-
-    #[test]
-    fn decay_frees_slots_for_new_admissions() {
-        let log = SlowQueryLog::new(2);
-        offer(&log, 1, ms(100));
-        offer(&log, 2, ms(90));
-        // Cheap shape loses while the log is full of (stale) residents.
-        assert!(!offer(&log, 3, ms(5)));
-        // Both residents go idle and decay; their heap entries are now
-        // stale, and `settle` must not let them block admission.
-        assert_eq!(log.decay_idle(ms(5_000).as_nanos() as u64, ms(1_000)), 2);
-        assert!(log.is_empty());
-        assert!(offer(&log, 3, ms(5)), "freed slots re-admit cheap shapes");
-        assert_eq!(log.entries()[0].fingerprint, 3);
-    }
-
-    #[test]
-    fn decay_is_a_no_op_inside_the_horizon() {
-        let log = SlowQueryLog::new(4);
-        offer(&log, 1, ms(10));
-        // Horizon longer than the clock: nothing can be idle yet.
-        assert_eq!(log.decay_idle(ms(20).as_nanos() as u64, ms(100)), 0);
-        assert_eq!(log.len(), 1);
-        // Entry exactly at the horizon boundary survives (>= horizon).
-        assert_eq!(log.decay_idle(ms(110).as_nanos() as u64, ms(100)), 0);
-        assert_eq!(log.len(), 1);
-        // One nanosecond past, it decays.
-        assert_eq!(log.decay_idle(ms(110).as_nanos() as u64 + 1, ms(100)), 1);
-        assert!(log.is_empty());
     }
 
     #[test]

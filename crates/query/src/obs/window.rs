@@ -82,11 +82,6 @@ impl QueryClass {
         }
     }
 
-    /// Parse a label produced by [`QueryClass::label`].
-    pub fn from_label(label: &str) -> Option<QueryClass> {
-        QueryClass::ALL.into_iter().find(|c| c.label() == label)
-    }
-
     pub(crate) fn index(self) -> usize {
         match self {
             QueryClass::Listing => 0,
@@ -296,14 +291,6 @@ impl RollingWindows {
             .map_or(0, |s| s.breaches.get())
     }
 
-    /// Closed-window summaries retained for a session.
-    pub fn session_summaries(&self, session: u32) -> Vec<WindowSummary> {
-        self.per_session
-            .read()
-            .get(&session)
-            .map_or_else(Vec::new, |s| s.window.summaries())
-    }
-
     /// A cumulative histogram sharing the window bucket layout
     /// (helper for observers that also keep whole-run distributions).
     pub(crate) fn cumulative_histogram() -> FixedHistogram {
@@ -346,14 +333,6 @@ mod tests {
             QueryClass::of(&Query::activities(Scope::Tree)),
             QueryClass::Listing
         );
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        for class in QueryClass::ALL {
-            assert_eq!(QueryClass::from_label(class.label()), Some(class));
-        }
-        assert_eq!(QueryClass::from_label("nope"), None);
     }
 
     #[test]

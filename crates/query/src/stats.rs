@@ -16,11 +16,10 @@ use drugtree_phylo::index::LeafInterval;
 use drugtree_sources::source::{FetchRequest, SourceKind};
 use drugtree_store::expr::{CompareOp, Predicate};
 use drugtree_store::value::Value;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// An equi-width histogram over one numeric column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     min: f64,
     max: f64,
@@ -159,7 +158,7 @@ impl Histogram {
 }
 
 /// O(1) range-maximum over a fixed array (sparse table).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RangeMax {
     /// table[k][i] = max of [i, i + 2^k).
     table: Vec<Vec<f64>>,
@@ -198,7 +197,7 @@ impl RangeMax {
 }
 
 /// The statistics bundle.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OverlayStats {
     /// Per-leaf activity record counts.
     counts: Vec<u64>,

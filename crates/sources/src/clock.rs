@@ -6,16 +6,13 @@
 //! wall-clock benchmarks (Criterion) measure pure CPU cost while the
 //! experiment harness reports virtual end-to-end latency.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// A point on the virtual timeline, in nanoseconds since session start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtualInstant(pub u64);
 
 impl VirtualInstant {
@@ -52,24 +49,6 @@ impl VirtualClock {
     pub fn advance(&self, d: Duration) -> VirtualInstant {
         let nanos = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         VirtualInstant(self.nanos.fetch_add(nanos, Ordering::SeqCst) + nanos)
-    }
-
-    /// Advance the clock to at least `target` (no-op if already past).
-    /// Returns the resulting time. Used when modeling parallel requests:
-    /// each branch computes its own completion instant and the caller
-    /// advances to the maximum.
-    pub fn advance_to(&self, target: VirtualInstant) -> VirtualInstant {
-        let mut current = self.nanos.load(Ordering::SeqCst);
-        while current < target.0 {
-            match self
-                .nanos
-                .compare_exchange(current, target.0, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => return target,
-                Err(actual) => current = actual,
-            }
-        }
-        VirtualInstant(current)
     }
 }
 
@@ -115,18 +94,6 @@ mod tests {
         let b = VirtualInstant(40);
         assert_eq!(a.since(b), Duration::from_nanos(60));
         assert_eq!(b.since(a), Duration::ZERO);
-    }
-
-    #[test]
-    fn advance_to_is_monotone() {
-        let clock = VirtualClock::new();
-        clock.advance(Duration::from_nanos(100));
-        // Going backwards is a no-op.
-        assert_eq!(clock.advance_to(VirtualInstant(50)), VirtualInstant(100));
-        assert_eq!(clock.now(), VirtualInstant(100));
-        // Going forwards jumps.
-        assert_eq!(clock.advance_to(VirtualInstant(500)), VirtualInstant(500));
-        assert_eq!(clock.now(), VirtualInstant(500));
     }
 
     #[test]

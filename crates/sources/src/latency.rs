@@ -6,12 +6,11 @@
 //! round-trips* (batching, caching, pruning) and *rows shipped*
 //! (pushdown, projection).
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Latency parameters of one simulated source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyModel {
     /// Fixed round-trip time charged per request.
     pub base_rtt: Duration,

@@ -8,14 +8,13 @@ use drugtree_chem::smiles::parse_smiles;
 use drugtree_store::schema::{Column, Schema};
 use drugtree_store::table::Table;
 use drugtree_store::value::{Value, ValueType};
-use serde::{Deserialize, Serialize};
 
 /// One ligand record as served by the source.
 ///
 /// Descriptors are stored denormalized (as a compound database would),
 /// so predicates like `mw < 500` can be pushed down without the client
 /// re-deriving chemistry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LigandRecord {
     /// Compound identifier (the federation key, e.g. "CHEMBL25").
     pub ligand_id: String,

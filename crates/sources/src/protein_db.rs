@@ -6,10 +6,9 @@ use crate::Result;
 use drugtree_store::schema::{Column, Schema};
 use drugtree_store::table::Table;
 use drugtree_store::value::{Value, ValueType};
-use serde::{Deserialize, Serialize};
 
 /// One protein record as served by the source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProteinRecord {
     /// Primary accession (the federation key, e.g. "P00533").
     pub accession: String,

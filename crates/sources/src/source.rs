@@ -6,12 +6,11 @@ use drugtree_store::expr::{CompareOp, Predicate};
 use drugtree_store::schema::Schema;
 use drugtree_store::table::{IndexKind, Table};
 use drugtree_store::value::Value;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// What a source holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SourceKind {
     /// Protein/sequence records (UniProt-like).
     Protein,
@@ -22,7 +21,7 @@ pub enum SourceKind {
 }
 
 /// What query shapes a source can evaluate remotely.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SourceCapabilities {
     /// Equality predicates (`col = v`, `col IN (…)`).
     pub eq_pushdown: bool,
@@ -131,7 +130,7 @@ pub struct SourceMetrics {
 }
 
 /// A snapshot of [`SourceMetrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Requests served.
     pub requests: u64,

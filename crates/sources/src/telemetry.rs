@@ -150,29 +150,6 @@ impl FixedHistogram {
         &self.bounds
     }
 
-    /// Fold another histogram's recorded values into this one. Both
-    /// histograms must share the same bucket bounds (they describe the
-    /// same quantity); merging mismatched layouts is a caller bug.
-    ///
-    /// Lock-free like recording: each bucket is added with one relaxed
-    /// atomic, so a merge concurrent with writers folds a consistent-
-    /// enough monitoring view, not a linearizable snapshot.
-    pub fn merge_from(&self, other: &FixedHistogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge histograms with different bucket bounds"
-        );
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Copy out the current state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets = self
@@ -522,34 +499,6 @@ mod tests {
         assert_eq!(s.quantile(1.0), 100.0);
         assert!(s.quantile(0.95) <= 100.0);
         assert!(s.quantile(0.6) > 10.0);
-    }
-
-    #[test]
-    fn merge_folds_histograms_with_different_counts() {
-        let a = FixedHistogram::new(&[10, 100]);
-        for v in [5, 7, 50] {
-            a.record(v);
-        }
-        let b = FixedHistogram::new(&[10, 100]);
-        for v in [9, 500] {
-            b.record(v);
-        }
-        a.merge_from(&b);
-        let s = a.snapshot();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.sum, 5 + 7 + 50 + 9 + 500);
-        assert_eq!(s.max, 500);
-        assert_eq!(s.buckets[0], (Some(10), 3));
-        assert_eq!(s.buckets[1], (Some(100), 1));
-        assert_eq!(s.buckets[2], (None, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket bounds")]
-    fn merge_rejects_mismatched_bounds() {
-        let a = FixedHistogram::new(&[10]);
-        let b = FixedHistogram::new(&[20]);
-        a.merge_from(&b);
     }
 
     #[test]

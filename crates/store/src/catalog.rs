@@ -40,13 +40,6 @@ impl Catalog {
             .ok_or_else(|| StoreError::UnknownTable(name.to_string()))
     }
 
-    /// Drop a table, returning it.
-    pub fn drop_table(&mut self, name: &str) -> Result<Table> {
-        self.tables
-            .remove(name)
-            .ok_or_else(|| StoreError::UnknownTable(name.to_string()))
-    }
-
     /// Table names in sorted order.
     pub fn table_names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self.tables.keys().map(String::as_str).collect();
@@ -84,7 +77,7 @@ mod tests {
     }
 
     #[test]
-    fn create_lookup_drop() {
+    fn create_and_lookup() {
         let mut c = Catalog::new();
         assert!(c.is_empty());
         c.create_table(table("proteins")).unwrap();
@@ -99,10 +92,5 @@ mod tests {
             c.create_table(table("proteins")),
             Err(StoreError::DuplicateTable(_))
         ));
-
-        let dropped = c.drop_table("proteins").unwrap();
-        assert_eq!(dropped.name(), "proteins");
-        assert!(c.drop_table("proteins").is_err());
-        assert_eq!(c.len(), 1);
     }
 }

@@ -50,11 +50,6 @@ impl Dictionary {
         code
     }
 
-    /// The code for `s`, if it has been interned.
-    pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.map.get(s).copied()
-    }
-
     /// The string for `code`.
     pub fn value_of(&self, code: u32) -> Option<&str> {
         self.values.get(code as usize).map(String::as_str)
@@ -89,8 +84,6 @@ mod tests {
         assert_eq!(d.intern("assay-a"), a);
         assert_ne!(a, b);
         assert_eq!(d.len(), 2);
-        assert_eq!(d.code_of("assay-b"), Some(b));
-        assert_eq!(d.code_of("assay-c"), None);
         assert_eq!(d.value_of(a), Some("assay-a"));
         assert_eq!(d.value_of(99), None);
         assert_eq!(d.values(), &["assay-a".to_owned(), "assay-b".to_owned()]);

@@ -9,10 +9,9 @@
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompareOp {
     /// Equal.
     Eq,
@@ -56,7 +55,7 @@ impl CompareOp {
 }
 
 /// A predicate over named columns.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Predicate {
     /// Always true.
     True,

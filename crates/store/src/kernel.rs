@@ -475,12 +475,6 @@ pub fn sum_f64(col: ColumnSlice<'_>, selection: &Bitmap) -> f64 {
     sum
 }
 
-/// Minimum value over selected, valid rows (`Value` ordering; `None`
-/// when nothing valid is selected).
-pub fn min_value(col: ColumnSlice<'_>, selection: &Bitmap) -> Option<Value> {
-    fold_extreme(col, selection, Ordering::Less)
-}
-
 /// Maximum value over selected, valid rows (`Value` ordering; `None`
 /// when nothing valid is selected).
 pub fn max_value(col: ColumnSlice<'_>, selection: &Bitmap) -> Option<Value> {
@@ -623,10 +617,9 @@ mod tests {
         sel.set_range(0, 4);
         assert_eq!(count(&sel), 4);
         assert_eq!(sum_f64(seg.slice(), &sel), 7.0);
-        assert_eq!(min_value(seg.slice(), &sel), Some(Value::Int(1)));
         assert_eq!(max_value(seg.slice(), &sel), Some(Value::Int(4)));
         let empty = Bitmap::new(4);
-        assert_eq!(min_value(seg.slice(), &empty), None);
+        assert_eq!(max_value(seg.slice(), &empty), None);
         let mut only_null = Bitmap::new(4);
         only_null.set(2);
         assert_eq!(max_value(seg.slice(), &only_null), None);

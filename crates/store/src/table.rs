@@ -11,7 +11,7 @@ use std::ops::Bound;
 
 /// Identifier of a row within one table. Stable across deletes
 /// (deleted ids are never reused).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RowId(pub u64);
 
 /// Secondary index flavor.

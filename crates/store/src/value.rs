@@ -76,14 +76,6 @@ impl Value {
         }
     }
 
-    /// Bool view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Type-tag rank used to order values of different types.
     fn type_rank(&self) -> u8 {
         match self {
@@ -256,7 +248,6 @@ mod tests {
         assert_eq!(Value::Int(3).as_f64(), Some(3.0));
         assert_eq!(Value::Float(2.5).as_f64(), Some(2.5));
         assert_eq!(Value::Text("hi".into()).as_text(), Some("hi"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::Text("hi".into()).as_int(), None);
         assert!(Value::Null.is_null());
     }

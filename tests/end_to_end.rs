@@ -73,6 +73,36 @@ fn pipeline_from_sequences_to_queries() {
     let r = |acc: &str| d.rank_of_accession(acc).unwrap();
     assert_eq!(r("A1").abs_diff(r("A2")), 1, "A-family adjacent");
     assert_eq!(r("B1").abs_diff(r("B2")), 1, "B-family adjacent");
+    // Recorded before the builder's tree-method, distance-model and
+    // re-rooting knobs were deleted (neighbor joining, Poisson, root
+    // where the last join left it), for this federation and for the
+    // six kinases of `examples/kinase_analysis`.
+    assert_eq!(
+        to_newick(&d.tree),
+        "((A1:0.025647,A2:0.025647):9.948707,B1:0.025647,B2:0.025647);"
+    );
+    let kinases: Vec<_> = [
+        ("KINA1", "MGSNKSKPKDASQRRRSLEPAENVHGAGGGAF"),
+        ("KINA2", "MGSNKSKPKDASQRRRSLEPSENVHGAGGGAF"),
+        ("KINA3", "MGSNKSKPKDPSQRRRSLEPAENVHGAGGAAF"),
+        ("KINB1", "MGLLSSKRQVSEKGKYWWFNEELLTTTHHPVQ"),
+        ("KINB2", "MGLLSSKRQVSEKGKYWWFNEELLSTTHHPVQ"),
+        ("KINB3", "MGLLSSKRQVTEKGKYWWFNEELLTTAHHPVQ"),
+    ]
+    .iter()
+    .map(|(acc, seq)| protein(acc, seq))
+    .collect();
+    let kinase_system = DrugTree::builder()
+        .register_source(Arc::new(
+            protein_source("p", &kinases, caps, LatencyModel::intranet(1)).unwrap(),
+        ))
+        .build()
+        .unwrap();
+    assert_eq!(
+        to_newick(&kinase_system.dataset().tree),
+        "((KINA1:0.007399,KINA2:0.02435):0.02487,KINA3:0.040745,\
+         ((KINB1:0.011637,KINB2:0.020112):0.065615,KINB3:0):1.683648);"
+    );
 
     // Stage 2: the overlay materialized proteins and ligands locally.
     assert_eq!(system.report().ligands, 2);

@@ -1,0 +1,3 @@
+fn main() {
+    println!("{}", demo::used() + demo::inert_but_benchmarked());
+}

@@ -18,6 +18,11 @@ use std::path::{Path, PathBuf};
 /// Directories scanned for Rust sources, relative to the scan root.
 pub const SCAN_ROOTS: &[&str] = &["crates", "src", "examples", "tests", "benches"];
 
+/// Directories whose files call into the library but are not linted
+/// themselves (the wall-clock benchmark has its own workspace and its
+/// own rules); the dead-surface pass reads them as callers.
+pub const CALLER_ROOTS: &[&str] = &["benchmark/src"];
+
 /// Directory names never descended into.
 pub const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "bench_results", "fixtures"];
 
@@ -111,6 +116,8 @@ pub struct FileModel {
 #[derive(Debug)]
 pub struct SourceModel {
     pub files: Vec<FileModel>,
+    /// Files under [`CALLER_ROOTS`]: references only, never findings.
+    pub callers: Vec<FileModel>,
 }
 
 impl SourceModel {
@@ -130,17 +137,27 @@ impl SourceModel {
         if !found_any_root {
             collect_rust_files(root, &mut files);
         }
-        files.sort();
-        let models = files
-            .iter()
-            .filter_map(|f| {
-                let rel = relative_display(root, f)?;
-                let text = std::fs::read_to_string(f).ok()?;
-                Some(analyze_file(rel, &text))
-            })
-            .collect();
-        SourceModel { files: models }
+        let mut callers = Vec::new();
+        for dir in CALLER_ROOTS {
+            collect_rust_files(&root.join(dir), &mut callers);
+        }
+        SourceModel {
+            files: analyze_all(root, files),
+            callers: analyze_all(root, callers),
+        }
     }
+}
+
+fn analyze_all(root: &Path, mut files: Vec<PathBuf>) -> Vec<FileModel> {
+    files.sort();
+    files
+        .iter()
+        .filter_map(|f| {
+            let rel = relative_display(root, f)?;
+            let text = std::fs::read_to_string(f).ok()?;
+            Some(analyze_file(rel, &text))
+        })
+        .collect()
 }
 
 fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) {

@@ -4,6 +4,7 @@
 //! `tools/analysis/allow/<name>.allow`.
 
 pub mod clock;
+pub mod dead_surface;
 pub mod guard_scope;
 pub mod lock_order;
 pub mod rule_registry;
@@ -23,5 +24,6 @@ pub fn all() -> Vec<Box<dyn Pass>> {
         Box::new(rule_registry::RuleRegistry),
         Box::new(session_threads::SessionThreads),
         Box::new(stats_seam::StatsSeam),
+        Box::new(dead_surface::DeadSurface),
     ]
 }
