@@ -7,7 +7,9 @@
 //! containment hit) and is **neutral-to-harmful for drill-down**
 //! sessions (children are already covered by the just-fetched parent,
 //! so speculation only churns the cache). The session API therefore
-//! leaves it opt-in.
+//! leaves it opt-in, and the `adaptive` arm gates it per session on the
+//! classified gesture pattern: it should track whichever fixed arm is
+//! better for the script.
 
 use crate::table::ExperimentTable;
 use crate::{fmt_ms, mean, RunConfig};
@@ -69,7 +71,7 @@ pub fn run(config: RunConfig) -> ExperimentTable {
     );
 
     for (name, script) in &scripts {
-        for prefetch in [false, true] {
+        for prefetch in ["false", "true", "adaptive"] {
             let system = DrugTree::builder()
                 .dataset(bundle.build_dataset())
                 .optimizer(OptimizerConfig::full())
@@ -82,11 +84,14 @@ pub fn run(config: RunConfig) -> ExperimentTable {
                 .build()
                 .expect("system builds");
             let mut session = system.mobile_session(NetworkProfile::CELL_4G);
-            if prefetch {
-                session.enable_prefetch(Prefetcher {
-                    fan_out: 2,
-                    ..Prefetcher::default()
-                });
+            let prefetcher = Prefetcher {
+                fan_out: 2,
+                ..Prefetcher::default()
+            };
+            match prefetch {
+                "true" => session.enable_prefetch(prefetcher),
+                "adaptive" => session.enable_adaptive_prefetch(prefetcher),
+                _ => {}
             }
             let mut latencies: Vec<Duration> = Vec::new();
             let mut hits = 0usize;
@@ -117,6 +122,7 @@ pub fn run(config: RunConfig) -> ExperimentTable {
     }
     table.note("fan-out 2, clades <= 64 leaves; prefetch pays speculative source requests");
     table.note("finding: helps lateral browsing; neutral/harmful for drill-down (kept honest)");
+    table.note("adaptive: prefetch fires only while the session classifies as lateral");
     table
 }
 
@@ -127,19 +133,18 @@ mod tests {
     #[test]
     fn prefetch_helps_lateral_sessions() {
         let t = run(RunConfig { quick: true });
-        assert_eq!(t.rows.len(), 4);
+        assert_eq!(t.rows.len(), 6);
+        let row = |script: &str, prefetch: &str| -> &Vec<String> {
+            t.rows
+                .iter()
+                .find(|r| r[0] == script && r[1] == prefetch)
+                .expect("row")
+        };
         let rate =
             |row: &Vec<String>| -> f64 { row[2].trim_end_matches('%').parse().expect("parses") };
-        let lateral_off = t
-            .rows
-            .iter()
-            .find(|r| r[0] == "lateral" && r[1] == "false")
-            .unwrap();
-        let lateral_on = t
-            .rows
-            .iter()
-            .find(|r| r[0] == "lateral" && r[1] == "true")
-            .unwrap();
+        let reqs = |row: &Vec<String>| -> u64 { row[4].parse().expect("parses") };
+        let lateral_off = row("lateral", "false");
+        let lateral_on = row("lateral", "true");
         assert!(
             rate(lateral_on) > rate(lateral_off) + 10.0,
             "lateral sessions must benefit: {}% -> {}%",
@@ -147,8 +152,18 @@ mod tests {
             rate(lateral_on)
         );
         // Speculation costs extra source traffic.
-        let reqs_off: u64 = lateral_off[4].parse().unwrap();
-        let reqs_on: u64 = lateral_on[4].parse().unwrap();
-        assert!(reqs_on > reqs_off);
+        assert!(reqs(lateral_on) > reqs(lateral_off));
+        // What the adaptive gate is for: a lateral session gets the
+        // prefetcher's hits (after the classifier's warm-up), a
+        // drill-down session never pays its speculative requests.
+        assert!(
+            rate(row("lateral", "adaptive")) > rate(lateral_off),
+            "the gate must open on lateral browsing: {t:?}"
+        );
+        assert_eq!(
+            reqs(row("drill-down", "adaptive")),
+            reqs(row("drill-down", "false")),
+            "the gate must stay shut on drill-down: {t:?}"
+        );
     }
 }

@@ -1,28 +1,23 @@
 //! E17: closing the telemetry → optimizer feedback loop.
 //!
-//! One deployment runs three phases against the same adaptive runtime
-//! — an aggregate stream that heats the auto-materialization advisor,
-//! an E12-style affinity-filter stream that trains the learned
-//! cardinality statistics, and a mixed mobile fleet (Zipf drill-down
-//! scripts + lateral scripts) whose sessions classify their own
-//! gesture pattern and switch prefetch policy per session. The sweep
-//! compares three modes:
+//! One deployment runs two phases against the same adaptive runtime —
+//! an aggregate stream that heats the auto-materialization advisor,
+//! and a mixed mobile fleet (Zipf drill-down scripts + lateral
+//! scripts) whose sessions classify their own gesture pattern and
+//! switch prefetch policy per session. The sweep compares two modes:
 //!
-//! - **off**: no adaptive runtime; nominal statistics, no auto
-//!   materialization, prefetch unconditionally on (the pre-adaptive
-//!   opt-in posture).
-//! - **frozen**: the runtime is installed but frozen — it observes
-//!   nothing and applies nothing, so planning stays nominal and
-//!   prefetch stays at its default-off policy. The E17 control arm.
-//! - **on**: all three loops live, guarded by the regret tracker.
+//! - **off**: no adaptive runtime; no auto materialization, prefetch
+//!   unconditionally on (the pre-adaptive opt-in posture).
+//! - **on**: both loops live.
 //!
-//! Paper-shape expectation: the loop closes — at least one aggregate
-//! shape is auto-materialized past break-even, mean estimate error
-//! under learned statistics lands strictly below nominal, sessions
-//! diverge on prefetch policy by classified pattern, and steady state
-//! shows zero regret reverts. The whole sweep is virtual-clock
-//! deterministic: a double run renders byte-identically, adapt-event
-//! stream included (pinned by the `adapt digest` column).
+//! Paper-shape expectation: the loop closes — the aggregate shape is
+//! auto-materialized past break-even and later aggregates cost
+//! nothing, and sessions diverge on prefetch policy by classified
+//! pattern. What the prefetch gate is worth in hit rate, latency and
+//! source requests is E10's comparison, not this one's. The whole
+//! sweep is virtual-clock deterministic: a double run renders
+//! byte-identically, adapt-event stream included (pinned by the
+//! `adapt digest` column).
 
 use crate::table::ExperimentTable;
 use crate::{fmt_ms, mean, RunConfig};
@@ -31,29 +26,9 @@ use drugtree_mobile::gestures::lateral_script;
 use drugtree_mobile::pattern::SessionPattern;
 use drugtree_mobile::prefetch::Prefetcher;
 use drugtree_query::parser::parse_query;
-use drugtree_query::{AdaptiveConfig, AdaptiveRuntime};
+use drugtree_query::{AdaptiveRuntime, AdvisorConfig};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The three sweep arms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Off,
-    Frozen,
-    On,
-}
-
-impl Mode {
-    const ALL: [Mode; 3] = [Mode::Off, Mode::Frozen, Mode::On];
-
-    fn label(self) -> &'static str {
-        match self {
-            Mode::Off => "adaptation off",
-            Mode::Frozen => "adaptation frozen",
-            Mode::On => "adaptation on",
-        }
-    }
-}
 
 /// FNV-1a over the exported adapt-event stream: one hex cell pins the
 /// whole decision log, so the benchdiff baseline (and the double-run
@@ -69,33 +44,12 @@ fn digest(lines: &[String]) -> String {
     format!("{h:016x}")
 }
 
-/// Mean and p95 of relative cardinality-estimate error over a probe
-/// stream: |estimated − actual| / max(actual, 1).
-fn estimate_error(system: &DrugTree, probes: &[Query]) -> (f64, f64) {
-    let mut errs: Vec<f64> = Vec::with_capacity(probes.len());
-    for q in probes {
-        system.executor().invalidate();
-        let est = system
-            .executor()
-            .estimate(system.dataset(), q)
-            .expect("plan estimates");
-        let actual = system.execute(q).expect("query executes").rows.len();
-        errs.push((est.rows as f64 - actual as f64).abs() / (actual as f64).max(1.0));
-    }
-    let p95 = {
-        let mut sorted = errs.clone();
-        sorted.sort_by(f64::total_cmp);
-        sorted[((sorted.len() - 1) as f64 * 0.95).round() as usize]
-    };
-    (errs.iter().sum::<f64>() / errs.len().max(1) as f64, p95)
-}
-
 /// Run E17.
 pub fn run(config: RunConfig) -> ExperimentTable {
-    let (leaves, stream_len, agg_n, gestures) = if config.quick {
-        (96, 24, 24, 40)
+    let (leaves, agg_n, gestures) = if config.quick {
+        (96, 24, 40)
     } else {
-        (256, 60, 60, 150)
+        (256, 60, 150)
     };
     let bundle = SyntheticBundle::generate(
         &WorkloadSpec::default()
@@ -103,19 +57,8 @@ pub fn run(config: RunConfig) -> ExperimentTable {
             .ligands(leaves / 4)
             .seed(1717),
     );
-    let filters = drugtree_workload::queries::class_stream(
-        drugtree_workload::queries::QueryClass::AffinityFilter,
-        &bundle.tree,
-        &bundle.index,
-        &bundle.ligands,
-        &drugtree_workload::queries::QueryWorkloadConfig {
-            len: stream_len,
-            seed: 5,
-            scope_theta: 0.8,
-        },
-    );
     let aggregate = parse_query("aggregate count in tree").expect("parses");
-    let scripts: Vec<(bool, Vec<Gesture>)> = (0..8)
+    let scripts: Vec<Vec<Gesture>> = (0..8)
         .map(|i| {
             let lateral = i % 2 == 1;
             let gc = GestureConfig {
@@ -124,44 +67,34 @@ pub fn run(config: RunConfig) -> ExperimentTable {
                 zipf_theta: if lateral { 0.0 } else { 0.6 },
                 revisit_prob: if lateral { 0.0 } else { 0.2 },
             };
-            let script = if lateral {
+            if lateral {
                 lateral_script(&bundle.tree, &bundle.index, &gc)
             } else {
                 drill_down_script(&bundle.tree, &bundle.index, &gc)
-            };
-            (lateral, script)
+            }
         })
         .collect();
 
     let mut table = ExperimentTable::new(
         "E17",
-        format!("telemetry-to-optimizer feedback loops, {leaves} leaves, adaptation sweep"),
+        format!("telemetry-to-optimizer feedback loops, {leaves} leaves, adaptation off vs on"),
         vec![
             "mode",
-            "est mean err",
-            "est p95 err",
             "auto-built",
             "agg mean latency",
             "prefetching sessions",
-            "fleet hit rate",
-            "prefetch source reqs",
-            "reverts",
             "adapt digest",
         ],
     );
 
-    for mode in Mode::ALL {
+    for adaptive in [false, true] {
         let sink = Arc::new(VecSink::new());
-        let runtime = match mode {
-            Mode::Off => None,
-            Mode::Frozen | Mode::On => Some(Arc::new(
-                AdaptiveRuntime::new(AdaptiveConfig {
-                    frozen: mode == Mode::Frozen,
-                    ..AdaptiveConfig::default()
-                })
-                .with_export(Arc::clone(&sink) as Arc<dyn Sink>),
-            )),
-        };
+        let runtime = adaptive.then(|| {
+            Arc::new(
+                AdaptiveRuntime::new(AdvisorConfig::default())
+                    .with_export(Arc::clone(&sink) as Arc<dyn Sink>),
+            )
+        });
         let mut builder = DrugTree::builder()
             .dataset(bundle.build_dataset())
             .optimizer(OptimizerConfig::full());
@@ -182,76 +115,44 @@ pub fn run(config: RunConfig) -> ExperimentTable {
             agg_latencies.push(r.metrics.charged_cost);
         }
 
-        // Phase 2 — learned statistics: two training passes over the
-        // E12-style affinity-filter stream (control points need two
-        // observations to become servable), then a probe pass
-        // measuring estimate error against true row counts.
-        for _ in 0..2 {
-            for q in &filters {
-                system.executor().invalidate();
-                system.execute(q).expect("filter executes");
-            }
-        }
-        let (mean_err, p95_err) = estimate_error(&system, &filters);
-
-        // Phase 3 — mobile fleet: alternating Zipf drill-down and
-        // lateral sessions. off = prefetch unconditionally on;
-        // frozen = default-off policy (the frozen layer never switches
-        // it); on = per-session classification gates it.
-        let reqs_before: u64 = source_requests(&system);
-        let mut fleet_hits = 0usize;
-        let mut fleet_queries = 0usize;
+        // Phase 2 — mobile fleet: alternating Zipf drill-down and
+        // lateral sessions. off = prefetch unconditionally on; on =
+        // per-session classification gates it.
         let mut prefetching = 0usize;
-        for (id, (_, script)) in scripts.iter().enumerate() {
+        for (id, script) in scripts.iter().enumerate() {
             let mut session = system.mobile_session(NetworkProfile::CELL_4G);
             session.set_session_id(id as u32);
-            match mode {
-                Mode::Off => session.enable_prefetch(Prefetcher {
-                    fan_out: 2,
-                    ..Prefetcher::default()
-                }),
-                Mode::Frozen => {}
-                Mode::On => session.enable_adaptive_prefetch(Prefetcher {
-                    fan_out: 2,
-                    ..Prefetcher::default()
-                }),
+            let prefetcher = Prefetcher {
+                fan_out: 2,
+                ..Prefetcher::default()
+            };
+            if adaptive {
+                session.enable_adaptive_prefetch(prefetcher);
+            } else {
+                session.enable_prefetch(prefetcher);
             }
             for g in script {
-                let r = session.apply(g).expect("gesture applies");
-                if let Some(hit) = r.cache_hit {
-                    fleet_queries += 1;
-                    fleet_hits += usize::from(hit);
-                }
+                session.apply(g).expect("gesture applies");
             }
-            let on = match mode {
-                Mode::Off => true,
-                Mode::Frozen => false,
-                Mode::On => session.prefetch_pattern() == Some(SessionPattern::Lateral),
-            };
+            let on = !adaptive || session.prefetch_pattern() == Some(SessionPattern::Lateral);
             prefetching += usize::from(on);
         }
-        let fleet_reqs = source_requests(&system) - reqs_before;
 
-        let snapshot = runtime.as_ref().map(|rt| rt.snapshot());
-        let built = snapshot
-            .as_ref()
-            .map_or(0, |s| s.advisor.evictions + u64::from(s.advisor.built));
+        let built = runtime.as_ref().map_or(0, |rt| {
+            let advisor = rt.snapshot().advisor;
+            advisor.evictions + u64::from(advisor.built)
+        });
         table.row(vec![
-            mode.label().into(),
-            format!("{mean_err:.3}"),
-            format!("{p95_err:.3}"),
+            if adaptive {
+                "adaptation on"
+            } else {
+                "adaptation off"
+            }
+            .into(),
             built.to_string(),
             fmt_ms(mean(&agg_latencies)),
             prefetching.to_string(),
-            format!(
-                "{:.0}%",
-                100.0 * fleet_hits as f64 / fleet_queries.max(1) as f64
-            ),
-            fleet_reqs.to_string(),
-            snapshot
-                .as_ref()
-                .map_or("-".into(), |s| s.reverts.to_string()),
-            if runtime.is_some() {
+            if adaptive {
                 digest(&sink.lines())
             } else {
                 "-".into()
@@ -260,26 +161,14 @@ pub fn run(config: RunConfig) -> ExperimentTable {
     }
 
     table.note(format!(
-        "{} aggregates then 2x{} affinity-filter training passes then 8 sessions x {} gestures; \
-         break-even proxy = statistics collection cost; regret guardrail at default thresholds",
-        agg_n, stream_len, gestures,
+        "{agg_n} aggregates then 8 sessions x {gestures} gestures; \
+         break-even proxy = statistics collection cost",
     ));
     table.note(
         "agg latency spans pre- and post-materialization queries; the adapt digest pins the \
          exported decision stream byte-for-byte",
     );
     table
-}
-
-/// Total requests across every registered source.
-fn source_requests(system: &DrugTree) -> u64 {
-    system
-        .dataset()
-        .registry
-        .all()
-        .iter()
-        .map(|s| s.metrics().requests)
-        .sum()
 }
 
 #[cfg(test)]
@@ -293,36 +182,24 @@ mod tests {
     }
 
     /// The acceptance sweep: the loop visibly closes in `on` mode and
-    /// the control arms stay inert. Doubles as the CI regression pin
-    /// that learned-statistics estimate error never exceeds nominal on
-    /// the E12-style affinity workload.
+    /// the control arm stays inert.
     #[test]
     fn feedback_loops_close_and_controls_stay_inert() {
         let t = run(RunConfig { quick: true });
-        assert_eq!(t.rows.len(), 3);
+        assert_eq!(t.rows.len(), 2);
 
-        // Learned statistics: strictly below nominal, and the frozen
-        // control plans exactly like `off`.
-        let err = |mode: &str| -> f64 { cell(&t, mode, "est mean err").parse().expect("parses") };
+        // Auto-materialization: the shape is built in `on`, nothing in
+        // `off`, and the view pays: the aggregate stream gets cheaper.
+        assert_eq!(cell(&t, "adaptation on", "auto-built"), "1", "{t:?}");
+        assert_eq!(cell(&t, "adaptation off", "auto-built"), "0");
+        let agg = |mode: &str| -> f64 {
+            let ms = cell(&t, mode, "agg mean latency").trim_end_matches("ms");
+            ms.parse().expect("parses")
+        };
         assert!(
-            err("adaptation on") < err("adaptation off"),
-            "learned estimates must beat nominal: on {} vs off {}",
-            err("adaptation on"),
-            err("adaptation off"),
+            agg("adaptation on") < agg("adaptation off"),
+            "the view must pay for itself: {t:?}"
         );
-        assert_eq!(
-            cell(&t, "adaptation frozen", "est mean err"),
-            cell(&t, "adaptation off", "est mean err"),
-            "a frozen runtime must plan nominally"
-        );
-
-        // Auto-materialization: at least one shape built in `on`,
-        // none anywhere else.
-        let built: u64 = cell(&t, "adaptation on", "auto-built")
-            .parse()
-            .expect("parses");
-        assert!(built >= 1, "advisor must auto-materialize: {t:?}");
-        assert_eq!(cell(&t, "adaptation frozen", "auto-built"), "0");
 
         // Per-session prefetch divergence: some but not all sessions
         // end up prefetching under classification.
@@ -334,11 +211,6 @@ mod tests {
             "sessions must diverge by pattern: {prefetching}/8"
         );
         assert_eq!(cell(&t, "adaptation off", "prefetching sessions"), "8");
-        assert_eq!(cell(&t, "adaptation frozen", "prefetching sessions"), "0");
-
-        // Guardrail steady state: zero regret reverts.
-        assert_eq!(cell(&t, "adaptation on", "reverts"), "0");
-        assert_eq!(cell(&t, "adaptation frozen", "reverts"), "0");
     }
 
     /// The whole sweep is virtual-clock deterministic: two runs render

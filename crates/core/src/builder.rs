@@ -132,13 +132,12 @@ impl DrugTreeBuilder {
         self
     }
 
-    /// Install the self-driving runtime (design decision D15): learned
-    /// statistics feed the planner's selectivity estimates, the
-    /// advisor auto-builds the aggregate view past break-even, and a
-    /// regret tracker reverts adaptations that regress. Build the
-    /// runtime with `AdaptiveRuntime::new` (optionally
-    /// `.with_export(sink)` to stream `adapt` events for
-    /// `drugtree advisor`).
+    /// Install the self-driving runtime (design decision D15): the
+    /// advisor auto-builds the aggregate view past break-even, drops
+    /// it when a source change makes it stale, and mobile sessions
+    /// report their prefetch switches to it. Build the runtime with
+    /// `AdaptiveRuntime::new` (optionally `.with_export(sink)` to
+    /// stream `adapt` events for `drugtree advisor`).
     pub fn with_adaptive(mut self, runtime: Arc<AdaptiveRuntime>) -> Self {
         self.adaptive = Some(runtime);
         self
@@ -413,12 +412,12 @@ mod tests {
     #[test]
     fn with_adaptive_auto_materializes_past_break_even() {
         use drugtree_query::obs::{Sink, VecSink};
-        use drugtree_query::{AdaptiveConfig, AdaptiveRuntime};
+        use drugtree_query::{AdaptiveRuntime, AdvisorConfig};
 
         let (p, l, a) = sources();
         let sink = Arc::new(VecSink::new());
         let rt = Arc::new(
-            AdaptiveRuntime::new(AdaptiveConfig::default())
+            AdaptiveRuntime::new(AdvisorConfig::default())
                 .with_export(Arc::clone(&sink) as Arc<dyn Sink>),
         );
         let system = DrugTree::builder()

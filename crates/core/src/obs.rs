@@ -383,12 +383,6 @@ impl AdvisorReport {
         self.timeline.len() as u64
     }
 
-    /// Revert decisions across all loops — zero in steady state; a
-    /// non-zero count means a guardrail fired.
-    pub fn reverts(&self) -> u64 {
-        self.loops.values().map(|a| a.reverts).sum()
-    }
-
     /// Lines that failed to parse.
     pub fn skipped(&self) -> u64 {
         self.skipped
@@ -453,18 +447,6 @@ impl AdvisorReport {
                 out,
                 "  ... ({} more decisions)",
                 self.timeline.len() - TIMELINE_CAP
-            );
-        }
-        if self.reverts() == 0 {
-            let _ = writeln!(
-                out,
-                "\nno reverts: every adaptation held past its guardrail"
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "\n{} revert(s): the regret guardrail rolled back at least one loop",
-                self.reverts()
             );
         }
         out
@@ -637,14 +619,12 @@ mod tests {
         ];
         let report = AdvisorReport::from_lines(lines);
         assert_eq!(report.adaptations(), 3);
-        assert_eq!(report.reverts(), 0);
         assert_eq!(report.skipped(), 0);
         let rendered = report.render();
         assert!(rendered.contains("3 adaptation(s) across 2 loop(s)"));
         assert!(rendered.contains("learned-stats"));
         assert!(rendered.contains("break-even crossed"));
         assert!(rendered.contains("idle past ttl"));
-        assert!(rendered.contains("no reverts"));
         // The matview row counts one apply and one evict.
         let row = rendered.lines().find(|l| l.starts_with("matview")).unwrap();
         assert!(
@@ -661,9 +641,14 @@ mod tests {
             "garbage",
         ];
         let report = AdvisorReport::from_lines(lines);
-        assert_eq!(report.reverts(), 1);
         assert_eq!(report.skipped(), 1);
-        assert!(report.render().contains("1 revert(s)"));
+        let rendered = report.render();
+        let row = rendered
+            .lines()
+            .find(|l| l.starts_with("learned-stats"))
+            .unwrap();
+        assert!(row.contains("revert p_activity"), "last decision: {row}");
+        assert!(rendered.contains("regret threshold"));
     }
 
     #[test]

@@ -809,13 +809,13 @@ mod tests {
     #[test]
     fn adaptive_prefetch_gates_by_pattern_and_reports_switches() {
         use drugtree_query::obs::VecSink;
-        use drugtree_query::{AdaptiveConfig, AdaptiveRuntime};
+        use drugtree_query::{AdaptiveRuntime, AdvisorConfig};
 
         let d = dataset();
         let sink = Arc::new(VecSink::new());
         let mut e = executor();
         e.enable_adaptive(Arc::new(
-            AdaptiveRuntime::new(AdaptiveConfig::default())
+            AdaptiveRuntime::new(AdvisorConfig::default())
                 .with_export(Arc::clone(&sink) as Arc<dyn drugtree_query::obs::Sink>),
         ));
         let mut s = MobileSession::new(&d, &e, NetworkProfile::CELL_4G);

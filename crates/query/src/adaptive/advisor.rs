@@ -36,13 +36,13 @@ impl Default for AdvisorConfig {
 /// One matview-answerable shape's accumulated foregone cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShapeCost {
-    /// Plan-shape fingerprint.
+    /// Answer-shape fingerprint (the ledger key).
     pub fingerprint: u64,
-    /// Canonical shape string.
+    /// Plan shape of the first unserved occurrence.
     pub shape: String,
-    /// Occurrences seen.
+    /// Unserved occurrences since the ledger last restarted.
     pub count: u64,
-    /// Charged latency accumulated while unserved by a view.
+    /// Charged latency those occurrences accumulated.
     pub foregone: Duration,
     /// Virtual clock of the most recent occurrence.
     pub last_seen_ns: u64,
@@ -129,8 +129,13 @@ impl MatviewAdvisor {
         entry.count += 1;
         entry.foregone += charged;
         entry.last_seen_ns = entry.last_seen_ns.max(now_ns);
-        let break_even = self.config.break_even.unwrap_or(measured_break_even);
-        self.built.is_none() && self.foregone_total > break_even
+        self.built.is_none() && self.foregone_total > self.break_even(measured_break_even)
+    }
+
+    /// The break-even in force: the configured override, else the
+    /// runtime's measured scan-cost proxy.
+    pub fn break_even(&self, measured: Duration) -> Duration {
+        self.config.break_even.unwrap_or(measured)
     }
 
     /// The view was built: start the amortization ledger.
@@ -170,6 +175,7 @@ impl MatviewAdvisor {
             self.evictions += 1;
             self.foregone_total = Duration::ZERO;
             for shape in self.shapes.values_mut() {
+                shape.count = 0;
                 shape.foregone = Duration::ZERO;
             }
         }

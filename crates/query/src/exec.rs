@@ -150,10 +150,9 @@ impl Executor {
         }
     }
 
-    /// Install the self-driving runtime (design decision D15): learned
-    /// statistics start feeding selectivity estimates, the advisor may
-    /// auto-build the aggregate view, and every executed query is
-    /// folded back into the loops.
+    /// Install the self-driving runtime (design decision D15): the
+    /// advisor may auto-build the aggregate view, and every executed
+    /// query is folded back into its break-even ledger.
     pub fn enable_adaptive(&mut self, runtime: Arc<AdaptiveRuntime>) {
         self.adaptive = Some(runtime);
     }
@@ -302,9 +301,8 @@ impl Executor {
         self.adaptive.as_ref().and_then(|a| a.view())
     }
 
-    /// Plan through the adaptive seam: learned statistics (when the
-    /// runtime serves them) feed selectivity, and `view` is whichever
-    /// aggregate view — explicit or adaptively built — should answer.
+    /// Plan with `view` as whichever aggregate view — explicit or
+    /// adaptively built — should answer.
     fn plan_query(
         &self,
         dataset: &Dataset,
@@ -314,8 +312,6 @@ impl Executor {
         let inputs = PlanInputs {
             dataset,
             stats: self.stats.as_ref(),
-            learned: self.adaptive.as_ref().and_then(|a| a.planning_stats()),
-            now_ns: dataset.clock.now().0,
             matview: view,
             columnar: self.columnar.as_ref(),
             cost: Some(&self.cost),
@@ -618,9 +614,8 @@ impl Executor {
         m.finished = dataset.clock.now();
         m.virtual_cost = m.finished.since(m.started);
 
-        // Close the loop: fold this query's observed reality back into
-        // the adaptive runtime (learned cardinalities, the advisor's
-        // break-even ledger, the regret guardrail).
+        // Close the loop: fold this query's charged latency back into
+        // the adaptive runtime (the advisor's break-even ledger).
         if let Some(adaptive) = &self.adaptive {
             // A view-answerable aggregate the view did not serve: the
             // same gate `use_matview` applies, minus view presence.
@@ -631,16 +626,9 @@ impl Executor {
                 && plan.substructure.is_none()
                 && plan.interval == dataset.index.interval(plan.scope_node);
             let feedback = QueryFeedback {
-                pushed_local: plan.pushed_local.as_ref(),
-                interval_rows: self
-                    .stats
-                    .as_ref()
-                    .map_or(0, |s| s.interval_count(plan.interval)),
-                observed_rows: rows_in,
-                pruned_leaves: plan.pruned_leaves as u32,
                 matview_candidate,
                 served_by_adaptive,
-                fingerprint: crate::obs::plan_fingerprint(&plan),
+                fingerprint: crate::obs::answer_fingerprint(&plan),
                 charged: m.charged_cost,
                 break_even_proxy: self
                     .stats

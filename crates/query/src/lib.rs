@@ -41,10 +41,9 @@
 //! * [`obs`] — continuous fleet observability: rolling SLO windows,
 //!   the slow-query log, and deterministic JSONL trace export
 //!   (design decision D10).
-//! * [`adaptive`] — the self-driving layer: learned statistics, the
-//!   auto-materialization advisor, and regret-tracked guardrails
-//!   closing the telemetry → optimizer feedback loop (design
-//!   decision D15).
+//! * [`adaptive`] — the self-driving layer: the auto-materialization
+//!   advisor and the `adapt` event stream closing the telemetry →
+//!   optimizer feedback loop (design decision D15).
 //! * [`validate`] — plan-invariant validation (structural checks every
 //!   emitted plan must pass).
 
@@ -66,9 +65,7 @@ pub mod stats;
 pub mod trace;
 pub mod validate;
 
-pub use adaptive::{
-    AdaptiveConfig, AdaptiveRuntime, AdaptiveSnapshot, LearnedStats, SelectivitySource, StatsView,
-};
+pub use adaptive::{AdaptiveRuntime, AdaptiveSnapshot, AdvisorConfig};
 pub use ast::{Query, QueryKind, Scope};
 pub use cache::ShardedSemanticCache;
 pub use columnar::ActivityColumns;

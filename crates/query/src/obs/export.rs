@@ -158,15 +158,15 @@ pub struct AdaptEvent {
     pub seq: u64,
     /// Virtual clock at decision time, nanoseconds.
     pub at_ns: u64,
-    /// Which feedback loop fired: `"learned-stats"`, `"matview"`, or
-    /// `"prefetch"`. (Named `loop_name` in the JSON too — the vendored
-    /// serde stand-in has no rename support, and `loop` is reserved.)
+    /// Which feedback loop fired: `"matview"` or `"prefetch"`. (Named
+    /// `loop_name` in the JSON too — the vendored serde stand-in has
+    /// no rename support, and `loop` is reserved.)
     pub loop_name: String,
-    /// What happened: `"apply"`, `"revert"`, or `"evict"`.
+    /// What happened: `"apply"` or `"evict"`.
     pub action: String,
-    /// What was adapted (a plan shape, a column, a session id).
+    /// What was adapted (an answer shape, the view, a session id).
     pub subject: String,
-    /// Why the loop fired (break-even crossed, regret threshold, …).
+    /// Why the loop fired (break-even crossed, source changed, …).
     pub reason: String,
     /// Measured state before the adaptation, nanoseconds (0 when not
     /// meaningful for the loop).
@@ -311,10 +311,9 @@ impl TraceExport {
 pub struct AdaptDecision {
     /// Virtual clock at decision time, nanoseconds.
     pub at_ns: u64,
-    /// Feedback loop name (`"learned-stats"`, `"matview"`,
-    /// `"prefetch"`).
+    /// Feedback loop name (`"matview"`, `"prefetch"`).
     pub loop_name: String,
-    /// `"apply"`, `"revert"`, or `"evict"`.
+    /// `"apply"` or `"evict"`.
     pub action: String,
     /// What was adapted.
     pub subject: String,

@@ -47,6 +47,16 @@ pub fn plan_fingerprint(plan: &PhysicalPlan) -> u64 {
     fnv1a(plan_shape(plan).as_bytes())
 }
 
+/// Fingerprint of what a plan *answers* — [`plan_shape`] without its
+/// access prefix (residual, joins and finish). A view-served plan and
+/// the fetching candidate it replaced differ only in that prefix, so
+/// the auto-materialization advisor keys its ledger on this.
+pub fn answer_fingerprint(plan: &PhysicalPlan) -> u64 {
+    let mut s = String::new();
+    push_answer_shape(&mut s, plan);
+    fnv1a(s.as_bytes())
+}
+
 /// The canonical shape string behind [`plan_fingerprint`] — also the
 /// human-readable `shape` column of slow-query-log entries.
 pub fn plan_shape(plan: &PhysicalPlan) -> String {
@@ -81,7 +91,14 @@ pub fn plan_shape(plan: &PhysicalPlan) -> String {
         Access::MaterializedView => s.push_str("matview"),
         Access::ProvedEmpty => s.push_str("proved-empty"),
     }
-    let _ = write!(s, " residual={}", pred_shape(&plan.residual));
+    s.push(' ');
+    push_answer_shape(&mut s, plan);
+    s
+}
+
+/// Append the access-independent tail of [`plan_shape`].
+fn push_answer_shape(s: &mut String, plan: &PhysicalPlan) {
+    let _ = write!(s, "residual={}", pred_shape(&plan.residual));
     if plan.ligand_join {
         s.push_str(" ligand-join");
     }
@@ -107,7 +124,6 @@ pub fn plan_shape(plan: &PhysicalPlan) -> String {
         }
         Finish::CountPerLeaf => s.push_str(" finish=count-per-leaf"),
     }
-    s
 }
 
 fn join_fetches(fetches: &[FetchPlan]) -> String {

@@ -43,7 +43,6 @@
 //! [`crate::plan::PlanCandidate`], and each fetch's `est_cost` is that
 //! model's price instead of the source's self-declared latency.
 
-use crate::adaptive::{LearnedStats, SelectivitySource, StatsView};
 use crate::ast::{columns, Query, QueryKind, SimilaritySpec, MAX_PREDICATE_DEPTH};
 use crate::columnar::ActivityColumns;
 use crate::cost::CostModel;
@@ -171,13 +170,6 @@ pub struct PlanInputs<'a> {
     pub dataset: &'a Dataset,
     /// Overlay statistics (pruning, selectivity, cardinality).
     pub stats: Option<&'a OverlayStats>,
-    /// The adaptive layer's learned statistics (design decision D15):
-    /// when present, selectivity ordering and cardinality estimation
-    /// route through a [`StatsView`] that prefers fresh learned
-    /// coverage over the nominal histograms.
-    pub learned: Option<&'a LearnedStats>,
-    /// Virtual-clock instant for the learned staleness check.
-    pub now_ns: u64,
     /// The materialized aggregate view.
     pub matview: Option<&'a MaterializedAggregates>,
     /// The columnar activity mirror.
@@ -194,8 +186,6 @@ impl<'a> PlanInputs<'a> {
         PlanInputs {
             dataset,
             stats: None,
-            learned: None,
-            now_ns: 0,
             matview: None,
             columnar: None,
             cost: None,
@@ -355,15 +345,6 @@ impl<'a> Rewrite<'a> {
             access: None,
             finish: None,
         }
-    }
-
-    /// The selectivity seam for this planning run: a [`StatsView`]
-    /// over the nominal histograms plus any learned provider. `None`
-    /// only when no statistics were collected at all.
-    fn stats_view(&self) -> Option<StatsView<'a>> {
-        self.inputs
-            .stats
-            .map(|s| StatsView::with_learned(s, self.inputs.learned, self.inputs.now_ns))
     }
 
     /// Run one phase: each of its rules once, in registry order,
@@ -556,7 +537,6 @@ impl<'a> Rewrite<'a> {
             // The full predicate re-applies client-side; pushdown only
             // reduces shipped rows, never correctness.
             residual: self.residual.unwrap_or(self.canonical),
-            pushed_local: self.pushed_local,
             ligand_join: self.ligand_join,
             similarity: self.similarity,
             substructure: self.substructure,
@@ -656,10 +636,10 @@ pub(crate) mod rules {
         if !rw.config.selectivity_ordering {
             return Ok(Off);
         }
-        let Some(view) = rw.stats_view() else {
+        let Some(stats) = rw.inputs.stats else {
             return Ok(NotApplicable);
         };
-        rw.residual = Some(order_by_selectivity(rw.canonical.clone(), &view));
+        rw.residual = Some(order_by_selectivity(rw.canonical.clone(), stats));
         rw.notes
             .push("selectivity-ordering: residual conjuncts reordered".into());
         Ok(Changed)
@@ -746,18 +726,7 @@ pub(crate) mod rules {
         key_values.sort();
         key_values.dedup();
         rw.key_values = key_values;
-        let (rows, source) = estimate_rows(rw.stats_view(), rw.interval(), &rw.pushed_local);
-        rw.expected_rows = rows;
-        // Only annotate when a learned provider is installed and a
-        // pushdown exists to price — plans from nominal-only sessions
-        // (and every golden EXPLAIN) stay byte-identical.
-        if rw.inputs.learned.is_some() && rw.pushed_local.is_some() {
-            let label = match source {
-                SelectivitySource::Learned => "learned",
-                SelectivitySource::Nominal => "nominal",
-            };
-            rw.notes.push(format!("selectivity-source: {label}"));
-        }
+        rw.expected_rows = estimate_rows(rw.inputs.stats, rw.interval(), &rw.pushed_local);
         Ok(Changed)
     }
 
@@ -1066,12 +1035,14 @@ pub(crate) fn conjuncts_of(p: &Predicate) -> Vec<&Predicate> {
 }
 
 /// Reorder a conjunction most-selective-first; other shapes unchanged.
-/// Prices through the [`StatsView`] seam so fresh learned coverage
-/// (when a provider is installed) reorders with observed fractions.
-fn order_by_selectivity(pred: Predicate, view: &StatsView<'_>) -> Predicate {
+fn order_by_selectivity(pred: Predicate, stats: &OverlayStats) -> Predicate {
     match pred {
         Predicate::And(mut ps) => {
-            ps.sort_by(|a, b| view.selectivity(a).total_cmp(&view.selectivity(b)));
+            ps.sort_by(|a, b| {
+                stats
+                    .predicate_selectivity(a)
+                    .total_cmp(&stats.predicate_selectivity(b))
+            });
             Predicate::And(ps)
         }
         other => other,
@@ -1124,18 +1095,16 @@ fn build_finish(
 /// `value_nm` bound would fall back to the nominal 0.5 guess and
 /// mis-rank access paths on affinity filters (experiment E12).
 fn estimate_rows(
-    view: Option<StatsView<'_>>,
+    stats: Option<&OverlayStats>,
     interval: LeafInterval,
     pushdown: &Option<Predicate>,
-) -> (u64, SelectivitySource) {
-    view.map_or((interval.len() as u64, SelectivitySource::Nominal), |v| {
-        let base = v.overlay().interval_count(interval);
-        let (sel, source) = pushdown
+) -> u64 {
+    stats.map_or(interval.len() as u64, |s| {
+        let base = s.interval_count(interval);
+        let sel = pushdown
             .as_ref()
-            .map_or((1.0, SelectivitySource::Nominal), |p| {
-                v.selectivity_with_source(p)
-            });
-        ((base as f64 * sel).ceil() as u64, source)
+            .map_or(1.0, |p| s.predicate_selectivity(p));
+        (base as f64 * sel).ceil() as u64
     })
 }
 

@@ -146,11 +146,6 @@ pub struct PhysicalPlan {
     pub access: Access,
     /// Residual predicate over unified rows (client-side).
     pub residual: Predicate,
-    /// Local-column form of the conjuncts the plan pushed down to the
-    /// sources, when any were. Not rendered by EXPLAIN; the adaptive
-    /// layer uses it to attribute observed cardinalities back to the
-    /// predicate that produced them (learned statistics).
-    pub pushed_local: Option<Predicate>,
     /// Whether the ligand join is required (residual/similarity/output
     /// reference ligand columns).
     pub ligand_join: bool,
@@ -388,7 +383,6 @@ mod tests {
                 concurrent_sources: true,
             },
             residual: Predicate::cmp("mw", CompareOp::Lt, 500.0),
-            pushed_local: Some(Predicate::cmp("p_activity", CompareOp::Ge, 6.0)),
             ligand_join: true,
             similarity: None,
             substructure: None,
@@ -474,7 +468,6 @@ mod tests {
             pruned_leaves: 5,
             access: Access::ProvedEmpty,
             residual: Predicate::True,
-            pushed_local: None,
             ligand_join: false,
             similarity: None,
             substructure: None,

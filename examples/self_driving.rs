@@ -1,9 +1,8 @@
 //! The self-driving layer end to end: an [`AdaptiveRuntime`] watches
 //! one deployment, auto-materializes the hot aggregate past its
-//! break-even, learns cardinalities from executed plans (EXPLAIN flips
-//! from `nominal` to `learned`), lets a mobile session classify its
-//! own gesture pattern and switch prefetch policy — and exports every
-//! decision as `{"event":"adapt"}` JSONL records that
+//! break-even, lets a mobile session classify its own gesture pattern
+//! and switch prefetch policy — and exports every decision as
+//! `{"event":"adapt"}` JSONL records that
 //! `drugtree advisor <export.jsonl>` renders.
 //!
 //! ```sh
@@ -14,7 +13,7 @@ use drugtree::prelude::*;
 use drugtree_mobile::gestures::lateral_script;
 use drugtree_mobile::prefetch::Prefetcher;
 use drugtree_query::parser::parse_query;
-use drugtree_query::{AdaptiveConfig, AdaptiveRuntime};
+use drugtree_query::{AdaptiveRuntime, AdvisorConfig};
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let export_path = std::env::temp_dir().join("drugtree-adapt-export.jsonl");
     let sink = Arc::new(JsonlFileSink::create(&export_path)?);
     let runtime = Arc::new(
-        AdaptiveRuntime::new(AdaptiveConfig::default())
+        AdaptiveRuntime::new(AdvisorConfig::default())
             .with_export(Arc::clone(&sink) as Arc<dyn Sink>),
     );
 
@@ -52,20 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         system.execute(&aggregate)?;
     }
 
-    // Loop 2 — learned statistics: two sightings give an affinity
-    // filter's control point servable coverage, so the third plan
-    // estimates from measured data instead of the nominal histograms.
-    let filter = "activities in tree where p_activity >= 6.5";
-    for _ in 0..2 {
-        system.executor().invalidate();
-        system.query(filter)?;
-    }
-    let explain = system.explain(filter)?;
-    for line in explain.lines().filter(|l| l.contains("selectivity-source")) {
-        println!("EXPLAIN: {}", line.trim());
-    }
-
-    // Loop 3 — adaptive prefetch: a sideways-browsing session
+    // Loop 2 — adaptive prefetch: a sideways-browsing session
     // classifies itself as lateral and switches prefetch on (a
     // drill-down session would leave it off).
     let mut session = system.mobile_session(NetworkProfile::CELL_4G);
@@ -92,10 +78,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let snapshot = runtime.snapshot();
     println!(
-        "auto-built view: {} ({} hits), learned control points: {}, prefetch switches: {}\n",
+        "auto-built view: {} ({} hits saved {:?} for a {:?} build), prefetch switches: {}\n",
         snapshot.view_built,
         snapshot.advisor.hits,
-        snapshot.learned.points,
+        snapshot.advisor.saved,
+        snapshot.advisor.build_cost,
         snapshot.prefetch_switches,
     );
 

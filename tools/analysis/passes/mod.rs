@@ -9,7 +9,6 @@ pub mod guard_scope;
 pub mod lock_order;
 pub mod rule_registry;
 pub mod session_threads;
-pub mod stats_seam;
 pub mod sync_hygiene;
 
 use crate::registry::Pass;
@@ -23,7 +22,6 @@ pub fn all() -> Vec<Box<dyn Pass>> {
         Box::new(clock::Clock),
         Box::new(rule_registry::RuleRegistry),
         Box::new(session_threads::SessionThreads),
-        Box::new(stats_seam::StatsSeam),
         Box::new(dead_surface::DeadSurface),
     ]
 }
