@@ -81,12 +81,8 @@ mod tests {
         let json = save_system(&original).unwrap();
 
         // Restore against a fresh registry (new live sources).
-        let restored_dataset = load_system(
-            &json,
-            bundle.build_dataset().registry.clone(),
-            VirtualClock::new(),
-        )
-        .unwrap();
+        let restored_dataset =
+            load_system(&json, bundle.build_dataset().registry, VirtualClock::new()).unwrap();
 
         assert_eq!(restored_dataset.leaf_count(), original.leaf_count());
         assert_eq!(restored_dataset.tree, original.tree);
@@ -112,6 +108,18 @@ mod tests {
         let tampered = json.replace("\"version\":1", "\"version\":9");
         assert!(load_system(&tampered, SourceRegistry::new(), VirtualClock::new()).is_err());
         assert!(load_system("{bogus", SourceRegistry::new(), VirtualClock::new()).is_err());
+    }
+
+    /// A snapshot written before text cells became shared handles
+    /// (`save_system` at the parent of that change, over
+    /// `WorkloadSpec::default().leaves(12).ligands(5).seed(23)`): the
+    /// cell's representation changed, the bytes on disk did not.
+    #[test]
+    fn a_snapshot_written_with_owned_text_cells_loads_and_resaves_byte_for_byte() {
+        let written = include_str!("../tests/fixtures/system_snapshot_pr22.json");
+        let restored = load_system(written, SourceRegistry::new(), VirtualClock::new()).unwrap();
+        assert_eq!(restored.leaf_count(), 12);
+        assert_eq!(save_system(&restored).unwrap(), written);
     }
 
     #[test]

@@ -30,7 +30,7 @@ impl Transform {
         Ok(match self {
             Transform::Identity => value,
             Transform::Uppercase => match value {
-                Value::Text(s) => Value::Text(s.to_uppercase()),
+                Value::Text(s) => Value::from(s.to_uppercase()),
                 Value::Null => Value::Null,
                 other => {
                     return Err(IntegrateError::Mapping(format!(
@@ -39,7 +39,7 @@ impl Transform {
                 }
             },
             Transform::Lowercase => match value {
-                Value::Text(s) => Value::Text(s.to_lowercase()),
+                Value::Text(s) => Value::from(s.to_lowercase()),
                 Value::Null => Value::Null,
                 other => {
                     return Err(IntegrateError::Mapping(format!(

@@ -20,10 +20,11 @@ use drugtree_phylo::tree::Tree;
 use drugtree_sources::ligand_db::LigandRecord;
 use drugtree_sources::protein_db::ProteinRecord;
 use drugtree_store::schema::{Column, Schema};
-use drugtree_store::table::{IndexKind, Table};
+use drugtree_store::table::{IndexKind, RowId, Table};
 use drugtree_store::value::{Value, ValueType};
-use drugtree_store::Catalog;
+use drugtree_store::{Catalog, Dictionary};
 use rustc_hash::FxHashMap;
+use std::sync::Arc;
 
 /// Store table names of the overlay.
 pub mod tables {
@@ -99,7 +100,23 @@ pub struct Overlay {
     /// Ligand ids merged away by structure-level identity, mapped to
     /// the id that survived in the ligand table.
     ligand_aliases: FxHashMap<String, String>,
+    /// Ligand id -> its row in the ligand table, built once: the
+    /// executor's ligand join is one probe per activity row.
+    ligand_rows: FxHashMap<Arc<str>, RowId>,
     report: OverlayReport,
+}
+
+/// The ligand table's id -> row directory. The first row holding an id
+/// wins, as the first id of its index bucket would.
+fn ligand_directory(ligands: &Table) -> Result<FxHashMap<Arc<str>, RowId>> {
+    let id_col = ligands.schema().column_index("ligand_id")?;
+    let mut directory = FxHashMap::default();
+    for (row_id, row) in ligands.scan() {
+        if let Value::Text(id) = &row[id_col] {
+            directory.entry(Arc::clone(id)).or_insert(row_id);
+        }
+    }
+    Ok(directory)
 }
 
 impl Overlay {
@@ -142,6 +159,12 @@ impl Overlay {
         self.molecules.get(ligand_id)
     }
 
+    /// The ligand-table row catalogued under exactly this id (no alias
+    /// is followed, see [`Overlay::catalogued_fingerprint`]).
+    pub fn catalogued_ligand(&self, ligand_id: &str) -> Option<RowId> {
+        self.ligand_rows.get(ligand_id).copied()
+    }
+
     /// All (ligand id, fingerprint) pairs.
     pub fn fingerprints(&self) -> impl Iterator<Item = (&str, &Fingerprint)> {
         self.fingerprints.iter().map(|(k, v)| (k.as_str(), v))
@@ -182,6 +205,7 @@ impl Overlay {
                 Err(_) => ligands_unparsed += 1,
             }
         }
+        let ligand_rows = ligand_directory(ligand_table)?;
         Ok(Overlay {
             catalog,
             fingerprints,
@@ -189,6 +213,7 @@ impl Overlay {
             // The merged-away ids were never materialized, so a restored
             // catalog cannot name them.
             ligand_aliases: FxHashMap::default(),
+            ligand_rows,
             report: OverlayReport {
                 ligands,
                 ligands_unparsed,
@@ -258,9 +283,9 @@ impl<'a> OverlayBuilder<'a> {
             })?;
             leaf_of.insert(p.accession.clone(), rank);
             protein_table.insert(vec![
-                Value::from(p.accession.clone()),
-                Value::from(p.name.clone()),
-                Value::from(p.organism.clone()),
+                Value::from(p.accession.as_str()),
+                Value::from(p.name.as_str()),
+                Value::from(p.organism.as_str()),
                 Value::from(rank),
             ])?;
         }
@@ -287,9 +312,9 @@ impl<'a> OverlayBuilder<'a> {
                 Err(_) => ligands_unparsed += 1,
             }
             ligand_table.insert(vec![
-                Value::from(l.ligand_id.clone()),
-                Value::from(l.name.clone()),
-                Value::from(l.smiles.clone()),
+                Value::from(l.ligand_id.as_str()),
+                Value::from(l.name.as_str()),
+                Value::from(l.smiles.as_str()),
                 Value::Float(l.molecular_weight),
                 Value::from(l.hbd),
                 Value::from(l.hba),
@@ -320,6 +345,9 @@ impl<'a> OverlayBuilder<'a> {
         activity_table.create_index("leaf_rank", IndexKind::BTree)?;
         activity_table.create_index("p_activity", IndexKind::BTree)?;
         activity_table.create_index("ligand_id", IndexKind::Hash)?;
+        // Activities repeat their accession, ligand, type and source:
+        // one shared allocation per distinct text.
+        let mut pool = Dictionary::new();
         let mut overlaid = 0;
         for rec in &deduped {
             let leaf = self.index.by_label(&rec.protein_accession)?;
@@ -331,17 +359,18 @@ impl<'a> OverlayBuilder<'a> {
             })?;
             activity_table.insert(vec![
                 Value::from(rank),
-                Value::from(rec.protein_accession.clone()),
-                Value::from(rec.ligand_id.clone()),
-                Value::from(rec.activity_type.label()),
+                pool.cell(&rec.protein_accession),
+                pool.cell(&rec.ligand_id),
+                pool.cell(rec.activity_type.label()),
                 Value::Float(rec.value_nm),
                 Value::Float(rec.p_activity()),
-                Value::from(rec.source.clone()),
+                pool.cell(&rec.source),
                 Value::Int(rec.year as i64),
             ])?;
             overlaid += 1;
         }
 
+        let ligand_rows = ligand_directory(&ligand_table)?;
         catalog.create_table(protein_table)?;
         catalog.create_table(ligand_table)?;
         catalog.create_table(activity_table)?;
@@ -361,6 +390,7 @@ impl<'a> OverlayBuilder<'a> {
             fingerprints,
             molecules,
             ligand_aliases,
+            ligand_rows,
             report: OverlayReport {
                 activities_overlaid: overlaid,
                 activities_unresolved: unresolved,

@@ -496,7 +496,7 @@ mod tests {
 
         let mut c = SemanticCache::new(CacheConfig::default());
         // Entry fetched under p_ge.
-        c.insert(iv(0, 8), Some(p_ge.clone()), Arc::new(vec![row(1, "a")]));
+        c.insert(iv(0, 8), Some(p_ge), Arc::new(vec![row(1, "a")]));
         // Query pushing down p_ge AND year: entry's rows are a superset.
         assert!(c.probe(iv(0, 4), Some(&both)).is_some());
         // Query pushing down only year: entry may be missing rows

@@ -53,7 +53,7 @@ impl ActivityColumns {
             let resp = source.fetch(&FetchRequest::scan())?;
             build_cost += resp.cost;
             source_counts.push((source.name().to_string(), source.record_count()));
-            for raw in &resp.rows {
+            for raw in resp.rows {
                 if let Some(row) = unify_assay_row(dataset, raw) {
                     rows.push(row);
                 }
@@ -181,7 +181,7 @@ mod tests {
     fn staleness_detection() {
         let (c, d) = mirror_and_dataset();
         assert!(c.is_fresh(&d));
-        let mut stale = c.clone();
+        let mut stale = c;
         stale.source_counts[0].1 += 1;
         assert!(!stale.is_fresh(&d));
     }

@@ -31,10 +31,11 @@ pub struct Dataset {
     /// The session's virtual clock; all simulated latency is charged
     /// here.
     pub clock: Arc<VirtualClock>,
-    /// Leaf rank -> protein accession.
-    accession_by_rank: Vec<Option<String>>,
+    /// Leaf rank -> protein accession, as the text cell a fetch plan
+    /// keys on: planning a scope clones handles, not strings.
+    accession_by_rank: Vec<Option<Value>>,
     /// Protein accession -> leaf rank.
-    rank_by_accession: FxHashMap<String, u32>,
+    rank_by_accession: FxHashMap<Arc<str>, u32>,
 }
 
 impl Dataset {
@@ -53,18 +54,17 @@ impl Dataset {
         let acc_col = proteins.schema().column_index("accession")?;
         let rank_col = proteins.schema().column_index("leaf_rank")?;
         for (_, row) in proteins.scan() {
-            let acc = row[acc_col]
-                .as_text()
-                .ok_or_else(|| QueryError::Plan("non-text accession".into()))?
-                .to_string();
+            let Value::Text(acc) = &row[acc_col] else {
+                return Err(QueryError::Plan("non-text accession".into()));
+            };
             let rank = row[rank_col]
                 .as_int()
                 .ok_or_else(|| QueryError::Plan("non-int leaf_rank".into()))?
                 as u32;
             if let Some(slot) = accession_by_rank.get_mut(rank as usize) {
-                *slot = Some(acc.clone());
+                *slot = Some(row[acc_col].clone());
             }
-            rank_by_accession.insert(acc, rank);
+            rank_by_accession.insert(Arc::clone(acc), rank);
         }
         Ok(Dataset {
             tree,
@@ -121,7 +121,12 @@ impl Dataset {
 
     /// Accession of the leaf at `rank`, when one is assigned.
     pub fn accession_of_rank(&self, rank: u32) -> Option<&str> {
-        self.accession_by_rank.get(rank as usize)?.as_deref()
+        self.accession_cell(rank)?.as_text()
+    }
+
+    /// The accession of the leaf at `rank` as a shared text cell.
+    fn accession_cell(&self, rank: u32) -> Option<&Value> {
+        self.accession_by_rank.get(rank as usize)?.as_ref()
     }
 
     /// Leaf rank of an accession.
@@ -129,12 +134,14 @@ impl Dataset {
         self.rank_by_accession.get(accession).copied()
     }
 
-    /// (rank, accession) pairs for every protein-bearing leaf in an
-    /// interval, in rank order.
-    pub fn accessions_in(&self, interval: LeafInterval) -> Vec<(u32, &str)> {
+    /// (rank, accession cell) pairs for every protein-bearing leaf in
+    /// an interval, in rank order.
+    pub fn accessions_in(
+        &self,
+        interval: LeafInterval,
+    ) -> impl Iterator<Item = (u32, &Value)> + '_ {
         (interval.lo..interval.hi.min(self.accession_by_rank.len() as u32))
-            .filter_map(|r| self.accession_of_rank(r).map(|a| (r, a)))
-            .collect()
+            .filter_map(|r| self.accession_cell(r).map(|a| (r, a)))
     }
 
     /// Number of leaves in the tree.
@@ -181,29 +188,28 @@ pub fn activity_half_schema() -> &'static Schema {
     })
 }
 
-/// Convert a raw assay-source row into the activity half of the
-/// unified layout, resolving the leaf rank. Returns `None` for rows
-/// whose accession is not on the tree (dropped, counted by metrics).
-pub fn unify_assay_row(dataset: &Dataset, row: &[Value]) -> Option<Vec<Value>> {
+/// Widen a raw assay-source row into the activity half of the unified
+/// layout, resolving the leaf rank. The row is consumed: its cells move
+/// into the widened row, none is copied. Returns `None` for rows whose
+/// accession is not on the tree (dropped, counted by metrics).
+pub fn unify_assay_row(dataset: &Dataset, row: Vec<Value>) -> Option<Vec<Value>> {
     // Assay source order: protein_accession, ligand_id, activity_type,
     // value_nm, source, year.
-    let acc = row.first()?.as_text()?;
-    let rank = dataset.rank_of_accession(acc)?;
+    let rank = dataset.rank_of_accession(row.first()?.as_text()?)?;
     let value_nm = row.get(3)?.as_f64()?;
-    if !(value_nm.is_finite() && value_nm > 0.0) {
+    if !(value_nm.is_finite() && value_nm > 0.0) || row.len() < 6 {
         return None;
     }
     let p_activity = -(value_nm * 1e-9).log10();
-    Some(vec![
-        Value::from(rank),
-        row[0].clone(),
-        row.get(1)?.clone(),
-        row.get(2)?.clone(),
-        Value::Float(value_nm),
-        Value::Float(p_activity),
-        row.get(4)?.clone(),
-        row.get(5)?.clone(),
-    ])
+    let mut cells = row.into_iter();
+    let mut unified = Vec::with_capacity(crate::ast::columns::ACTIVITY.len());
+    unified.push(Value::from(rank));
+    unified.extend(cells.by_ref().take(3));
+    cells.next(); // value_nm, re-issued as a Float below
+    unified.push(Value::Float(value_nm));
+    unified.push(Value::Float(p_activity));
+    unified.extend(cells.take(2));
+    Some(unified)
 }
 
 /// Small deterministic fixtures shared by this crate's tests, the
@@ -350,8 +356,8 @@ mod tests {
         assert_eq!(d.accession_of_rank(0), Some("P1"));
         assert_eq!(d.rank_of_accession("P3"), Some(2));
         assert_eq!(d.rank_of_accession("ZZ"), None);
-        let accs = d.accessions_in(LeafInterval { lo: 1, hi: 3 });
-        assert_eq!(accs, vec![(1, "P2"), (2, "P3")]);
+        let accs: Vec<_> = d.accessions_in(LeafInterval { lo: 1, hi: 3 }).collect();
+        assert_eq!(accs, vec![(1, &Value::from("P2")), (2, &Value::from("P3"))]);
         assert_eq!(d.leaf_count(), 4);
     }
 
@@ -366,17 +372,22 @@ mod tests {
             Value::from("sim"),
             Value::Int(2012),
         ];
-        let row = unify_assay_row(&d, &raw).unwrap();
+        let row = unify_assay_row(&d, raw.clone()).unwrap();
+        assert_eq!(row.len(), 8);
+        assert_eq!(row[1..4], raw[0..3]);
+        assert_eq!(row[6..], raw[4..]);
         assert_eq!(row[0], Value::Int(1)); // P2's rank
         assert!((row[5].as_f64().unwrap() - 6.0).abs() < 1e-9);
         // Unknown accession -> dropped.
         let mut bad = raw.clone();
         bad[0] = Value::from("QX");
-        assert!(unify_assay_row(&d, &bad).is_none());
+        assert!(unify_assay_row(&d, bad).is_none());
         // Non-positive value -> dropped.
-        let mut bad = raw;
+        let mut bad = raw.clone();
         bad[3] = Value::Float(0.0);
-        assert!(unify_assay_row(&d, &bad).is_none());
+        assert!(unify_assay_row(&d, bad).is_none());
+        // A short row -> dropped.
+        assert!(unify_assay_row(&d, raw[..5].to_vec()).is_none());
     }
 
     #[test]

@@ -671,10 +671,8 @@ impl Executor {
         let range = cols.rows_in(plan.interval)?;
         let scanned = range.len();
         let selection = match pushdown {
-            Some(p) => cols
-                .table()
-                .eval(&p.bind(cols.table().schema())?, range.clone()),
-            None => cols.table().eval(&BoundPredicate::True, range.clone()),
+            Some(p) => cols.table().eval(&p.bind(cols.table().schema())?, range),
+            None => cols.table().eval(&BoundPredicate::True, range),
         };
         let cost = crate::cost::columnar_scan_cost(scanned as u64);
         dataset.clock.advance(cost);
@@ -744,7 +742,7 @@ impl Executor {
                 }
             };
             out_rows.push(vec![
-                Value::from(label.clone()),
+                Value::from(label.as_str()),
                 Value::from(iv.lo),
                 Value::from(iv.hi),
                 value,
@@ -838,7 +836,7 @@ impl Executor {
                 );
             }
             let mut unified = Vec::with_capacity(resp.rows.len());
-            for raw in &resp.rows {
+            for raw in resp.rows {
                 match unify_assay_row(dataset, raw) {
                     Some(row) => unified.push(row),
                     None => m.rows_unmapped += 1,
@@ -870,23 +868,29 @@ impl Executor {
 /// Keep the most recent measurement per (rank, ligand, type). Shared
 /// with the columnar mirror build so both row paths resolve
 /// cross-source conflicts identically.
-pub(crate) fn dedupe_most_recent(rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    let mut best: FxHashMap<(i64, String, String), Vec<Value>> = FxHashMap::default();
-    for row in rows {
+pub(crate) fn dedupe_most_recent(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    let year = |row: &[Value]| row[7].as_int().unwrap_or(0);
+    // Keyed by borrowed text, valued by row position: the map hashes
+    // what the owned-`String` key hashed, so it iterates in the order
+    // it always did.
+    let mut best: FxHashMap<(i64, &str, &str), usize> = FxHashMap::default();
+    for (i, row) in rows.iter().enumerate() {
         let key = (
             row[0].as_int().unwrap_or(-1),
-            row[2].as_text().unwrap_or_default().to_string(),
-            row[3].as_text().unwrap_or_default().to_string(),
+            row[2].as_text().unwrap_or_default(),
+            row[3].as_text().unwrap_or_default(),
         );
         match best.get(&key) {
-            Some(existing) if existing[7].as_int().unwrap_or(0) >= row[7].as_int().unwrap_or(0) => {
-            }
+            Some(&kept) if year(&rows[kept]) >= year(row) => {}
             _ => {
-                best.insert(key, row);
+                best.insert(key, i);
             }
         }
     }
-    best.into_values().collect()
+    let kept: Vec<usize> = best.into_values().collect();
+    kept.into_iter()
+        .map(|i| std::mem::take(&mut rows[i]))
+        .collect()
 }
 
 /// Activity-half width of a unified row; ligand cells follow.
@@ -962,9 +966,16 @@ fn reads_ligand_cells(pred: &BoundPredicate) -> bool {
     }
 }
 
-/// Join the rows at `targets` to the overlay's ligand table: one
-/// catalog lookup per distinct ligand, the cells borrowed in place.
-/// A ligand absent from the catalog leaves `None` (NULL cells).
+/// Join the rows at `targets` to the overlay's ligand table, the cells
+/// borrowed in place. A ligand absent from the catalog leaves `None`
+/// (NULL cells).
+///
+/// Rows that came through a pooling ingest name one ligand by handles
+/// to one allocation, so the join memoises by the handle's address and
+/// asks the overlay's text-keyed directory only on a miss. The rows are
+/// borrowed for the whole loop, so two equal addresses are one live
+/// allocation and hence one text; rows whose cells are not shared just
+/// miss, and pay the directory probe each.
 fn join_ligands<'d>(
     dataset: &'d Dataset,
     rows: &[Vec<Value>],
@@ -973,19 +984,20 @@ fn join_ligands<'d>(
 ) -> Result<()> {
     let ligands = dataset.overlay.catalog().table(tables::LIGAND)?;
     // ligand table columns: ligand_id, name, smiles, mw, hbd, hba, rings.
-    let mut seen: FxHashMap<&str, Option<&'d [Value]>> = FxHashMap::default();
+    let mut by_handle: FxHashMap<*const u8, Option<&'d [Value]>> = FxHashMap::default();
     for &i in targets {
-        let Some(ligand_id) = rows[i][2].as_text() else {
+        let Value::Text(ligand_id) = &rows[i][2] else {
             continue;
         };
-        ligand_cells[i] = *seen.entry(ligand_id).or_insert_with(|| {
-            ligands
-                .lookup_eq("ligand_id", &Value::from(ligand_id))
-                .ok()
-                .and_then(|ids| ids.first().copied())
-                .and_then(|id| ligands.get(id).ok())
-                .map(|r| &r[1..])
-        });
+        ligand_cells[i] = *by_handle
+            .entry(Arc::as_ptr(ligand_id).cast())
+            .or_insert_with(|| {
+                dataset
+                    .overlay
+                    .catalogued_ligand(ligand_id)
+                    .and_then(|id| ligands.get(id).ok())
+                    .map(|r| &r[1..])
+            });
     }
     Ok(())
 }
@@ -1072,7 +1084,7 @@ fn finish_survivors(
                     .iter()
                     .map(|(node, label, iv)| {
                         vec![
-                            Value::from(label.clone()),
+                            Value::from(label.as_str()),
                             Value::from(iv.lo),
                             Value::from(iv.hi),
                             view.value(*node, *metric),
@@ -1093,7 +1105,7 @@ fn finish_survivors(
                         let end =
                             survivors.partition_point(|&i| rank_of(&rows[i]) < i64::from(iv.hi));
                         vec![
-                            Value::from(label.clone()),
+                            Value::from(label.as_str()),
                             Value::from(iv.lo),
                             Value::from(iv.hi),
                             aggregate_group(rows, &survivors[start..end.max(start)], *metric),

@@ -50,7 +50,7 @@ impl MaterializedAggregates {
             let resp = source.fetch(&FetchRequest::scan())?;
             build_cost += resp.cost;
             source_counts.push((source.name().to_string(), source.record_count()));
-            for raw in &resp.rows {
+            for raw in resp.rows {
                 let Some(row) = unify_assay_row(dataset, raw) else {
                     continue;
                 };
@@ -203,7 +203,7 @@ mod tests {
         // so we simulate staleness by registering count drift instead.
         // (ingest is exercised end-to-end in the executor tests.)
         drop(source);
-        let mut stale = v.clone();
+        let mut stale = v;
         stale.source_counts[0].1 += 1;
         assert!(!stale.is_fresh(&d));
     }

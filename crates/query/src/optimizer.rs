@@ -597,8 +597,7 @@ pub(crate) mod rules {
         rw.assay_sources = sources;
         rw.keys = dataset
             .accessions_in(rw.interval())
-            .into_iter()
-            .map(|(rank, acc)| (rank, Value::from(acc)))
+            .map(|(rank, acc)| (rank, acc.clone()))
             .collect();
         rw.total_leaves = rw.keys.len();
         let residual_needs_ligand = rw

@@ -467,7 +467,7 @@ impl Parser {
         match self.next() {
             Some(Token::Int(v)) => Ok(Value::Int(v)),
             Some(Token::Num(v)) => Ok(Value::Float(v)),
-            Some(Token::Str(s)) => Ok(Value::Text(s)),
+            Some(Token::Str(s)) => Ok(Value::from(s)),
             Some(Token::Ident(s)) if s == "true" => Ok(Value::Bool(true)),
             Some(Token::Ident(s)) if s == "false" => Ok(Value::Bool(false)),
             Some(Token::Ident(s)) if s == "null" => Ok(Value::Null),

@@ -225,7 +225,7 @@ impl OverlayStats {
         for source in dataset.registry.distinct_by_kind(SourceKind::Assay) {
             let resp = source.fetch(&FetchRequest::scan())?;
             cost += resp.cost;
-            for raw in &resp.rows {
+            for raw in resp.rows {
                 if let Some(row) = unify_assay_row(dataset, raw) {
                     // `unify_assay_row` fixed the column types; skip
                     // rather than panic if not.
@@ -500,7 +500,7 @@ mod tests {
         let wide = Predicate::cmp("p_activity", CompareOp::Ge, 5.0);
         assert!(stats.predicate_selectivity(&narrow) < stats.predicate_selectivity(&wide));
         assert_eq!(stats.predicate_selectivity(&Predicate::True), 1.0);
-        let conj = narrow.clone().and(wide.clone());
+        let conj = narrow.clone().and(wide);
         assert!(stats.predicate_selectivity(&conj) <= stats.predicate_selectivity(&narrow) + 1e-12);
         let not = Predicate::Not(Box::new(narrow.clone()));
         let s = stats.predicate_selectivity(&narrow) + stats.predicate_selectivity(&not);

@@ -47,7 +47,7 @@ fn arb_atom() -> impl Strategy<Value = Predicate> {
     let literal = prop_oneof![
         (-100i64..100).prop_map(Value::Int),
         (0.25f64..100.0).prop_map(Value::Float),
-        "[a-z]{1,6}".prop_map(Value::Text),
+        "[a-z]{1,6}".prop_map(Value::from),
     ];
     prop_oneof![
         (column.clone(), op, literal.clone()).prop_map(|(column, op, value)| Predicate::Compare {
@@ -143,7 +143,7 @@ fn row_from_seed(seed: &[(u8, i64, f64)]) -> Vec<Value> {
             match c.ty {
                 ValueType::Int => Value::Int(*i),
                 ValueType::Float => Value::Float(*f),
-                ValueType::Text => Value::Text(format!("t{}", i.rem_euclid(5))),
+                ValueType::Text => Value::from(format!("t{}", i.rem_euclid(5))),
                 _ => Value::Null,
             }
         })

@@ -113,19 +113,21 @@ pub fn batched_lookup_with_retry(
     dispatch: Dispatch,
     retry: RetryPolicy,
 ) -> Result<BatchedResponse> {
-    // Dedupe while preserving order (mobile drill-downs repeat keys).
+    // Dedupe while preserving order (mobile drill-downs repeat keys):
+    // the set borrows the caller's keys, and each distinct key is
+    // cloned once, straight into the request that ships it.
     let mut seen = std::collections::HashSet::with_capacity(keys.len());
-    let unique: Vec<Value> = keys
-        .iter()
-        .filter(|k| seen.insert((*k).clone()))
-        .cloned()
-        .collect();
+    let mut unique = keys.iter().filter(|k| seen.insert(*k)).cloned();
 
     let max_batch = source.capabilities().max_batch.max(1);
     let mut responses: Vec<FetchResponse> = Vec::new();
     let mut retries = 0u32;
-    for chunk in unique.chunks(max_batch) {
-        let mut req = FetchRequest::lookup(chunk.to_vec());
+    loop {
+        let chunk: Vec<Value> = unique.by_ref().take(max_batch).collect();
+        if chunk.is_empty() {
+            break;
+        }
+        let mut req = FetchRequest::lookup(chunk);
         if let Some(p) = predicate {
             req = req.with_predicate(p.clone());
         }

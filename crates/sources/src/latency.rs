@@ -132,11 +132,7 @@ mod tests {
         let c = m.request_cost(100, 20, 8);
         assert_ne!(a, c, "different request index -> different jitter");
 
-        let base = LatencyModel {
-            jitter: 0.0,
-            ..m.clone()
-        }
-        .request_cost(100, 20, 7);
+        let base = LatencyModel { jitter: 0.0, ..m }.request_cost(100, 20, 7);
         for i in 0..200 {
             let jittered = m.request_cost(100, 20, i);
             let ratio = jittered.as_secs_f64() / base.as_secs_f64();

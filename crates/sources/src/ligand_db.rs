@@ -71,9 +71,9 @@ pub fn ligand_schema() -> Schema {
 /// Convert a record to a row in [`ligand_schema`] order.
 pub fn ligand_row(r: &LigandRecord) -> Vec<Value> {
     vec![
-        Value::from(r.ligand_id.clone()),
-        Value::from(r.name.clone()),
-        Value::from(r.smiles.clone()),
+        Value::from(r.ligand_id.as_str()),
+        Value::from(r.name.as_str()),
+        Value::from(r.smiles.as_str()),
         Value::Float(r.molecular_weight),
         Value::from(r.hbd),
         Value::from(r.hba),

@@ -36,11 +36,11 @@ pub fn protein_schema() -> Schema {
 /// Convert a record to a row in [`protein_schema`] order.
 pub fn protein_row(r: &ProteinRecord) -> Vec<Value> {
     vec![
-        Value::from(r.accession.clone()),
-        Value::from(r.name.clone()),
-        Value::from(r.organism.clone()),
-        Value::from(r.sequence.clone()),
-        r.gene.clone().map_or(Value::Null, Value::from),
+        Value::from(r.accession.as_str()),
+        Value::from(r.name.as_str()),
+        Value::from(r.organism.as_str()),
+        Value::from(r.sequence.as_str()),
+        r.gene.as_deref().map_or(Value::Null, Value::from),
     ]
 }
 

@@ -258,7 +258,7 @@ impl DataSource for SimulatedSource {
 
     fn fetch(&self, request: &FetchRequest) -> Result<FetchResponse> {
         let table = self.table.read();
-        let schema = table.schema().clone();
+        let schema = table.schema();
 
         // Capability enforcement: a real service rejects filters it
         // cannot evaluate.
@@ -272,7 +272,7 @@ impl DataSource for SimulatedSource {
         }
 
         let bound = match &request.predicate {
-            Some(p) => Some(p.bind(&schema)?),
+            Some(p) => Some(p.bind(schema)?),
             None => None,
         };
 
@@ -304,9 +304,10 @@ impl DataSource for SimulatedSource {
                         got: keys.len(),
                     });
                 }
+                let by_key = table.eq_lookup(&self.key_column)?;
                 let mut matched = 0usize;
                 for key in keys {
-                    for id in table.lookup_eq(&self.key_column, key)? {
+                    for id in by_key.rows(key) {
                         matched += 1;
                         let row = table.get(id)?;
                         if bound.as_ref().is_some_and(|p| !p.matches(row)) {
@@ -493,7 +494,7 @@ mod tests {
         assert!(eq_only.supports_predicate(&eq));
         assert!(!eq_only.supports_predicate(&range));
         assert!(!eq_only.supports_predicate(&both));
-        assert!(!full.supports_predicate(&Predicate::Or(vec![eq.clone()])));
+        assert!(!full.supports_predicate(&Predicate::Or(vec![eq])));
         assert!(!full.supports_predicate(&Predicate::IsNull { column: "a".into() }));
         assert!(full.supports_predicate(&Predicate::True));
     }

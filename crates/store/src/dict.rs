@@ -6,8 +6,16 @@
 //! stores one `u32` code per row, so equality and set-membership
 //! kernels compare integers (or pre-computed per-code verdicts)
 //! instead of walking bytes.
+//!
+//! The same table is the workspace's text pool: [`Dictionary::cell`]
+//! hands out the one shared [`Value::Text`] allocation per distinct
+//! string, which is how ingest (`assay_source`, the overlay's activity
+//! table) keeps a million rows naming a few thousand accessions and
+//! ligands from owning a million copies.
 
+use crate::value::Value;
 use rustc_hash::FxHashMap;
+use std::sync::Arc;
 
 /// An append-only intern table mapping strings to dense `u32` codes.
 ///
@@ -15,8 +23,8 @@ use rustc_hash::FxHashMap;
 /// segment's code vector stays valid as new values arrive.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Dictionary {
-    values: Vec<String>,
-    map: FxHashMap<String, u32>,
+    values: Vec<Arc<str>>,
+    map: FxHashMap<Arc<str>, u32>,
 }
 
 impl Dictionary {
@@ -28,31 +36,51 @@ impl Dictionary {
     /// Rebuild a dictionary from a code-ordered value list (snapshot
     /// loading). Duplicate values would make codes ambiguous.
     pub fn from_values(values: Vec<String>) -> crate::Result<Dictionary> {
-        let mut map = FxHashMap::default();
-        for (code, v) in values.iter().enumerate() {
-            if map.insert(v.clone(), code as u32).is_some() {
+        let mut dict = Dictionary::default();
+        for v in values {
+            if dict.map.contains_key(v.as_str()) {
                 return Err(crate::StoreError::Columnar(format!(
                     "duplicate dictionary value {v:?}"
                 )));
             }
+            dict.push(Arc::from(v));
         }
-        Ok(Dictionary { values, map })
+        Ok(dict)
+    }
+
+    fn push(&mut self, s: Arc<str>) -> u32 {
+        let code = self.values.len() as u32;
+        self.values.push(Arc::clone(&s));
+        self.map.insert(s, code);
+        code
     }
 
     /// Intern `s`, returning its code (existing or freshly assigned).
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&code) = self.map.get(s) {
-            return code;
+        // Looked up by `&str` first: a repeat allocates nothing.
+        match self.map.get(s) {
+            Some(&code) => code,
+            None => self.push(Arc::from(s)),
         }
-        let code = self.values.len() as u32;
-        self.values.push(s.to_owned());
-        self.map.insert(s.to_owned(), code);
-        code
+    }
+
+    /// The pooled text cell for `s`: every call with an equal string
+    /// returns a handle to the same allocation.
+    pub fn cell(&mut self, s: &str) -> Value {
+        let code = self.intern(s);
+        Value::Text(Arc::clone(&self.values[code as usize]))
     }
 
     /// The string for `code`.
     pub fn value_of(&self, code: u32) -> Option<&str> {
-        self.values.get(code as usize).map(String::as_str)
+        self.values.get(code as usize).map(|s| &**s)
+    }
+
+    /// The shared text cell for `code`.
+    pub fn cell_of(&self, code: u32) -> Option<Value> {
+        self.values
+            .get(code as usize)
+            .map(|s| Value::Text(Arc::clone(s)))
     }
 
     /// Number of distinct interned strings.
@@ -66,7 +94,7 @@ impl Dictionary {
     }
 
     /// All interned strings in code order.
-    pub fn values(&self) -> &[String] {
+    pub fn values(&self) -> &[Arc<str>] {
         &self.values
     }
 }
@@ -86,6 +114,26 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert_eq!(d.value_of(a), Some("assay-a"));
         assert_eq!(d.value_of(99), None);
-        assert_eq!(d.values(), &["assay-a".to_owned(), "assay-b".to_owned()]);
+        assert_eq!(d.values(), &[Arc::from("assay-a"), Arc::from("assay-b")]);
+    }
+
+    #[test]
+    fn cells_of_equal_strings_share_one_allocation() {
+        let mut d = Dictionary::new();
+        let a = d.cell("P00001");
+        let b = d.cell(&String::from("P00001"));
+        let (Value::Text(a), Value::Text(b)) = (&a, &b) else {
+            panic!("text cells");
+        };
+        assert!(Arc::ptr_eq(a, b));
+        let Some(Value::Text(c)) = d.cell_of(0) else {
+            panic!("code 0 is interned");
+        };
+        assert!(Arc::ptr_eq(a, &c));
+        assert_eq!(d.len(), 1);
+        assert_eq!(d.cell_of(1), None);
+        let restored = Dictionary::from_values(vec!["x".into(), "y".into()]).unwrap();
+        assert_eq!(restored.cell_of(1), Some(Value::from("y")));
+        assert!(Dictionary::from_values(vec!["x".into(), "x".into()]).is_err());
     }
 }

@@ -24,6 +24,7 @@ use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// `Value::Int(v).cmp(lit)` without materializing the cell.
 #[inline]
@@ -61,7 +62,7 @@ fn cmp_bool(v: bool, lit: &Value) -> Ordering {
 #[inline]
 fn cmp_str(v: &str, lit: &Value) -> Ordering {
     match lit {
-        Value::Text(s) => v.cmp(s.as_str()),
+        Value::Text(s) => v.cmp(&**s),
         Value::Null | Value::Bool(_) | Value::Int(_) | Value::Float(_) => Ordering::Greater,
     }
 }
@@ -356,7 +357,7 @@ pub fn filter_in_set(
             let verdict: Vec<bool> = dict
                 .values()
                 .iter()
-                .map(|s| values.contains(&Value::Text(s.clone())))
+                .map(|s| values.contains(&Value::Text(Arc::clone(s))))
                 .collect();
             fill_verdict(&mut out, col, codes, &verdict, rows);
         }

@@ -235,7 +235,7 @@ impl ColumnSlice<'_> {
             ColumnData::Float(d) => Value::Float(d[i]),
             ColumnData::Bool(d) => Value::Bool(d[i]),
             ColumnData::Str { codes, dict } => {
-                Value::Text(dict.value_of(codes[i]).unwrap_or_default().to_string())
+                dict.cell_of(codes[i]).unwrap_or_else(|| Value::from(""))
             }
         }
     }

@@ -219,18 +219,22 @@ impl Table {
         })
     }
 
-    /// Equality lookup via the best available index; falls back to a
-    /// full scan when the column is unindexed.
-    pub fn lookup_eq(&self, column: &str, key: &Value) -> Result<Vec<RowId>> {
-        let col = self.schema.column_index(column)?;
-        if let Some(index) = self.indexes.iter().find(|i| i.column == col) {
-            return Ok(index.lookup(key).to_vec());
-        }
-        Ok(self
-            .scan()
-            .filter(|(_, row)| &row[col] == key)
-            .map(|(id, _)| id)
-            .collect())
+    /// Resolve the equality access path for `column` once — the best
+    /// available index, or a full scan when the column is unindexed —
+    /// so a batch of keys probes it without re-resolving the name.
+    pub fn eq_lookup(&self, column: &str) -> Result<EqLookup<'_>> {
+        let column = self.schema.column_index(column)?;
+        Ok(EqLookup {
+            table: self,
+            column,
+            index: self.indexes.iter().find(|i| i.column == column),
+        })
+    }
+
+    /// One key through [`Table::eq_lookup`], collected.
+    #[cfg(test)]
+    pub(crate) fn lookup_eq(&self, column: &str, key: &Value) -> Result<Vec<RowId>> {
+        Ok(self.eq_lookup(column)?.rows(key).collect())
     }
 
     /// Inclusive range scan via a B-tree index; falls back to a full
@@ -304,8 +308,34 @@ impl Table {
     }
 }
 
-/// Two-armed iterator so [`Table::lookup_range`] can stream from
-/// either the B-tree buckets or the fallback scan without boxing.
+/// One column's equality access path (see [`Table::eq_lookup`]).
+#[derive(Debug, Clone, Copy)]
+pub struct EqLookup<'a> {
+    table: &'a Table,
+    column: usize,
+    index: Option<&'a SecondaryIndex>,
+}
+
+impl<'a> EqLookup<'a> {
+    /// Ids of the live rows whose cell equals `key`, streamed straight
+    /// out of the index bucket (or the scan): no `Vec<RowId>` per key.
+    pub fn rows(&self, key: &'a Value) -> impl Iterator<Item = RowId> + 'a {
+        let column = self.column;
+        match self.index {
+            Some(index) => EitherIter::Index(index.lookup(key).iter().copied()),
+            None => EitherIter::Scan(
+                self.table
+                    .scan()
+                    .filter(move |(_, row)| &row[column] == key)
+                    .map(|(id, _)| id),
+            ),
+        }
+    }
+}
+
+/// Two-armed iterator so [`Table::lookup_range`] and [`EqLookup::rows`]
+/// can stream from either the index buckets or the fallback scan
+/// without boxing.
 enum EitherIter<L, R> {
     Index(L),
     Scan(R),

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// The type of a [`Value`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -30,8 +31,10 @@ pub enum Value {
     Int(i64),
     /// 64-bit float (totally ordered via `total_cmp`).
     Float(f64),
-    /// UTF-8 text.
-    Text(String),
+    /// UTF-8 text: a shared, immutable handle, so cloning a cell (into
+    /// a fetched row, a cache entry, a result row) bumps a reference
+    /// count instead of copying bytes.
+    Text(Arc<str>),
 }
 
 impl Value {
@@ -176,12 +179,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Value {
-        Value::Text(v.to_string())
+        Value::Text(Arc::from(v))
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Value {
-        Value::Text(v)
+        Value::Text(Arc::from(v))
     }
 }
 impl From<bool> for Value {
@@ -200,6 +203,13 @@ mod tests {
         let mut h = DefaultHasher::new();
         v.hash(&mut h);
         h.finish()
+    }
+
+    /// A row is a `Vec<Value>` and a gesture returns tens of thousands
+    /// of 14-cell rows: a cell stays three words.
+    #[test]
+    fn a_cell_is_three_words() {
+        assert!(std::mem::size_of::<Value>() <= 24);
     }
 
     #[test]
@@ -221,7 +231,7 @@ mod tests {
     fn nulls_sort_first() {
         assert!(Value::Null < Value::Bool(false));
         assert!(Value::Null < Value::Int(i64::MIN));
-        assert!(Value::Null < Value::Text(String::new()));
+        assert!(Value::Null < Value::from(""));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use drugtree_store::schema::{Column, Schema};
 use drugtree_store::snapshot::{load_catalog, save_catalog};
 use drugtree_store::table::{IndexKind, RowId, Table};
 use drugtree_store::value::{Value, ValueType};
-use drugtree_store::Catalog;
+use drugtree_store::{Catalog, Dictionary};
 use proptest::prelude::*;
 use std::ops::Bound;
 
@@ -17,7 +17,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         (-50i64..50).prop_map(Value::Int),
         (-50.0f64..50.0).prop_map(Value::Float),
-        "[a-e]{0,3}".prop_map(Value::Text),
+        "[a-e]{0,3}".prop_map(Value::from),
         any::<bool>().prop_map(Value::Bool),
         Just(Value::Null),
     ]
@@ -58,7 +58,7 @@ fn arb_wide_row() -> impl Strategy<Value = Vec<Value>> {
             vec![
                 Value::Int(k),
                 v,
-                s.map_or(Value::Null, Value::Text),
+                s.map_or(Value::Null, Value::from),
                 b.map_or(Value::Null, Value::Bool),
             ]
         })
@@ -142,6 +142,38 @@ proptest! {
         }
     }
 
+    /// A text cell is its text, however it was made: borrowed, owned,
+    /// or handed out by a pool that has seen the string before.
+    #[test]
+    fn text_cells_agree_however_they_were_made(
+        a in "[a-e]{0,3}", b in "[a-e]{0,3}", noise in proptest::collection::vec("[a-e]{0,3}", 0..6)
+    ) {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |v: &Value| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        let mut pool = Dictionary::new();
+        for s in &noise {
+            pool.cell(s);
+        }
+        let made = |s: &String, pool: &mut Dictionary| {
+            [Value::from(s.as_str()), Value::from(s.clone()), pool.cell(s), pool.cell(s)]
+        };
+        let (xs, ys) = (made(&a, &mut pool), made(&b, &mut pool));
+        for x in &xs {
+            prop_assert_eq!(x.as_text(), Some(a.as_str()));
+            prop_assert_eq!(x.to_string(), format!("{a:?}"));
+            prop_assert_eq!(hash(x), hash(&xs[0]));
+            for y in &ys {
+                prop_assert_eq!(x.cmp(y), a.cmp(&b));
+                prop_assert_eq!(x == y, a == b);
+            }
+        }
+    }
+
     #[test]
     fn index_agrees_with_scan(
         rows in proptest::collection::vec((-20i64..20, proptest::option::of(-5.0f64..5.0)), 0..60),
@@ -161,8 +193,8 @@ proptest! {
 
         // Equality.
         let key = Value::Int(probe);
-        let mut a = indexed.lookup_eq("k", &key).unwrap();
-        let mut b = plain.lookup_eq("k", &key).unwrap();
+        let mut a: Vec<_> = indexed.eq_lookup("k").unwrap().rows(&key).collect();
+        let mut b: Vec<_> = plain.eq_lookup("k").unwrap().rows(&key).collect();
         a.sort();
         b.sort();
         prop_assert_eq!(a, b);
@@ -293,7 +325,8 @@ proptest! {
                 t.delete(id).unwrap();
                 live -= 1;
                 // Deleted row gone from index and scan.
-                prop_assert!(!t.lookup_eq("k", &Value::Int(rows[i])).unwrap().contains(&id));
+                let key = Value::Int(rows[i]);
+                prop_assert!(t.eq_lookup("k").unwrap().rows(&key).all(|live| live != id));
                 prop_assert!(t.get(id).is_err());
             }
         }

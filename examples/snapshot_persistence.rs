@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Session 1: the full from-sources pipeline (fetch proteins +
     // ligands, align, neighbor-join), then snapshot. ---
-    let sources = bundle.build_dataset().registry.clone();
+    let sources = bundle.build_dataset().registry;
     let mut builder = DrugTree::builder();
     for source in sources.all() {
         builder = builder.register_source(source.clone());
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Session 2: restore from disk, attach live sources, query. ---
     let restored_json = std::fs::read_to_string(&path)?;
     // A fresh registry stands in for re-connecting to the live services.
-    let registry: SourceRegistry = bundle.build_dataset().registry.clone();
+    let registry: SourceRegistry = bundle.build_dataset().registry;
     let started = drugtree_sources::clock::wall_now();
     let dataset = load_system(&restored_json, registry, VirtualClock::new())?;
     let restore_wall = started.elapsed();

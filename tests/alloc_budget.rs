@@ -1,0 +1,137 @@
+//! An allocation budget for the gesture's query, counted, not timed.
+//!
+//! A whole-clade listing is what every expand and inspect gesture of a
+//! mobile session runs, and what it costs is decided by how often each
+//! returned row visits the allocator on its way from the source's
+//! table to `QueryResult.rows`. With text cells shared (`Value::Text`
+//! is an `Arc<str>`) and fetched rows moved rather than re-cloned, a
+//! row costs three allocations on a cache miss — the source's shipped
+//! row, the widened activity row the cache keeps, the 14-cell result
+//! row — and one on a hit, the result row alone.
+//!
+//! The same test run against the parent of the change that introduced
+//! it (`Value::Text(String)`, every hop deep-copying its strings)
+//! counted, on this very bundle (5,855 rows), **17.61 allocations per
+//! returned row on the miss and 7.46 on the hit**; this tree counts
+//! 3.03 and 1.01. The budget below leaves one allocation per row of
+//! slack on either path, so a reintroduced per-row copy fails it on
+//! any machine.
+//!
+//! This file holds one test on purpose: the counter is armed on the
+//! test's own thread, and a binary with a `#[global_allocator]` should
+//! not be shared with tests that have nothing to do with it.
+
+// Test code: panicking on a malformed fixture is the right failure.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use drugtree::prelude::*;
+use drugtree_query::ast::{Query, Scope};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocator calls on this thread since it armed the counter.
+    /// Const-initialised and without a destructor, so reading it from
+    /// inside the allocator never allocates.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+/// The system allocator, counting `alloc` and `realloc` calls on
+/// threads that armed [`ALLOCATIONS`].
+struct CountingAllocator;
+
+fn count_one() {
+    // `try_with`: a thread being torn down may allocate after its
+    // thread-locals are gone.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter touches no
+// memory the allocator hands out.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator,
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Run `f` and report how many allocator calls this thread made in it.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCATIONS.with(|n| n.set(Some(0)));
+    let out = f();
+    let counted = ALLOCATIONS.with(Cell::take).unwrap_or(0);
+    (out, counted)
+}
+
+const LEAVES: usize = 256;
+const LIGANDS: usize = 1024;
+
+/// What a query may allocate whatever it returns: the plan (its keys,
+/// one per leaf in scope, held in a few vectors), the fetch requests
+/// with their column names, the growth of the row vectors, the cache
+/// entry. Measured at 157 on the miss and 63 on the hit of this bundle.
+const PER_QUERY: u64 = 2 * LEAVES as u64;
+
+#[test]
+fn a_listing_allocates_per_row_what_the_budget_allows() {
+    let bundle = SyntheticBundle::generate(
+        &WorkloadSpec::default()
+            .leaves(LEAVES)
+            .ligands(LIGANDS)
+            .seed(23),
+    );
+    let system = DrugTree::builder()
+        .dataset(bundle.build_dataset())
+        .optimizer(OptimizerConfig::full())
+        .build()
+        .unwrap();
+    let listing = Query::activities(Scope::Tree);
+    let run = || {
+        system
+            .executor()
+            .execute(system.dataset(), &listing)
+            .unwrap()
+    };
+
+    let (cold, on_miss) = allocations_in(run);
+    let (warm, on_hit) = allocations_in(run);
+    assert_eq!(cold.metrics.cache_hit, Some(false));
+    assert_eq!(warm.metrics.cache_hit, Some(true));
+    assert_eq!(cold.rows, warm.rows);
+
+    let rows = cold.rows.len() as u64;
+    assert!(
+        rows > 8 * PER_QUERY,
+        "{rows} rows: the per-query constant would hide the per-row count"
+    );
+    println!(
+        "{rows} rows: {on_miss} allocations on the miss ({:.2}/row), {on_hit} on the hit ({:.2}/row)",
+        on_miss as f64 / rows as f64,
+        on_hit as f64 / rows as f64,
+    );
+    assert!(
+        on_miss <= 4 * rows + PER_QUERY,
+        "miss: {on_miss} allocations for {rows} rows"
+    );
+    assert!(
+        on_hit <= 2 * rows + PER_QUERY,
+        "hit: {on_hit} allocations for {rows} rows"
+    );
+}
