@@ -75,11 +75,9 @@ pub fn run(config: RunConfig) -> ExperimentTable {
             let system = DrugTree::builder()
                 .dataset(bundle.build_dataset())
                 .optimizer(OptimizerConfig::full())
-                // Single shard so the tight entry budget is not split.
                 .cache(CacheConfig {
                     max_entries: 24,
                     max_rows: bundle.activities.len() / 2,
-                    shards: 1,
                 })
                 .build()
                 .expect("system builds");

@@ -47,13 +47,9 @@ pub fn run(config: RunConfig) -> ExperimentTable {
             .dataset(bundle.build_dataset())
             .optimizer(OptimizerConfig::full())
             // Cache sized below the full dataset so eviction matters.
-            // Single shard: this experiment measures the cache policy
-            // under pressure, and splitting a 12-entry budget across
-            // shards would change what it measures.
             .cache(CacheConfig {
                 max_entries: 12,
                 max_rows: bundle.activities.len() / 2,
-                shards: 1,
             })
             .build()
             .expect("system builds");

@@ -9,7 +9,7 @@
 //! Each `eN` module regenerates one reconstructed table/figure. All
 //! latencies are **virtual-clock** measurements (deterministic,
 //! machine-independent); wall-clock CPU costs of the kernels are
-//! measured separately by the Criterion benches (E9).
+//! measured separately by `benchmark/`'s layer probes.
 
 pub mod e10_prefetch;
 pub mod e11_serving;

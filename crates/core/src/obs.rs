@@ -653,9 +653,12 @@ mod tests {
 
     #[test]
     fn top_report_tolerates_garbage_lines() {
-        let report = TopReport::from_lines(["not json", "", "{\"event\":\"query\",broken"]);
+        // Nested past the JSON parser's depth bound: skipped like any
+        // other malformed line, where it used to overflow the stack.
+        let deep = format!("{{\"event\":\"query\",\"x\":{}", "[".repeat(300_000));
+        let report = TopReport::from_lines(["not json", "", "{\"event\":\"query\",broken", &deep]);
         assert_eq!(report.queries(), 0);
-        assert_eq!(report.skipped(), 2, "blank lines are not counted");
-        assert!(report.render().contains("2 unparseable"));
+        assert_eq!(report.skipped(), 3, "blank lines are not counted");
+        assert!(report.render().contains("3 unparseable"));
     }
 }

@@ -55,14 +55,12 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Per-class client deadlines.
+/// Client deadlines.
 ///
-/// `None` (the default) means a class never times out. A uniform
-/// default can be overridden per class.
+/// `None` (the default) means a query never times out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeadlinePolicy {
     default: Option<Duration>,
-    per_class: [Option<Duration>; CLASSES],
 }
 
 impl DeadlinePolicy {
@@ -75,19 +73,12 @@ impl DeadlinePolicy {
     pub fn uniform(deadline: Duration) -> DeadlinePolicy {
         DeadlinePolicy {
             default: Some(deadline),
-            per_class: [None; CLASSES],
         }
     }
 
-    /// Override one class's deadline.
-    pub fn with_class(mut self, class: QueryClass, deadline: Duration) -> DeadlinePolicy {
-        self.per_class[class_idx(class)] = Some(deadline);
-        self
-    }
-
-    /// The deadline in effect for `class`.
-    pub fn deadline_for(&self, class: QueryClass) -> Option<Duration> {
-        self.per_class[class_idx(class)].or(self.default)
+    /// The deadline in effect for `class`: the same for every class.
+    pub fn deadline_for(&self, _class: QueryClass) -> Option<Duration> {
+        self.default
     }
 }
 
@@ -605,15 +596,10 @@ mod tests {
 
     #[test]
     fn deadline_policy_layers_defaults_and_overrides() {
-        let p = DeadlinePolicy::uniform(Duration::from_millis(100))
-            .with_class(QueryClass::TopK, Duration::from_millis(250));
+        let p = DeadlinePolicy::uniform(Duration::from_millis(100));
         assert_eq!(
             p.deadline_for(QueryClass::Listing),
             Some(Duration::from_millis(100))
-        );
-        assert_eq!(
-            p.deadline_for(QueryClass::TopK),
-            Some(Duration::from_millis(250))
         );
         assert_eq!(
             DeadlinePolicy::none().deadline_for(QueryClass::Listing),

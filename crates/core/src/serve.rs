@@ -5,9 +5,9 @@
 //! of [`SessionWorkload`]s, and drives every session as a poll-able
 //! state machine on the virtual clock — 4k–16k Zipf sessions replay
 //! deterministically on one thread. The builder's `with_*` methods
-//! opt into the production failure scenarios (per-class deadlines,
+//! opt into the production failure scenarios (client deadlines,
 //! admission control with load shedding, hedged requests, graceful
-//! outage degradation) and the cache shard-count sweep; [`FleetBuilder::run`] returns a
+//! outage degradation); [`FleetBuilder::run`] returns a
 //! [`ServeReport`] whose per-class [`ServeClassCounters`] expose the
 //! shed/hedged/deadline-missed counts, also emitted to any attached
 //! observer as `{"event":"serve"}` JSONL records for `drugtree top`.
@@ -113,8 +113,8 @@ impl ServeReport {
 
     /// Gestures per *virtual* second: total gestures over the virtual
     /// makespan. Deterministic and machine-independent, like every
-    /// latency in the experiment suite; wall-clock CPU is Criterion's
-    /// job.
+    /// latency in the experiment suite; wall-clock CPU is
+    /// `benchmark/`'s job.
     pub fn throughput(&self) -> f64 {
         let secs = self.virtual_makespan().as_secs_f64();
         if secs > 0.0 {
@@ -175,7 +175,6 @@ pub struct FleetBuilder {
     executor: Executor,
     workloads: Vec<SessionWorkload>,
     config: SchedulerConfig,
-    shards: Option<usize>,
 }
 
 impl FleetBuilder {
@@ -185,7 +184,6 @@ impl FleetBuilder {
             executor,
             workloads: Vec::new(),
             config: SchedulerConfig::default(),
-            shards: None,
         }
     }
 
@@ -195,7 +193,7 @@ impl FleetBuilder {
         self
     }
 
-    /// Per-class client deadlines.
+    /// Client deadlines.
     pub fn with_deadline_policy(mut self, deadline: DeadlinePolicy) -> FleetBuilder {
         self.config.deadline = deadline;
         self
@@ -210,14 +208,6 @@ impl FleetBuilder {
     /// Hedged requests against replicas.
     pub fn with_hedging(mut self, hedging: HedgePolicy) -> FleetBuilder {
         self.config.hedging = hedging;
-        self
-    }
-
-    /// Pin the semantic cache's shard count (the E11 shard sweep).
-    /// Without this the cache is raised to at least
-    /// [`Executor::SERVING_CACHE_SHARDS`].
-    pub fn with_shards(mut self, shards: usize) -> FleetBuilder {
-        self.shards = Some(shards);
         self
     }
 
@@ -251,20 +241,10 @@ impl FleetBuilder {
         &mut self.dataset
     }
 
-    /// Run the fleet to completion and roll up the measurements.
-    pub fn run(mut self) -> Result<ServeReport, ServeError> {
-        self.serve()
-    }
-
-    fn serve(&mut self) -> Result<ServeReport, ServeError> {
-        match self.shards {
-            Some(shards) => self.executor.set_cache_shards(shards),
-            None if self.executor.cache_shards() < Executor::SERVING_CACHE_SHARDS => {
-                self.executor
-                    .set_cache_shards(Executor::SERVING_CACHE_SHARDS);
-            }
-            None => {}
-        }
+    /// Run the fleet to completion and roll up the measurements. The
+    /// executor's cache is served as it stands: what the system
+    /// cached before [`DrugTree::fleet`] answers the fleet too.
+    pub fn run(self) -> Result<ServeReport, ServeError> {
         let started = wall_now();
         let outcome = run_fleet(&self.dataset, &self.executor, &self.workloads, &self.config)?;
         let wall = wall_now().duration_since(started);
@@ -301,6 +281,8 @@ mod tests {
     use drugtree_mobile::fleet_workload::{hot_clade_ranking, zipf_sessions};
     use drugtree_mobile::gestures::GestureConfig;
     use drugtree_mobile::{Gesture, NetworkProfile};
+    use drugtree_query::ast::Scope;
+    use drugtree_query::cache::CacheConfig;
     use drugtree_query::optimizer::OptimizerConfig;
     use drugtree_query::{Query, QueryError};
     use drugtree_sources::flaky::{FlakySource, OutageWindow};
@@ -332,23 +314,81 @@ mod tests {
     fn fleet_serves_zipf_sessions() {
         let fleet = system().fleet();
         let workloads = fleet_workloads(&fleet, 4, 20);
-        let mut fleet = fleet.with_sessions(workloads);
-        let report = fleet.serve().unwrap();
+        let report = fleet.with_sessions(workloads).run().unwrap();
         assert_eq!(report.sessions, 4);
         assert_eq!(report.gestures, 80);
         assert!(!report.latencies.is_empty());
         assert!(report.throughput() > 0.0);
         let stats = report.cache;
         assert_eq!(stats.hits + stats.misses, stats.probes);
-        assert!(
-            fleet.executor.cache_shards() >= Executor::SERVING_CACHE_SHARDS,
-            "a fleet run shards the cache"
-        );
         let sched = report.sched.expect("scheduler stats present");
         assert!(sched.flights > 0);
         assert!(sched.events as usize >= report.gestures);
         assert!(!report.classes.is_empty(), "query classes saw traffic");
         assert_eq!(report.total_shed(), 0, "no admission control configured");
+    }
+
+    /// The fleet's cache is the configured one, whole: 16 entries hold
+    /// 16 disjoint clades, so nothing is evicted and every revisit hits.
+    #[test]
+    fn a_fleet_keeps_the_whole_cache_budget() {
+        let bundle = SyntheticBundle::generate(&WorkloadSpec::default().leaves(32).ligands(8));
+        let fleet = DrugTree::builder()
+            .dataset(bundle.build_dataset())
+            .optimizer(OptimizerConfig::full())
+            .cache(CacheConfig {
+                max_entries: 16,
+                max_rows: 100_000,
+            })
+            // No statistics, so no clade is pruned as empty: each of
+            // the 32 gestures probes.
+            .with_stats(false)
+            .build()
+            .unwrap()
+            .fleet();
+        // A leaf is the smallest clade, and no two leaves overlap. Each
+        // session visits four of its own, then all four again.
+        let workloads: Vec<SessionWorkload> = fleet.dataset().tree.leaves()[..16]
+            .chunks(4)
+            .enumerate()
+            .map(|(session, own)| SessionWorkload {
+                session,
+                network: NetworkProfile::CELL_4G,
+                script: own
+                    .iter()
+                    .chain(own)
+                    .map(|&node| Gesture::Expand { node })
+                    .collect(),
+            })
+            .collect();
+        let cache = fleet.with_sessions(workloads).run().unwrap().cache;
+        assert_eq!(cache.evictions, 0, "16 entries fit a 16-entry cache");
+        assert_eq!((cache.misses, cache.hits), (16, 16), "every revisit hits");
+    }
+
+    /// `fleet()` hands the system's cache over as it stands.
+    #[test]
+    fn a_fleet_is_served_from_what_the_system_already_cached() {
+        let system = system();
+        let clade = hot_clade_ranking(&system.dataset().tree, &system.dataset().index)[0];
+        let scope = Scope::Interval(system.dataset().index.interval(clade));
+        system.execute(&Query::activities(scope)).unwrap();
+        let workload = SessionWorkload {
+            session: 0,
+            network: NetworkProfile::CELL_4G,
+            script: vec![Gesture::Expand { node: clade }],
+        };
+        let cache = system
+            .fleet()
+            .with_sessions(vec![workload])
+            .run()
+            .unwrap()
+            .cache;
+        assert_eq!(
+            (cache.misses, cache.hits),
+            (1, 1),
+            "the solo miss, the fleet hit"
+        );
     }
 
     #[test]

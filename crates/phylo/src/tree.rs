@@ -225,15 +225,21 @@ impl Tree {
 
     /// Validate structural invariants: exactly one root, parent/child
     /// links are mutual, and the node graph is a connected acyclic tree.
-    /// Used by tests and debug assertions after construction.
+    /// Used by tests and debug assertions after construction, and by the
+    /// snapshot loader on links read from a file: the walk is its own
+    /// (not `preorder()`, which trusts the links), checks every id
+    /// before following it and stops at the second visit of a node, so
+    /// a cycle or a foreign id is an error, not a hang or a panic.
     pub fn check_invariants(&self) -> Result<()> {
         let mut seen = vec![false; self.nodes.len()];
-        for id in self.preorder() {
+        let mut stack = vec![self.root];
+        while let Some(id) = stack.pop() {
+            let node = self.node(id)?;
             if seen[id.index()] {
                 return Err(PhyloError::InvalidValue(format!("node {id} visited twice")));
             }
             seen[id.index()] = true;
-            for &c in &self.node_unchecked(id).children {
+            for &c in &node.children {
                 let child = self.node(c)?;
                 if child.parent != Some(id) {
                     return Err(PhyloError::InvalidValue(format!(
@@ -241,6 +247,7 @@ impl Tree {
                         child.parent
                     )));
                 }
+                stack.push(c);
             }
         }
         if let Some(unreached) = seen.iter().position(|&s| !s) {

@@ -32,9 +32,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 
-mod sharded;
-pub use sharded::ShardedSemanticCache;
-
 /// Rank-sorted activity rows shared between a cache entry and the
 /// queries reading it. Never mutated once an entry holds it.
 pub type SharedRows = Arc<Vec<Vec<Value>>>;
@@ -77,13 +74,6 @@ pub struct CacheConfig {
     pub max_entries: usize,
     /// Maximum total cached rows (LRU beyond this).
     pub max_rows: usize,
-    /// Shard count of the executor-level sharded cache (rounded up to
-    /// a power of two; 1 = a single globally locked cache). Budgets
-    /// above are split evenly across shards. Defaults to 1 so a
-    /// single-session executor keeps its full budget and subsumption
-    /// reach in one shard; `Executor::set_cache_shards` re-shards for
-    /// a fleet.
-    pub shards: usize,
 }
 
 impl Default for CacheConfig {
@@ -91,7 +81,6 @@ impl Default for CacheConfig {
         CacheConfig {
             max_entries: 64,
             max_rows: 100_000,
-            shards: 1,
         }
     }
 }
@@ -126,7 +115,7 @@ impl CacheStats {
 }
 
 /// The semantic cache. Not internally synchronized; the executor holds
-/// one per shard behind a shard lock (see [`ShardedSemanticCache`]).
+/// the one instance behind one lock.
 ///
 /// Entries live in an id-keyed map with two access paths: an LRU queue
 /// of ids (front = coldest) driving probe order and eviction, and an
@@ -200,16 +189,14 @@ impl SemanticCache {
     /// not be pre-sorted: unsorted input is sorted here (on a private
     /// copy when the caller still holds the `Arc`). Entries subsumed by
     /// the new one are dropped (the new entry answers everything they
-    /// could). Returns the entries evicted by budget enforcement, so a
-    /// sharded wrapper can aggregate counters without re-locking; when
-    /// the new entry itself was evicted the caller's `Arc` is unique
-    /// again.
+    /// could). When budget enforcement evicts the new entry itself the
+    /// caller's `Arc` is unique again.
     pub fn insert(
         &mut self,
         interval: LeafInterval,
         pushdown: Option<Predicate>,
         mut rows: SharedRows,
-    ) -> u64 {
+    ) {
         if !rows.is_sorted_by_key(|r| rank_of(r)) {
             Arc::make_mut(&mut rows).sort_by_key(|r| rank_of(r));
         }
@@ -241,26 +228,23 @@ impl SemanticCache {
                 rows,
             },
         );
-        self.enforce_limits()
+        self.enforce_limits();
     }
 
     /// Drop every entry (sources changed; cached results may be
-    /// stale). Returns the number of entries dropped.
-    pub fn invalidate_all(&mut self) -> u64 {
-        let dropped = self.entries.len() as u64;
-        self.stats.invalidations += dropped;
+    /// stale).
+    pub fn invalidate_all(&mut self) {
+        self.stats.invalidations += self.entries.len() as u64;
         self.entries.clear();
         self.lru.clear();
         self.by_lo.clear();
         self.cached_rows = 0;
-        dropped
     }
 
     /// Drop entries overlapping an interval (a targeted refresh).
     /// The interval index restricts the walk to entries with
     /// `lo < interval.hi`; the exact overlap test filters the rest.
-    /// Returns the number of entries dropped.
-    pub fn invalidate_interval(&mut self, interval: LeafInterval) -> u64 {
+    pub fn invalidate_interval(&mut self, interval: LeafInterval) {
         let doomed: Vec<u64> = self
             .by_lo
             .range(..(interval.hi, 0))
@@ -272,30 +256,13 @@ impl SemanticCache {
             })
             .map(|(&(_, id), _)| id)
             .collect();
-        let dropped = doomed.len() as u64;
         self.remove_ids(&doomed);
-        self.stats.invalidations += dropped;
-        dropped
+        self.stats.invalidations += doomed.len() as u64;
     }
 
     /// Counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total cached rows.
-    pub fn total_rows(&self) -> usize {
-        self.cached_rows
     }
 
     fn remove_ids(&mut self, ids: &[u64]) {
@@ -311,12 +278,11 @@ impl SemanticCache {
         self.lru.retain(|id| self.entries.contains_key(id));
     }
 
-    fn enforce_limits(&mut self) -> u64 {
+    fn enforce_limits(&mut self) {
         // Strict budgets: an entry larger than the whole row budget is
         // evicted immediately (whole-database results are not worth
         // caching on a constrained client), so it can never crowd out
         // the drill-down-sized entries the mobile workload reuses.
-        let mut evicted = 0;
         while self.entries.len() > self.config.max_entries
             || (self.cached_rows > self.config.max_rows && !self.entries.is_empty())
         {
@@ -328,9 +294,7 @@ impl SemanticCache {
                 self.cached_rows -= e.rows.len();
             }
             self.stats.evictions += 1;
-            evicted += 1;
         }
-        evicted
     }
 }
 
@@ -519,12 +483,12 @@ mod tests {
         let mut c = SemanticCache::new(CacheConfig::default());
         c.insert(iv(2, 4), None, Arc::new(vec![row(2, "a")]));
         c.insert(iv(0, 8), None, Arc::new(vec![row(2, "a"), row(5, "b")]));
-        assert_eq!(c.len(), 1, "small entry subsumed by the big one");
+        assert_eq!(c.entries.len(), 1, "small entry subsumed by the big one");
         // But a *filtered* big entry does not subsume an unfiltered
         // small one.
         let p = Predicate::cmp("p_activity", CompareOp::Ge, 6.0);
         c.insert(iv(0, 8), Some(p), Arc::new(vec![row(5, "b")]));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
     }
 
     #[test]
@@ -532,14 +496,13 @@ mod tests {
         let mut c = SemanticCache::new(CacheConfig {
             max_entries: 2,
             max_rows: 1000,
-            ..CacheConfig::default()
         });
         c.insert(iv(0, 1), None, Arc::new(vec![row(0, "a")]));
         c.insert(iv(1, 2), None, Arc::new(vec![row(1, "b")]));
         // Touch the first entry so the second becomes LRU.
         assert!(c.probe(iv(0, 1), None).is_some());
         c.insert(iv(2, 3), None, Arc::new(vec![row(2, "c")]));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
         assert_eq!(c.stats().evictions, 1);
         assert!(c.probe(iv(1, 2), None).is_none(), "LRU entry evicted");
         assert!(c.probe(iv(0, 1), None).is_some(), "touched entry kept");
@@ -550,12 +513,11 @@ mod tests {
         let mut c = SemanticCache::new(CacheConfig {
             max_entries: 100,
             max_rows: 3,
-            ..CacheConfig::default()
         });
         c.insert(iv(0, 4), None, Arc::new(vec![row(0, "a"), row(1, "b")]));
         c.insert(iv(4, 8), None, Arc::new(vec![row(4, "c"), row(5, "d")]));
-        assert_eq!(c.len(), 1, "row budget forced eviction");
-        assert!(c.total_rows() <= 3);
+        assert_eq!(c.entries.len(), 1, "row budget forced eviction");
+        assert!(c.cached_rows <= 3);
     }
 
     #[test]
@@ -563,18 +525,20 @@ mod tests {
         let mut c = SemanticCache::new(CacheConfig {
             max_entries: 100,
             max_rows: 2,
-            ..CacheConfig::default()
         });
         c.insert(
             iv(0, 8),
             None,
             Arc::new(vec![row(0, "a"), row(1, "b"), row(2, "c")]),
         );
-        assert!(c.is_empty(), "whole-database result exceeds the budget");
+        assert!(
+            c.entries.is_empty(),
+            "whole-database result exceeds the budget"
+        );
         assert_eq!(c.stats().evictions, 1);
         // Smaller entries still cache fine afterwards.
         c.insert(iv(0, 2), None, Arc::new(vec![row(0, "a")]));
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.entries.len(), 1);
     }
 
     #[test]
@@ -583,12 +547,12 @@ mod tests {
         c.insert(iv(0, 4), None, Arc::new(vec![row(0, "a")]));
         c.insert(iv(4, 8), None, Arc::new(vec![row(5, "b")]));
         c.invalidate_interval(iv(3, 5));
-        assert_eq!(c.len(), 0, "both entries overlap [3,5)");
+        assert_eq!(c.entries.len(), 0, "both entries overlap [3,5)");
         assert_eq!(c.stats().invalidations, 2);
 
         c.insert(iv(0, 4), None, Arc::new(vec![row(0, "a")]));
         c.invalidate_all();
-        assert!(c.is_empty());
+        assert!(c.entries.is_empty());
     }
 
     #[test]
@@ -618,9 +582,8 @@ mod tests {
                 Arc::new(vec![row(interval.lo as i64, "x")]),
             );
         }
-        assert_eq!(c.len(), 8);
-        let dropped = c.invalidate_interval(iv(4, 8));
-        assert_eq!(dropped, 4);
+        assert_eq!(c.entries.len(), 8);
+        c.invalidate_interval(iv(4, 8));
         assert_eq!(c.stats().invalidations, 4);
         for (i, (interval, doomed)) in cases.iter().enumerate() {
             assert_eq!(
@@ -630,8 +593,8 @@ mod tests {
             );
         }
         // Row accounting survives targeted invalidation.
-        assert_eq!(c.total_rows(), 4);
-        assert_eq!(c.len(), 4);
+        assert_eq!(c.cached_rows, 4);
+        assert_eq!(c.entries.len(), 4);
     }
 
     #[test]
@@ -728,7 +691,7 @@ mod tests {
         assert!(Arc::ptr_eq(&part.entry_rows, &rows));
         assert_eq!(whole.range, 0..3);
         assert_eq!(part.range, 1..3);
-        assert_eq!(c.total_rows(), 3, "shared rows are counted once");
+        assert_eq!(c.cached_rows, 3, "shared rows are counted once");
     }
 
     #[test]
@@ -740,8 +703,8 @@ mod tests {
         c.insert(iv(0, 8), None, Arc::new(vec![row(1, "a"), row(3, "b")]));
         let before_invalidate = c.probe(iv(0, 4), None).unwrap();
         c.invalidate_all();
-        assert!(c.is_empty());
-        assert_eq!(c.total_rows(), 0);
+        assert!(c.entries.is_empty());
+        assert_eq!(c.cached_rows, 0);
         assert_eq!(before_invalidate.rows(), [row(1, "a"), row(3, "b")]);
 
         c.insert(iv(0, 8), None, Arc::new(vec![row(2, "x")]));
@@ -750,7 +713,7 @@ mod tests {
         assert_eq!(c.stats().evictions, 1);
         assert!(c.probe(iv(0, 8), None).is_none(), "entry evicted");
         assert_eq!(before_evict.rows(), [row(2, "x")]);
-        assert_eq!(c.total_rows(), 1);
+        assert_eq!(c.cached_rows, 1);
     }
 
     #[test]
@@ -760,8 +723,9 @@ mod tests {
             ..CacheConfig::default()
         });
         let rows = Arc::new(vec![row(0, "a"), row(1, "b"), row(2, "c")]);
-        assert_eq!(c.insert(iv(0, 8), None, Arc::clone(&rows)), 1);
-        assert_eq!(c.total_rows(), 0);
+        c.insert(iv(0, 8), None, Arc::clone(&rows));
+        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.cached_rows, 0);
         assert!(Arc::try_unwrap(rows).is_ok(), "the cache kept no handle");
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::adaptive::{AdaptiveRuntime, QueryFeedback};
 use crate::ast::{Metric, Query};
-use crate::cache::{rank_of, CacheConfig, CacheStats, ShardedSemanticCache, SharedRows};
+use crate::cache::{rank_of, CacheConfig, CacheStats, SemanticCache, SharedRows};
 use crate::columnar::ActivityColumns;
 use crate::cost::{CalibrationReport, CostModel};
 use crate::dataset::{unified_schema, unify_assay_row, Dataset};
@@ -27,6 +27,7 @@ use drugtree_sources::batcher::{
     batched_lookup_with_retry, singleton_lookups_with_retry, Dispatch,
 };
 use drugtree_sources::clock::VirtualInstant;
+use drugtree_sources::sync::Mutex;
 use drugtree_store::bitmap::Bitmap;
 use drugtree_store::expr::{BoundPredicate, Predicate};
 use drugtree_store::kernel;
@@ -91,20 +92,18 @@ pub struct QueryResult {
     pub metrics: ExecMetrics,
 }
 
-/// The executor: optimizer + sharded semantic cache + statistics +
-/// views.
+/// The executor: optimizer + semantic cache + statistics + views.
 ///
 /// `Send + Sync` by construction: every mutable piece sits behind a
-/// shard lock, an atomic, or an `Arc`, so M sessions can share one
+/// lock, an atomic, or an `Arc`, so M sessions can share one
 /// executor from real OS threads. The `const` assertion below makes
 /// that a compile-time guarantee a future field cannot silently break.
 pub struct Executor {
     optimizer: Optimizer,
-    cache: ShardedSemanticCache,
-    /// The sizing the cache was built with, kept so
-    /// `set_cache_shards` can re-shard without losing the configured
-    /// budgets.
-    cache_config: CacheConfig,
+    /// The one semantic cache. A probe holds the lock for an entry
+    /// search and a reference-count bump, never a row copy, and no
+    /// fetch runs under it.
+    cache: Mutex<SemanticCache>,
     stats: Option<OverlayStats>,
     matview: Option<MaterializedAggregates>,
     columnar: Option<ActivityColumns>,
@@ -138,8 +137,7 @@ impl Executor {
     pub fn with_cache_config(optimizer: Optimizer, cache: CacheConfig) -> Executor {
         Executor {
             optimizer,
-            cache: ShardedSemanticCache::new(cache),
-            cache_config: cache,
+            cache: Mutex::new(SemanticCache::new(cache)),
             stats: None,
             matview: None,
             columnar: None,
@@ -201,27 +199,6 @@ impl Executor {
         })
     }
 
-    /// Shard count the semantic cache is raised to for a fleet or a
-    /// multi-threaded caller (a single-session executor keeps one
-    /// shard, preserving its full budget and subsumption reach).
-    pub const SERVING_CACHE_SHARDS: usize = 8;
-
-    /// Shards the semantic cache currently has.
-    pub fn cache_shards(&self) -> usize {
-        self.cache.shard_count()
-    }
-
-    /// Rebuild the semantic cache with exactly `shards` shards
-    /// (rounded up to a power of two by the cache itself), keeping
-    /// the configured budgets; cached entries are discarded. Call
-    /// before sharing the executor across sessions.
-    pub fn set_cache_shards(&mut self, shards: usize) {
-        let mut cache = self.cache_config;
-        cache.shards = shards.max(1);
-        self.cache_config = cache;
-        self.cache = ShardedSemanticCache::new(cache);
-    }
-
     /// Replace the transient-failure retry policy.
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
         self.retry = retry;
@@ -265,19 +242,18 @@ impl Executor {
 
     /// Drop all cached results (call after a source refresh).
     pub fn invalidate(&self) {
-        self.cache.invalidate_all();
+        self.cache.lock().invalidate_all();
     }
 
     /// Drop cached results overlapping a leaf interval (a targeted
     /// refresh of one subtree's sources).
     pub fn invalidate_interval(&self, interval: LeafInterval) {
-        self.cache.invalidate_interval(interval);
+        self.cache.lock().invalidate_interval(interval);
     }
 
-    /// Cumulative cache counters. Lock-free: reads the sharded cache's
-    /// atomic counters, so polling stats never stalls serving threads.
+    /// Cumulative cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.cache.lock().stats()
     }
 
     /// Current statistics, if collected.
@@ -470,7 +446,7 @@ impl Executor {
                 insert_on_miss,
                 concurrent_sources,
             } => {
-                let probe = self.cache.probe(plan.interval, pushdown.as_ref());
+                let probe = self.cache.lock().probe(plan.interval, pushdown.as_ref());
                 match probe {
                     Some(hit) => {
                         m.cache_hit = Some(true);
@@ -500,8 +476,11 @@ impl Executor {
                         )?;
                         if *insert_on_miss {
                             let shared = Arc::new(rows);
-                            self.cache
-                                .insert(plan.interval, pushdown.clone(), Arc::clone(&shared));
+                            self.cache.lock().insert(
+                                plan.interval,
+                                pushdown.clone(),
+                                Arc::clone(&shared),
+                            );
                             // The cache declines an entry over its row
                             // budget; the rows are then this query's
                             // alone again.

@@ -28,8 +28,8 @@
 //!   rules` listing, and the EXPLAIN rule trace (design decision D13).
 //! * [`cost`] — the calibrated cost model pricing plan alternatives
 //!   (design decision D8).
-//! * [`cache`] — the semantic result cache (design decision D2) and
-//!   its N-way sharded form, which the executor holds.
+//! * [`cache`] — the semantic result cache (design decision D2); the
+//!   executor holds one, behind one lock.
 //! * [`exec`] — the executor and its metrics.
 //! * [`columnar`] — the columnar activity mirror: rank-sorted typed
 //!   segments answering interval scopes with vectorized kernels
@@ -67,7 +67,6 @@ pub mod validate;
 
 pub use adaptive::{AdaptiveRuntime, AdaptiveSnapshot, AdvisorConfig};
 pub use ast::{Query, QueryKind, Scope};
-pub use cache::ShardedSemanticCache;
 pub use columnar::ActivityColumns;
 pub use cost::{CalibrationReport, CostModel, CostParams};
 pub use dataset::Dataset;

@@ -1,9 +1,9 @@
 //! Tier-1 concurrency stress: 8 OS threads hammer one shared executor
-//! (cache sharded as for a fleet) with mixed query streams, and every
-//! result must match a single-threaded replay of the same streams on a
-//! fresh executor of the same configuration. Divergence means the
-//! sharded cache corrupted a result under contention; the replay also
-//! pins the lock-free cache accounting (`hits + misses == probes`).
+//! with mixed query streams, and every result must match a
+//! single-threaded replay of the same streams on a fresh executor of
+//! the same configuration. Divergence means the shared cache corrupted
+//! a result under contention; the replay also pins the cache
+//! accounting (`hits + misses == probes`).
 //!
 //! Run with: `cargo test -p drugtree-query --test concurrent_stress`
 
@@ -182,7 +182,7 @@ fn gen_query(rng: &mut XorShift) -> Query {
         }
         3 | 4 => {
             // Aligned power-of-two intervals: many threads request the
-            // exact same clades and contend on the same cache shard.
+            // exact same clades and contend on the same cache entries.
             let span = 1u32 << rng.below(4);
             let lo = (rng.below(LEAVES as u64) as u32 / span) * span;
             LeafInterval {
@@ -268,7 +268,6 @@ fn serving_executor(dataset: &Dataset) -> Executor {
     let mut exec = Executor::new(Optimizer::new(OptimizerConfig::full()));
     exec.collect_stats(dataset).expect("stats");
     exec.build_matview(dataset).expect("matview");
-    exec.set_cache_shards(Executor::SERVING_CACHE_SHARDS);
     exec
 }
 
@@ -306,8 +305,8 @@ fn eight_threads_match_single_threaded_replay() {
         }
     });
 
-    // Accounting invariant: the sharded cache's lock-free counters
-    // never lose a probe under contention.
+    // Accounting invariant: the cache's counters never lose a probe
+    // under contention.
     let stats = shared.cache_stats();
     assert_eq!(
         stats.hits + stats.misses,

@@ -420,8 +420,8 @@ fn optimizer_rules_preserve_query_semantics() {
 
 /// The concurrent path is under the same oracle: the full query stream
 /// split round-robin across 4 OS threads sharing one `Arc<Executor>`
-/// (cache sharded as for a fleet) must return exactly what the
-/// single-threaded naive baseline returns for every query. This is the
+/// must return exactly what the single-threaded naive baseline returns
+/// for every query. This is the
 /// end-to-end guarantee that sharing an executor only changes *how
 /// many round-trips* are paid, never the rows.
 #[test]
@@ -449,9 +449,8 @@ fn concurrent_shared_executor_matches_naive_baseline() {
     exec.build_matview(&dataset).expect("matview");
     // No columnar mirror here on purpose: a fresh mirror answers every
     // interval scope locally, and this test's subject is the shared
-    // *fetch* path (sharded cache, sources) under concurrency — the
+    // *fetch* path (shared cache, sources) under concurrency — the
     // columnar path is differentially tested above.
-    exec.set_cache_shards(Executor::SERVING_CACHE_SHARDS);
     let exec = Arc::new(exec);
 
     std::thread::scope(|scope| {

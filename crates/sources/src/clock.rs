@@ -3,7 +3,7 @@
 //! All simulated latencies (source round-trips, mobile network
 //! transfers) are *charged* to a shared virtual clock instead of being
 //! slept. This keeps the whole benchmark suite deterministic and lets
-//! wall-clock benchmarks (Criterion) measure pure CPU cost while the
+//! wall-clock benchmarks (`benchmark/`) measure pure CPU cost while the
 //! experiment harness reports virtual end-to-end latency.
 
 use std::fmt;

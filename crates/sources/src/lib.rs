@@ -22,9 +22,8 @@
 //! * [`federation`] — the registry the mediator resolves sources from.
 //! * [`flaky`] — failure injection: wrap any source to fail a
 //!   deterministic fraction of requests transiently.
-//! * [`sync`] — loom-swappable lock primitives for the shared
-//!   executor's caches and telemetry (parking_lot normally, loom's
-//!   instrumented types under `--cfg loom` for model checking).
+//! * [`sync`] — the lock primitives the shared executor's cache and
+//!   telemetry acquire through (parking_lot).
 
 pub mod assay_db;
 pub mod batcher;

@@ -298,7 +298,14 @@ impl Table {
     pub(crate) fn from_snapshot(snap: TableSnapshot) -> Result<Table> {
         let mut table = Table::new(snap.name, snap.schema);
         for (column, kind) in snap.indexes {
-            let name = table.schema.columns()[column].name.clone();
+            let Some(def) = table.schema.columns().get(column) else {
+                return Err(StoreError::Snapshot(format!(
+                    "table `{}`: index on column {column}, past its {} columns",
+                    table.name,
+                    table.schema.columns().len()
+                )));
+            };
+            let name = def.name.clone();
             table.create_index(&name, kind)?;
         }
         for row in snap.rows {

@@ -1,15 +1,15 @@
 // Seeded violations for the lock-order pass. The path mimics the real
 // query crate so class names land in the canonical order's namespace
-// (`query:shards`, `query:per_source`).
+// (`query:cache`, `query:per_source`).
 
 impl Registry {
-    // BAD (canonical reversal): the canonical order ranks cache shards
-    // before the metrics registry (a leaf), so taking a shard under a
+    // BAD (canonical reversal): the canonical order ranks the cache
+    // before the metrics registry (a leaf), so taking the cache under a
     // live per_source guard runs backwards through it.
-    fn record_wrong_order(&self, cache: &Cache) {
+    fn record_wrong_order(&self, exec: &Executor) {
         let mut sources = self.per_source.write();
-        let shard = cache.shards.lock();
-        sources.insert(self.key.clone(), shard.len());
+        let cache = exec.cache.lock();
+        sources.insert(self.key.clone(), cache.len());
     }
 }
 

@@ -527,7 +527,7 @@ fn receiver_start(chars: &[char], end: usize) -> usize {
 }
 
 /// Last path segment of a receiver chain, stripped of call/index
-/// suffixes: `self.shards[home]` ⇒ `shards`.
+/// suffixes: `self.slots[home]` ⇒ `slots`.
 fn class_tail(receiver: &str) -> Option<String> {
     let seg = receiver.rsplit('.').next().unwrap_or(receiver);
     let seg = seg.split(['[', '(']).next().unwrap_or(seg);
