@@ -49,7 +49,7 @@ fn exact(base_rtt: Duration, per_row: Duration) -> LatencyModel {
 /// "fat" is truly cheaper for any scan beyond ~110 rows.
 fn tradeoff_dataset(bundle: &SyntheticBundle) -> Dataset {
     let overlay = OverlayBuilder::new(&bundle.tree, &bundle.index)
-        .build(&bundle.proteins, &bundle.ligands, &[])
+        .build(&bundle.proteins, &bundle.ligands)
         .expect("synthetic inputs are resolvable");
     let mut registry = SourceRegistry::new();
     let caps = SourceCapabilities::full();

@@ -12,7 +12,15 @@ use crate::element::Element;
 use crate::mol::{Atom, BondOrder, Molecule};
 use crate::{ChemError, Result};
 
-/// Parse a SMILES string into a [`Molecule`].
+/// The most atoms a parsed molecule may hold. Ligand records are
+/// external input; the canonical ranking is quadratic in the atom count
+/// and the writer's depth-first walk recurses once per chain atom, so an
+/// unbounded molecule could stall or abort ingest. Drug-like ligands
+/// hold tens of heavy atoms.
+pub const MAX_ATOMS: usize = 1_024;
+
+/// Parse a SMILES string into a [`Molecule`] of at most [`MAX_ATOMS`]
+/// atoms.
 pub fn parse_smiles(input: &str) -> Result<Molecule> {
     Parser {
         bytes: input.as_bytes(),
@@ -129,6 +137,9 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
+                    if mol.atom_count() == MAX_ATOMS {
+                        return Err(self.err(format!("more than MAX_ATOMS = {MAX_ATOMS} atoms")));
+                    }
                     let atom = self.parse_atom()?;
                     let idx = mol.add_atom(atom);
                     if let Some(p) = prev {
@@ -645,6 +656,25 @@ mod tests {
         ] {
             assert!(parse_smiles(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn a_chain_at_the_atom_bound_parses_canonicalises_and_writes() {
+        let m = parse_smiles(&"C".repeat(MAX_ATOMS)).unwrap();
+        assert_eq!(m.atom_count(), MAX_ATOMS);
+        let canonical = crate::canonical::canonical_smiles(&m);
+        assert_eq!(parse_smiles(&canonical).unwrap().atom_count(), MAX_ATOMS);
+        assert_eq!(write_smiles(&m), "C".repeat(MAX_ATOMS));
+    }
+
+    #[test]
+    fn a_chain_past_the_atom_bound_is_an_error_naming_it() {
+        let err = parse_smiles(&"C".repeat(MAX_ATOMS + 1)).unwrap_err();
+        assert!(err.to_string().contains("1024"), "{err}");
+        let ChemError::MalformedSmiles { offset, .. } = err else {
+            panic!("{err:?}");
+        };
+        assert_eq!(offset, MAX_ATOMS, "refused at the first atom past it");
     }
 
     #[test]

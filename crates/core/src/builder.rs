@@ -232,7 +232,7 @@ fn build_from_sources(registry: SourceRegistry) -> Result<Dataset, DrugTreeError
 
     // 4. Integrate (activities stay federated; see drugtree-query).
     let overlay = OverlayBuilder::new(&tree, &index)
-        .build(&proteins, &ligands, &[])
+        .build(&proteins, &ligands)
         .map_err(|e| DrugTreeError::Integrate(e.to_string()))?;
 
     Dataset::new(tree, index, overlay, registry, clock).map_err(DrugTreeError::Query)

@@ -123,6 +123,14 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_snapshot_catalogs_only_ligands_and_proteins() {
+        let (_, dataset) = setup();
+        let snap: SystemSnapshot = serde_json::from_str(&save_system(&dataset).unwrap()).unwrap();
+        let catalog = load_catalog(&snap.catalog).unwrap();
+        assert_eq!(catalog.table_names(), vec!["ligand", "protein"]);
+    }
+
+    #[test]
     fn snapshot_is_deterministic() {
         let (_, dataset) = setup();
         assert_eq!(

@@ -1,9 +1,8 @@
 //! A damaged snapshot is an error, never a panic, a hang or an
-//! unbounded allocation. `load_system` and `load_columnar` read files a
-//! user hands them, and each is swept the same way: every number of a
-//! good snapshot replaced in turn by a handful of hostile values, and
-//! the text cut at every byte. A load that still succeeds must leave
-//! something a query (or a row read) can walk.
+//! unbounded allocation. `load_system` reads files a user hands it, and
+//! is swept over the committed fixture: every number replaced in turn
+//! by a handful of hostile values, and the text cut at every byte. A
+//! load that still succeeds must leave something a query can walk.
 
 // Test code: panicking on a malformed fixture is the right failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -12,7 +11,6 @@ use drugtree::load_system;
 use drugtree::prelude::*;
 use drugtree_sources::clock::VirtualClock;
 use drugtree_sources::{DataSource, SourceRegistry};
-use drugtree_store::{load_columnar, save_columnar, Column, ColumnarTable, Schema, ValueType};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -110,37 +108,4 @@ fn a_cycle_a_foreign_child_and_a_foreign_index_column_are_errors() {
         let text = SYSTEM.replacen(good, damaged, 1);
         assert!(!load_and_query(&sources, &text), "{damaged} must not load");
     }
-}
-
-#[test]
-fn a_damaged_columnar_snapshot_is_an_error_not_a_panic() {
-    let schema = Schema::new(vec![
-        Column::required("leaf_rank", ValueType::Int),
-        Column::required("source", ValueType::Text),
-        Column::nullable("value_nm", ValueType::Float),
-        Column::required("active", ValueType::Bool),
-    ]);
-    let rows = (0..12i64).map(|i| {
-        let value_nm = if i % 5 == 0 {
-            Value::Null
-        } else {
-            Value::Float(i as f64 * 2.5)
-        };
-        let source = ["assay-a", "assay-b", "assay-c"][i as usize % 3];
-        vec![
-            Value::Int(i / 2),
-            source.into(),
-            value_nm,
-            (i % 2 == 0).into(),
-        ]
-    });
-    let mut table = ColumnarTable::from_rows("activity", schema, rows).unwrap();
-    table.declare_sorted("leaf_rank").unwrap();
-    let good = save_columnar(&table).unwrap();
-    assert_eq!(load_columnar(&good).unwrap().len(), 12);
-    sweep(&good, |text| {
-        if let Ok(table) = load_columnar(text) {
-            (0..table.len()).for_each(|row| drop(table.get_row(row)));
-        }
-    });
 }

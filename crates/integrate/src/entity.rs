@@ -1,14 +1,13 @@
 //! Entity resolution: matching protein references across sources.
 //!
 //! Source A keys assays by `sp|P00533|EGFR_HUMAN`, source B labels tree
-//! leaves `P00533.2`, and a curator's spreadsheet says `EGFR human`.
-//! Resolution proceeds in three stages, cheapest first:
+//! leaves `P00533.2`. Resolution proceeds in two stages, cheapest
+//! first:
 //!
 //! 1. **Normalization** — strip database prefixes/version suffixes,
 //!    case-fold.
-//! 2. **Synonym table** — curated alias → canonical mappings.
-//! 3. **Fuzzy match** — Jaro–Winkler over the candidate set, accepted
-//!    above a configurable threshold.
+//! 2. **Fuzzy match** — Jaro–Winkler over the candidate set, accepted
+//!    at [`FUZZY_THRESHOLD`] or above.
 
 use crate::{IntegrateError, Result};
 use rustc_hash::FxHashMap;
@@ -33,6 +32,9 @@ pub fn normalize_accession(raw: &str) -> String {
     };
     core.to_ascii_uppercase()
 }
+
+/// Minimum Jaro–Winkler similarity for a fuzzy accept.
+pub const FUZZY_THRESHOLD: f64 = 0.90;
 
 /// Jaro similarity in `[0, 1]`.
 pub fn jaro(a: &str, b: &str) -> f64 {
@@ -95,8 +97,6 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
 pub enum Resolution {
     /// Exact match after normalization.
     Exact(String),
-    /// Matched via the synonym table.
-    Synonym(String),
     /// Fuzzy match with the achieved similarity.
     Fuzzy {
         /// The canonical id matched.
@@ -110,7 +110,7 @@ impl Resolution {
     /// The canonical identifier the reference resolved to.
     pub fn canonical(&self) -> &str {
         match self {
-            Resolution::Exact(c) | Resolution::Synonym(c) => c,
+            Resolution::Exact(c) => c,
             Resolution::Fuzzy { canonical, .. } => canonical,
         }
     }
@@ -121,10 +121,6 @@ impl Resolution {
 pub struct EntityResolver {
     /// Canonical ids, normalized -> original form.
     canonical: FxHashMap<String, String>,
-    /// Alias (normalized) -> canonical id.
-    synonyms: FxHashMap<String, String>,
-    /// Minimum Jaro–Winkler similarity for a fuzzy accept.
-    fuzzy_threshold: f64,
 }
 
 impl EntityResolver {
@@ -134,32 +130,14 @@ impl EntityResolver {
             .into_iter()
             .map(|id| (normalize_accession(&id), id))
             .collect();
-        EntityResolver {
-            canonical,
-            synonyms: FxHashMap::default(),
-            fuzzy_threshold: 0.90,
-        }
+        EntityResolver { canonical }
     }
 
-    /// Register an alias for a canonical id.
-    pub fn add_synonym(&mut self, alias: &str, canonical: &str) {
-        self.synonyms
-            .insert(normalize_accession(alias), canonical.to_string());
-    }
-
-    /// Adjust the fuzzy acceptance threshold (default 0.90).
-    pub fn set_fuzzy_threshold(&mut self, threshold: f64) {
-        self.fuzzy_threshold = threshold.clamp(0.0, 1.0);
-    }
-
-    /// Resolve a reference, trying exact, synonym, then fuzzy.
+    /// Resolve a reference, trying exact, then fuzzy.
     pub fn resolve(&self, reference: &str) -> Result<Resolution> {
         let norm = normalize_accession(reference);
         if let Some(orig) = self.canonical.get(&norm) {
             return Ok(Resolution::Exact(orig.clone()));
-        }
-        if let Some(canon) = self.synonyms.get(&norm) {
-            return Ok(Resolution::Synonym(canon.clone()));
         }
         let mut best: Option<(&String, f64)> = None;
         for (cand_norm, cand_orig) in &self.canonical {
@@ -169,7 +147,7 @@ impl EntityResolver {
             }
         }
         match best {
-            Some((orig, sim)) if sim >= self.fuzzy_threshold => Ok(Resolution::Fuzzy {
+            Some((orig, sim)) if sim >= FUZZY_THRESHOLD => Ok(Resolution::Fuzzy {
                 canonical: orig.clone(),
                 similarity: sim,
             }),
@@ -218,16 +196,8 @@ mod tests {
     }
 
     #[test]
-    fn synonym_resolution() {
-        let mut r = EntityResolver::new(vec!["P00533".into()]);
-        r.add_synonym("EGFR human", "P00533");
-        let res = r.resolve("egfr HUMAN").unwrap();
-        assert_eq!(res, Resolution::Synonym("P00533".into()));
-    }
-
-    #[test]
     fn fuzzy_resolution_with_threshold() {
-        let mut r = EntityResolver::new(vec!["KINASE_ALPHA".into(), "PHOSPHATASE_B".into()]);
+        let r = EntityResolver::new(vec!["KINASE_ALPHA".into(), "PHOSPHATASE_B".into()]);
         // One-character typo: accepted at default threshold.
         let res = r.resolve("KINASE_ALPHS").unwrap();
         match res {
@@ -243,9 +213,6 @@ mod tests {
         // Garbage: rejected, with the best candidate reported.
         let err = r.resolve("ZZZZZZ").unwrap_err();
         assert!(matches!(err, IntegrateError::Unresolved { .. }));
-        // Tighten the threshold and the typo fails too.
-        r.set_fuzzy_threshold(0.999);
-        assert!(r.resolve("KINASE_ALPHS").is_err());
     }
 
     #[test]

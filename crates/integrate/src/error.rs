@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors from entity resolution, mapping, or overlay construction.
+/// Errors from entity resolution or overlay construction.
 ///
 /// Marked `#[non_exhaustive]`: downstream matches must keep a
 /// wildcard arm so new failure kinds can be added without a breaking
@@ -18,12 +18,8 @@ pub enum IntegrateError {
         /// The nearest rejected candidate, if any.
         best_candidate: Option<String>,
     },
-    /// A schema mapping referenced a missing column.
-    Mapping(String),
     /// Underlying store failure.
     Store(drugtree_store::StoreError),
-    /// Underlying source failure.
-    Source(drugtree_sources::SourceError),
     /// Underlying tree failure.
     Phylo(drugtree_phylo::PhyloError),
     /// Tree/overlay inconsistency.
@@ -43,9 +39,7 @@ impl fmt::Display for IntegrateError {
                 ),
                 None => write!(f, "could not resolve {reference:?} (no candidates)"),
             },
-            IntegrateError::Mapping(msg) => write!(f, "schema mapping error: {msg}"),
             IntegrateError::Store(e) => write!(f, "store error: {e}"),
-            IntegrateError::Source(e) => write!(f, "source error: {e}"),
             IntegrateError::Phylo(e) => write!(f, "tree error: {e}"),
             IntegrateError::Overlay(msg) => write!(f, "overlay error: {msg}"),
         }
@@ -56,7 +50,6 @@ impl std::error::Error for IntegrateError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             IntegrateError::Store(e) => Some(e),
-            IntegrateError::Source(e) => Some(e),
             IntegrateError::Phylo(e) => Some(e),
             _ => None,
         }
@@ -66,12 +59,6 @@ impl std::error::Error for IntegrateError {
 impl From<drugtree_store::StoreError> for IntegrateError {
     fn from(e: drugtree_store::StoreError) -> Self {
         IntegrateError::Store(e)
-    }
-}
-
-impl From<drugtree_sources::SourceError> for IntegrateError {
-    fn from(e: drugtree_sources::SourceError) -> Self {
-        IntegrateError::Source(e)
     }
 }
 

@@ -1,32 +1,24 @@
 #![warn(missing_docs)]
 
-//! Wrapper/mediator data integration for the DrugTree reproduction.
+//! Mediator data integration for the DrugTree reproduction.
 //!
 //! The paper: *"the data is being obtained from multiple sources,
 //! integrated and then presented to the user with the [ligand data]
-//! imposed upon the phylogenetic analysis layer."* This crate is that
-//! integration step:
+//! imposed upon the phylogenetic analysis layer."* This crate is the
+//! build-time half of that step (activities are unified at fetch time,
+//! by `drugtree_query::dataset`):
 //!
-//! * [`entity`] — entity resolution: accession normalization, synonym
-//!   tables, and fuzzy string matching for the cross-source joins.
-//! * [`mapping`] — declarative schema mappings from source rows into
-//!   the unified overlay schema.
-//! * [`conflict`] — conflict resolution when multiple sources report
-//!   the same measurement (source priority, recency, median).
+//! * [`entity`] — entity resolution: accession normalization and fuzzy
+//!   string matching of protein records onto tree leaves.
 //! * [`ligand_identity`] — structure-level ligand unification: records
 //!   whose canonical SMILES match collapse to one id.
-//! * [`adapter`] — the source wrapper: present a legacy-schema source
-//!   under the unified schema, translating pushdown predicates.
-//! * [`overlay`] — the overlay join: attach ligand/activity records to
-//!   tree leaves and materialize the result into the local store,
-//!   indexed by leaf rank (the coordinate the query layer uses).
+//! * [`overlay`] — the overlay join: proteins placed on tree leaves and
+//!   ligands unified, materialized into the local store, keyed by leaf
+//!   rank (the coordinate the query layer uses).
 
-pub mod adapter;
-pub mod conflict;
 pub mod entity;
 pub mod error;
 pub mod ligand_identity;
-pub mod mapping;
 pub mod overlay;
 
 pub use entity::EntityResolver;

@@ -6,70 +6,42 @@
 //! overlay shows three "different" ligands with one-third of the
 //! evidence each. Canonical SMILES ([`drugtree_chem::canonical`])
 //! gives a structure-level identity: records whose canonical forms
-//! match collapse into one, and an alias map rewrites activity
-//! references onto the surviving id.
+//! match collapse into one, and an alias map sends a merged-away id
+//! to the surviving one.
 
 use drugtree_chem::canonical::canonical_smiles;
 use drugtree_chem::smiles::parse_smiles;
 use drugtree_sources::ligand_db::LigandRecord;
 use rustc_hash::FxHashMap;
 
-/// Result of a ligand-identity pass.
-#[derive(Debug, Clone, Default)]
-pub struct LigandIdentityReport {
-    /// Input records.
-    pub input: usize,
-    /// Distinct compounds after unification.
-    pub output: usize,
-    /// Ids merged away (alias → canonical id entries).
-    pub merged: usize,
-    /// Records whose SMILES did not parse (kept as-is, never merged).
-    pub unparsed: usize,
-}
-
-/// Collapse structurally identical ligand records.
+/// Collapse structurally identical ligand records into
+/// `(survivors, aliases)`.
 ///
 /// The first record of each structure (in input order) survives;
 /// later ids map to it in the returned alias table. Unparseable
 /// structures are passed through untouched.
-pub fn dedupe_ligands(
-    records: &[LigandRecord],
-) -> (
-    Vec<LigandRecord>,
-    FxHashMap<String, String>,
-    LigandIdentityReport,
-) {
+pub fn dedupe_ligands(records: &[LigandRecord]) -> (Vec<LigandRecord>, FxHashMap<String, String>) {
     let mut survivors: Vec<LigandRecord> = Vec::with_capacity(records.len());
     let mut by_structure: FxHashMap<String, String> = FxHashMap::default();
     let mut aliases: FxHashMap<String, String> = FxHashMap::default();
-    let mut report = LigandIdentityReport {
-        input: records.len(),
-        ..Default::default()
-    };
 
     for record in records {
-        match parse_smiles(&record.smiles) {
-            Ok(mol) => {
-                let canon = canonical_smiles(&mol);
-                match by_structure.get(&canon) {
-                    Some(canonical_id) => {
-                        aliases.insert(record.ligand_id.clone(), canonical_id.clone());
-                        report.merged += 1;
-                    }
-                    None => {
-                        by_structure.insert(canon, record.ligand_id.clone());
-                        survivors.push(record.clone());
-                    }
-                }
+        let Ok(mol) = parse_smiles(&record.smiles) else {
+            survivors.push(record.clone());
+            continue;
+        };
+        let canon = canonical_smiles(&mol);
+        match by_structure.get(&canon) {
+            Some(canonical_id) => {
+                aliases.insert(record.ligand_id.clone(), canonical_id.clone());
             }
-            Err(_) => {
-                report.unparsed += 1;
+            None => {
+                by_structure.insert(canon, record.ligand_id.clone());
                 survivors.push(record.clone());
             }
         }
     }
-    report.output = survivors.len();
-    (survivors, aliases, report)
+    (survivors, aliases)
 }
 
 #[cfg(test)]
@@ -89,10 +61,9 @@ mod tests {
             record("LAB-7", "O=C(O)c1ccccc1OC(=O)C"),
             record("OTHER", "CCO"),
         ];
-        let (survivors, aliases, report) = dedupe_ligands(&records);
-        assert_eq!(report.input, 4);
-        assert_eq!(report.output, 2);
-        assert_eq!(report.merged, 2);
+        let (survivors, aliases) = dedupe_ligands(&records);
+        assert_eq!(survivors.len(), 2);
+        assert_eq!(aliases.len(), 2);
         assert_eq!(survivors[0].ligand_id, "CHEMBL25");
         assert_eq!(aliases["DB00945"], "CHEMBL25");
         assert_eq!(aliases["LAB-7"], "CHEMBL25");
@@ -102,10 +73,9 @@ mod tests {
     #[test]
     fn distinct_structures_survive() {
         let records = vec![record("A", "CCO"), record("B", "CCN"), record("C", "COC")];
-        let (survivors, aliases, report) = dedupe_ligands(&records);
+        let (survivors, aliases) = dedupe_ligands(&records);
         assert_eq!(survivors.len(), 3);
         assert!(aliases.is_empty());
-        assert_eq!(report.merged, 0);
     }
 
     #[test]
@@ -113,17 +83,16 @@ mod tests {
         let mut broken = record("X", "CCO");
         broken.smiles = "C(((".into();
         let records = vec![broken.clone(), broken];
-        let (survivors, aliases, report) = dedupe_ligands(&records);
+        let (survivors, aliases) = dedupe_ligands(&records);
         // Both kept: without a structure there is no identity evidence.
         assert_eq!(survivors.len(), 2);
         assert!(aliases.is_empty());
-        assert_eq!(report.unparsed, 2);
     }
 
     #[test]
     fn first_id_wins_deterministically() {
         let records = vec![record("Z-LATE", "CCO"), record("A-EARLY", "OCC")];
-        let (survivors, aliases, _) = dedupe_ligands(&records);
+        let (survivors, aliases) = dedupe_ligands(&records);
         assert_eq!(
             survivors[0].ligand_id, "Z-LATE",
             "input order, not lexicographic"

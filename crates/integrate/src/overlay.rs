@@ -1,17 +1,16 @@
 //! The overlay join: ligand data imposed on the phylogenetic layer.
 //!
-//! This is DrugTree's defining data structure. Activities are resolved
-//! to tree leaves, collapsed through conflict resolution, and
-//! materialized into local store tables *keyed by leaf rank* — the 1-D
-//! coordinate that turns "in this subtree" into a range predicate
-//! (design decision D1). Ligand structures are parsed once and their
-//! fingerprints cached for similarity queries.
+//! This is DrugTree's defining data structure. Protein records are
+//! resolved to tree leaves and materialized into local store tables
+//! *keyed by leaf rank* — the 1-D coordinate that turns "in this
+//! subtree" into a range predicate (design decision D1). Ligand records
+//! are unified by structure, and each structure is parsed once and its
+//! fingerprint cached for similarity queries. Activities stay federated:
+//! the query layer fetches and unifies them per scope.
 
-use crate::conflict::{resolve_conflicts, ConflictPolicy, ConflictReport};
 use crate::entity::EntityResolver;
-use crate::ligand_identity::{dedupe_ligands, LigandIdentityReport};
+use crate::ligand_identity::dedupe_ligands;
 use crate::{IntegrateError, Result};
-use drugtree_chem::affinity::ActivityRecord;
 use drugtree_chem::fingerprint::Fingerprint;
 use drugtree_chem::mol::Molecule;
 use drugtree_chem::smiles::parse_smiles;
@@ -22,32 +21,16 @@ use drugtree_sources::protein_db::ProteinRecord;
 use drugtree_store::schema::{Column, Schema};
 use drugtree_store::table::{IndexKind, RowId, Table};
 use drugtree_store::value::{Value, ValueType};
-use drugtree_store::{Catalog, Dictionary};
+use drugtree_store::Catalog;
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
 /// Store table names of the overlay.
 pub mod tables {
-    /// Activities keyed by leaf rank.
-    pub const ACTIVITY: &str = "overlay_activity";
     /// Unified ligand records.
     pub const LIGAND: &str = "ligand";
     /// Proteins with their leaf assignment.
     pub const PROTEIN: &str = "protein";
-}
-
-/// Schema of [`tables::ACTIVITY`].
-pub fn activity_schema() -> Schema {
-    Schema::new(vec![
-        Column::required("leaf_rank", ValueType::Int),
-        Column::required("protein_accession", ValueType::Text),
-        Column::required("ligand_id", ValueType::Text),
-        Column::required("activity_type", ValueType::Text),
-        Column::required("value_nm", ValueType::Float),
-        Column::required("p_activity", ValueType::Float),
-        Column::required("source", ValueType::Text),
-        Column::required("year", ValueType::Int),
-    ])
 }
 
 /// Schema of [`tables::LIGAND`].
@@ -73,24 +56,6 @@ pub fn protein_schema() -> Schema {
     ])
 }
 
-/// Build statistics, reported to the user after integration.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OverlayReport {
-    /// Activity records attached to leaves.
-    pub activities_overlaid: usize,
-    /// Activity records whose protein reference did not resolve.
-    pub activities_unresolved: usize,
-    /// Ligand records ingested.
-    pub ligands: usize,
-    /// Ligands whose SMILES failed to parse (kept, but without a
-    /// fingerprint — similarity queries skip them).
-    pub ligands_unparsed: usize,
-    /// Ligand ids merged away by structure-level identity.
-    pub ligands_merged: usize,
-    /// Conflict-resolution statistics.
-    pub conflicts: ConflictReport,
-}
-
 /// The integrated overlay: local store tables plus the fingerprint
 /// cache.
 pub struct Overlay {
@@ -103,7 +68,6 @@ pub struct Overlay {
     /// Ligand id -> its row in the ligand table, built once: the
     /// executor's ligand join is one probe per activity row.
     ligand_rows: FxHashMap<Arc<str>, RowId>,
-    report: OverlayReport,
 }
 
 /// The ligand table's id -> row directory. The first row holding an id
@@ -117,6 +81,23 @@ fn ligand_directory(ligands: &Table) -> Result<FxHashMap<Arc<str>, RowId>> {
         }
     }
     Ok(directory)
+}
+
+/// Parse every structure once: fingerprints and molecules by ligand id.
+/// A structure that does not parse is left out of both (similarity
+/// queries skip it); its record stays in the ligand table.
+fn parse_structures<'s>(
+    ligands: impl Iterator<Item = (&'s str, &'s str)>,
+) -> (FxHashMap<String, Fingerprint>, FxHashMap<String, Molecule>) {
+    let mut fingerprints = FxHashMap::default();
+    let mut molecules = FxHashMap::default();
+    for (id, smiles) in ligands {
+        if let Ok(mol) = parse_smiles(smiles) {
+            fingerprints.insert(id.to_string(), Fingerprint::of_molecule(&mol));
+            molecules.insert(id.to_string(), mol);
+        }
+    }
+    (fingerprints, molecules)
 }
 
 impl Overlay {
@@ -170,41 +151,20 @@ impl Overlay {
         self.fingerprints.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Build statistics.
-    pub fn report(&self) -> OverlayReport {
-        self.report
-    }
-
     /// Reconstruct an overlay from a previously materialized catalog
-    /// (e.g. restored through `drugtree_store::snapshot`). Fingerprints
-    /// and molecules are recomputed from the ligand table's SMILES; the
-    /// build report reflects only what is recoverable.
+    /// (e.g. restored through `drugtree_store::snapshot`), keeping every
+    /// table it holds. Fingerprints and molecules are recomputed from
+    /// the ligand table's SMILES.
     pub fn from_catalog(catalog: Catalog) -> Result<Overlay> {
-        for required in [tables::PROTEIN, tables::LIGAND] {
-            catalog.table(required)?;
-        }
-        let mut fingerprints = FxHashMap::default();
-        let mut molecules = FxHashMap::default();
-        let mut ligands_unparsed = 0;
+        catalog.table(tables::PROTEIN)?;
         let ligand_table = catalog.table(tables::LIGAND)?;
         let id_col = ligand_table.schema().column_index("ligand_id")?;
         let smiles_col = ligand_table.schema().column_index("smiles")?;
-        let mut ligands = 0;
-        for (_, row) in ligand_table.scan() {
-            ligands += 1;
-            let (Some(id), Some(smiles)) = (row[id_col].as_text(), row[smiles_col].as_text())
-            else {
-                ligands_unparsed += 1;
-                continue;
-            };
-            match parse_smiles(smiles) {
-                Ok(mol) => {
-                    fingerprints.insert(id.to_string(), Fingerprint::of_molecule(&mol));
-                    molecules.insert(id.to_string(), mol);
-                }
-                Err(_) => ligands_unparsed += 1,
-            }
-        }
+        let (fingerprints, molecules) = parse_structures(
+            ligand_table
+                .scan()
+                .filter_map(|(_, row)| Some((row[id_col].as_text()?, row[smiles_col].as_text()?))),
+        );
         let ligand_rows = ligand_directory(ligand_table)?;
         Ok(Overlay {
             catalog,
@@ -214,64 +174,36 @@ impl Overlay {
             // catalog cannot name them.
             ligand_aliases: FxHashMap::default(),
             ligand_rows,
-            report: OverlayReport {
-                ligands,
-                ligands_unparsed,
-                ..Default::default()
-            },
         })
     }
 }
 
-/// Builds an [`Overlay`] from resolved inputs.
+/// Builds an [`Overlay`] from protein and ligand records.
 pub struct OverlayBuilder<'a> {
-    tree: &'a Tree,
     index: &'a TreeIndex,
     resolver: EntityResolver,
-    conflict_policy: ConflictPolicy,
 }
 
 impl<'a> OverlayBuilder<'a> {
     /// Start a builder over an indexed tree. The canonical entity
     /// universe is the set of leaf labels.
-    pub fn new(tree: &'a Tree, index: &'a TreeIndex) -> OverlayBuilder<'a> {
+    pub fn new(tree: &Tree, index: &'a TreeIndex) -> OverlayBuilder<'a> {
         let leaf_labels = tree
             .leaves()
             .into_iter()
             .filter_map(|l| tree.node_unchecked(l).label.clone());
         OverlayBuilder {
-            tree,
             index,
             resolver: EntityResolver::new(leaf_labels),
-            conflict_policy: ConflictPolicy::MostRecent,
         }
     }
 
-    /// Replace the conflict policy (default: most recent).
-    pub fn conflict_policy(mut self, policy: ConflictPolicy) -> Self {
-        self.conflict_policy = policy;
-        self
-    }
-
-    /// Register a protein-name synonym for entity resolution.
-    pub fn synonym(mut self, alias: &str, canonical: &str) -> Self {
-        self.resolver.add_synonym(alias, canonical);
-        self
-    }
-
-    /// Run the integration: resolve, de-conflict, and materialize.
-    pub fn build(
-        self,
-        proteins: &[ProteinRecord],
-        ligands: &[LigandRecord],
-        activities: &[ActivityRecord],
-    ) -> Result<Overlay> {
-        let mut catalog = Catalog::new();
-
+    /// Run the integration: place proteins on leaves, unify ligands,
+    /// and materialize both.
+    pub fn build(self, proteins: &[ProteinRecord], ligands: &[LigandRecord]) -> Result<Overlay> {
         // Leaf assignment for proteins.
         let mut protein_table = Table::new(tables::PROTEIN, protein_schema());
         protein_table.create_index("accession", IndexKind::Hash)?;
-        let mut leaf_of: FxHashMap<String, u32> = FxHashMap::default();
         for p in proteins {
             let resolution = self.resolver.resolve(&p.accession)?;
             let leaf = self.index.by_label(resolution.canonical())?;
@@ -281,7 +213,6 @@ impl<'a> OverlayBuilder<'a> {
                     p.accession
                 ))
             })?;
-            leaf_of.insert(p.accession.clone(), rank);
             protein_table.insert(vec![
                 Value::from(p.accession.as_str()),
                 Value::from(p.name.as_str()),
@@ -292,25 +223,11 @@ impl<'a> OverlayBuilder<'a> {
 
         // Ligands: unify structurally identical records across sources
         // (canonical-SMILES identity), then fingerprint.
-        let (ligands, ligand_aliases, identity_report): (
-            Vec<_>,
-            FxHashMap<String, String>,
-            LigandIdentityReport,
-        ) = dedupe_ligands(ligands);
+        let (ligands, ligand_aliases) = dedupe_ligands(ligands);
         let mut ligand_table = Table::new(tables::LIGAND, ligand_schema());
         ligand_table.create_index("ligand_id", IndexKind::Hash)?;
         ligand_table.create_index("mw", IndexKind::BTree)?;
-        let mut fingerprints = FxHashMap::default();
-        let mut molecules = FxHashMap::default();
-        let mut ligands_unparsed = 0;
         for l in &ligands {
-            match parse_smiles(&l.smiles) {
-                Ok(mol) => {
-                    fingerprints.insert(l.ligand_id.clone(), Fingerprint::of_molecule(&mol));
-                    molecules.insert(l.ligand_id.clone(), mol);
-                }
-                Err(_) => ligands_unparsed += 1,
-            }
             ligand_table.insert(vec![
                 Value::from(l.ligand_id.as_str()),
                 Value::from(l.name.as_str()),
@@ -321,84 +238,22 @@ impl<'a> OverlayBuilder<'a> {
                 Value::from(l.rings),
             ])?;
         }
-
-        // Activities: resolve proteins, remap merged ligand ids,
-        // de-conflict, attach by leaf rank.
-        let mut resolved: Vec<ActivityRecord> = Vec::with_capacity(activities.len());
-        let mut unresolved = 0;
-        for a in activities {
-            match self.resolver.resolve(&a.protein_accession) {
-                Ok(resolution) => {
-                    let mut rec = a.clone();
-                    rec.protein_accession = resolution.canonical().to_string();
-                    if let Some(canonical) = ligand_aliases.get(&rec.ligand_id) {
-                        rec.ligand_id = canonical.clone();
-                    }
-                    resolved.push(rec);
-                }
-                Err(_) => unresolved += 1,
-            }
-        }
-        let (deduped, conflicts) = resolve_conflicts(&resolved, &self.conflict_policy);
-
-        let mut activity_table = Table::new(tables::ACTIVITY, activity_schema());
-        activity_table.create_index("leaf_rank", IndexKind::BTree)?;
-        activity_table.create_index("p_activity", IndexKind::BTree)?;
-        activity_table.create_index("ligand_id", IndexKind::Hash)?;
-        // Activities repeat their accession, ligand, type and source:
-        // one shared allocation per distinct text.
-        let mut pool = Dictionary::new();
-        let mut overlaid = 0;
-        for rec in &deduped {
-            let leaf = self.index.by_label(&rec.protein_accession)?;
-            let rank = self.index.rank_of(leaf).ok_or_else(|| {
-                IntegrateError::Overlay(format!(
-                    "activity target {} is not a leaf",
-                    rec.protein_accession
-                ))
-            })?;
-            activity_table.insert(vec![
-                Value::from(rank),
-                pool.cell(&rec.protein_accession),
-                pool.cell(&rec.ligand_id),
-                pool.cell(rec.activity_type.label()),
-                Value::Float(rec.value_nm),
-                Value::Float(rec.p_activity()),
-                pool.cell(&rec.source),
-                Value::Int(rec.year as i64),
-            ])?;
-            overlaid += 1;
-        }
+        let (fingerprints, molecules) = parse_structures(
+            ligands
+                .iter()
+                .map(|l| (l.ligand_id.as_str(), l.smiles.as_str())),
+        );
 
         let ligand_rows = ligand_directory(&ligand_table)?;
+        let mut catalog = Catalog::new();
         catalog.create_table(protein_table)?;
         catalog.create_table(ligand_table)?;
-        catalog.create_table(activity_table)?;
-
-        // Sanity: every activity leaf rank is inside the tree.
-        debug_assert!(deduped.iter().all(|r| {
-            self.index
-                .by_label(&r.protein_accession)
-                .ok()
-                .and_then(|l| self.index.rank_of(l))
-                .is_some()
-        }));
-        let _ = self.tree; // tree retained for future structural checks
-
         Ok(Overlay {
             catalog,
             fingerprints,
             molecules,
             ligand_aliases,
             ligand_rows,
-            report: OverlayReport {
-                activities_overlaid: overlaid,
-                activities_unresolved: unresolved,
-                ligands: ligands.len(),
-                ligands_unparsed,
-                ligands_merged: identity_report.merged,
-                conflicts,
-            },
         })
     }
 }
@@ -406,7 +261,6 @@ impl<'a> OverlayBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drugtree_chem::ActivityType;
     use drugtree_phylo::newick::parse_newick;
     use drugtree_store::expr::Predicate;
 
@@ -416,17 +270,18 @@ mod tests {
         (tree, index)
     }
 
+    fn protein(accession: &str) -> ProteinRecord {
+        ProteinRecord {
+            accession: accession.into(),
+            name: format!("protein {accession}"),
+            organism: "synthetic".into(),
+            sequence: "MKVLAT".into(),
+            gene: None,
+        }
+    }
+
     fn proteins() -> Vec<ProteinRecord> {
-        ["P1", "P2", "P3", "P4"]
-            .iter()
-            .map(|acc| ProteinRecord {
-                accession: (*acc).into(),
-                name: format!("protein {acc}"),
-                organism: "synthetic".into(),
-                sequence: "MKVLAT".into(),
-                gene: None,
-            })
-            .collect()
+        ["P1", "P2", "P3", "P4"].map(protein).to_vec()
     }
 
     fn ligands() -> Vec<LigandRecord> {
@@ -436,42 +291,47 @@ mod tests {
         ]
     }
 
-    fn activity(acc: &str, ligand: &str, value: f64, year: u16) -> ActivityRecord {
-        ActivityRecord {
-            protein_accession: acc.into(),
-            ligand_id: ligand.into(),
-            activity_type: ActivityType::Ki,
-            value_nm: value,
-            source: "sim".into(),
-            year,
+    fn unparsable(id: &str, smiles: String) -> LigandRecord {
+        LigandRecord {
+            ligand_id: id.into(),
+            name: "broken".into(),
+            smiles,
+            molecular_weight: 100.0,
+            hbd: 0,
+            hba: 0,
+            rings: 0,
         }
+    }
+
+    /// The leaf rank the protein table gives `accession`.
+    fn rank_of(overlay: &Overlay, accession: &str) -> Value {
+        let t = overlay.catalog().table(tables::PROTEIN).unwrap();
+        let (_, row) = t
+            .scan()
+            .find(|(_, row)| row[0] == Value::from(accession))
+            .unwrap();
+        row[3].clone()
     }
 
     #[test]
     fn full_build() {
         let (tree, index) = setup();
-        let acts = vec![
-            activity("P1", "L1", 10.0, 2012),
-            activity("P2", "L1", 100.0, 2012),
-            activity("P3", "L2", 50.0, 2012),
-        ];
         let overlay = OverlayBuilder::new(&tree, &index)
-            .build(&proteins(), &ligands(), &acts)
+            .build(&proteins(), &ligands())
             .unwrap();
 
-        let report = overlay.report();
-        assert_eq!(report.activities_overlaid, 3);
-        assert_eq!(report.activities_unresolved, 0);
-        assert_eq!(report.ligands, 2);
-        assert_eq!(report.ligands_unparsed, 0);
-
-        let t = overlay.catalog().table(tables::ACTIVITY).unwrap();
-        assert_eq!(t.len(), 3);
+        assert_eq!(
+            overlay.catalog().table_names(),
+            vec![tables::LIGAND, tables::PROTEIN]
+        );
+        let t = overlay.catalog().table(tables::PROTEIN).unwrap();
+        assert_eq!(t.len(), 4);
         // Leaf-rank keying: clade A = ranks 0..2.
         let in_clade_a = Predicate::between("leaf_rank", 0i64, 1i64)
             .bind(t.schema())
             .unwrap();
         assert_eq!(t.select(&in_clade_a).count(), 2);
+        assert_eq!(overlay.catalog().table(tables::LIGAND).unwrap().len(), 2);
         // Fingerprints cached.
         assert!(overlay.fingerprint("L1").is_some());
         assert!(overlay.fingerprint("L9").is_none());
@@ -479,114 +339,61 @@ mod tests {
     }
 
     #[test]
-    fn fuzzy_references_resolve() {
+    fn normalised_accessions_land_on_their_leaf() {
         let (tree, index) = setup();
-        // "p1.2" normalizes to P1; "P9" cannot resolve.
-        let acts = vec![
-            activity("p1.2", "L1", 10.0, 2012),
-            activity("ZZZZZ", "L1", 1.0, 2012),
-        ];
-        let overlay = OverlayBuilder::new(&tree, &index)
-            .build(&proteins(), &ligands(), &acts)
-            .unwrap();
-        assert_eq!(overlay.report().activities_overlaid, 1);
-        assert_eq!(overlay.report().activities_unresolved, 1);
+        // A database-framed accession and a versioned lowercase one are
+        // each placed on their leaf's rank, beside an exact one.
+        let ps = ["sp|P1|KIN1_HUMAN", "p2.3", "P4"].map(protein);
+        let overlay = OverlayBuilder::new(&tree, &index).build(&ps, &[]).unwrap();
+        assert_eq!(rank_of(&overlay, "sp|P1|KIN1_HUMAN"), Value::Int(0));
+        assert_eq!(rank_of(&overlay, "p2.3"), Value::Int(1));
+        assert_eq!(rank_of(&overlay, "P4"), Value::Int(3));
     }
 
     #[test]
-    fn synonyms_feed_resolution() {
-        let (tree, index) = setup();
-        let acts = vec![activity("alpha kinase", "L1", 10.0, 2012)];
-        let overlay = OverlayBuilder::new(&tree, &index)
-            .synonym("alpha kinase", "P1")
-            .build(&proteins(), &ligands(), &acts)
-            .unwrap();
-        assert_eq!(overlay.report().activities_overlaid, 1);
-        // Attached to P1's leaf rank (0).
-        let t = overlay.catalog().table(tables::ACTIVITY).unwrap();
-        let (_, row) = t.scan().next().unwrap();
-        assert_eq!(row[0], Value::Int(0));
-        assert_eq!(row[1], Value::from("P1"));
-    }
-
-    #[test]
-    fn conflicts_are_resolved_before_overlay() {
-        let (tree, index) = setup();
-        let acts = vec![
-            activity("P1", "L1", 10.0, 2010),
-            activity("P1", "L1", 20.0, 2013),
-        ];
-        let overlay = OverlayBuilder::new(&tree, &index)
-            .conflict_policy(ConflictPolicy::MostRecent)
-            .build(&proteins(), &ligands(), &acts)
-            .unwrap();
-        assert_eq!(overlay.report().activities_overlaid, 1);
-        assert_eq!(overlay.report().conflicts.conflicting_groups, 1);
-        let t = overlay.catalog().table(tables::ACTIVITY).unwrap();
-        let (_, row) = t.scan().next().unwrap();
-        assert_eq!(row[4], Value::Float(20.0));
-    }
-
-    #[test]
-    fn p_activity_column_precomputed() {
-        let (tree, index) = setup();
-        let acts = vec![activity("P1", "L1", 1000.0, 2012)];
-        let overlay = OverlayBuilder::new(&tree, &index)
-            .build(&proteins(), &ligands(), &acts)
-            .unwrap();
-        let t = overlay.catalog().table(tables::ACTIVITY).unwrap();
-        let (_, row) = t.scan().next().unwrap();
-        let p = row[5].as_f64().unwrap();
-        assert!((p - 6.0).abs() < 1e-9, "1 µM -> pActivity 6, got {p}");
-    }
-
-    #[test]
-    fn unparseable_smiles_counted_but_kept() {
+    fn unparseable_smiles_kept_without_a_fingerprint() {
         let (tree, index) = setup();
         let mut ls = ligands();
-        ls.push(LigandRecord {
-            ligand_id: "L3".into(),
-            name: "broken".into(),
-            smiles: "C(((".into(),
-            molecular_weight: 100.0,
-            hbd: 0,
-            hba: 0,
-            rings: 0,
-        });
+        ls.push(unparsable("L3", "C(((".into()));
         let overlay = OverlayBuilder::new(&tree, &index)
-            .build(&proteins(), &ls, &[])
+            .build(&proteins(), &ls)
             .unwrap();
-        assert_eq!(overlay.report().ligands, 3);
-        assert_eq!(overlay.report().ligands_unparsed, 1);
         assert!(overlay.fingerprint("L3").is_none());
+        assert!(overlay.catalogued_ligand("L3").is_some());
         assert_eq!(overlay.catalog().table(tables::LIGAND).unwrap().len(), 3);
+    }
+
+    /// One ligand record far past `smiles::MAX_ATOMS` used to overflow
+    /// the stack in canonicalisation and abort the whole build.
+    #[test]
+    fn a_ten_thousand_atom_ligand_does_not_abort_the_build() {
+        let (tree, index) = setup();
+        let mut ls = ligands();
+        ls.push(unparsable("HUGE", "C".repeat(10_000)));
+        let overlay = OverlayBuilder::new(&tree, &index)
+            .build(&proteins(), &ls)
+            .unwrap();
+        assert!(overlay.fingerprint("HUGE").is_none());
+        assert!(overlay.catalogued_ligand("HUGE").is_some());
+        assert_eq!(overlay.fingerprints().count(), 2);
     }
 
     #[test]
     fn duplicate_structures_unify_across_sources() {
         let (tree, index) = setup();
-        // The same compound under two ids from two databases; activity
-        // records reference both.
+        // The same compound under two ids from two databases.
         let ligands = vec![
             LigandRecord::from_smiles("CHEMBL25", "aspirin", "CC(=O)Oc1ccccc1C(=O)O").unwrap(),
             LigandRecord::from_smiles("DB00945", "aspirin again", "OC(=O)c1ccccc1OC(C)=O").unwrap(),
         ];
-        let acts = vec![
-            activity("P1", "CHEMBL25", 10.0, 2012),
-            activity("P2", "DB00945", 50.0, 2012),
-        ];
         let overlay = OverlayBuilder::new(&tree, &index)
-            .build(&proteins(), &ligands, &acts)
+            .build(&proteins(), &ligands)
             .unwrap();
-        assert_eq!(overlay.report().ligands_merged, 1);
-        assert_eq!(overlay.report().ligands, 1, "one compound survives");
-        // Both activities now reference the surviving id.
-        let t = overlay.catalog().table(tables::ACTIVITY).unwrap();
-        let ids: Vec<String> = t
-            .scan()
-            .map(|(_, r)| r[2].as_text().unwrap().to_string())
-            .collect();
-        assert_eq!(ids, vec!["CHEMBL25", "CHEMBL25"]);
+        assert_eq!(
+            overlay.catalog().table(tables::LIGAND).unwrap().len(),
+            1,
+            "one compound survives"
+        );
         // The merged-away id still resolves, to the survivor's
         // structure; an id nobody catalogued does not.
         assert_eq!(
@@ -600,6 +407,7 @@ mod tests {
         // DB00945 row.
         assert!(overlay.catalogued_fingerprint("DB00945").is_none());
         assert!(overlay.catalogued_molecule("DB00945").is_none());
+        assert!(overlay.catalogued_ligand("DB00945").is_none());
         assert_eq!(overlay.fingerprints().count(), 1);
     }
 
@@ -607,17 +415,9 @@ mod tests {
     fn unknown_protein_record_fails_build() {
         let (tree, index) = setup();
         let mut ps = proteins();
-        ps.push(ProteinRecord {
-            accession: "QQQQQ".into(),
-            name: "mystery".into(),
-            organism: "none".into(),
-            sequence: "MK".into(),
-            gene: None,
-        });
+        ps.push(protein("QQQQQ"));
         // Protein records are authoritative; an unresolvable one is an
-        // error, unlike activity references which are skipped.
-        assert!(OverlayBuilder::new(&tree, &index)
-            .build(&ps, &[], &[])
-            .is_err());
+        // error.
+        assert!(OverlayBuilder::new(&tree, &index).build(&ps, &[]).is_err());
     }
 }

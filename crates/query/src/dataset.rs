@@ -290,7 +290,7 @@ pub mod test_fixtures {
         // Overlay materializes proteins + ligands locally; activities
         // live only in the simulated remote source.
         let overlay = OverlayBuilder::new(&tree, &index)
-            .build(&proteins, &ligands, &[])
+            .build(&proteins, &ligands)
             .unwrap();
         let mut registry = SourceRegistry::new();
         registry

@@ -142,7 +142,7 @@ fn build_dataset() -> Dataset {
     assert!(acts.len() >= 60, "dataset holds {} activities", acts.len());
 
     let overlay = OverlayBuilder::new(&tree, &index)
-        .build(&proteins, &ligands, &[])
+        .build(&proteins, &ligands)
         .expect("overlay builds");
 
     // max_batch 6 forces multi-chunk batched fetches over wide scopes.

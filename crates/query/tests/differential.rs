@@ -171,7 +171,7 @@ fn build_dataset_with(extra: &[ActivityRecord]) -> Dataset {
     acts.extend_from_slice(extra);
 
     let overlay = OverlayBuilder::new(&tree, &index)
-        .build(&proteins, &ligands, &[])
+        .build(&proteins, &ligands)
         .expect("overlay builds");
 
     // max_batch 5 forces multi-chunk batched fetches over 10 keys.

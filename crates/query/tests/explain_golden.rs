@@ -241,7 +241,7 @@ fn replica_dataset() -> Dataset {
         year: 2012,
     }];
     let overlay = OverlayBuilder::new(&tree, &index)
-        .build(&proteins, &ligands, &[])
+        .build(&proteins, &ligands)
         .expect("overlay");
     let mut registry = SourceRegistry::new();
     let mut slow = test_latency();

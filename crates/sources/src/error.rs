@@ -35,8 +35,6 @@ pub enum SourceError {
     Store(drugtree_store::StoreError),
     /// A record offered to a source failed chemistry-level validation.
     Record(drugtree_chem::ChemError),
-    /// A schema-mapping adapter wrapped around the source failed.
-    Adapter(String),
     /// The source does not accept ingests (named source).
     IngestRejected(String),
     /// A transient failure (timeout/503): safe to retry. Carries the
@@ -64,7 +62,6 @@ impl fmt::Display for SourceError {
             }
             SourceError::Store(e) => write!(f, "store error: {e}"),
             SourceError::Record(e) => write!(f, "invalid record: {e}"),
-            SourceError::Adapter(msg) => write!(f, "adapter error: {msg}"),
             SourceError::IngestRejected(name) => {
                 write!(f, "source {name:?} does not accept ingests")
             }

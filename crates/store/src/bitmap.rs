@@ -8,10 +8,8 @@
 //! them wordwise; the same type doubles as a column's validity
 //! (non-NULL) mask.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-length bitmap over row positions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
     len: usize,
@@ -236,15 +234,5 @@ mod tests {
             }
         }
         assert_eq!(grown, fixed);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut b = Bitmap::new(77);
-        b.set_range(3, 30);
-        b.set(76);
-        let json = serde_json::to_string(&b).unwrap();
-        let back: Bitmap = serde_json::from_str(&json).unwrap();
-        assert_eq!(b, back);
     }
 }

@@ -9,20 +9,14 @@
 //! use) answers interval scopes with a binary search that yields a
 //! contiguous row range — the optimizer's interval rewrite becomes a
 //! range-slice, not a row-id gather.
-//!
-//! Snapshots are canonical: dictionaries are re-coded in
-//! first-occurrence row order on save, so save→load→save is
-//! byte-identical regardless of intern history.
 
 use crate::bitmap::Bitmap;
-use crate::dict::Dictionary;
 use crate::expr::BoundPredicate;
 use crate::kernel;
 use crate::schema::Schema;
 use crate::segment::{ColumnSlice, Segment, SegmentData};
 use crate::value::{Value, ValueType};
 use crate::{Result, StoreError};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// A column-oriented table with optional sort metadata.
@@ -198,163 +192,6 @@ impl ColumnarTable {
     }
 }
 
-/// Serializable segment payload. String segments store the dictionary
-/// inline as a code-ordered value list.
-#[derive(Debug, Serialize, Deserialize)]
-enum SegmentDataSnapshot {
-    /// 64-bit integers.
-    Int(Vec<i64>),
-    /// 64-bit floats.
-    Float(Vec<f64>),
-    /// Booleans.
-    Bool(Vec<bool>),
-    /// Dictionary codes plus the code-ordered value list.
-    Str {
-        codes: Vec<u32>,
-        values: Vec<String>,
-    },
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct SegmentSnapshot {
-    data: SegmentDataSnapshot,
-    validity: Bitmap,
-}
-
-/// Serializable columnar-table state.
-#[derive(Debug, Serialize, Deserialize)]
-struct ColumnarSnapshot {
-    version: u32,
-    name: String,
-    schema: Schema,
-    sorted_by: Option<usize>,
-    columns: Vec<SegmentSnapshot>,
-}
-
-const COLUMNAR_SNAPSHOT_VERSION: u32 = 1;
-
-/// Serialize a columnar table to a canonical JSON string: dictionary
-/// codes are remapped to first-occurrence row order, so the output is
-/// independent of intern history and save→load→save is byte-identical.
-pub fn save_columnar(table: &ColumnarTable) -> Result<String> {
-    let columns = table
-        .segments
-        .iter()
-        .map(|seg| {
-            let validity = seg.validity().clone();
-            let data = match seg.data() {
-                SegmentData::Int(d) => SegmentDataSnapshot::Int(d.clone()),
-                SegmentData::Float(d) => SegmentDataSnapshot::Float(d.clone()),
-                SegmentData::Bool(d) => SegmentDataSnapshot::Bool(d.clone()),
-                SegmentData::Str { codes, dict } => {
-                    let (codes, values) = canonicalize_dict(codes, dict, &validity);
-                    SegmentDataSnapshot::Str { codes, values }
-                }
-            };
-            SegmentSnapshot { data, validity }
-        })
-        .collect();
-    serde_json::to_string(&ColumnarSnapshot {
-        version: COLUMNAR_SNAPSHOT_VERSION,
-        name: table.name.clone(),
-        schema: table.schema.clone(),
-        sorted_by: table.sorted_by,
-        columns,
-    })
-    .map_err(|e| StoreError::Snapshot(e.to_string()))
-}
-
-/// Remap codes to first-occurrence row order, dropping dictionary
-/// entries no live row references. NULL rows emit placeholder code 0.
-fn canonicalize_dict(
-    codes: &[u32],
-    dict: &Dictionary,
-    validity: &Bitmap,
-) -> (Vec<u32>, Vec<String>) {
-    let mut remap: Vec<Option<u32>> = vec![None; dict.len()];
-    let mut values: Vec<String> = Vec::new();
-    let mut out = Vec::with_capacity(codes.len());
-    for (i, &c) in codes.iter().enumerate() {
-        if !validity.get(i) {
-            out.push(0);
-            continue;
-        }
-        let slot = &mut remap[c as usize];
-        let code = *slot.get_or_insert_with(|| {
-            values.push(dict.value_of(c).unwrap_or_default().to_string());
-            (values.len() - 1) as u32
-        });
-        out.push(code);
-    }
-    (out, values)
-}
-
-/// Restore a columnar table from a JSON string produced by
-/// [`save_columnar`]. Re-verifies the declared sort order.
-pub fn load_columnar(json: &str) -> Result<ColumnarTable> {
-    let snap: ColumnarSnapshot =
-        serde_json::from_str(json).map_err(|e| StoreError::Snapshot(e.to_string()))?;
-    if snap.version != COLUMNAR_SNAPSHOT_VERSION {
-        return Err(StoreError::Snapshot(format!(
-            "unsupported columnar snapshot version {} (expected {COLUMNAR_SNAPSHOT_VERSION})",
-            snap.version
-        )));
-    }
-    if snap.columns.len() != snap.schema.arity() {
-        return Err(StoreError::Columnar(format!(
-            "snapshot has {} columns but schema arity is {}",
-            snap.columns.len(),
-            snap.schema.arity()
-        )));
-    }
-    let mut len = None;
-    let segments = snap
-        .columns
-        .into_iter()
-        .map(|col| {
-            let data = match col.data {
-                SegmentDataSnapshot::Int(d) => SegmentData::Int(d),
-                SegmentDataSnapshot::Float(d) => SegmentData::Float(d),
-                SegmentDataSnapshot::Bool(d) => SegmentData::Bool(d),
-                SegmentDataSnapshot::Str { codes, values } => SegmentData::Str {
-                    codes,
-                    dict: Dictionary::from_values(values)?,
-                },
-            };
-            let seg = Segment::from_parts(data, col.validity)?;
-            match len {
-                None => len = Some(seg.len()),
-                Some(l) if l != seg.len() => {
-                    return Err(StoreError::Columnar(format!(
-                        "segment lengths disagree: {l} vs {}",
-                        seg.len()
-                    )))
-                }
-                Some(_) => {}
-            }
-            Ok(seg)
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let mut table = ColumnarTable {
-        name: snap.name,
-        schema: snap.schema,
-        len: len.unwrap_or(0),
-        segments,
-        sorted_by: None,
-    };
-    if let Some(col) = snap.sorted_by {
-        let name = table
-            .schema
-            .columns()
-            .get(col)
-            .ok_or_else(|| StoreError::Columnar(format!("sort column {col} out of range")))?
-            .name
-            .clone();
-        table.declare_sorted(&name)?;
-    }
-    Ok(table)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,106 +274,5 @@ mod tests {
             .collect();
         assert_eq!(sel.iter_ones().collect::<Vec<_>>(), expect);
         assert_eq!(expect, vec![0, 4]);
-    }
-
-    #[test]
-    fn snapshot_roundtrip_preserves_rows() {
-        let t = sample();
-        let json = save_columnar(&t).unwrap();
-        let back = load_columnar(&json).unwrap();
-        assert_eq!(back.len(), t.len());
-        assert_eq!(back.sorted_by(), Some(0));
-        for i in 0..t.len() {
-            assert_eq!(back.get_row(i), t.get_row(i));
-        }
-        // Canonical: a second round-trip is byte-identical.
-        assert_eq!(save_columnar(&back).unwrap(), json);
-    }
-
-    #[test]
-    fn snapshot_dictionary_remap_is_stable() {
-        // Rows referencing "zeta" first, "alpha" second — but the
-        // crafted snapshot stores the dictionary in the opposite order
-        // and includes an entry no row references. Loading and
-        // re-saving must canonicalize to first-occurrence order with
-        // the dead entry dropped, matching the natural build exactly.
-        let schema = Schema::new(vec![
-            Column::required("leaf_rank", ValueType::Int),
-            Column::required("source", ValueType::Text),
-        ]);
-        let crafted = serde_json::to_string(&ColumnarSnapshot {
-            version: COLUMNAR_SNAPSHOT_VERSION,
-            name: "t".to_string(),
-            schema: schema.clone(),
-            sorted_by: None,
-            columns: vec![
-                SegmentSnapshot {
-                    data: SegmentDataSnapshot::Int(vec![0, 1, 2]),
-                    validity: Bitmap::full(3),
-                },
-                SegmentSnapshot {
-                    data: SegmentDataSnapshot::Str {
-                        codes: vec![2, 0, 2],
-                        values: vec!["alpha".into(), "unused".into(), "zeta".into()],
-                    },
-                    validity: Bitmap::full(3),
-                },
-            ],
-        })
-        .unwrap();
-        let loaded = load_columnar(&crafted).unwrap();
-        assert_eq!(loaded.get_row(0)[1], Value::from("zeta"));
-        assert_eq!(loaded.get_row(1)[1], Value::from("alpha"));
-        let natural = ColumnarTable::from_rows(
-            "t",
-            schema,
-            vec![
-                vec![Value::Int(0), Value::from("zeta")],
-                vec![Value::Int(1), Value::from("alpha")],
-                vec![Value::Int(2), Value::from("zeta")],
-            ],
-        )
-        .unwrap();
-        let canonical = save_columnar(&natural).unwrap();
-        assert_eq!(save_columnar(&loaded).unwrap(), canonical);
-        assert!(!canonical.contains("unused"));
-        // And the canonical form is a fixed point.
-        let again = load_columnar(&canonical).unwrap();
-        assert_eq!(save_columnar(&again).unwrap(), canonical);
-    }
-
-    #[test]
-    fn snapshot_empty_table_edge_case() {
-        let t = ColumnarTable::new("empty", activity_schema()).unwrap();
-        let json = save_columnar(&t).unwrap();
-        let back = load_columnar(&json).unwrap();
-        assert_eq!(back.len(), 0);
-        assert!(back.is_empty());
-        assert_eq!(back.schema(), t.schema());
-        assert_eq!(save_columnar(&back).unwrap(), json);
-        // An all-NULL string column also survives (placeholder codes
-        // with an empty dictionary).
-        let mut t = ColumnarTable::new(
-            "nulls",
-            Schema::new(vec![
-                Column::required("leaf_rank", ValueType::Int),
-                Column::nullable("tag", ValueType::Text),
-            ]),
-        )
-        .unwrap();
-        t.append_row(&[Value::Int(1), Value::Null]).unwrap();
-        let json = save_columnar(&t).unwrap();
-        let back = load_columnar(&json).unwrap();
-        assert_eq!(back.get_row(0), vec![Value::Int(1), Value::Null]);
-    }
-
-    #[test]
-    fn snapshot_version_and_malformed_rejected() {
-        let t = sample();
-        let json = save_columnar(&t)
-            .unwrap()
-            .replace("\"version\":1", "\"version\":9");
-        assert!(load_columnar(&json).is_err());
-        assert!(load_columnar("{nope").is_err());
     }
 }

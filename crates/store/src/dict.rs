@@ -9,9 +9,9 @@
 //!
 //! The same table is the workspace's text pool: [`Dictionary::cell`]
 //! hands out the one shared [`Value::Text`] allocation per distinct
-//! string, which is how ingest (`assay_source`, the overlay's activity
-//! table) keeps a million rows naming a few thousand accessions and
-//! ligands from owning a million copies.
+//! string, which is how ingest (`assay_source`) keeps a million rows
+//! naming a few thousand accessions and ligands from owning a million
+//! copies.
 
 use crate::value::Value;
 use rustc_hash::FxHashMap;
@@ -33,35 +33,17 @@ impl Dictionary {
         Dictionary::default()
     }
 
-    /// Rebuild a dictionary from a code-ordered value list (snapshot
-    /// loading). Duplicate values would make codes ambiguous.
-    pub fn from_values(values: Vec<String>) -> crate::Result<Dictionary> {
-        let mut dict = Dictionary::default();
-        for v in values {
-            if dict.map.contains_key(v.as_str()) {
-                return Err(crate::StoreError::Columnar(format!(
-                    "duplicate dictionary value {v:?}"
-                )));
-            }
-            dict.push(Arc::from(v));
-        }
-        Ok(dict)
-    }
-
-    fn push(&mut self, s: Arc<str>) -> u32 {
-        let code = self.values.len() as u32;
-        self.values.push(Arc::clone(&s));
-        self.map.insert(s, code);
-        code
-    }
-
     /// Intern `s`, returning its code (existing or freshly assigned).
     pub fn intern(&mut self, s: &str) -> u32 {
         // Looked up by `&str` first: a repeat allocates nothing.
-        match self.map.get(s) {
-            Some(&code) => code,
-            None => self.push(Arc::from(s)),
+        if let Some(&code) = self.map.get(s) {
+            return code;
         }
+        let code = self.values.len() as u32;
+        let s: Arc<str> = Arc::from(s);
+        self.values.push(Arc::clone(&s));
+        self.map.insert(s, code);
+        code
     }
 
     /// The pooled text cell for `s`: every call with an equal string
@@ -69,11 +51,6 @@ impl Dictionary {
     pub fn cell(&mut self, s: &str) -> Value {
         let code = self.intern(s);
         Value::Text(Arc::clone(&self.values[code as usize]))
-    }
-
-    /// The string for `code`.
-    pub fn value_of(&self, code: u32) -> Option<&str> {
-        self.values.get(code as usize).map(|s| &**s)
     }
 
     /// The shared text cell for `code`.
@@ -112,8 +89,6 @@ mod tests {
         assert_eq!(d.intern("assay-a"), a);
         assert_ne!(a, b);
         assert_eq!(d.len(), 2);
-        assert_eq!(d.value_of(a), Some("assay-a"));
-        assert_eq!(d.value_of(99), None);
         assert_eq!(d.values(), &[Arc::from("assay-a"), Arc::from("assay-b")]);
     }
 
@@ -132,8 +107,5 @@ mod tests {
         assert!(Arc::ptr_eq(a, &c));
         assert_eq!(d.len(), 1);
         assert_eq!(d.cell_of(1), None);
-        let restored = Dictionary::from_values(vec!["x".into(), "y".into()]).unwrap();
-        assert_eq!(restored.cell_of(1), Some(Value::from("y")));
-        assert!(Dictionary::from_values(vec!["x".into(), "x".into()]).is_err());
     }
 }

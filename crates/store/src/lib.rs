@@ -20,8 +20,7 @@
 //! * [`dict`] — dictionary encoding for low-cardinality strings.
 //! * [`segment`] — typed column buffers with zero-copy slices.
 //! * [`kernel`] — vectorized filter/aggregate kernels.
-//! * [`columnar`] — columnar tables with sort-aware range slicing and
-//!   canonical snapshots.
+//! * [`columnar`] — columnar tables with sort-aware range slicing.
 
 pub mod bitmap;
 pub mod catalog;
@@ -38,7 +37,7 @@ pub mod value;
 
 pub use bitmap::Bitmap;
 pub use catalog::Catalog;
-pub use columnar::{load_columnar, save_columnar, ColumnarTable};
+pub use columnar::ColumnarTable;
 pub use dict::Dictionary;
 pub use error::StoreError;
 pub use expr::{CompareOp, Predicate};

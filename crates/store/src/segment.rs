@@ -154,35 +154,6 @@ impl Segment {
     pub fn validity(&self) -> &Bitmap {
         &self.validity
     }
-
-    /// Rebuild a segment from raw parts (snapshot loading).
-    pub(crate) fn from_parts(data: SegmentData, validity: Bitmap) -> Result<Segment> {
-        let rows = match &data {
-            SegmentData::Int(d) => d.len(),
-            SegmentData::Float(d) => d.len(),
-            SegmentData::Bool(d) => d.len(),
-            SegmentData::Str { codes, dict } => {
-                // NULL rows carry a placeholder code; only codes at
-                // valid rows must resolve in the dictionary.
-                for (i, &c) in codes.iter().enumerate() {
-                    if i < validity.len() && validity.get(i) && (c as usize) >= dict.len() {
-                        return Err(StoreError::Columnar(format!(
-                            "dictionary code {c} out of range ({} entries)",
-                            dict.len()
-                        )));
-                    }
-                }
-                codes.len()
-            }
-        };
-        if rows != validity.len() {
-            return Err(StoreError::Columnar(format!(
-                "segment data has {rows} rows but validity covers {}",
-                validity.len()
-            )));
-        }
-        Ok(Segment { data, validity })
-    }
 }
 
 /// Borrowed typed column data.
@@ -293,21 +264,5 @@ mod tests {
             Err(StoreError::TypeMismatch { .. })
         ));
         assert!(Segment::new(ValueType::Null).is_err());
-    }
-
-    #[test]
-    fn from_parts_validates_lengths_and_codes() {
-        let bad = Segment::from_parts(SegmentData::Int(vec![1, 2]), Bitmap::full(3));
-        assert!(bad.is_err());
-        let mut dict = Dictionary::new();
-        dict.intern("only");
-        let bad = Segment::from_parts(
-            SegmentData::Str {
-                codes: vec![0, 7],
-                dict,
-            },
-            Bitmap::full(2),
-        );
-        assert!(bad.is_err());
     }
 }

@@ -153,7 +153,7 @@ impl SyntheticBundle {
     /// Like [`SyntheticBundle::build_dataset`] with an external clock.
     pub fn build_dataset_with_clock(&self, clock: Arc<VirtualClock>) -> Dataset {
         let overlay = OverlayBuilder::new(&self.tree, &self.index)
-            .build(&self.proteins, &self.ligands, &[])
+            .build(&self.proteins, &self.ligands)
             .expect("synthetic inputs are resolvable");
 
         let mut registry = SourceRegistry::new();

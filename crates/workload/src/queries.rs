@@ -261,7 +261,7 @@ mod tests {
         let b = SyntheticBundle::generate(
             &WorkloadSpec::default().leaves(256).ligands(1024).seed(1101),
         );
-        let (_, aliases, _) = drugtree_integrate::ligand_identity::dedupe_ligands(&b.ligands);
+        let (_, aliases) = drugtree_integrate::ligand_identity::dedupe_ligands(&b.ligands);
         assert!(!aliases.is_empty(), "deployment has a merged ligand");
         let d = b.build_dataset();
         let e = Executor::new(Optimizer::new(OptimizerConfig::full()));

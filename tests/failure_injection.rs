@@ -71,7 +71,7 @@ fn flaky_dataset(rate: f64, seed: u64) -> (Dataset, Arc<FlakySource>) {
         .register(flaky.clone() as Arc<dyn DataSource>)
         .unwrap();
     let overlay = OverlayBuilder::new(&tree, &index)
-        .build(&proteins, &[], &[])
+        .build(&proteins, &[])
         .unwrap();
     let dataset = Dataset::new(tree, index, overlay, registry, VirtualClock::new()).unwrap();
     (dataset, flaky)

@@ -1,5 +1,16 @@
-//! Seeded violation: `orphan` is called by its own unit test and by
-//! nothing that ships; `Unreferenced` by nothing at all.
+//! Seeded violations: `orphan` is called by its own unit test and by
+//! nothing that ships; `Unreferenced` by nothing at all; `reexported`
+//! by nothing but the re-export below; and `island_a` / `island_b`
+//! name only each other, so neither module is reached.
+
+pub mod island_a;
+pub mod island_b;
+pub mod shelf;
+
+pub use shelf::{
+    reexported,
+    stocked,
+};
 
 pub fn used() -> u32 {
     1

@@ -1,3 +1,3 @@
 fn main() {
-    println!("{}", demo::used());
+    println!("{}", demo::used() + demo::stocked());
 }

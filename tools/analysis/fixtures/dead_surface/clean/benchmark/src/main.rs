@@ -1,3 +1,6 @@
 fn main() {
-    println!("{}", demo::used() + demo::inert_but_benchmarked());
+    println!(
+        "{}",
+        demo::used() + demo::inert_but_benchmarked() + demo::stocked()
+    );
 }

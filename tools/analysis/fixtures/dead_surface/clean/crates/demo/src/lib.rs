@@ -1,5 +1,10 @@
 //! Clean twin: one name is called from a sibling module, one only
-//! from the benchmark's sources (a caller root), one is not `pub`.
+//! from the benchmark's sources (a caller root), one is not `pub`, and
+//! one is re-exported and called through the re-export.
+
+pub mod shelf;
+
+pub use shelf::stocked;
 
 pub mod helper {
     pub fn shared() -> u32 {

@@ -286,6 +286,31 @@ mod tests {
         }
     }
 
+    /// dead-surface's seeded corpus, finding by finding: a (multi-line)
+    /// re-export keeps no item alive, and two modules that name only
+    /// each other keep neither alive.
+    #[test]
+    fn dead_surface_sees_re_exports_and_islands() {
+        use registry::Pass;
+        let pass = passes::dead_surface::DeadSurface;
+        let mut found: Vec<String> = pass
+            .run(&fixture(pass.name(), "bad"))
+            .iter()
+            .map(|v| format!("{}:{}", v.file, v.line))
+            .collect();
+        found.sort();
+        assert_eq!(
+            found,
+            [
+                "crates/demo/src/island_a.rs:1",
+                "crates/demo/src/island_b.rs:1",
+                "crates/demo/src/lib.rs:19",
+                "crates/demo/src/lib.rs:23",
+                "crates/demo/src/shelf.rs:5",
+            ]
+        );
+    }
+
     /// The real tree is clean: running every pass over the repository
     /// with its allowlists yields zero violations. This is the same
     /// check CI's verify step performs via `cargo run --bin repo-lint`.
