@@ -3,7 +3,7 @@
 //! The store-level microbenchmark behind the columnar engine (design
 //! decision D12): the same filtered aggregate — select rows by
 //! predicate, then `sum`/`count` the `p_activity` column — runs once
-//! through the typed bitmap kernels over a [`ColumnarTable`] and once
+//! through the typed bitmap kernels over a store [`Table`] and once
 //! as a `Predicate::matches` scan over materialized `Vec<Value>` rows.
 //! Both paths visit rows in ascending index order, so their float sums
 //! are bitwise identical — checked on every measurement, making this a
@@ -22,10 +22,10 @@
 use crate::table::ExperimentTable;
 use crate::RunConfig;
 use drugtree_sources::clock::wall_now;
-use drugtree_store::columnar::ColumnarTable;
 use drugtree_store::expr::{CompareOp, Predicate};
 use drugtree_store::kernel;
 use drugtree_store::schema::{Column, Schema};
+use drugtree_store::table::Table;
 use drugtree_store::value::{Value, ValueType};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -38,7 +38,7 @@ pub const QUICK_MIN_SPEEDUP: f64 = 3.0;
 
 /// A synthetic activity table in the activity-half layout, plus the
 /// same data as materialized rows for the baseline scan.
-fn synthetic_table(rows: usize, seed: u64) -> (ColumnarTable, Vec<Vec<Value>>) {
+fn synthetic_table(rows: usize, seed: u64) -> (Table, Vec<Vec<Value>>) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut data = Vec::with_capacity(rows);
     for rank in 0..rows {
@@ -70,8 +70,7 @@ fn synthetic_table(rows: usize, seed: u64) -> (ColumnarTable, Vec<Vec<Value>>) {
         Column::required("source", ValueType::Text),
         Column::required("year", ValueType::Int),
     ]);
-    let table =
-        ColumnarTable::from_rows("e15", schema, data.clone()).expect("synthetic rows fit schema");
+    let table = Table::from_rows("e15", schema, data.clone()).expect("synthetic rows fit schema");
     (table, data)
 }
 

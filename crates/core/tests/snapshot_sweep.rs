@@ -95,7 +95,7 @@ fn a_damaged_system_snapshot_is_an_error_not_a_panic() {
 /// link that closes a cycle (the walk never ended), a child id past
 /// the arena, an index on a column the schema does not have (the
 /// catalog is a JSON string inside the snapshot, so its quotes are
-/// escaped).
+/// escaped). And an index kind the store does not know.
 #[test]
 fn a_cycle_a_foreign_child_and_a_foreign_index_column_are_errors() {
     let sources = live_sources();
@@ -103,6 +103,7 @@ fn a_cycle_a_foreign_child_and_a_foreign_index_column_are_errors() {
         ("\"children\":[1,2]", "\"children\":[0,2]"),
         ("\"children\":[1,2]", "\"children\":[99999999,2]"),
         (r#"\"indexes\":[[0,"#, r#"\"indexes\":[[9,"#),
+        (r#"[[0,\"Hash\"]"#, r#"[[0,\"Trie\"]"#),
     ] {
         assert!(SYSTEM.contains(good), "the fixture has {good}");
         let text = SYSTEM.replacen(good, damaged, 1);

@@ -19,11 +19,10 @@ use drugtree_phylo::tree::Tree;
 use drugtree_sources::ligand_db::LigandRecord;
 use drugtree_sources::protein_db::ProteinRecord;
 use drugtree_store::schema::{Column, Schema};
-use drugtree_store::table::{IndexKind, RowId, Table};
+use drugtree_store::table::Table;
 use drugtree_store::value::{Value, ValueType};
 use drugtree_store::Catalog;
 use rustc_hash::FxHashMap;
-use std::sync::Arc;
 
 /// Store table names of the overlay.
 pub mod tables {
@@ -65,36 +64,20 @@ pub struct Overlay {
     /// Ligand ids merged away by structure-level identity, mapped to
     /// the id that survived in the ligand table.
     ligand_aliases: FxHashMap<String, String>,
-    /// Ligand id -> its row in the ligand table, built once: the
-    /// executor's ligand join is one probe per activity row.
-    ligand_rows: FxHashMap<Arc<str>, RowId>,
-}
-
-/// The ligand table's id -> row directory. The first row holding an id
-/// wins, as the first id of its index bucket would.
-fn ligand_directory(ligands: &Table) -> Result<FxHashMap<Arc<str>, RowId>> {
-    let id_col = ligands.schema().column_index("ligand_id")?;
-    let mut directory = FxHashMap::default();
-    for (row_id, row) in ligands.scan() {
-        if let Value::Text(id) = &row[id_col] {
-            directory.entry(Arc::clone(id)).or_insert(row_id);
-        }
-    }
-    Ok(directory)
 }
 
 /// Parse every structure once: fingerprints and molecules by ligand id.
 /// A structure that does not parse is left out of both (similarity
 /// queries skip it); its record stays in the ligand table.
-fn parse_structures<'s>(
-    ligands: impl Iterator<Item = (&'s str, &'s str)>,
+fn parse_structures<S: AsRef<str>>(
+    ligands: impl Iterator<Item = (S, S)>,
 ) -> (FxHashMap<String, Fingerprint>, FxHashMap<String, Molecule>) {
     let mut fingerprints = FxHashMap::default();
     let mut molecules = FxHashMap::default();
     for (id, smiles) in ligands {
-        if let Ok(mol) = parse_smiles(smiles) {
-            fingerprints.insert(id.to_string(), Fingerprint::of_molecule(&mol));
-            molecules.insert(id.to_string(), mol);
+        if let Ok(mol) = parse_smiles(smiles.as_ref()) {
+            fingerprints.insert(id.as_ref().to_string(), Fingerprint::of_molecule(&mol));
+            molecules.insert(id.as_ref().to_string(), mol);
         }
     }
     (fingerprints, molecules)
@@ -140,12 +123,6 @@ impl Overlay {
         self.molecules.get(ligand_id)
     }
 
-    /// The ligand-table row catalogued under exactly this id (no alias
-    /// is followed, see [`Overlay::catalogued_fingerprint`]).
-    pub fn catalogued_ligand(&self, ligand_id: &str) -> Option<RowId> {
-        self.ligand_rows.get(ligand_id).copied()
-    }
-
     /// All (ligand id, fingerprint) pairs.
     pub fn fingerprints(&self) -> impl Iterator<Item = (&str, &Fingerprint)> {
         self.fingerprints.iter().map(|(k, v)| (k.as_str(), v))
@@ -154,18 +131,30 @@ impl Overlay {
     /// Reconstruct an overlay from a previously materialized catalog
     /// (e.g. restored through `drugtree_store::snapshot`), keeping every
     /// table it holds. Fingerprints and molecules are recomputed from
-    /// the ligand table's SMILES.
+    /// the ligand table's SMILES. The ligand table must be the one
+    /// [`OverlayBuilder::build`] writes, keyed on `ligand_id`: anything
+    /// else would join every activity to NULL cells, or to cells of
+    /// another shape.
     pub fn from_catalog(catalog: Catalog) -> Result<Overlay> {
         catalog.table(tables::PROTEIN)?;
         let ligand_table = catalog.table(tables::LIGAND)?;
-        let id_col = ligand_table.schema().column_index("ligand_id")?;
-        let smiles_col = ligand_table.schema().column_index("smiles")?;
-        let (fingerprints, molecules) = parse_structures(
-            ligand_table
-                .scan()
-                .filter_map(|(_, row)| Some((row[id_col].as_text()?, row[smiles_col].as_text()?))),
-        );
-        let ligand_rows = ligand_directory(ligand_table)?;
+        let schema = ligand_schema();
+        let id_col = schema.column_index("ligand_id")?;
+        if ligand_table.schema() != &schema || ligand_table.key_column() != Some(id_col) {
+            return Err(IntegrateError::Overlay(
+                "the ligand table is not the overlay's, keyed on ligand_id".to_string(),
+            ));
+        }
+        let smiles_col = schema.column_index("smiles")?;
+        let (fingerprints, molecules) = parse_structures((0..ligand_table.len()).filter_map(|i| {
+            match (
+                ligand_table.cell(i, id_col),
+                ligand_table.cell(i, smiles_col),
+            ) {
+                (Value::Text(id), Value::Text(smiles)) => Some((id, smiles)),
+                _ => None,
+            }
+        }));
         Ok(Overlay {
             catalog,
             fingerprints,
@@ -173,7 +162,6 @@ impl Overlay {
             // The merged-away ids were never materialized, so a restored
             // catalog cannot name them.
             ligand_aliases: FxHashMap::default(),
-            ligand_rows,
         })
     }
 }
@@ -202,8 +190,7 @@ impl<'a> OverlayBuilder<'a> {
     /// and materialize both.
     pub fn build(self, proteins: &[ProteinRecord], ligands: &[LigandRecord]) -> Result<Overlay> {
         // Leaf assignment for proteins.
-        let mut protein_table = Table::new(tables::PROTEIN, protein_schema());
-        protein_table.create_index("accession", IndexKind::Hash)?;
+        let mut protein_table = Table::new(tables::PROTEIN, protein_schema())?;
         for p in proteins {
             let resolution = self.resolver.resolve(&p.accession)?;
             let leaf = self.index.by_label(resolution.canonical())?;
@@ -213,7 +200,7 @@ impl<'a> OverlayBuilder<'a> {
                     p.accession
                 ))
             })?;
-            protein_table.insert(vec![
+            protein_table.append_row(&[
                 Value::from(p.accession.as_str()),
                 Value::from(p.name.as_str()),
                 Value::from(p.organism.as_str()),
@@ -224,11 +211,10 @@ impl<'a> OverlayBuilder<'a> {
         // Ligands: unify structurally identical records across sources
         // (canonical-SMILES identity), then fingerprint.
         let (ligands, ligand_aliases) = dedupe_ligands(ligands);
-        let mut ligand_table = Table::new(tables::LIGAND, ligand_schema());
-        ligand_table.create_index("ligand_id", IndexKind::Hash)?;
-        ligand_table.create_index("mw", IndexKind::BTree)?;
+        let mut ligand_table =
+            Table::new(tables::LIGAND, ligand_schema())?.with_key("ligand_id")?;
         for l in &ligands {
-            ligand_table.insert(vec![
+            ligand_table.append_row(&[
                 Value::from(l.ligand_id.as_str()),
                 Value::from(l.name.as_str()),
                 Value::from(l.smiles.as_str()),
@@ -244,7 +230,6 @@ impl<'a> OverlayBuilder<'a> {
                 .map(|l| (l.ligand_id.as_str(), l.smiles.as_str())),
         );
 
-        let ligand_rows = ligand_directory(&ligand_table)?;
         let mut catalog = Catalog::new();
         catalog.create_table(protein_table)?;
         catalog.create_table(ligand_table)?;
@@ -253,7 +238,6 @@ impl<'a> OverlayBuilder<'a> {
             fingerprints,
             molecules,
             ligand_aliases,
-            ligand_rows,
         })
     }
 }
@@ -303,14 +287,20 @@ mod tests {
         }
     }
 
+    /// How many ligand-table rows hold exactly `ligand_id`: the key
+    /// the executor's ligand join probes (no alias is followed).
+    fn catalogued(overlay: &Overlay, ligand_id: &str) -> usize {
+        let t = overlay.catalog().table(tables::LIGAND).unwrap();
+        t.key_rows(&Value::from(ligand_id)).len()
+    }
+
     /// The leaf rank the protein table gives `accession`.
     fn rank_of(overlay: &Overlay, accession: &str) -> Value {
         let t = overlay.catalog().table(tables::PROTEIN).unwrap();
-        let (_, row) = t
-            .scan()
-            .find(|(_, row)| row[0] == Value::from(accession))
+        let row = (0..t.len())
+            .find(|&i| t.cell(i, 0) == Value::from(accession))
             .unwrap();
-        row[3].clone()
+        t.cell(row, 3)
     }
 
     #[test]
@@ -330,7 +320,7 @@ mod tests {
         let in_clade_a = Predicate::between("leaf_rank", 0i64, 1i64)
             .bind(t.schema())
             .unwrap();
-        assert_eq!(t.select(&in_clade_a).count(), 2);
+        assert_eq!(t.eval(&in_clade_a, 0..t.len()).count_ones(), 2);
         assert_eq!(overlay.catalog().table(tables::LIGAND).unwrap().len(), 2);
         // Fingerprints cached.
         assert!(overlay.fingerprint("L1").is_some());
@@ -359,7 +349,7 @@ mod tests {
             .build(&proteins(), &ls)
             .unwrap();
         assert!(overlay.fingerprint("L3").is_none());
-        assert!(overlay.catalogued_ligand("L3").is_some());
+        assert_eq!(catalogued(&overlay, "L3"), 1);
         assert_eq!(overlay.catalog().table(tables::LIGAND).unwrap().len(), 3);
     }
 
@@ -374,7 +364,7 @@ mod tests {
             .build(&proteins(), &ls)
             .unwrap();
         assert!(overlay.fingerprint("HUGE").is_none());
-        assert!(overlay.catalogued_ligand("HUGE").is_some());
+        assert_eq!(catalogued(&overlay, "HUGE"), 1);
         assert_eq!(overlay.fingerprints().count(), 2);
     }
 
@@ -407,8 +397,33 @@ mod tests {
         // DB00945 row.
         assert!(overlay.catalogued_fingerprint("DB00945").is_none());
         assert!(overlay.catalogued_molecule("DB00945").is_none());
-        assert!(overlay.catalogued_ligand("DB00945").is_none());
+        assert_eq!(catalogued(&overlay, "DB00945"), 0);
         assert_eq!(overlay.fingerprints().count(), 1);
+    }
+
+    /// A catalog whose ligand table carries no `ligand_id` key (or is
+    /// shaped otherwise) is refused: the ligand join would silently
+    /// find nothing.
+    #[test]
+    fn a_catalog_without_the_ligand_key_is_refused() {
+        let catalog = |ligands: Table| {
+            let mut c = Catalog::new();
+            c.create_table(Table::new(tables::PROTEIN, protein_schema()).unwrap())
+                .unwrap();
+            c.create_table(ligands).unwrap();
+            c
+        };
+        let ligands = || Table::new(tables::LIGAND, ligand_schema()).unwrap();
+        let keyed = ligands().with_key("ligand_id").unwrap();
+        assert!(Overlay::from_catalog(catalog(keyed)).is_ok());
+        assert!(Overlay::from_catalog(catalog(ligands())).is_err());
+        let on_name = ligands().with_key("name").unwrap();
+        assert!(Overlay::from_catalog(catalog(on_name)).is_err());
+        let reshaped = Table::new(tables::LIGAND, protein_schema())
+            .unwrap()
+            .with_key("accession")
+            .unwrap();
+        assert!(Overlay::from_catalog(catalog(reshaped)).is_err());
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! The columnar activity mirror: local column store for the overlay.
 //!
 //! [`ActivityColumns`] materializes every assay source's rows once into
-//! a [`ColumnarTable`] in the activity-half layout, sorted by Euler-tour
-//! leaf rank. With the mirror fresh, the optimizer's interval rewrite
+//! a store [`Table`] in the activity-half layout, sorted by Euler-tour
+//! leaf rank: a second copy of the activities, in the store's one table
+//! format. With the mirror fresh, the optimizer's interval rewrite
 //! stops being a per-leaf key gather and becomes a binary-searched row
 //! *range* over contiguous typed buffers ([`Access::ColumnarScan`]),
 //! and predicate leaves run as vectorized bitmap kernels — the
 //! "sub-millisecond local compute" half of the paper's latency story,
-//! with the row path kept byte-identical behind the same executor API
-//! (design decision D12 in DESIGN.md).
+//! with the fetch path's answers unchanged behind the same executor
+//! API (design decision D12 in DESIGN.md).
 //!
 //! The build pass replicates the fetch path's row pipeline exactly —
 //! [`unify_assay_row`], cross-source most-recent dedupe, rank sort — so
@@ -24,7 +25,7 @@ use crate::exec::dedupe_most_recent;
 use crate::Result;
 use drugtree_phylo::index::LeafInterval;
 use drugtree_sources::source::{FetchRequest, SourceKind};
-use drugtree_store::columnar::ColumnarTable;
+use drugtree_store::table::Table;
 use drugtree_store::value::Value;
 use std::ops::Range;
 use std::time::Duration;
@@ -32,7 +33,7 @@ use std::time::Duration;
 /// All activity rows, column-oriented and rank-sorted.
 #[derive(Debug, Clone)]
 pub struct ActivityColumns {
-    table: ColumnarTable,
+    table: Table,
     /// (source name, record count) at build time, for staleness checks.
     source_counts: Vec<(String, usize)>,
     /// Simulated cost of the build scan.
@@ -66,7 +67,7 @@ impl ActivityColumns {
             rows = dedupe_most_recent(rows);
         }
         rows.sort_by_key(|r| r[0].as_int().unwrap_or(i64::MAX));
-        let mut table = ColumnarTable::from_rows("activity", activity_half_schema().clone(), rows)?;
+        let mut table = Table::from_rows("activity", activity_half_schema().clone(), rows)?;
         table.declare_sorted("leaf_rank")?;
         Ok(ActivityColumns {
             table,
@@ -103,7 +104,7 @@ impl ActivityColumns {
     }
 
     /// The underlying columnar table (activity-half schema).
-    pub fn table(&self) -> &ColumnarTable {
+    pub fn table(&self) -> &Table {
         &self.table
     }
 
@@ -158,7 +159,7 @@ mod tests {
         // cladeA holds P1 (2 records) and P2 (1 record); P4 is empty.
         assert_eq!(range.len(), 3);
         for i in range {
-            let rank = c.table().get_row(i)[0].as_int().unwrap();
+            let rank = c.table().cell(i, 0).as_int().unwrap();
             assert!(d.index.interval(clade_a).contains_rank(rank as u32));
         }
     }
@@ -171,7 +172,7 @@ mod tests {
             .unwrap();
         let sel = c.table().eval(&pred, 0..c.len());
         let expect: Vec<usize> = (0..c.len())
-            .filter(|&i| pred.matches(&c.table().get_row(i)))
+            .filter(|&i| pred.matches(&c.table().row(i)))
             .collect();
         assert_eq!(sel.iter_ones().collect::<Vec<_>>(), expect);
         assert!(!expect.is_empty());

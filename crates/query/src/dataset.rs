@@ -53,18 +53,20 @@ impl Dataset {
         let proteins = overlay.catalog().table(tables::PROTEIN)?;
         let acc_col = proteins.schema().column_index("accession")?;
         let rank_col = proteins.schema().column_index("leaf_rank")?;
-        for (_, row) in proteins.scan() {
-            let Value::Text(acc) = &row[acc_col] else {
+        for i in 0..proteins.len() {
+            let accession = proteins.cell(i, acc_col);
+            let Value::Text(acc) = &accession else {
                 return Err(QueryError::Plan("non-text accession".into()));
             };
-            let rank = row[rank_col]
+            let rank = proteins
+                .cell(i, rank_col)
                 .as_int()
                 .ok_or_else(|| QueryError::Plan("non-int leaf_rank".into()))?
                 as u32;
-            if let Some(slot) = accession_by_rank.get_mut(rank as usize) {
-                *slot = Some(row[acc_col].clone());
-            }
             rank_by_accession.insert(Arc::clone(acc), rank);
+            if let Some(slot) = accession_by_rank.get_mut(rank as usize) {
+                *slot = Some(accession);
+            }
         }
         Ok(Dataset {
             tree,

@@ -31,8 +31,11 @@ use drugtree_sources::sync::Mutex;
 use drugtree_store::bitmap::Bitmap;
 use drugtree_store::expr::{BoundPredicate, Predicate};
 use drugtree_store::kernel;
+use drugtree_store::segment::ColumnSlice;
+use drugtree_store::table::Table;
 use drugtree_store::value::Value;
 use rustc_hash::FxHashMap;
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
@@ -423,12 +426,7 @@ impl Executor {
                     "columnar-scan",
                 )?;
                 let cols = self.columnar_mirror()?;
-                ActivityRows::Owned(
-                    selection
-                        .iter_ones()
-                        .map(|i| cols.table().get_row(i))
-                        .collect(),
-                )
+                ActivityRows::Owned(selection.iter_ones().map(|i| cols.table().row(i)).collect())
             }
             Access::Fetch {
                 fetches,
@@ -507,26 +505,26 @@ impl Executor {
         let rows_in = rows.len() as u64;
         let mut survivors: Vec<usize> = (0..rows.len()).collect();
 
-        // 2. Ligand join: per row, the catalog's cells for its ligand,
-        // borrowed. Rows a filter is about to drop are joined only when
-        // the residual reads a ligand column.
+        // 2. Ligand join: per row, the catalog's row for its ligand,
+        // whose cells are read when a filter or the output needs them.
+        // Rows a filter is about to drop are joined only when the
+        // residual reads a ligand column.
         let residual = plan.residual.bind(unified_schema())?;
-        let mut ligand_cells: Vec<Option<&[Value]>> = Vec::new();
+        let mut join = LigandJoin::default();
         let join_before_filters = plan.ligand_join && reads_ligand_cells(&residual);
         if plan.ligand_join {
             if rows.iter().any(|r| r[2].as_text().is_none()) {
                 return Err(QueryError::Plan("non-text ligand_id".into()));
             }
-            ligand_cells.resize(rows.len(), None);
+            join = LigandJoin::new(dataset.overlay.catalog().table(tables::LIGAND)?, rows.len());
         }
         if join_before_filters {
-            join_ligands(dataset, rows, &survivors, &mut ligand_cells)?;
+            join.probe(rows, &survivors);
         }
 
         // 3. Residual filter, over activity cells ‖ ligand cells ‖ NULL.
         if plan.residual != Predicate::True {
-            survivors
-                .retain(|&i| residual.matches_with(&|c| unified_cell(rows, &ligand_cells, i, c)));
+            survivors.retain(|&i| residual.matches_with(&|c| unified_cell(rows, &join, i, c)));
         }
 
         // 4. Similarity filter.
@@ -562,7 +560,7 @@ impl Executor {
         }
 
         if plan.ligand_join && !join_before_filters {
-            join_ligands(dataset, rows, &survivors, &mut ligand_cells)?;
+            join.probe(rows, &survivors);
         }
 
         if let Some(tb) = sink.as_deref_mut() {
@@ -582,7 +580,7 @@ impl Executor {
             Finish::CountPerLeaf => "count-per-leaf",
         };
         let (columns, out_rows) =
-            finish_survivors(dataset, &plan, view, activity, survivors, &ligand_cells)?;
+            finish_survivors(dataset, &plan, view, activity, survivors, &join)?;
         if let Some(tb) = sink {
             let mut span = QuerySpan::new(Stage::Finish, finish_label, finish_started);
             span.ended = dataset.clock.now();
@@ -899,37 +897,89 @@ impl ActivityRows {
 
     /// Build the unified output rows at `picked` positions (each at
     /// most once), in that order.
-    fn into_unified(self, picked: &[usize], ligand_cells: &[Option<&[Value]>]) -> Vec<Vec<Value>> {
-        let ligand_at = |i: usize| ligand_cells.get(i).copied().flatten();
+    fn into_unified(self, picked: &[usize], join: &LigandJoin) -> Vec<Vec<Value>> {
         match self {
             ActivityRows::Owned(mut rows) => picked
                 .iter()
-                .map(|&i| unified_row(std::mem::take(&mut rows[i]).into_iter(), ligand_at(i)))
+                .map(|&i| join.unified_row(i, std::mem::take(&mut rows[i]).into_iter()))
                 .collect(),
             ActivityRows::Shared(rows, range) => {
                 let rows = &rows[range];
                 picked
                     .iter()
-                    .map(|&i| unified_row(rows[i].iter().cloned(), ligand_at(i)))
+                    .map(|&i| join.unified_row(i, rows[i].iter().cloned()))
                     .collect()
             }
         }
     }
 }
 
-/// One output row, allocated once at its full width: the activity
-/// cells, then the joined ligand cells or NULLs.
-fn unified_row(
-    activity_cells: impl Iterator<Item = Value>,
-    ligand: Option<&[Value]>,
-) -> Vec<Value> {
-    let mut row = Vec::with_capacity(ACTIVITY_CELLS + LIGAND_CELLS);
-    row.extend(activity_cells);
-    match ligand {
-        Some(cells) => row.extend_from_slice(cells),
-        None => row.resize(ACTIVITY_CELLS + LIGAND_CELLS, Value::Null),
+/// Step 2's ligand join: per activity row, the row of the overlay's
+/// ligand table it joins to, whose cells are read from the table's
+/// columns when a filter or the output needs them. A row with none
+/// joins NULL cells.
+#[derive(Default)]
+struct LigandJoin<'d> {
+    /// The ligand table (ligand_id, then the LIGAND_CELLS joined) and
+    /// its joined columns: name, smiles, mw, hbd, hba, rings. `None`
+    /// when the plan joins nothing.
+    table: Option<(&'d Table, [ColumnSlice<'d>; LIGAND_CELLS])>,
+    /// Per activity row, its ligand-table row.
+    rows: Vec<Option<u32>>,
+}
+
+impl<'d> LigandJoin<'d> {
+    /// A join of `rows` activity rows, none joined yet.
+    fn new(table: &'d Table, rows: usize) -> LigandJoin<'d> {
+        LigandJoin {
+            table: Some((table, std::array::from_fn(|c| table.column(c + 1)))),
+            rows: vec![None; rows],
+        }
     }
-    row
+
+    /// Join the rows at `targets` to the ligand table by its
+    /// `ligand_id` key, where the first row holding an id wins. A
+    /// ligand the table lacks leaves no row (NULL cells).
+    ///
+    /// Rows shipped from a source's table name one ligand by handles
+    /// to one allocation (its dictionary's), so the join memoises by
+    /// the handle's address and probes the key only on a miss. The rows
+    /// are borrowed for the whole loop, so two equal addresses are one
+    /// live allocation and hence one text; rows whose cells are not
+    /// shared just miss, and pay the probe each.
+    fn probe(&mut self, rows: &[Vec<Value>], targets: &[usize]) {
+        let Some((table, _)) = self.table else {
+            return;
+        };
+        let mut by_handle: FxHashMap<*const u8, Option<u32>> = FxHashMap::default();
+        for &i in targets {
+            let ligand_id = &rows[i][2];
+            let Value::Text(handle) = ligand_id else {
+                continue;
+            };
+            self.rows[i] = *by_handle
+                .entry(Arc::as_ptr(handle).cast())
+                .or_insert_with(|| table.key_rows(ligand_id).first().copied());
+        }
+    }
+
+    /// The joined columns and the row activity row `i` joined to.
+    fn joined(&self, i: usize) -> Option<(&[ColumnSlice<'_>; LIGAND_CELLS], usize)> {
+        let (_, columns) = self.table.as_ref()?;
+        Some((columns, (*self.rows.get(i)?)? as usize))
+    }
+
+    /// Output row `i`, allocated once at its full width: the activity
+    /// cells, then the joined ligand cells or NULLs.
+    fn unified_row(&self, i: usize, activity_cells: impl Iterator<Item = Value>) -> Vec<Value> {
+        let mut row = Vec::with_capacity(ACTIVITY_CELLS + LIGAND_CELLS);
+        row.extend(activity_cells);
+        match self.joined(i) {
+            Some((columns, at)) => row.extend(columns.iter().map(|c| c.value_at(at))),
+            None => row.resize(ACTIVITY_CELLS + LIGAND_CELLS, Value::Null),
+        }
+        row
+    }
 }
 
 /// True when the predicate reads a cell the ligand join supplies.
@@ -945,59 +995,23 @@ fn reads_ligand_cells(pred: &BoundPredicate) -> bool {
     }
 }
 
-/// Join the rows at `targets` to the overlay's ligand table, the cells
-/// borrowed in place. A ligand absent from the catalog leaves `None`
-/// (NULL cells).
-///
-/// Rows that came through a pooling ingest name one ligand by handles
-/// to one allocation, so the join memoises by the handle's address and
-/// asks the overlay's text-keyed directory only on a miss. The rows are
-/// borrowed for the whole loop, so two equal addresses are one live
-/// allocation and hence one text; rows whose cells are not shared just
-/// miss, and pay the directory probe each.
-fn join_ligands<'d>(
-    dataset: &'d Dataset,
-    rows: &[Vec<Value>],
-    targets: &[usize],
-    ligand_cells: &mut [Option<&'d [Value]>],
-) -> Result<()> {
-    let ligands = dataset.overlay.catalog().table(tables::LIGAND)?;
-    // ligand table columns: ligand_id, name, smiles, mw, hbd, hba, rings.
-    let mut by_handle: FxHashMap<*const u8, Option<&'d [Value]>> = FxHashMap::default();
-    for &i in targets {
-        let Value::Text(ligand_id) = &rows[i][2] else {
-            continue;
-        };
-        ligand_cells[i] = *by_handle
-            .entry(Arc::as_ptr(ligand_id).cast())
-            .or_insert_with(|| {
-                dataset
-                    .overlay
-                    .catalogued_ligand(ligand_id)
-                    .and_then(|id| ligands.get(id).ok())
-                    .map(|r| &r[1..])
-            });
-    }
-    Ok(())
-}
-
 /// Cell `column` of the unified row at position `i`, without building
-/// the row: an activity cell, a joined ligand cell, or NULL.
+/// the row: an activity cell (borrowed), a joined ligand cell (read
+/// from its column), or NULL.
 fn unified_cell<'a>(
     rows: &'a [Vec<Value>],
-    ligand_cells: &[Option<&'a [Value]>],
+    join: &LigandJoin,
     i: usize,
     column: usize,
-) -> &'a Value {
+) -> Cow<'a, Value> {
     static NULL: Value = Value::Null;
     if column < ACTIVITY_CELLS {
-        return &rows[i][column];
+        return Cow::Borrowed(&rows[i][column]);
     }
-    ligand_cells
-        .get(i)
-        .copied()
-        .flatten()
-        .map_or(&NULL, |cells| &cells[column - ACTIVITY_CELLS])
+    match join.joined(i) {
+        Some((columns, at)) => Cow::Owned(columns[column - ACTIVITY_CELLS].value_at(at)),
+        None => Cow::Borrowed(&NULL),
+    }
 }
 
 fn unified_columns() -> Vec<String> {
@@ -1016,13 +1030,10 @@ fn finish_survivors(
     view: Option<&MaterializedAggregates>,
     activity: ActivityRows,
     mut survivors: Vec<usize>,
-    ligand_cells: &[Option<&[Value]>],
+    join: &LigandJoin,
 ) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
     Ok(match &plan.finish {
-        Finish::Collect => (
-            unified_columns(),
-            activity.into_unified(&survivors, ligand_cells),
-        ),
+        Finish::Collect => (unified_columns(), activity.into_unified(&survivors, join)),
         Finish::TopK {
             column,
             k,
@@ -1031,12 +1042,8 @@ fn finish_survivors(
             let rows = activity.as_slice();
             // Stable, like the row sort it replaces: ties keep rank order.
             survivors.sort_by(|&a, &b| {
-                let ord = unified_cell(rows, ligand_cells, a, *column).cmp(unified_cell(
-                    rows,
-                    ligand_cells,
-                    b,
-                    *column,
-                ));
+                let ord =
+                    unified_cell(rows, join, a, *column).cmp(&unified_cell(rows, join, b, *column));
                 if *descending {
                     ord.reverse()
                 } else {
@@ -1044,10 +1051,7 @@ fn finish_survivors(
                 }
             });
             survivors.truncate(*k);
-            (
-                unified_columns(),
-                activity.into_unified(&survivors, ligand_cells),
-            )
+            (unified_columns(), activity.into_unified(&survivors, join))
         }
         Finish::AggregateChildren { children, metric } => {
             let columns = vec![

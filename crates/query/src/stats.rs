@@ -251,9 +251,8 @@ impl OverlayStats {
             .catalog()
             .table(drugtree_integrate::overlay::tables::LIGAND)?;
         let mw_col = ligands.schema().column_index("mw")?;
-        let mws: Vec<f64> = ligands
-            .scan()
-            .filter_map(|(_, r)| r[mw_col].as_f64())
+        let mws: Vec<f64> = (0..ligands.len())
+            .filter_map(|i| ligands.cell(i, mw_col).as_f64())
             .collect();
 
         Ok(OverlayStats {

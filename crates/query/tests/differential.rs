@@ -537,7 +537,7 @@ fn cache_hits_return_what_misses_return() {
     ]);
 
     let mut hits = 0;
-    let mut null_ligand_rows = 0;
+    let mut rows_without_ligand = 0;
     for (i, query) in queries.iter().enumerate() {
         let run = |exec: &Executor| {
             exec.execute(&dataset, query)
@@ -612,7 +612,7 @@ fn cache_hits_return_what_misses_return() {
             }
         }
         if miss.columns.len() == 14 {
-            null_ligand_rows += from_parent
+            rows_without_ligand += from_parent
                 .rows
                 .iter()
                 .filter(|r| r[2] == Value::from("LX") && r[8..].iter().all(Value::is_null))
@@ -621,7 +621,7 @@ fn cache_hits_return_what_misses_return() {
     }
     assert!(hits > QUERIES / 2, "only {hits} queries probed the cache");
     assert!(
-        null_ligand_rows > 0,
+        rows_without_ligand > 0,
         "no hit returned the absent ligand's NULL cells"
     );
 }

@@ -7,7 +7,6 @@ use drugtree_chem::affinity::{ActivityRecord, ActivityType};
 use drugtree_store::schema::{Column, Schema};
 use drugtree_store::table::Table;
 use drugtree_store::value::{Value, ValueType};
-use drugtree_store::Dictionary;
 
 /// Schema of the assay source. The federation key is the protein
 /// accession: DrugTree fetches "all activities measured against this
@@ -25,17 +24,12 @@ pub fn assay_schema() -> Schema {
 
 /// Convert a record to a row in [`assay_schema`] order.
 pub fn assay_row(r: &ActivityRecord) -> Vec<Value> {
-    assay_row_with(r, |s| Value::from(s))
-}
-
-/// [`assay_row`] with the caller choosing how a text cell is made.
-fn assay_row_with(r: &ActivityRecord, mut text: impl FnMut(&str) -> Value) -> Vec<Value> {
     vec![
-        text(&r.protein_accession),
-        text(&r.ligand_id),
-        text(r.activity_type.label()),
+        Value::from(r.protein_accession.as_str()),
+        Value::from(r.ligand_id.as_str()),
+        Value::from(r.activity_type.label()),
         Value::Float(r.value_nm),
-        text(&r.source),
+        Value::from(r.source.as_str()),
         Value::Int(r.year as i64),
     ]
 }
@@ -59,13 +53,13 @@ pub fn assay_source(
     capabilities: SourceCapabilities,
     latency: LatencyModel,
 ) -> Result<SimulatedSource> {
-    let mut table = Table::new("assays", assay_schema());
     // A deposit names the same few accessions, ligands, types and
-    // sources over and over: one shared allocation per distinct text.
-    let mut pool = Dictionary::new();
+    // sources over and over; each text column's dictionary keeps one
+    // allocation per distinct string, which every shipped row shares.
+    let mut table = Table::new("assays", assay_schema())?;
     for r in records {
         r.validate().map_err(crate::SourceError::Record)?;
-        table.insert(assay_row_with(r, |s| pool.cell(s)))?;
+        table.append_row(&assay_row(r))?;
     }
     SimulatedSource::new(
         name,

@@ -215,9 +215,9 @@ mod tests {
             Column::required("k", ValueType::Int),
             Column::required("v", ValueType::Int),
         ]);
-        let mut t = Table::new("t", schema);
+        let mut t = Table::new("t", schema).unwrap();
         for i in 0..n_rows {
-            t.insert(vec![Value::Int(i), Value::Int(i * 10)]).unwrap();
+            t.append_row(&[Value::Int(i), Value::Int(i * 10)]).unwrap();
         }
         SimulatedSource::new(
             "s",

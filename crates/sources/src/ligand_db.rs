@@ -101,9 +101,9 @@ pub fn ligand_source(
     capabilities: SourceCapabilities,
     latency: LatencyModel,
 ) -> Result<SimulatedSource> {
-    let mut table = Table::new("ligands", ligand_schema());
+    let mut table = Table::new("ligands", ligand_schema())?;
     for r in records {
-        table.insert(ligand_row(r))?;
+        table.append_row(&ligand_row(r))?;
     }
     SimulatedSource::new(
         name,

@@ -62,9 +62,9 @@ pub fn protein_source(
     capabilities: SourceCapabilities,
     latency: LatencyModel,
 ) -> Result<SimulatedSource> {
-    let mut table = Table::new("proteins", protein_schema());
+    let mut table = Table::new("proteins", protein_schema())?;
     for r in records {
-        table.insert(protein_row(r))?;
+        table.append_row(&protein_row(r))?;
     }
     SimulatedSource::new(
         name,

@@ -2,9 +2,10 @@
 
 use crate::latency::{LatencyModel, RequestCounter};
 use crate::{Result, SourceError};
-use drugtree_store::expr::{CompareOp, Predicate};
+use drugtree_store::expr::{BoundPredicate, CompareOp, Predicate};
 use drugtree_store::schema::Schema;
-use drugtree_store::table::{IndexKind, Table};
+use drugtree_store::segment::ColumnSlice;
+use drugtree_store::table::Table;
 use drugtree_store::value::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -203,23 +204,19 @@ pub struct SimulatedSource {
 }
 
 impl SimulatedSource {
-    /// Build a source around a table. The key column gets a hash index
-    /// so keyed lookups cost `O(matches)` server-side, mirroring a real
+    /// Build a source around a table, keyed on `key_column`: keyed
+    /// lookups cost `O(matches)` server-side, mirroring a real
     /// service's primary-key access path.
     pub fn new(
         name: impl Into<String>,
         kind: SourceKind,
-        mut table: Table,
+        table: Table,
         key_column: impl Into<String>,
         capabilities: SourceCapabilities,
         latency: LatencyModel,
     ) -> Result<SimulatedSource> {
         let key_column = key_column.into();
-        // The schema must contain the key column.
-        table.schema().column_index(&key_column)?;
-        if !table.has_index(&key_column) {
-            table.create_index(&key_column, IndexKind::Hash)?;
-        }
+        let table = table.with_key(&key_column)?;
         let schema = table.schema().clone();
         Ok(SimulatedSource {
             name: name.into(),
@@ -271,9 +268,15 @@ impl DataSource for SimulatedSource {
             }
         }
 
-        let bound = match &request.predicate {
-            Some(p) => Some(p.bind(schema)?),
-            None => None,
+        let (filter, reads) = match &request.predicate {
+            Some(p) => (
+                Some(p.bind(schema)?),
+                p.columns()
+                    .into_iter()
+                    .map(|c| schema.column_index(c))
+                    .collect::<std::result::Result<Vec<_>, _>>()?,
+            ),
+            None => (None, Vec::new()),
         };
 
         let projection_idx: Option<Vec<usize>> = match &request.projection {
@@ -289,11 +292,13 @@ impl DataSource for SimulatedSource {
             None => schema.columns().iter().map(|c| c.name.clone()).collect(),
         };
 
-        let project = |row: &[Value]| match &projection_idx {
-            Some(idx) => idx.iter().map(|&i| row[i].clone()).collect(),
-            None => row.to_vec(),
+        let mut shipper = RowShipper {
+            columns: table.columns(),
+            filter,
+            reads,
+            projection: projection_idx,
+            scratch: vec![Value::Null; schema.arity()],
         };
-
         let mut rows = Vec::new();
         let rows_scanned = match &request.keys {
             Some(keys) => {
@@ -304,31 +309,17 @@ impl DataSource for SimulatedSource {
                         got: keys.len(),
                     });
                 }
-                let by_key = table.eq_lookup(&self.key_column)?;
                 let mut matched = 0usize;
                 for key in keys {
-                    for id in by_key.rows(key) {
-                        matched += 1;
-                        let row = table.get(id)?;
-                        if bound.as_ref().is_some_and(|p| !p.matches(row)) {
-                            continue;
-                        }
-                        rows.push(project(row));
-                    }
+                    let at = table.key_rows(key);
+                    matched += at.len();
+                    rows.extend(at.iter().filter_map(|&i| shipper.ship(i as usize)));
                 }
                 matched.max(keys.len())
             }
             None => {
-                // Streamed full scan: no intermediate Vec<RowId>.
-                let mut scanned = 0usize;
-                for (_, row) in table.scan() {
-                    scanned += 1;
-                    if bound.as_ref().is_some_and(|p| !p.matches(row)) {
-                        continue;
-                    }
-                    rows.push(project(row));
-                }
-                scanned
+                rows.extend((0..table.len()).filter_map(|i| shipper.ship(i)));
+                table.len()
             }
         };
 
@@ -359,8 +350,40 @@ impl DataSource for SimulatedSource {
     /// Appends a record (simulating a new remote deposition); used by
     /// the materialized-view staleness experiment.
     fn ingest(&self, row: Vec<Value>) -> Result<()> {
-        self.table.write().insert(row)?;
+        self.table.write().append_row(&row)?;
         Ok(())
+    }
+}
+
+/// Builds the rows one fetch ships, straight from the table's columns.
+struct RowShipper<'t> {
+    columns: Vec<ColumnSlice<'t>>,
+    /// The pushdown predicate, and the columns it reads.
+    filter: Option<BoundPredicate>,
+    reads: Vec<usize>,
+    /// Shipped column positions; `None` ships every column.
+    projection: Option<Vec<usize>>,
+    /// The row the filter tests, reused across rows: only the cells it
+    /// reads are filled in, the others stay NULL.
+    scratch: Vec<Value>,
+}
+
+impl RowShipper<'_> {
+    /// Row `i` as shipped, or `None` when the filter rejects it: one
+    /// allocation per shipped row, and none for a rejected one.
+    fn ship(&mut self, i: usize) -> Option<Vec<Value>> {
+        if let Some(filter) = &self.filter {
+            for &c in &self.reads {
+                self.scratch[c] = self.columns[c].value_at(i);
+            }
+            if !filter.matches(&self.scratch) {
+                return None;
+            }
+        }
+        Some(match &self.projection {
+            Some(idx) => idx.iter().map(|&c| self.columns[c].value_at(i)).collect(),
+            None => self.columns.iter().map(|c| c.value_at(i)).collect(),
+        })
     }
 }
 
@@ -375,9 +398,9 @@ mod tests {
             Column::required("acc", ValueType::Text),
             Column::required("len", ValueType::Int),
         ]);
-        let mut t = Table::new("proteins", schema);
+        let mut t = Table::new("proteins", schema).unwrap();
         for (acc, len) in [("P1", 100i64), ("P2", 200), ("P3", 300)] {
-            t.insert(vec![Value::from(acc), Value::Int(len)]).unwrap();
+            t.append_row(&[Value::from(acc), Value::Int(len)]).unwrap();
         }
         SimulatedSource::new(
             "uniprot-sim",
@@ -512,9 +535,9 @@ mod tests {
     #[test]
     fn cost_charged_per_request() {
         let schema = Schema::new(vec![Column::required("k", ValueType::Int)]);
-        let mut t = Table::new("t", schema);
+        let mut t = Table::new("t", schema).unwrap();
         for i in 0..10i64 {
-            t.insert(vec![Value::Int(i)]).unwrap();
+            t.append_row(&[Value::Int(i)]).unwrap();
         }
         let s = SimulatedSource::new(
             "slow",

@@ -33,13 +33,6 @@ impl Catalog {
             .ok_or_else(|| StoreError::UnknownTable(name.to_string()))
     }
 
-    /// Mutably borrow a table.
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        self.tables
-            .get_mut(name)
-            .ok_or_else(|| StoreError::UnknownTable(name.to_string()))
-    }
-
     /// Table names in sorted order.
     pub fn table_names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self.tables.keys().map(String::as_str).collect();
@@ -74,6 +67,7 @@ mod tests {
             name,
             Schema::new(vec![Column::required("id", ValueType::Int)]),
         )
+        .unwrap()
     }
 
     #[test]
@@ -86,7 +80,6 @@ mod tests {
         assert_eq!(c.table_names(), vec!["ligands", "proteins"]);
         assert!(c.table("proteins").is_ok());
         assert!(c.table("nope").is_err());
-        assert!(c.table_mut("ligands").is_ok());
 
         assert!(matches!(
             c.create_table(table("proteins")),

@@ -7,11 +7,11 @@
 //! kernels compare integers (or pre-computed per-code verdicts)
 //! instead of walking bytes.
 //!
-//! The same table is the workspace's text pool: [`Dictionary::cell`]
+//! The same table is the store's text pool: [`Dictionary::cell_of`]
 //! hands out the one shared [`Value::Text`] allocation per distinct
-//! string, which is how ingest (`assay_source`) keeps a million rows
-//! naming a few thousand accessions and ligands from owning a million
-//! copies.
+//! string, which is how a source's table keeps a million rows naming a
+//! few thousand accessions and ligands from owning a million copies,
+//! and how every row it ships shares them.
 
 use crate::value::Value;
 use rustc_hash::FxHashMap;
@@ -46,14 +46,8 @@ impl Dictionary {
         code
     }
 
-    /// The pooled text cell for `s`: every call with an equal string
-    /// returns a handle to the same allocation.
-    pub fn cell(&mut self, s: &str) -> Value {
-        let code = self.intern(s);
-        Value::Text(Arc::clone(&self.values[code as usize]))
-    }
-
-    /// The shared text cell for `code`.
+    /// The shared text cell for `code`: every call for one code returns
+    /// a handle to the same allocation.
     pub fn cell_of(&self, code: u32) -> Option<Value> {
         self.values
             .get(code as usize)
@@ -95,8 +89,10 @@ mod tests {
     #[test]
     fn cells_of_equal_strings_share_one_allocation() {
         let mut d = Dictionary::new();
-        let a = d.cell("P00001");
-        let b = d.cell(&String::from("P00001"));
+        let a = d.intern("P00001");
+        let a = d.cell_of(a).unwrap();
+        let b = d.intern(&String::from("P00001"));
+        let b = d.cell_of(b).unwrap();
         let (Value::Text(a), Value::Text(b)) = (&a, &b) else {
             panic!("text cells");
         };

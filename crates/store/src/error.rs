@@ -30,14 +30,10 @@ pub enum StoreError {
     },
     /// NULL in a non-nullable column.
     NullViolation(String),
-    /// A row id outside the table.
-    UnknownRow(u64),
     /// Snapshot (de)serialization failed.
     Snapshot(String),
-    /// An index already exists or is missing.
-    Index(String),
-    /// Columnar-segment invariant violation (sort order, dictionary
-    /// codes, exact-widening limits).
+    /// Table invariant violation (sort order, exact-widening limits,
+    /// key index ordinals).
     Columnar(String),
 }
 
@@ -60,9 +56,7 @@ impl fmt::Display for StoreError {
             StoreError::NullViolation(c) => {
                 write!(f, "NULL in non-nullable column {c:?}")
             }
-            StoreError::UnknownRow(id) => write!(f, "unknown row id {id}"),
             StoreError::Snapshot(msg) => write!(f, "snapshot error: {msg}"),
-            StoreError::Index(msg) => write!(f, "index error: {msg}"),
             StoreError::Columnar(msg) => write!(f, "columnar error: {msg}"),
         }
     }

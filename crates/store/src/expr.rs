@@ -9,6 +9,7 @@
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
+use std::borrow::Borrow;
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -209,11 +210,6 @@ impl Predicate {
             Predicate::Not(p) => BoundPredicate::Not(Box::new(p.bind(schema)?)),
         })
     }
-
-    /// Convenience: bind and evaluate against one row.
-    pub fn evaluate(&self, schema: &Schema, row: &[Value]) -> Result<bool> {
-        Ok(self.bind(schema)?.matches(row))
-    }
 }
 
 /// A predicate with column references resolved to indexes (the bound
@@ -253,25 +249,29 @@ impl BoundPredicate {
     }
 
     /// Evaluate against a row that is not stored contiguously: `cell`
-    /// hands out the value at a bound column index. The executor
-    /// filters a borrowed activity row, its joined ligand cells and
-    /// NULL padding through this without first building the row.
-    pub fn matches_with<'a>(&self, cell: &dyn Fn(usize) -> &'a Value) -> bool {
+    /// hands out the value at a bound column index, borrowed or built
+    /// on demand. The executor filters a borrowed activity row, the
+    /// ligand cells it joins to and NULL padding through this without
+    /// first building the row.
+    pub fn matches_with<V: Borrow<Value>>(&self, cell: &dyn Fn(usize) -> V) -> bool {
         match self {
             BoundPredicate::True => true,
             BoundPredicate::Compare { column, op, value } => {
                 let cell = cell(*column);
+                let cell = cell.borrow();
                 !cell.is_null() && !value.is_null() && op.matches(cell.cmp(value))
             }
             BoundPredicate::Between { column, lo, hi } => {
                 let cell = cell(*column);
+                let cell = cell.borrow();
                 !cell.is_null() && cell >= lo && cell <= hi
             }
             BoundPredicate::InSet { column, values } => {
                 let cell = cell(*column);
+                let cell = cell.borrow();
                 !cell.is_null() && values.contains(cell)
             }
-            BoundPredicate::IsNull { column } => cell(*column).is_null(),
+            BoundPredicate::IsNull { column } => cell(*column).borrow().is_null(),
             BoundPredicate::And(ps) => ps.iter().all(|p| p.matches_with(cell)),
             BoundPredicate::Or(ps) => ps.iter().any(|p| p.matches_with(cell)),
             BoundPredicate::Not(p) => !p.matches_with(cell),
@@ -293,6 +293,11 @@ mod tests {
         ])
     }
 
+    /// Bind against [`schema`] and evaluate against one row.
+    fn holds(p: Predicate, row: &[Value]) -> bool {
+        p.bind(&schema()).unwrap().matches(row)
+    }
+
     fn row(id: i64, name: &str, mw: Option<f64>) -> Vec<Value> {
         vec![
             Value::Int(id),
@@ -303,80 +308,61 @@ mod tests {
 
     #[test]
     fn comparisons() {
-        let s = schema();
         let r = row(5, "abc", Some(150.0));
-        assert!(Predicate::eq("id", 5i64).evaluate(&s, &r).unwrap());
-        assert!(!Predicate::eq("id", 6i64).evaluate(&s, &r).unwrap());
-        assert!(Predicate::cmp("mw", CompareOp::Lt, 200.0)
-            .evaluate(&s, &r)
-            .unwrap());
-        assert!(Predicate::cmp("mw", CompareOp::Ge, 150.0)
-            .evaluate(&s, &r)
-            .unwrap());
-        assert!(Predicate::cmp("name", CompareOp::Gt, "aaa")
-            .evaluate(&s, &r)
-            .unwrap());
+        assert!(holds(Predicate::eq("id", 5i64), &r));
+        assert!(!holds(Predicate::eq("id", 6i64), &r));
+        assert!(holds(Predicate::cmp("mw", CompareOp::Lt, 200.0), &r));
+        assert!(holds(Predicate::cmp("mw", CompareOp::Ge, 150.0), &r));
+        assert!(holds(Predicate::cmp("name", CompareOp::Gt, "aaa"), &r));
     }
 
     #[test]
     fn null_semantics() {
-        let s = schema();
         let r = row(1, "x", None);
         // NULL fails all comparisons...
-        assert!(!Predicate::cmp("mw", CompareOp::Lt, 1e9)
-            .evaluate(&s, &r)
-            .unwrap());
-        assert!(!Predicate::eq("mw", 0.0).evaluate(&s, &r).unwrap());
-        assert!(!Predicate::cmp("mw", CompareOp::Ne, 0.0)
-            .evaluate(&s, &r)
-            .unwrap());
+        assert!(!holds(Predicate::cmp("mw", CompareOp::Lt, 1e9), &r));
+        assert!(!holds(Predicate::eq("mw", 0.0), &r));
+        assert!(!holds(Predicate::cmp("mw", CompareOp::Ne, 0.0), &r));
         // ...but IS NULL matches.
-        assert!(Predicate::IsNull {
-            column: "mw".into()
-        }
-        .evaluate(&s, &r)
-        .unwrap());
+        assert!(holds(
+            Predicate::IsNull {
+                column: "mw".into()
+            },
+            &r
+        ));
         // NOT(compare on NULL) is true under two-valued collapse.
         let p = Predicate::Not(Box::new(Predicate::eq("mw", 0.0)));
-        assert!(p.evaluate(&s, &r).unwrap());
+        assert!(holds(p, &r));
     }
 
     #[test]
     fn between_and_in() {
-        let s = schema();
         let r = row(5, "abc", Some(150.0));
-        assert!(Predicate::between("mw", 100.0, 200.0)
-            .evaluate(&s, &r)
-            .unwrap());
-        assert!(!Predicate::between("mw", 160.0, 200.0)
-            .evaluate(&s, &r)
-            .unwrap());
+        assert!(holds(Predicate::between("mw", 100.0, 200.0), &r));
+        assert!(!holds(Predicate::between("mw", 160.0, 200.0), &r));
         // Inclusive bounds.
-        assert!(Predicate::between("mw", 150.0, 150.0)
-            .evaluate(&s, &r)
-            .unwrap());
+        assert!(holds(Predicate::between("mw", 150.0, 150.0), &r));
         let p = Predicate::InSet {
             column: "id".into(),
             values: vec![Value::Int(3), Value::Int(5)],
         };
-        assert!(p.evaluate(&s, &r).unwrap());
+        assert!(holds(p, &r));
     }
 
     #[test]
     fn boolean_composition() {
-        let s = schema();
         let r = row(5, "abc", Some(150.0));
         let p = Predicate::And(vec![
             Predicate::eq("id", 5i64),
             Predicate::cmp("mw", CompareOp::Lt, 200.0),
         ]);
-        assert!(p.evaluate(&s, &r).unwrap());
+        assert!(holds(p, &r));
         let p = Predicate::Or(vec![
             Predicate::eq("id", 9i64),
             Predicate::eq("name", "abc"),
         ]);
-        assert!(p.evaluate(&s, &r).unwrap());
-        assert!(Predicate::True.evaluate(&s, &r).unwrap());
+        assert!(holds(p, &r));
+        assert!(holds(Predicate::True, &r));
     }
 
     #[test]
@@ -413,13 +399,10 @@ mod tests {
 
     #[test]
     fn int_float_compare_across_types() {
-        let s = schema();
         let r = row(5, "abc", Some(150.0));
         // Int literal against Float column.
-        assert!(Predicate::eq("mw", 150i64).evaluate(&s, &r).unwrap());
+        assert!(holds(Predicate::eq("mw", 150i64), &r));
         // Float literal against Int column.
-        assert!(Predicate::cmp("id", CompareOp::Lt, 5.5)
-            .evaluate(&s, &r)
-            .unwrap());
+        assert!(holds(Predicate::cmp("id", CompareOp::Lt, 5.5), &r));
     }
 }

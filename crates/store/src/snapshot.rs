@@ -52,7 +52,6 @@ pub fn load_catalog(json: &str) -> Result<Catalog> {
 mod tests {
     use super::*;
     use crate::schema::{Column, Schema};
-    use crate::table::IndexKind;
     use crate::value::{Value, ValueType};
 
     fn sample_catalog() -> Catalog {
@@ -61,16 +60,21 @@ mod tests {
             Column::required("id", ValueType::Int),
             Column::nullable("name", ValueType::Text),
         ]);
-        let mut t = Table::new("ligand", schema);
-        t.create_index("id", IndexKind::BTree).unwrap();
-        t.insert(vec![Value::Int(1), Value::from("aspirin")])
+        let mut t = Table::new("ligand", schema)
+            .unwrap()
+            .with_key("id")
             .unwrap();
-        t.insert(vec![Value::Int(2), Value::Null]).unwrap();
+        t.append_row(&[Value::Int(1), Value::from("aspirin")])
+            .unwrap();
+        t.append_row(&[Value::Int(2), Value::Null]).unwrap();
         c.create_table(t).unwrap();
-        c.create_table(Table::new(
-            "empty",
-            Schema::new(vec![Column::required("x", ValueType::Float)]),
-        ))
+        c.create_table(
+            Table::new(
+                "empty",
+                Schema::new(vec![Column::required("x", ValueType::Float)]),
+            )
+            .unwrap(),
+        )
         .unwrap();
         c
     }
@@ -79,16 +83,17 @@ mod tests {
     fn roundtrip() {
         let c = sample_catalog();
         let json = save_catalog(&c).unwrap();
+        assert!(json.contains(r#""indexes":[[0,"Hash"]]"#), "{json}");
         let back = load_catalog(&json).unwrap();
         assert_eq!(back.table_names(), vec!["empty", "ligand"]);
         let t = back.table("ligand").unwrap();
         assert_eq!(t.len(), 2);
-        // Index definitions survive and are functional.
-        assert!(t.has_range_index("id"));
-        assert_eq!(t.lookup_eq("id", &Value::Int(2)).unwrap().len(), 1);
+        // The key survives and is functional.
+        assert_eq!(t.key_column(), Some(0));
+        assert_eq!(t.key_rows(&Value::Int(2)), &[1]);
         // Null cells survive.
-        let null_rows: Vec<_> = t.scan().filter(|(_, r)| r[1].is_null()).collect();
-        assert_eq!(null_rows.len(), 1);
+        assert!(t.cell(1, 1).is_null());
+        assert_eq!(back.table("empty").unwrap().key_column(), None);
     }
 
     #[test]
@@ -114,14 +119,28 @@ mod tests {
         ));
     }
 
+    /// The ligand table's index list, as an older store wrote it
+    /// (`[[0,"Hash"],[1,"BTree"]]`) and as it may be damaged.
     #[test]
-    fn tombstones_compact_on_save() {
-        let mut c = sample_catalog();
-        let t = c.table_mut("ligand").unwrap();
-        let id = t.insert(vec![Value::Int(3), Value::from("x")]).unwrap();
-        t.delete(id).unwrap();
-        let json = save_catalog(&c).unwrap();
-        let back = load_catalog(&json).unwrap();
-        assert_eq!(back.table("ligand").unwrap().len(), 2);
+    fn index_entries_load_as_the_key_or_nothing_and_anything_else_is_refused() {
+        let json = save_catalog(&sample_catalog()).unwrap();
+        let with = |indexes: &str| json.replace(r#""indexes":[[0,"Hash"]]"#, indexes);
+        let ordered = load_catalog(&with(r#""indexes":[[0,"Hash"],[1,"BTree"]]"#)).unwrap();
+        let t = ordered.table("ligand").unwrap();
+        assert_eq!(t.key_column(), Some(0));
+        assert_eq!(save_catalog(&ordered).unwrap(), json);
+        let only_ordered = load_catalog(&with(r#""indexes":[[1,"BTree"]]"#)).unwrap();
+        assert_eq!(only_ordered.table("ligand").unwrap().key_column(), None);
+        for damaged in [
+            r#""indexes":[[0,"Hash"],[1,"Hash"]]"#,
+            r#""indexes":[[0,"Trie"]]"#,
+            r#""indexes":[[2,"Hash"]]"#,
+            r#""indexes":[[2,"BTree"]]"#,
+        ] {
+            assert!(
+                matches!(load_catalog(&with(damaged)), Err(StoreError::Snapshot(_))),
+                "{damaged}"
+            );
+        }
     }
 }

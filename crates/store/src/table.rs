@@ -1,97 +1,96 @@
-//! Row tables with secondary indexes.
+//! Tables: one typed [`Segment`] per schema column, with at most one
+//! hash key index.
+//!
+//! Rows are addressed by ordinal and built on demand ([`Table::row`],
+//! [`Table::cell`]); what the store holds is the columns. The query
+//! executor takes zero-copy [`ColumnSlice`] views and runs vectorized
+//! kernels over row ranges instead of gathering rows. A table sorted by
+//! an integer column (the Euler-tour leaf rank, in the query engine's
+//! use) answers interval scopes with a binary search that yields a
+//! contiguous row range — the optimizer's interval rewrite becomes a
+//! range-slice, not a row gather. A keyed table (a source's federation
+//! key, the overlay's ligand id) answers equality on its key column
+//! from a hash index that [`Table::append_row`] keeps current.
 
+use crate::bitmap::Bitmap;
 use crate::expr::BoundPredicate;
+use crate::kernel;
 use crate::schema::Schema;
-use crate::value::Value;
+use crate::segment::{ColumnSlice, Segment, SegmentData};
+use crate::value::{Value, ValueType};
 use crate::{Result, StoreError};
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::Range;
 
-/// Identifier of a row within one table. Stable across deletes
-/// (deleted ids are never reused).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RowId(pub u64);
+/// Largest `Int` magnitude a Float column accepts: wider integers have
+/// no exact `f64`, so the segment could not hold them unchanged.
+const MAX_EXACT_INT_IN_F64: u64 = 1 << 53;
 
-/// Secondary index flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum IndexKind {
-    /// Equality-only hash index.
-    Hash,
-    /// Ordered B-tree index: equality + range scans.
-    BTree,
-}
-
+/// The index of a table's key column: its rows by key cell, in append
+/// order.
 #[derive(Debug, Clone)]
-enum IndexData {
-    Hash(FxHashMap<Value, Vec<RowId>>),
-    BTree(BTreeMap<Value, Vec<RowId>>),
-}
-
-#[derive(Debug, Clone)]
-struct SecondaryIndex {
+struct KeyIndex {
     column: usize,
-    kind: IndexKind,
-    data: IndexData,
+    rows: FxHashMap<Value, Vec<u32>>,
 }
 
-impl SecondaryIndex {
-    fn new(column: usize, kind: IndexKind) -> SecondaryIndex {
-        let data = match kind {
-            IndexKind::Hash => IndexData::Hash(FxHashMap::default()),
-            IndexKind::BTree => IndexData::BTree(BTreeMap::new()),
-        };
-        SecondaryIndex { column, kind, data }
-    }
-
-    fn insert(&mut self, key: Value, id: RowId) {
-        match &mut self.data {
-            IndexData::Hash(m) => m.entry(key).or_default().push(id),
-            IndexData::BTree(m) => m.entry(key).or_default().push(id),
-        }
-    }
-
-    fn remove(&mut self, key: &Value, id: RowId) {
-        let bucket = match &mut self.data {
-            IndexData::Hash(m) => m.get_mut(key),
-            IndexData::BTree(m) => m.get_mut(key),
-        };
-        if let Some(bucket) = bucket {
-            bucket.retain(|&r| r != id);
-        }
-    }
-
-    fn lookup(&self, key: &Value) -> &[RowId] {
-        let bucket = match &self.data {
-            IndexData::Hash(m) => m.get(key),
-            IndexData::BTree(m) => m.get(key),
-        };
-        bucket.map_or(&[], Vec::as_slice)
-    }
-}
-
-/// A named row table with optional secondary indexes.
+/// A column-oriented table with optional sort metadata and key index.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
-    /// Row storage; `None` marks a deleted row (tombstone).
-    rows: Vec<Option<Vec<Value>>>,
-    live_rows: usize,
-    indexes: Vec<SecondaryIndex>,
+    segments: Vec<Segment>,
+    len: usize,
+    /// Column index declared ascending-sorted (non-null Int), if any.
+    sorted_by: Option<usize>,
+    key: Option<KeyIndex>,
 }
 
 impl Table {
-    /// Create an empty table.
-    pub fn new(name: impl Into<String>, schema: Schema) -> Table {
-        Table {
+    /// An empty table for a schema. Every column must have a storable
+    /// type (no `ValueType::Null` columns).
+    pub fn new(name: impl Into<String>, schema: Schema) -> Result<Table> {
+        let segments = schema
+            .columns()
+            .iter()
+            .map(|c| Segment::new(c.ty))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Table {
             name: name.into(),
             schema,
-            rows: Vec::new(),
-            live_rows: 0,
-            indexes: Vec::new(),
+            segments,
+            len: 0,
+            sorted_by: None,
+            key: None,
+        })
+    }
+
+    /// Build a table by appending rows in order.
+    pub fn from_rows<I>(name: impl Into<String>, schema: Schema, rows: I) -> Result<Table>
+    where
+        I: IntoIterator,
+        I::Item: AsRef<[Value]>,
+    {
+        let mut t = Table::new(name, schema)?;
+        for row in rows {
+            t.append_row(row.as_ref())?;
         }
+        Ok(t)
+    }
+
+    /// Make `column` the table's key: its rows are indexed by their
+    /// cell in it, now and on every later append. Replaces any key
+    /// declared before.
+    pub fn with_key(mut self, column: &str) -> Result<Table> {
+        let column = self.schema.column_index(column)?;
+        let mut rows: FxHashMap<Value, Vec<u32>> = FxHashMap::default();
+        for i in 0..self.len {
+            // `append_row` keeps every ordinal within `u32`.
+            rows.entry(self.cell(i, column)).or_default().push(i as u32);
+        }
+        self.key = Some(KeyIndex { column, rows });
+        Ok(self)
     }
 
     /// Table name.
@@ -104,272 +103,224 @@ impl Table {
         &self.schema
     }
 
-    /// Number of live rows.
+    /// Number of rows.
     pub fn len(&self) -> usize {
-        self.live_rows
+        self.len
     }
 
-    /// True when the table has no live rows.
+    /// True when the table holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.live_rows == 0
+        self.len == 0
     }
 
-    /// Insert a validated row, maintaining all indexes.
-    pub fn insert(&mut self, row: Vec<Value>) -> Result<RowId> {
-        self.schema.validate_row(&row)?;
-        let id = RowId(self.rows.len() as u64);
-        for idx in &mut self.indexes {
-            idx.insert(row[idx.column].clone(), id);
-        }
-        self.rows.push(Some(row));
-        self.live_rows += 1;
-        Ok(id)
+    /// The declared sort column, if [`declare_sorted`] has run.
+    ///
+    /// [`declare_sorted`]: Table::declare_sorted
+    pub fn sorted_by(&self) -> Option<usize> {
+        self.sorted_by
     }
 
-    /// Fetch a row by id.
-    pub fn get(&self, id: RowId) -> Result<&[Value]> {
-        self.rows
-            .get(id.0 as usize)
-            .and_then(|r| r.as_deref())
-            .ok_or(StoreError::UnknownRow(id.0))
+    /// The key column, if [`with_key`] declared one.
+    ///
+    /// [`with_key`]: Table::with_key
+    pub fn key_column(&self) -> Option<usize> {
+        self.key.as_ref().map(|k| k.column)
     }
 
-    /// Delete a row by id (tombstoned; the id is never reused).
-    pub fn delete(&mut self, id: RowId) -> Result<()> {
-        let slot = self
-            .rows
-            .get_mut(id.0 as usize)
-            .ok_or(StoreError::UnknownRow(id.0))?;
-        let row = slot.take().ok_or(StoreError::UnknownRow(id.0))?;
-        for idx in &mut self.indexes {
-            idx.remove(&row[idx.column], id);
-        }
-        self.live_rows -= 1;
-        Ok(())
-    }
-
-    /// Replace a row in place, maintaining indexes.
-    pub fn update(&mut self, id: RowId, new_row: Vec<Value>) -> Result<()> {
-        self.schema.validate_row(&new_row)?;
-        let slot = self
-            .rows
-            .get_mut(id.0 as usize)
-            .ok_or(StoreError::UnknownRow(id.0))?;
-        let old = slot.as_ref().ok_or(StoreError::UnknownRow(id.0))?.clone();
-        for idx in &mut self.indexes {
-            if old[idx.column] != new_row[idx.column] {
-                idx.remove(&old[idx.column], id);
-                idx.insert(new_row[idx.column].clone(), id);
+    /// Append one validated row to every segment and the key index.
+    /// An error leaves the table as it was.
+    pub fn append_row(&mut self, row: &[Value]) -> Result<()> {
+        self.schema.validate_row(row)?;
+        // Pre-check the failures `validate_row` cannot see (an Int in a
+        // Float column too wide to widen exactly, a row past the key
+        // index's `u32` ordinals) so a mid-row error cannot leave
+        // segments at different lengths.
+        for (cell, seg) in row.iter().zip(&self.segments) {
+            if let (ValueType::Float, Value::Int(i)) = (seg.value_type(), cell) {
+                if i.unsigned_abs() > MAX_EXACT_INT_IN_F64 {
+                    return Err(StoreError::Columnar(format!(
+                        "integer {i} in a Float column is not exactly representable as f64"
+                    )));
+                }
             }
         }
-        *slot = Some(new_row);
+        let at = u32::try_from(self.len)
+            .map_err(|_| StoreError::Columnar("a table holds at most 2^32 rows".to_string()))?;
+        if let Some(col) = self.sorted_by {
+            let last = self
+                .len
+                .checked_sub(1)
+                .map(|i| self.segments[col].slice().value_at(i));
+            if row[col].is_null() || matches!(&last, Some(prev) if prev > &row[col]) {
+                return Err(StoreError::Columnar(format!(
+                    "append violates declared sort order on column {col}"
+                )));
+            }
+        }
+        for (cell, seg) in row.iter().zip(&mut self.segments) {
+            seg.push_value(cell)?;
+        }
+        if let Some(key) = &mut self.key {
+            match key.rows.get_mut(&row[key.column]) {
+                Some(rows) => rows.push(at),
+                // The stored cell, not the caller's: a text key shares
+                // its segment dictionary's allocation.
+                None => {
+                    let cell = self.segments[key.column].slice().value_at(self.len);
+                    key.rows.insert(cell, vec![at]);
+                }
+            }
+        }
+        self.len += 1;
         Ok(())
     }
 
-    /// Iterate over all live rows.
-    pub fn scan(&self) -> impl Iterator<Item = (RowId, &[Value])> + '_ {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_deref().map(|row| (RowId(i as u64), row)))
+    /// Ordinals of the rows whose key cell equals `key`, in append
+    /// order. Empty when nothing matches or the table has no key.
+    pub fn key_rows(&self, key: &Value) -> &[u32] {
+        self.key
+            .as_ref()
+            .and_then(|k| k.rows.get(key))
+            .map_or(&[], Vec::as_slice)
     }
 
-    /// Full-scan selection with a bound predicate. Lazy: no
-    /// intermediate `Vec<RowId>` is materialized; callers that need
-    /// one can `collect()`.
-    pub fn select<'a>(&'a self, pred: &'a BoundPredicate) -> impl Iterator<Item = RowId> + 'a {
-        self.scan()
-            .filter(move |(_, row)| pred.matches(row))
-            .map(|(id, _)| id)
-    }
-
-    /// Create a secondary index over a column; backfills existing rows.
-    pub fn create_index(&mut self, column: &str, kind: IndexKind) -> Result<()> {
+    /// Declare `column` ascending-sorted; verifies it is a fully
+    /// non-NULL Int column in non-decreasing order. Enables
+    /// [`range_of_i64`] binary searches.
+    ///
+    /// [`range_of_i64`]: Table::range_of_i64
+    pub fn declare_sorted(&mut self, column: &str) -> Result<()> {
         let col = self.schema.column_index(column)?;
-        if self
-            .indexes
-            .iter()
-            .any(|i| i.column == col && i.kind == kind)
-        {
-            return Err(StoreError::Index(format!(
-                "{kind:?} index on {column:?} already exists"
+        let seg = &self.segments[col];
+        let SegmentData::Int(data) = seg.data() else {
+            return Err(StoreError::Columnar(format!(
+                "sort column {column:?} must be Int, is {:?}",
+                seg.value_type()
+            )));
+        };
+        if seg.validity().count_ones() != self.len {
+            return Err(StoreError::Columnar(format!(
+                "sort column {column:?} contains NULLs"
             )));
         }
-        let mut index = SecondaryIndex::new(col, kind);
-        for (id, row) in self.scan() {
-            index.insert(row[col].clone(), id);
+        if data.windows(2).any(|w| w[0] > w[1]) {
+            return Err(StoreError::Columnar(format!(
+                "column {column:?} is not sorted ascending"
+            )));
         }
-        self.indexes.push(index);
+        self.sorted_by = Some(col);
         Ok(())
     }
 
-    /// True when any index covers the column.
-    pub fn has_index(&self, column: &str) -> bool {
-        self.schema
-            .column_index(column)
-            .is_ok_and(|c| self.indexes.iter().any(|i| i.column == c))
+    /// The contiguous row range whose sort-column values fall in the
+    /// half-open interval `[lo, hi)`. Errors unless a sort column has
+    /// been declared.
+    pub fn range_of_i64(&self, lo: i64, hi: i64) -> Result<Range<usize>> {
+        let col = self.sorted_by.ok_or_else(|| {
+            StoreError::Columnar("range_of_i64 requires a declared sort column".to_string())
+        })?;
+        let SegmentData::Int(data) = self.segments[col].data() else {
+            unreachable!("declare_sorted only accepts Int columns");
+        };
+        let start = data.partition_point(|&v| v < lo);
+        let end = data.partition_point(|&v| v < hi);
+        Ok(start..end.max(start))
     }
 
-    /// True when an ordered index covers the column.
-    pub fn has_range_index(&self, column: &str) -> bool {
-        self.schema.column_index(column).is_ok_and(|c| {
-            self.indexes
-                .iter()
-                .any(|i| i.column == c && i.kind == IndexKind::BTree)
-        })
+    /// Zero-copy view of one column.
+    pub fn column(&self, index: usize) -> ColumnSlice<'_> {
+        self.segments[index].slice()
     }
 
-    /// Resolve the equality access path for `column` once — the best
-    /// available index, or a full scan when the column is unindexed —
-    /// so a batch of keys probes it without re-resolving the name.
-    pub fn eq_lookup(&self, column: &str) -> Result<EqLookup<'_>> {
-        let column = self.schema.column_index(column)?;
-        Ok(EqLookup {
-            table: self,
-            column,
-            index: self.indexes.iter().find(|i| i.column == column),
-        })
+    /// Zero-copy views of every column, in schema order.
+    pub fn columns(&self) -> Vec<ColumnSlice<'_>> {
+        self.segments.iter().map(Segment::slice).collect()
     }
 
-    /// One key through [`Table::eq_lookup`], collected.
-    #[cfg(test)]
-    pub(crate) fn lookup_eq(&self, column: &str, key: &Value) -> Result<Vec<RowId>> {
-        Ok(self.eq_lookup(column)?.rows(key).collect())
+    /// The cell at (`row`, `column`). A text cell is a handle to its
+    /// segment dictionary's one allocation for that string. Panics
+    /// past the table's rows or columns, as slice indexing does.
+    pub fn cell(&self, row: usize, column: usize) -> Value {
+        self.segments[column].slice().value_at(row)
     }
 
-    /// Inclusive range scan via a B-tree index; falls back to a full
-    /// scan when no ordered index exists. Lazy: ids stream straight
-    /// out of the index buckets (or the scan) with no intermediate
-    /// `Vec<RowId>`.
-    pub fn lookup_range<'a>(
-        &'a self,
-        column: &str,
-        lo: Bound<&'a Value>,
-        hi: Bound<&'a Value>,
-    ) -> Result<impl Iterator<Item = RowId> + 'a> {
-        let col = self.schema.column_index(column)?;
-        let btree = self
-            .indexes
+    /// Row `index`, built from the columns: one allocation.
+    pub fn row(&self, index: usize) -> Vec<Value> {
+        self.segments
             .iter()
-            .find_map(|i| match (&i.data, i.column == col) {
-                (IndexData::BTree(m), true) => Some(m),
-                _ => None,
-            });
-        Ok(match btree {
-            Some(m) => EitherIter::Index(
-                m.range::<Value, _>((lo, hi))
-                    .flat_map(|(_, ids)| ids.iter().copied()),
-            ),
-            None => {
-                let in_range = move |v: &Value| {
-                    let lo_ok = match lo {
-                        Bound::Included(b) => v >= b,
-                        Bound::Excluded(b) => v > b,
-                        Bound::Unbounded => true,
-                    };
-                    let hi_ok = match hi {
-                        Bound::Included(b) => v <= b,
-                        Bound::Excluded(b) => v < b,
-                        Bound::Unbounded => true,
-                    };
-                    lo_ok && hi_ok && !v.is_null()
-                };
-                EitherIter::Scan(
-                    self.scan()
-                        .filter(move |(_, row)| in_range(&row[col]))
-                        .map(|(id, _)| id),
-                )
-            }
-        })
+            .map(|s| s.slice().value_at(index))
+            .collect()
     }
 
-    /// Snapshot view of (schema, live rows, index definitions) used by
+    /// Evaluate a bound predicate over a row range with the vectorized
+    /// kernels, returning a selection bitmap over the whole table.
+    pub fn eval(&self, pred: &BoundPredicate, rows: Range<usize>) -> Bitmap {
+        let columns = self.columns();
+        kernel::eval_predicate(pred, &columns, rows, self.len)
+    }
+
+    /// Snapshot view of (schema, rows, key index) used by
     /// [`crate::snapshot`].
     pub(crate) fn to_snapshot(&self) -> TableSnapshot {
         TableSnapshot {
             name: self.name.clone(),
             schema: self.schema.clone(),
-            rows: self.scan().map(|(_, r)| r.to_vec()).collect(),
-            indexes: self.indexes.iter().map(|i| (i.column, i.kind)).collect(),
+            rows: (0..self.len).map(|i| self.row(i)).collect(),
+            indexes: self
+                .key_column()
+                .map(|column| (column, HASH.to_string()))
+                .into_iter()
+                .collect(),
         }
     }
 
-    /// Rebuild a table from a snapshot (row ids are re-densified).
+    /// Rebuild a table from a snapshot. Its one `"Hash"` entry names
+    /// the key; a `"BTree"` entry, written when the store still kept
+    /// ordered indexes, loads as no index. Anything else is an error.
     pub(crate) fn from_snapshot(snap: TableSnapshot) -> Result<Table> {
-        let mut table = Table::new(snap.name, snap.schema);
-        for (column, kind) in snap.indexes {
-            let Some(def) = table.schema.columns().get(column) else {
-                return Err(StoreError::Snapshot(format!(
-                    "table `{}`: index on column {column}, past its {} columns",
-                    table.name,
-                    table.schema.columns().len()
-                )));
+        let refuse = |what: String| {
+            Err(StoreError::Snapshot(format!(
+                "table `{}`: {what}",
+                snap.name
+            )))
+        };
+        let mut key = None;
+        for (column, kind) in &snap.indexes {
+            let Some(def) = snap.schema.columns().get(*column) else {
+                return refuse(format!(
+                    "index on column {column}, past its {} columns",
+                    snap.schema.arity()
+                ));
             };
-            let name = def.name.clone();
-            table.create_index(&name, kind)?;
+            match kind.as_str() {
+                HASH if key.is_none() => key = Some(def.name.clone()),
+                HASH => return refuse(format!("a second key index, on column {column}")),
+                "BTree" => {}
+                other => return refuse(format!("unknown index kind {other:?}")),
+            }
         }
-        for row in snap.rows {
-            table.insert(row)?;
+        let mut table = Table::new(snap.name, snap.schema)?;
+        if let Some(key) = key {
+            table = table.with_key(&key)?;
+        }
+        for row in &snap.rows {
+            table.append_row(row)?;
         }
         Ok(table)
     }
 }
 
-/// One column's equality access path (see [`Table::eq_lookup`]).
-#[derive(Debug, Clone, Copy)]
-pub struct EqLookup<'a> {
-    table: &'a Table,
-    column: usize,
-    index: Option<&'a SecondaryIndex>,
-}
+/// The snapshot tag of a key index.
+const HASH: &str = "Hash";
 
-impl<'a> EqLookup<'a> {
-    /// Ids of the live rows whose cell equals `key`, streamed straight
-    /// out of the index bucket (or the scan): no `Vec<RowId>` per key.
-    pub fn rows(&self, key: &'a Value) -> impl Iterator<Item = RowId> + 'a {
-        let column = self.column;
-        match self.index {
-            Some(index) => EitherIter::Index(index.lookup(key).iter().copied()),
-            None => EitherIter::Scan(
-                self.table
-                    .scan()
-                    .filter(move |(_, row)| &row[column] == key)
-                    .map(|(id, _)| id),
-            ),
-        }
-    }
-}
-
-/// Two-armed iterator so [`Table::lookup_range`] and [`EqLookup::rows`]
-/// can stream from either the index buckets or the fallback scan
-/// without boxing.
-enum EitherIter<L, R> {
-    Index(L),
-    Scan(R),
-}
-
-impl<L, R, T> Iterator for EitherIter<L, R>
-where
-    L: Iterator<Item = T>,
-    R: Iterator<Item = T>,
-{
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        match self {
-            EitherIter::Index(it) => it.next(),
-            EitherIter::Scan(it) => it.next(),
-        }
-    }
-}
-
-/// Serializable table state.
+/// Serializable table state: rows in row-major order, and the index
+/// list as `(column, kind)` pairs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct TableSnapshot {
     pub(crate) name: String,
     pub(crate) schema: Schema,
     pub(crate) rows: Vec<Vec<Value>>,
-    pub(crate) indexes: Vec<(usize, IndexKind)>,
+    pub(crate) indexes: Vec<(usize, String)>,
 }
 
 #[cfg(test)]
@@ -377,191 +328,147 @@ mod tests {
     use super::*;
     use crate::expr::{CompareOp, Predicate};
     use crate::schema::Column;
-    use crate::value::ValueType;
 
-    fn ligand_table() -> Table {
-        let schema = Schema::new(vec![
-            Column::required("id", ValueType::Int),
-            Column::required("name", ValueType::Text),
-            Column::required("mw", ValueType::Float),
-        ]);
-        let mut t = Table::new("ligand", schema);
-        for (id, name, mw) in [
-            (1, "aspirin", 180.2),
-            (2, "caffeine", 194.2),
-            (3, "ibuprofen", 206.3),
-        ] {
-            t.insert(vec![Value::Int(id), Value::from(name), Value::Float(mw)])
-                .unwrap();
-        }
+    fn activity_schema() -> Schema {
+        Schema::new(vec![
+            Column::required("leaf_rank", ValueType::Int),
+            Column::required("source", ValueType::Text),
+            Column::nullable("value_nm", ValueType::Float),
+        ])
+    }
+
+    fn sample() -> Table {
+        let rows: Vec<Vec<Value>> = vec![
+            vec![Value::Int(0), Value::from("assay-a"), Value::Float(10.0)],
+            vec![Value::Int(2), Value::from("assay-b"), Value::Float(100.0)],
+            vec![Value::Int(2), Value::from("assay-a"), Value::Null],
+            vec![Value::Int(5), Value::from("assay-b"), Value::Float(2.5)],
+            vec![Value::Int(9), Value::from("assay-a"), Value::Float(7.0)],
+        ];
+        let mut t = Table::from_rows("activity", activity_schema(), rows).unwrap();
+        t.declare_sorted("leaf_rank").unwrap();
         t
     }
 
     #[test]
-    fn insert_get_len() {
-        let t = ligand_table();
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.get(RowId(1)).unwrap()[1], Value::from("caffeine"));
-        assert!(t.get(RowId(9)).is_err());
+    fn append_and_read_back() {
+        let t = sample();
+        assert_eq!(t.len(), 5);
+        assert!(!t.is_empty());
+        assert_eq!(
+            t.row(2),
+            vec![Value::Int(2), Value::from("assay-a"), Value::Null]
+        );
+        assert_eq!(t.cell(3, 2), Value::Float(2.5));
+        assert_eq!(t.sorted_by(), Some(0));
+        assert_eq!(t.key_column(), None);
     }
 
     #[test]
-    fn insert_validates() {
-        let mut t = ligand_table();
-        assert!(t.insert(vec![Value::Int(4)]).is_err());
+    fn append_validates() {
+        let mut t = sample();
+        assert!(t.append_row(&[Value::Int(9)]).is_err());
         assert!(t
-            .insert(vec![Value::from("x"), Value::from("y"), Value::Float(1.0)])
+            .append_row(&[Value::from("x"), Value::from("y"), Value::Null])
             .is_err());
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn delete_tombstones() {
-        let mut t = ligand_table();
-        t.delete(RowId(1)).unwrap();
-        assert_eq!(t.len(), 2);
-        assert!(t.get(RowId(1)).is_err());
-        assert!(t.delete(RowId(1)).is_err(), "double delete");
-        // Remaining rows still reachable; new inserts get fresh ids.
-        let id = t
-            .insert(vec![
-                Value::Int(4),
-                Value::from("naproxen"),
-                Value::Float(230.3),
-            ])
-            .unwrap();
-        assert_eq!(id, RowId(3));
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn update_rewrites_row_and_indexes() {
-        let mut t = ligand_table();
-        t.create_index("name", IndexKind::Hash).unwrap();
-        t.update(
-            RowId(0),
-            vec![
-                Value::Int(1),
-                Value::from("acetylsalicylic acid"),
-                Value::Float(180.2),
-            ],
-        )
-        .unwrap();
         assert!(t
-            .lookup_eq("name", &Value::from("aspirin"))
-            .unwrap()
-            .is_empty());
-        assert_eq!(
-            t.lookup_eq("name", &Value::from("acetylsalicylic acid"))
-                .unwrap(),
-            vec![RowId(0)]
-        );
+            .append_row(&[Value::Null, Value::from("y"), Value::Null])
+            .is_err());
+        assert_eq!(t.len(), 5);
     }
 
+    /// The segment holds a Float column's `Int` cells as `f64`, so it
+    /// takes exactly those an `f64` holds: up to 2^53 in magnitude.
     #[test]
-    fn select_with_predicate() {
-        let t = ligand_table();
-        let pred = Predicate::cmp("mw", CompareOp::Gt, 190.0)
-            .bind(t.schema())
+    fn an_int_past_two_to_the_53_in_a_float_column_is_refused() {
+        let schema = Schema::new(vec![
+            Column::required("id", ValueType::Text),
+            Column::required("mw", ValueType::Float),
+        ]);
+        let mut t = Table::new("ligand", schema)
+            .unwrap()
+            .with_key("id")
             .unwrap();
-        let ids: Vec<RowId> = t.select(&pred).collect();
-        assert_eq!(ids, vec![RowId(1), RowId(2)]);
-    }
-
-    #[test]
-    fn hash_index_lookup() {
-        let mut t = ligand_table();
-        t.create_index("name", IndexKind::Hash).unwrap();
-        assert!(t.has_index("name"));
-        assert!(!t.has_range_index("name"));
-        assert_eq!(
-            t.lookup_eq("name", &Value::from("caffeine")).unwrap(),
-            vec![RowId(1)]
-        );
-        assert!(t
-            .lookup_eq("name", &Value::from("nope"))
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn btree_index_range() {
-        let mut t = ligand_table();
-        t.create_index("mw", IndexKind::BTree).unwrap();
-        assert!(t.has_range_index("mw"));
-        let lo = Value::Float(190.0);
-        let hi = Value::Float(200.0);
-        let ids: Vec<RowId> = t
-            .lookup_range("mw", Bound::Included(&lo), Bound::Included(&hi))
-            .unwrap()
-            .collect();
-        assert_eq!(ids, vec![RowId(1)]);
-        // Unbounded below.
-        let ids: Vec<RowId> = t
-            .lookup_range("mw", Bound::Unbounded, Bound::Excluded(&lo))
-            .unwrap()
-            .collect();
-        assert_eq!(ids, vec![RowId(0)]);
-    }
-
-    #[test]
-    fn range_without_index_falls_back_to_scan() {
-        let t = ligand_table();
-        let lo = Value::Float(190.0);
-        assert_eq!(
-            t.lookup_range("mw", Bound::Included(&lo), Bound::Unbounded)
-                .unwrap()
-                .count(),
-            2
-        );
-    }
-
-    #[test]
-    fn eq_without_index_falls_back_to_scan() {
-        let t = ligand_table();
-        assert_eq!(t.lookup_eq("id", &Value::Int(3)).unwrap(), vec![RowId(2)]);
-    }
-
-    #[test]
-    fn index_backfill_and_maintenance() {
-        let mut t = ligand_table();
-        t.create_index("mw", IndexKind::BTree).unwrap();
-        // Backfilled:
-        assert_eq!(
-            t.lookup_eq("mw", &Value::Float(194.2)).unwrap(),
-            vec![RowId(1)]
-        );
-        // Maintained on insert:
-        t.insert(vec![Value::Int(4), Value::from("x"), Value::Float(194.2)])
-            .unwrap();
-        assert_eq!(t.lookup_eq("mw", &Value::Float(194.2)).unwrap().len(), 2);
-        // Maintained on delete:
-        t.delete(RowId(1)).unwrap();
-        assert_eq!(
-            t.lookup_eq("mw", &Value::Float(194.2)).unwrap(),
-            vec![RowId(3)]
-        );
-        // Duplicate index rejected:
-        assert!(t.create_index("mw", IndexKind::BTree).is_err());
-        // But a different kind on the same column is fine:
-        assert!(t.create_index("mw", IndexKind::Hash).is_ok());
-    }
-
-    #[test]
-    fn index_and_scan_agree() {
-        let mut t = ligand_table();
-        t.create_index("mw", IndexKind::BTree).unwrap();
-        for probe in [180.2, 194.2, 206.3, 999.0] {
-            let key = Value::Float(probe);
-            let mut via_index = t.lookup_eq("mw", &key).unwrap();
-            let mut via_scan: Vec<RowId> = t
-                .scan()
-                .filter(|(_, r)| r[2] == key)
-                .map(|(id, _)| id)
-                .collect();
-            via_index.sort();
-            via_scan.sort();
-            assert_eq!(via_index, via_scan, "probe {probe}");
+        let bound = 1i64 << 53;
+        for mw in [bound, -bound] {
+            t.append_row(&[Value::from("L1"), Value::Int(mw)]).unwrap();
         }
+        assert_eq!(t.cell(0, 1), Value::Float(bound as f64));
+        for mw in [bound + 1, -bound - 1, i64::MIN, i64::MAX] {
+            let err = t.append_row(&[Value::from("L2"), Value::Int(mw)]);
+            assert!(matches!(err, Err(StoreError::Columnar(_))), "{mw}");
+        }
+        // Nothing of the refused rows was kept.
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.column(0).len(), 2);
+        assert_eq!(t.column(1).len(), 2);
+        assert!(t.key_rows(&Value::from("L2")).is_empty());
+        assert_eq!(t.key_rows(&Value::from("L1")), &[0, 1]);
+    }
+
+    #[test]
+    fn key_rows_in_append_order_and_kept_current() {
+        let t = sample().with_key("source").unwrap();
+        assert_eq!(t.key_column(), Some(1));
+        assert_eq!(t.key_rows(&Value::from("assay-a")), &[0, 2, 4]);
+        assert_eq!(t.key_rows(&Value::from("assay-b")), &[1, 3]);
+        assert!(t.key_rows(&Value::from("nope")).is_empty());
+        let mut t = t;
+        t.append_row(&[Value::Int(9), Value::from("assay-c"), Value::Null])
+            .unwrap();
+        t.append_row(&[Value::Int(10), Value::from("assay-b"), Value::Null])
+            .unwrap();
+        assert_eq!(t.key_rows(&Value::from("assay-c")), &[5]);
+        assert_eq!(t.key_rows(&Value::from("assay-b")), &[1, 3, 6]);
+        // A numeric key matches across Int and Float, as `Value` does.
+        let t = sample().with_key("value_nm").unwrap();
+        assert_eq!(t.key_rows(&Value::Int(10)), &[0]);
+        assert_eq!(t.key_rows(&Value::Null), &[2]);
+        // An unkeyed table answers no key.
+        assert!(sample().key_rows(&Value::from("assay-a")).is_empty());
+        assert!(sample().with_key("bogus").is_err());
+    }
+
+    #[test]
+    fn interval_range_binary_search() {
+        let t = sample();
+        assert_eq!(t.range_of_i64(2, 6).unwrap(), 1..4);
+        assert_eq!(t.range_of_i64(0, 10).unwrap(), 0..5);
+        assert_eq!(t.range_of_i64(3, 5).unwrap(), 3..3);
+        assert_eq!(t.range_of_i64(10, 20).unwrap(), 5..5);
+        let unsorted = Table::new("x", activity_schema()).unwrap();
+        assert!(unsorted.range_of_i64(0, 1).is_err());
+    }
+
+    #[test]
+    fn sorted_declaration_verifies() {
+        let rows = vec![
+            vec![Value::Int(5), Value::from("a"), Value::Null],
+            vec![Value::Int(3), Value::from("a"), Value::Null],
+        ];
+        let mut t = Table::from_rows("x", activity_schema(), rows).unwrap();
+        assert!(t.declare_sorted("leaf_rank").is_err());
+        assert!(t.declare_sorted("source").is_err());
+        // Appends that would break a declared order are rejected.
+        let mut t = sample();
+        let bad = vec![Value::Int(1), Value::from("a"), Value::Null];
+        assert!(t.append_row(&bad).is_err());
+        let ok = vec![Value::Int(9), Value::from("a"), Value::Null];
+        t.append_row(&ok).unwrap();
+    }
+
+    #[test]
+    fn eval_matches_row_semantics() {
+        let t = sample();
+        let pred = Predicate::And(vec![
+            Predicate::eq("source", "assay-a"),
+            Predicate::cmp("value_nm", CompareOp::Le, 10.0),
+        ])
+        .bind(t.schema())
+        .unwrap();
+        let sel = t.eval(&pred, 0..t.len());
+        let expect: Vec<usize> = (0..t.len()).filter(|&i| pred.matches(&t.row(i))).collect();
+        assert_eq!(sel.iter_ones().collect::<Vec<_>>(), expect);
+        assert_eq!(expect, vec![0, 4]);
     }
 }

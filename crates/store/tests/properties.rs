@@ -3,15 +3,13 @@
 // Test code: panicking on a malformed fixture is the right failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use drugtree_store::columnar::ColumnarTable;
 use drugtree_store::expr::{CompareOp, Predicate};
 use drugtree_store::schema::{Column, Schema};
 use drugtree_store::snapshot::{load_catalog, save_catalog};
-use drugtree_store::table::{IndexKind, RowId, Table};
+use drugtree_store::table::Table;
 use drugtree_store::value::{Value, ValueType};
 use drugtree_store::{Catalog, Dictionary};
 use proptest::prelude::*;
-use std::ops::Bound;
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -157,10 +155,12 @@ proptest! {
         };
         let mut pool = Dictionary::new();
         for s in &noise {
-            pool.cell(s);
+            pool.intern(s);
         }
         let made = |s: &String, pool: &mut Dictionary| {
-            [Value::from(s.as_str()), Value::from(s.clone()), pool.cell(s), pool.cell(s)]
+            let code = pool.intern(s);
+            let pooled = pool.cell_of(code).unwrap();
+            [Value::from(s.as_str()), Value::from(s.clone()), pooled.clone(), pooled]
         };
         let (xs, ys) = (made(&a, &mut pool), made(&b, &mut pool));
         for x in &xs {
@@ -174,67 +174,36 @@ proptest! {
         }
     }
 
+    /// The key index against a linear scan of a `Vec` model, for a
+    /// key declared before the appends and for one declared after.
     #[test]
     fn index_agrees_with_scan(
         rows in proptest::collection::vec((-20i64..20, proptest::option::of(-5.0f64..5.0)), 0..60),
         probe in -20i64..20,
-        lo in -5.0f64..5.0,
-        span in 0.0f64..5.0,
+        cut in 0usize..60,
     ) {
-        let mut indexed = Table::new("t", test_schema());
-        indexed.create_index("k", IndexKind::BTree).unwrap();
-        indexed.create_index("v", IndexKind::BTree).unwrap();
-        let mut plain = Table::new("t", test_schema());
-        for (k, v) in &rows {
-            let row = vec![Value::Int(*k), v.map_or(Value::Null, Value::Float)];
-            indexed.insert(row.clone()).unwrap();
-            plain.insert(row).unwrap();
-        }
-
-        // Equality.
+        let model: Vec<Vec<Value>> = rows
+            .iter()
+            .map(|(k, v)| vec![Value::Int(*k), v.map_or(Value::Null, Value::Float)])
+            .collect();
         let key = Value::Int(probe);
-        let mut a: Vec<_> = indexed.eq_lookup("k").unwrap().rows(&key).collect();
-        let mut b: Vec<_> = plain.eq_lookup("k").unwrap().rows(&key).collect();
-        a.sort();
-        b.sort();
-        prop_assert_eq!(a, b);
-
-        // Range over the float column. NULLs must be excluded by both
-        // paths; the B-tree never stores a NULL match for a float range
-        // because Null sorts below every float we probe with.
-        let lo_v = Value::Float(lo);
-        let hi_v = Value::Float(lo + span);
-        let mut a: Vec<RowId> = indexed
-            .lookup_range("v", Bound::Included(&lo_v), Bound::Included(&hi_v))
-            .unwrap()
-            .collect();
-        let mut b: Vec<RowId> = plain
-            .lookup_range("v", Bound::Included(&lo_v), Bound::Included(&hi_v))
-            .unwrap()
-            .collect();
-        a.sort();
-        b.sort();
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn predicate_push_equivalence(
-        rows in proptest::collection::vec((-20i64..20, proptest::option::of(-5.0f64..5.0)), 0..50),
-        threshold in -5.0f64..5.0,
-    ) {
-        // select(pred) must equal filtering a full scan by hand.
-        let mut t = Table::new("t", test_schema());
-        for (k, v) in &rows {
-            t.insert(vec![Value::Int(*k), v.map_or(Value::Null, Value::Float)]).unwrap();
+        let scan = |upto: usize| -> Vec<u32> {
+            (0..upto).filter(|&i| model[i][0] == key).map(|i| i as u32).collect()
+        };
+        let cut = cut.min(model.len());
+        let mut keyed = Table::new("t", test_schema()).unwrap().with_key("k").unwrap();
+        for row in &model[..cut] {
+            keyed.append_row(row).unwrap();
         }
-        let pred = Predicate::cmp("v", CompareOp::Ge, threshold).bind(t.schema()).unwrap();
-        let selected: Vec<RowId> = t.select(&pred).collect();
-        let manual: Vec<RowId> = t
-            .scan()
-            .filter(|(_, r)| r[1].as_f64().is_some_and(|v| v >= threshold))
-            .map(|(id, _)| id)
-            .collect();
-        prop_assert_eq!(selected, manual);
+        let head = scan(cut);
+        prop_assert_eq!(keyed.key_rows(&key), head.as_slice());
+        for row in &model[cut..] {
+            keyed.append_row(row).unwrap();
+        }
+        let all = scan(model.len());
+        prop_assert_eq!(keyed.key_rows(&key), all.as_slice());
+        let late = Table::from_rows("t", test_schema(), &model).unwrap().with_key("k").unwrap();
+        prop_assert_eq!(late.key_rows(&key), all.as_slice());
     }
 
     #[test]
@@ -242,10 +211,9 @@ proptest! {
         rows in proptest::collection::vec((-20i64..20, proptest::option::of(-5.0f64..5.0)), 0..40)
     ) {
         let mut c = Catalog::new();
-        let mut t = Table::new("t", test_schema());
-        t.create_index("k", IndexKind::Hash).unwrap();
+        let mut t = Table::new("t", test_schema()).unwrap().with_key("k").unwrap();
         for (k, v) in &rows {
-            t.insert(vec![Value::Int(*k), v.map_or(Value::Null, Value::Float)]).unwrap();
+            t.append_row(&[Value::Int(*k), v.map_or(Value::Null, Value::Float)]).unwrap();
         }
         c.create_table(t).unwrap();
 
@@ -254,11 +222,25 @@ proptest! {
         let t1 = c.table("t").unwrap();
         let t2 = back.table("t").unwrap();
         prop_assert_eq!(t1.len(), t2.len());
-        let rows1: Vec<Vec<Value>> = t1.scan().map(|(_, r)| r.to_vec()).collect();
-        let rows2: Vec<Vec<Value>> = t2.scan().map(|(_, r)| r.to_vec()).collect();
+        let rows1: Vec<Vec<Value>> = (0..t1.len()).map(|i| t1.row(i)).collect();
+        let rows2: Vec<Vec<Value>> = (0..t2.len()).map(|i| t2.row(i)).collect();
         prop_assert_eq!(rows1, rows2);
         // Double round-trip is byte-identical.
         prop_assert_eq!(save_catalog(&back).unwrap(), json);
+    }
+
+    /// A row built from the columns is the row appended, NULLs and
+    /// `Int` cells of the Float column included.
+    #[test]
+    fn rows_read_back_as_appended(rows in proptest::collection::vec(arb_wide_row(), 0..60)) {
+        let t = Table::from_rows("t", wide_schema(), &rows).unwrap();
+        prop_assert_eq!(t.len(), rows.len());
+        for (i, row) in rows.iter().enumerate() {
+            prop_assert_eq!(&t.row(i), row);
+            for (c, cell) in row.iter().enumerate() {
+                prop_assert_eq!(&t.cell(i, c), cell);
+            }
+        }
     }
 
     #[test]
@@ -267,19 +249,14 @@ proptest! {
         pred in arb_predicate(),
         cut in 0usize..60,
     ) {
-        // The same rows in a row table and a columnar table; kernel
-        // evaluation must select exactly the ids the row path selects.
+        // Kernel evaluation over the table must select exactly the rows
+        // `BoundPredicate::matches` selects over the `Vec` model.
         let schema = wide_schema();
-        let mut t = Table::new("t", schema.clone());
-        let mut ct = ColumnarTable::new("t", schema.clone()).unwrap();
-        for row in &rows {
-            t.insert(row.clone()).unwrap();
-            ct.append_row(row).unwrap();
-        }
+        let t = Table::from_rows("t", schema.clone(), &rows).unwrap();
         let bound = pred.bind(&schema).unwrap();
 
-        let via_rows: Vec<usize> = t.select(&bound).map(|id| id.0 as usize).collect();
-        let via_kernels: Vec<usize> = ct.eval(&bound, 0..ct.len()).iter_ones().collect();
+        let via_rows: Vec<usize> = (0..rows.len()).filter(|&i| bound.matches(&rows[i])).collect();
+        let via_kernels: Vec<usize> = t.eval(&bound, 0..t.len()).iter_ones().collect();
         prop_assert_eq!(&via_kernels, &via_rows, "pred {:?}", pred);
 
         // The cell-accessor form over a row held in two pieces (the
@@ -287,7 +264,7 @@ proptest! {
         let split = cut % schema.arity();
         let via_cells: Vec<usize> = (0..rows.len())
             .filter(|&i| {
-                let (head, tail) = t.get(RowId(i as u64)).unwrap().split_at(split);
+                let (head, tail) = rows[i].split_at(split);
                 bound.matches_with(&|c| if c < split { &head[c] } else { &tail[c - split] })
             })
             .collect();
@@ -297,33 +274,7 @@ proptest! {
         // window of the row scan.
         let cut = cut.min(rows.len());
         let windowed: Vec<usize> = via_rows.iter().copied().filter(|&i| i < cut).collect();
-        let via_range: Vec<usize> = ct.eval(&bound, 0..cut).iter_ones().collect();
+        let via_range: Vec<usize> = t.eval(&bound, 0..cut).iter_ones().collect();
         prop_assert_eq!(via_range, windowed, "pred {:?} cut {}", pred, cut);
-    }
-
-    #[test]
-    fn deletes_never_resurface(
-        rows in proptest::collection::vec(-20i64..20, 1..40),
-        delete_mask in proptest::collection::vec(any::<bool>(), 1..40),
-    ) {
-        let mut t = Table::new("t", test_schema());
-        t.create_index("k", IndexKind::BTree).unwrap();
-        let mut ids = Vec::new();
-        for k in &rows {
-            ids.push(t.insert(vec![Value::Int(*k), Value::Null]).unwrap());
-        }
-        let mut live = rows.len();
-        for (i, (&id, del)) in ids.iter().zip(&delete_mask).enumerate() {
-            if *del {
-                t.delete(id).unwrap();
-                live -= 1;
-                // Deleted row gone from index and scan.
-                let key = Value::Int(rows[i]);
-                prop_assert!(t.eq_lookup("k").unwrap().rows(&key).all(|live| live != id));
-                prop_assert!(t.get(id).is_err());
-            }
-        }
-        prop_assert_eq!(t.len(), live);
-        prop_assert_eq!(t.scan().count(), live);
     }
 }

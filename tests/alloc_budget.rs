@@ -13,9 +13,11 @@
 //! it (`Value::Text(String)`, every hop deep-copying its strings)
 //! counted, on this very bundle (5,855 rows), **17.61 allocations per
 //! returned row on the miss and 7.46 on the hit**; this tree counts
-//! 3.03 and 1.01. The budget below leaves one allocation per row of
-//! slack on either path, so a reintroduced per-row copy fails it on
-//! any machine.
+//! 3.03 and 1.01 (17,724 and 5,917 calls), as it did before sources
+//! and the overlay kept their rows in column segments (17,720 and
+//! 5,917: a source's fetch now allocates its column views once). The
+//! budget below leaves one allocation per row of slack on either path,
+//! so a reintroduced per-row copy fails it on any machine.
 //!
 //! This file holds one test on purpose: the counter is armed on the
 //! test's own thread, and a binary with a `#[global_allocator]` should
@@ -86,7 +88,7 @@ const LIGANDS: usize = 1024;
 /// What a query may allocate whatever it returns: the plan (its keys,
 /// one per leaf in scope, held in a few vectors), the fetch requests
 /// with their column names, the growth of the row vectors, the cache
-/// entry. Measured at 157 on the miss and 63 on the hit of this bundle.
+/// entry. Measured at 159 on the miss and 62 on the hit of this bundle.
 const PER_QUERY: u64 = 2 * LEAVES as u64;
 
 #[test]
