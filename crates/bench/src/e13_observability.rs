@@ -73,39 +73,41 @@ pub fn run(config: RunConfig) -> ExperimentTable {
             },
         );
 
-        let run_stream = |observer: Option<Arc<MetricsRegistry>>, columnar: bool| -> Duration {
-            let mut builder = DrugTree::builder()
-                .dataset(bundle.build_dataset())
-                .optimizer(OptimizerConfig::full());
-            if let Some(registry) = observer {
-                builder = builder.with_observer(registry);
-            }
-            if columnar {
-                builder = builder.with_columnar();
-            }
-            let system = builder.build().expect("system builds");
-            let latencies: Vec<Duration> = queries
-                .iter()
-                .map(|q| {
-                    system
-                        .execute(q)
-                        .expect("query executes")
-                        .metrics
-                        .virtual_cost
-                })
-                .collect();
-            mean(&latencies)
-        };
+        // Mean latency, and the cache's hit rate over the stream.
+        let run_stream =
+            |observer: Option<Arc<MetricsRegistry>>, columnar: bool| -> (Duration, Option<f64>) {
+                let mut builder = DrugTree::builder()
+                    .dataset(bundle.build_dataset())
+                    .optimizer(OptimizerConfig::full());
+                if let Some(registry) = observer {
+                    builder = builder.with_observer(registry);
+                }
+                if columnar {
+                    builder = builder.with_columnar();
+                }
+                let system = builder.build().expect("system builds");
+                let latencies: Vec<Duration> = queries
+                    .iter()
+                    .map(|q| {
+                        system
+                            .execute(q)
+                            .expect("query executes")
+                            .metrics
+                            .virtual_cost
+                    })
+                    .collect();
+                (mean(&latencies), system.executor().cache_stats().hit_rate())
+            };
 
         let registry = Arc::new(MetricsRegistry::new());
-        let observed_mean = run_stream(Some(Arc::clone(&registry)), false);
-        let baseline_mean = run_stream(None, false);
+        let (observed_mean, hit_rate) = run_stream(Some(Arc::clone(&registry)), false);
+        let (baseline_mean, _) = run_stream(None, false);
         let ratio = observed_mean.as_secs_f64() / baseline_mean.as_secs_f64().max(1e-12);
 
         // Same traffic with the columnar mirror built: the trace's
         // cost mass moves from the fetch stages to Stage::Compute.
         let local_registry = Arc::new(MetricsRegistry::new());
-        let local_mean = run_stream(Some(Arc::clone(&local_registry)), true);
+        let (local_mean, _) = run_stream(Some(Arc::clone(&local_registry)), true);
         let local_query_ns = local_registry.stage_nanos(Stage::Query).max(1);
         let compute_ns = local_registry.stage_nanos(Stage::Compute);
 
@@ -116,9 +118,7 @@ pub fn run(config: RunConfig) -> ExperimentTable {
             class.label().to_string(),
             fmt_ms(observed_mean),
             format!("{:.0}%", 100.0 * fetch_ns as f64 / query_ns as f64),
-            registry
-                .hit_rate()
-                .map_or_else(|| "-".to_string(), |rate| format!("{rate:.2}")),
+            hit_rate.map_or_else(|| "-".to_string(), |rate| format!("{rate:.2}")),
             format!("{:.1}", registry.rows_fetched.get() as f64 / n as f64),
             format!("{:.2}", registry.source_requests.get() as f64 / n as f64),
             fmt_ms(local_mean),

@@ -133,14 +133,14 @@ fn run_top(args: &[String]) -> i32 {
         eprintln!("usage: drugtree top <export.jsonl>");
         return 2;
     };
-    let content = match std::fs::read_to_string(path) {
-        Ok(c) => c,
+    let export = std::fs::File::open(path).map(std::io::BufReader::new);
+    let report = match export.and_then(TopReport::from_reader) {
+        Ok(report) => report,
         Err(e) => {
             eprintln!("error: {path}: {e}");
             return 2;
         }
     };
-    let report = TopReport::from_lines(content.lines());
     if report.queries() == 0 && report.windows() == 0 {
         eprintln!("error: {path}: no query or window events found");
         return 1;
@@ -156,14 +156,14 @@ fn run_advisor(args: &[String]) -> i32 {
         eprintln!("usage: drugtree advisor <export.jsonl>");
         return 2;
     };
-    let content = match std::fs::read_to_string(path) {
-        Ok(c) => c,
+    let export = std::fs::File::open(path).map(std::io::BufReader::new);
+    let report = match export.and_then(AdvisorReport::from_reader) {
+        Ok(report) => report,
         Err(e) => {
             eprintln!("error: {path}: {e}");
             return 2;
         }
     };
-    let report = AdvisorReport::from_lines(content.lines());
     if report.adaptations() == 0 {
         eprintln!("error: {path}: no adaptation records found (is the adaptive layer enabled?)");
         return 1;

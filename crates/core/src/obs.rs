@@ -14,12 +14,18 @@
 //! [`TraceExport`]: drugtree_query::TraceExport
 
 use drugtree_query::obs::{AdaptEvent, QueryEvent, ServeEvent, Sink, WindowEvent};
+use drugtree_query::ServeClassCounters;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{BufWriter, Write as _};
+use std::io::{BufRead, BufWriter, Read as _, Write as _};
 use std::path::Path;
+
+/// The longest export line the report readers fold, in bytes (without
+/// its newline). A longer line is counted as skipped, and no more than
+/// this much of it is ever buffered.
+pub const MAX_EXPORT_LINE_BYTES: usize = 1 << 20;
 
 /// A [`Sink`] appending JSONL records to a file through a buffered
 /// writer. Call [`JsonlFileSink::flush`] (or drop the sink) before
@@ -58,22 +64,41 @@ impl Sink for JsonlFileSink {
     }
 }
 
+/// Feed `reader`'s non-blank lines, trimmed, to `fold`: `Some(line)`
+/// for each line of at most [`MAX_EXPORT_LINE_BYTES`] of UTF-8, `None`
+/// for any other. A line is buffered only up to the bound and its
+/// newline; the rest of a longer one is skipped unread.
+fn read_export_lines(
+    mut reader: impl BufRead,
+    mut fold: impl FnMut(Option<&str>),
+) -> std::io::Result<()> {
+    let room = MAX_EXPORT_LINE_BYTES as u64 + 1;
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if reader.by_ref().take(room).read_until(b'\n', &mut line)? == 0 {
+            return Ok(());
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        } else if line.len() > MAX_EXPORT_LINE_BYTES {
+            reader.skip_until(b'\n')?;
+            fold(None);
+            continue;
+        }
+        match std::str::from_utf8(&line).map(str::trim) {
+            Ok("") => {}
+            text => fold(text.ok()),
+        }
+    }
+}
+
 #[derive(Debug, Default)]
-struct ClassAccumulator {
+struct ClassQueries {
     charged_ns: Vec<u64>,
     breaches: u64,
     probes: u64,
     hits: u64,
-}
-
-#[derive(Debug, Default)]
-struct ServeAccumulator {
-    admitted: u64,
-    shed: u64,
-    hedged: u64,
-    hedges_won: u64,
-    deadline_missed: u64,
-    outages: u64,
 }
 
 #[derive(Debug, Default)]
@@ -87,54 +112,55 @@ struct ShapeAccumulator {
 /// renders.
 #[derive(Debug, Default)]
 pub struct TopReport {
-    classes: BTreeMap<String, ClassAccumulator>,
+    classes: BTreeMap<String, ClassQueries>,
     shapes: BTreeMap<String, ShapeAccumulator>,
-    serve: BTreeMap<String, ServeAccumulator>,
+    serve: BTreeMap<String, ServeClassCounters>,
     sessions: BTreeMap<u32, u64>,
     first_started_ns: Option<u64>,
     last_ended_ns: u64,
     queries: u64,
     windows: u64,
-    rollups: u64,
     adapts: u64,
     skipped: u64,
 }
 
 impl TopReport {
-    /// Fold an export, one JSONL line per item. Unparseable lines are
-    /// counted, not fatal — a truncated export still reports.
-    pub fn from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> TopReport {
+    /// Fold an export, one JSONL line per item. Unparseable and
+    /// over-long lines are counted, not fatal — a truncated export
+    /// still reports; only a read error fails.
+    pub fn from_reader(reader: impl BufRead) -> std::io::Result<TopReport> {
         let mut report = TopReport::default();
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
+        read_export_lines(reader, |line| match line {
+            Some(line) => report.fold_line(line),
+            None => report.skipped += 1,
+        })?;
+        Ok(report)
+    }
+
+    fn fold_line(&mut self, line: &str) {
+        if line.starts_with("{\"event\":\"query\"") {
+            match serde_json::from_str::<QueryEvent>(line) {
+                Ok(event) => self.fold_query(&event),
+                Err(_) => self.skipped += 1,
             }
-            if line.starts_with("{\"event\":\"query\"") {
-                match serde_json::from_str::<QueryEvent>(line) {
-                    Ok(event) => report.fold_query(&event),
-                    Err(_) => report.skipped += 1,
-                }
-            } else if line.starts_with("{\"event\":\"window\"") {
-                match serde_json::from_str::<WindowEvent>(line) {
-                    Ok(event) => report.fold_window(&event),
-                    Err(_) => report.skipped += 1,
-                }
-            } else if line.starts_with("{\"event\":\"serve\"") {
-                match serde_json::from_str::<ServeEvent>(line) {
-                    Ok(event) => report.fold_serve(&event),
-                    Err(_) => report.skipped += 1,
-                }
-            } else if line.starts_with("{\"event\":\"adapt\"") {
-                // Adaptation records belong to `drugtree advisor`;
-                // here we only acknowledge them so a mixed export does
-                // not report them as garbage.
-                report.adapts += 1;
-            } else {
-                report.skipped += 1;
+        } else if line.starts_with("{\"event\":\"window\"") {
+            match serde_json::from_str::<WindowEvent>(line) {
+                Ok(event) => self.fold_window(&event),
+                Err(_) => self.skipped += 1,
             }
+        } else if line.starts_with("{\"event\":\"serve\"") {
+            match serde_json::from_str::<ServeEvent>(line) {
+                Ok(event) => self.fold_serve(&event),
+                Err(_) => self.skipped += 1,
+            }
+        } else if line.starts_with("{\"event\":\"adapt\"") {
+            // Adaptation records belong to `drugtree advisor`; here we
+            // only acknowledge them so a mixed export does not report
+            // them as garbage.
+            self.adapts += 1;
+        } else {
+            self.skipped += 1;
         }
-        report
     }
 
     fn fold_query(&mut self, event: &QueryEvent) {
@@ -174,8 +200,8 @@ impl TopReport {
     }
 
     fn fold_serve(&mut self, event: &ServeEvent) {
-        self.rollups += 1;
         let acc = self.serve.entry(event.class.clone()).or_default();
+        acc.class.clone_from(&event.class);
         acc.admitted += event.admitted;
         acc.shed += event.shed;
         acc.hedged += event.hedged;
@@ -192,11 +218,6 @@ impl TopReport {
     /// Window events folded in.
     pub fn windows(&self) -> u64 {
         self.windows
-    }
-
-    /// Per-class serve rollups folded in.
-    pub fn rollups(&self) -> u64 {
-        self.rollups
     }
 
     /// Lines that failed to parse.
@@ -342,27 +363,28 @@ pub struct AdvisorReport {
 
 impl AdvisorReport {
     /// Fold an export, one JSONL line per item. Non-adapt event
-    /// records are counted but ignored; unparseable lines are counted,
-    /// not fatal.
-    pub fn from_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> AdvisorReport {
+    /// records are counted but ignored; unparseable and over-long
+    /// lines are counted, not fatal; only a read error fails.
+    pub fn from_reader(reader: impl BufRead) -> std::io::Result<AdvisorReport> {
         let mut report = AdvisorReport::default();
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
+        read_export_lines(reader, |line| match line {
+            Some(line) => report.fold_line(line),
+            None => report.skipped += 1,
+        })?;
+        Ok(report)
+    }
+
+    fn fold_line(&mut self, line: &str) {
+        if line.starts_with("{\"event\":\"adapt\"") {
+            match serde_json::from_str::<AdaptEvent>(line) {
+                Ok(event) => self.fold_adapt(event),
+                Err(_) => self.skipped += 1,
             }
-            if line.starts_with("{\"event\":\"adapt\"") {
-                match serde_json::from_str::<AdaptEvent>(line) {
-                    Ok(event) => report.fold_adapt(event),
-                    Err(_) => report.skipped += 1,
-                }
-            } else if line.starts_with("{\"event\":\"") {
-                report.other_events += 1;
-            } else {
-                report.skipped += 1;
-            }
+        } else if line.starts_with("{\"event\":\"") {
+            self.other_events += 1;
+        } else {
+            self.skipped += 1;
         }
-        report
     }
 
     fn fold_adapt(&mut self, event: AdaptEvent) {
@@ -547,6 +569,10 @@ mod tests {
         sink.lines()
     }
 
+    fn top(lines: &[impl std::borrow::Borrow<str>]) -> TopReport {
+        TopReport::from_reader(lines.join("\n").as_bytes()).unwrap()
+    }
+
     #[test]
     fn file_sink_round_trips_lines() {
         let dir = std::env::temp_dir().join("drugtree-obs-test");
@@ -565,7 +591,7 @@ mod tests {
     fn top_report_folds_an_export() {
         let lines = export_lines();
         assert!(!lines.is_empty());
-        let report = TopReport::from_lines(lines.iter().map(String::as_str));
+        let report = top(&lines);
         assert_eq!(report.queries(), 4);
         assert_eq!(report.skipped(), 0);
         let rendered = report.render();
@@ -585,8 +611,7 @@ mod tests {
             r#"{"event":"serve","seq":1,"class":"similarity","admitted":10,"shed":5,"hedged":1,"hedges_won":0,"deadline_missed":0,"outages":0}"#,
             r#"{"event":"serve","seq":2,"class":"listing","admitted":7,"shed":0,"hedged":0,"hedges_won":0,"deadline_missed":0,"outages":0}"#,
         ];
-        let report = TopReport::from_lines(lines);
-        assert_eq!(report.rollups(), 3);
+        let report = top(&lines);
         assert_eq!(report.skipped(), 0);
         let rendered = report.render();
         assert!(rendered.contains("serving (admission / hedging / deadlines):"));
@@ -604,7 +629,7 @@ mod tests {
         let lines = [
             r#"{"event":"adapt","seq":0,"at_ns":100,"loop_name":"matview","action":"apply","subject":"aggregate(count)","reason":"break-even crossed","before_ns":10,"after_ns":2}"#,
         ];
-        let report = TopReport::from_lines(lines);
+        let report = top(&lines);
         assert_eq!(report.skipped(), 0, "adapt records are not garbage");
         assert!(report.render().contains("see `drugtree advisor`"));
     }
@@ -617,7 +642,7 @@ mod tests {
             r#"{"event":"adapt","seq":2,"at_ns":5000000,"loop_name":"matview","action":"apply","subject":"aggregate(count)","reason":"break-even crossed","before_ns":900000,"after_ns":12000}"#,
             r#"{"event":"adapt","seq":3,"at_ns":9000000,"loop_name":"matview","action":"evict","subject":"aggregate(count)","reason":"idle past ttl","before_ns":0,"after_ns":0}"#,
         ];
-        let report = AdvisorReport::from_lines(lines);
+        let report = AdvisorReport::from_reader(lines.join("\n").as_bytes()).unwrap();
         assert_eq!(report.adaptations(), 3);
         assert_eq!(report.skipped(), 0);
         let rendered = report.render();
@@ -640,7 +665,7 @@ mod tests {
             r#"{"event":"adapt","seq":1,"at_ns":200,"loop_name":"learned-stats","action":"revert","subject":"p_activity","reason":"regret threshold","before_ns":0,"after_ns":0}"#,
             "garbage",
         ];
-        let report = AdvisorReport::from_lines(lines);
+        let report = AdvisorReport::from_reader(lines.join("\n").as_bytes()).unwrap();
         assert_eq!(report.skipped(), 1);
         let rendered = report.render();
         let row = rendered
@@ -656,9 +681,36 @@ mod tests {
         // Nested past the JSON parser's depth bound: skipped like any
         // other malformed line, where it used to overflow the stack.
         let deep = format!("{{\"event\":\"query\",\"x\":{}", "[".repeat(300_000));
-        let report = TopReport::from_lines(["not json", "", "{\"event\":\"query\",broken", &deep]);
+        let report = top(&["not json", "", "{\"event\":\"query\",broken", &deep]);
         assert_eq!(report.queries(), 0);
         assert_eq!(report.skipped(), 3, "blank lines are not counted");
         assert!(report.render().contains("3 unparseable"));
+    }
+
+    #[test]
+    fn export_lines_are_bounded() {
+        // A valid query event whose text pads the line to `len` bytes.
+        let lines = export_lines();
+        let query = lines
+            .iter()
+            .find(|l| l.starts_with("{\"event\":\"query\""))
+            .unwrap();
+        let padded = |len: usize| {
+            let pad = "q".repeat(len - query.len());
+            query.replacen("\"query\":\"", &format!("\"query\":\"{pad}"), 1)
+        };
+        let (at, past) = (
+            padded(MAX_EXPORT_LINE_BYTES),
+            padded(MAX_EXPORT_LINE_BYTES + 1),
+        );
+        assert_eq!(at.len(), MAX_EXPORT_LINE_BYTES);
+        // The over-long line is skipped mid-export and at its end, and
+        // the lines beside it still fold, whatever the read chunking.
+        let export = [&at, &past, &at, &past].map(String::as_str).join("\n");
+        for capacity in [7, 8 * 1024] {
+            let reader = std::io::BufReader::with_capacity(capacity, export.as_bytes());
+            let report = TopReport::from_reader(reader).unwrap();
+            assert_eq!((report.queries(), report.skipped()), (2, 2), "{capacity}");
+        }
     }
 }

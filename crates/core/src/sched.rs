@@ -49,7 +49,7 @@ use drugtree_mobile::{
 use drugtree_query::ast::Query;
 use drugtree_query::obs::{QueryClass, ServeClassCounters};
 use drugtree_query::{Dataset, Executor, QueryError};
-use drugtree_sources::telemetry::FixedHistogram;
+use drugtree_sources::telemetry::{nanos, FixedHistogram};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -135,8 +135,6 @@ impl Default for HedgePolicy {
     }
 }
 
-impl HedgePolicy {}
-
 /// Counters describing one fleet run's scheduling work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
@@ -198,21 +196,6 @@ pub(crate) struct FleetOutcome {
 
 const CLASSES: usize = QueryClass::ALL.len();
 
-fn class_idx(class: QueryClass) -> usize {
-    match class {
-        QueryClass::Listing => 0,
-        QueryClass::Filtered => 1,
-        QueryClass::Similarity => 2,
-        QueryClass::TopK => 3,
-        QueryClass::Aggregate => 4,
-        QueryClass::CountPerLeaf => 5,
-    }
-}
-
-fn nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     /// A session's virtual cursor reached `due`: begin its next
@@ -246,22 +229,6 @@ struct Flight {
     parts: Vec<Part>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct ClassAcc {
-    admitted: u64,
-    shed: u64,
-    hedged: u64,
-    hedges_won: u64,
-    deadline_missed: u64,
-    outages: u64,
-}
-
-impl ClassAcc {
-    fn any(&self) -> bool {
-        self.admitted != 0 || self.shed != 0
-    }
-}
-
 /// Drive `workloads` to completion over the shared dataset/executor
 /// pair. Deterministic: two calls with identical inputs produce
 /// identical outcomes, clock schedules, and observer emissions.
@@ -289,7 +256,10 @@ pub(crate) fn run_fleet(
         heap: BinaryHeap::new(),
         seq: 0,
         latencies: Vec::with_capacity(queries),
-        counters: [ClassAcc::default(); CLASSES],
+        counters: QueryClass::ALL.map(|class| ServeClassCounters {
+            class: class.label().to_string(),
+            ..ServeClassCounters::default()
+        }),
         hists: std::array::from_fn(|_| FixedHistogram::latency_buckets()),
         open_by_key: HashMap::new(),
         flights: HashMap::new(),
@@ -314,7 +284,7 @@ struct Sched<'a> {
     heap: BinaryHeap<Reverse<Event>>,
     seq: u64,
     latencies: Vec<Duration>,
-    counters: [ClassAcc; CLASSES],
+    counters: [ServeClassCounters; CLASSES],
     /// Learned per-class execution-cost history (hedging trigger).
     hists: [FixedHistogram; CLASSES],
     open_by_key: HashMap<String, u64>,
@@ -413,7 +383,7 @@ impl Sched<'_> {
         }
         let admission = self.config.admission;
         if admission.max_open_flights > 0 && self.open_by_key.len() >= admission.max_open_flights {
-            self.counters[class_idx(class)].shed += 1;
+            self.counters[class.index()].shed += 1;
             let outcome = QueryOutcome::Degraded {
                 reason: DegradedReason::Shed,
                 charged: admission.shed_cost,
@@ -459,7 +429,7 @@ impl Sched<'_> {
         let before = self.dataset.clock.now().0;
         let executed = self.executor.execute(self.dataset, &flight.query);
         let exec_delta = Duration::from_nanos(self.dataset.clock.now().0.saturating_sub(before));
-        let idx = class_idx(flight.class);
+        let idx = flight.class.index();
         match executed {
             Ok(result) => {
                 let result = Arc::new(result);
@@ -565,20 +535,10 @@ impl Sched<'_> {
     }
 
     fn into_outcome(self) -> FleetOutcome {
-        let classes = QueryClass::ALL
-            .iter()
-            .filter_map(|&class| {
-                let acc = self.counters[class_idx(class)];
-                acc.any().then(|| ServeClassCounters {
-                    class: class.label().to_string(),
-                    admitted: acc.admitted,
-                    shed: acc.shed,
-                    hedged: acc.hedged,
-                    hedges_won: acc.hedges_won,
-                    deadline_missed: acc.deadline_missed,
-                    outages: acc.outages,
-                })
-            })
+        let classes = self
+            .counters
+            .into_iter()
+            .filter(|c| c.admitted != 0 || c.shed != 0)
             .collect();
         FleetOutcome {
             session_totals: self.machines.iter().map(SessionMachine::cursor).collect(),
@@ -605,17 +565,6 @@ mod tests {
             DeadlinePolicy::none().deadline_for(QueryClass::Listing),
             None
         );
-    }
-
-    #[test]
-    fn class_indices_cover_all_classes_uniquely() {
-        let mut seen = [false; CLASSES];
-        for class in QueryClass::ALL {
-            let i = class_idx(class);
-            assert!(!seen[i], "duplicate index {i}");
-            seen[i] = true;
-        }
-        assert!(seen.iter().all(|s| *s));
     }
 
     #[test]

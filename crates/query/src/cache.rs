@@ -600,6 +600,7 @@ mod tests {
     #[test]
     fn probes_always_equal_hits_plus_misses() {
         let mut c = SemanticCache::new(CacheConfig::default());
+        assert_eq!(c.stats().hit_rate(), None, "never probed is not 0%");
         c.insert(iv(0, 8), None, Arc::new(vec![row(1, "a")]));
         let _ = c.probe(iv(0, 4), None);
         let _ = c.probe(iv(6, 12), None);
@@ -607,6 +608,7 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.probes, 3);
         assert_eq!(s.hits + s.misses, s.probes);
+        assert_eq!(s.hit_rate(), Some(2.0 / 3.0));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! virtual clock and a process-local sequence number, so two replays
 //! of the same workload export byte-identical streams.
 
+use crate::obs::window::WindowSummary;
 use crate::trace::QueryTrace;
-use drugtree_sources::telemetry::WindowSummary;
+use drugtree_sources::telemetry::nanos;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -325,9 +326,10 @@ pub struct AdaptDecision {
     pub after_ns: u64,
 }
 
-/// The scheduler-side counter bundle [`TraceExport::emit_serve`]
-/// serializes; owned by the core crate's fleet scheduler, defined here
-/// so the export layer need not depend on it.
+/// The per-class serving counters: what the core crate's fleet
+/// scheduler accumulates, [`TraceExport::emit_serve`] serializes and
+/// `drugtree top` sums back up. Defined here so the export layer need
+/// not depend on the scheduler.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeClassCounters {
     /// Query class label.
@@ -344,10 +346,6 @@ pub struct ServeClassCounters {
     pub deadline_missed: u64,
     /// Outage-degraded queries.
     pub outages: u64,
-}
-
-fn nanos(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ pub use window::{QueryClass, RollingWindows, SloPolicy, WindowSummary};
 
 use crate::plan::{Access, FetchPlan, Finish, PhysicalPlan};
 use crate::trace::{render_analyzed, GestureObservation, Observer, QueryTrace};
-use drugtree_sources::telemetry::{FixedHistogram, HistogramSnapshot};
+use drugtree_sources::telemetry::HistogramSnapshot;
 use drugtree_store::expr::Predicate;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -196,7 +196,6 @@ pub struct FleetObserver {
     windows: RollingWindows,
     slowlog: Option<SlowQueryLog>,
     export: Option<TraceExport>,
-    cumulative: [FixedHistogram; QueryClass::ALL.len()],
 }
 
 impl Default for FleetObserver {
@@ -218,7 +217,6 @@ impl FleetObserver {
             windows: RollingWindows::new(width, ring, policy),
             slowlog: None,
             export: None,
-            cumulative: std::array::from_fn(|_| RollingWindows::cumulative_histogram()),
         }
     }
 
@@ -252,24 +250,20 @@ impl FleetObserver {
     /// Whole-run charged-latency distribution for a class (all
     /// windows folded together).
     pub fn class_snapshot(&self, class: QueryClass) -> HistogramSnapshot {
-        self.cumulative[class.index()].snapshot()
+        self.windows.class_snapshot(class)
     }
 
-    fn fold_query(&self, trace: &QueryTrace) -> bool {
+    fn fold_query(&self, trace: &QueryTrace) {
         let class = trace.class;
-        let charged = trace.access_cost;
         let at_ns = trace.root.ended.0;
-        let breach = charged > self.windows.policy().target(class);
-        self.cumulative[class.index()].record_duration(charged);
-        let closed = self.windows.record_query(class, at_ns, charged);
+        let (breach, closed) = self.windows.record_query(class, at_ns, trace.access_cost);
         if let Some(export) = &self.export {
-            let scope = format!("class:{}", class.label());
-            for summary in &closed {
+            if let Some(summary) = &closed {
+                let scope = format!("class:{}", class.label());
                 export.emit_window(&scope, summary, self.windows.class_breaches(class));
             }
             export.emit_query(trace, breach);
         }
-        breach
     }
 }
 
@@ -288,7 +282,6 @@ impl Observer for FleetObserver {
             log.offer(
                 trace.fingerprint,
                 trace.access_cost,
-                trace.root.ended.0,
                 &trace.query,
                 || plan_shape(plan),
                 || render_analyzed(plan, trace),
@@ -303,11 +296,9 @@ impl Observer for FleetObserver {
         let closed = self
             .windows
             .record_session(session, gesture.at.0, gesture.charged);
-        if let Some(export) = &self.export {
+        if let (Some(export), Some(summary)) = (&self.export, &closed) {
             let scope = format!("session:{session}");
-            for summary in &closed {
-                export.emit_window(&scope, summary, self.windows.session_breaches(session));
-            }
+            export.emit_window(&scope, summary, self.windows.session_breaches(session));
         }
     }
 

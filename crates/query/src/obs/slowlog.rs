@@ -31,8 +31,6 @@ pub struct SlowLogEntry {
     pub count: u64,
     /// `EXPLAIN ANALYZE` rendering of the slowest occurrence.
     pub rendering: String,
-    /// Virtual-clock nanoseconds of the most recent occurrence.
-    pub last_seen_ns: u64,
 }
 
 #[derive(Debug, Default)]
@@ -82,11 +80,6 @@ impl SlowQueryLog {
         }
     }
 
-    /// Maximum retained shapes.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Currently retained shapes.
     pub fn len(&self) -> usize {
         self.state.lock().entries.len()
@@ -108,7 +101,6 @@ impl SlowQueryLog {
         &self,
         fingerprint: u64,
         charged: Duration,
-        at_ns: u64,
         query: &str,
         shape: impl FnOnce() -> String,
         render: impl FnOnce() -> String,
@@ -116,7 +108,6 @@ impl SlowQueryLog {
         let mut state = self.state.lock();
         if let Some(entry) = state.entries.get_mut(&fingerprint) {
             entry.count += 1;
-            entry.last_seen_ns = entry.last_seen_ns.max(at_ns);
             if charged > entry.charged {
                 entry.charged = charged;
                 entry.query = query.to_string();
@@ -145,7 +136,6 @@ impl SlowQueryLog {
                 charged,
                 count: 1,
                 rendering: render(),
-                last_seen_ns: at_ns,
             },
         );
         state.heap.push(Reverse((charged, fingerprint)));
@@ -178,7 +168,6 @@ mod tests {
         log.offer(
             fp,
             charged,
-            charged.as_nanos() as u64,
             "q",
             || format!("shape-{fp}"),
             || format!("render-{fp}-{charged:?}"),
@@ -196,7 +185,6 @@ mod tests {
         assert_eq!(entries[0].count, 3);
         assert_eq!(entries[0].charged, ms(30));
         assert_eq!(entries[0].rendering, "render-1-30ms");
-        assert_eq!(entries[0].last_seen_ns, ms(30).as_nanos() as u64);
     }
 
     #[test]
@@ -236,7 +224,6 @@ mod tests {
         let admitted = log.offer(
             2,
             ms(1),
-            0,
             "q",
             || {
                 rendered.set(true);

@@ -7,8 +7,10 @@
 //! trace is deterministic and reproducible like every other latency in
 //! the system. Traces are delivered to an [`Observer`] installed on
 //! the executor; the provided [`MetricsRegistry`] observer folds them
-//! into lock-free counters and fixed-bucket histograms (cache
-//! hits/misses, rows fetched, batch sizes, per-source latency).
+//! into lock-free counters (queries, rows fetched, source requests,
+//! retries, charged time per stage) and the gesture compute/network
+//! histograms. Cache hits and misses are counted once, by the cache
+//! itself (`Executor::cache_stats`).
 //!
 //! **Null-observer fast path**: with no observer installed the
 //! executor never constructs a span, clones a plan, or formats a
@@ -26,11 +28,9 @@ use crate::exec::{ExecMetrics, QueryResult};
 use crate::obs::QueryClass;
 use crate::plan::PhysicalPlan;
 use drugtree_sources::clock::VirtualInstant;
+use drugtree_sources::telemetry::nanos;
 pub use drugtree_sources::telemetry::{Counter, FixedHistogram, HistogramSnapshot};
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Query-path stage a [`QuerySpan`] belongs to.
@@ -90,17 +90,7 @@ impl Stage {
     }
 
     fn index(self) -> usize {
-        match self {
-            Stage::Query => 0,
-            Stage::Parse => 1,
-            Stage::Plan => 2,
-            Stage::CacheProbe => 3,
-            Stage::Fetch => 4,
-            Stage::Coalesce => 5,
-            Stage::Compute => 6,
-            Stage::Overlay => 7,
-            Stage::Finish => 8,
-        }
+        self as usize
     }
 }
 
@@ -372,36 +362,14 @@ pub struct GestureObservation {
     pub at: VirtualInstant,
 }
 
-/// Per-source counters and latency distribution.
-#[derive(Debug)]
-pub struct PerSourceMetrics {
-    /// Fetches dispatched against this source.
-    pub fetches: Counter,
-    /// Rows shipped by this source.
-    pub rows: Counter,
-    /// Per-fetch virtual latency distribution (nanoseconds).
-    pub latency: FixedHistogram,
-}
-
-impl Default for PerSourceMetrics {
-    fn default() -> Self {
-        PerSourceMetrics {
-            fetches: Counter::new(),
-            rows: Counter::new(),
-            latency: FixedHistogram::latency_buckets(),
-        }
-    }
-}
-
 /// Lock-free metrics aggregated from query traces and gesture
 /// observations.
 ///
-/// Counters and histograms are updated with relaxed atomics; the only
-/// lock is a read-mostly map guarding per-source slots, taken for
-/// writing once per *new* source name. Install with
-/// [`DrugTreeBuilder::with_observer`] (the registry implements
-/// [`Observer`] directly) and read any field at any time — snapshots
-/// never stall serving threads.
+/// Counters and histograms are updated with relaxed atomics and no
+/// lock. Install with [`DrugTreeBuilder::with_observer`] (the registry
+/// implements [`Observer`] directly) and read any field at any time —
+/// reads never stall serving threads. Cache hits and misses are not
+/// kept here: the executor's `cache_stats()` counts them.
 ///
 /// [`DrugTreeBuilder::with_observer`]: ../../drugtree/builder/struct.DrugTreeBuilder.html#method.with_observer
 #[derive(Debug)]
@@ -410,26 +378,17 @@ pub struct MetricsRegistry {
     pub queries: Counter,
     /// Gestures observed.
     pub gestures: Counter,
-    /// Semantic-cache hits.
-    pub cache_hits: Counter,
-    /// Semantic-cache misses.
-    pub cache_misses: Counter,
     /// Rows shipped from sources.
     pub rows_fetched: Counter,
     /// Source round-trips issued.
     pub source_requests: Counter,
     /// Transient failures retried.
     pub retries: Counter,
-    /// End-to-end virtual query latency (nanoseconds).
-    pub query_latency: FixedHistogram,
-    /// Keys per dispatched fetch.
-    pub batch_sizes: FixedHistogram,
     /// Per-gesture compute (query) time (nanoseconds).
     pub gesture_compute: FixedHistogram,
     /// Per-gesture network (transfer) time (nanoseconds).
     pub gesture_network: FixedHistogram,
     stage_nanos: [Counter; Stage::ALL.len()],
-    per_source: RwLock<BTreeMap<String, Arc<PerSourceMetrics>>>,
 }
 
 impl Default for MetricsRegistry {
@@ -444,35 +403,13 @@ impl MetricsRegistry {
         MetricsRegistry {
             queries: Counter::new(),
             gestures: Counter::new(),
-            cache_hits: Counter::new(),
-            cache_misses: Counter::new(),
             rows_fetched: Counter::new(),
             source_requests: Counter::new(),
             retries: Counter::new(),
-            query_latency: FixedHistogram::latency_buckets(),
-            batch_sizes: FixedHistogram::size_buckets(),
             gesture_compute: FixedHistogram::latency_buckets(),
             gesture_network: FixedHistogram::latency_buckets(),
             stage_nanos: std::array::from_fn(|_| Counter::new()),
-            per_source: RwLock::new(BTreeMap::new()),
         }
-    }
-
-    /// The metrics slot for a source (created on first use).
-    pub fn source(&self, name: &str) -> Arc<PerSourceMetrics> {
-        if let Some(m) = self.per_source.read().get(name) {
-            return Arc::clone(m);
-        }
-        Arc::clone(self.per_source.write().entry(name.to_string()).or_default())
-    }
-
-    /// Every observed source with its metrics, sorted by name.
-    pub fn sources(&self) -> Vec<(String, Arc<PerSourceMetrics>)> {
-        self.per_source
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-            .collect()
     }
 
     /// Total virtual nanoseconds attributed to a stage.
@@ -480,44 +417,17 @@ impl MetricsRegistry {
         self.stage_nanos[stage.index()].get()
     }
 
-    /// Cache hit rate over observed queries that probed, or `None`
-    /// when no query probed at all — "never probed" and "always
-    /// missed" are different situations and must not both print 0.
-    pub fn hit_rate(&self) -> Option<f64> {
-        let hits = self.cache_hits.get();
-        let total = hits + self.cache_misses.get();
-        if total == 0 {
-            None
-        } else {
-            Some(hits as f64 / total as f64)
-        }
-    }
-
     /// Fold one trace into the registry (what [`Observer::on_query`]
     /// does when the registry is installed as the observer).
     pub fn record_trace(&self, trace: &QueryTrace) {
         self.queries.incr();
-        self.query_latency.record_duration(trace.root.actual);
         self.rows_fetched.add(trace.rows_fetched);
-        match trace.cache_hit {
-            Some(true) => self.cache_hits.incr(),
-            Some(false) => self.cache_misses.incr(),
-            None => {}
-        }
         self.stage_nanos[Stage::Query.index()].add(nanos(trace.root.actual));
         for span in &trace.root.children {
             self.stage_nanos[span.stage.index()].add(nanos(span.actual));
             if span.stage == Stage::Fetch {
-                let rows = span.rows.unwrap_or(0);
-                let slot = self.source(&span.detail);
-                slot.fetches.incr();
-                slot.rows.add(rows);
-                slot.latency.record_duration(span.actual);
                 self.source_requests.add(span.attr("requests").unwrap_or(0));
                 self.retries.add(span.attr("retries").unwrap_or(0));
-                if let Some(keys) = span.attr("keys") {
-                    self.batch_sizes.record(keys);
-                }
             }
         }
     }
@@ -538,10 +448,6 @@ impl Observer for MetricsRegistry {
     fn on_gesture(&self, gesture: &GestureObservation) {
         self.record_gesture(gesture);
     }
-}
-
-fn nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// The result of `EXPLAIN ANALYZE`: one traced execution with its
@@ -733,22 +639,15 @@ mod tests {
         let mut fetch = span(Stage::Fetch, "assay-sim", 12);
         fetch.rows = Some(3);
         fetch.attrs.push(("requests", 2));
-        fetch.attrs.push(("keys", 4));
+        fetch.attrs.push(("retries", 1));
         r.record_trace(&trace_with(vec![fetch], Some(false)));
         r.record_trace(&trace_with(vec![], Some(true)));
         assert_eq!(r.queries.get(), 2);
-        assert_eq!(r.cache_hits.get(), 1);
-        assert_eq!(r.cache_misses.get(), 1);
-        let rate = r.hit_rate().expect("two probes observed");
-        assert!((rate - 0.5).abs() < 1e-9);
         assert_eq!(r.rows_fetched.get(), 6, "both traces report 3");
         assert_eq!(r.source_requests.get(), 2);
+        assert_eq!(r.retries.get(), 1);
         assert_eq!(r.stage_nanos(Stage::Fetch), 12_000_000);
-        let sources = r.sources();
-        assert_eq!(sources.len(), 1);
-        assert_eq!(sources[0].0, "assay-sim");
-        assert_eq!(sources[0].1.rows.get(), 3);
-        assert_eq!(r.batch_sizes.snapshot().count, 1);
+        assert_eq!(r.stage_nanos(Stage::Query), 12_000_000);
 
         r.record_gesture(&GestureObservation {
             gesture: "expand",

@@ -1,11 +1,13 @@
-//! Lock-free telemetry primitives: counters and fixed-bucket
-//! histograms.
+//! Lock-free telemetry primitives: a counter and the system's one
+//! recording histogram.
 //!
 //! These are the building blocks of the query-path observability layer
 //! (design decision D9). They live in the sources crate — the lowest
 //! layer every other crate already depends on — so the scheduler in
-//! `drugtree` and the query layer's `MetricsRegistry` record with the
-//! same primitives.
+//! `drugtree`, the query layer's `MetricsRegistry` and its SLO windows
+//! record with the same primitives: one bucket ladder
+//! ([`FixedHistogram::latency_buckets`]) and one quantile
+//! ([`HistogramSnapshot::quantile`]).
 //!
 //! Both types are updated with single relaxed atomic operations: a
 //! recording thread never takes a lock, so instrumenting the serving
@@ -14,10 +16,14 @@
 //! loosely ordered against concurrent writers, which is the right
 //! trade for monitoring data.
 
-use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+/// A duration as nanoseconds, the unit every recorder stores,
+/// saturating at `u64::MAX`.
+pub fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
 
 /// A monotonically increasing lock-free counter.
 ///
@@ -86,15 +92,13 @@ pub struct FixedHistogram {
 }
 
 impl FixedHistogram {
-    /// A histogram with the given inclusive upper bounds (sorted and
-    /// deduplicated; an overflow bucket is added implicitly).
-    pub fn new(bounds: &[u64]) -> FixedHistogram {
-        let mut bounds: Vec<u64> = bounds.to_vec();
-        bounds.sort_unstable();
-        bounds.dedup();
+    /// A histogram with the given inclusive upper bounds, ascending
+    /// (an overflow bucket is added implicitly). Private: the one ladder
+    /// is [`FixedHistogram::latency_buckets`].
+    fn new(bounds: &[u64]) -> FixedHistogram {
         let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
         FixedHistogram {
-            bounds: bounds.into_boxed_slice(),
+            bounds: bounds.into(),
             buckets,
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
@@ -124,12 +128,6 @@ impl FixedHistogram {
         ])
     }
 
-    /// Default size bounds (rows, keys, batch sizes): powers of two up
-    /// to 4096.
-    pub fn size_buckets() -> FixedHistogram {
-        FixedHistogram::new(&[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096])
-    }
-
     /// Record one value.
     pub fn record(&self, value: u64) {
         let idx = self.bounds.partition_point(|&b| b < value);
@@ -141,13 +139,7 @@ impl FixedHistogram {
 
     /// Record a duration as nanoseconds (saturating at `u64::MAX`).
     pub fn record_duration(&self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// The configured inclusive upper bounds (without the implicit
-    /// overflow bucket).
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
+        self.record(nanos(d));
     }
 
     /// Copy out the current state.
@@ -194,26 +186,8 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Approximate percentile (0.0–1.0): the upper bound of the first
-    /// bucket whose cumulative count reaches `p * count`; the exact
-    /// maximum for the overflow bucket. Returns 0 when empty.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (p.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
-        for (bound, n) in &self.buckets {
-            cumulative += n;
-            if cumulative >= target {
-                return bound.unwrap_or(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Interpolated quantile (0.0–1.0): locates the bucket holding the
-    /// target rank like [`HistogramSnapshot::percentile`], then
+    /// Interpolated quantile (0.0–1.0): locates the first bucket whose
+    /// cumulative count reaches the target rank `q * count`, then
     /// interpolates linearly between the bucket's lower and upper
     /// bounds by the rank's position inside it. The overflow bucket
     /// spans `(last bound, max]`, and the result is clamped to the
@@ -237,141 +211,6 @@ impl HistogramSnapshot {
             lower = upper;
         }
         self.max as f64
-    }
-}
-
-/// A finalized time window folded from a [`FixedHistogram`]: one slot
-/// of a [`WindowedHistogram`] after its interval closed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowSummary {
-    /// Window index: `start_ns / width`.
-    pub index: u64,
-    /// Virtual-clock nanoseconds at which the window opened.
-    pub start_ns: u64,
-    /// Virtual-clock nanoseconds at which the window closed
-    /// (exclusive).
-    pub end_ns: u64,
-    /// Values recorded inside the window.
-    pub count: u64,
-    /// Interpolated median.
-    pub p50: f64,
-    /// Interpolated 95th percentile.
-    pub p95: f64,
-    /// Interpolated 99th percentile.
-    pub p99: f64,
-    /// Largest recorded value.
-    pub max: u64,
-}
-
-impl WindowSummary {
-    fn from_snapshot(index: u64, width_ns: u64, s: &HistogramSnapshot) -> WindowSummary {
-        WindowSummary {
-            index,
-            start_ns: index * width_ns,
-            end_ns: (index + 1) * width_ns,
-            count: s.count,
-            p50: s.quantile(0.50),
-            p95: s.quantile(0.95),
-            p99: s.quantile(0.99),
-            max: s.max,
-        }
-    }
-}
-
-/// Time-windowed rolling aggregation: a live [`FixedHistogram`] for
-/// the current fixed-width window plus a ring of the last N finalized
-/// [`WindowSummary`]s.
-///
-/// Windows are aligned to the **virtual clock** (`window index =
-/// timestamp / width`), so rollover points — and therefore every
-/// summary — are deterministic under replay. Recording takes a short
-/// mutex (unlike the bare histogram) because a rollover swaps the live
-/// slot; the critical section is a few bucket additions.
-#[derive(Debug)]
-pub struct WindowedHistogram {
-    width_ns: u64,
-    ring: usize,
-    bounds: Vec<u64>,
-    state: Mutex<WindowState>,
-}
-
-#[derive(Debug)]
-struct WindowState {
-    /// Window index of the live slot.
-    epoch: u64,
-    /// Whether the live slot has recorded anything yet (a silent
-    /// stream emits no empty summaries).
-    live: FixedHistogram,
-    recorded: bool,
-    /// Last N finalized summaries, oldest first.
-    recent: VecDeque<WindowSummary>,
-}
-
-impl WindowedHistogram {
-    /// A windowed histogram with `width` per window, a ring of `ring`
-    /// retained summaries, and the given bucket bounds for each slot.
-    pub fn new(width: Duration, ring: usize, bounds: &[u64]) -> WindowedHistogram {
-        let width_ns = u64::try_from(width.as_nanos()).unwrap_or(u64::MAX).max(1);
-        WindowedHistogram {
-            width_ns,
-            ring: ring.max(1),
-            bounds: bounds.to_vec(),
-            state: Mutex::new(WindowState {
-                epoch: 0,
-                live: FixedHistogram::new(bounds),
-                recorded: false,
-                recent: VecDeque::new(),
-            }),
-        }
-    }
-
-    /// Window width in nanoseconds.
-    pub fn width_ns(&self) -> u64 {
-        self.width_ns
-    }
-
-    /// Record `value` at virtual time `at_ns`. If `at_ns` falls past
-    /// the live window, that window is finalized first; every summary
-    /// closed by this call is returned (normally zero or one, more
-    /// after an idle gap) so callers can export rollover events.
-    pub fn record(&self, at_ns: u64, value: u64) -> Vec<WindowSummary> {
-        let epoch = at_ns / self.width_ns;
-        let mut state = self.state.lock();
-        let mut closed = Vec::new();
-        if epoch > state.epoch {
-            if state.recorded {
-                let summary = WindowSummary::from_snapshot(
-                    state.epoch,
-                    self.width_ns,
-                    &state.live.snapshot(),
-                );
-                closed.push(summary.clone());
-                if state.recent.len() == self.ring {
-                    state.recent.pop_front();
-                }
-                state.recent.push_back(summary);
-                state.live = FixedHistogram::new(&self.bounds);
-                state.recorded = false;
-            }
-            state.epoch = epoch;
-        }
-        // Late records (at_ns before the live window, possible under
-        // concurrent serving) fold into the live slot rather than
-        // reopening a closed one: windows only ever close forward.
-        state.live.record(value);
-        state.recorded = true;
-        closed
-    }
-
-    /// The last N finalized summaries, oldest first (the live window
-    /// is not included until it closes).
-    pub fn summaries(&self) -> Vec<WindowSummary> {
-        self.state.lock().recent.iter().cloned().collect()
-    }
-
-    /// Snapshot of the live (not yet closed) window.
-    pub fn live_snapshot(&self) -> HistogramSnapshot {
-        self.state.lock().live.snapshot()
     }
 }
 
@@ -406,22 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn percentile_walks_cumulative_counts() {
-        let h = FixedHistogram::new(&[10, 100, 1000]);
-        for _ in 0..9 {
-            h.record(10);
-        }
-        h.record(50_000);
-        let s = h.snapshot();
-        assert_eq!(s.percentile(0.5), 10);
-        assert_eq!(s.percentile(0.9), 10);
-        // The overflow bucket reports the exact max.
-        assert_eq!(s.percentile(1.0), 50_000);
-        let empty = FixedHistogram::new(&[1]).snapshot();
-        assert_eq!(empty.percentile(0.5), 0);
-    }
-
-    #[test]
     fn duration_recording_uses_nanos() {
         let h = FixedHistogram::latency_buckets();
         h.record_duration(Duration::from_millis(3));
@@ -429,15 +252,6 @@ mod tests {
         assert_eq!(s.sum, 3_000_000);
         // 3 ms lands in the 5 ms bucket.
         assert_eq!(s.buckets[2], (Some(5_000_000), 1));
-    }
-
-    #[test]
-    fn unsorted_bounds_are_normalized() {
-        let h = FixedHistogram::new(&[100, 10, 100]);
-        h.record(10);
-        let s = h.snapshot();
-        assert_eq!(s.buckets.len(), 3);
-        assert_eq!(s.buckets[0], (Some(10), 1));
     }
 
     #[test]
@@ -499,51 +313,5 @@ mod tests {
         assert_eq!(s.quantile(1.0), 100.0);
         assert!(s.quantile(0.95) <= 100.0);
         assert!(s.quantile(0.6) > 10.0);
-    }
-
-    #[test]
-    fn windowed_histogram_rolls_over_on_epoch_advance() {
-        const S: u64 = 1_000_000_000;
-        let w = WindowedHistogram::new(Duration::from_secs(1), 4, &[10, 100]);
-        assert!(w.record(100, 5).is_empty(), "first window stays open");
-        assert!(w.record(200, 7).is_empty());
-        // Crossing into window 2 closes window 0; the gap window 1 was
-        // never recorded into, so exactly one summary comes back.
-        let closed = w.record(2 * S + 1, 50);
-        assert_eq!(closed.len(), 1);
-        let s = &closed[0];
-        assert_eq!(s.index, 0);
-        assert_eq!(s.start_ns, 0);
-        assert_eq!(s.end_ns, S);
-        assert_eq!(s.count, 2);
-        assert_eq!(s.max, 7);
-        assert_eq!(w.summaries(), closed);
-        // The live window holds only the post-rollover sample.
-        assert_eq!(w.live_snapshot().count, 1);
-    }
-
-    #[test]
-    fn windowed_histogram_ring_is_bounded() {
-        const S: u64 = 1_000_000_000;
-        let w = WindowedHistogram::new(Duration::from_secs(1), 2, &[10]);
-        for i in 0..5u64 {
-            w.record(i * S + 1, i);
-        }
-        let kept = w.summaries();
-        assert_eq!(kept.len(), 2, "ring keeps the last N summaries");
-        assert_eq!(kept[0].index, 2);
-        assert_eq!(kept[1].index, 3);
-    }
-
-    #[test]
-    fn windowed_histogram_late_records_fold_forward() {
-        const S: u64 = 1_000_000_000;
-        let w = WindowedHistogram::new(Duration::from_secs(1), 4, &[10]);
-        w.record(3 * S + 1, 1);
-        // A record stamped before the live window cannot reopen a
-        // closed slot; it folds into the live one.
-        assert!(w.record(10, 2).is_empty());
-        assert_eq!(w.live_snapshot().count, 2);
-        assert!(w.summaries().is_empty());
     }
 }

@@ -88,8 +88,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("export: {}\n", export_path.display());
 
     // What `drugtree top <export.jsonl>` prints.
-    let content = std::fs::read_to_string(&export_path)?;
-    let top = TopReport::from_lines(content.lines());
+    let export = std::io::BufReader::new(std::fs::File::open(&export_path)?);
+    let top = TopReport::from_reader(export)?;
     print!("{}", top.render());
 
     // The slow log keeps the worst plan shapes with dedup counts.

@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // What `drugtree advisor <export.jsonl>` prints.
-    let content = std::fs::read_to_string(&export_path)?;
-    print!("{}", AdvisorReport::from_lines(content.lines()).render());
+    let export = std::io::BufReader::new(std::fs::File::open(&export_path)?);
+    print!("{}", AdvisorReport::from_reader(export)?.render());
     Ok(())
 }

@@ -1,15 +1,15 @@
 // Seeded violations for the lock-order pass. The path mimics the real
 // query crate so class names land in the canonical order's namespace
-// (`query:cache`, `query:per_source`).
+// (`query:cache`, `query:per_session`).
 
-impl Registry {
+impl Windows {
     // BAD (canonical reversal): the canonical order ranks the cache
-    // before the metrics registry (a leaf), so taking the cache under a
-    // live per_source guard runs backwards through it.
+    // before the session-window map (a leaf), so taking the cache under
+    // a live per_session guard runs backwards through it.
     fn record_wrong_order(&self, exec: &Executor) {
-        let mut sources = self.per_source.write();
+        let mut sessions = self.per_session.write();
         let cache = exec.cache.lock();
-        sources.insert(self.key.clone(), cache.len());
+        sessions.insert(self.key, cache.len());
     }
 }
 

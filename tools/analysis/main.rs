@@ -331,6 +331,25 @@ mod tests {
         }
     }
 
+    /// The canonical lock order ranks only live locks: every class it
+    /// lists is acquired somewhere in the real tree, so a deleted lock
+    /// cannot linger there as a rank nothing can contradict.
+    #[test]
+    fn every_ranked_lock_class_is_acquired() {
+        let model = SourceModel::build(&manifest_root());
+        let acquired: std::collections::BTreeSet<&str> = model
+            .files
+            .iter()
+            .flat_map(|f| &f.acquisitions)
+            .map(|a| a.class.as_str())
+            .collect();
+        let dead: Vec<String> = passes::lock_order::canonical_order()
+            .into_iter()
+            .filter(|class| !acquired.contains(class.as_str()))
+            .collect();
+        assert!(dead.is_empty(), "ranked but never acquired: {dead:?}");
+    }
+
     #[test]
     fn model_extracts_named_guards_and_extents() {
         let src = "\

@@ -26,7 +26,8 @@ struct Edge {
     inner_line: usize,
 }
 
-fn canonical_order() -> Vec<String> {
+/// The ranked lock classes, earliest first.
+pub fn canonical_order() -> Vec<String> {
     CANONICAL
         .lines()
         .map(|l| l.split('#').next().unwrap_or("").trim())
