@@ -53,7 +53,6 @@ fn main() {
         ("e8", drugtree_bench::e8_lod::run),
         ("e10", drugtree_bench::e10_prefetch::run),
         ("e11", drugtree_bench::e11_serving::run),
-        ("e12", drugtree_bench::e12_calibration::run),
         ("e13", drugtree_bench::e13_observability::run),
         ("e14", drugtree_bench::e14_fleet_obs::run),
         ("e15", drugtree_bench::e15_kernels::run),

@@ -13,7 +13,6 @@
 
 pub mod e10_prefetch;
 pub mod e11_serving;
-pub mod e12_calibration;
 pub mod e13_observability;
 pub mod e14_fleet_obs;
 pub mod e15_kernels;

@@ -90,16 +90,6 @@ impl DrugTreeBuilder {
         self
     }
 
-    /// Switch the planner to cost-based alternative selection: rules
-    /// propose candidates (matview vs fetch, per-replica paths, batched
-    /// vs per-key) and a calibrated cost model picks the cheapest. The
-    /// model starts from generic priors and refines per-source
-    /// parameters from observed fetch latencies.
-    pub fn with_cost_based_planner(mut self) -> Self {
-        self.optimizer.cost_based = true;
-        self
-    }
-
     /// Enable or disable startup statistics collection (on by
     /// default; disabling turns off the pruning/selectivity rules).
     pub fn with_stats(mut self, collect: bool) -> Self {
@@ -375,24 +365,6 @@ mod tests {
         assert!(system.executor().stats().is_none());
         // Queries still work.
         assert!(system.query("activities in tree").is_ok());
-    }
-
-    #[test]
-    fn with_names_cover_the_old_builder_surface() {
-        // The PR-4 `#[deprecated]` shims (`without_stats`,
-        // `cost_based_planner`) are gone; this pins that the `with_*`
-        // spellings reach the same configuration the shims used to.
-        let (p, l, a) = sources();
-        let system = DrugTree::builder()
-            .register_source(p)
-            .register_source(l)
-            .register_source(a)
-            .with_stats(false)
-            .with_cost_based_planner()
-            .build()
-            .unwrap();
-        assert!(system.executor().stats().is_none());
-        assert!(system.executor().optimizer().config().cost_based);
     }
 
     #[test]

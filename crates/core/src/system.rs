@@ -182,9 +182,7 @@ impl DrugTree {
     /// and return the plan, the per-stage span tree (on the virtual
     /// clock, so re-running is deterministic), and the result. Render
     /// with [`drugtree_query::AnalyzedResult::render`] to see
-    /// estimate-vs-actual columns next to each plan node — the gap
-    /// between them is exactly what cost-model calibration
-    /// ([`DrugTree::calibration`]) drives down.
+    /// estimate-vs-actual columns next to each plan node.
     ///
     /// # Examples
     ///
@@ -234,14 +232,6 @@ impl DrugTree {
     /// The query executor (cache statistics, EXPLAIN, …).
     pub fn executor(&self) -> &Executor {
         &self.executor
-    }
-
-    /// Cost-model calibration snapshot: per-source fitted parameters
-    /// plus the mean relative estimate error accumulated since the
-    /// last reset. Meaningful once the cost-based planner has executed
-    /// some queries; a fresh system reports zero observations.
-    pub fn calibration(&self) -> drugtree_query::CalibrationReport {
-        self.executor.calibration()
     }
 
     /// Drop cached results and re-collect statistics after the remote
@@ -342,24 +332,6 @@ mod tests {
         s.refresh().unwrap();
         let r = s.query("activities in tree").unwrap();
         assert_eq!(r.metrics.cache_hit, Some(false));
-    }
-
-    #[test]
-    fn cost_based_planner_calibrates_from_executed_queries() {
-        let bundle = SyntheticBundle::generate(&WorkloadSpec::default().leaves(32).ligands(8));
-        let s = DrugTree::builder()
-            .dataset(bundle.build_dataset())
-            .with_cost_based_planner()
-            .build()
-            .unwrap();
-        assert_eq!(s.calibration().observations, 0, "fresh system");
-        let r = s.query("activities in tree").unwrap();
-        assert!(!r.rows.is_empty());
-        let cal = s.calibration();
-        assert!(cal.observations > 0, "executed fetches feed the model");
-        assert!(cal.mean_rel_error.is_finite());
-        let text = s.explain("activities in subtree('clade0')").unwrap();
-        assert!(text.contains("est_cost="), "{text}");
     }
 
     #[test]

@@ -12,8 +12,6 @@ pub enum PhyloError {
         /// The offending byte.
         byte: u8,
     },
-    /// FASTA input was structurally malformed.
-    MalformedFasta(String),
     /// Newick input could not be parsed.
     MalformedNewick {
         /// Byte offset of the error.
@@ -47,7 +45,6 @@ impl fmt::Display for PhyloError {
                 f,
                 "invalid residue byte 0x{byte:02x} at position {position}"
             ),
-            PhyloError::MalformedFasta(msg) => write!(f, "malformed FASTA: {msg}"),
             PhyloError::MalformedNewick { offset, message } => {
                 write!(f, "malformed Newick at byte {offset}: {message}")
             }

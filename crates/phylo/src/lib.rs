@@ -5,7 +5,7 @@
 //! This crate provides everything needed to go from a set of protein
 //! sequences to an indexed, queryable phylogenetic tree:
 //!
-//! * [`seq`] — amino-acid alphabets, protein sequences, FASTA I/O.
+//! * [`seq`] — amino-acid alphabets and protein sequences.
 //! * [`matrices`] — substitution scoring matrices (BLOSUM62).
 //! * [`align`] — Needleman–Wunsch global alignment with affine gaps.
 //! * [`distance`] — evolutionary distance estimators and the

@@ -1,4 +1,4 @@
-//! Amino-acid alphabet, protein sequences, and FASTA I/O.
+//! Amino-acid alphabet and protein sequences.
 
 use crate::{PhyloError, Result};
 use std::fmt;
@@ -109,12 +109,10 @@ impl fmt::Display for AminoAcid {
     }
 }
 
-/// An immutable protein sequence with an identifier and optional
-/// free-text description.
+/// An immutable protein sequence with an identifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProteinSequence {
     id: String,
-    description: Option<String>,
     residues: Vec<AminoAcid>,
 }
 
@@ -123,7 +121,6 @@ impl ProteinSequence {
     pub fn new(id: impl Into<String>, residues: Vec<AminoAcid>) -> Self {
         ProteinSequence {
             id: id.into(),
-            description: None,
             residues,
         }
     }
@@ -143,25 +140,13 @@ impl ProteinSequence {
         }
         Ok(ProteinSequence {
             id: id.into(),
-            description: None,
             residues,
         })
     }
 
-    /// Attach a description (FASTA header text after the id).
-    pub fn with_description(mut self, description: impl Into<String>) -> Self {
-        self.description = Some(description.into());
-        self
-    }
-
-    /// Sequence identifier (FASTA id token).
+    /// Sequence identifier.
     pub fn id(&self) -> &str {
         &self.id
-    }
-
-    /// Optional description.
-    pub fn description(&self) -> Option<&str> {
-        self.description.as_deref()
     }
 
     /// Residues, in order.
@@ -178,83 +163,6 @@ impl ProteinSequence {
     pub fn is_empty(&self) -> bool {
         self.residues.is_empty()
     }
-
-    /// One-letter-code rendering of the residues.
-    pub fn to_letters(&self) -> String {
-        self.residues.iter().map(|r| r.to_char()).collect()
-    }
-}
-
-/// Parse a multi-record FASTA document.
-///
-/// Headers are `>` lines; the first whitespace-delimited token is the id,
-/// the remainder (if any) the description. Sequence data may span
-/// multiple lines. Blank lines are permitted between records.
-pub fn parse_fasta(input: &str) -> Result<Vec<ProteinSequence>> {
-    let mut records = Vec::new();
-    let mut current: Option<(String, Option<String>, String)> = None;
-
-    for line in input.lines() {
-        let line = line.trim_end();
-        if let Some(header) = line.strip_prefix('>') {
-            if let Some((id, desc, body)) = current.take() {
-                let seq = ProteinSequence::parse(id, &body)?;
-                records.push(match desc {
-                    Some(d) => seq.with_description(d),
-                    None => seq,
-                });
-            }
-            let header = header.trim();
-            if header.is_empty() {
-                return Err(PhyloError::MalformedFasta("empty header line".into()));
-            }
-            let mut parts = header.splitn(2, char::is_whitespace);
-            let id = parts.next().unwrap_or_default().to_string();
-            let desc = parts
-                .next()
-                .map(|d| d.trim().to_string())
-                .filter(|d| !d.is_empty());
-            current = Some((id, desc, String::new()));
-        } else if !line.trim().is_empty() {
-            match current.as_mut() {
-                Some((_, _, body)) => body.push_str(line.trim()),
-                None => {
-                    return Err(PhyloError::MalformedFasta(
-                        "sequence data before first header".into(),
-                    ))
-                }
-            }
-        }
-    }
-    if let Some((id, desc, body)) = current {
-        let seq = ProteinSequence::parse(id, &body)?;
-        records.push(match desc {
-            Some(d) => seq.with_description(d),
-            None => seq,
-        });
-    }
-    Ok(records)
-}
-
-/// Serialize sequences to FASTA with 60-column wrapping.
-pub fn write_fasta(seqs: &[ProteinSequence]) -> String {
-    let mut out = String::new();
-    for seq in seqs {
-        out.push('>');
-        out.push_str(seq.id());
-        if let Some(desc) = seq.description() {
-            out.push(' ');
-            out.push_str(desc);
-        }
-        out.push('\n');
-        let letters = seq.to_letters();
-        for chunk in letters.as_bytes().chunks(60) {
-            // Residue letters are ASCII by construction.
-            out.push_str(&String::from_utf8_lossy(chunk));
-            out.push('\n');
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -287,55 +195,8 @@ mod tests {
     #[test]
     fn parse_skips_whitespace() {
         let s = ProteinSequence::parse("s", "ACD\n EFg").unwrap();
-        assert_eq!(s.to_letters(), "ACDEFG");
+        let letters: String = s.residues().iter().map(|r| r.to_char()).collect();
+        assert_eq!(letters, "ACDEFG");
         assert_eq!(s.len(), 6);
-    }
-
-    #[test]
-    fn fasta_roundtrip() {
-        let input = ">sp|P1 first protein\nACDEFGHIKLMNPQRSTVWY\nACDE\n\n>P2\nMMMM\n";
-        let seqs = parse_fasta(input).unwrap();
-        assert_eq!(seqs.len(), 2);
-        assert_eq!(seqs[0].id(), "sp|P1");
-        assert_eq!(seqs[0].description(), Some("first protein"));
-        assert_eq!(seqs[0].len(), 24);
-        assert_eq!(seqs[1].id(), "P2");
-        assert_eq!(seqs[1].description(), None);
-
-        let rendered = write_fasta(&seqs);
-        let reparsed = parse_fasta(&rendered).unwrap();
-        assert_eq!(reparsed, seqs);
-    }
-
-    #[test]
-    fn fasta_wraps_long_sequences() {
-        let seq = ProteinSequence::parse("long", &"A".repeat(150)).unwrap();
-        let text = write_fasta(std::slice::from_ref(&seq));
-        let body_lines: Vec<&str> = text.lines().skip(1).collect();
-        assert_eq!(body_lines.len(), 3);
-        assert_eq!(body_lines[0].len(), 60);
-        assert_eq!(body_lines[2].len(), 30);
-    }
-
-    #[test]
-    fn fasta_rejects_dataless_prefix() {
-        assert!(matches!(
-            parse_fasta("ACDE\n>x\nAA"),
-            Err(PhyloError::MalformedFasta(_))
-        ));
-    }
-
-    #[test]
-    fn fasta_rejects_empty_header() {
-        assert!(matches!(
-            parse_fasta(">\nACDE"),
-            Err(PhyloError::MalformedFasta(_))
-        ));
-    }
-
-    #[test]
-    fn fasta_empty_input_is_empty() {
-        assert!(parse_fasta("").unwrap().is_empty());
-        assert!(parse_fasta("\n\n").unwrap().is_empty());
     }
 }

@@ -7,7 +7,7 @@ use drugtree_phylo::distance::{DistanceMatrix, DistanceModel};
 use drugtree_phylo::index::{LeafInterval, TreeIndex};
 use drugtree_phylo::newick::{parse_newick, to_newick};
 use drugtree_phylo::nj::neighbor_joining;
-use drugtree_phylo::seq::{parse_fasta, write_fasta, AminoAcid, ProteinSequence, CANONICAL};
+use drugtree_phylo::seq::{AminoAcid, CANONICAL};
 use drugtree_phylo::tree::{NodeId, Tree};
 use proptest::prelude::*;
 
@@ -44,15 +44,6 @@ proptest! {
         prop_assert_eq!(back.len(), tree.len());
         // Second round-trip must be a fixed point.
         prop_assert_eq!(to_newick(&back), text);
-    }
-
-    #[test]
-    fn fasta_roundtrip(residues in arb_residues(200), id in "[A-Za-z][A-Za-z0-9_.|-]{0,20}") {
-        let seq = ProteinSequence::new(id, residues);
-        let text = write_fasta(std::slice::from_ref(&seq));
-        let back = parse_fasta(&text).unwrap();
-        prop_assert_eq!(back.len(), 1);
-        prop_assert_eq!(&back[0], &seq);
     }
 
     #[test]
@@ -117,11 +108,6 @@ proptest! {
     #[test]
     fn newick_parser_never_panics(text in "\\PC{0,80}") {
         let _ = parse_newick(&text);
-    }
-
-    #[test]
-    fn fasta_parser_never_panics(text in "\\PC{0,120}") {
-        let _ = parse_fasta(&text);
     }
 
     #[test]

@@ -34,18 +34,12 @@ impl Default for AdvisorConfig {
 }
 
 /// One matview-answerable shape's accumulated foregone cost.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShapeCost {
-    /// Answer-shape fingerprint (the ledger key).
-    pub fingerprint: u64,
-    /// Plan shape of the first unserved occurrence.
-    pub shape: String,
+#[derive(Debug, Clone, Copy, Default)]
+struct ShapeTally {
     /// Unserved occurrences since the ledger last restarted.
-    pub count: u64,
+    count: u64,
     /// Charged latency those occurrences accumulated.
-    pub foregone: Duration,
-    /// Virtual clock of the most recent occurrence.
-    pub last_seen_ns: u64,
+    foregone: Duration,
 }
 
 /// Amortization bookkeeping for the one built view.
@@ -84,7 +78,7 @@ pub struct AdvisorSnapshot {
 #[derive(Debug, Default)]
 pub struct MatviewAdvisor {
     config: AdvisorConfig,
-    shapes: FxHashMap<u64, ShapeCost>,
+    shapes: FxHashMap<u64, ShapeTally>,
     foregone_total: Duration,
     candidates: u64,
     built: Option<BuiltView>,
@@ -112,23 +106,14 @@ impl MatviewAdvisor {
     pub fn note_candidate(
         &mut self,
         fingerprint: u64,
-        shape: impl FnOnce() -> String,
         charged: Duration,
-        now_ns: u64,
         measured_break_even: Duration,
     ) -> bool {
         self.candidates += 1;
         self.foregone_total += charged;
-        let entry = self.shapes.entry(fingerprint).or_insert_with(|| ShapeCost {
-            fingerprint,
-            shape: shape(),
-            count: 0,
-            foregone: Duration::ZERO,
-            last_seen_ns: 0,
-        });
+        let entry = self.shapes.entry(fingerprint).or_default();
         entry.count += 1;
         entry.foregone += charged;
-        entry.last_seen_ns = entry.last_seen_ns.max(now_ns);
         self.built.is_none() && self.foregone_total > self.break_even(measured_break_even)
     }
 
@@ -203,18 +188,6 @@ impl MatviewAdvisor {
             evictions: self.evictions,
         }
     }
-
-    /// Observed shapes, hottest (by foregone cost) first; ties break
-    /// on fingerprint for deterministic output.
-    pub fn shapes(&self) -> Vec<ShapeCost> {
-        let mut all: Vec<ShapeCost> = self.shapes.values().cloned().collect();
-        all.sort_by(|a, b| {
-            b.foregone
-                .cmp(&a.foregone)
-                .then_with(|| a.fingerprint.cmp(&b.fingerprint))
-        });
-        all
-    }
 }
 
 #[cfg(test)]
@@ -237,13 +210,13 @@ mod tests {
         let mut a = advisor();
         // 30ms break-even; three 10ms queries accumulate to it, the
         // fourth crosses.
-        assert!(!a.note_candidate(1, || "agg".into(), ms(10), 1, ms(30)));
-        assert!(!a.note_candidate(1, || "agg".into(), ms(10), 2, ms(30)));
-        assert!(!a.note_candidate(1, || "agg".into(), ms(10), 3, ms(30)));
-        assert!(a.note_candidate(1, || "agg".into(), ms(10), 4, ms(30)));
+        assert!(!a.note_candidate(1, ms(10), ms(30)));
+        assert!(!a.note_candidate(1, ms(10), ms(30)));
+        assert!(!a.note_candidate(1, ms(10), ms(30)));
+        assert!(a.note_candidate(1, ms(10), ms(30)));
         a.record_build(4, ms(25));
         // Built: no further build requests.
-        assert!(!a.note_candidate(1, || "agg".into(), ms(10), 5, ms(30)));
+        assert!(!a.note_candidate(1, ms(10), ms(30)));
         let snap = a.snapshot();
         assert!(snap.built);
         assert_eq!(snap.build_cost, ms(25));
@@ -257,13 +230,13 @@ mod tests {
             eviction_idle: ms(100),
         });
         // Measured proxy says 1000ms, but the override (5ms) wins.
-        assert!(a.note_candidate(1, || "agg".into(), ms(10), 1, ms(1_000)));
+        assert!(a.note_candidate(1, ms(10), ms(1_000)));
     }
 
     #[test]
     fn hits_accumulate_saved_cost() {
         let mut a = advisor();
-        a.note_candidate(1, || "agg".into(), ms(50), 1, ms(10));
+        a.note_candidate(1, ms(50), ms(10));
         a.record_build(1, ms(30));
         a.note_hit(ms(20), 2);
         a.note_hit(ms(20), 3);
@@ -275,7 +248,7 @@ mod tests {
     #[test]
     fn idle_views_evict_and_accumulation_restarts() {
         let mut a = advisor();
-        a.note_candidate(1, || "agg".into(), ms(50), 1_000_000, ms(10));
+        a.note_candidate(1, ms(50), ms(10));
         a.record_build(1_000_000, ms(30));
         // Within the idle window: keep.
         assert!(!a.should_evict(1_000_000 + ms(50).as_nanos() as u64));
@@ -287,23 +260,9 @@ mod tests {
         assert_eq!(snap.evictions, 1);
         assert_eq!(snap.foregone, Duration::ZERO);
         // A view that took even one hit is never idle-evicted.
-        a.note_candidate(1, || "agg".into(), ms(50), 2_000_000, ms(10));
+        a.note_candidate(1, ms(50), ms(10));
         a.record_build(2_000_000, ms(30));
         a.note_hit(ms(1), 2_000_001);
         assert!(!a.should_evict(u64::MAX));
-    }
-
-    #[test]
-    fn shapes_sort_hottest_first() {
-        let mut a = advisor();
-        a.note_candidate(1, || "cool".into(), ms(5), 1, ms(1_000));
-        a.note_candidate(2, || "hot".into(), ms(50), 2, ms(1_000));
-        a.note_candidate(2, || "hot".into(), ms(50), 3, ms(1_000));
-        let shapes = a.shapes();
-        assert_eq!(shapes.len(), 2);
-        assert_eq!(shapes[0].shape, "hot");
-        assert_eq!(shapes[0].count, 2);
-        assert_eq!(shapes[0].foregone, ms(100));
-        assert_eq!(shapes[1].shape, "cool");
     }
 }

@@ -23,7 +23,7 @@
 
 pub mod advisor;
 
-pub use advisor::{AdvisorConfig, AdvisorSnapshot, MatviewAdvisor, ShapeCost};
+pub use advisor::{AdvisorConfig, AdvisorSnapshot, MatviewAdvisor};
 
 use crate::dataset::Dataset;
 use crate::matview::MaterializedAggregates;
@@ -129,14 +129,7 @@ impl AdaptiveRuntime {
     /// loop: credit a hit, or drop a view that went stale or never
     /// paid off, accumulate foregone cost, and build past break-even
     /// (the build scan is charged to the virtual clock).
-    ///
-    /// `shape` is rendered lazily, only when the advisor retains it.
-    pub fn after_query(
-        &self,
-        dataset: &Dataset,
-        feedback: &QueryFeedback,
-        shape: impl FnOnce() -> String,
-    ) -> Result<()> {
+    pub fn after_query(&self, dataset: &Dataset, feedback: &QueryFeedback) -> Result<()> {
         let now_ns = dataset.clock.now().0;
         if feedback.served_by_adaptive {
             let mut advisor = self.advisor.lock();
@@ -180,9 +173,7 @@ impl AdaptiveRuntime {
         let mut advisor = self.advisor.lock();
         let should_build = advisor.note_candidate(
             feedback.fingerprint,
-            shape,
             feedback.charged,
-            now_ns,
             feedback.break_even_proxy,
         );
         let foregone = advisor.snapshot().foregone;
@@ -289,10 +280,10 @@ mod tests {
         fb.charged = ms(20);
         fb.break_even_proxy = ms(30);
         // 20ms + 20ms crosses the 30ms break-even on the second query.
-        rt.after_query(&d, &fb, || "agg-shape".into()).unwrap();
+        rt.after_query(&d, &fb).unwrap();
         assert!(rt.view().is_none());
         let clock_before = d.clock.now();
-        rt.after_query(&d, &fb, || "agg-shape".into()).unwrap();
+        rt.after_query(&d, &fb).unwrap();
         assert!(rt.view().is_some(), "view built past break-even");
         assert!(
             d.clock.now() > clock_before,
@@ -312,7 +303,7 @@ mod tests {
         hit.served_by_adaptive = true;
         hit.fingerprint = fb.fingerprint;
         hit.charged = Duration::from_micros(1);
-        rt.after_query(&d, &hit, || "agg-shape".into()).unwrap();
+        rt.after_query(&d, &hit).unwrap();
         assert_eq!(rt.snapshot().advisor.hits, 1);
     }
 
@@ -328,12 +319,12 @@ mod tests {
         let mut fb = feedback();
         fb.matview_candidate = true;
         fb.charged = ms(20);
-        rt.after_query(&d, &fb, || "agg".into()).unwrap();
+        rt.after_query(&d, &fb).unwrap();
         assert!(rt.view().is_some());
         // No hits arrive; the clock drifts past the idle window and a
         // later (non-candidate) query triggers the eviction check.
         d.clock.advance(ms(60));
-        rt.after_query(&d, &feedback(), || "other".into()).unwrap();
+        rt.after_query(&d, &feedback()).unwrap();
         assert!(rt.view().is_none(), "idle view evicted");
         assert_eq!(rt.snapshot().advisor.evictions, 1);
         assert!(sink
@@ -354,7 +345,7 @@ mod tests {
             fb.charged = ms(20);
             for _ in 0..4 {
                 d.clock.advance(ms(1));
-                rt.after_query(&d, &fb, || "agg".into()).unwrap();
+                rt.after_query(&d, &fb).unwrap();
             }
             sink.lines()
         };

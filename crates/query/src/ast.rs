@@ -251,8 +251,8 @@ pub mod columns {
 ///
 /// [`canonicalize`](canon::canonicalize) runs five steps — negation-
 /// normal form, flattening, constant folding, `between` merging,
-/// deduplication — in that order, repeated to a bounded fixpoint; the
-/// phase-boundary check re-runs it to prove the result is stable.
+/// deduplication — in that order, repeated until a pass changes
+/// nothing, so what it returns is stable by construction.
 /// Every step is **exact** under the engine's two-valued
 /// `BoundPredicate::matches` semantics (a comparison against — or of —
 /// a NULL is `false`, and `not` is plain boolean negation):

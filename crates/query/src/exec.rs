@@ -10,7 +10,6 @@ use crate::adaptive::{AdaptiveRuntime, QueryFeedback};
 use crate::ast::{Metric, Query};
 use crate::cache::{rank_of, CacheConfig, CacheStats, SemanticCache, SharedRows};
 use crate::columnar::ActivityColumns;
-use crate::cost::{CalibrationReport, CostModel};
 use crate::dataset::{unified_schema, unify_assay_row, Dataset};
 use crate::matview::MaterializedAggregates;
 use crate::optimizer::{Optimizer, PlanInputs};
@@ -111,9 +110,6 @@ pub struct Executor {
     matview: Option<MaterializedAggregates>,
     columnar: Option<ActivityColumns>,
     retry: RetryPolicy,
-    /// Calibrated cost model: prices plan alternatives in cost-based
-    /// mode and accumulates observed-vs-estimated fetch latencies.
-    cost: Arc<CostModel>,
     /// Observability hook (design decision D9). `None` is the fast
     /// path: no span is built, no plan cloned, no string formatted.
     observer: Option<Arc<dyn Observer>>,
@@ -145,7 +141,6 @@ impl Executor {
             matview: None,
             columnar: None,
             retry: RetryPolicy::default(),
-            cost: Arc::new(CostModel::new()),
             observer: None,
             adaptive: None,
         }
@@ -175,18 +170,6 @@ impl Executor {
     /// The installed observer, if any.
     pub fn observer(&self) -> Option<&Arc<dyn Observer>> {
         self.observer.as_ref()
-    }
-
-    /// The calibrated cost model (prior parameters until fetches have
-    /// been observed).
-    pub fn cost_model(&self) -> &Arc<CostModel> {
-        &self.cost
-    }
-
-    /// Snapshot the calibration state: per-source fitted parameters
-    /// plus the estimate-vs-actual error tracker.
-    pub fn calibration(&self) -> CalibrationReport {
-        self.cost.report()
     }
 
     /// Plan a query and return its cost/cardinality estimates without
@@ -293,7 +276,6 @@ impl Executor {
             stats: self.stats.as_ref(),
             matview: view,
             columnar: self.columnar.as_ref(),
-            cost: Some(&self.cost),
         };
         self.optimizer.plan(&inputs, query)
     }
@@ -303,18 +285,7 @@ impl Executor {
         let adaptive_view = self.adaptive_view();
         let view = self.matview.as_ref().or(adaptive_view.as_deref());
         let plan = self.plan_query(dataset, view, query)?;
-        self.validate_plan(dataset, &plan)?;
         Ok(plan.explain())
-    }
-
-    /// Validate the plan's structural invariants. The optimizer
-    /// validates only under `cfg(debug_assertions)`; this check runs
-    /// in every build, on every plan the executor is about to run or
-    /// render.
-    fn validate_plan(&self, dataset: &Dataset, plan: &PhysicalPlan) -> Result<()> {
-        crate::validate::PlanValidator::new(dataset)
-            .validate(plan)
-            .map_err(QueryError::Invariant)
     }
 
     /// Plan and execute a query.
@@ -363,7 +334,6 @@ impl Executor {
         let adaptive_view = self.adaptive_view();
         let view = self.matview.as_ref().or(adaptive_view.as_deref());
         let plan = self.plan_query(dataset, view, query)?;
-        self.validate_plan(dataset, &plan)?;
         let served_by_adaptive = adaptive_view.is_some() && plan.access == Access::MaterializedView;
         let started = dataset.clock.now();
         if let Some(tb) = sink.as_deref_mut() {
@@ -612,7 +582,7 @@ impl Executor {
                     .as_ref()
                     .map_or(Duration::ZERO, |s| s.collection_cost),
             };
-            adaptive.after_query(dataset, &feedback, || crate::obs::plan_shape(&plan))?;
+            adaptive.after_query(dataset, &feedback)?;
         }
 
         Ok(QueryResult {
@@ -795,22 +765,6 @@ impl Executor {
                     ("retries", u64::from(resp.retries)),
                 ];
                 tb.push(span);
-            }
-            // Calibration feedback: record the observed virtual latency
-            // of this fetch against the planner's estimate.
-            if self.optimizer.config().cost_based {
-                let effective_requests = if f.concurrent {
-                    1
-                } else {
-                    resp.requests as u64
-                };
-                self.cost.observe(
-                    &f.source,
-                    effective_requests,
-                    resp.rows.len() as u64,
-                    resp.cost,
-                    f.est_cost,
-                );
             }
             let mut unified = Vec::with_capacity(resp.rows.len());
             for raw in resp.rows {

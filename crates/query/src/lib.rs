@@ -26,8 +26,8 @@
 //! * [`phases`] — the rewrite phases and the per-phase rule registry
 //!   (name, description, toggle) driving ablation, the `drugtree
 //!   rules` listing, and the EXPLAIN rule trace (design decision D13).
-//! * [`cost`] — the calibrated cost model pricing plan alternatives
-//!   (design decision D8).
+//! * [`cost`] — the columnar-scan cost model (the local-compute term
+//!   a columnar access is priced and charged at).
 //! * [`cache`] — the semantic result cache (design decision D2); the
 //!   executor holds one, behind one lock.
 //! * [`exec`] — the executor and its metrics.
@@ -45,7 +45,7 @@
 //!   advisor and the `adapt` event stream closing the telemetry →
 //!   optimizer feedback loop (design decision D15).
 //! * [`validate`] — plan-invariant validation (structural checks every
-//!   emitted plan must pass).
+//!   emitted plan must pass, run once by the optimizer).
 
 pub mod adaptive;
 pub mod ast;
@@ -68,7 +68,6 @@ pub mod validate;
 pub use adaptive::{AdaptiveRuntime, AdaptiveSnapshot, AdvisorConfig};
 pub use ast::{Query, QueryKind, Scope};
 pub use columnar::ActivityColumns;
-pub use cost::{CalibrationReport, CostModel, CostParams};
 pub use dataset::Dataset;
 pub use error::QueryError;
 pub use exec::{ExecMetrics, Executor, PlanEstimate, QueryResult};

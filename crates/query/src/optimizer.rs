@@ -27,31 +27,25 @@
 //! this module's `rules`), and — for flag-gated rules — a toggle into
 //! [`OptimizerConfig`], so experiment E4's ablations and the `drugtree
 //! rules` listing derive from one table. The driver runs each phase's
-//! rules once, in registry order, records every firing in the plan's
-//! rule trace for EXPLAIN, and checks that phase's structural
-//! invariants at the boundary (`crate::validate`).
+//! rules once, in registry order, and records every firing in the
+//! plan's rule trace for EXPLAIN. [`Optimizer::plan`] then validates
+//! the finished plan once, in every build ([`crate::validate`]).
 //! `OptimizerConfig::naive()` reproduces the unoptimized DrugTree
 //! described in the paper's opening: one sequential round-trip per leaf
 //! per source, all filtering client-side, no caching, no pruning.
 //!
 //! The access path is chosen by one fixed order in every mode:
 //! proved-empty, materialized view, columnar scan, cache wrap, fetch.
-//! [`OptimizerConfig::cost_based`] changes two things only: replica
-//! selection prices each group member with the calibrated cost model
-//! ([`crate::cost::CostModel`], design decision D8) at this query's
-//! estimated shape and records every member as a
-//! [`crate::plan::PlanCandidate`], and each fetch's `est_cost` is that
-//! model's price instead of the source's self-declared latency.
+//! Replica selection prices each group member from its self-declared
+//! latency model at a nominal 100 rows.
 
 use crate::ast::{columns, Query, QueryKind, SimilaritySpec, MAX_PREDICATE_DEPTH};
 use crate::columnar::ActivityColumns;
-use crate::cost::CostModel;
 use crate::dataset::{unified_schema, Dataset};
 use crate::matview::MaterializedAggregates;
 use crate::phases::{PassTrace, RewritePhase, RuleFiring, RuleOutcome, PHASE_ORDER};
 use crate::plan::{
-    Access, FetchPlan, Finish, PhysicalPlan, PlanCandidate, ResolvedSimilarity,
-    ResolvedSubstructure,
+    Access, FetchPlan, Finish, PhysicalPlan, ResolvedSimilarity, ResolvedSubstructure,
 };
 use crate::stats::OverlayStats;
 use crate::{QueryError, Result};
@@ -93,11 +87,6 @@ pub struct OptimizerConfig {
     /// (when one is built and fresh) with vectorized kernels instead
     /// of fetching from sources.
     pub columnar_scan: bool,
-    /// Price replica-group members and fetch estimates with the
-    /// calibrated cost model instead of the sources' self-declared
-    /// latency. Not a rewrite rule: absent from
-    /// [`crate::phases::REGISTRY`] and untouched by `ablate`.
-    pub cost_based: bool,
 }
 
 impl OptimizerConfig {
@@ -114,16 +103,6 @@ impl OptimizerConfig {
             use_matview: true,
             replica_selection: true,
             columnar_scan: true,
-            cost_based: false,
-        }
-    }
-
-    /// Everything on, with replicas and fetch estimates priced by the
-    /// calibrated cost model.
-    pub fn cost_based() -> OptimizerConfig {
-        OptimizerConfig {
-            cost_based: true,
-            ..OptimizerConfig::full()
         }
     }
 
@@ -140,7 +119,6 @@ impl OptimizerConfig {
             use_matview: false,
             replica_selection: false,
             columnar_scan: false,
-            cost_based: false,
         }
     }
 
@@ -174,10 +152,6 @@ pub struct PlanInputs<'a> {
     pub matview: Option<&'a MaterializedAggregates>,
     /// The columnar activity mirror.
     pub columnar: Option<&'a ActivityColumns>,
-    /// The calibrated cost model. Read only under
-    /// [`OptimizerConfig::cost_based`], where an absent model means the
-    /// prior-only default.
-    pub cost: Option<&'a CostModel>,
 }
 
 impl<'a> PlanInputs<'a> {
@@ -188,7 +162,6 @@ impl<'a> PlanInputs<'a> {
             stats: None,
             matview: None,
             columnar: None,
-            cost: None,
         }
     }
 }
@@ -210,39 +183,19 @@ impl Optimizer {
         self.config
     }
 
-    /// Plan a query.
+    /// Plan a query. The finished plan is validated here, in every
+    /// build, and nowhere else: a plan this returns has passed every
+    /// [`crate::validate`] rule against `inputs.dataset`.
     pub fn plan(&self, inputs: &PlanInputs<'_>, query: &Query) -> Result<PhysicalPlan> {
         validate(query)?;
-        let default_cost_model;
-        let cost_model = if self.config.cost_based {
-            Some(match inputs.cost {
-                Some(c) => c,
-                None => {
-                    default_cost_model = CostModel::new();
-                    &default_cost_model
-                }
-            })
-        } else {
-            None
-        };
-
-        let mut rw = Rewrite::new(&self.config, *inputs, cost_model, query);
+        let mut rw = Rewrite::new(&self.config, *inputs, query);
         for phase in PHASE_ORDER {
             rw.run_phase(phase)?;
-            rw.check_phase_boundary(phase)?;
         }
         let plan = rw.into_plan();
-
-        // In debug builds every plan the rewrite pipeline emits is
-        // validated, so a rule regression fails fast in any test that
-        // plans a query (the executor validates every plan it receives
-        // in every build). This full-plan check doubles as the Lower
-        // phase's boundary validation.
-        #[cfg(debug_assertions)]
         crate::validate::PlanValidator::new(inputs.dataset)
             .validate(&plan)
             .map_err(QueryError::Invariant)?;
-
         Ok(plan)
     }
 }
@@ -255,12 +208,9 @@ impl Optimizer {
 pub(crate) struct Rewrite<'a> {
     config: &'a OptimizerConfig,
     inputs: PlanInputs<'a>,
-    /// The pricing model: `Some` exactly when the config is cost-based.
-    cost_model: Option<&'a CostModel>,
     query: &'a Query,
 
     notes: Vec<String>,
-    candidates: Vec<PlanCandidate>,
     rule_trace: Vec<PassTrace>,
 
     // Analyze products.
@@ -271,7 +221,6 @@ pub(crate) struct Rewrite<'a> {
     assay_sources: Vec<Arc<dyn DataSource>>,
     ligand_join: bool,
     keys: Vec<(u32, Value)>,
-    total_leaves: usize,
 
     // Canonicalize product: the normalized predicate. Starts as the
     // query predicate verbatim; with the rule off it stays
@@ -305,19 +254,12 @@ pub(crate) struct Rewrite<'a> {
 }
 
 impl<'a> Rewrite<'a> {
-    fn new(
-        config: &'a OptimizerConfig,
-        inputs: PlanInputs<'a>,
-        cost_model: Option<&'a CostModel>,
-        query: &'a Query,
-    ) -> Rewrite<'a> {
+    fn new(config: &'a OptimizerConfig, inputs: PlanInputs<'a>, query: &'a Query) -> Rewrite<'a> {
         Rewrite {
             config,
             inputs,
-            cost_model,
             query,
             notes: Vec::new(),
-            candidates: Vec::new(),
             rule_trace: Vec::new(),
             scope_node: None,
             interval: None,
@@ -326,7 +268,6 @@ impl<'a> Rewrite<'a> {
             assay_sources: Vec::new(),
             ligand_join: false,
             keys: Vec::new(),
-            total_leaves: 0,
             canonical: query.predicate.clone(),
             residual: None,
             pruned: 0,
@@ -361,49 +302,6 @@ impl<'a> Rewrite<'a> {
         Ok(())
     }
 
-    /// The phase's structural postconditions, checked the moment it
-    /// completes so a bad rule fails at its own boundary. Lower's
-    /// boundary is the full [`crate::validate::PlanValidator`], run on
-    /// the assembled plan by [`Optimizer::plan`].
-    fn check_phase_boundary(&self, phase: RewritePhase) -> Result<()> {
-        let mut violations = Vec::new();
-        match phase {
-            RewritePhase::Analyze => {
-                crate::validate::phase_interval_bounds(
-                    self.inputs.dataset,
-                    self.interval(),
-                    &mut violations,
-                );
-            }
-            RewritePhase::Canonicalize => {
-                if self.config.canonicalize {
-                    crate::validate::phase_canonical_form(&self.canonical, &mut violations);
-                }
-            }
-            RewritePhase::Optimize => {
-                crate::validate::phase_key_order(&self.key_values, &mut violations);
-                crate::validate::phase_pushdown_remote(
-                    self.pushdown.as_ref(),
-                    &self.sources_for_fetch(),
-                    &mut violations,
-                );
-                crate::validate::phase_pruning_counts(
-                    self.proved_empty,
-                    self.keys.len(),
-                    self.pruned,
-                    self.total_leaves,
-                    &mut violations,
-                );
-            }
-            RewritePhase::Lower => {}
-        }
-        if violations.is_empty() {
-            Ok(())
-        } else {
-            Err(QueryError::Invariant(violations))
-        }
-    }
-
     fn interval(&self) -> LeafInterval {
         match self.interval {
             Some(iv) => iv,
@@ -426,28 +324,12 @@ impl<'a> Rewrite<'a> {
             .unwrap_or_else(|| self.assay_sources.clone())
     }
 
-    /// A source's calibrated price for this query's fetch shape.
-    fn priced(&self, model: &CostModel, source: &dyn DataSource) -> f64 {
-        let requests = effective_requests(
-            self.config,
-            self.key_values.len(),
-            source.capabilities().max_batch,
-        );
-        model
-            .params_for(source.name())
-            .price(requests, self.expected_rows)
-    }
-
     /// Replica selection: from each declared replica group, fetch only
     /// the member with the cheapest estimated access; ungrouped sources
-    /// all participate. The fixed pipeline prices members from their
-    /// self-declared latency model at a nominal 100 rows; cost-based
-    /// planning prices each member with its calibrated parameters at
-    /// this query's estimated shape and records every member as a
-    /// candidate.
+    /// all participate. Members are priced from their self-declared
+    /// latency model at a nominal 100 rows.
     fn select_replicas(&mut self) {
         let sources = self.assay_sources.clone();
-        let expected_rows = self.expected_rows;
         let mut chosen: Vec<Arc<dyn DataSource>> = Vec::new();
         let mut handled_groups: Vec<&[String]> = Vec::new();
         for s in &sources {
@@ -461,36 +343,10 @@ impl<'a> Rewrite<'a> {
                     let members = sources
                         .iter()
                         .filter(|c| group.iter().any(|n| n == c.name()));
-                    let cheapest = if let Some(model) = self.cost_model {
-                        let mut best: Option<(&Arc<dyn DataSource>, f64)> = None;
-                        let group_name = format!("replica:{}", group[0]);
-                        let mut group_candidates = Vec::new();
-                        for c in members {
-                            let secs = self.priced(model, c.as_ref());
-                            group_candidates.push(PlanCandidate {
-                                group: group_name.clone(),
-                                label: c.name().to_string(),
-                                cost_secs: secs,
-                                rows: expected_rows,
-                                chosen: false,
-                            });
-                            if best.as_ref().is_none_or(|(_, b)| secs < *b) {
-                                best = Some((c, secs));
-                            }
-                        }
-                        if let Some((winner, _)) = best {
-                            for cand in &mut group_candidates {
-                                cand.chosen = cand.label == winner.name();
-                            }
-                        }
-                        self.candidates.extend(group_candidates);
-                        best.map(|(c, _)| c)
-                    } else {
-                        members.min_by_key(|c| {
-                            let m = c.latency_model();
-                            m.base_rtt + m.per_row * 100
-                        })
-                    };
+                    let cheapest = members.min_by_key(|c| {
+                        let m = c.latency_model();
+                        m.base_rtt + m.per_row * 100
+                    });
                     // Registration guarantees groups are non-empty;
                     // fall back to the current source rather than
                     // trusting that here.
@@ -514,7 +370,7 @@ impl<'a> Rewrite<'a> {
         let Some(access) = self.access else {
             unreachable!("Lower selected the access path")
         };
-        // Cost estimate (for EXPLAIN and plan-choice validation):
+        // Cost estimate (for EXPLAIN and the prefetch budgeter):
         // combine the per-fetch estimates the same way the executor
         // combines charged latency; a columnar scan's estimate is the
         // modeled local-compute term.
@@ -547,7 +403,6 @@ impl<'a> Rewrite<'a> {
             notes: self.notes,
             estimated_cost,
             estimated_rows,
-            candidates: self.candidates,
             rule_trace: self.rule_trace,
         }
     }
@@ -599,7 +454,6 @@ pub(crate) mod rules {
             .accessions_in(rw.interval())
             .map(|(rank, acc)| (rank, acc.clone()))
             .collect();
-        rw.total_leaves = rw.keys.len();
         let residual_needs_ligand = rw
             .query
             .predicate
@@ -831,18 +685,14 @@ pub(crate) mod rules {
             .sources_for_fetch()
             .iter()
             .map(|s| {
-                let mut fetch = fetch_for_source(
+                fetch_for_source(
                     s.as_ref(),
                     &rw.key_values,
                     &rw.pushdown,
                     rw.config.batching,
                     rw.config.concurrent_dispatch,
                     rw.expected_rows,
-                );
-                if let Some(model) = rw.cost_model {
-                    fetch.est_cost = crate::cost::secs_to_duration(rw.priced(model, s.as_ref()));
-                }
-                fetch
+                )
             })
             .collect();
         Ok(Changed)
@@ -1092,7 +942,7 @@ fn build_finish(
 /// collected). The local forms matter: the overlay histograms index
 /// local columns like `p_activity`, so pricing the remote-translated
 /// `value_nm` bound would fall back to the nominal 0.5 guess and
-/// mis-rank access paths on affinity filters (experiment E12).
+/// misestimate every affinity filter.
 fn estimate_rows(
     stats: Option<&OverlayStats>,
     interval: LeafInterval,
@@ -1107,23 +957,8 @@ fn estimate_rows(
     })
 }
 
-/// Effective sequential round trips for cost-model pricing: concurrent
-/// dispatch overlaps every request into one effective RTT.
-fn effective_requests(config: &OptimizerConfig, key_count: usize, max_batch: usize) -> u64 {
-    if config.concurrent_dispatch {
-        return 1;
-    }
-    let requests = if config.batching {
-        key_count.div_ceil(max_batch.max(1))
-    } else {
-        key_count
-    };
-    requests.max(1) as u64
-}
-
 /// Build one source's fetch plan with an exact-`Duration` latency
-/// estimate from the source's self-declared latency model (cost-based
-/// planning overwrites `est_cost` with its calibrated price).
+/// estimate from the source's self-declared latency model.
 fn fetch_for_source(
     source: &dyn drugtree_sources::DataSource,
     key_values: &[Value],
@@ -1527,76 +1362,5 @@ mod tests {
             Err(QueryError::UnknownRule(rule)) => assert_eq!(rule, "warp-drive"),
             other => panic!("expected UnknownRule, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn cost_based_plan_has_the_fixed_pipelines_shape() {
-        let d = dataset();
-        let stats = OverlayStats::collect(&d).unwrap();
-        let q = Query::activities(Scope::Tree);
-        let fixed = Optimizer::new(OptimizerConfig::full())
-            .plan(&inputs(&d, Some(&stats), None), &q)
-            .unwrap();
-        let priced = Optimizer::new(OptimizerConfig::cost_based())
-            .plan(&inputs(&d, Some(&stats), None), &q)
-            .unwrap();
-        // No replica group declared: nothing to enumerate, and the
-        // same cache probe over batched concurrent fetches — only the
-        // estimate comes from the cost model's prior.
-        assert!(priced.candidates.is_empty());
-        let (Access::CacheProbe { on_miss: a, .. }, Access::CacheProbe { on_miss: b, .. }) =
-            (&fixed.access, &priced.access)
-        else {
-            panic!("{:?} / {:?}", fixed.access, priced.access);
-        };
-        assert_eq!(
-            (a[0].batched, a[0].max_batch),
-            (b[0].batched, b[0].max_batch)
-        );
-        assert_eq!(a[0].keys, b[0].keys);
-        assert_ne!(fixed.estimated_cost, priced.estimated_cost);
-        assert_eq!(fixed.estimated_rows, priced.estimated_rows);
-        assert_eq!(fixed.notes, priced.notes);
-    }
-
-    #[test]
-    fn fixed_pipeline_emits_no_candidates() {
-        let d = dataset();
-        let q = Query::activities(Scope::Tree);
-        let plan = Optimizer::new(OptimizerConfig::full())
-            .plan(&inputs(&d, None, None), &q)
-            .unwrap();
-        assert!(plan.candidates.is_empty());
-    }
-
-    #[test]
-    fn calibrated_cost_model_steers_plan_estimates() {
-        use crate::cost::CostParams;
-        let d = dataset();
-        let stats = OverlayStats::collect(&d).unwrap();
-        let q = Query::activities(Scope::Tree);
-        let opt = Optimizer::new(OptimizerConfig::cost_based());
-        let model = CostModel::new();
-        let priced = PlanInputs {
-            cost: Some(&model),
-            ..inputs(&d, Some(&stats), None)
-        };
-        let prior_plan = opt.plan(&priced, &q).unwrap();
-        // Teach the model that assay-sim is 10x the prior's round trip.
-        let slow = CostParams {
-            rtt_secs: CostParams::prior().rtt_secs * 10.0,
-            per_row_secs: CostParams::prior().per_row_secs,
-        };
-        for (reqs, rows) in [(1u64, 10u64), (2, 50), (1, 200), (3, 30)] {
-            let obs = crate::cost::secs_to_duration(slow.price(reqs, rows));
-            model.observe("assay-sim", reqs, rows, obs, Duration::from_millis(1));
-        }
-        let calibrated_plan = opt.plan(&priced, &q).unwrap();
-        assert!(
-            calibrated_plan.estimated_cost > prior_plan.estimated_cost,
-            "calibration must raise the estimate for a slow source: {:?} vs {:?}",
-            calibrated_plan.estimated_cost,
-            prior_plan.estimated_cost
-        );
     }
 }

@@ -4,8 +4,9 @@
 //! ([`PHASE_ORDER`]): **Analyze** resolves the query against the
 //! dataset (scope interval, similarity/substructure references, source
 //! and key discovery), **Canonicalize** normalizes the predicate
-//! ([`crate::ast::canon::canonicalize`]), **Optimize** applies the cost-reducing rewrites (pruning, pushdown,
-//! selectivity ordering, matview/cache/candidate enumeration), and
+//! ([`crate::ast::canon::canonicalize`]), **Optimize** applies the
+//! cost-reducing rewrites (pruning, pushdown, selectivity ordering,
+//! replica selection, matview/columnar/cache eligibility), and
 //! **Lower** turns the optimized draft into the physical plan
 //! (batching, fetch construction, access selection, finish shape).
 //!

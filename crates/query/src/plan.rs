@@ -32,27 +32,6 @@ pub struct FetchPlan {
     pub est_rows: u64,
 }
 
-/// One enumerated plan alternative.
-///
-/// Populated only by cost-based replica selection, one group per
-/// declared replica group; fixed pricing emits no candidates. Within
-/// each `group` exactly one candidate is `chosen`, and the validator
-/// checks that its cost is minimal and every cost is finite and
-/// non-negative.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanCandidate {
-    /// Choice group: "replica:\<group leader\>".
-    pub group: String,
-    /// Alternative label (a replica's source name).
-    pub label: String,
-    /// Priced cost in seconds.
-    pub cost_secs: f64,
-    /// Cardinality estimate used in pricing.
-    pub rows: u64,
-    /// Whether the planner selected this alternative.
-    pub chosen: bool,
-}
-
 /// How the activity rows are obtained.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Access {
@@ -161,9 +140,6 @@ pub struct PhysicalPlan {
     pub estimated_cost: Duration,
     /// Cost-model cardinality estimate (rows shipped by the access).
     pub estimated_rows: u64,
-    /// Replica alternatives cost-based planning enumerated (empty
-    /// under fixed pricing).
-    pub candidates: Vec<PlanCandidate>,
     /// Per-phase rule firings recorded by the phased rewrite engine
     /// (one entry per phase), rendered by EXPLAIN.
     pub rule_trace: Vec<crate::phases::PassTrace>,
@@ -221,17 +197,6 @@ impl PhysicalPlan {
             Access::ProvedEmpty => {
                 let _ = writeln!(out, "  ProvedEmpty (statistics)");
             }
-        }
-        for c in &self.candidates {
-            let _ = writeln!(
-                out,
-                "  Candidate [{}] {}: est_cost={:?} est_rows={}{}",
-                c.group,
-                c.label,
-                crate::cost::secs_to_duration(c.cost_secs),
-                c.rows,
-                if c.chosen { " (chosen)" } else { "" }
-            );
         }
         let _ = writeln!(out, "  Residual: {}", fmt_pred(&self.residual));
         if self.ligand_join {
@@ -394,22 +359,6 @@ mod tests {
             notes: vec!["pushdown: p_activity >= 6".into()],
             estimated_cost: Duration::from_millis(42),
             estimated_rows: 7,
-            candidates: vec![
-                PlanCandidate {
-                    group: "replica:assay-sim".into(),
-                    label: "assay-sim".into(),
-                    cost_secs: 0.012,
-                    rows: 7,
-                    chosen: true,
-                },
-                PlanCandidate {
-                    group: "replica:assay-sim".into(),
-                    label: "assay-far".into(),
-                    cost_secs: 0.024,
-                    rows: 7,
-                    chosen: false,
-                },
-            ],
             rule_trace: vec![crate::phases::PassTrace {
                 phase: crate::phases::RewritePhase::Optimize,
                 firings: vec![crate::phases::RuleFiring {
@@ -424,12 +373,6 @@ mod tests {
         assert!(text.contains("SourceFetch source=assay-sim keys=2"));
         assert!(text.contains("batched=true"));
         assert!(text.contains("est_cost=12ms est_rows=7"));
-        assert!(text.contains(
-            "Candidate [replica:assay-sim] assay-sim: est_cost=12ms est_rows=7 (chosen)"
-        ));
-        assert!(
-            text.contains("Candidate [replica:assay-sim] assay-far: est_cost=24ms est_rows=7\n")
-        );
         assert!(text.contains("mw < 500"));
         assert!(text.contains("LigandJoin"));
         assert!(text.contains("TopK k=10"));
@@ -475,7 +418,6 @@ mod tests {
             notes: vec![],
             estimated_cost: Duration::ZERO,
             estimated_rows: 0,
-            candidates: vec![],
             rule_trace: vec![],
         };
         assert!(plan.explain().contains("ProvedEmpty"));

@@ -21,7 +21,7 @@
 //! [`AnalyzedResult`] is the `EXPLAIN ANALYZE` surface: the plan, the
 //! trace, and the result of one traced execution, rendered with
 //! estimate-vs-actual columns next to the plan's `est_cost`/`est_rows`
-//! fields so cost-model calibration error is visible per plan node.
+//! fields, so estimate error is visible per plan node.
 
 use crate::ast::Query;
 use crate::exec::{ExecMetrics, QueryResult};
@@ -237,8 +237,6 @@ impl TraceBuilder {
         let mut span = QuerySpan::new(Stage::Plan, "", at);
         span.est_cost = Some(plan.estimated_cost);
         span.est_rows = Some(plan.estimated_rows);
-        span.attrs
-            .push(("candidates", plan.candidates.len() as u64));
         // One child span per rewrite phase, counting the rules that
         // changed the draft, so a trace shows where planning effort
         // went.

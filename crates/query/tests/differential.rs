@@ -353,12 +353,6 @@ fn optimizer_rules_preserve_query_semantics() {
     let mut candidates: Vec<(String, Executor)> = Vec::new();
     let mut configs = single_rule_configs();
     configs.push(("full".into(), OptimizerConfig::full()));
-    // The cost-based planner must be result-equivalent to the rule
-    // pipeline on every generated query: plan choice may only move
-    // latency, never rows. Executing the whole workload also calibrates
-    // the cost model mid-run, so later queries exercise plans priced
-    // with fitted (not prior) parameters.
-    configs.push(("cost-based".into(), OptimizerConfig::cost_based()));
     for (name, config) in configs {
         let mut exec = Executor::new(Optimizer::new(config));
         exec.collect_stats(&dataset).expect("stats");
@@ -642,7 +636,6 @@ fn cache_hits_return_what_misses_return() {
 const PRE_DIET_PLAN_DIGESTS: &[(&str, u64, u64)] = &[
     ("full", 0x938E_DBA3_B696_3301, 0xA565_C16C_3AB3_F993),
     ("naive", 0x08B5_4DFA_1EC9_F92F, 0x08B5_4DFA_1EC9_F92F),
-    ("cost-based", 0x50CC_E807_2D60_A144, 0xD6D8_ECD0_A050_FBAC),
     (
         "ablate-canonicalize",
         0x2E62_2F2C_5C42_ED4B,
@@ -695,30 +688,20 @@ const PRE_DIET_PLAN_DIGESTS: &[(&str, u64, u64)] = &[
     ),
 ];
 
-/// EXPLAIN minus the renderings the diet changed on purpose: the rule
-/// trace (one line per phase, one canonicalize entry), the `access` /
-/// `cache` candidate groups and the `# cost-based:` note (all three
-/// deleted), and — under cost-based pricing only — the `# batching:`
-/// note, which that mode used to suppress and now prints like every
-/// other mode (the fetch line's `batched=` is digested either way).
-fn plan_shape(explain: &str, cost_based: bool) -> String {
+/// EXPLAIN minus the rendering the diet changed on purpose: the rule
+/// trace (one line per phase, one canonicalize entry). The other lines
+/// it stripped (the `access` / `cache` candidate groups and the
+/// `# cost-based:` note) no plan prints any more.
+fn plan_shape(explain: &str) -> String {
     explain
         .lines()
-        .filter(|line| {
-            let line = line.trim_start();
-            !(line.starts_with("RuleTrace")
-                || line.starts_with("Candidate [access]")
-                || line.starts_with("Candidate [cache]")
-                || line.starts_with("# cost-based:")
-                || (cost_based && line.starts_with("# batching:")))
-        })
+        .filter(|line| !line.trim_start().starts_with("RuleTrace"))
         .flat_map(|line| [line, "\n"])
         .collect()
 }
 
 #[test]
 fn planner_reproduces_the_pre_diet_plans() {
-    use drugtree_query::cost::CostModel;
     use drugtree_query::matview::MaterializedAggregates;
     use drugtree_query::stats::OverlayStats;
     use drugtree_query::ActivityColumns;
@@ -727,27 +710,8 @@ fn planner_reproduces_the_pre_diet_plans() {
     let stats = OverlayStats::collect(&dataset).expect("stats");
     let view = MaterializedAggregates::build(&dataset).expect("view");
     let mirror = ActivityColumns::build(&dataset).expect("mirror");
-    // The cost-based golden's calibration, applied to the replica the
-    // declared latencies favour: four observations whose exact fit is
-    // 200 ms RTT + 1 ms/row, so priced replica choice flips to assay-b.
-    let model = CostModel::new();
-    for (reqs, rows, obs_ms) in [
-        (1u64, 10u64, 210u64),
-        (2, 50, 450),
-        (1, 200, 400),
-        (3, 30, 630),
-    ] {
-        model.observe(
-            "assay-a",
-            reqs,
-            rows,
-            Duration::from_millis(obs_ms),
-            Duration::ZERO,
-        );
-    }
     let fetch_path = PlanInputs {
         stats: Some(&stats),
-        cost: Some(&model),
         ..PlanInputs::new(&dataset)
     };
     let local = PlanInputs {
@@ -759,7 +723,6 @@ fn planner_reproduces_the_pre_diet_plans() {
     let mut configs = vec![
         ("full".to_string(), OptimizerConfig::full()),
         ("naive".to_string(), OptimizerConfig::naive()),
-        ("cost-based".to_string(), OptimizerConfig::cost_based()),
     ];
     configs.extend(drugtree_query::phases::ablatable_rules().map(|rule| {
         let config = OptimizerConfig::ablate(rule.name).expect("ablatable");
@@ -774,7 +737,7 @@ fn planner_reproduces_the_pre_diet_plans() {
             let mut hash = 0xCBF2_9CE4_8422_2325_u64;
             for query in &queries {
                 let plan = optimizer.plan(inputs, query).expect("plans");
-                for byte in plan_shape(&plan.explain(), config.cost_based).bytes() {
+                for byte in plan_shape(&plan.explain()).bytes() {
                     hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
                 }
             }

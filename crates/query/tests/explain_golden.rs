@@ -2,9 +2,9 @@
 //! between `OptimizerConfig` and the rest of the system (experiment
 //! logs, the differential oracle's divergence reports, DESIGN.md
 //! walkthroughs all quote it). Two exact-text goldens pin the full and
-//! naive renderings, a third the cost-based replica choice, and one
-//! test per plan-changing optimizer rule asserts that toggling exactly
-//! that rule changes exactly the plan text it owns.
+//! naive renderings, and one test per plan-changing optimizer rule
+//! asserts that toggling exactly that rule changes exactly the plan
+//! text it owns.
 
 // Test code: panicking on a malformed fixture is the right failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -276,68 +276,4 @@ fn toggle_replica_selection() {
     assert!(off.contains("source=assay-near"), "{off}");
     assert!(off.contains("source=assay-far"), "{off}");
     assert!(!off.contains("# replica-selection"), "{off}");
-}
-
-/// The cost-based plan-choice golden: after calibration reveals that
-/// `assay-near` (the fixed heuristic's pick — 10 ms declared RTT vs
-/// 80 ms) actually costs 200 ms per round trip plus 1 ms per row, the
-/// planner routes the fetch to `assay-far`, still priced at the prior.
-/// Both replica candidates appear in the rendering with their
-/// estimates.
-#[test]
-fn golden_cost_based_explain() {
-    use drugtree_query::cost::CostModel;
-    use drugtree_query::stats::OverlayStats;
-
-    let d = replica_dataset();
-    let model = CostModel::new();
-    // Four observations whose exact least-squares fit is 200 ms RTT +
-    // 1 ms/row for assay-near (estimates passed here only feed the
-    // error tracker, which this golden does not render).
-    for (reqs, rows, obs_ms) in [
-        (1u64, 10u64, 210u64),
-        (2, 50, 450),
-        (1, 200, 400),
-        (3, 30, 630),
-    ] {
-        model.observe(
-            "assay-near",
-            reqs,
-            rows,
-            Duration::from_millis(obs_ms),
-            Duration::ZERO,
-        );
-    }
-
-    let stats = OverlayStats::collect(&d).expect("stats");
-    let inputs = PlanInputs {
-        stats: Some(&stats),
-        cost: Some(&model),
-        ..PlanInputs::new(&d)
-    };
-    let plan = Optimizer::new(OptimizerConfig::cost_based())
-        .plan(&inputs, &Query::activities(Scope::Tree))
-        .expect("plans");
-    assert_eq!(
-        plan.explain(),
-        "\
-Plan: scope=n0 interval=[0, 2) pruned_leaves=1 est_cost=50.02ms est_rows=1
-  CacheProbe pushdown=- insert_on_miss=true
-    miss-> SourceFetch source=assay-far keys=1 pushdown=- batched=true max_batch=100 concurrent=true est_cost=50.02ms est_rows=1
-  Candidate [replica:assay-near] assay-near: est_cost=201ms est_rows=1
-  Candidate [replica:assay-near] assay-far: est_cost=50.02ms est_rows=1 (chosen)
-  Residual: true
-  LigandJoin
-  Collect
-  # interval-rewrite: scope -> [0, 2)
-  # selectivity-ordering: residual conjuncts reordered
-  # stats-pruning: 1 leaves dropped
-  # replica-selection: assay-far chosen from [\"assay-near\", \"assay-far\"]
-  # batching: keyed lookups coalesced
-  RuleTrace analyze: interval_rewrite=changed similarity_resolve=n/a substructure_resolve=n/a column_discovery=changed
-  RuleTrace canonicalize: canonicalize=no-change
-  RuleTrace optimize: selectivity_ordering=changed stats_pruning=changed pushdown=n/a cardinality_estimate=changed replica_selection=changed use_matview=n/a columnar_scan=n/a semantic_cache=changed
-  RuleTrace lower: batching=changed concurrent_dispatch=changed lower_fetches=changed access_select=changed finish_build=changed
-"
-    );
 }

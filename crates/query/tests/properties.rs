@@ -194,9 +194,9 @@ proptest! {
         prop_assert_eq!(folded.bind(schema).unwrap().matches(&row), each);
     }
 
-    /// The Canonicalize phase's fixpoint contract (enforced at the
-    /// phase boundary by the plan validator): canonicalizing a
-    /// canonical predicate reports no change and returns it as is.
+    /// The Canonicalize phase's fixpoint contract (the rule returns
+    /// only after a pass changes nothing): canonicalizing a canonical
+    /// predicate reports no change and returns it as is.
     #[test]
     fn canonicalization_is_idempotent(p in arb_predicate()) {
         let n = normalize(p);
