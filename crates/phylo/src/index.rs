@@ -150,11 +150,6 @@ impl TreeIndex {
         }
     }
 
-    /// Number of indexed nodes.
-    pub fn node_count(&self) -> usize {
-        self.intervals.len()
-    }
-
     /// Number of leaves.
     pub fn leaf_count(&self) -> usize {
         self.rank_to_leaf.len()

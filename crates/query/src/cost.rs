@@ -13,9 +13,10 @@ pub fn secs_to_duration(secs: f64) -> Duration {
     }
 }
 
-/// Fixed setup cost of one columnar scan: binding the pushdown,
-/// binary-searching the interval's row range, allocating the selection
-/// bitmap. Microseconds, not milliseconds — there is no round-trip.
+/// Fixed setup cost of one columnar scan: binary-searching the
+/// interval's row range, allocating the selection bitmap (the pushdown
+/// was bound at plan time). Microseconds, not milliseconds — there is
+/// no round-trip.
 pub const COLUMNAR_SETUP_SECS: f64 = 2e-6;
 
 /// Modeled per-row cost of the vectorized kernels: one branch-light

@@ -40,7 +40,8 @@ pub struct Dataset {
 
 impl Dataset {
     /// Assemble a dataset. The overlay's protein table provides the
-    /// rank ↔ accession correspondence.
+    /// rank ↔ accession correspondence; two different accessions on
+    /// one leaf are refused.
     pub fn new(
         tree: Tree,
         index: TreeIndex,
@@ -65,6 +66,13 @@ impl Dataset {
                 as u32;
             rank_by_accession.insert(Arc::clone(acc), rank);
             if let Some(slot) = accession_by_rank.get_mut(rank as usize) {
+                // A fetch asks for a leaf by its one accession, so rows
+                // under a second one would reach only the local scans.
+                if let Some(held) = slot.as_ref().filter(|held| **held != accession) {
+                    return Err(QueryError::Plan(format!(
+                        "leaf {rank} holds two proteins, {held} and {accession}"
+                    )));
+                }
                 *slot = Some(accession);
             }
         }
@@ -79,7 +87,9 @@ impl Dataset {
         })
     }
 
-    /// Resolve a scope to (root node, leaf interval).
+    /// Resolve a scope to (root node, leaf interval). The interval is
+    /// always inside the tree, `lo ≤ hi ≤ leaf_count`: an interval scope
+    /// is clamped to the leaves, and one with `lo > hi` is refused.
     pub fn resolve_scope(&self, scope: &Scope) -> Result<(NodeId, LeafInterval)> {
         match scope {
             Scope::Tree => {
@@ -94,6 +104,12 @@ impl Dataset {
                 Ok((node, self.index.interval(node)))
             }
             Scope::Interval(iv) => {
+                if iv.lo > iv.hi {
+                    return Err(QueryError::Plan(format!(
+                        "interval [{}, {}) has lo above hi",
+                        iv.lo, iv.hi
+                    )));
+                }
                 let clamped = LeafInterval {
                     lo: iv.lo.min(self.index.leaf_count() as u32),
                     hi: iv.hi.min(self.index.leaf_count() as u32),
@@ -334,6 +350,52 @@ mod tests {
             .resolve_scope(&Scope::Interval(LeafInterval { lo: 1, hi: 99 }))
             .unwrap();
         assert_eq!(iv, LeafInterval { lo: 1, hi: 4 });
+        // Wholly past the leaves: clamped to the empty interval at the end.
+        let (_, iv) = d
+            .resolve_scope(&Scope::Interval(LeafInterval { lo: 7, hi: 99 }))
+            .unwrap();
+        assert_eq!(iv, LeafInterval { lo: 4, hi: 4 });
+    }
+
+    #[test]
+    fn inverted_interval_scope_is_refused() {
+        let d = small_dataset(SourceCapabilities::full());
+        for (lo, hi) in [(2, 1), (99, 7)] {
+            let scope = Scope::Interval(LeafInterval { lo, hi });
+            assert!(
+                matches!(d.resolve_scope(&scope), Err(QueryError::Plan(_))),
+                "[{lo}, {hi})"
+            );
+        }
+    }
+
+    #[test]
+    fn two_proteins_on_one_leaf_are_refused() {
+        use drugtree_integrate::overlay::OverlayBuilder;
+        use drugtree_sources::protein_db::ProteinRecord;
+        let build = |accessions: &[&str]| {
+            let d = small_dataset(SourceCapabilities::full());
+            let proteins: Vec<ProteinRecord> = accessions
+                .iter()
+                .map(|&accession| ProteinRecord {
+                    accession: accession.into(),
+                    name: String::new(),
+                    organism: String::new(),
+                    sequence: String::new(),
+                    gene: None,
+                })
+                .collect();
+            // "P1.2" resolves to leaf P1, as a versioned accession.
+            let overlay = OverlayBuilder::new(&d.tree, &d.index)
+                .build(&proteins, &[])
+                .unwrap();
+            Dataset::new(d.tree, d.index, overlay, d.registry, d.clock)
+        };
+        assert!(build(&["P1", "P2", "P1"]).is_ok(), "one accession twice");
+        assert!(matches!(
+            build(&["P1", "P2", "P1.2"]),
+            Err(QueryError::Plan(_))
+        ));
     }
 
     #[test]

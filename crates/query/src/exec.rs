@@ -13,7 +13,7 @@ use crate::columnar::ActivityColumns;
 use crate::dataset::{unified_schema, unify_assay_row, Dataset};
 use crate::matview::MaterializedAggregates;
 use crate::optimizer::{Optimizer, PlanInputs};
-use crate::plan::{Access, FetchPlan, Finish, PhysicalPlan};
+use crate::plan::{Access, ColumnarPushdown, FetchPlan, Finish, PhysicalPlan, ViewAccess};
 use crate::stats::OverlayStats;
 use crate::trace::{AnalyzedResult, Observer, QuerySpan, Stage, TraceBuilder};
 use crate::{QueryError, Result};
@@ -21,10 +21,8 @@ use drugtree_chem::similarity::tanimoto;
 use drugtree_integrate::overlay::tables;
 use drugtree_phylo::index::LeafInterval;
 use drugtree_phylo::tree::NodeId;
+use drugtree_sources::batcher::batched_lookup_with_retry;
 pub use drugtree_sources::batcher::RetryPolicy;
-use drugtree_sources::batcher::{
-    batched_lookup_with_retry, singleton_lookups_with_retry, Dispatch,
-};
 use drugtree_sources::clock::VirtualInstant;
 use drugtree_sources::sync::Mutex;
 use drugtree_store::bitmap::Bitmap;
@@ -52,7 +50,8 @@ pub struct ExecMetrics {
     pub source_requests: usize,
     /// Activity rows shipped from sources.
     pub rows_fetched: usize,
-    /// Fetched rows dropped because their accession is not on the tree.
+    /// Fetched rows dropped by `unify_assay_row`: their accession is
+    /// not on the tree, or their `value_nm` is not finite and positive.
     pub rows_unmapped: usize,
     /// Cache outcome: `None` when the plan had no cache probe.
     pub cache_hit: Option<bool>,
@@ -334,7 +333,8 @@ impl Executor {
         let adaptive_view = self.adaptive_view();
         let view = self.matview.as_ref().or(adaptive_view.as_deref());
         let plan = self.plan_query(dataset, view, query)?;
-        let served_by_adaptive = adaptive_view.is_some() && plan.access == Access::MaterializedView;
+        let served_by_adaptive =
+            adaptive_view.is_some() && matches!(plan.access, Access::MaterializedView(_));
         let started = dataset.clock.now();
         if let Some(tb) = sink.as_deref_mut() {
             tb.record_plan(&plan, started);
@@ -368,15 +368,8 @@ impl Executor {
                     && plan.substructure.is_none()
                     && !plan.ligand_join
                 {
-                    return self.columnar_aggregate(
-                        dataset,
-                        &plan,
-                        pushdown.as_ref(),
-                        children,
-                        *metric,
-                        m,
-                        sink,
-                    );
+                    return self
+                        .columnar_aggregate(dataset, &plan, pushdown, children, *metric, m, sink);
                 }
             }
         }
@@ -385,12 +378,12 @@ impl Executor {
         let activity = match &plan.access {
             Access::ProvedEmpty => ActivityRows::Owned(Vec::new()),
             // Finish reads the view directly.
-            Access::MaterializedView => ActivityRows::Owned(Vec::new()),
+            Access::MaterializedView(_) => ActivityRows::Owned(Vec::new()),
             Access::ColumnarScan { pushdown } => {
                 let (_, selection) = self.columnar_select(
                     dataset,
                     &plan,
-                    pushdown.as_ref(),
+                    pushdown,
                     &mut m,
                     sink.as_deref_mut(),
                     "columnar-scan",
@@ -566,12 +559,14 @@ impl Executor {
         if let Some(adaptive) = &self.adaptive {
             // A view-answerable aggregate the view did not serve: the
             // same gate `use_matview` applies, minus view presence.
-            let matview_candidate = plan.access != Access::MaterializedView
-                && matches!(plan.finish, Finish::AggregateChildren { .. })
-                && plan.residual == Predicate::True
-                && plan.similarity.is_none()
-                && plan.substructure.is_none()
-                && plan.interval == dataset.index.interval(plan.scope_node);
+            let matview_candidate = !matches!(plan.access, Access::MaterializedView(_))
+                && ViewAccess::admit(
+                    query,
+                    &plan.residual,
+                    plan.interval,
+                    dataset.index.interval(plan.scope_node),
+                )
+                .is_some();
             let feedback = QueryFeedback {
                 matview_candidate,
                 served_by_adaptive,
@@ -602,13 +597,14 @@ impl Executor {
 
     /// Run the interval range-slice plus filter kernels over the
     /// mirror: binary-search the plan interval to a contiguous row
-    /// range, evaluate the pushdown as bitmap kernels over it, charge
-    /// the modeled compute cost, and emit a [`Stage::Compute`] span.
+    /// range, evaluate the bound pushdown as bitmap kernels over it,
+    /// charge the modeled compute cost, and emit a [`Stage::Compute`]
+    /// span.
     fn columnar_select(
         &self,
         dataset: &Dataset,
         plan: &PhysicalPlan,
-        pushdown: Option<&Predicate>,
+        pushdown: &ColumnarPushdown,
         m: &mut ExecMetrics,
         sink: Option<&mut TraceBuilder>,
         detail: &str,
@@ -617,10 +613,7 @@ impl Executor {
         let started = dataset.clock.now();
         let range = cols.rows_in(plan.interval)?;
         let scanned = range.len();
-        let selection = match pushdown {
-            Some(p) => cols.table().eval(&p.bind(cols.table().schema())?, range),
-            None => cols.table().eval(&BoundPredicate::True, range),
-        };
+        let selection = cols.table().eval(pushdown.bound(), range);
         let cost = crate::cost::columnar_scan_cost(scanned as u64);
         dataset.clock.advance(cost);
         m.charged_cost += cost;
@@ -646,7 +639,7 @@ impl Executor {
         &self,
         dataset: &Dataset,
         plan: &PhysicalPlan,
-        pushdown: Option<&Predicate>,
+        pushdown: &ColumnarPushdown,
         children: &[(NodeId, String, LeafInterval)],
         metric: Metric,
         mut m: ExecMetrics,
@@ -728,33 +721,20 @@ impl Executor {
         let mut per_source_cost = Vec::with_capacity(fetches.len());
         for f in fetches {
             let fetch_started = dataset.clock.now();
-            let source = dataset.registry.by_name(&f.source)?;
-            let dispatch = if f.concurrent {
-                Dispatch::Concurrent
-            } else {
-                Dispatch::Sequential
-            };
-            let resp = if f.batched {
-                batched_lookup_with_retry(
-                    source.as_ref(),
-                    &f.keys,
-                    f.pushdown.as_ref(),
-                    dispatch,
-                    self.retry,
-                )?
-            } else {
-                singleton_lookups_with_retry(
-                    source.as_ref(),
-                    &f.keys,
-                    f.pushdown.as_ref(),
-                    self.retry,
-                )?
-            };
+            let source = dataset.registry.by_name(f.source())?;
+            let resp = batched_lookup_with_retry(
+                source.as_ref(),
+                &f.keys,
+                f.pushdown.as_ref(),
+                f.max_batch(),
+                f.dispatch(),
+                self.retry,
+            )?;
             m.retries += resp.retries as usize;
             m.source_requests += resp.requests;
             m.rows_fetched += resp.rows.len();
             if let Some(tb) = sink.as_deref_mut() {
-                let mut span = QuerySpan::new(Stage::Fetch, f.source.clone(), fetch_started);
+                let mut span = QuerySpan::new(Stage::Fetch, f.source(), fetch_started);
                 span.actual = resp.cost;
                 span.est_cost = Some(f.est_cost);
                 span.est_rows = Some(f.est_rows);
@@ -996,8 +976,9 @@ fn finish_survivors(
             let rows = activity.as_slice();
             // Stable, like the row sort it replaces: ties keep rank order.
             survivors.sort_by(|&a, &b| {
+                let column = column.index();
                 let ord =
-                    unified_cell(rows, join, a, *column).cmp(&unified_cell(rows, join, b, *column));
+                    unified_cell(rows, join, a, column).cmp(&unified_cell(rows, join, b, column));
                 if *descending {
                     ord.reverse()
                 } else {
@@ -1014,7 +995,7 @@ fn finish_survivors(
                 "leaf_hi".to_string(),
                 metric.label().to_string(),
             ];
-            let out = if plan.access == Access::MaterializedView {
+            let out = if matches!(plan.access, Access::MaterializedView(_)) {
                 let view =
                     view.ok_or_else(|| QueryError::Plan("matview plan without view".into()))?;
                 children

@@ -7,7 +7,9 @@
 //! comparing source record counts (experiment E7 measures the
 //! build-cost/speedup trade).
 
+use crate::cache::rank_of;
 use crate::dataset::{unify_assay_row, Dataset};
+use crate::exec::dedupe_most_recent;
 use crate::Result;
 use drugtree_phylo::tree::NodeId;
 use drugtree_sources::source::{FetchRequest, SourceKind};
@@ -31,52 +33,56 @@ pub struct MaterializedAggregates {
 }
 
 impl MaterializedAggregates {
-    /// Build by scanning every assay source once and folding each
-    /// measurement up the leaf-to-root path, in leaf-rank order — the
-    /// order the naive plan sums in, so a float sum (and hence
-    /// `mean_p_activity`) is bit-for-bit the naive plan's.
+    /// Build by scanning every distinct assay source once and folding
+    /// each measurement up the leaf-to-root path, in leaf-rank order —
+    /// the order the naive plan sums in, so a float sum (and hence
+    /// `mean_p_activity`) is bit-for-bit the naive plan's. Rows run
+    /// through the fetch path's unification and, across more than one
+    /// source, its most-recent dedupe, so a measurement two sources
+    /// share counts once.
     pub fn build(dataset: &Dataset) -> Result<MaterializedAggregates> {
+        let mut build_cost = Duration::ZERO;
+        let mut source_counts = Vec::new();
+        let sources = dataset.registry.distinct_by_kind(SourceKind::Assay);
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        for source in &sources {
+            let resp = source.fetch(&FetchRequest::scan())?;
+            build_cost += resp.cost;
+            source_counts.push((source.name().to_string(), source.record_count()));
+            rows.extend(
+                resp.rows
+                    .into_iter()
+                    .filter_map(|raw| unify_assay_row(dataset, raw)),
+            );
+        }
+        if sources.len() > 1 {
+            rows = dedupe_most_recent(rows);
+        }
+        // Stable: rows of one leaf keep their scan order, as they do
+        // under the fetch path's rank sort.
+        rows.sort_by_key(|row| rank_of(row));
+
         let n = dataset.tree.len();
         let mut count = vec![0u64; n];
         let mut max_p = vec![f64::NEG_INFINITY; n];
         let mut sum_p = vec![0.0f64; n];
-        let mut ligand_sets: Vec<FxHashSet<String>> = vec![FxHashSet::default(); n];
-        let mut build_cost = Duration::ZERO;
-        let mut source_counts = Vec::new();
-
-        // (rank, p_activity, ligand_id) in source-scan order.
-        let mut measurements: Vec<(u32, f64, String)> = Vec::new();
-        for source in dataset.registry.distinct_by_kind(SourceKind::Assay) {
-            let resp = source.fetch(&FetchRequest::scan())?;
-            build_cost += resp.cost;
-            source_counts.push((source.name().to_string(), source.record_count()));
-            for raw in resp.rows {
-                let Some(row) = unify_assay_row(dataset, raw) else {
-                    continue;
-                };
-                // `unify_assay_row` produced this row, so the column
-                // types are fixed; skip rather than panic if not.
-                let (Some(rank), Some(ligand), Some(p)) =
-                    (row[0].as_int(), row[2].as_text(), row[5].as_f64())
-                else {
-                    continue;
-                };
-                measurements.push((rank as u32, p, ligand.to_string()));
-            }
-        }
-        // Stable: measurements of one leaf keep their scan order, as
-        // they do under the fetch path's rank sort.
-        measurements.sort_by_key(|(rank, _, _)| *rank);
-
-        for (rank, p, ligand) in measurements {
+        let mut ligand_sets: Vec<FxHashSet<&str>> = vec![FxHashSet::default(); n];
+        for row in &rows {
+            // `unify_assay_row` produced this row, so the column types
+            // are fixed; skip rather than panic if not.
+            let (Some(rank), Some(ligand), Some(p)) =
+                (row[0].as_int(), row[2].as_text(), row[5].as_f64())
+            else {
+                continue;
+            };
             // Fold up the ancestor path (including the leaf).
-            let mut node = dataset.index.leaf_at(rank)?;
+            let mut node = dataset.index.leaf_at(rank as u32)?;
             loop {
                 let i = node.index();
                 count[i] += 1;
                 max_p[i] = max_p[i].max(p);
                 sum_p[i] += p;
-                ligand_sets[i].insert(ligand.clone());
+                ligand_sets[i].insert(ligand);
                 let parent = dataset.index.parent(node);
                 if parent == node {
                     break;
@@ -206,6 +212,51 @@ mod tests {
         let mut stale = v;
         stale.source_counts[0].1 += 1;
         assert!(!stale.is_fresh(&d));
+    }
+
+    #[test]
+    fn a_measurement_two_sources_share_counts_once() {
+        use crate::ast::{Query, Scope};
+        use crate::dataset::test_fixtures::{activity, test_latency};
+        use crate::exec::Executor;
+        use crate::optimizer::{Optimizer, OptimizerConfig};
+        use drugtree_sources::assay_db::assay_source;
+        use drugtree_sources::SourceRegistry;
+        use std::sync::Arc;
+        // Two labs, not replicas, both measured P1–L1: lab-a 10 nM in
+        // 2010, lab-b 20 nM in 2013. Every row path keeps lab-b's.
+        let mut d = small_dataset(SourceCapabilities::full());
+        let mut registry = SourceRegistry::new();
+        for (name, records) in [
+            (
+                "lab-a",
+                [("P1", "L1", 10.0, 2010), ("P2", "L1", 50.0, 2012)],
+            ),
+            ("lab-b", [("P1", "L1", 20.0, 2013), ("P3", "L3", 1.0, 2013)]),
+        ] {
+            let records = records.map(|(p, l, nm, year)| activity(p, l, nm, year));
+            let source = assay_source(name, &records, SourceCapabilities::full(), test_latency());
+            registry.register(Arc::new(source.unwrap())).unwrap();
+        }
+        d.registry = registry;
+
+        let naive = Executor::new(Optimizer::new(OptimizerConfig::naive()));
+        let mut viewed = Executor::new(Optimizer::new(OptimizerConfig::full()));
+        viewed.build_matview(&d).unwrap();
+        for metric in [
+            Metric::Count,
+            Metric::DistinctLigands,
+            Metric::MaxPActivity,
+            Metric::MeanPActivity,
+        ] {
+            let q = Query::activities(Scope::Tree).aggregate(metric);
+            let expected = naive.execute(&d, &q).unwrap();
+            let got = viewed.execute(&d, &q).unwrap();
+            assert_eq!(got.metrics.source_requests, 0, "the view answers");
+            assert_eq!(got.rows, expected.rows, "{metric:?}");
+        }
+        let clade_a = d.index.by_label("cladeA").unwrap();
+        assert_eq!(MaterializedAggregates::build(&d).unwrap().count(clade_a), 2);
     }
 
     #[test]

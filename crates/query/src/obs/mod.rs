@@ -71,7 +71,7 @@ pub fn plan_shape(plan: &PhysicalPlan) -> String {
             let _ = write!(
                 s,
                 "cache-probe(pushdown={}, insert={insert_on_miss}, concurrent={concurrent_sources}, miss=[{}])",
-                pred_shape_opt(pushdown),
+                pred_shape_opt(pushdown.as_ref()),
                 join_fetches(on_miss),
             );
         }
@@ -86,9 +86,13 @@ pub fn plan_shape(plan: &PhysicalPlan) -> String {
             );
         }
         Access::ColumnarScan { pushdown } => {
-            let _ = write!(s, "columnar-scan(pushdown={})", pred_shape_opt(pushdown));
+            let _ = write!(
+                s,
+                "columnar-scan(pushdown={})",
+                pred_shape_opt(pushdown.predicate())
+            );
         }
-        Access::MaterializedView => s.push_str("matview"),
+        Access::MaterializedView(_) => s.push_str("matview"),
         Access::ProvedEmpty => s.push_str("proved-empty"),
     }
     s.push(' ');
@@ -115,7 +119,8 @@ fn push_answer_shape(s: &mut String, plan: &PhysicalPlan) {
         } => {
             let _ = write!(
                 s,
-                " finish=top-k(col{column},{})",
+                " finish=top-k(col{},{})",
+                column.index(),
                 if *descending { "desc" } else { "asc" }
             );
         }
@@ -134,14 +139,14 @@ fn join_fetches(fetches: &[FetchPlan]) -> String {
 fn fetch_shape(f: &FetchPlan) -> String {
     format!(
         "{}(pushdown={}, batched={}, concurrent={})",
-        f.source,
-        pred_shape_opt(&f.pushdown),
-        f.batched,
+        f.source(),
+        pred_shape_opt(f.pushdown.as_ref()),
+        f.batched(),
         f.concurrent
     )
 }
 
-fn pred_shape_opt(p: &Option<Predicate>) -> String {
+fn pred_shape_opt(p: Option<&Predicate>) -> String {
     match p {
         Some(p) => pred_shape(p),
         None => "-".to_string(),

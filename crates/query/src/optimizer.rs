@@ -28,8 +28,10 @@
 //! [`OptimizerConfig`], so experiment E4's ablations and the `drugtree
 //! rules` listing derive from one table. The driver runs each phase's
 //! rules once, in registry order, and records every firing in the
-//! plan's rule trace for EXPLAIN. [`Optimizer::plan`] then validates
-//! the finished plan once, in every build ([`crate::validate`]).
+//! plan's rule trace for EXPLAIN. The plan's parts are built by
+//! constructors that make six of its invariants hold by construction
+//! ([`crate::plan`]); [`Optimizer::plan`] checks the four that depend
+//! on the dataset once, in every build ([`crate::validate`]).
 //! `OptimizerConfig::naive()` reproduces the unoptimized DrugTree
 //! described in the paper's opening: one sequential round-trip per leaf
 //! per source, all filtering client-side, no caching, no pruning.
@@ -41,11 +43,12 @@
 
 use crate::ast::{columns, Query, QueryKind, SimilaritySpec, MAX_PREDICATE_DEPTH};
 use crate::columnar::ActivityColumns;
-use crate::dataset::{unified_schema, Dataset};
+use crate::dataset::Dataset;
 use crate::matview::MaterializedAggregates;
 use crate::phases::{PassTrace, RewritePhase, RuleFiring, RuleOutcome, PHASE_ORDER};
 use crate::plan::{
-    Access, FetchPlan, Finish, PhysicalPlan, ResolvedSimilarity, ResolvedSubstructure,
+    Access, ColumnarPushdown, FetchPlan, Finish, PhysicalPlan, ResolvedSimilarity,
+    ResolvedSubstructure, UnifiedColumn, ViewAccess,
 };
 use crate::stats::OverlayStats;
 use crate::{QueryError, Result};
@@ -53,6 +56,7 @@ use drugtree_chem::fingerprint::Fingerprint;
 use drugtree_chem::smiles::parse_smiles;
 use drugtree_phylo::index::LeafInterval;
 use drugtree_phylo::tree::NodeId;
+use drugtree_sources::batcher::SortedKeys;
 use drugtree_sources::source::SourceKind;
 use drugtree_sources::DataSource;
 use drugtree_store::expr::{CompareOp, Predicate};
@@ -184,8 +188,8 @@ impl Optimizer {
     }
 
     /// Plan a query. The finished plan is validated here, in every
-    /// build, and nowhere else: a plan this returns has passed every
-    /// [`crate::validate`] rule against `inputs.dataset`.
+    /// build, and nowhere else: a plan this returns has passed the
+    /// [`crate::validate`] rules against `inputs.dataset`.
     pub fn plan(&self, inputs: &PlanInputs<'_>, query: &Query) -> Result<PhysicalPlan> {
         validate(query)?;
         let mut rw = Rewrite::new(&self.config, *inputs, query);
@@ -193,9 +197,10 @@ impl Optimizer {
             rw.run_phase(phase)?;
         }
         let plan = rw.into_plan();
-        crate::validate::PlanValidator::new(inputs.dataset)
-            .validate(&plan)
-            .map_err(QueryError::Invariant)?;
+        let violations = crate::validate::PlanValidator::new(inputs.dataset).check(&plan);
+        if !violations.is_empty() {
+            return Err(QueryError::Invariant(violations));
+        }
         Ok(plan)
     }
 }
@@ -237,12 +242,12 @@ pub(crate) struct Rewrite<'a> {
     /// price their selectivity against the overlay histograms (which
     /// index local columns like `p_activity`, not remote `value_nm`).
     pushed_local: Option<Predicate>,
-    key_values: Vec<Value>,
+    key_values: SortedKeys,
     expected_rows: u64,
     /// `Some` once replica selection ran; `None` means every assay
     /// source participates.
     chosen_sources: Option<Vec<Arc<dyn DataSource>>>,
-    matview_eligible: bool,
+    view: Option<ViewAccess>,
     columnar_ready: bool,
     cache_wrap: bool,
     cache_pred: Option<Predicate>,
@@ -275,10 +280,10 @@ impl<'a> Rewrite<'a> {
             pruning_bound: None,
             pushdown: None,
             pushed_local: None,
-            key_values: Vec::new(),
+            key_values: SortedKeys::new(Vec::new()),
             expected_rows: 0,
             chosen_sources: None,
-            matview_eligible: false,
+            view: None,
             columnar_ready: false,
             cache_wrap: false,
             cache_pred: None,
@@ -379,7 +384,7 @@ impl<'a> Rewrite<'a> {
             _ => combine_access_cost(&access),
         };
         let estimated_rows = match &access {
-            Access::MaterializedView | Access::ProvedEmpty => 0,
+            Access::MaterializedView(_) | Access::ProvedEmpty => 0,
             _ => self.expected_rows,
         };
         let (Some(scope_node), Some(interval)) = (self.scope_node, self.interval) else {
@@ -572,13 +577,10 @@ pub(crate) mod rules {
     }
 
     pub(crate) fn cardinality_estimate(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
-        // Keys ship sorted and deduplicated (a plan invariant):
-        // batching is deterministic and the executor's rank re-sort
-        // makes row order config-independent.
-        let mut key_values: Vec<Value> = rw.keys.iter().map(|(_, k)| k.clone()).collect();
-        key_values.sort();
-        key_values.dedup();
-        rw.key_values = key_values;
+        // Keys ship sorted and deduplicated: batching is deterministic
+        // and the executor's rank re-sort makes row order
+        // config-independent.
+        rw.key_values = SortedKeys::new(rw.keys.iter().map(|(_, k)| k.clone()).collect());
         rw.expected_rows = estimate_rows(rw.inputs.stats, rw.interval(), &rw.pushed_local);
         Ok(Changed)
     }
@@ -612,13 +614,17 @@ pub(crate) mod rules {
         // rows, which the view cannot answer. (Found by the
         // differential oracle.)
         let dataset = rw.inputs.dataset;
-        rw.matview_eligible = rw.inputs.matview.is_some_and(|v| v.is_fresh(dataset))
-            && matches!(rw.query.kind, QueryKind::AggregateChildren { .. })
-            && rw.interval() == dataset.index.interval(rw.scope())
-            && rw.canonical == Predicate::True
-            && rw.similarity.is_none()
-            && rw.substructure.is_none();
-        Ok(if rw.matview_eligible {
+        rw.view = if rw.inputs.matview.is_some_and(|v| v.is_fresh(dataset)) {
+            ViewAccess::admit(
+                rw.query,
+                &rw.canonical,
+                rw.interval(),
+                dataset.index.interval(rw.scope()),
+            )
+        } else {
+            None
+        };
+        Ok(if rw.view.is_some() {
             Changed
         } else {
             NotApplicable
@@ -685,10 +691,10 @@ pub(crate) mod rules {
             .sources_for_fetch()
             .iter()
             .map(|s| {
-                fetch_for_source(
+                FetchPlan::new(
                     s.as_ref(),
-                    &rw.key_values,
-                    &rw.pushdown,
+                    rw.key_values.clone(),
+                    rw.pushdown.clone(),
                     rw.config.batching,
                     rw.config.concurrent_dispatch,
                     rw.expected_rows,
@@ -703,10 +709,10 @@ pub(crate) mod rules {
     pub(crate) fn access_select(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
         rw.access = Some(if rw.proved_empty {
             Access::ProvedEmpty
-        } else if rw.matview_eligible {
+        } else if let Some(view) = rw.view {
             rw.notes
                 .push("matview: aggregate served from materialized view".into());
-            Access::MaterializedView
+            Access::MaterializedView(view)
         } else if rw.columnar_ready {
             let interval = rw.interval();
             rw.notes.push(format!(
@@ -714,7 +720,7 @@ pub(crate) mod rules {
                 interval.lo, interval.hi
             ));
             Access::ColumnarScan {
-                pushdown: rw.pushdown.clone(),
+                pushdown: ColumnarPushdown::bind(rw.pushdown.clone())?,
             }
         } else if rw.cache_wrap {
             Access::CacheProbe {
@@ -907,7 +913,7 @@ fn build_finish(
     Ok(match &query.kind {
         QueryKind::Activities => Finish::Collect,
         QueryKind::TopK { by, k, descending } => Finish::TopK {
-            column: unified_schema().column_index(by)?,
+            column: UnifiedColumn::named(by)?,
             k: *k,
             descending: *descending,
         },
@@ -957,47 +963,6 @@ fn estimate_rows(
     })
 }
 
-/// Build one source's fetch plan with an exact-`Duration` latency
-/// estimate from the source's self-declared latency model.
-fn fetch_for_source(
-    source: &dyn drugtree_sources::DataSource,
-    key_values: &[Value],
-    pushdown: &Option<Predicate>,
-    batched: bool,
-    concurrent: bool,
-    expected_rows: u64,
-) -> FetchPlan {
-    let max_batch = if batched {
-        source.capabilities().max_batch.max(1)
-    } else {
-        1
-    };
-    let requests = if batched {
-        key_values.len().div_ceil(max_batch)
-    } else {
-        key_values.len()
-    }
-    .max(1);
-    let model = source.latency_model();
-    let transfer = model.per_row * (expected_rows as u32);
-    let est_cost = if concurrent {
-        // All requests in flight: one RTT plus the transfer.
-        model.base_rtt + transfer
-    } else {
-        model.base_rtt * requests as u32 + transfer
-    };
-    FetchPlan {
-        source: source.name().to_string(),
-        keys: key_values.to_vec(),
-        pushdown: pushdown.clone(),
-        batched,
-        max_batch,
-        concurrent,
-        est_cost,
-        est_rows: expected_rows,
-    }
-}
-
 /// Combine per-fetch estimates the way the executor combines charged
 /// latency: max across concurrent sources, sum across sequential.
 fn combine_access_cost(access: &Access) -> Duration {
@@ -1015,7 +980,7 @@ fn combine_access_cost(access: &Access) -> Duration {
         } => (on_miss, *concurrent_sources),
         // Columnar scans price via the compute model, not fetch
         // estimates; the caller special-cases them before combining.
-        Access::ColumnarScan { .. } | Access::MaterializedView | Access::ProvedEmpty => {
+        Access::ColumnarScan { .. } | Access::MaterializedView(_) | Access::ProvedEmpty => {
             return Duration::ZERO
         }
     };
@@ -1068,7 +1033,7 @@ mod tests {
                 assert!(!concurrent_sources);
                 assert_eq!(fetches.len(), 1);
                 assert_eq!(fetches[0].keys.len(), 4);
-                assert!(!fetches[0].batched);
+                assert!(!fetches[0].batched());
                 assert!(fetches[0].pushdown.is_none());
             }
             other => panic!("expected Fetch, got {other:?}"),
@@ -1098,7 +1063,7 @@ mod tests {
             } => {
                 assert!(insert_on_miss);
                 assert!(pushdown.is_some(), "p_activity filter is pushable");
-                assert!(on_miss.iter().all(|f| f.batched && f.concurrent));
+                assert!(on_miss.iter().all(|f| f.batched() && f.concurrent));
             }
             other => panic!("expected CacheProbe, got {other:?}"),
         }
@@ -1247,7 +1212,7 @@ mod tests {
         // Whole tree: eligible.
         let q = Query::activities(Scope::Tree).aggregate(Metric::Count);
         let plan = opt.plan(&inputs(&d, None, Some(&view)), &q).unwrap();
-        assert_eq!(plan.access, Access::MaterializedView);
+        assert!(matches!(plan.access, Access::MaterializedView(_)));
         // Leaves P2..P3 span clades A and B, so the tightest clade is
         // the whole root but the interval is [1, 3): the view's whole-
         // clade aggregates would overcount. (Differential-oracle
@@ -1255,7 +1220,7 @@ mod tests {
         let q = Query::activities(Scope::Leaves(vec!["P2".into(), "P3".into()]))
             .aggregate(Metric::Count);
         let plan = opt.plan(&inputs(&d, None, Some(&view)), &q).unwrap();
-        assert_ne!(plan.access, Access::MaterializedView);
+        assert!(!matches!(plan.access, Access::MaterializedView(_)));
     }
 
     #[test]

@@ -1,35 +1,197 @@
-//! Physical plans and EXPLAIN rendering.
+//! Physical plans and EXPLAIN rendering. A fetch, a top-k column, a
+//! columnar pushdown and a view access are built only by constructors
+//! that establish what the executor relies on (DESIGN.md §4b).
 
-use crate::ast::Metric;
+use crate::ast::{Metric, Query, QueryKind};
+use crate::dataset::{activity_half_schema, unified_schema};
+use crate::Result;
 use drugtree_chem::fingerprint::Fingerprint;
 use drugtree_phylo::index::LeafInterval;
 use drugtree_phylo::tree::NodeId;
-use drugtree_store::expr::Predicate;
+use drugtree_sources::batcher::{Dispatch, SortedKeys};
+use drugtree_sources::DataSource;
+use drugtree_store::expr::{BoundPredicate, Predicate};
 use drugtree_store::value::Value;
 use std::fmt::Write as _;
 use std::time::Duration;
 
 /// One source's share of a federated fetch.
+///
+/// The source, and the batching that follows from its capability, are
+/// fixed by [`FetchPlan::new`]:
+///
+/// ```compile_fail
+/// fn widen(fetch: &mut drugtree_query::plan::FetchPlan) {
+///     fetch.max_batch = 1_000; // private: derived from the source
+/// }
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FetchPlan {
-    /// Source name.
-    pub source: String,
+    source: String,
     /// Keys (protein accessions) to look up.
-    pub keys: Vec<Value>,
+    pub keys: SortedKeys,
     /// Predicate pushed into the source (already capability-checked).
     pub pushdown: Option<Predicate>,
-    /// Coalesce keys into max-batch requests (vs one request per key).
-    pub batched: bool,
-    /// Per-request key limit resolved from the source capability at
-    /// plan time (1 when not batched). The validator cross-checks this
-    /// against the live capability.
-    pub max_batch: usize,
+    batched: bool,
+    max_batch: usize,
     /// Dispatch the batches concurrently (vs sequentially).
     pub concurrent: bool,
     /// Cost-model estimate of this fetch's virtual latency.
     pub est_cost: Duration,
     /// Cardinality estimate: rows this fetch is expected to ship.
     pub est_rows: u64,
+}
+
+impl FetchPlan {
+    /// A fetch of `keys` from `source`. A batched fetch sends up to the
+    /// source's declared `max_batch` keys per request, a non-batched
+    /// one a key per request; the latency estimate comes from the
+    /// source's self-declared latency model.
+    pub fn new(
+        source: &dyn DataSource,
+        keys: SortedKeys,
+        pushdown: Option<Predicate>,
+        batched: bool,
+        concurrent: bool,
+        expected_rows: u64,
+    ) -> FetchPlan {
+        let max_batch = if batched {
+            source.capabilities().max_batch.max(1)
+        } else {
+            1
+        };
+        let requests = keys.len().div_ceil(max_batch).max(1);
+        let model = source.latency_model();
+        let transfer = model.per_row * (expected_rows as u32);
+        let est_cost = if concurrent {
+            // All requests in flight: one RTT plus the transfer.
+            model.base_rtt + transfer
+        } else {
+            model.base_rtt * requests as u32 + transfer
+        };
+        FetchPlan {
+            source: source.name().to_string(),
+            keys,
+            pushdown,
+            batched,
+            max_batch,
+            concurrent,
+            est_cost,
+            est_rows: expected_rows,
+        }
+    }
+
+    /// Source name.
+    pub fn source(&self) -> &str {
+        &self.source
+    }
+
+    /// Whether keys are coalesced into multi-key requests.
+    pub fn batched(&self) -> bool {
+        self.batched
+    }
+
+    /// Keys per request: the source's capability when batched, else 1.
+    pub fn max_batch(&self) -> usize {
+        self.max_batch
+    }
+
+    /// How the requests are dispatched. A non-batched fetch is the
+    /// naive access path, one request after another, whatever
+    /// `concurrent` says.
+    pub fn dispatch(&self) -> Dispatch {
+        if self.batched && self.concurrent {
+            Dispatch::Concurrent
+        } else {
+            Dispatch::Sequential
+        }
+    }
+}
+
+/// A column of the unified schema, by index. [`UnifiedColumn::named`]
+/// is the only constructor, so a top-k finish always ranks by a column
+/// the unified rows have:
+///
+/// ```compile_fail
+/// let column = drugtree_query::plan::UnifiedColumn(99);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnifiedColumn(usize);
+
+impl UnifiedColumn {
+    /// Resolve a column name against the unified schema.
+    pub fn named(name: &str) -> Result<UnifiedColumn> {
+        Ok(UnifiedColumn(unified_schema().column_index(name)?))
+    }
+
+    /// The column's index in a unified row.
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
+/// A columnar scan's pushdown, bound once, at plan time, to the
+/// activity-half schema the columnar mirror stores: every predicate
+/// leaf names a column with a kernel to run on.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnarPushdown {
+    predicate: Option<Predicate>,
+    bound: BoundPredicate,
+}
+
+impl ColumnarPushdown {
+    /// Bind `predicate` (none selects every row of the range); an
+    /// error when it names a column the mirror lacks.
+    pub fn bind(predicate: Option<Predicate>) -> Result<ColumnarPushdown> {
+        let bound = match &predicate {
+            Some(p) => p.bind(activity_half_schema())?,
+            None => BoundPredicate::True,
+        };
+        Ok(ColumnarPushdown { predicate, bound })
+    }
+
+    /// The pushdown as planned, for EXPLAIN.
+    pub fn predicate(&self) -> Option<&Predicate> {
+        self.predicate.as_ref()
+    }
+
+    /// The pushdown bound to the mirror's columns.
+    pub fn bound(&self) -> &BoundPredicate {
+        &self.bound
+    }
+}
+
+/// Permission to answer from the materialized view. Only
+/// [`ViewAccess::admit`] grants it, and only to a per-child aggregate
+/// with no predicate, similarity or substructure constraint, over the
+/// whole clade its scope names: the view holds whole-clade aggregates
+/// of every row.
+///
+/// ```compile_fail
+/// let access = drugtree_query::plan::Access::MaterializedView(
+///     drugtree_query::plan::ViewAccess(()),
+/// );
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ViewAccess(());
+
+impl ViewAccess {
+    /// `Some` when `query`, filtered by `predicate` over `interval`,
+    /// is a pure aggregate the view answers; `clade` is the interval of
+    /// the scope's root node.
+    pub fn admit(
+        query: &Query,
+        predicate: &Predicate,
+        interval: LeafInterval,
+        clade: LeafInterval,
+    ) -> Option<ViewAccess> {
+        (matches!(query.kind, QueryKind::AggregateChildren { .. })
+            && *predicate == Predicate::True
+            && query.similarity.is_none()
+            && query.substructure.is_none()
+            && interval == clade)
+            .then_some(ViewAccess(()))
+    }
 }
 
 /// How the activity rows are obtained.
@@ -60,10 +222,10 @@ pub enum Access {
     ColumnarScan {
         /// Predicate the filter kernels evaluate over the range (the
         /// residual still re-applies the full query predicate).
-        pushdown: Option<Predicate>,
+        pushdown: ColumnarPushdown,
     },
     /// Answered entirely by a materialized aggregate view.
-    MaterializedView,
+    MaterializedView(ViewAccess),
     /// Proven empty by statistics; no access at all.
     ProvedEmpty,
 }
@@ -94,8 +256,8 @@ pub enum Finish {
     Collect,
     /// Return the k best rows by a unified column.
     TopK {
-        /// Ranking column index in the unified schema.
-        column: usize,
+        /// Ranking column of the unified schema.
+        column: UnifiedColumn,
         /// Result size.
         k: usize,
         /// Sort direction.
@@ -169,7 +331,7 @@ impl PhysicalPlan {
                 let _ = writeln!(
                     out,
                     "  CacheProbe pushdown={} insert_on_miss={insert_on_miss}",
-                    fmt_pred_opt(pushdown)
+                    fmt_pred_opt(pushdown.as_ref())
                 );
                 for f in on_miss {
                     let _ = writeln!(out, "    miss-> {}", fmt_fetch(f));
@@ -188,10 +350,10 @@ impl PhysicalPlan {
                 let _ = writeln!(
                     out,
                     "  ColumnarScan kernels=range-slice+filter pushdown={}",
-                    fmt_pred_opt(pushdown)
+                    fmt_pred_opt(pushdown.predicate())
                 );
             }
-            Access::MaterializedView => {
+            Access::MaterializedView(_) => {
                 let _ = writeln!(out, "  MaterializedView");
             }
             Access::ProvedEmpty => {
@@ -223,7 +385,8 @@ impl PhysicalPlan {
             } => {
                 let _ = writeln!(
                     out,
-                    "  TopK k={k} by=col{column} {}",
+                    "  TopK k={k} by=col{} {}",
+                    column.index(),
                     if *descending { "desc" } else { "asc" }
                 );
             }
@@ -265,7 +428,7 @@ fn fmt_fetch(f: &FetchPlan) -> String {
          est_cost={:?} est_rows={}",
         f.source,
         f.keys.len(),
-        fmt_pred_opt(&f.pushdown),
+        fmt_pred_opt(f.pushdown.as_ref()),
         f.batched,
         f.max_batch,
         f.concurrent,
@@ -274,7 +437,7 @@ fn fmt_fetch(f: &FetchPlan) -> String {
     )
 }
 
-fn fmt_pred_opt(p: &Option<Predicate>) -> String {
+pub(crate) fn fmt_pred_opt(p: Option<&Predicate>) -> String {
     match p {
         Some(p) => fmt_pred(p),
         None => "-".to_string(),
@@ -326,25 +489,34 @@ fn fmt_literal(v: &Value) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drugtree_sources::source::SourceCapabilities;
     use drugtree_store::expr::CompareOp;
+
+    fn assay_source(caps: SourceCapabilities) -> std::sync::Arc<dyn DataSource> {
+        let d = crate::dataset::test_fixtures::small_dataset(caps);
+        d.registry.by_name("assay-sim").unwrap()
+    }
+
+    fn keys(accessions: &[&str]) -> SortedKeys {
+        SortedKeys::new(accessions.iter().map(|&a| Value::from(a)).collect())
+    }
 
     #[test]
     fn explain_renders_all_sections() {
+        let source = assay_source(SourceCapabilities::full());
         let plan = PhysicalPlan {
             scope_node: NodeId(3),
             interval: LeafInterval { lo: 2, hi: 9 },
             pruned_leaves: 2,
             access: Access::Fetch {
-                fetches: vec![FetchPlan {
-                    source: "assay-sim".into(),
-                    keys: vec![Value::from("P1"), Value::from("P2")],
-                    pushdown: Some(Predicate::cmp("p_activity", CompareOp::Ge, 6.0)),
-                    batched: true,
-                    max_batch: 100,
-                    concurrent: true,
-                    est_cost: Duration::from_millis(12),
-                    est_rows: 7,
-                }],
+                fetches: vec![FetchPlan::new(
+                    source.as_ref(),
+                    keys(&["P2", "P1"]),
+                    Some(Predicate::cmp("p_activity", CompareOp::Ge, 6.0)),
+                    true,
+                    true,
+                    7,
+                )],
                 concurrent_sources: true,
             },
             residual: Predicate::cmp("mw", CompareOp::Lt, 500.0),
@@ -352,7 +524,7 @@ mod tests {
             similarity: None,
             substructure: None,
             finish: Finish::TopK {
-                column: 5,
+                column: UnifiedColumn::named("p_activity").unwrap(),
                 k: 10,
                 descending: true,
             },
@@ -371,13 +543,88 @@ mod tests {
         assert!(text.contains("interval=[2, 9)"));
         assert!(text.contains("est_cost=42ms est_rows=7"));
         assert!(text.contains("SourceFetch source=assay-sim keys=2"));
-        assert!(text.contains("batched=true"));
-        assert!(text.contains("est_cost=12ms est_rows=7"));
+        assert!(text.contains("batched=true max_batch=100 concurrent=true"));
+        // One 10 ms round-trip plus 7 rows at 1 ms.
+        assert!(text.contains("est_cost=17ms est_rows=7"), "{text}");
         assert!(text.contains("mw < 500"));
         assert!(text.contains("LigandJoin"));
-        assert!(text.contains("TopK k=10"));
+        assert!(text.contains("TopK k=10 by=col5 desc"));
         assert!(text.contains("# pushdown"));
         assert!(text.contains("RuleTrace optimize: pushdown=changed"));
+    }
+
+    #[test]
+    fn fetch_plans_take_their_batch_from_the_source() {
+        let full = assay_source(SourceCapabilities::full());
+        let batched = FetchPlan::new(full.as_ref(), keys(&["P1", "P2"]), None, true, true, 0);
+        assert_eq!(
+            (batched.max_batch(), batched.dispatch()),
+            (100, Dispatch::Concurrent)
+        );
+        let sequential = FetchPlan::new(full.as_ref(), keys(&["P1"]), None, true, false, 0);
+        assert_eq!(sequential.dispatch(), Dispatch::Sequential);
+        // Unbatched: one key per request, one request at a time, even
+        // under concurrent dispatch (the ablate-batching plan).
+        let naive = FetchPlan::new(full.as_ref(), keys(&["P1", "P2"]), None, false, true, 0);
+        assert_eq!(
+            (naive.max_batch(), naive.dispatch()),
+            (1, Dispatch::Sequential)
+        );
+        assert!(naive.concurrent, "EXPLAIN still prints the flag");
+        // A dump-only source accepts one key per request.
+        let minimal = assay_source(SourceCapabilities::minimal());
+        let plan = FetchPlan::new(minimal.as_ref(), keys(&["P1", "P2"]), None, true, false, 0);
+        assert_eq!(plan.max_batch(), 1);
+        // Two sequential round-trips at 10 ms.
+        assert_eq!(plan.est_cost, Duration::from_millis(20));
+        assert_eq!(plan.keys, keys(&["P1", "P2", "P1"]));
+    }
+
+    #[test]
+    fn unified_column_resolves_names() {
+        assert_eq!(UnifiedColumn::named("p_activity").unwrap().index(), 5);
+        assert_eq!(UnifiedColumn::named("rings").unwrap().index(), 13);
+        assert!(UnifiedColumn::named("no_such_column").is_err());
+    }
+
+    #[test]
+    fn columnar_pushdown_binds_to_the_mirror_schema() {
+        let ok = ColumnarPushdown::bind(Some(Predicate::cmp("p_activity", CompareOp::Ge, 6.5)));
+        assert!(ok.is_ok());
+        assert!(matches!(
+            ColumnarPushdown::bind(None).unwrap().bound(),
+            BoundPredicate::True
+        ));
+        // Neither an unknown column nor a ligand column (joined later,
+        // not mirrored) has a kernel.
+        for column in ["no_such_column", "mw"] {
+            let p = Predicate::cmp(column, CompareOp::Ge, 1i64);
+            assert!(ColumnarPushdown::bind(Some(p)).is_err(), "{column}");
+        }
+    }
+
+    #[test]
+    fn view_access_admits_only_pure_whole_clade_aggregates() {
+        use crate::ast::Scope;
+        let clade = LeafInterval { lo: 0, hi: 4 };
+        let aggregate = Query::activities(Scope::Tree).aggregate(Metric::Count);
+        let admit = |q: &Query, p: &Predicate, iv| ViewAccess::admit(q, p, iv, clade);
+        assert!(admit(&aggregate, &Predicate::True, clade).is_some());
+
+        let filter = Predicate::cmp("year", CompareOp::Ge, 2012i64);
+        assert!(admit(&aggregate, &filter, clade).is_none());
+        let part = LeafInterval { lo: 1, hi: 3 };
+        assert!(admit(&aggregate, &Predicate::True, part).is_none());
+        let listing = Query::activities(Scope::Tree);
+        assert!(admit(&listing, &Predicate::True, clade).is_none());
+        let similar = Query::activities(Scope::Tree)
+            .similar_to("CCO", 0.5)
+            .aggregate(Metric::Count);
+        assert!(admit(&similar, &Predicate::True, clade).is_none());
+        let containing = Query::activities(Scope::Tree)
+            .containing("c1ccccc1")
+            .aggregate(Metric::Count);
+        assert!(admit(&containing, &Predicate::True, clade).is_none());
     }
 
     #[test]

@@ -1,17 +1,48 @@
 //! Request batching and coalescing (design decision D3).
 //!
 //! The dominant "lag" the paper complains about comes from issuing one
-//! round-trip per tree leaf. The batcher turns `k` key lookups into
-//! `⌈k / max_batch⌉` requests, dedupes keys, and can model the batches
-//! being dispatched concurrently (cost = max) or sequentially
-//! (cost = sum).
+//! round-trip per tree leaf. The batcher turns `k` distinct keys into
+//! `⌈k / max_batch⌉` requests, and can model the batches being
+//! dispatched concurrently (cost = max) or sequentially (cost = sum).
 
 use crate::clock::{parallel_cost, sequential_cost};
 use crate::source::{DataSource, FetchRequest, FetchResponse};
 use crate::{Result, SourceError};
 use drugtree_store::expr::Predicate;
 use drugtree_store::value::Value;
+use std::ops::Deref;
 use std::time::Duration;
+
+/// Lookup keys in strictly increasing order. [`SortedKeys::new`] is
+/// the only constructor, and it sorts and deduplicates, so a batched
+/// lookup never ships a key twice and always cuts the same keys into
+/// the same requests.
+///
+/// ```compile_fail
+/// use drugtree_sources::batcher::SortedKeys;
+/// use drugtree_store::value::Value;
+/// // The field is private: keys cannot be wrapped unsorted.
+/// let keys = SortedKeys(vec![Value::Int(2), Value::Int(1), Value::Int(1)]);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct SortedKeys(Vec<Value>);
+
+impl SortedKeys {
+    /// Sort and deduplicate `keys`.
+    pub fn new(mut keys: Vec<Value>) -> SortedKeys {
+        keys.sort();
+        keys.dedup();
+        SortedKeys(keys)
+    }
+}
+
+impl Deref for SortedKeys {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        &self.0
+    }
+}
 
 /// How transient failures of individual requests are retried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,8 +111,6 @@ pub enum Dispatch {
 /// The combined result of a batched fetch.
 #[derive(Debug, Clone)]
 pub struct BatchedResponse {
-    /// Returned column names.
-    pub columns: Vec<String>,
     /// All rows across batches.
     pub rows: Vec<Vec<Value>>,
     /// Number of successful round-trips issued.
@@ -93,41 +122,22 @@ pub struct BatchedResponse {
     pub cost: Duration,
 }
 
-/// Fetch `keys` from `source`, batching up to the source's
-/// `max_batch`, with an optional pushdown predicate applied to every
-/// batch.
-pub fn batched_lookup(
-    source: &dyn DataSource,
-    keys: &[Value],
-    predicate: Option<&Predicate>,
-    dispatch: Dispatch,
-) -> Result<BatchedResponse> {
-    batched_lookup_with_retry(source, keys, predicate, dispatch, RetryPolicy::none())
-}
-
-/// [`batched_lookup`] with per-request transient-failure retries.
+/// Fetch `keys` from `source` in requests of at most `max_batch` keys
+/// each (a `max_batch` of 1 sends one request per key), with an
+/// optional pushdown predicate applied to every request and transient
+/// failures retried per `retry`.
 pub fn batched_lookup_with_retry(
     source: &dyn DataSource,
-    keys: &[Value],
+    keys: &SortedKeys,
     predicate: Option<&Predicate>,
+    max_batch: usize,
     dispatch: Dispatch,
     retry: RetryPolicy,
 ) -> Result<BatchedResponse> {
-    // Dedupe while preserving order (mobile drill-downs repeat keys):
-    // the set borrows the caller's keys, and each distinct key is
-    // cloned once, straight into the request that ships it.
-    let mut seen = std::collections::HashSet::with_capacity(keys.len());
-    let mut unique = keys.iter().filter(|k| seen.insert(*k)).cloned();
-
-    let max_batch = source.capabilities().max_batch.max(1);
     let mut responses: Vec<FetchResponse> = Vec::new();
     let mut retries = 0u32;
-    loop {
-        let chunk: Vec<Value> = unique.by_ref().take(max_batch).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        let mut req = FetchRequest::lookup(chunk);
+    for chunk in keys.chunks(max_batch.max(1)) {
+        let mut req = FetchRequest::lookup(chunk.to_vec());
         if let Some(p) = predicate {
             req = req.with_predicate(p.clone());
         }
@@ -141,59 +151,8 @@ pub fn batched_lookup_with_retry(
         Dispatch::Sequential => sequential_cost(responses.iter().map(|r| r.cost)),
         Dispatch::Concurrent => parallel_cost(responses.iter().map(|r| r.cost)),
     };
-    let columns = responses
-        .first()
-        .map(|r| r.columns.clone())
-        .unwrap_or_default();
     let rows = responses.into_iter().flat_map(|r| r.rows).collect();
     Ok(BatchedResponse {
-        columns,
-        rows,
-        requests,
-        retries,
-        cost,
-    })
-}
-
-/// The naive access path the optimizer compares against: one request
-/// per key, sequential. This is what an unoptimized DrugTree did and
-/// why the tree "lagged".
-pub fn singleton_lookups(
-    source: &dyn DataSource,
-    keys: &[Value],
-    predicate: Option<&Predicate>,
-) -> Result<BatchedResponse> {
-    singleton_lookups_with_retry(source, keys, predicate, RetryPolicy::none())
-}
-
-/// [`singleton_lookups`] with per-request transient-failure retries.
-pub fn singleton_lookups_with_retry(
-    source: &dyn DataSource,
-    keys: &[Value],
-    predicate: Option<&Predicate>,
-    retry: RetryPolicy,
-) -> Result<BatchedResponse> {
-    let mut rows = Vec::new();
-    let mut columns = Vec::new();
-    let mut cost = Duration::ZERO;
-    let mut requests = 0;
-    let mut retries = 0u32;
-    for key in keys {
-        let mut req = FetchRequest::lookup(vec![key.clone()]);
-        if let Some(p) = predicate {
-            req = req.with_predicate(p.clone());
-        }
-        let (resp, r) = fetch_with_retry(source, &req, retry)?;
-        requests += 1;
-        retries += r;
-        cost += resp.cost;
-        if columns.is_empty() {
-            columns = resp.columns;
-        }
-        rows.extend(resp.rows);
-    }
-    Ok(BatchedResponse {
-        columns,
         rows,
         requests,
         retries,
@@ -239,20 +198,30 @@ mod tests {
         .unwrap()
     }
 
-    fn keys(n: i64) -> Vec<Value> {
-        (0..n).map(Value::Int).collect()
+    fn keys(n: i64) -> SortedKeys {
+        SortedKeys::new((0..n).map(Value::Int).collect())
+    }
+
+    fn lookup(
+        s: &dyn DataSource,
+        keys: &SortedKeys,
+        predicate: Option<&Predicate>,
+        max_batch: usize,
+        dispatch: Dispatch,
+    ) -> Result<BatchedResponse> {
+        batched_lookup_with_retry(s, keys, predicate, max_batch, dispatch, RetryPolicy::none())
     }
 
     #[test]
     fn batching_reduces_round_trips() {
         let s = source(10, 30);
-        let batched = batched_lookup(&s, &keys(30), None, Dispatch::Sequential).unwrap();
+        let batched = lookup(&s, &keys(30), None, 10, Dispatch::Sequential).unwrap();
         assert_eq!(batched.requests, 3);
         assert_eq!(batched.rows.len(), 30);
         // 3 * (100ms + 10 rows * 1ms) = 330ms.
         assert_eq!(batched.cost, Duration::from_millis(330));
 
-        let naive = singleton_lookups(&s, &keys(30), None).unwrap();
+        let naive = lookup(&s, &keys(30), None, 1, Dispatch::Sequential).unwrap();
         assert_eq!(naive.requests, 30);
         // 30 * 101ms.
         assert_eq!(naive.cost, Duration::from_millis(3030));
@@ -263,18 +232,19 @@ mod tests {
     #[test]
     fn concurrent_dispatch_takes_max() {
         let s = source(10, 30);
-        let resp = batched_lookup(&s, &keys(30), None, Dispatch::Concurrent).unwrap();
+        let resp = lookup(&s, &keys(30), None, 10, Dispatch::Concurrent).unwrap();
         assert_eq!(resp.requests, 3);
         // max over three equal-cost batches.
         assert_eq!(resp.cost, Duration::from_millis(110));
     }
 
     #[test]
-    fn duplicate_keys_deduped() {
-        let s = source(10, 5);
-        let mut ks = keys(5);
-        ks.extend(keys(5));
-        let resp = batched_lookup(&s, &ks, None, Dispatch::Sequential).unwrap();
+    fn sorted_keys_sort_and_dedupe() {
+        let shuffled: Vec<Value> = [3, 1, 4, 1, 0, 2, 4].map(Value::Int).to_vec();
+        let ks = SortedKeys::new(shuffled);
+        assert_eq!(ks, keys(5));
+        assert!(ks.windows(2).all(|pair| pair[0] < pair[1]));
+        let resp = lookup(&source(10, 5), &ks, None, 10, Dispatch::Sequential).unwrap();
         assert_eq!(resp.requests, 1);
         assert_eq!(resp.rows.len(), 5);
     }
@@ -282,7 +252,14 @@ mod tests {
     #[test]
     fn empty_key_set_costs_nothing() {
         let s = source(10, 5);
-        let resp = batched_lookup(&s, &[], None, Dispatch::Sequential).unwrap();
+        let resp = lookup(
+            &s,
+            &SortedKeys::new(Vec::new()),
+            None,
+            10,
+            Dispatch::Sequential,
+        )
+        .unwrap();
         assert_eq!(resp.requests, 0);
         assert_eq!(resp.cost, Duration::ZERO);
         assert!(resp.rows.is_empty());
@@ -293,10 +270,10 @@ mod tests {
         use drugtree_store::expr::CompareOp;
         let s = source(2, 10);
         let pred = Predicate::cmp("v", CompareOp::Ge, 50i64);
-        let resp = batched_lookup(&s, &keys(10), Some(&pred), Dispatch::Sequential).unwrap();
+        let resp = lookup(&s, &keys(10), Some(&pred), 2, Dispatch::Sequential).unwrap();
         assert_eq!(resp.requests, 5);
         assert_eq!(resp.rows.len(), 5); // v = 50..90
-        let naive = singleton_lookups(&s, &keys(10), Some(&pred)).unwrap();
+        let naive = lookup(&s, &keys(10), Some(&pred), 1, Dispatch::Sequential).unwrap();
         assert_eq!(naive.rows.len(), 5);
     }
 
@@ -316,9 +293,15 @@ mod tests {
             max_attempts: 10,
             base_backoff: Duration::from_millis(10),
         };
-        let resp =
-            batched_lookup_with_retry(flaky.as_ref(), &keys(20), None, Dispatch::Sequential, retry)
-                .unwrap();
+        let resp = batched_lookup_with_retry(
+            flaky.as_ref(),
+            &keys(20),
+            None,
+            10,
+            Dispatch::Sequential,
+            retry,
+        )
+        .unwrap();
         assert_eq!(resp.rows.len(), 20);
         assert!(resp.retries > 0, "some requests must have been retried");
         // Two clean batches would cost 2*(100 + 10*1) = 220ms; retries
@@ -341,7 +324,7 @@ mod tests {
             Duration::from_millis(10),
             1,
         ));
-        let err = singleton_lookups(flaky.as_ref(), &keys(5), None).unwrap_err();
+        let err = lookup(flaky.as_ref(), &keys(5), None, 1, Dispatch::Sequential).unwrap_err();
         assert!(matches!(err, SourceError::Transient { .. }));
         assert_eq!(flaky.attempts(), 1, "no retries without a policy");
     }
@@ -360,8 +343,12 @@ mod tests {
             max_attempts: 4,
             base_backoff: Duration::from_millis(1),
         };
-        let err =
-            fetch_with_retry(flaky.as_ref(), &FetchRequest::lookup(keys(1)), retry).unwrap_err();
+        let err = fetch_with_retry(
+            flaky.as_ref(),
+            &FetchRequest::lookup(keys(1).to_vec()),
+            retry,
+        )
+        .unwrap_err();
         assert!(matches!(err, SourceError::Transient { .. }));
         assert_eq!(flaky.attempts(), 4);
     }
@@ -369,7 +356,7 @@ mod tests {
     #[test]
     fn respects_source_batch_limit() {
         let s = source(1, 4);
-        let resp = batched_lookup(&s, &keys(4), None, Dispatch::Sequential).unwrap();
+        let resp = lookup(&s, &keys(4), None, 1, Dispatch::Sequential).unwrap();
         assert_eq!(resp.requests, 4, "max_batch=1 degenerates to singletons");
     }
 }

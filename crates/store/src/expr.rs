@@ -214,7 +214,7 @@ impl Predicate {
 
 /// A predicate with column references resolved to indexes (the bound
 /// mirror of [`Predicate`]; variants correspond one-to-one).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)]
 pub enum BoundPredicate {
     True,

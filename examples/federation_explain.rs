@@ -5,6 +5,9 @@
 //! ```sh
 //! cargo run --release --example federation_explain
 //! ```
+//!
+//! Every figure it prints is on the virtual clock, so the output is
+//! deterministic; CI diffs it against `examples/federation_explain.out`.
 
 use drugtree::prelude::*;
 

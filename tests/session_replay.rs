@@ -155,3 +155,80 @@ fn slower_networks_cost_more_never_change_results() {
         "totals not monotone: {totals:?}"
     );
 }
+
+/// Records every gesture observation, in arrival order.
+#[derive(Default)]
+struct GestureLog(drugtree_sources::sync::Mutex<Vec<GestureObservation>>);
+
+impl Observer for GestureLog {
+    fn on_gesture(&self, gesture: &GestureObservation) {
+        self.0.lock().push(gesture.clone());
+    }
+}
+
+impl GestureLog {
+    /// Session `session`'s `(gesture, rows, payload_bytes)`, in order.
+    fn of(&self, session: u32) -> Vec<(&'static str, usize, usize)> {
+        let log = self.0.lock();
+        log.iter()
+            .filter(|g| g.session == Some(session))
+            .map(|g| (g.gesture, g.rows, g.payload_bytes))
+            .collect()
+    }
+}
+
+/// A fleet shares one cache and merges concurrent queries into
+/// flights; with no deadline, admission or storm policy none of that
+/// may change what a session sees. Each session of a Zipf fleet is
+/// replayed alone, gesture by gesture, on a fresh system.
+#[test]
+fn a_fleet_session_answers_what_its_solo_replay_answers() {
+    use std::sync::Arc;
+    const SESSIONS: usize = 64;
+    let b = SyntheticBundle::generate(&WorkloadSpec::default().leaves(256).ligands(32).seed(31));
+    let observed = |log: &Arc<GestureLog>| {
+        DrugTree::builder()
+            .dataset(b.build_dataset())
+            .optimizer(OptimizerConfig::full())
+            .with_observer(Arc::clone(log) as Arc<dyn Observer>)
+            .build()
+            .unwrap()
+    };
+    let workloads = zipf_sessions(
+        &b.tree,
+        &b.index,
+        SESSIONS,
+        &GestureConfig {
+            len: 12,
+            seed: 31,
+            zipf_theta: 1.0,
+            revisit_prob: 0.3,
+        },
+    );
+
+    let fleet_log = Arc::new(GestureLog::default());
+    let report = observed(&fleet_log)
+        .fleet()
+        .with_sessions(workloads.clone())
+        .run()
+        .unwrap();
+    assert_eq!(report.sessions, SESSIONS);
+    assert!(
+        report.sched.unwrap().flight_joins > 0,
+        "the fleet merged some queries"
+    );
+
+    for workload in &workloads {
+        let solo_log = Arc::new(GestureLog::default());
+        let solo = observed(&solo_log);
+        let mut session = solo.mobile_session(workload.network);
+        session.set_session_id(workload.session as u32);
+        for gesture in &workload.script {
+            session.apply(gesture).unwrap();
+        }
+        let id = workload.session as u32;
+        let expected = solo_log.of(id);
+        assert_eq!(expected.len(), workload.script.len());
+        assert_eq!(fleet_log.of(id), expected, "session {id}");
+    }
+}

@@ -1,0 +1,299 @@
+//! Generated source records through the integration path: protein,
+//! ligand and activity records with hostile fields go through
+//! `OverlayBuilder::build`, `assay_source`, `Dataset::new` and
+//! `unify_assay_row`, which must answer with a value or an error, never
+//! a panic, and in bounded time.
+//!
+//! The generator is structure-aware: identifiers are mostly ones the
+//! 8-leaf tree or the ligand catalogue knows (so records join and
+//! duplicate), and otherwise unknown, empty or 1 MiB long; `value_nm`
+//! is mostly an ordinary concentration, and otherwise NaN, ±∞, ±0, a
+//! negative, a subnormal or a value near `f64::MAX`. Where the records
+//! build a system, a fixed query set runs on the naive planner, the
+//! federated `full()` planner and `full()` with the materialized view
+//! and the columnar mirror, which must return equal normalised rows.
+//! The records sit in one assay source, so no two sources share a
+//! measurement.
+
+// Test code: panicking on a malformed fixture is the right failure.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use drugtree::prelude::*;
+use drugtree_chem::affinity::{ActivityRecord, ActivityType};
+use drugtree_integrate::overlay::OverlayBuilder;
+use drugtree_query::dataset::unify_assay_row;
+use drugtree_sources::assay_db::{assay_row, assay_source};
+use drugtree_sources::clock::{wall_now, VirtualClock};
+use drugtree_sources::ligand_db::LigandRecord;
+use drugtree_sources::protein_db::ProteinRecord;
+use drugtree_sources::source::SourceCapabilities;
+use drugtree_sources::{LatencyModel, SourceRegistry};
+use proptest::prelude::*;
+use std::sync::Arc;
+use std::time::Duration;
+
+const NEWICK: &str =
+    "(((P1:1,P2:1)c1:1,(P3:1,P4:1)c2:1)c12:1,((P5:1,P6:1)c3:1,(P7:1,P8:1)c4:1)c34:1)root;";
+/// The longest identifier or name the generator emits, in bytes.
+const MAX_TEXT_BYTES: usize = 1 << 20;
+/// Wall time one case (three builds, the query set on three systems)
+/// may take, unoptimised.
+const CASE_BUDGET: Duration = Duration::from_secs(20);
+
+/// Run on every system a case builds.
+const QUERIES: &[&str] = &[
+    "activities",
+    "activities in subtree('c1')",
+    "activities where p_activity >= 7",
+    "activities where value_nm < 100 and year >= 2000",
+    "activities where mw < 300 or ligand_id = 'L2'",
+    "activities top 3 by p_activity desc",
+    "activities similar to 'CCO' >= 0.3",
+    "activities containing 'c1ccccc1'",
+    "aggregate count",
+    "aggregate count in subtree('c12')",
+    "aggregate distinct_ligands",
+    "aggregate max_p_activity",
+    "aggregate mean_p_activity in subtree('c34')",
+    "aggregate mean_p_activity where p_activity >= 6",
+    "count per leaf",
+];
+
+/// Text of up to [`MAX_TEXT_BYTES`] bytes: empty, short, or a megabyte.
+fn arb_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        6 => Just("text".to_string()),
+        1 => Just(String::new()),
+        1 => Just("é".repeat(MAX_TEXT_BYTES / 2)),
+    ]
+}
+
+/// A protein accession: usually a leaf label (also in the framed and
+/// versioned forms the resolver normalises), rarely one that resolves
+/// to nothing.
+fn arb_accession() -> impl Strategy<Value = String> {
+    prop_oneof![
+        40 => (1..=8u32).prop_map(|i| format!("P{i}")),
+        2 => (1..=8u32).prop_map(|i| format!("P{i}.2")),
+        2 => (1..=8u32).prop_map(|i| format!("sp|P{i}|X")),
+        1 => Just("Q99".to_string()),
+        1 => Just(String::new()),
+        1 => Just("P".repeat(MAX_TEXT_BYTES)),
+    ]
+}
+
+/// A ligand id: usually one of six, else unknown, empty or a megabyte.
+fn arb_ligand_id() -> impl Strategy<Value = String> {
+    prop_oneof![
+        12 => (1..=6u32).prop_map(|i| format!("L{i}")),
+        1 => Just("L99".to_string()),
+        1 => Just(String::new()),
+        1 => Just("L".repeat(MAX_TEXT_BYTES)),
+    ]
+}
+
+/// A concentration in nM: ordinary, at the edges of what an `f64`
+/// holds, or one no measurement can be.
+fn arb_value_nm() -> impl Strategy<Value = f64> {
+    const EXTREME: &[f64] = &[5e-324, f64::MIN_POSITIVE, 1e-300, 1e300, f64::MAX];
+    const INVALID: &[f64] = &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -5.0];
+    prop_oneof![
+        40 => 1.0f64..100_000.0,
+        3 => (0..EXTREME.len()).prop_map(|i| EXTREME[i]),
+        2 => (0..INVALID.len()).prop_map(|i| INVALID[i]),
+    ]
+}
+
+fn arb_protein() -> impl Strategy<Value = ProteinRecord> {
+    (arb_accession(), arb_text()).prop_map(|(accession, name)| ProteinRecord {
+        accession,
+        name,
+        organism: "synthetic".into(),
+        sequence: "MKVLAT".into(),
+        gene: None,
+    })
+}
+
+fn arb_ligand() -> impl Strategy<Value = LigandRecord> {
+    const SMILES: &[&str] = &[
+        "CCO",
+        "c1ccccc1",
+        "CC(=O)Oc1ccccc1C(=O)O",
+        "CCN",
+        "((((",
+        "",
+    ];
+    const MW: &[f64] = &[46.07, 180.2, 0.0, -1.0, f64::NAN, f64::INFINITY];
+    (
+        arb_ligand_id(),
+        arb_text(),
+        (0..SMILES.len() + 1),
+        (0..MW.len()),
+        (0..u32::MAX, 0..u32::MAX, 0..u32::MAX),
+    )
+        .prop_map(
+            |(ligand_id, name, smiles, mw, (hbd, hba, rings))| LigandRecord {
+                ligand_id,
+                name,
+                // One past the table: a chain past the SMILES atom bound.
+                smiles: SMILES
+                    .get(smiles)
+                    .map_or_else(|| "C".repeat(2_000), |s| (*s).to_string()),
+                molecular_weight: MW[mw],
+                hbd,
+                hba,
+                rings,
+            },
+        )
+}
+
+fn arb_activity() -> impl Strategy<Value = ActivityRecord> {
+    const TYPES: [ActivityType; 4] = [
+        ActivityType::Ki,
+        ActivityType::Kd,
+        ActivityType::Ic50,
+        ActivityType::Ec50,
+    ];
+    (
+        arb_accession(),
+        arb_ligand_id(),
+        (0..TYPES.len()),
+        arb_value_nm(),
+        arb_text(),
+        0..=u16::MAX,
+    )
+        .prop_map(
+            |(protein_accession, ligand_id, t, value_nm, source, year)| ActivityRecord {
+                protein_accession,
+                ligand_id,
+                activity_type: TYPES[t],
+                value_nm,
+                source,
+                year,
+            },
+        )
+}
+
+/// The records as a dataset over [`NEWICK`], or the first refusal.
+fn build_dataset(
+    proteins: &[ProteinRecord],
+    ligands: &[LigandRecord],
+    activities: &[ActivityRecord],
+) -> Result<Dataset, String> {
+    let tree = parse_newick(NEWICK).unwrap();
+    let index = TreeIndex::build(&tree);
+    let overlay = OverlayBuilder::new(&tree, &index)
+        .build(proteins, ligands)
+        .map_err(|e| e.to_string())?;
+    let source = assay_source(
+        "assay",
+        activities,
+        SourceCapabilities::full(),
+        LatencyModel::free(),
+    )
+    .map_err(|e| e.to_string())?;
+    let mut registry = SourceRegistry::new();
+    registry.register(Arc::new(source)).unwrap();
+    Dataset::new(tree, index, overlay, registry, VirtualClock::new()).map_err(|e| e.to_string())
+}
+
+/// Rows in a comparable form: floats rounded to 1e-9, rows sorted.
+fn normalise(rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
+    let mut out: Vec<Vec<Value>> = rows
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|v| match v {
+                    Value::Float(f) => Value::Float((f * 1e9).round() / 1e9),
+                    other => other.clone(),
+                })
+                .collect()
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Build the records into the three systems and compare their answers:
+/// `Ok` when the records are refused, or when every query got one
+/// answer (or one refusal) from all three.
+fn run_case(
+    proteins: &[ProteinRecord],
+    ligands: &[LigandRecord],
+    activities: &[ActivityRecord],
+) -> Result<(), String> {
+    let build = |builder: DrugTreeBuilder| -> Result<DrugTree, String> {
+        let dataset = build_dataset(proteins, ligands, activities)?;
+        builder.dataset(dataset).build().map_err(|e| e.to_string())
+    };
+    let Ok(naive) = build(DrugTree::builder().optimizer(OptimizerConfig::naive())) else {
+        return Ok(());
+    };
+
+    // Widening a raw row keeps exactly the rows whose accession is on
+    // the tree and whose value is a concentration.
+    for record in activities {
+        let mapped = naive
+            .dataset()
+            .rank_of_accession(&record.protein_accession)
+            .is_some();
+        let valid = record.value_nm.is_finite() && record.value_nm > 0.0;
+        let unified = unify_assay_row(naive.dataset(), assay_row(record));
+        if unified.is_some() != (mapped && valid) {
+            return Err(format!("unify_assay_row kept {unified:?} for {record:?}"));
+        }
+    }
+
+    let systems = [
+        (
+            "federated",
+            build(DrugTree::builder().optimizer(OptimizerConfig::full()))?,
+        ),
+        (
+            "local",
+            build(
+                DrugTree::builder()
+                    .optimizer(OptimizerConfig::full())
+                    .with_matview()
+                    .with_columnar(),
+            )?,
+        ),
+    ];
+    for text in QUERIES {
+        let expected = naive.query(text).map(|r| normalise(&r.rows));
+        for (name, system) in &systems {
+            let got = system.query(text).map(|r| normalise(&r.rows));
+            let same = match (&expected, &got) {
+                (Ok(a), Ok(b)) => a == b,
+                (Err(_), Err(_)) => true,
+                _ => false,
+            };
+            if !same {
+                return Err(format!(
+                    "`{text}`: naive -> {:?}, {name} -> {:?}",
+                    expected.as_ref().map(Vec::len),
+                    got.as_ref().map(Vec::len)
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn generated_source_records_build_or_are_refused_and_agree(
+        proteins in proptest::collection::vec(arb_protein(), 0..10),
+        ligands in proptest::collection::vec(arb_ligand(), 0..8),
+        activities in proptest::collection::vec(arb_activity(), 0..40),
+    ) {
+        let started = wall_now();
+        if let Err(divergence) = run_case(&proteins, &ligands, &activities) {
+            prop_assert!(false, "{}", divergence);
+        }
+        let elapsed = wall_now().duration_since(started);
+        prop_assert!(elapsed < CASE_BUDGET, "one case took {:?}", elapsed);
+    }
+}
