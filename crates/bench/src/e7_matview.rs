@@ -9,6 +9,7 @@
 use crate::table::ExperimentTable;
 use crate::{fmt_ms, mean, RunConfig};
 use drugtree::prelude::*;
+use drugtree_query::local::{Keep, LocalBuild};
 use drugtree_sources::assay_db::assay_row;
 use drugtree_sources::source::SourceKind;
 use drugtree_workload::queries::{class_stream, QueryClass, QueryWorkloadConfig};
@@ -65,8 +66,7 @@ pub fn run(config: RunConfig) -> ExperimentTable {
         .optimizer(OptimizerConfig::full())
         .build()
         .expect("builds");
-    let view = drugtree_query::matview::MaterializedAggregates::build(system.dataset())
-        .expect("view builds");
+    let view = LocalBuild::build(system.dataset(), Keep::View).expect("view builds");
     let build_cost = view.build_cost;
     let fresh_before = view.is_fresh(system.dataset());
 

@@ -20,6 +20,7 @@ use drugtree_phylo::matrices::ScoringMatrix;
 use drugtree_phylo::nj::neighbor_joining;
 use drugtree_phylo::seq::ProteinSequence;
 use drugtree_query::cache::CacheConfig;
+use drugtree_query::local::Keep;
 use drugtree_query::optimizer::{Optimizer, OptimizerConfig};
 use drugtree_query::{AdaptiveRuntime, Dataset, Executor, Observer};
 use drugtree_sources::clock::VirtualClock;
@@ -36,8 +37,7 @@ pub struct DrugTreeBuilder {
     optimizer: OptimizerConfig,
     cache: CacheConfig,
     collect_stats: bool,
-    build_matview: bool,
-    build_columnar: bool,
+    local: Option<Keep>,
     observer: Option<Arc<dyn Observer>>,
     adaptive: Option<Arc<AdaptiveRuntime>>,
 }
@@ -57,8 +57,7 @@ impl DrugTreeBuilder {
             optimizer: OptimizerConfig::full(),
             cache: CacheConfig::default(),
             collect_stats: true,
-            build_matview: false,
-            build_columnar: false,
+            local: None,
             observer: None,
             adaptive: None,
         }
@@ -99,7 +98,7 @@ impl DrugTreeBuilder {
 
     /// Also build the materialized aggregate view at startup.
     pub fn with_matview(mut self) -> Self {
-        self.build_matview = true;
+        self.local = Some(Keep::View.with(self.local));
         self
     }
 
@@ -108,7 +107,7 @@ impl DrugTreeBuilder {
     /// rank-sorted typed segments instead of source round-trips
     /// (design decision D12).
     pub fn with_columnar(mut self) -> Self {
-        self.build_columnar = true;
+        self.local = Some(Keep::Mirror.with(self.local));
         self
     }
 
@@ -149,11 +148,8 @@ impl DrugTreeBuilder {
         if self.collect_stats {
             executor.collect_stats(&dataset)?;
         }
-        if self.build_matview {
-            executor.build_matview(&dataset)?;
-        }
-        if self.build_columnar {
-            executor.build_columnar(&dataset)?;
+        if let Some(keep) = self.local {
+            executor.build_local(&dataset, keep)?;
         }
         Ok(DrugTree::from_parts(dataset, executor))
     }
@@ -422,6 +418,50 @@ mod tests {
         let served = system.query("aggregate count in tree").unwrap();
         assert_eq!(served.metrics.source_requests, 0);
         assert!(rt.snapshot().advisor.hits > 0, "amortization is tracked");
+    }
+
+    #[test]
+    fn an_explicit_mirror_leaves_the_adaptive_view_in_service() {
+        use drugtree_query::{AdaptiveRuntime, AdvisorConfig};
+        use drugtree_sources::assay_db::assay_row;
+
+        let (p, l, a) = sources();
+        let rt = Arc::new(AdaptiveRuntime::new(AdvisorConfig::default()));
+        let system = DrugTree::builder()
+            .register_source(p)
+            .register_source(l)
+            .register_source(Arc::clone(&a))
+            .with_columnar()
+            .with_adaptive(Arc::clone(&rt))
+            .build()
+            .unwrap();
+        // A deposition makes the mirror stale: aggregates are fetched
+        // (and charged) until the advisor builds its view.
+        a.ingest(assay_row(&ActivityRecord {
+            protein_accession: "P3".into(),
+            ligand_id: "L1".into(),
+            activity_type: ActivityType::Ki,
+            value_nm: 20.0,
+            source: "lab".into(),
+            year: 2013,
+        }))
+        .unwrap();
+        for _ in 0..50 {
+            if rt.snapshot().view_built {
+                break;
+            }
+            system.executor().invalidate();
+            system.query("aggregate count in tree").unwrap();
+        }
+        assert!(rt.snapshot().view_built, "advisor built the view");
+        let plan = system.explain("aggregate count in tree").unwrap();
+        assert!(plan.contains("MaterializedView"), "{plan}");
+        system.executor().invalidate();
+        let served = system.query("aggregate count in tree").unwrap();
+        assert_eq!(served.metrics.source_requests, 0);
+        let counted: i64 = served.rows.iter().filter_map(|r| r[3].as_int()).sum();
+        assert_eq!(counted, 2, "the deposition is counted");
+        assert_eq!(rt.snapshot().advisor.hits, 1, "the view served");
     }
 
     #[test]

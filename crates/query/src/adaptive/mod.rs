@@ -26,7 +26,7 @@ pub mod advisor;
 pub use advisor::{AdvisorConfig, AdvisorSnapshot, MatviewAdvisor};
 
 use crate::dataset::Dataset;
-use crate::matview::MaterializedAggregates;
+use crate::local::{Keep, LocalBuild};
 use crate::obs::export::AdaptDecision;
 use crate::obs::{Sink, TraceExport};
 use crate::Result;
@@ -77,7 +77,7 @@ const LOOP_MATVIEW: &str = "matview";
 /// its own sequence space, separate from the fleet observer's — the
 /// two streams are joined on `at_ns`, not `seq`.
 pub struct AdaptiveRuntime {
-    view: RwLock<Option<Arc<MaterializedAggregates>>>,
+    view: RwLock<Option<Arc<LocalBuild>>>,
     advisor: Mutex<MatviewAdvisor>,
     prefetch_switches: AtomicU64,
     export: Option<TraceExport>,
@@ -108,8 +108,8 @@ impl AdaptiveRuntime {
         self
     }
 
-    /// The adaptively-built aggregate view, when one is installed.
-    pub fn view(&self) -> Option<Arc<MaterializedAggregates>> {
+    /// The view-only local build the advisor installed, if any.
+    pub fn view(&self) -> Option<Arc<LocalBuild>> {
         self.view.read().clone()
     }
 
@@ -182,7 +182,7 @@ impl AdaptiveRuntime {
         if !should_build {
             return Ok(());
         }
-        let built = Arc::new(MaterializedAggregates::build(dataset)?);
+        let built = Arc::new(LocalBuild::build(dataset, Keep::View)?);
         let build_cost = built.build_cost;
         dataset.clock.advance(build_cost);
         let built_at = dataset.clock.now().0;

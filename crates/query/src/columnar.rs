@@ -1,88 +1,42 @@
 //! The columnar activity mirror: local column store for the overlay.
 //!
-//! [`ActivityColumns`] materializes every assay source's rows once into
-//! a store [`Table`] in the activity-half layout, sorted by Euler-tour
-//! leaf rank: a second copy of the activities, in the store's one table
-//! format. With the mirror fresh, the optimizer's interval rewrite
-//! stops being a per-leaf key gather and becomes a binary-searched row
-//! *range* over contiguous typed buffers ([`Access::ColumnarScan`]),
-//! and predicate leaves run as vectorized bitmap kernels — the
-//! "sub-millisecond local compute" half of the paper's latency story,
-//! with the fetch path's answers unchanged behind the same executor
-//! API (design decision D12 in DESIGN.md).
+//! [`ActivityColumns`] holds the [local build](crate::local)'s resolved,
+//! rank-sorted rows as a store [`Table`] in the activity-half layout.
+//! With the mirror fresh, the optimizer's interval rewrite stops being a
+//! per-leaf key gather and becomes a binary-searched row *range* over
+//! contiguous typed buffers ([`Access::ColumnarScan`]), and predicate
+//! leaves run as vectorized bitmap kernels — the "sub-millisecond local
+//! compute" half of the paper's latency story, with the fetch path's
+//! answers unchanged behind the same executor API (design decision D12
+//! in DESIGN.md).
 //!
-//! The build pass replicates the fetch path's row pipeline exactly —
-//! [`unify_assay_row`], cross-source most-recent dedupe, rank sort — so
-//! a columnar scan plus the executor's unchanged residual/finish stages
-//! returns the same rows a federated fetch would. Staleness is
-//! detected the same way the materialized aggregate view does it:
-//! record counts per source at build time.
+//! The build calls the fetch path's own row pipeline —
+//! [`unify_assay_row`](crate::dataset::unify_assay_row), then
+//! `dataset::resolve_activity_rows` — so a columnar scan plus the
+//! executor's unchanged residual/finish stages returns the same rows a
+//! federated fetch would.
 //!
 //! [`Access::ColumnarScan`]: crate::plan::Access::ColumnarScan
 
-use crate::dataset::{activity_half_schema, unify_assay_row, Dataset};
-use crate::exec::dedupe_most_recent;
+use crate::dataset::activity_half_schema;
 use crate::Result;
 use drugtree_phylo::index::LeafInterval;
-use drugtree_sources::source::{FetchRequest, SourceKind};
 use drugtree_store::table::Table;
 use drugtree_store::value::Value;
 use std::ops::Range;
-use std::time::Duration;
 
 /// All activity rows, column-oriented and rank-sorted.
 #[derive(Debug, Clone)]
 pub struct ActivityColumns {
     table: Table,
-    /// (source name, record count) at build time, for staleness checks.
-    source_counts: Vec<(String, usize)>,
-    /// Simulated cost of the build scan.
-    pub build_cost: Duration,
 }
 
 impl ActivityColumns {
-    /// Build the mirror by scanning every assay source once. Rows run
-    /// through the same unification, cross-source dedupe, and rank
-    /// sort as the executor's fetch path, so kernel scans over the
-    /// mirror select exactly the rows a fetch would ship.
-    pub fn build(dataset: &Dataset) -> Result<ActivityColumns> {
-        let sources = dataset.registry.by_kind(SourceKind::Assay);
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        let mut build_cost = Duration::ZERO;
-        let mut source_counts = Vec::new();
-        for source in &sources {
-            let resp = source.fetch(&FetchRequest::scan())?;
-            build_cost += resp.cost;
-            source_counts.push((source.name().to_string(), source.record_count()));
-            for raw in resp.rows {
-                if let Some(row) = unify_assay_row(dataset, raw) {
-                    rows.push(row);
-                }
-            }
-        }
-        // Mirror the fetch path's conflict resolution: with more than
-        // one source, identical (rank, ligand, type) measurements keep
-        // the most recent year.
-        if sources.len() > 1 {
-            rows = dedupe_most_recent(rows);
-        }
-        rows.sort_by_key(|r| r[0].as_int().unwrap_or(i64::MAX));
+    /// Take ownership of resolved, rank-sorted rows as the mirror's table.
+    pub(crate) fn new(rows: Vec<Vec<Value>>) -> Result<ActivityColumns> {
         let mut table = Table::from_rows("activity", activity_half_schema().clone(), rows)?;
         table.declare_sorted("leaf_rank")?;
-        Ok(ActivityColumns {
-            table,
-            source_counts,
-            build_cost,
-        })
-    }
-
-    /// True when no assay source has changed since the build.
-    pub fn is_fresh(&self, dataset: &Dataset) -> bool {
-        dataset.registry.by_kind(SourceKind::Assay).iter().all(|s| {
-            self.source_counts
-                .iter()
-                .any(|(name, n)| name == s.name() && *n == s.record_count())
-        })
+        Ok(ActivityColumns { table })
     }
 
     /// Number of mirrored activity rows.
@@ -130,12 +84,14 @@ impl ActivityColumns {
 mod tests {
     use super::*;
     use crate::dataset::test_fixtures::small_dataset;
+    use crate::dataset::Dataset;
+    use crate::local::{Keep, LocalBuild};
     use drugtree_sources::source::SourceCapabilities;
     use drugtree_store::expr::{CompareOp, Predicate};
 
     fn mirror_and_dataset() -> (ActivityColumns, Dataset) {
         let d = small_dataset(SourceCapabilities::full());
-        let c = ActivityColumns::build(&d).unwrap();
+        let c = LocalBuild::build(&d, Keep::Mirror).unwrap().mirror.unwrap();
         (c, d)
     }
 
@@ -144,7 +100,6 @@ mod tests {
         let (c, d) = mirror_and_dataset();
         assert_eq!(c.len(), 4);
         assert!(!c.is_empty());
-        assert!(c.build_cost > Duration::ZERO);
         assert_eq!(c.table().sorted_by(), Some(0));
         // Rank-sorted: the whole tree is one contiguous range.
         let all = c.rows_in(d.index.interval(d.tree.root())).unwrap();
@@ -176,15 +131,6 @@ mod tests {
             .collect();
         assert_eq!(sel.iter_ones().collect::<Vec<_>>(), expect);
         assert!(!expect.is_empty());
-    }
-
-    #[test]
-    fn staleness_detection() {
-        let (c, d) = mirror_and_dataset();
-        assert!(c.is_fresh(&d));
-        let mut stale = c;
-        stale.source_counts[0].1 += 1;
-        assert!(!stale.is_fresh(&d));
     }
 
     #[test]

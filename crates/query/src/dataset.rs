@@ -7,6 +7,7 @@ use drugtree_phylo::index::{LeafInterval, TreeIndex};
 use drugtree_phylo::tree::{NodeId, Tree};
 use drugtree_sources::clock::VirtualClock;
 use drugtree_sources::federation::SourceRegistry;
+use drugtree_sources::source::SourceKind;
 use drugtree_store::schema::{Column, Schema};
 use drugtree_store::value::{Value, ValueType};
 use rustc_hash::FxHashMap;
@@ -166,6 +167,55 @@ impl Dataset {
     pub fn leaf_count(&self) -> usize {
         self.index.leaf_count()
     }
+
+    /// True when the registry holds more than one assay source, replicas
+    /// counted: the deployment then treats a (leaf, ligand, activity
+    /// type) as one fact, and [`resolve_activity_rows`] keeps its most
+    /// recent measurement, whichever sources a plan reads. A one-source
+    /// deployment's rows are the source's, as it holds them. Allocates
+    /// nothing: the fetch path asks on every miss.
+    pub(crate) fn resolves_conflicts(&self) -> bool {
+        let mut assays = self
+            .registry
+            .all()
+            .iter()
+            .filter(|s| s.kind() == SourceKind::Assay);
+        assays.nth(1).is_some()
+    }
+
+    /// (name, record count) of every assay source, in registration order.
+    fn assay_counts(&self) -> impl Iterator<Item = (&str, usize)> {
+        self.registry
+            .all()
+            .iter()
+            .filter(|s| s.kind() == SourceKind::Assay)
+            .map(|s| (s.name(), s.record_count()))
+    }
+}
+
+/// A freshness record: the record count of every assay source when
+/// something was derived from them. Replicas no scan read are counted
+/// too, so an ingest into one is seen.
+#[derive(Debug, Clone)]
+pub(crate) struct AssayCounts(Vec<(String, usize)>);
+
+impl AssayCounts {
+    /// The counts as they are now.
+    pub(crate) fn now(dataset: &Dataset) -> AssayCounts {
+        AssayCounts(
+            dataset
+                .assay_counts()
+                .map(|(name, n)| (name.to_string(), n))
+                .collect(),
+        )
+    }
+
+    /// True when no assay source has been added, removed or changed
+    /// size since the record was made.
+    pub(crate) fn hold(&self, dataset: &Dataset) -> bool {
+        let recorded = self.0.iter().map(|(name, n)| (name.as_str(), *n));
+        dataset.assay_counts().eq(recorded)
+    }
 }
 
 /// Schema of the unified (activity ⋈ ligand) rows query predicates and
@@ -228,6 +278,44 @@ pub fn unify_assay_row(dataset: &Dataset, row: Vec<Value>) -> Option<Vec<Value>>
     unified.push(Value::Float(p_activity));
     unified.extend(cells.take(2));
     Some(unified)
+}
+
+/// Resolve unified activity rows into what every row path returns: when
+/// the deployment [resolves conflicts](Dataset::resolves_conflicts), the
+/// most recent measurement of each (leaf, ligand, activity type), the
+/// first in row order on a tie; then a stable sort by leaf rank. Kept rows
+/// keep their order, so rows within a leaf follow source order, then
+/// scan order, on the fetch path and in the local build alike.
+pub(crate) fn resolve_activity_rows(dataset: &Dataset, rows: &mut Vec<Vec<Value>>) {
+    if dataset.resolves_conflicts() {
+        dedupe_most_recent(rows);
+    }
+    rows.sort_by_key(|row| crate::cache::rank_of(row));
+}
+
+/// Keep the most recent measurement per (rank, ligand, type), in place.
+fn dedupe_most_recent(rows: &mut Vec<Vec<Value>>) {
+    let year = |row: &[Value]| row[7].as_int().unwrap_or(0);
+    let mut best: FxHashMap<(i64, &str, &str), usize> = FxHashMap::default();
+    for (i, row) in rows.iter().enumerate() {
+        let key = (
+            row[0].as_int().unwrap_or(-1),
+            row[2].as_text().unwrap_or_default(),
+            row[3].as_text().unwrap_or_default(),
+        );
+        match best.get(&key) {
+            Some(&kept) if year(&rows[kept]) >= year(row) => {}
+            _ => {
+                best.insert(key, i);
+            }
+        }
+    }
+    let mut kept = vec![false; rows.len()];
+    for i in best.into_values() {
+        kept[i] = true;
+    }
+    let mut kept = kept.into_iter();
+    rows.retain(|_| kept.next().unwrap_or(false));
 }
 
 /// Small deterministic fixtures shared by this crate's tests, the
@@ -452,6 +540,30 @@ mod tests {
         assert!(unify_assay_row(&d, bad).is_none());
         // A short row -> dropped.
         assert!(unify_assay_row(&d, raw[..5].to_vec()).is_none());
+    }
+
+    #[test]
+    fn dedupe_keeps_the_most_recent_in_row_order() {
+        let mk = |ligand: &str, year: i64| {
+            vec![
+                Value::Int(0),
+                Value::from("P1"),
+                Value::from(ligand),
+                Value::from("Ki"),
+                Value::Float(10.0),
+                Value::Float(8.0),
+                Value::from("s"),
+                Value::Int(year),
+            ]
+        };
+        let mut rows = vec![
+            mk("L1", 2010),
+            mk("L2", 2011),
+            mk("L1", 2013),
+            mk("L1", 2013),
+        ];
+        dedupe_most_recent(&mut rows);
+        assert_eq!(rows, vec![mk("L2", 2011), mk("L1", 2013)]);
     }
 
     #[test]

@@ -10,7 +10,8 @@ use crate::adaptive::{AdaptiveRuntime, QueryFeedback};
 use crate::ast::{Metric, Query};
 use crate::cache::{rank_of, CacheConfig, CacheStats, SemanticCache, SharedRows};
 use crate::columnar::ActivityColumns;
-use crate::dataset::{unified_schema, unify_assay_row, Dataset};
+use crate::dataset::{resolve_activity_rows, unified_schema, unify_assay_row, Dataset};
+use crate::local::{Keep, LocalBuild};
 use crate::matview::MaterializedAggregates;
 use crate::optimizer::{Optimizer, PlanInputs};
 use crate::plan::{Access, ColumnarPushdown, FetchPlan, Finish, PhysicalPlan, ViewAccess};
@@ -106,8 +107,8 @@ pub struct Executor {
     /// fetch runs under it.
     cache: Mutex<SemanticCache>,
     stats: Option<OverlayStats>,
-    matview: Option<MaterializedAggregates>,
-    columnar: Option<ActivityColumns>,
+    /// The aggregate view and/or columnar mirror, from one scan.
+    local: Option<LocalBuild>,
     retry: RetryPolicy,
     /// Observability hook (design decision D9). `None` is the fast
     /// path: no span is built, no plan cloned, no string formatted.
@@ -137,8 +138,7 @@ impl Executor {
             optimizer,
             cache: Mutex::new(SemanticCache::new(cache)),
             stats: None,
-            matview: None,
-            columnar: None,
+            local: None,
             retry: RetryPolicy::default(),
             observer: None,
             adaptive: None,
@@ -175,9 +175,7 @@ impl Executor {
     /// executing it (the mobile prefetch budgeter prices candidate
     /// subtrees this way).
     pub fn estimate(&self, dataset: &Dataset, query: &Query) -> Result<PlanEstimate> {
-        let adaptive_view = self.adaptive_view();
-        let view = self.matview.as_ref().or(adaptive_view.as_deref());
-        let plan = self.plan_query(dataset, view, query)?;
+        let plan = self.plan_query(dataset, query)?;
         Ok(PlanEstimate {
             cost: plan.estimated_cost,
             rows: plan.estimated_rows,
@@ -198,31 +196,23 @@ impl Executor {
         Ok(())
     }
 
-    /// Build (or rebuild) the materialized aggregate view. Charges the
-    /// build scan to the dataset clock.
-    pub fn build_matview(&mut self, dataset: &Dataset) -> Result<Duration> {
-        let view = MaterializedAggregates::build(dataset)?;
-        let cost = view.build_cost;
-        dataset.clock.advance(cost);
-        self.matview = Some(view);
-        Ok(cost)
-    }
-
-    /// Build (or rebuild) the columnar activity mirror. Charges the
-    /// build scan to the dataset clock. With a fresh mirror and the
+    /// Build (or rebuild) the local structures from one scan: the
+    /// materialized aggregate view, the columnar activity mirror, or
+    /// both. Charges the build scan to the dataset clock. While the build
+    /// is fresh, the view answers whole-clade aggregates and, with the
     /// `columnar_scan` rule enabled, interval scopes execute as local
     /// vectorized kernel scans instead of source fetches.
-    pub fn build_columnar(&mut self, dataset: &Dataset) -> Result<Duration> {
-        let mirror = ActivityColumns::build(dataset)?;
-        let cost = mirror.build_cost;
+    pub fn build_local(&mut self, dataset: &Dataset, keep: Keep) -> Result<Duration> {
+        let local = LocalBuild::build(dataset, keep)?;
+        let cost = local.build_cost;
         dataset.clock.advance(cost);
-        self.columnar = Some(mirror);
+        self.local = Some(local);
         Ok(cost)
     }
 
     /// The columnar activity mirror, if built.
     pub fn columnar(&self) -> Option<&ActivityColumns> {
-        self.columnar.as_ref()
+        self.local.as_ref()?.mirror.as_ref()
     }
 
     /// Drop all cached results (call after a source refresh).
@@ -251,39 +241,41 @@ impl Executor {
         &self.optimizer
     }
 
-    /// The adaptively-built aggregate view, consulted only when no
-    /// explicitly built view is installed (an explicit build always
-    /// wins, so enabling the adaptive layer cannot change a session
-    /// that manages its own views).
-    fn adaptive_view(&self) -> Option<Arc<MaterializedAggregates>> {
-        if self.matview.is_some() {
+    /// The adaptively-built view, consulted only when no view was
+    /// built explicitly (an explicit view always wins, so enabling the
+    /// adaptive layer cannot change a session that manages its own).
+    fn adaptive_view(&self) -> Option<Arc<LocalBuild>> {
+        if self.local.as_ref().is_some_and(|l| l.view.is_some()) {
             return None;
         }
         self.adaptive.as_ref().and_then(|a| a.view())
     }
 
-    /// Plan with `view` as whichever aggregate view — explicit or
-    /// adaptively built — should answer.
-    fn plan_query(
-        &self,
-        dataset: &Dataset,
-        view: Option<&MaterializedAggregates>,
-        query: &Query,
-    ) -> Result<PhysicalPlan> {
-        let inputs = PlanInputs {
+    /// Plan as [`Executor::execute`] would.
+    fn plan_query(&self, dataset: &Dataset, query: &Query) -> Result<PhysicalPlan> {
+        let adaptive_view = self.adaptive_view();
+        let inputs = self.plan_inputs(dataset, adaptive_view.as_deref());
+        self.optimizer.plan(&inputs, query)
+    }
+
+    /// The planner's inputs: the statistics, the explicit local build
+    /// and `adaptive_view`.
+    fn plan_inputs<'a>(
+        &'a self,
+        dataset: &'a Dataset,
+        adaptive_view: Option<&'a LocalBuild>,
+    ) -> PlanInputs<'a> {
+        PlanInputs {
             dataset,
             stats: self.stats.as_ref(),
-            matview: view,
-            columnar: self.columnar.as_ref(),
-        };
-        self.optimizer.plan(&inputs, query)
+            local: self.local.as_ref(),
+            adaptive_view,
+        }
     }
 
     /// EXPLAIN a query without executing it.
     pub fn explain(&self, dataset: &Dataset, query: &Query) -> Result<String> {
-        let adaptive_view = self.adaptive_view();
-        let view = self.matview.as_ref().or(adaptive_view.as_deref());
-        let plan = self.plan_query(dataset, view, query)?;
+        let plan = self.plan_query(dataset, query)?;
         Ok(plan.explain())
     }
 
@@ -331,8 +323,9 @@ impl Executor {
         mut sink: Option<&mut TraceBuilder>,
     ) -> Result<QueryResult> {
         let adaptive_view = self.adaptive_view();
-        let view = self.matview.as_ref().or(adaptive_view.as_deref());
-        let plan = self.plan_query(dataset, view, query)?;
+        let inputs = self.plan_inputs(dataset, adaptive_view.as_deref());
+        let plan = self.optimizer.plan(&inputs, query)?;
+        let view = inputs.view();
         let served_by_adaptive =
             adaptive_view.is_some() && matches!(plan.access, Access::MaterializedView(_));
         let started = dataset.clock.now();
@@ -594,8 +587,7 @@ impl Executor {
     /// The built mirror, or a plan error — a `ColumnarScan` access can
     /// only be planned when the executor carries one.
     fn columnar_mirror(&self) -> Result<&ActivityColumns> {
-        self.columnar
-            .as_ref()
+        self.columnar()
             .ok_or_else(|| QueryError::Plan("columnar plan without a built mirror".into()))
     }
 
@@ -760,43 +752,10 @@ impl Executor {
         dataset.clock.advance(total_cost);
         m.charged_cost += total_cost;
 
-        // Cross-source conflict resolution: identical (rank, ligand,
-        // type) measurements keep the most recent year.
         let mut rows: Vec<Vec<Value>> = per_source_rows.into_iter().flatten().collect();
-        if fetches.len() > 1 {
-            rows = dedupe_most_recent(rows);
-        }
-        rows.sort_by_key(|r| r[0].as_int().unwrap_or(i64::MAX));
+        resolve_activity_rows(dataset, &mut rows);
         Ok(rows)
     }
-}
-
-/// Keep the most recent measurement per (rank, ligand, type). Shared
-/// with the columnar mirror build so both row paths resolve
-/// cross-source conflicts identically.
-pub(crate) fn dedupe_most_recent(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    let year = |row: &[Value]| row[7].as_int().unwrap_or(0);
-    // Keyed by borrowed text, valued by row position: the map hashes
-    // what the owned-`String` key hashed, so it iterates in the order
-    // it always did.
-    let mut best: FxHashMap<(i64, &str, &str), usize> = FxHashMap::default();
-    for (i, row) in rows.iter().enumerate() {
-        let key = (
-            row[0].as_int().unwrap_or(-1),
-            row[2].as_text().unwrap_or_default(),
-            row[3].as_text().unwrap_or_default(),
-        );
-        match best.get(&key) {
-            Some(&kept) if year(&rows[kept]) >= year(row) => {}
-            _ => {
-                best.insert(key, i);
-            }
-        }
-    }
-    let kept: Vec<usize> = best.into_values().collect();
-    kept.into_iter()
-        .map(|i| std::mem::take(&mut rows[i]))
-        .collect()
 }
 
 /// Activity-half width of a unified row; ligand cells follow.
@@ -1304,8 +1263,7 @@ mod tests {
             [(Value::from("P2"), 1, 7.0), (Value::from("cladeB"), 1, 9.0)]
         );
         let mut local = executor(OptimizerConfig::full());
-        local.build_matview(&d).unwrap();
-        local.build_columnar(&d).unwrap();
+        local.build_local(&d, Keep::Both).unwrap();
         for e in [full_executor_with_stats(&d), local] {
             assert_eq!(e.execute(&d, &q).unwrap().rows, naive.rows);
         }
@@ -1320,7 +1278,7 @@ mod tests {
     fn aggregate_served_by_matview() {
         let d = small_dataset(SourceCapabilities::full());
         let mut e = executor(OptimizerConfig::full());
-        e.build_matview(&d).unwrap();
+        e.build_local(&d, Keep::View).unwrap();
         let q = Query::activities(Scope::Tree).aggregate(Metric::Count);
         let r = e.execute(&d, &q).unwrap();
         assert_eq!(r.metrics.source_requests, 0, "view answers without fetch");
@@ -1334,7 +1292,7 @@ mod tests {
         let d = small_dataset(SourceCapabilities::full());
         let naive = executor(OptimizerConfig::naive());
         let mut e = executor(OptimizerConfig::full());
-        e.build_columnar(&d).unwrap();
+        e.build_local(&d, Keep::Mirror).unwrap();
         for query in [
             Query::activities(Scope::Tree),
             Query::activities(Scope::Subtree("cladeA".into())),
@@ -1355,7 +1313,7 @@ mod tests {
         let d = small_dataset(SourceCapabilities::full());
         let naive = executor(OptimizerConfig::naive());
         let mut e = executor(OptimizerConfig::full());
-        e.build_columnar(&d).unwrap();
+        e.build_local(&d, Keep::Mirror).unwrap();
         for metric in [Metric::Count, Metric::MeanPActivity, Metric::MaxPActivity] {
             let q = Query::activities(Scope::Tree).aggregate(metric);
             let a = naive.execute(&d, &q).unwrap();
@@ -1376,7 +1334,7 @@ mod tests {
     fn columnar_trace_carries_compute_span() {
         let d = small_dataset(SourceCapabilities::full());
         let mut e = executor(OptimizerConfig::full());
-        e.build_columnar(&d).unwrap();
+        e.build_local(&d, Keep::Mirror).unwrap();
         let q =
             Query::activities(Scope::Tree).filter(Predicate::cmp("p_activity", CompareOp::Ge, 6.5));
         let analyzed = e.analyze(&d, &q).unwrap();
@@ -1394,8 +1352,7 @@ mod tests {
     fn matview_still_preferred_over_columnar_for_aggregates() {
         let d = small_dataset(SourceCapabilities::full());
         let mut e = executor(OptimizerConfig::full());
-        e.build_matview(&d).unwrap();
-        e.build_columnar(&d).unwrap();
+        e.build_local(&d, Keep::Both).unwrap();
         let q = Query::activities(Scope::Tree).aggregate(Metric::Count);
         let r = e.execute(&d, &q).unwrap();
         // The view is precomputed (zero per-row work at query time), so
@@ -1532,24 +1489,5 @@ mod tests {
         );
         let text = full.explain(&d, &q).unwrap();
         assert!(text.contains("Substructure"), "{text}");
-    }
-
-    #[test]
-    fn dedupe_keeps_most_recent() {
-        let mk = |year: i64| {
-            vec![
-                Value::Int(0),
-                Value::from("P1"),
-                Value::from("L1"),
-                Value::from("Ki"),
-                Value::Float(10.0),
-                Value::Float(8.0),
-                Value::from("s"),
-                Value::Int(year),
-            ]
-        };
-        let out = dedupe_most_recent(vec![mk(2010), mk(2013), mk(2011)]);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0][7], Value::Int(2013));
     }
 }

@@ -35,6 +35,8 @@
 //!   segments answering interval scopes with vectorized kernels
 //!   instead of source round-trips (design decision D12).
 //! * [`matview`] — materialized per-subtree aggregate views.
+//! * [`local`] — the one scan both are built from, and its freshness
+//!   record.
 //! * [`trace`] — the observability layer: per-query span trees on the
 //!   virtual clock, the [`Observer`] hook, lock-free metrics, and the
 //!   `EXPLAIN ANALYZE` rendering (design decision D9).
@@ -55,6 +57,7 @@ pub mod cost;
 pub mod dataset;
 pub mod error;
 pub mod exec;
+pub mod local;
 pub mod matview;
 pub mod obs;
 pub mod optimizer;

@@ -1,0 +1,136 @@
+//! The one local build behind the aggregate view and the columnar
+//! mirror.
+//!
+//! [`LocalBuild::build`] scans one assay source per replica group,
+//! widens each row with [`unify_assay_row`] and runs the fetch path's
+//! resolve step (`dataset::resolve_activity_rows`): the rows a fetch of
+//! the whole tree would return, by the same code. The view is a fold
+//! over those rows; the mirror takes them as its table. A system that
+//! asks for both scans once.
+//!
+//! One freshness record covers the build: the record count of every
+//! assay source, replicas the build did not scan included, so a drifted
+//! replica invalidates it too.
+
+use crate::columnar::ActivityColumns;
+use crate::dataset::{resolve_activity_rows, unify_assay_row, AssayCounts, Dataset};
+use crate::matview::MaterializedAggregates;
+use crate::Result;
+use drugtree_sources::source::{FetchRequest, SourceKind};
+use drugtree_store::value::Value;
+use std::time::Duration;
+
+/// What a local build keeps of its scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Keep {
+    /// The aggregate view; the rows are dropped after the fold.
+    View,
+    /// The columnar mirror.
+    Mirror,
+    /// The view, folded first, then the mirror.
+    Both,
+}
+
+impl Keep {
+    /// This and `other` together.
+    pub fn with(self, other: Option<Keep>) -> Keep {
+        match other {
+            Some(other) if other != self => Keep::Both,
+            _ => self,
+        }
+    }
+}
+
+/// The view and/or mirror of one scan, with its freshness record.
+#[derive(Debug, Clone)]
+pub struct LocalBuild {
+    /// The per-node aggregate view, when kept.
+    pub(crate) view: Option<MaterializedAggregates>,
+    /// The columnar activity mirror, when kept.
+    pub(crate) mirror: Option<ActivityColumns>,
+    /// Every assay source's record count at build time.
+    counts: AssayCounts,
+    /// Simulated cost of the build scan.
+    pub build_cost: Duration,
+}
+
+impl LocalBuild {
+    /// Scan, resolve, then fold the view and/or move the rows into the
+    /// mirror.
+    pub fn build(dataset: &Dataset, keep: Keep) -> Result<LocalBuild> {
+        let counts = AssayCounts::now(dataset);
+        let (rows, build_cost) = scan(dataset)?;
+        let view = match keep {
+            Keep::View | Keep::Both => Some(MaterializedAggregates::fold(dataset, &rows)?),
+            Keep::Mirror => None,
+        };
+        let mirror = match keep {
+            Keep::Mirror | Keep::Both => Some(ActivityColumns::new(rows)?),
+            Keep::View => None,
+        };
+        Ok(LocalBuild {
+            view,
+            mirror,
+            counts,
+            build_cost,
+        })
+    }
+
+    /// True when no assay source has been added, removed or changed
+    /// size since the build.
+    pub fn is_fresh(&self, dataset: &Dataset) -> bool {
+        self.counts.hold(dataset)
+    }
+}
+
+/// Every distinct assay source's rows, unified, resolved and
+/// rank-sorted, with the cost of the scan.
+pub(crate) fn scan(dataset: &Dataset) -> Result<(Vec<Vec<Value>>, Duration)> {
+    let mut rows = Vec::new();
+    let mut cost = Duration::ZERO;
+    for source in dataset.registry.distinct_by_kind(SourceKind::Assay) {
+        let resp = source.fetch(&FetchRequest::scan())?;
+        cost += resp.cost;
+        rows.extend(
+            resp.rows
+                .into_iter()
+                .filter_map(|raw| unify_assay_row(dataset, raw)),
+        );
+    }
+    resolve_activity_rows(dataset, &mut rows);
+    Ok((rows, cost))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dataset::test_fixtures::small_dataset;
+    use crate::exec::Executor;
+    use crate::optimizer::{Optimizer, OptimizerConfig};
+    use drugtree_sources::source::SourceCapabilities;
+
+    #[test]
+    fn every_build_charges_its_scan() {
+        let d = small_dataset(SourceCapabilities::full());
+        for keep in [Keep::View, Keep::Mirror, Keep::Both] {
+            let built = LocalBuild::build(&d, keep).unwrap();
+            assert!(built.build_cost > Duration::ZERO, "{keep:?}");
+            assert_eq!(built.view.is_some(), keep != Keep::Mirror, "{keep:?}");
+            assert_eq!(built.mirror.is_some(), keep != Keep::View, "{keep:?}");
+
+            let mut exec = Executor::new(Optimizer::new(OptimizerConfig::full()));
+            let before = d.clock.now();
+            let charged = exec.build_local(&d, keep).unwrap();
+            assert_eq!(charged, built.build_cost, "{keep:?}");
+            assert_eq!(d.clock.now().since(before), charged, "{keep:?}");
+        }
+    }
+
+    #[test]
+    fn keeping_adds_up() {
+        assert_eq!(Keep::View.with(None), Keep::View);
+        assert_eq!(Keep::View.with(Some(Keep::View)), Keep::View);
+        assert_eq!(Keep::View.with(Some(Keep::Mirror)), Keep::Both);
+        assert_eq!(Keep::Mirror.with(Some(Keep::Both)), Keep::Both);
+    }
+}

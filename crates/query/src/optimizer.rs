@@ -42,8 +42,8 @@
 //! latency model at a nominal 100 rows.
 
 use crate::ast::{columns, Groups, Query, QueryKind, SimilaritySpec, MAX_PREDICATE_DEPTH};
-use crate::columnar::ActivityColumns;
 use crate::dataset::Dataset;
+use crate::local::LocalBuild;
 use crate::matview::MaterializedAggregates;
 use crate::phases::{PassTrace, RewritePhase, RuleFiring, RuleOutcome, PHASE_ORDER};
 use crate::plan::{
@@ -152,10 +152,12 @@ pub struct PlanInputs<'a> {
     pub dataset: &'a Dataset,
     /// Overlay statistics (pruning, selectivity, cardinality).
     pub stats: Option<&'a OverlayStats>,
-    /// The materialized aggregate view.
-    pub matview: Option<&'a MaterializedAggregates>,
-    /// The columnar activity mirror.
-    pub columnar: Option<&'a ActivityColumns>,
+    /// The explicit local build: the aggregate view and/or the columnar
+    /// mirror, read only while it is fresh.
+    pub local: Option<&'a LocalBuild>,
+    /// The adaptive runtime's view-only build, read (while fresh) when
+    /// `local` holds no view.
+    pub adaptive_view: Option<&'a LocalBuild>,
 }
 
 impl<'a> PlanInputs<'a> {
@@ -164,9 +166,16 @@ impl<'a> PlanInputs<'a> {
         PlanInputs {
             dataset,
             stats: None,
-            matview: None,
-            columnar: None,
+            local: None,
+            adaptive_view: None,
         }
+    }
+
+    /// The aggregate view a plan reads: the explicit build's, else the
+    /// adaptive one.
+    pub(crate) fn view(&self) -> Option<&'a MaterializedAggregates> {
+        let view = |build: Option<&'a LocalBuild>| build.and_then(|b| b.view.as_ref());
+        view(self.local).or_else(|| view(self.adaptive_view))
     }
 }
 
@@ -192,7 +201,14 @@ impl Optimizer {
     /// [`crate::validate`] rules against `inputs.dataset`.
     pub fn plan(&self, inputs: &PlanInputs<'_>, query: &Query) -> Result<PhysicalPlan> {
         validate(query)?;
-        let mut rw = Rewrite::new(&self.config, *inputs, query);
+        // Each local build's one freshness check of this plan.
+        let fresh = |build: &&LocalBuild| build.is_fresh(inputs.dataset);
+        let fresh_inputs = PlanInputs {
+            local: inputs.local.filter(fresh),
+            adaptive_view: inputs.adaptive_view.filter(fresh),
+            ..*inputs
+        };
+        let mut rw = Rewrite::new(&self.config, fresh_inputs, query);
         for phase in PHASE_ORDER {
             rw.run_phase(phase)?;
         }
@@ -549,13 +565,24 @@ pub(crate) mod rules {
         // Conjuncts translated into the remote assay schema (derived
         // columns like p_activity become value_nm bounds) and supported
         // by every assay source; the local forms are kept for
-        // histogram pricing.
+        // histogram pricing. A source filters before the resolve step,
+        // so where the deployment resolves conflicts and a fact may have
+        // been measured twice (no statistics say otherwise, or the
+        // sources changed since), only a conjunct over a fact's key is
+        // pushed: a value bound could ship a superseded measurement
+        // whose successor fails it.
+        let dataset = rw.inputs.dataset;
+        let measured_once = |s: &OverlayStats| s.facts_measured_once(dataset);
+        let key_only = dataset.resolves_conflicts() && !rw.inputs.stats.is_some_and(measured_once);
         let mut remote = Vec::new();
         let mut local = Vec::new();
         for conjunct in conjuncts_of(&rw.canonical) {
             let Some(r) = remote_form(conjunct) else {
                 continue;
             };
+            if key_only && !r.columns().iter().all(|c| FACT_KEY_COLUMNS.contains(c)) {
+                continue;
+            }
             if rw
                 .assay_sources
                 .iter()
@@ -613,18 +640,15 @@ pub(crate) mod rules {
         // tightest enclosing clade aggregates a subset of each child's
         // rows, which the view cannot answer. (Found by the
         // differential oracle.)
-        let dataset = rw.inputs.dataset;
-        rw.view = if rw.inputs.matview.is_some_and(|v| v.is_fresh(dataset)) {
+        rw.view = rw.inputs.view().and_then(|_| {
             ViewAccess::admit(
                 rw.query,
                 &rw.canonical,
-                &dataset.index,
+                &rw.inputs.dataset.index,
                 rw.scope(),
                 rw.interval(),
             )
-        } else {
-            None
-        };
+        });
         Ok(if rw.view.is_some() {
             Changed
         } else {
@@ -636,11 +660,9 @@ pub(crate) mod rules {
         if !rw.config.columnar_scan {
             return Ok(Off);
         }
-        // The mirror replays the fetch path's row pipeline at build
-        // time, so any interval scope can be served locally as long as
-        // no source has drifted.
-        let dataset = rw.inputs.dataset;
-        rw.columnar_ready = rw.inputs.columnar.is_some_and(|c| c.is_fresh(dataset));
+        // The mirror holds the fetch path's resolved rows, so any
+        // interval scope can be served locally while it is fresh.
+        rw.columnar_ready = rw.inputs.local.is_some_and(|l| l.mirror.is_some());
         Ok(if rw.columnar_ready {
             Changed
         } else {
@@ -830,6 +852,10 @@ fn min_p_activity_bound(pred: &Predicate) -> Option<f64> {
             Some(acc.map_or(v, |a| a.max(v)))
         })
 }
+
+/// The remote columns that name a fact: a conjunct over them alone keeps
+/// or drops every measurement of a fact together.
+const FACT_KEY_COLUMNS: &[&str] = &["protein_accession", "ligand_id", "activity_type"];
 
 /// Columns that physically exist in the remote assay schema.
 pub(crate) const REMOTE_COLUMNS: &[&str] = &[
@@ -1023,6 +1049,7 @@ mod tests {
     use super::*;
     use crate::ast::{Metric, Scope};
     use crate::dataset::test_fixtures::small_dataset;
+    use crate::local::Keep;
     use drugtree_sources::source::SourceCapabilities;
 
     fn dataset() -> Dataset {
@@ -1032,11 +1059,11 @@ mod tests {
     fn inputs<'a>(
         dataset: &'a Dataset,
         stats: Option<&'a OverlayStats>,
-        matview: Option<&'a MaterializedAggregates>,
+        local: Option<&'a LocalBuild>,
     ) -> PlanInputs<'a> {
         PlanInputs {
             stats,
-            matview,
+            local,
             ..PlanInputs::new(dataset)
         }
     }
@@ -1248,7 +1275,7 @@ mod tests {
     #[test]
     fn a_node_outside_the_scope_is_a_plan_error() {
         let d = dataset();
-        let view = MaterializedAggregates::build(&d).unwrap();
+        let view = LocalBuild::build(&d, Keep::View).unwrap();
         let clade_b = d.index.by_label("cladeB").unwrap();
         let p1 = d.index.by_label("P1").unwrap();
         let q = Query::activities(Scope::Subtree("cladeA".into()))
@@ -1269,7 +1296,7 @@ mod tests {
     #[test]
     fn matview_rejected_for_partial_clade_coverage() {
         let d = dataset();
-        let view = MaterializedAggregates::build(&d).unwrap();
+        let view = LocalBuild::build(&d, Keep::View).unwrap();
         let opt = Optimizer::new(OptimizerConfig::full());
         // Whole tree: eligible.
         let q = Query::activities(Scope::Tree).aggregate(Metric::Count);

@@ -1,21 +1,27 @@
 //! Overlay statistics: the optimizer's knowledge of the data.
 //!
-//! Collected once after integration (one scan per assay source — an
-//! ingest-time cost the paper's interactive queries amortize), the
-//! statistics answer two planning questions:
+//! Collected once after integration (one scan per assay source, one per
+//! replica group — an ingest-time cost the paper's interactive queries
+//! amortize), the statistics answer three planning questions:
 //!
 //! 1. **Pruning (D4)** — "can this subtree/leaf contribute at all?"
 //!    via per-leaf record counts (prefix sums → O(1) per interval) and
 //!    per-leaf maximum pActivity (sparse table → O(1) range max).
 //! 2. **Selectivity** — "how selective is this predicate?" via
 //!    equi-width histograms on the numeric columns.
+//! 3. **Value pushdown across sources** — "was every fact measured
+//!    once?" Where the deployment resolves conflicts, a source filters
+//!    before the resolve step, so a value bound is pushed only while
+//!    the collection pass's answer (yes) still holds.
 
-use crate::dataset::{unify_assay_row, Dataset};
+use crate::dataset::{unify_assay_row, AssayCounts, Dataset};
 use crate::Result;
 use drugtree_phylo::index::LeafInterval;
 use drugtree_sources::source::{FetchRequest, SourceKind};
 use drugtree_store::expr::{CompareOp, Predicate};
 use drugtree_store::value::Value;
+use rustc_hash::{FxHashSet, FxHasher};
+use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
 /// An equi-width histogram over one numeric column.
@@ -211,16 +217,24 @@ pub struct OverlayStats {
     pub mw: Histogram,
     /// Simulated cost of the collection pass.
     pub collection_cost: Duration,
+    /// Where the deployment resolves conflicts: the source counts when
+    /// the pass saw each (leaf, ligand, activity type) once and every
+    /// replica held as many records as its group. `None` otherwise.
+    facts_once: Option<AssayCounts>,
 }
 
 impl OverlayStats {
-    /// Collect statistics with one scan per assay source.
+    /// Collect statistics with one scan per replica group (the
+    /// cheapest member) and one per other assay source. Counts are not
+    /// deduplicated: they are estimates.
     pub fn collect(dataset: &Dataset) -> Result<OverlayStats> {
         let n = dataset.leaf_count();
         let mut counts = vec![0u64; n];
         let mut max_p = vec![f64::NEG_INFINITY; n];
         let mut p_values = Vec::new();
         let mut cost = Duration::ZERO;
+        let mut facts = dataset.resolves_conflicts().then(FxHashSet::default);
+        let mut repeated = false;
 
         for source in dataset.registry.distinct_by_kind(SourceKind::Assay) {
             let resp = source.fetch(&FetchRequest::scan())?;
@@ -232,6 +246,13 @@ impl OverlayStats {
                     let (Some(rank), Some(p)) = (row[0].as_int(), row[5].as_f64()) else {
                         continue;
                     };
+                    if let Some(facts) = &mut facts {
+                        // Ligand and type by hash: a collision only
+                        // makes the answer more cautious.
+                        let mut h = FxHasher::default();
+                        (&row[2], &row[3]).hash(&mut h);
+                        repeated |= !facts.insert((rank, h.finish()));
+                    }
                     let rank = rank as usize;
                     counts[rank] += 1;
                     max_p[rank] = max_p[rank].max(p);
@@ -262,7 +283,17 @@ impl OverlayStats {
             p_activity: Histogram::build(p_values, 32),
             mw: Histogram::build(mws, 32),
             collection_cost: cost,
+            facts_once: (facts.is_some() && !repeated && replicas_agree(dataset))
+                .then(|| AssayCounts::now(dataset)),
         })
+    }
+
+    /// True when the collection pass saw every fact measured once and
+    /// no assay source has changed since: a filter at the sources then
+    /// cannot keep a superseded measurement. Always false where the
+    /// deployment does not resolve conflicts (there it is not asked).
+    pub(crate) fn facts_measured_once(&self, dataset: &Dataset) -> bool {
+        self.facts_once.as_ref().is_some_and(|c| c.hold(dataset))
     }
 
     /// Activity records attached to one leaf.
@@ -337,6 +368,22 @@ impl OverlayStats {
             Predicate::Not(p) => 1.0 - self.predicate_selectivity(p),
         }
     }
+}
+
+/// True when every replicated assay source holds as many records as
+/// each member of its group: the pass scanned one member, so only then
+/// did it see what the others hold.
+fn replicas_agree(dataset: &Dataset) -> bool {
+    let registry = &dataset.registry;
+    registry.all().iter().all(|s| {
+        registry.replica_group_of(s.name()).is_none_or(|group| {
+            group.iter().all(|name| {
+                registry
+                    .by_name(name)
+                    .is_ok_and(|m| m.record_count() == s.record_count())
+            })
+        })
+    })
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@ use drugtree_integrate::overlay::OverlayBuilder;
 use drugtree_phylo::index::{LeafInterval, TreeIndex};
 use drugtree_phylo::newick::parse_newick;
 use drugtree_query::ast::Metric;
+use drugtree_query::local::Keep;
 use drugtree_query::{Dataset, Executor, Optimizer, OptimizerConfig, Query, Scope};
 use drugtree_sources::assay_db::assay_source;
 use drugtree_sources::clock::VirtualClock;
@@ -267,7 +268,7 @@ fn normalize(rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
 fn serving_executor(dataset: &Dataset) -> Executor {
     let mut exec = Executor::new(Optimizer::new(OptimizerConfig::full()));
     exec.collect_stats(dataset).expect("stats");
-    exec.build_matview(dataset).expect("matview");
+    exec.build_local(dataset, Keep::View).expect("matview");
     exec
 }
 

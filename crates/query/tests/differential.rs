@@ -21,6 +21,7 @@ use drugtree_integrate::overlay::OverlayBuilder;
 use drugtree_phylo::index::{LeafInterval, TreeIndex};
 use drugtree_phylo::newick::parse_newick;
 use drugtree_query::ast::{Metric, QueryKind};
+use drugtree_query::local::Keep;
 use drugtree_query::{Dataset, Executor, Optimizer, OptimizerConfig, PlanInputs, Query, Scope};
 use drugtree_sources::assay_db::assay_source;
 use drugtree_sources::clock::VirtualClock;
@@ -356,8 +357,8 @@ fn optimizer_rules_preserve_query_semantics() {
     for (name, config) in configs {
         let mut exec = Executor::new(Optimizer::new(config));
         exec.collect_stats(&dataset).expect("stats");
-        exec.build_matview(&dataset).expect("matview");
-        exec.build_columnar(&dataset).expect("columnar");
+        exec.build_local(&dataset, Keep::Both)
+            .expect("view and mirror");
         candidates.push((name, exec));
     }
 
@@ -440,7 +441,7 @@ fn concurrent_shared_executor_matches_naive_baseline() {
 
     let mut exec = Executor::new(Optimizer::new(OptimizerConfig::full()));
     exec.collect_stats(&dataset).expect("stats");
-    exec.build_matview(&dataset).expect("matview");
+    exec.build_local(&dataset, Keep::View).expect("matview");
     // No columnar mirror here on purpose: a fresh mirror answers every
     // interval scope locally, and this test's subject is the shared
     // *fetch* path (shared cache, sources) under concurrency — the
@@ -702,21 +703,18 @@ fn plan_shape(explain: &str) -> String {
 
 #[test]
 fn planner_reproduces_the_pre_diet_plans() {
-    use drugtree_query::matview::MaterializedAggregates;
+    use drugtree_query::local::LocalBuild;
     use drugtree_query::stats::OverlayStats;
-    use drugtree_query::ActivityColumns;
 
     let dataset = build_dataset();
     let stats = OverlayStats::collect(&dataset).expect("stats");
-    let view = MaterializedAggregates::build(&dataset).expect("view");
-    let mirror = ActivityColumns::build(&dataset).expect("mirror");
+    let built = LocalBuild::build(&dataset, Keep::Both).expect("view and mirror");
     let fetch_path = PlanInputs {
         stats: Some(&stats),
         ..PlanInputs::new(&dataset)
     };
     let local = PlanInputs {
-        matview: Some(&view),
-        columnar: Some(&mirror),
+        local: Some(&built),
         ..fetch_path
     };
 

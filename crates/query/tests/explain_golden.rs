@@ -12,7 +12,7 @@
 use drugtree_chem::affinity::ActivityType;
 use drugtree_query::ast::Metric;
 use drugtree_query::dataset::test_fixtures::{small_dataset, test_latency};
-use drugtree_query::matview::MaterializedAggregates;
+use drugtree_query::local::{Keep, LocalBuild};
 use drugtree_query::plan::PhysicalPlan;
 use drugtree_query::stats::OverlayStats;
 use drugtree_query::{Dataset, Optimizer, OptimizerConfig, PlanInputs, Query, Scope};
@@ -21,10 +21,10 @@ use std::time::Duration;
 
 fn planned(d: &Dataset, config: OptimizerConfig, q: &Query) -> PhysicalPlan {
     let stats = OverlayStats::collect(d).expect("stats");
-    let view = MaterializedAggregates::build(d).expect("view");
+    let view = LocalBuild::build(d, Keep::View).expect("view");
     let inputs = PlanInputs {
         stats: Some(&stats),
-        matview: Some(&view),
+        local: Some(&view),
         ..PlanInputs::new(d)
     };
     Optimizer::new(config).plan(&inputs, q).expect("plans")

@@ -8,7 +8,12 @@
 
 use drugtree::prelude::*;
 use drugtree_query::ast::{Metric, QueryKind};
+use drugtree_query::dataset::test_fixtures::{activity, small_dataset, test_latency};
+use drugtree_sources::assay_db::assay_source;
+use drugtree_sources::source::SourceCapabilities;
+use drugtree_sources::SourceRegistry;
 use drugtree_workload::queries::{mixed_stream, QueryWorkloadConfig};
+use std::sync::Arc;
 
 fn sorted_rows(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     rows.sort();
@@ -163,6 +168,92 @@ fn multi_source_partitioning_is_transparent() {
         let b = sorted_rows(sys_four.query(text).unwrap().rows);
         assert_eq!(a, b, "{text}");
     }
+}
+
+/// Two labs, not replicas, measured P1–L1: lab-a 10 nM (pActivity 8)
+/// in 2010, lab-b 500 nM (pActivity 6.3) in 2013. Lab-b's is the fact,
+/// so no P1–L1 row has pActivity >= 7 on any plan; a value bound pushed
+/// to the sources would ship lab-a's row alone.
+#[test]
+fn a_fact_two_labs_measured_is_its_latest_measurement_on_every_plan() {
+    let system = |config: OptimizerConfig, local: bool| {
+        let mut dataset = small_dataset(SourceCapabilities::full());
+        dataset.registry = SourceRegistry::new();
+        for (name, nm, year) in [("lab-a", 10.0, 2010), ("lab-b", 500.0, 2013)] {
+            let records = [
+                activity("P1", "L1", nm, year),
+                activity("P3", "L3", 1.0, 2013),
+            ];
+            let source = assay_source(name, &records, SourceCapabilities::full(), test_latency());
+            dataset
+                .registry
+                .register(Arc::new(source.unwrap()))
+                .unwrap();
+        }
+        let builder = DrugTree::builder().dataset(dataset).optimizer(config);
+        let builder = if local {
+            builder.with_matview().with_columnar()
+        } else {
+            builder
+        };
+        builder.build().unwrap()
+    };
+    let naive = system(OptimizerConfig::naive(), false);
+    let full = system(OptimizerConfig::full(), false);
+    let local = system(OptimizerConfig::full(), true);
+    let potent = "activities in subtree('cladeA') where p_activity >= 7";
+    assert!(naive.query(potent).unwrap().rows.is_empty());
+    assert!(!full.explain(potent).unwrap().contains("# pushdown"));
+    for text in [potent, "aggregate mean_p_activity in tree"] {
+        let expected = naive.query(text).unwrap().rows;
+        assert_eq!(full.query(text).unwrap().rows, expected, "{text}");
+        assert_eq!(local.query(text).unwrap().rows, expected, "{text}");
+    }
+    // A filter on the fact's key keeps or drops all its measurements.
+    let plan = full.explain("activities where ligand_id = 'L1'").unwrap();
+    assert!(plan.contains("# pushdown: ligand_id"), "{plan}");
+}
+
+/// The statistics let a value bound reach the sources only while they
+/// still describe them: lab-b's later deposition re-measures lab-a's
+/// P1–L1 (10 nM in 2010, then 500 nM in 2013), and the next plan, with
+/// no refresh in between, pushes no value bound and keeps the 2013 fact.
+#[test]
+fn a_re_measurement_after_the_statistics_stops_value_pushdown() {
+    let mut dataset = small_dataset(SourceCapabilities::full());
+    dataset.registry = SourceRegistry::new();
+    for (name, records) in [
+        ("lab-a", [activity("P1", "L1", 10.0, 2010)]),
+        ("lab-b", [activity("P2", "L2", 50.0, 2012)]),
+    ] {
+        let source = assay_source(name, &records, SourceCapabilities::full(), test_latency());
+        dataset
+            .registry
+            .register(Arc::new(source.unwrap()))
+            .unwrap();
+    }
+    let full = DrugTree::builder()
+        .dataset(dataset)
+        .optimizer(OptimizerConfig::full())
+        .build()
+        .unwrap();
+    let potent = "activities in subtree('cladeA') where p_activity >= 7";
+    let plan = full.explain(potent).unwrap();
+    assert!(plan.contains("# pushdown: value_nm"), "{plan}");
+
+    let lab_b = full.dataset().registry.by_name("lab-b").unwrap();
+    lab_b
+        .ingest(drugtree_sources::assay_db::assay_row(&activity(
+            "P1", "L1", 500.0, 2013,
+        )))
+        .unwrap();
+    let plan = full.explain(potent).unwrap();
+    assert!(!plan.contains("# pushdown"), "{plan}");
+    let naive = Executor::new(Optimizer::new(OptimizerConfig::naive()));
+    let query = drugtree_query::parser::parse_query(potent).unwrap();
+    let expected = naive.execute(full.dataset(), &query).unwrap().rows;
+    assert!(expected.iter().all(|r| r[1] != Value::from("P1")));
+    assert_eq!(full.query(potent).unwrap().rows, expected);
 }
 
 #[test]

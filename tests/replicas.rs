@@ -1,11 +1,18 @@
 //! Replica selection: when several sources hold the same data, the
 //! optimizer serves the query from the cheapest one — and turning the
-//! rule off only changes cost, never answers.
+//! rule off only changes cost, never answers, even when a replica holds
+//! two measurements of one fact.
 
 // Test code: panicking on a malformed fixture is the right failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use drugtree::prelude::*;
+use drugtree_query::dataset::test_fixtures::{activity, small_dataset, test_latency};
+use drugtree_query::phases::ablatable_rules;
+use drugtree_sources::assay_db::{assay_row, assay_source};
+use drugtree_sources::source::SourceCapabilities;
+use drugtree_sources::SourceRegistry;
+use std::sync::Arc;
 
 fn replicated_bundle() -> SyntheticBundle {
     SyntheticBundle::generate(
@@ -36,8 +43,8 @@ fn cheapest_replica_serves_the_query() {
     assert_eq!(plan.matches("SourceFetch").count(), 1, "{plan}");
 
     system.query("activities in tree").unwrap();
-    // Only the chosen replica saw traffic (beyond the builder's stats
-    // scan, which touches everything).
+    // Only the chosen replica saw traffic: the builder's stats scan
+    // reads the cheapest replica of a group, which is the chosen one.
     let requests = |name: &str| {
         system
             .dataset()
@@ -47,16 +54,9 @@ fn cheapest_replica_serves_the_query() {
             .metrics()
             .requests
     };
-    let baseline = requests("assay-1");
-    assert_eq!(
-        requests("assay-2"),
-        baseline,
-        "idle replicas saw only the stats scan"
-    );
-    assert!(
-        requests("assay-0") > baseline,
-        "chosen replica served the fetch"
-    );
+    assert_eq!(requests("assay-1"), 0, "idle replica saw no traffic");
+    assert_eq!(requests("assay-2"), 0, "idle replica saw no traffic");
+    assert!(requests("assay-0") > 0, "chosen replica served the fetch");
 }
 
 #[test]
@@ -138,4 +138,154 @@ fn replicated_matview_does_not_double_count() {
     // The per-clade counts sum to the true record count.
     let total: i64 = a.rows.iter().map(|r| r[3].as_int().unwrap()).sum();
     assert_eq!(total as usize, bundle.activities.len());
+}
+
+/// The 4-leaf fixture behind a replica pair whose copies each hold P1–L1
+/// twice: 10 nM in 2010 and 20 nM in 2013. The deployment has two assay
+/// sources, so every plan keeps the 2013 measurement alone, whichever
+/// replica (or both) it reads.
+fn replica_pair_with_a_repeated_fact() -> Dataset {
+    let records = [
+        activity("P1", "L1", 10.0, 2010),
+        activity("P1", "L2", 2000.0, 2011),
+        activity("P1", "L1", 20.0, 2013),
+        activity("P2", "L1", 100.0, 2012),
+        activity("P3", "L3", 1.0, 2013),
+    ];
+    let mut registry = SourceRegistry::new();
+    for name in ["copy-a", "copy-b"] {
+        let source = assay_source(name, &records, SourceCapabilities::full(), test_latency());
+        registry.register(Arc::new(source.unwrap())).unwrap();
+    }
+    registry
+        .declare_replicas(vec!["copy-a".into(), "copy-b".into()])
+        .unwrap();
+    let mut dataset = small_dataset(SourceCapabilities::full());
+    dataset.registry = registry;
+    dataset
+}
+
+#[test]
+fn a_repeated_fact_in_a_replica_pair_is_one_row_on_every_plan() {
+    let system = |config: OptimizerConfig, local: bool| {
+        let mut builder = DrugTree::builder()
+            .dataset(replica_pair_with_a_repeated_fact())
+            .optimizer(config);
+        if local {
+            builder = builder.with_matview().with_columnar();
+        }
+        builder.build().unwrap()
+    };
+    let naive = system(OptimizerConfig::naive(), false);
+    let mut systems = vec![
+        ("full".to_string(), system(OptimizerConfig::full(), false)),
+        (
+            "full + view + mirror".to_string(),
+            system(OptimizerConfig::full(), true),
+        ),
+    ];
+    for rule in ablatable_rules() {
+        let config = OptimizerConfig::ablate(rule.name).unwrap();
+        systems.push((format!("ablate {}", rule.name), system(config, false)));
+    }
+
+    let count = naive.query("aggregate count in subtree('cladeA')").unwrap();
+    let p1 = count
+        .rows
+        .iter()
+        .find(|r| r[0] == Value::from("P1"))
+        .unwrap();
+    assert_eq!(p1[3], Value::Int(2), "P1: L1 once (2013) and L2");
+    for text in [
+        "aggregate count in subtree('cladeA')",
+        "activities in subtree('cladeA')",
+        "aggregate mean_p_activity in subtree('cladeA')",
+    ] {
+        let expected = naive.query(text).unwrap().rows;
+        for (name, system) in &systems {
+            let got = system.query(text).unwrap();
+            assert_eq!(got.rows, expected, "{name}: `{text}`");
+            if name.contains("mirror") {
+                assert_eq!(got.metrics.source_requests, 0, "{name}: `{text}` is local");
+            }
+        }
+    }
+}
+
+/// The view and the mirror share one freshness record, and it counts
+/// every assay source: a deposition that reaches only the replica the
+/// build did not scan (copy-b; the build scans the first cheapest) makes
+/// both stale, and once it reaches both copies the next plans fetch the
+/// naive plan's answer.
+#[test]
+fn an_ingest_into_either_replica_makes_the_view_and_the_mirror_stale() {
+    let system = DrugTree::builder()
+        .dataset(replica_pair_with_a_repeated_fact())
+        .optimizer(OptimizerConfig::full())
+        .with_matview()
+        .with_columnar()
+        .build()
+        .unwrap();
+    let naive = Executor::new(Optimizer::new(OptimizerConfig::naive()));
+    let queries = [
+        Query::activities(Scope::Tree).aggregate(Metric::Count),
+        Query::activities(Scope::Subtree("cladeA".into())),
+    ];
+    let local_requests = |q: &Query| {
+        system.executor().invalidate();
+        system.execute(q).unwrap().metrics.source_requests
+    };
+    assert!(queries.iter().all(|q| local_requests(q) == 0));
+
+    let row = assay_row(&activity("P2", "L2", 30.0, 2013));
+    for name in ["copy-b", "copy-a"] {
+        let source = system.dataset().registry.by_name(name).unwrap();
+        source.ingest(row.clone()).unwrap();
+        assert!(
+            queries.iter().all(|q| local_requests(q) > 0),
+            "after {name}"
+        );
+    }
+    for q in &queries {
+        let expected = naive.execute(system.dataset(), q).unwrap().rows;
+        assert_eq!(system.execute(q).unwrap().rows, expected, "{q:?}");
+    }
+}
+
+/// A pair whose unscanned copy drifted before the statistics were
+/// collected: copy-b alone re-measured P1–L1 (10 nM in 2010, then
+/// 500 nM in 2013). The statistics read copy-a only, so they do not
+/// claim each fact was measured once, and a plan that reads both copies
+/// pushes no value bound and keeps the 2013 fact. (With replica
+/// selection on, a plan reads one copy: a drifted pair answers from the
+/// copy it reads.)
+#[test]
+fn a_drifted_replica_gets_no_value_pushdown() {
+    let records = [activity("P1", "L1", 10.0, 2010)];
+    let mut registry = SourceRegistry::new();
+    for name in ["copy-a", "copy-b"] {
+        let source = assay_source(name, &records, SourceCapabilities::full(), test_latency());
+        registry.register(Arc::new(source.unwrap())).unwrap();
+    }
+    registry
+        .declare_replicas(vec!["copy-a".into(), "copy-b".into()])
+        .unwrap();
+    let late = assay_row(&activity("P1", "L1", 500.0, 2013));
+    registry.by_name("copy-b").unwrap().ingest(late).unwrap();
+    let mut dataset = small_dataset(SourceCapabilities::full());
+    dataset.registry = registry;
+    let system = DrugTree::builder()
+        .dataset(dataset)
+        .optimizer(OptimizerConfig::ablate("replica_selection").unwrap())
+        .build()
+        .unwrap();
+
+    let potent = "activities in subtree('cladeA') where p_activity >= 7";
+    let plan = system.explain(potent).unwrap();
+    assert!(!plan.contains("# pushdown"), "{plan}");
+    let naive = Executor::new(Optimizer::new(OptimizerConfig::naive()));
+    let query = drugtree_query::parser::parse_query(potent).unwrap();
+    let expected = naive.execute(system.dataset(), &query).unwrap().rows;
+    assert!(expected.is_empty(), "{expected:?}");
+    assert_eq!(system.query(potent).unwrap().rows, expected);
 }

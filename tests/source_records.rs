@@ -12,8 +12,15 @@
 //! build a system, a fixed query set runs on the naive planner, the
 //! federated `full()` planner and `full()` with the materialized view
 //! and the columnar mirror, which must return equal normalised rows.
-//! The records sit in one assay source, so no two sources share a
-//! measurement.
+//!
+//! The records are deployed over one to three assay sources: as one
+//! source, as partitions, or as declared replicas holding every record.
+//! On top, some records are measured again in another year — into
+//! another lab (two labs sharing a fact) or into their own source (a
+//! repeat inside one source). With more than one source, each fact is
+//! one row, its most recent measurement, on every plan. A second
+//! generator deploys well-formed records only, so that every case builds
+//! and repeated facts are common.
 
 // Test code: panicking on a malformed fixture is the right failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -36,7 +43,7 @@ const NEWICK: &str =
     "(((P1:1,P2:1)c1:1,(P3:1,P4:1)c2:1)c12:1,((P5:1,P6:1)c3:1,(P7:1,P8:1)c4:1)c34:1)root;";
 /// The longest identifier or name the generator emits, in bytes.
 const MAX_TEXT_BYTES: usize = 1 << 20;
-/// Wall time one case (three builds, the query set on three systems)
+/// Wall time one case (three builds, the query set twice on three systems)
 /// may take, unoptimised.
 const CASE_BUDGET: Duration = Duration::from_secs(20);
 
@@ -147,13 +154,14 @@ fn arb_ligand() -> impl Strategy<Value = LigandRecord> {
         )
 }
 
+const TYPES: [ActivityType; 4] = [
+    ActivityType::Ki,
+    ActivityType::Kd,
+    ActivityType::Ic50,
+    ActivityType::Ec50,
+];
+
 fn arb_activity() -> impl Strategy<Value = ActivityRecord> {
-    const TYPES: [ActivityType; 4] = [
-        ActivityType::Ki,
-        ActivityType::Kd,
-        ActivityType::Ic50,
-        ActivityType::Ec50,
-    ];
     (
         arb_accession(),
         arb_ligand_id(),
@@ -174,26 +182,107 @@ fn arb_activity() -> impl Strategy<Value = ActivityRecord> {
         )
 }
 
+/// A well-formed measurement on one of the eight leaves: pActivity
+/// spread over the range the queries filter on, and years from a short
+/// span, so one fact is often measured twice and years tie.
+fn arb_measurement() -> impl Strategy<Value = ActivityRecord> {
+    (1..=8u32, 1..=3u32, 0..2usize, 4.0f64..9.0, 2010..=2013u16).prop_map(
+        |(leaf, ligand, t, p_activity, year)| ActivityRecord {
+            protein_accession: format!("P{leaf}"),
+            ligand_id: format!("L{ligand}"),
+            activity_type: TYPES[t],
+            value_nm: 10f64.powf(9.0 - p_activity),
+            source: "lab".into(),
+            year,
+        },
+    )
+}
+
+/// How activity records are spread over assay sources.
+#[derive(Debug, Clone)]
+struct Deployment {
+    /// One to three sources.
+    sources: usize,
+    /// Every source holds every record, and they are declared replicas;
+    /// otherwise record `i` sits in source `home[i] % sources`.
+    replicated: bool,
+    home: Vec<usize>,
+    /// Another measurement of a record (index modulo the records): the
+    /// source it goes to (modulo the sources), its year and its
+    /// pActivity, spread evenly over the range the queries filter on.
+    remeasured: Vec<(usize, usize, u16, f64)>,
+}
+
+fn arb_deployment() -> impl Strategy<Value = Deployment> {
+    (
+        1..=3usize,
+        0..10u32,
+        proptest::collection::vec(0..3usize, 40),
+        proptest::collection::vec((0..40usize, 0..3usize, 0..=u16::MAX, 4.0f64..9.0), 0..8),
+    )
+        .prop_map(|(sources, replicated, home, remeasured)| Deployment {
+            sources,
+            replicated: replicated < 3,
+            home,
+            remeasured,
+        })
+}
+
+impl Deployment {
+    /// The records each source holds.
+    fn shards(&self, activities: &[ActivityRecord]) -> Vec<Vec<ActivityRecord>> {
+        // Replicas: every record goes to the first copy, then is copied.
+        let shard = |i: usize| if self.replicated { 0 } else { i % self.sources };
+        let mut shards = vec![Vec::new(); self.sources];
+        for (record, &home) in activities.iter().zip(&self.home) {
+            shards[shard(home)].push(record.clone());
+        }
+        for &(i, to, year, p_activity) in &self.remeasured {
+            if let Some(record) = activities.get(i % activities.len().max(1)) {
+                shards[shard(to)].push(ActivityRecord {
+                    year,
+                    value_nm: 10f64.powf(9.0 - p_activity),
+                    ..record.clone()
+                });
+            }
+        }
+        if self.replicated {
+            let copy = shards[0].clone();
+            shards.fill(copy);
+        }
+        shards
+    }
+}
+
 /// The records as a dataset over [`NEWICK`], or the first refusal.
 fn build_dataset(
     proteins: &[ProteinRecord],
     ligands: &[LigandRecord],
     activities: &[ActivityRecord],
+    deployment: &Deployment,
 ) -> Result<Dataset, String> {
     let tree = parse_newick(NEWICK).unwrap();
     let index = TreeIndex::build(&tree);
     let overlay = OverlayBuilder::new(&tree, &index)
         .build(proteins, ligands)
         .map_err(|e| e.to_string())?;
-    let source = assay_source(
-        "assay",
-        activities,
-        SourceCapabilities::full(),
-        LatencyModel::free(),
-    )
-    .map_err(|e| e.to_string())?;
     let mut registry = SourceRegistry::new();
-    registry.register(Arc::new(source)).unwrap();
+    let mut names = Vec::new();
+    for (i, shard) in deployment.shards(activities).iter().enumerate() {
+        let name = format!("assay-{i}");
+        let source = assay_source(
+            name.as_str(),
+            shard,
+            SourceCapabilities::full(),
+            LatencyModel::free(),
+        )
+        .map_err(|e| e.to_string())?;
+        registry.register(Arc::new(source)).unwrap();
+        names.push(name);
+    }
+    if deployment.replicated && names.len() > 1 {
+        registry.declare_replicas(names).unwrap();
+    }
     Dataset::new(tree, index, overlay, registry, VirtualClock::new()).map_err(|e| e.to_string())
 }
 
@@ -221,9 +310,10 @@ fn run_case(
     proteins: &[ProteinRecord],
     ligands: &[LigandRecord],
     activities: &[ActivityRecord],
+    deployment: &Deployment,
 ) -> Result<(), String> {
     let build = |builder: DrugTreeBuilder| -> Result<DrugTree, String> {
-        let dataset = build_dataset(proteins, ligands, activities)?;
+        let dataset = build_dataset(proteins, ligands, activities, deployment)?;
         builder.dataset(dataset).build().map_err(|e| e.to_string())
     };
     let Ok(naive) = build(DrugTree::builder().optimizer(OptimizerConfig::naive())) else {
@@ -259,21 +349,28 @@ fn run_case(
             )?,
         ),
     ];
-    for text in QUERIES {
-        let expected = naive.query(text).map(|r| normalise(&r.rows));
-        for (name, system) in &systems {
-            let got = system.query(text).map(|r| normalise(&r.rows));
-            let same = match (&expected, &got) {
-                (Ok(a), Ok(b)) => a == b,
-                (Err(_), Err(_)) => true,
-                _ => false,
-            };
-            if !same {
-                return Err(format!(
-                    "`{text}`: naive -> {:?}, {name} -> {:?}",
-                    expected.as_ref().map(Vec::len),
-                    got.as_ref().map(Vec::len)
-                ));
+    // Each query on a cold cache (its own plan's fetches), then the set
+    // again, answered from what the earlier queries cached.
+    for cold in [true, false] {
+        for text in QUERIES {
+            let expected = naive.query(text).map(|r| normalise(&r.rows));
+            for (name, system) in &systems {
+                if cold {
+                    system.executor().invalidate();
+                }
+                let got = system.query(text).map(|r| normalise(&r.rows));
+                let same = match (&expected, &got) {
+                    (Ok(a), Ok(b)) => a == b,
+                    (Err(_), Err(_)) => true,
+                    _ => false,
+                };
+                if !same {
+                    return Err(format!(
+                        "`{text}` (cold cache: {cold}): naive -> {:?}, {name} -> {:?}",
+                        expected.as_ref().map(Vec::len),
+                        got.as_ref().map(Vec::len)
+                    ));
+                }
             }
         }
     }
@@ -288,12 +385,36 @@ proptest! {
         proteins in proptest::collection::vec(arb_protein(), 0..10),
         ligands in proptest::collection::vec(arb_ligand(), 0..8),
         activities in proptest::collection::vec(arb_activity(), 0..40),
+        deployment in arb_deployment(),
     ) {
         let started = wall_now();
-        if let Err(divergence) = run_case(&proteins, &ligands, &activities) {
+        if let Err(divergence) = run_case(&proteins, &ligands, &activities, &deployment) {
             prop_assert!(false, "{}", divergence);
         }
         let elapsed = wall_now().duration_since(started);
         prop_assert!(elapsed < CASE_BUDGET, "one case took {:?}", elapsed);
+    }
+
+    /// Well-formed records, so every case builds: what varies is how
+    /// they are deployed and which facts are measured more than once.
+    #[test]
+    fn generated_federations_agree(
+        activities in proptest::collection::vec(arb_measurement(), 0..40),
+        deployment in arb_deployment(),
+    ) {
+        let proteins: Vec<ProteinRecord> = (1..=8)
+            .map(|i| ProteinRecord {
+                accession: format!("P{i}"),
+                name: String::new(),
+                organism: "synthetic".into(),
+                sequence: "MKVLAT".into(),
+                gene: None,
+            })
+            .collect();
+        let ligands = [("L1", "CCO"), ("L2", "c1ccccc1"), ("L3", "CCN")]
+            .map(|(id, smiles)| LigandRecord::from_smiles(id, id, smiles).unwrap());
+        if let Err(divergence) = run_case(&proteins, &ligands, &activities, &deployment) {
+            prop_assert!(false, "{}", divergence);
+        }
     }
 }
