@@ -6,8 +6,7 @@
 //! scripts) whose sessions classify their own gesture pattern and
 //! switch prefetch policy per session. The sweep compares two modes:
 //!
-//! - **off**: no adaptive runtime; no auto materialization, prefetch
-//!   unconditionally on (the pre-adaptive opt-in posture).
+//! - **off**: no adaptive runtime and no prefetch: neither loop runs.
 //! - **on**: both loops live.
 //!
 //! Paper-shape expectation: the loop closes — the aggregate shape is
@@ -24,9 +23,8 @@ use crate::{fmt_ms, mean, RunConfig};
 use drugtree::prelude::*;
 use drugtree_mobile::gestures::lateral_script;
 use drugtree_mobile::pattern::SessionPattern;
-use drugtree_mobile::prefetch::Prefetcher;
 use drugtree_query::parser::parse_query;
-use drugtree_query::{AdaptiveRuntime, AdvisorConfig};
+use drugtree_query::AdaptiveRuntime;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -90,10 +88,7 @@ pub fn run(config: RunConfig) -> ExperimentTable {
     for adaptive in [false, true] {
         let sink = Arc::new(VecSink::new());
         let runtime = adaptive.then(|| {
-            Arc::new(
-                AdaptiveRuntime::new(AdvisorConfig::default())
-                    .with_export(Arc::clone(&sink) as Arc<dyn Sink>),
-            )
+            Arc::new(AdaptiveRuntime::new().with_export(Arc::clone(&sink) as Arc<dyn Sink>))
         });
         let mut builder = DrugTree::builder()
             .dataset(bundle.build_dataset())
@@ -116,26 +111,19 @@ pub fn run(config: RunConfig) -> ExperimentTable {
         }
 
         // Phase 2 — mobile fleet: alternating Zipf drill-down and
-        // lateral sessions. off = prefetch unconditionally on; on =
-        // per-session classification gates it.
+        // lateral sessions. off = no prefetch; on = per-session
+        // classification gates it.
         let mut prefetching = 0usize;
         for (id, script) in scripts.iter().enumerate() {
             let mut session = system.mobile_session(NetworkProfile::CELL_4G);
             session.set_session_id(id as u32);
-            let prefetcher = Prefetcher {
-                fan_out: 2,
-                ..Prefetcher::default()
-            };
             if adaptive {
-                session.enable_adaptive_prefetch(prefetcher);
-            } else {
-                session.enable_prefetch(prefetcher);
+                session.enable_prefetch();
             }
             for g in script {
                 session.apply(g).expect("gesture applies");
             }
-            let on = !adaptive || session.prefetch_pattern() == Some(SessionPattern::Lateral);
-            prefetching += usize::from(on);
+            prefetching += usize::from(session.prefetch_pattern() == Some(SessionPattern::Lateral));
         }
 
         let built = runtime.as_ref().map_or(0, |rt| {
@@ -210,7 +198,7 @@ mod tests {
             prefetching > 0 && prefetching < 8,
             "sessions must diverge by pattern: {prefetching}/8"
         );
-        assert_eq!(cell(&t, "adaptation off", "prefetching sessions"), "8");
+        assert_eq!(cell(&t, "adaptation off", "prefetching sessions"), "0");
     }
 
     /// The whole sweep is virtual-clock deterministic: two runs render

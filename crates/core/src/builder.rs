@@ -380,14 +380,11 @@ mod tests {
     #[test]
     fn with_adaptive_auto_materializes_past_break_even() {
         use drugtree_query::obs::{Sink, VecSink};
-        use drugtree_query::{AdaptiveRuntime, AdvisorConfig};
+        use drugtree_query::AdaptiveRuntime;
 
         let (p, l, a) = sources();
         let sink = Arc::new(VecSink::new());
-        let rt = Arc::new(
-            AdaptiveRuntime::new(AdvisorConfig::default())
-                .with_export(Arc::clone(&sink) as Arc<dyn Sink>),
-        );
+        let rt = Arc::new(AdaptiveRuntime::new().with_export(Arc::clone(&sink) as Arc<dyn Sink>));
         let system = DrugTree::builder()
             .register_source(p)
             .register_source(l)
@@ -422,11 +419,11 @@ mod tests {
 
     #[test]
     fn an_explicit_mirror_leaves_the_adaptive_view_in_service() {
-        use drugtree_query::{AdaptiveRuntime, AdvisorConfig};
+        use drugtree_query::AdaptiveRuntime;
         use drugtree_sources::assay_db::assay_row;
 
         let (p, l, a) = sources();
-        let rt = Arc::new(AdaptiveRuntime::new(AdvisorConfig::default()));
+        let rt = Arc::new(AdaptiveRuntime::new());
         let system = DrugTree::builder()
             .register_source(p)
             .register_source(l)

@@ -13,12 +13,14 @@
 //!   collapse into aggregate glyphs (design decision D6).
 //! * [`network`] — mobile network profiles (WiFi/4G/3G/EDGE) charging
 //!   transfer time to the virtual clock.
-//! * [`prefetch`] — predictive cache warming of likely-next clades.
+//! * [`prefetch`] — predictive cache warming of likely-next clades
+//!   (siblings, then the parent; fixed fan-out and size filter).
 //! * [`pattern`] — online gesture-stream classification (drill-down
-//!   vs. lateral) gating per-session adaptive prefetch (design
-//!   decision D15).
-//! * [`progressive`] — chunked result delivery: first usable content
-//!   early, the rest streaming behind it.
+//!   vs. lateral): the gate that lets a session prefetch only while it
+//!   browses laterally (design decision D15).
+//! * [`progressive`] — chunked result delivery, the only delivery a
+//!   session makes: first usable content early, the rest streaming
+//!   behind it.
 //! * [`session`] — a gesture-driven interactive session tying the
 //!   query executor, viewport, and network together.
 //! * [`gestures`] — seeded gesture-script generation (drill-down walks

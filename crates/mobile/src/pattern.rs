@@ -1,4 +1,4 @@
-//! Online gesture-stream classification for adaptive prefetch.
+//! Online gesture-stream classification: the gate on prefetch.
 //!
 //! Experiment E10's finding: prefetch warms *siblings and the parent*
 //! of the expanded clade, so it pays off for lateral browsing (sliding
@@ -6,8 +6,9 @@
 //! only ever descends, and descents are already free by cache
 //! containment). The classifier watches the topological relation
 //! between consecutive expansions and decides, per session and online,
-//! which regime the stream is in — the adaptive layer switches the
-//! session's prefetch policy accordingly (design decision D15).
+//! which regime the stream is in. A session with prefetch enabled
+//! fires it only while the stream classifies as lateral; there is no
+//! ungated prefetch (design decision D15).
 
 use drugtree_phylo::tree::{NodeId, Tree};
 use std::collections::VecDeque;
@@ -49,37 +50,23 @@ impl SessionPattern {
     }
 }
 
-/// Per-session online classifier over a sliding window of expansion
-/// relations. Deterministic: the same gesture stream always classifies
+/// Relations retained for the vote (older ones age out).
+const WINDOW: usize = 8;
+
+/// Relations required before leaving [`SessionPattern::Unknown`].
+const MIN_EVIDENCE: usize = 3;
+
+/// Per-session online classifier over a sliding window of the last
+/// eight expansion relations, silent until three of them exist.
+/// Deterministic: the same gesture stream always classifies
 /// identically, so adaptive replays stay byte-for-byte reproducible.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PatternClassifier {
-    /// Relations retained for the vote (older ones age out).
-    window: usize,
-    /// Expansions required before leaving [`SessionPattern::Unknown`].
-    min_evidence: usize,
     last_expanded: Option<NodeId>,
     recent: VecDeque<ExpandRelation>,
 }
 
-impl Default for PatternClassifier {
-    fn default() -> PatternClassifier {
-        PatternClassifier::new(8, 3)
-    }
-}
-
 impl PatternClassifier {
-    /// A classifier voting over the last `window` relations, silent
-    /// until `min_evidence` of them exist.
-    pub fn new(window: usize, min_evidence: usize) -> PatternClassifier {
-        PatternClassifier {
-            window: window.max(1),
-            min_evidence: min_evidence.max(1),
-            last_expanded: None,
-            recent: VecDeque::new(),
-        }
-    }
-
     /// The topological relation of expanding `node` right after `prev`.
     pub fn relation(tree: &Tree, prev: NodeId, node: NodeId) -> ExpandRelation {
         if is_ancestor(tree, prev, node) {
@@ -100,7 +87,7 @@ impl PatternClassifier {
             if prev != node {
                 self.recent
                     .push_back(PatternClassifier::relation(tree, prev, node));
-                while self.recent.len() > self.window {
+                while self.recent.len() > WINDOW {
                     self.recent.pop_front();
                 }
             }
@@ -113,7 +100,7 @@ impl PatternClassifier {
     /// (descents vs. sibling/parent moves; jumps abstain), `Unknown`
     /// below the evidence floor or on a tie.
     pub fn pattern(&self) -> SessionPattern {
-        if self.recent.len() < self.min_evidence {
+        if self.recent.len() < MIN_EVIDENCE {
             return SessionPattern::Unknown;
         }
         let mut drill = 0usize;
@@ -224,17 +211,25 @@ mod tests {
 
     #[test]
     fn window_forgets_the_old_regime() {
-        let t = tree();
-        let mut c = PatternClassifier::new(4, 3);
-        // A drill-down opening...
-        for label in ["root", "abcd", "ab", "a"] {
-            c.observe_expand(&t, n(&t, label));
+        // A chain of nested clades d0 ⊃ d1 ⊃ … ⊃ d9, each with a leaf
+        // sibling l1 … l9.
+        let mut newick = "(x:1,y:1)d9".to_string();
+        for k in (0..9).rev() {
+            newick = format!("({newick}:1,l{}:1)d{k}", k + 1);
+        }
+        let t = parse_newick(&format!("{newick};")).unwrap();
+        let mut c = PatternClassifier::default();
+        // A drill-down opening: nine descents...
+        for k in 0..10 {
+            c.observe_expand(&t, n(&t, &format!("d{k}")));
         }
         assert_eq!(c.pattern(), SessionPattern::DrillDown);
-        // ...followed by sustained lateral browsing flips the vote.
-        for label in ["b", "a", "b", "a", "b"] {
+        // ...then five sibling slides. Over the whole stream descents
+        // still win 9 to 5; the window keeps only the last three.
+        for label in ["l9", "d9", "l9", "d9", "l9"] {
             c.observe_expand(&t, n(&t, label));
         }
+        assert_eq!(c.evidence(), WINDOW);
         assert_eq!(c.pattern(), SessionPattern::Lateral);
     }
 

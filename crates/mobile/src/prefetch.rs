@@ -2,101 +2,61 @@
 //! the user is likely to open next.
 //!
 //! Tree navigation is highly predictable: after opening a clade, users
-//! either drill into one of its children or slide to a sibling. The
-//! prefetcher enumerates those candidates (smallest first, bounded by
-//! a leaf budget) and the session fetches them *during user think
-//! time* — the work is charged to the virtual clock (sources really do
-//! it) but not to any interaction's perceived latency. The payoff is a
-//! cache hit when the user's finger lands.
+//! either drill into one of its children or slide to a sibling.
+//! [`candidates`] enumerates the clades worth warming and the session
+//! fetches them *during user think time* — the work is charged to the
+//! virtual clock (sources really do it) but not to any interaction's
+//! perceived latency. The payoff is a cache hit when the user's finger
+//! lands. The session fires it only while its gesture stream
+//! classifies as lateral browsing ([`crate::pattern`]).
 
 use drugtree_phylo::tree::{NodeId, Tree};
 use drugtree_phylo::TreeIndex;
-use std::time::Duration;
 
-/// How much speculative work one prefetch pass may spend.
+/// Maximum clades prefetched per interaction.
+pub const FAN_OUT: usize = 2;
+
+/// Candidates spanning more leaves than this are skipped (prefetching
+/// the whole tree would waste bandwidth and evict useful entries).
+pub const MAX_LEAVES: u32 = 64;
+
+/// Candidate clades after the user expanded `node`.
 ///
-/// `Items` is the legacy fixed-count budget. `EstimatedCost` consults
-/// the planner's cost estimate ([`drugtree_query::Executor::estimate`])
-/// for each candidate and stops charging the virtual clock once the
-/// cumulative estimate would exceed the cap — so a slow network or an
-/// expensive clade shrinks the speculation automatically instead of
-/// always firing `fan_out` queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrefetchBudget {
-    /// At most this many prefetch queries per interaction.
-    Items(usize),
-    /// Cumulative planner-estimated cost cap per interaction.
-    EstimatedCost(Duration),
-}
-
-impl Default for PrefetchBudget {
-    fn default() -> PrefetchBudget {
-        // Unlimited count: `fan_out` alone bounds the legacy policy.
-        PrefetchBudget::Items(usize::MAX)
-    }
-}
-
-/// Prefetch policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Prefetcher {
-    /// Maximum clades prefetched per interaction.
-    pub fan_out: usize,
-    /// Skip candidates spanning more leaves than this (prefetching the
-    /// whole tree would waste bandwidth and evict useful entries).
-    pub max_leaves: u32,
-    /// Per-interaction spend cap applied on top of `fan_out`.
-    pub budget: PrefetchBudget,
-}
-
-impl Default for Prefetcher {
-    fn default() -> Prefetcher {
-        Prefetcher {
-            fan_out: 3,
-            max_leaves: 64,
-            budget: PrefetchBudget::default(),
+/// *Not* the node's children: the expansion just cached `node`'s
+/// whole interval, and the semantic cache answers any contained
+/// interval by containment — children are already free. The
+/// candidates that add coverage are the node's **siblings** (lateral
+/// browsing) and its **parent** (backing out), in that order, without
+/// any clade over [`MAX_LEAVES`], truncated to [`FAN_OUT`].
+pub fn candidates(tree: &Tree, index: &TreeIndex, node: NodeId) -> Vec<NodeId> {
+    let mut out: Vec<NodeId> = Vec::new();
+    let push = |candidate: NodeId, out: &mut Vec<NodeId>| {
+        if candidate != node
+            && index.interval(candidate).len() <= MAX_LEAVES
+            && !out.contains(&candidate)
+        {
+            out.push(candidate);
         }
-    }
-}
+    };
 
-impl Prefetcher {
-    /// Candidate clades after the user expanded `node`.
-    ///
-    /// *Not* the node's children: the expansion just cached `node`'s
-    /// whole interval, and the semantic cache answers any contained
-    /// interval by containment — children are already free. The
-    /// candidates that add coverage are the node's **siblings**
-    /// (lateral browsing) and its **parent** (backing out), in that
-    /// order, size-filtered and truncated to `fan_out`.
-    pub fn candidates(&self, tree: &Tree, index: &TreeIndex, node: NodeId) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = Vec::new();
-        let push = |candidate: NodeId, out: &mut Vec<NodeId>| {
-            if candidate != node
-                && index.interval(candidate).len() <= self.max_leaves
-                && !out.contains(&candidate)
-            {
-                out.push(candidate);
+    if let Some(parent) = tree.node_unchecked(node).parent {
+        // Adjacent siblings first (next/previous in display order).
+        let siblings = &tree.node_unchecked(parent).children;
+        if let Some(pos) = siblings.iter().position(|&s| s == node) {
+            if pos + 1 < siblings.len() {
+                push(siblings[pos + 1], &mut out);
             }
-        };
-
-        if let Some(parent) = tree.node_unchecked(node).parent {
-            // Adjacent siblings first (next/previous in display order).
-            let siblings = &tree.node_unchecked(parent).children;
-            if let Some(pos) = siblings.iter().position(|&s| s == node) {
-                if pos + 1 < siblings.len() {
-                    push(siblings[pos + 1], &mut out);
-                }
-                if pos > 0 {
-                    push(siblings[pos - 1], &mut out);
-                }
+            if pos > 0 {
+                push(siblings[pos - 1], &mut out);
             }
-            // Then the parent clade (covers every sibling at once when
-            // it fits the size budget).
-            push(parent, &mut out);
         }
-
-        out.truncate(self.fan_out);
-        out
+        // Then the parent clade (covers every sibling at once when it
+        // fits the size filter).
+        push(parent, &mut out);
     }
+
+    out.truncate(FAN_OUT);
+    out
 }
 
 #[cfg(test)]
@@ -104,81 +64,67 @@ mod tests {
     use super::*;
     use drugtree_phylo::newick::parse_newick;
 
-    fn setup() -> (Tree, TreeIndex) {
-        let t = parse_newick(
-            "(((a:1,b:1)ab:1,(c:1,d:1)cd:1)abcd:1,((e:1,f:1)ef:1,(g:1,h:1)gh:1)efgh:1)root;",
-        )
-        .unwrap();
+    fn setup(newick: &str) -> (Tree, TreeIndex) {
+        let t = parse_newick(newick).unwrap();
         let i = TreeIndex::build(&t);
         (t, i)
     }
 
+    fn eight() -> (Tree, TreeIndex) {
+        setup("(((a:1,b:1)ab:1,(c:1,d:1)cd:1)abcd:1,((e:1,f:1)ef:1,(g:1,h:1)gh:1)efgh:1)root;")
+    }
+
+    fn labels(t: &Tree, nodes: &[NodeId]) -> Vec<String> {
+        nodes
+            .iter()
+            .map(|&c| t.node_unchecked(c).label.clone().unwrap())
+            .collect()
+    }
+
     #[test]
     fn siblings_then_parent() {
-        let (t, i) = setup();
-        let p = Prefetcher::default();
+        let (t, i) = eight();
         let abcd = t.find_by_label("abcd").unwrap();
-        let cands = p.candidates(&t, &i, abcd);
-        let labels: Vec<&str> = cands
-            .iter()
-            .map(|&c| t.node_unchecked(c).label.as_deref().unwrap())
-            .collect();
         // Sibling efgh, then the root clade; never abcd's own children
         // (the cache already covers them by containment).
-        assert_eq!(labels, ["efgh", "root"]);
+        assert_eq!(labels(&t, &candidates(&t, &i, abcd)), ["efgh", "root"]);
     }
 
     #[test]
     fn fan_out_limits() {
-        let (t, i) = setup();
-        let p = Prefetcher {
-            fan_out: 1,
-            ..Prefetcher::default()
-        };
-        let abcd = t.find_by_label("abcd").unwrap();
-        assert_eq!(p.candidates(&t, &i, abcd).len(), 1);
+        // b has two siblings and a parent: three candidates, FAN_OUT kept.
+        let (t, i) = setup("((a:1,b:1,c:1)abc:1,d:1)root;");
+        let b = t.find_by_label("b").unwrap();
+        assert_eq!(labels(&t, &candidates(&t, &i, b)), ["c", "a"]);
     }
 
     #[test]
     fn size_filter_skips_huge_clades() {
-        let (t, i) = setup();
-        let p = Prefetcher {
-            fan_out: 8,
-            max_leaves: 2,
-            ..Prefetcher::default()
+        let clade = |prefix: &str| {
+            (0..40)
+                .map(|n| format!("{prefix}{n}:1"))
+                .collect::<Vec<_>>()
+                .join(",")
         };
-        let ab = t.find_by_label("ab").unwrap();
-        let cands = p.candidates(&t, &i, ab);
-        // Sibling cd (2 leaves) fits; parent abcd (4 leaves) does not.
-        let labels: Vec<&str> = cands
-            .iter()
-            .map(|&c| t.node_unchecked(c).label.as_deref().unwrap())
-            .collect();
-        assert_eq!(labels, ["cd"]);
+        let (t, i) = setup(&format!("(({})x:1,({})y:1)xy;", clade("x"), clade("y")));
+        let x = t.find_by_label("x").unwrap();
+        // Sibling y (40 leaves) fits; parent xy (80 leaves) does not.
+        assert!(i.interval(t.root()).len() > MAX_LEAVES);
+        assert_eq!(labels(&t, &candidates(&t, &i, x)), ["y"]);
     }
 
     #[test]
     fn leaves_offer_sibling_and_parent() {
-        let (t, i) = setup();
-        let p = Prefetcher::default();
+        let (t, i) = eight();
         let a = t.find_by_label("a").unwrap();
-        let cands = p.candidates(&t, &i, a);
-        let labels: Vec<&str> = cands
-            .iter()
-            .map(|&c| t.node_unchecked(c).label.as_deref().unwrap())
-            .collect();
-        assert_eq!(labels, ["b", "ab"]);
+        assert_eq!(labels(&t, &candidates(&t, &i, a)), ["b", "ab"]);
     }
 
     #[test]
     fn root_has_no_candidates() {
-        let (t, i) = setup();
-        let p = Prefetcher {
-            fan_out: 8,
-            ..Prefetcher::default()
-        };
+        let (t, i) = eight();
         assert!(
-            p.candidates(&t, &i, t.root()).is_empty(),
+            candidates(&t, &i, t.root()).is_empty(),
             "expanding the root already caches everything"
         );
     }

@@ -65,6 +65,14 @@ pub fn blocking_delivery(rows: &[Vec<Value>], net: &NetworkProfile) -> DeliveryS
 }
 
 /// Progressive delivery in chunks of `chunk_rows`.
+///
+/// It completes when [`blocking_delivery`] does and ships the same
+/// bytes: the chunks share one RTT and stream the same rows. So a
+/// blocking response, whose first usable content arrives only when it
+/// completes, is read off a progressive schedule's `complete()`
+/// (experiment E5 does). One exception: the 16-byte floor applies per
+/// chunk, so a result whose last chunk is under 16 bytes ships more
+/// bytes, and completes later, progressively.
 pub fn progressive_delivery(
     rows: &[Vec<Value>],
     net: &NetworkProfile,
@@ -130,6 +138,66 @@ mod tests {
         let d = progressive.complete().abs_diff(blocking.complete());
         assert!(d < Duration::from_millis(5), "gap {d:?}");
         assert_eq!(progressive.total_bytes, blocking.total_bytes);
+    }
+
+    /// The identity E5 reads, over glyph-shaped rows (label, three
+    /// ints, a float) and listing-shaped rows, with the one exception
+    /// the per-chunk 16-byte floor makes.
+    #[test]
+    fn progressive_completes_when_blocking_does() {
+        let glyph: fn(usize) -> Vec<Value> = |i| {
+            vec![
+                Value::from(format!("n{i}")),
+                Value::Int(i as i64),
+                Value::Int(2 * i as i64 + 1),
+                Value::Int(7),
+                Value::Float(6.5),
+            ]
+        };
+        let listing: fn(usize) -> Vec<Value> = |i| {
+            vec![
+                Value::Int(i as i64),
+                Value::from(format!("P{i}")),
+                Value::from(format!("CHEMBL{i}")),
+                Value::from("IC50"),
+                Value::Float(12.5),
+                Value::Float(7.9),
+                Value::from("assay-sim"),
+                Value::Int(2012),
+                Value::from("aspirin"),
+                Value::from("CC(=O)Oc1ccccc1C(=O)O"),
+                Value::Float(180.16),
+                Value::Int(1),
+                Value::Int(4),
+                Value::Int(1),
+            ]
+        };
+        for shape in [glyph, listing] {
+            for n in 0..=400 {
+                let rows: Vec<Vec<Value>> = (0..n).map(shape).collect();
+                for net in NetworkProfile::ALL {
+                    let blocking = blocking_delivery(&rows, &net);
+                    let progressive = progressive_delivery(&rows, &net, DEFAULT_CHUNK_ROWS);
+                    assert_eq!(
+                        (progressive.complete(), progressive.total_bytes),
+                        (blocking.complete(), blocking.total_bytes),
+                        "{n} rows on {}",
+                        net.name
+                    );
+                }
+            }
+        }
+        // The exception: 21 one-int rows leave an 11-byte last chunk,
+        // floored to 16.
+        let tiny: Vec<Vec<Value>> = (0..21).map(|i| vec![Value::Int(i)]).collect();
+        let net = NetworkProfile::WIFI;
+        assert_eq!(
+            (
+                progressive_delivery(&tiny, &net, DEFAULT_CHUNK_ROWS).total_bytes,
+                blocking_delivery(&tiny, &net).total_bytes
+            ),
+            (236, 231)
+        );
     }
 
     #[test]

@@ -11,10 +11,8 @@ use crate::layout::TreeLayout;
 use crate::lod::{render_visible, RenderList, GLYPH_METRICS};
 use crate::network::NetworkProfile;
 use crate::pattern::{PatternClassifier, SessionPattern};
-use crate::prefetch::{PrefetchBudget, Prefetcher};
-use crate::progressive::{
-    blocking_delivery, progressive_delivery, DeliverySchedule, DEFAULT_CHUNK_ROWS,
-};
+use crate::prefetch::candidates;
+use crate::progressive::{progressive_delivery, DEFAULT_CHUNK_ROWS};
 use crate::viewport::Viewport;
 use crate::{MobileError, Result};
 use drugtree_phylo::index::LeafInterval;
@@ -211,19 +209,16 @@ pub struct MobileSession<'a> {
     layout: Arc<TreeLayout>,
     viewport: Viewport,
     network: NetworkProfile,
-    progressive: bool,
-    chunk_rows: usize,
-    prefetcher: Option<Prefetcher>,
-    adaptive_prefetch: Option<AdaptiveGate>,
+    prefetch: Option<PrefetchGate>,
     session_id: Option<u32>,
     keep_log: bool,
     log: Vec<InteractionResult>,
 }
 
-/// The per-session adaptive prefetch gate: the online classifier plus
-/// the last policy it reported (so only *switches* emit adapt events).
-#[derive(Debug)]
-struct AdaptiveGate {
+/// The per-session prefetch gate: the online classifier plus the last
+/// policy it reported (so only *switches* emit adapt events).
+#[derive(Debug, Default)]
+struct PrefetchGate {
     classifier: PatternClassifier,
     reported: Option<bool>,
 }
@@ -255,41 +250,27 @@ impl<'a> MobileSession<'a> {
             layout,
             viewport,
             network,
-            progressive: true,
-            chunk_rows: DEFAULT_CHUNK_ROWS,
-            prefetcher: None,
-            adaptive_prefetch: None,
+            prefetch: None,
             session_id: None,
             keep_log: true,
             log: Vec::new(),
         }
     }
 
-    /// Enable predictive prefetching after `Expand` gestures.
-    pub fn enable_prefetch(&mut self, prefetcher: Prefetcher) {
-        self.prefetcher = Some(prefetcher);
-    }
-
-    /// Enable *adaptive* prefetching: `prefetcher` fires only while
-    /// the session's gesture stream classifies as lateral browsing
-    /// (experiment E10's profitable regime) and stays off for
+    /// Enable predictive prefetching after `Expand` gestures. It fires
+    /// only while the session's gesture stream classifies as lateral
+    /// browsing (experiment E10's profitable regime) and stays off for
     /// drill-down or unclassified streams. Policy switches are
     /// reported to the executor's adaptive runtime (when one is
     /// installed) so they land in the `adapt` event stream.
-    pub fn enable_adaptive_prefetch(&mut self, prefetcher: Prefetcher) {
-        self.prefetcher = Some(prefetcher);
-        self.adaptive_prefetch = Some(AdaptiveGate {
-            classifier: PatternClassifier::default(),
-            reported: None,
-        });
+    pub fn enable_prefetch(&mut self) {
+        self.prefetch = Some(PrefetchGate::default());
     }
 
-    /// The current gesture-stream classification, when adaptive
-    /// prefetch is enabled.
+    /// The current gesture-stream classification, when prefetch is
+    /// enabled.
     pub fn prefetch_pattern(&self) -> Option<SessionPattern> {
-        self.adaptive_prefetch
-            .as_ref()
-            .map(|g| g.classifier.pattern())
+        self.prefetch.as_ref().map(|g| g.classifier.pattern())
     }
 
     /// Tag this session with a serving-fleet id: every gesture
@@ -297,11 +278,6 @@ impl<'a> MobileSession<'a> {
     /// attribute SLO breaches to sessions.
     pub fn set_session_id(&mut self, id: u32) {
         self.session_id = Some(id);
-    }
-
-    /// Switch between progressive and blocking delivery.
-    pub fn set_progressive(&mut self, progressive: bool) {
-        self.progressive = progressive;
     }
 
     /// Current viewport.
@@ -353,7 +329,7 @@ impl<'a> MobileSession<'a> {
     pub fn begin_gesture(&mut self, gesture: &Gesture) -> Result<GestureStep> {
         let step = match gesture {
             Gesture::Pan { dy } => {
-                self.viewport.pan(*dy, &self.layout);
+                self.viewport.pan(*dy, &self.layout)?;
                 self.view_pending(gesture.kind())
             }
             Gesture::ZoomIn { focus_y } => {
@@ -468,11 +444,8 @@ impl<'a> MobileSession<'a> {
                 charged,
                 query_latency,
             } => {
-                let schedule: DeliverySchedule = if self.progressive {
-                    progressive_delivery(&result.rows, &self.network, self.chunk_rows)
-                } else {
-                    blocking_delivery(&result.rows, &self.network)
-                };
+                let schedule =
+                    progressive_delivery(&result.rows, &self.network, DEFAULT_CHUNK_ROWS);
                 let at = self.dataset.clock.advance(schedule.complete());
                 if let Some(obs) = self.executor.observer() {
                     obs.on_gesture(&GestureObservation {
@@ -543,13 +516,13 @@ impl<'a> MobileSession<'a> {
         interaction
     }
 
-    /// Advance the adaptive gate (when enabled) with this expansion
+    /// Advance the prefetch gate (when enabled) with this expansion
     /// and decide whether prefetch may fire. Only *switches* are
     /// reported to the executor's adaptive runtime — and the initial
     /// "off" state is the default, not a switch.
     fn prefetch_allowed(&mut self, node: NodeId) -> bool {
-        let Some(gate) = self.adaptive_prefetch.as_mut() else {
-            return true;
+        let Some(gate) = self.prefetch.as_mut() else {
+            return false;
         };
         let pattern = gate.classifier.observe_expand(&self.dataset.tree, node);
         let on = pattern == SessionPattern::Lateral;
@@ -581,40 +554,14 @@ impl<'a> MobileSession<'a> {
     /// clock advances (sources do real work) but no interaction waits
     /// on it. Prefetch failures are ignored — a failed speculation must
     /// never surface to the user.
-    ///
-    /// The prefetcher's [`PrefetchBudget`] caps the spend: `Items`
-    /// counts issued queries, `EstimatedCost` asks the planner what
-    /// each candidate would cost and skips those that would overrun
-    /// the cumulative cap (a cheaper later candidate may still fit).
-    fn prefetch_after(&self, node: drugtree_phylo::tree::NodeId) -> usize {
-        let Some(prefetcher) = &self.prefetcher else {
-            return 0;
-        };
-        let mut done = 0;
-        let mut spent = Duration::ZERO;
-        for candidate in prefetcher.candidates(&self.dataset.tree, &self.dataset.index, node) {
-            let (_, _, query) = self.expand(candidate);
-            match prefetcher.budget {
-                PrefetchBudget::Items(limit) => {
-                    if done >= limit {
-                        break;
-                    }
-                }
-                PrefetchBudget::EstimatedCost(limit) => {
-                    let Ok(est) = self.executor.estimate(self.dataset, &query) else {
-                        continue;
-                    };
-                    if spent + est.cost > limit {
-                        continue;
-                    }
-                    spent += est.cost;
-                }
-            }
-            if self.executor.execute(self.dataset, &query).is_ok() {
-                done += 1;
-            }
-        }
-        done
+    fn prefetch_after(&self, node: NodeId) -> usize {
+        candidates(&self.dataset.tree, &self.dataset.index, node)
+            .into_iter()
+            .filter(|&candidate| {
+                let (_, _, query) = self.expand(candidate);
+                self.executor.execute(self.dataset, &query).is_ok()
+            })
+            .count()
     }
 
     fn render(&self, viewport: &Viewport) -> RenderList {
@@ -808,98 +755,67 @@ mod tests {
     }
 
     #[test]
-    fn blocking_vs_progressive_first_usable() {
+    fn a_non_finite_pan_or_zoom_is_rejected_and_changes_nothing() {
         let d = dataset();
         let e = executor();
-
-        let mut progressive = MobileSession::new(&d, &e, NetworkProfile::EDGE);
-        progressive.chunk_rows = 1;
-        let rp = progressive.apply(&Gesture::InspectViewport).unwrap();
-
-        e.invalidate();
-        let mut blocking = MobileSession::new(&d, &e, NetworkProfile::EDGE);
-        blocking.set_progressive(false);
-        let rb = blocking.apply(&Gesture::InspectViewport).unwrap();
-
-        assert!(
-            rp.first_usable < rb.first_usable,
-            "progressive {:?} vs blocking {:?}",
-            rp.first_usable,
-            rb.first_usable
-        );
+        let mut s = MobileSession::new(&d, &e, NetworkProfile::WIFI);
+        s.apply(&Gesture::ZoomIn { focus_y: 1.0 }).unwrap();
+        let viewport = s.viewport();
+        let rows = s.apply(&Gesture::InspectViewport).unwrap().rows;
+        for gesture in [
+            Gesture::Pan { dy: f64::NAN },
+            Gesture::Pan { dy: f64::INFINITY },
+            Gesture::ZoomIn { focus_y: f64::NAN },
+            Gesture::ZoomOut { focus_y: f64::NAN },
+        ] {
+            let logged = s.log().len();
+            assert!(
+                matches!(s.apply(&gesture), Err(MobileError::DegenerateViewport(_))),
+                "{gesture:?} must be refused"
+            );
+            assert_eq!(s.viewport(), viewport, "{gesture:?} moved the viewport");
+            assert_eq!(s.log().len(), logged, "{gesture:?} was logged");
+            assert_eq!(s.apply(&Gesture::InspectViewport).unwrap().rows, rows);
+        }
     }
+
+    /// Expand each labelled clade in turn.
+    fn expand_all(
+        s: &mut MobileSession<'_>,
+        d: &Dataset,
+        labels: &[&str],
+    ) -> Vec<InteractionResult> {
+        labels
+            .iter()
+            .map(|l| {
+                let node = d.index.by_label(l).unwrap();
+                s.apply(&Gesture::Expand { node }).unwrap()
+            })
+            .collect()
+    }
+
+    /// Sibling slides between P3 and P4 open the prefetch gate, then
+    /// the user backs out to cladeB and slides over to cladeA.
+    const LATERAL: [&str; 6] = ["P3", "P4", "P3", "P4", "cladeB", "cladeA"];
 
     #[test]
     fn prefetch_turns_sibling_expands_into_hits() {
         let d = dataset();
-        // Without prefetch: expanding cladeA then cladeB misses twice.
+        // Without prefetch: cladeA was never asked for, so it misses.
         let e = executor();
         let mut s = MobileSession::new(&d, &e, NetworkProfile::CELL_4G);
-        let clade_a = d.index.by_label("cladeA").unwrap();
-        let clade_b = d.index.by_label("cladeB").unwrap();
-        s.apply(&Gesture::Expand { node: clade_a }).unwrap();
-        let cold = s.apply(&Gesture::Expand { node: clade_b }).unwrap();
-        assert_eq!(cold.cache_hit, Some(false));
+        let cold = expand_all(&mut s, &d, &LATERAL);
+        assert_eq!(cold[5].cache_hit, Some(false));
 
-        // With prefetch: the sibling is warmed during think time.
+        // With prefetch: once the gate opens, cladeB (the parent of
+        // P4) and then its sibling cladeA are warmed during think time.
         let e = executor();
         let mut s = MobileSession::new(&d, &e, NetworkProfile::CELL_4G);
-        s.enable_prefetch(crate::prefetch::Prefetcher::default());
-        let first = s.apply(&Gesture::Expand { node: clade_a }).unwrap();
-        assert!(first.prefetched > 0, "siblings/children prefetched");
-        let warm = s.apply(&Gesture::Expand { node: clade_b }).unwrap();
-        assert_eq!(warm.cache_hit, Some(true));
-        assert_eq!(warm.query_latency, Duration::ZERO);
-    }
-
-    #[test]
-    fn zero_cost_budget_suppresses_prefetch() {
-        let d = dataset();
-        let e = executor();
-        let mut s = MobileSession::new(&d, &e, NetworkProfile::CELL_4G);
-        s.enable_prefetch(Prefetcher {
-            budget: PrefetchBudget::EstimatedCost(Duration::ZERO),
-            ..Prefetcher::default()
-        });
-        let clade_a = d.index.by_label("cladeA").unwrap();
-        let r = s.apply(&Gesture::Expand { node: clade_a }).unwrap();
-        assert_eq!(r.prefetched, 0, "every candidate estimate exceeds zero");
-        // The sibling was never warmed, so expanding it misses.
-        let clade_b = d.index.by_label("cladeB").unwrap();
-        let cold = s.apply(&Gesture::Expand { node: clade_b }).unwrap();
-        assert_eq!(cold.cache_hit, Some(false));
-    }
-
-    #[test]
-    fn generous_cost_budget_behaves_like_unbudgeted() {
-        let d = dataset();
-        let e = executor();
-        let mut s = MobileSession::new(&d, &e, NetworkProfile::CELL_4G);
-        s.enable_prefetch(Prefetcher {
-            budget: PrefetchBudget::EstimatedCost(Duration::from_secs(60)),
-            ..Prefetcher::default()
-        });
-        let clade_a = d.index.by_label("cladeA").unwrap();
-        let r = s.apply(&Gesture::Expand { node: clade_a }).unwrap();
-        assert!(r.prefetched > 0, "estimates fit comfortably");
-        let clade_b = d.index.by_label("cladeB").unwrap();
-        let warm = s.apply(&Gesture::Expand { node: clade_b }).unwrap();
-        assert_eq!(warm.cache_hit, Some(true));
-    }
-
-    #[test]
-    fn item_budget_caps_prefetch_count() {
-        let d = dataset();
-        let e = executor();
-        let mut s = MobileSession::new(&d, &e, NetworkProfile::CELL_4G);
-        s.enable_prefetch(Prefetcher {
-            fan_out: 8,
-            budget: PrefetchBudget::Items(1),
-            ..Prefetcher::default()
-        });
-        let clade_a = d.index.by_label("cladeA").unwrap();
-        let r = s.apply(&Gesture::Expand { node: clade_a }).unwrap();
-        assert_eq!(r.prefetched, 1);
+        s.enable_prefetch();
+        let warm = expand_all(&mut s, &d, &LATERAL);
+        assert!(warm[4].prefetched > 0, "sibling and parent prefetched");
+        assert_eq!(warm[5].cache_hit, Some(true));
+        assert_eq!(warm[5].query_latency, Duration::ZERO);
     }
 
     #[test]
@@ -907,32 +823,34 @@ mod tests {
         let d = dataset();
         let e = executor();
         let mut plain = MobileSession::new(&d, &e, NetworkProfile::CELL_4G);
-        let clade_a = d.index.by_label("cladeA").unwrap();
-        let r_plain = plain.apply(&Gesture::Expand { node: clade_a }).unwrap();
+        let r_plain = expand_all(&mut plain, &d, &LATERAL[..4]);
 
         let e = executor();
         let mut pre = MobileSession::new(&d, &e, NetworkProfile::CELL_4G);
-        pre.enable_prefetch(crate::prefetch::Prefetcher::default());
-        let r_pre = pre.apply(&Gesture::Expand { node: clade_a }).unwrap();
-        assert_eq!(r_plain.first_usable, r_pre.first_usable);
-        assert_eq!(r_plain.complete, r_pre.complete);
+        pre.enable_prefetch();
+        let r_pre = expand_all(&mut pre, &d, &LATERAL[..4]);
+        assert!(r_pre[3].prefetched > 0, "the gate opened");
+        for (plain, pre) in r_plain.iter().zip(&r_pre) {
+            assert_eq!(plain.first_usable, pre.first_usable);
+            assert_eq!(plain.complete, pre.complete);
+        }
     }
 
     #[test]
-    fn adaptive_prefetch_gates_by_pattern_and_reports_switches() {
+    fn prefetch_gates_by_pattern_and_reports_switches() {
         use drugtree_query::obs::VecSink;
-        use drugtree_query::{AdaptiveRuntime, AdvisorConfig};
+        use drugtree_query::AdaptiveRuntime;
 
         let d = dataset();
         let sink = Arc::new(VecSink::new());
         let mut e = executor();
         e.enable_adaptive(Arc::new(
-            AdaptiveRuntime::new(AdvisorConfig::default())
+            AdaptiveRuntime::new()
                 .with_export(Arc::clone(&sink) as Arc<dyn drugtree_query::obs::Sink>),
         ));
         let mut s = MobileSession::new(&d, &e, NetworkProfile::CELL_4G);
         s.set_session_id(7);
-        s.enable_adaptive_prefetch(Prefetcher::default());
+        s.enable_prefetch();
 
         let clade_a = d.index.by_label("cladeA").unwrap();
         let clade_b = d.index.by_label("cladeB").unwrap();
@@ -958,11 +876,11 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_prefetch_stays_off_for_drill_down() {
+    fn prefetch_stays_off_for_drill_down() {
         let d = dataset();
         let e = executor();
         let mut s = MobileSession::new(&d, &e, NetworkProfile::CELL_4G);
-        s.enable_adaptive_prefetch(Prefetcher::default());
+        s.enable_prefetch();
         // Drill: cladeA → P1 → cladeA's leaf children, only descents
         // (and re-ascents through containment hits stay cached — use
         // fresh descents from the root side).

@@ -55,22 +55,29 @@ impl Viewport {
         LeafInterval { lo: lo.min(n), hi }
     }
 
-    /// Pan vertically by `dy` leaf units, clamped to the layout.
-    pub fn pan(&mut self, dy: f64, layout: &TreeLayout) {
+    /// Pan vertically by `dy` leaf units, clamped to the layout. A
+    /// non-finite `dy` is refused and leaves the viewport as it was.
+    pub fn pan(&mut self, dy: f64, layout: &TreeLayout) -> Result<()> {
+        if !dy.is_finite() {
+            return Err(MobileError::DegenerateViewport(format!("pan by {dy}")));
+        }
         let span = self.span();
         let max_hi = layout.leaf_count().max(1) as f64;
         let mut lo = self.y_lo + dy;
         lo = lo.clamp(0.0_f64.min(max_hi - span), (max_hi - span).max(0.0));
         self.y_lo = lo;
         self.y_hi = lo + span;
+        Ok(())
     }
 
     /// Zoom by `factor` (>1 zooms in) around a focal y position,
-    /// clamped so at least one leaf row stays visible.
+    /// clamped so at least one leaf row stays visible. A non-finite or
+    /// non-positive factor, or a non-finite focus, is refused and
+    /// leaves the viewport as it was.
     pub fn zoom(&mut self, factor: f64, focus_y: f64, layout: &TreeLayout) -> Result<()> {
-        if !(factor.is_finite() && factor > 0.0) {
+        if !(factor.is_finite() && factor > 0.0 && focus_y.is_finite()) {
             return Err(MobileError::DegenerateViewport(format!(
-                "zoom factor {factor}"
+                "zoom by {factor} around {focus_y}"
             )));
         }
         let max_span = layout.leaf_count().max(1) as f64;
@@ -145,10 +152,10 @@ mod tests {
         let l = layout16();
         let mut v = Viewport::fullscreen(&l);
         v.zoom(4.0, 8.0, &l).unwrap(); // span 4
-        v.pan(-100.0, &l);
+        v.pan(-100.0, &l).unwrap();
         assert_eq!(v.y_lo, 0.0);
         assert_eq!(v.span(), 4.0);
-        v.pan(100.0, &l);
+        v.pan(100.0, &l).unwrap();
         assert_eq!(v.y_hi, 16.0);
         assert_eq!(v.visible_leaves(&l), LeafInterval { lo: 12, hi: 16 });
     }

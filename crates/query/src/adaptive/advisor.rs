@@ -13,25 +13,9 @@
 use rustc_hash::FxHashMap;
 use std::time::Duration;
 
-/// Tuning for the auto-materialization loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdvisorConfig {
-    /// Break-even override; when `None` the runtime supplies the
-    /// measured scan cost (the E7 proxy) at decision time.
-    pub break_even: Option<Duration>,
-    /// A built view with zero hits for this long (virtual clock) is
-    /// evicted as never-paying-off.
-    pub eviction_idle: Duration,
-}
-
-impl Default for AdvisorConfig {
-    fn default() -> AdvisorConfig {
-        AdvisorConfig {
-            break_even: None,
-            eviction_idle: Duration::from_secs(60),
-        }
-    }
-}
+/// A built view with zero hits for this long (a minute on the virtual
+/// clock, in nanoseconds) is evicted as never-paying-off.
+const EVICTION_IDLE_NS: u64 = 60_000_000_000;
 
 /// One matview-answerable shape's accumulated foregone cost.
 #[derive(Debug, Clone, Copy, Default)]
@@ -75,9 +59,9 @@ pub struct AdvisorSnapshot {
 
 /// Break-even bookkeeping for auto-materialization. Not itself
 /// thread-safe; the adaptive runtime wraps it in a mutex.
+/// `MatviewAdvisor::default()` is an empty advisor.
 #[derive(Debug, Default)]
 pub struct MatviewAdvisor {
-    config: AdvisorConfig,
     shapes: FxHashMap<u64, ShapeTally>,
     foregone_total: Duration,
     candidates: u64,
@@ -86,41 +70,23 @@ pub struct MatviewAdvisor {
 }
 
 impl MatviewAdvisor {
-    /// An empty advisor.
-    pub fn new(config: AdvisorConfig) -> MatviewAdvisor {
-        MatviewAdvisor {
-            config,
-            shapes: FxHashMap::default(),
-            foregone_total: Duration::ZERO,
-            candidates: 0,
-            built: None,
-            evictions: 0,
-        }
-    }
-
     /// Fold one matview-answerable query that executed *without* a
-    /// view. `measured_break_even` is the runtime's scan-cost proxy,
-    /// used unless the config pins an override. Returns `true` when
-    /// this occurrence pushes the cumulative foregone cost past
-    /// break-even — i.e. the runtime should build the view now.
+    /// view. `break_even` is the runtime's measured scan-cost proxy
+    /// (the E7 trade: one build scan vs the hits it saves). Returns
+    /// `true` when this occurrence pushes the cumulative foregone cost
+    /// past break-even — i.e. the runtime should build the view now.
     pub fn note_candidate(
         &mut self,
         fingerprint: u64,
         charged: Duration,
-        measured_break_even: Duration,
+        break_even: Duration,
     ) -> bool {
         self.candidates += 1;
         self.foregone_total += charged;
         let entry = self.shapes.entry(fingerprint).or_default();
         entry.count += 1;
         entry.foregone += charged;
-        self.built.is_none() && self.foregone_total > self.break_even(measured_break_even)
-    }
-
-    /// The break-even in force: the configured override, else the
-    /// runtime's measured scan-cost proxy.
-    pub fn break_even(&self, measured: Duration) -> Duration {
-        self.config.break_even.unwrap_or(measured)
+        self.built.is_none() && self.foregone_total > break_even
     }
 
     /// The view was built: start the amortization ledger.
@@ -146,11 +112,10 @@ impl MatviewAdvisor {
     }
 
     /// Whether the built view should be evicted: it has served nothing
-    /// for the configured idle window — it never paid off.
+    /// for a minute of virtual time — it never paid off.
     pub fn should_evict(&self, now_ns: u64) -> bool {
-        let idle = u64::try_from(self.config.eviction_idle.as_nanos()).unwrap_or(u64::MAX);
         self.built
-            .is_some_and(|b| b.hits == 0 && now_ns > b.last_hit_ns.saturating_add(idle))
+            .is_some_and(|b| b.hits == 0 && now_ns > b.last_hit_ns.saturating_add(EVICTION_IDLE_NS))
     }
 
     /// The view was evicted; foregone-cost accumulation restarts so a
@@ -198,16 +163,9 @@ mod tests {
         Duration::from_millis(n)
     }
 
-    fn advisor() -> MatviewAdvisor {
-        MatviewAdvisor::new(AdvisorConfig {
-            break_even: None,
-            eviction_idle: ms(100),
-        })
-    }
-
     #[test]
     fn break_even_crossing_triggers_build_once() {
-        let mut a = advisor();
+        let mut a = MatviewAdvisor::default();
         // 30ms break-even; three 10ms queries accumulate to it, the
         // fourth crosses.
         assert!(!a.note_candidate(1, ms(10), ms(30)));
@@ -224,18 +182,8 @@ mod tests {
     }
 
     #[test]
-    fn config_override_beats_the_measured_proxy() {
-        let mut a = MatviewAdvisor::new(AdvisorConfig {
-            break_even: Some(ms(5)),
-            eviction_idle: ms(100),
-        });
-        // Measured proxy says 1000ms, but the override (5ms) wins.
-        assert!(a.note_candidate(1, ms(10), ms(1_000)));
-    }
-
-    #[test]
     fn hits_accumulate_saved_cost() {
-        let mut a = advisor();
+        let mut a = MatviewAdvisor::default();
         a.note_candidate(1, ms(50), ms(10));
         a.record_build(1, ms(30));
         a.note_hit(ms(20), 2);
@@ -247,13 +195,13 @@ mod tests {
 
     #[test]
     fn idle_views_evict_and_accumulation_restarts() {
-        let mut a = advisor();
+        let mut a = MatviewAdvisor::default();
         a.note_candidate(1, ms(50), ms(10));
         a.record_build(1_000_000, ms(30));
         // Within the idle window: keep.
-        assert!(!a.should_evict(1_000_000 + ms(50).as_nanos() as u64));
+        assert!(!a.should_evict(1_000_000 + EVICTION_IDLE_NS));
         // Past it with zero hits: evict.
-        assert!(a.should_evict(1_000_000 + ms(101).as_nanos() as u64));
+        assert!(a.should_evict(1_000_001 + EVICTION_IDLE_NS));
         a.record_evict();
         let snap = a.snapshot();
         assert!(!snap.built);

@@ -9,7 +9,7 @@
 //!   aggregate view is built automatically, amortization is tracked,
 //!   and a view that never pays off, or that a source change made
 //!   stale, is evicted.
-//! * adaptive prefetch lives in the mobile crate (per-session gesture
+//! * gated prefetch lives in the mobile crate (per-session gesture
 //!   classification), but reports its policy switches here so they
 //!   flow into the same `adapt` event stream.
 //!
@@ -23,7 +23,7 @@
 
 pub mod advisor;
 
-pub use advisor::{AdvisorConfig, AdvisorSnapshot, MatviewAdvisor};
+pub use advisor::{AdvisorSnapshot, MatviewAdvisor};
 
 use crate::dataset::Dataset;
 use crate::local::{Keep, LocalBuild};
@@ -76,6 +76,7 @@ const LOOP_MATVIEW: &str = "matview";
 /// `Arc` and reports through `&self`. The exporter (when attached) has
 /// its own sequence space, separate from the fleet observer's — the
 /// two streams are joined on `at_ns`, not `seq`.
+#[derive(Default)]
 pub struct AdaptiveRuntime {
     view: RwLock<Option<Arc<LocalBuild>>>,
     advisor: Mutex<MatviewAdvisor>,
@@ -93,13 +94,8 @@ impl std::fmt::Debug for AdaptiveRuntime {
 
 impl AdaptiveRuntime {
     /// A runtime with no exporter attached.
-    pub fn new(config: AdvisorConfig) -> AdaptiveRuntime {
-        AdaptiveRuntime {
-            view: RwLock::new(None),
-            advisor: Mutex::new(MatviewAdvisor::new(config)),
-            prefetch_switches: AtomicU64::new(0),
-            export: None,
-        }
+    pub fn new() -> AdaptiveRuntime {
+        AdaptiveRuntime::default()
     }
 
     /// Attach an `adapt`-event exporter writing to `sink`.
@@ -177,7 +173,6 @@ impl AdaptiveRuntime {
             feedback.break_even_proxy,
         );
         let foregone = advisor.snapshot().foregone;
-        let break_even = advisor.break_even(feedback.break_even_proxy);
         drop(advisor);
         if !should_build {
             return Ok(());
@@ -201,7 +196,7 @@ impl AdaptiveRuntime {
             reason: format!(
                 "break-even crossed: foregone {}us > break-even {}us",
                 foregone.as_micros(),
-                break_even.as_micros()
+                feedback.break_even_proxy.as_micros()
             ),
             before_ns: duration_ns(mean_before),
             after_ns: 0,
@@ -273,8 +268,7 @@ mod tests {
     fn matview_builds_past_break_even_and_counts_hits() {
         let d = small_dataset(SourceCapabilities::full());
         let sink = Arc::new(VecSink::new());
-        let rt = AdaptiveRuntime::new(AdvisorConfig::default())
-            .with_export(Arc::clone(&sink) as Arc<dyn Sink>);
+        let rt = AdaptiveRuntime::new().with_export(Arc::clone(&sink) as Arc<dyn Sink>);
         let mut fb = feedback();
         fb.matview_candidate = true;
         fb.charged = ms(20);
@@ -311,19 +305,17 @@ mod tests {
     fn idle_views_are_evicted_with_an_event() {
         let d = small_dataset(SourceCapabilities::full());
         let sink = Arc::new(VecSink::new());
-        let rt = AdaptiveRuntime::new(AdvisorConfig {
-            break_even: Some(ms(1)),
-            eviction_idle: ms(50),
-        })
-        .with_export(Arc::clone(&sink) as Arc<dyn Sink>);
+        let rt = AdaptiveRuntime::new().with_export(Arc::clone(&sink) as Arc<dyn Sink>);
         let mut fb = feedback();
         fb.matview_candidate = true;
         fb.charged = ms(20);
+        fb.break_even_proxy = ms(1);
         rt.after_query(&d, &fb).unwrap();
         assert!(rt.view().is_some());
-        // No hits arrive; the clock drifts past the idle window and a
-        // later (non-candidate) query triggers the eviction check.
-        d.clock.advance(ms(60));
+        // No hits arrive; the clock drifts past the minute-long idle
+        // window and a later (non-candidate) query triggers the
+        // eviction check.
+        d.clock.advance(Duration::from_secs(61));
         rt.after_query(&d, &feedback()).unwrap();
         assert!(rt.view().is_none(), "idle view evicted");
         assert_eq!(rt.snapshot().advisor.evictions, 1);
@@ -338,8 +330,7 @@ mod tests {
         let run = || {
             let d = small_dataset(SourceCapabilities::full());
             let sink = Arc::new(VecSink::new());
-            let rt = AdaptiveRuntime::new(AdvisorConfig::default())
-                .with_export(Arc::clone(&sink) as Arc<dyn Sink>);
+            let rt = AdaptiveRuntime::new().with_export(Arc::clone(&sink) as Arc<dyn Sink>);
             let mut fb = feedback();
             fb.matview_candidate = true;
             fb.charged = ms(20);

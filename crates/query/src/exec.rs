@@ -172,8 +172,8 @@ impl Executor {
     }
 
     /// Plan a query and return its cost/cardinality estimates without
-    /// executing it (the mobile prefetch budgeter prices candidate
-    /// subtrees this way).
+    /// executing it (the fleet scheduler's hedging prices a replica
+    /// this way).
     pub fn estimate(&self, dataset: &Dataset, query: &Query) -> Result<PlanEstimate> {
         let plan = self.plan_query(dataset, query)?;
         Ok(PlanEstimate {

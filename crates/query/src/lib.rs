@@ -68,7 +68,7 @@ pub mod stats;
 pub mod trace;
 pub mod validate;
 
-pub use adaptive::{AdaptiveRuntime, AdaptiveSnapshot, AdvisorConfig};
+pub use adaptive::{AdaptiveRuntime, AdaptiveSnapshot};
 pub use ast::{Query, QueryKind, Scope};
 pub use columnar::ActivityColumns;
 pub use dataset::Dataset;

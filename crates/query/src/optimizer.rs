@@ -391,7 +391,7 @@ impl<'a> Rewrite<'a> {
         let Some(access) = self.access else {
             unreachable!("Lower selected the access path")
         };
-        // Cost estimate (for EXPLAIN and the prefetch budgeter):
+        // Cost estimate (for EXPLAIN and hedging):
         // combine the per-fetch estimates the same way the executor
         // combines charged latency; a columnar scan's estimate is the
         // modeled local-compute term.

@@ -11,9 +11,8 @@
 
 use drugtree::prelude::*;
 use drugtree_mobile::gestures::lateral_script;
-use drugtree_mobile::prefetch::Prefetcher;
 use drugtree_query::parser::parse_query;
-use drugtree_query::{AdaptiveRuntime, AdvisorConfig};
+use drugtree_query::AdaptiveRuntime;
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,10 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Every adaptation decision lands in this JSONL export.
     let export_path = std::env::temp_dir().join("drugtree-adapt-export.jsonl");
     let sink = Arc::new(JsonlFileSink::create(&export_path)?);
-    let runtime = Arc::new(
-        AdaptiveRuntime::new(AdvisorConfig::default())
-            .with_export(Arc::clone(&sink) as Arc<dyn Sink>),
-    );
+    let runtime = Arc::new(AdaptiveRuntime::new().with_export(Arc::clone(&sink) as Arc<dyn Sink>));
 
     let system = DrugTree::builder()
         .dataset(bundle.build_dataset())
@@ -51,15 +47,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         system.execute(&aggregate)?;
     }
 
-    // Loop 2 — adaptive prefetch: a sideways-browsing session
+    // Loop 2 — gated prefetch: a sideways-browsing session
     // classifies itself as lateral and switches prefetch on (a
     // drill-down session would leave it off).
     let mut session = system.mobile_session(NetworkProfile::CELL_4G);
     session.set_session_id(7);
-    session.enable_adaptive_prefetch(Prefetcher {
-        fan_out: 2,
-        ..Prefetcher::default()
-    });
+    session.enable_prefetch();
     let script = lateral_script(
         &bundle.tree,
         &bundle.index,

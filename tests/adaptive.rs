@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use drugtree::prelude::*;
-use drugtree_query::{AdaptiveRuntime, AdvisorConfig};
+use drugtree_query::AdaptiveRuntime;
 use drugtree_sources::assay_db::assay_row;
 use drugtree_sources::source::SourceKind;
 use drugtree_workload::queries::{class_stream, QueryWorkloadConfig};
@@ -18,10 +18,7 @@ use std::time::Duration;
 /// the runtime and the sink its `adapt` stream lands in.
 fn adaptive_system(bundle: &SyntheticBundle) -> (DrugTree, Arc<AdaptiveRuntime>, Arc<VecSink>) {
     let sink = Arc::new(VecSink::new());
-    let runtime = Arc::new(
-        AdaptiveRuntime::new(AdvisorConfig::default())
-            .with_export(Arc::clone(&sink) as Arc<dyn Sink>),
-    );
+    let runtime = Arc::new(AdaptiveRuntime::new().with_export(Arc::clone(&sink) as Arc<dyn Sink>));
     let system = DrugTree::builder()
         .dataset(bundle.build_dataset())
         .optimizer(OptimizerConfig::full())
