@@ -68,7 +68,7 @@ pub fn run(config: RunConfig) -> ExperimentTable {
         .expect("builds");
     let view = LocalBuild::build(system.dataset(), Keep::View).expect("view builds");
     let build_cost = view.build_cost;
-    let fresh_before = view.is_fresh(system.dataset());
+    let fresh_before = view.is_fresh(system.dataset().source_epoch());
 
     // Simulate a remote deposition: the view must detect staleness.
     let assay = &system.dataset().registry.by_kind(SourceKind::Assay)[0];
@@ -83,7 +83,7 @@ pub fn run(config: RunConfig) -> ExperimentTable {
     assay
         .ingest(assay_row(&new_record))
         .expect("source accepts ingest");
-    let fresh_after = view.is_fresh(system.dataset());
+    let fresh_after = view.is_fresh(system.dataset().source_epoch());
 
     let mut table = ExperimentTable::new(
         "E7 (Table 3)",

@@ -242,13 +242,13 @@ fn main() {
                 println!("  \\explain <query>   show the plan without running it");
                 println!("  \\analyze <query>   run the query and show plan + metrics");
                 println!("  \\report            deployment + cache summary");
-                println!("  \\refresh           invalidate caches, re-collect statistics");
+                println!("  \\refresh           re-collect statistics");
                 println!("  \\newick            print the tree");
                 println!("  \\q                 quit");
             }
             "\\report" => println!("{}", system.report()),
             "\\refresh" => match system.refresh() {
-                Ok(()) => println!("caches invalidated, statistics re-collected"),
+                Ok(()) => println!("statistics re-collected"),
                 Err(e) => println!("refresh failed: {e}"),
             },
             "\\newick" => println!("{}", to_newick(&system.dataset().tree)),

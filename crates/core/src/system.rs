@@ -234,10 +234,10 @@ impl DrugTree {
         &self.executor
     }
 
-    /// Drop cached results and re-collect statistics after the remote
-    /// sources changed.
+    /// Re-collect statistics after the sources changed, so they prune
+    /// again. No answer needs it: every derived structure checks the
+    /// source epoch before it answers.
     pub fn refresh(&mut self) -> Result<(), DrugTreeError> {
-        self.executor.invalidate();
         self.executor.collect_stats(&self.dataset)?;
         Ok(())
     }
@@ -324,14 +324,32 @@ mod tests {
     }
 
     #[test]
-    fn refresh_clears_cache() {
-        let mut s = system();
+    fn an_ingest_needs_no_refresh() {
+        use drugtree_chem::affinity::{ActivityRecord, ActivityType};
+        use drugtree_query::optimizer::Optimizer;
+        use drugtree_sources::assay_db::assay_row;
+
+        let s = system();
         s.query("activities in tree").unwrap();
-        s.query("activities in tree").unwrap();
-        assert!(s.report().cache.hits >= 1);
-        s.refresh().unwrap();
+        let hit = s.query("activities in tree").unwrap();
+        assert_eq!(hit.metrics.cache_hit, Some(true));
+        s.dataset().registry.by_kind(SourceKind::Assay)[0]
+            .ingest(assay_row(&ActivityRecord {
+                protein_accession: "P0000".into(),
+                ligand_id: "L0000".into(),
+                activity_type: ActivityType::Ki,
+                value_nm: 3.0,
+                source: "late-deposition".into(),
+                year: 2013,
+            }))
+            .unwrap();
         let r = s.query("activities in tree").unwrap();
         assert_eq!(r.metrics.cache_hit, Some(false));
+        let naive = Executor::new(Optimizer::new(OptimizerConfig::naive()));
+        let query = drugtree_query::parser::parse_query("activities in tree").unwrap();
+        let want = naive.execute(s.dataset(), &query).unwrap();
+        assert_eq!(r.rows.len(), hit.rows.len() + 1);
+        assert_eq!(r.rows, want.rows);
     }
 
     #[test]

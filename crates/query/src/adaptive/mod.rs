@@ -25,7 +25,7 @@ pub mod advisor;
 
 pub use advisor::{AdvisorSnapshot, MatviewAdvisor};
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, SourceEpoch};
 use crate::local::{Keep, LocalBuild};
 use crate::obs::export::AdaptDecision;
 use crate::obs::{Sink, TraceExport};
@@ -39,6 +39,8 @@ use std::time::Duration;
 /// entire view of the world — it never re-plans or re-executes).
 #[derive(Debug, Clone, Copy)]
 pub struct QueryFeedback {
+    /// The query's source epoch, the one its plan checked the view at.
+    pub epoch: SourceEpoch,
     /// The query had an aggregate finish a materialized view could
     /// have answered, but none was installed.
     pub matview_candidate: bool,
@@ -140,7 +142,7 @@ impl AdaptiveRuntime {
         // can never take a hit again; a built view with no hits inside
         // the idle window never paid off. Either way the ledger
         // restarts and a later break-even crossing rebuilds.
-        let stale = self.view().is_some_and(|v| !v.is_fresh(dataset));
+        let stale = self.view().is_some_and(|v| !v.is_fresh(feedback.epoch));
         let idle = self.advisor.lock().should_evict(now_ns);
         if stale || idle {
             let mut advisor = self.advisor.lock();
@@ -256,6 +258,7 @@ mod tests {
 
     fn feedback() -> QueryFeedback {
         QueryFeedback {
+            epoch: SourceEpoch::default(),
             matview_candidate: false,
             served_by_adaptive: false,
             fingerprint: 0xfeed,

@@ -23,12 +23,18 @@
 //! `P`). Implication is checked syntactically: `F = True`/`None`, or
 //! `F`'s conjuncts are a subset of `P`'s conjuncts — sound, never
 //! complete, which is the right trade for a cache.
+//!
+//! The cache holds one source epoch ([`SourceEpoch`]): the one its
+//! entries were fetched at or after. A probe or insert from a later
+//! epoch first drops every entry, since any ingest makes every older
+//! entry suspect; an insert from an earlier epoch is declined.
 
+use crate::dataset::SourceEpoch;
 use drugtree_phylo::index::LeafInterval;
 use drugtree_store::expr::Predicate;
 use drugtree_store::value::Value;
 use rustc_hash::FxHashMap;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -56,15 +62,6 @@ pub struct CacheHit {
     /// Positions in `entry_rows` whose leaf rank falls in the probe
     /// interval.
     pub range: Range<usize>,
-    /// The matched entry's interval (for EXPLAIN output).
-    pub entry_interval: LeafInterval,
-}
-
-impl CacheHit {
-    /// The rows restricted to the probe interval.
-    pub fn rows(&self) -> &[Vec<Value>] {
-        &self.entry_rows[self.range.clone()]
-    }
 }
 
 /// Configuration for the semantic cache.
@@ -96,7 +93,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted by the LRU policy.
     pub evictions: u64,
-    /// Entries dropped by invalidation.
+    /// Entries dropped by invalidation or by a later source epoch.
     pub invalidations: u64,
 }
 
@@ -117,19 +114,16 @@ impl CacheStats {
 /// The semantic cache. Not internally synchronized; the executor holds
 /// the one instance behind one lock.
 ///
-/// Entries live in an id-keyed map with two access paths: an LRU queue
-/// of ids (front = coldest) driving probe order and eviction, and an
-/// interval index keyed by `(interval.lo, id)` so targeted
-/// invalidation visits only entries whose interval can overlap the
-/// refresh window instead of scanning every entry.
+/// Entries live in an id-keyed map; an LRU queue of ids (front =
+/// coldest) drives probe order and eviction.
 #[derive(Debug)]
 pub struct SemanticCache {
     config: CacheConfig,
+    /// Every entry was fetched at this source epoch or later.
+    epoch: SourceEpoch,
     entries: FxHashMap<u64, CacheEntry>,
     /// Most-recently-used ids at the back.
     lru: VecDeque<u64>,
-    /// Interval index: `(lo, id) -> hi`.
-    by_lo: BTreeMap<(u32, u64), u32>,
     next_id: u64,
     /// Incrementally maintained `Σ rows`, so budget enforcement does
     /// not rescan entries.
@@ -142,21 +136,23 @@ impl SemanticCache {
     pub fn new(config: CacheConfig) -> SemanticCache {
         SemanticCache {
             config,
+            epoch: SourceEpoch::default(),
             entries: FxHashMap::default(),
             lru: VecDeque::new(),
-            by_lo: BTreeMap::new(),
             next_id: 0,
             cached_rows: 0,
             stats: CacheStats::default(),
         }
     }
 
-    /// Probe for an entry answering `(interval, pushdown)`.
+    /// Probe at `epoch` for an entry answering `(interval, pushdown)`.
     pub fn probe(
         &mut self,
+        epoch: SourceEpoch,
         interval: LeafInterval,
         pushdown: Option<&Predicate>,
     ) -> Option<CacheHit> {
+        self.advance_to(epoch);
         self.stats.probes += 1;
         let found = self.lru.iter().position(|id| {
             self.entries.get(id).is_some_and(|e| {
@@ -175,7 +171,6 @@ impl SemanticCache {
                 Some(CacheHit {
                     entry_rows: Arc::clone(&entry.rows),
                     range: rank_range(&entry.rows, interval),
-                    entry_interval: entry.interval,
                 })
             }
             None => {
@@ -185,40 +180,42 @@ impl SemanticCache {
         }
     }
 
-    /// Insert a fetch result, sharing `rows` with the caller. Rows need
-    /// not be pre-sorted: unsorted input is sorted here (on a private
-    /// copy when the caller still holds the `Arc`). Entries subsumed by
-    /// the new one are dropped (the new entry answers everything they
-    /// could). When budget enforcement evicts the new entry itself the
-    /// caller's `Arc` is unique again.
+    /// Insert a fetch result of a query at `epoch`, sharing `rows` with
+    /// the caller. Rows need not be pre-sorted: unsorted input is sorted
+    /// here (on a private copy when the caller still holds the `Arc`).
+    /// Entries subsumed by the new one are dropped (the new entry
+    /// answers everything they could). When the insert is declined (a
+    /// source changed since `epoch`) or budget enforcement evicts the
+    /// new entry itself, the caller's `Arc` is unique again.
     pub fn insert(
         &mut self,
+        epoch: SourceEpoch,
         interval: LeafInterval,
         pushdown: Option<Predicate>,
         mut rows: SharedRows,
     ) {
+        self.advance_to(epoch);
+        if !epoch.holds_at(self.epoch) {
+            return;
+        }
         if !rows.is_sorted_by_key(|r| rank_of(r)) {
             Arc::make_mut(&mut rows).sort_by_key(|r| rank_of(r));
         }
-        // Drop entries the new one subsumes. Contained entries have
-        // `lo' ∈ [lo, hi]`, so the interval index prunes candidates.
-        let subsumed: Vec<u64> =
-            self.by_lo
-                .range((interval.lo, 0)..=(interval.hi, u64::MAX))
-                .filter(|(&(_, id), &hi)| {
-                    hi <= interval.hi
-                        && self.entries.get(&id).is_some_and(|e| {
-                            pushdown_implies(e.pushdown.as_ref(), pushdown.as_ref())
-                        })
-                })
-                .map(|(&(_, id), _)| id)
-                .collect();
+        // Drop entries the new one subsumes.
+        let subsumed: Vec<u64> = self
+            .entries
+            .iter()
+            .filter(|(_, e)| {
+                interval.contains(e.interval)
+                    && pushdown_implies(e.pushdown.as_ref(), pushdown.as_ref())
+            })
+            .map(|(&id, _)| id)
+            .collect();
         self.remove_ids(&subsumed);
 
         let id = self.next_id;
         self.next_id += 1;
         self.cached_rows += rows.len();
-        self.by_lo.insert((interval.lo, id), interval.hi);
         self.lru.push_back(id);
         self.entries.insert(
             id,
@@ -231,33 +228,21 @@ impl SemanticCache {
         self.enforce_limits();
     }
 
-    /// Drop every entry (sources changed; cached results may be
-    /// stale).
+    /// Drop every entry.
     pub fn invalidate_all(&mut self) {
         self.stats.invalidations += self.entries.len() as u64;
         self.entries.clear();
         self.lru.clear();
-        self.by_lo.clear();
         self.cached_rows = 0;
     }
 
-    /// Drop entries overlapping an interval (a targeted refresh).
-    /// The interval index restricts the walk to entries with
-    /// `lo < interval.hi`; the exact overlap test filters the rest.
-    pub fn invalidate_interval(&mut self, interval: LeafInterval) {
-        let doomed: Vec<u64> = self
-            .by_lo
-            .range(..(interval.hi, 0))
-            .filter(|(_, &hi)| hi > interval.lo)
-            .filter(|(&(_, id), _)| {
-                self.entries
-                    .get(&id)
-                    .is_some_and(|e| e.interval.overlaps(interval))
-            })
-            .map(|(&(_, id), _)| id)
-            .collect();
-        self.remove_ids(&doomed);
-        self.stats.invalidations += doomed.len() as u64;
+    /// Move the cache to `epoch` when a source changed since its own:
+    /// every entry was fetched before that change, so all are dropped.
+    fn advance_to(&mut self, epoch: SourceEpoch) {
+        if !self.epoch.holds_at(epoch) {
+            self.invalidate_all();
+            self.epoch = epoch;
+        }
     }
 
     /// Counters.
@@ -271,7 +256,6 @@ impl SemanticCache {
         }
         for id in ids {
             if let Some(e) = self.entries.remove(id) {
-                self.by_lo.remove(&(e.interval.lo, *id));
                 self.cached_rows -= e.rows.len();
             }
         }
@@ -290,7 +274,6 @@ impl SemanticCache {
                 break;
             };
             if let Some(e) = self.entries.remove(&id) {
-                self.by_lo.remove(&(e.interval.lo, id));
                 self.cached_rows -= e.rows.len();
             }
             self.stats.evictions += 1;
@@ -405,6 +388,9 @@ mod tests {
     use super::*;
     use drugtree_store::expr::CompareOp;
 
+    /// The source epoch every test but `invalidation` runs at.
+    const E: SourceEpoch = SourceEpoch(1);
+
     fn iv(lo: u32, hi: u32) -> LeafInterval {
         LeafInterval { lo, hi }
     }
@@ -413,11 +399,18 @@ mod tests {
         vec![Value::Int(rank), Value::from(tag)]
     }
 
+    impl CacheHit {
+        /// The rows restricted to the probe interval.
+        fn rows(&self) -> &[Vec<Value>] {
+            &self.entry_rows[self.range.clone()]
+        }
+    }
+
     #[test]
     fn exact_hit() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(iv(0, 4), None, Arc::new(vec![row(0, "a"), row(2, "b")]));
-        let hit = c.probe(iv(0, 4), None).unwrap();
+        c.insert(E, iv(0, 4), None, Arc::new(vec![row(0, "a"), row(2, "b")]));
+        let hit = c.probe(E, iv(0, 4), None).unwrap();
         assert_eq!(hit.rows().len(), 2);
         assert_eq!(c.stats().hits, 1);
     }
@@ -426,29 +419,30 @@ mod tests {
     fn containment_hit_slices_rows() {
         let mut c = SemanticCache::new(CacheConfig::default());
         c.insert(
+            E,
             iv(0, 8),
             None,
             Arc::new(vec![row(1, "a"), row(3, "b"), row(6, "c")]),
         );
         // Drill-down: child interval [2,5).
-        let hit = c.probe(iv(2, 5), None).unwrap();
+        let hit = c.probe(E, iv(2, 5), None).unwrap();
         assert_eq!(hit.rows(), [row(3, "b")]);
-        assert_eq!(hit.entry_interval, iv(0, 8));
+        assert_eq!(hit.entry_rows.len(), 3, "the whole entry is shared");
         // Sibling interval outside: rows empty but still a hit (the
         // cache *knows* there is nothing there).
-        let hit = c.probe(iv(7, 8), None).unwrap();
+        let hit = c.probe(E, iv(7, 8), None).unwrap();
         assert!(hit.rows().is_empty());
     }
 
     #[test]
     fn non_contained_probe_misses() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(iv(2, 5), None, Arc::new(vec![row(3, "a")]));
+        c.insert(E, iv(2, 5), None, Arc::new(vec![row(3, "a")]));
         assert!(
-            c.probe(iv(0, 4), None).is_none(),
+            c.probe(E, iv(0, 4), None).is_none(),
             "partial overlap is a miss"
         );
-        assert!(c.probe(iv(5, 6), None).is_none());
+        assert!(c.probe(E, iv(5, 6), None).is_none());
         assert_eq!(c.stats().misses, 2);
     }
 
@@ -460,34 +454,34 @@ mod tests {
 
         let mut c = SemanticCache::new(CacheConfig::default());
         // Entry fetched under p_ge.
-        c.insert(iv(0, 8), Some(p_ge), Arc::new(vec![row(1, "a")]));
+        c.insert(E, iv(0, 8), Some(p_ge), Arc::new(vec![row(1, "a")]));
         // Query pushing down p_ge AND year: entry's rows are a superset.
-        assert!(c.probe(iv(0, 4), Some(&both)).is_some());
+        assert!(c.probe(E, iv(0, 4), Some(&both)).is_some());
         // Query pushing down only year: entry may be missing rows
         // (those failing p_ge) -> miss.
-        assert!(c.probe(iv(0, 4), Some(&year)).is_none());
+        assert!(c.probe(E, iv(0, 4), Some(&year)).is_none());
         // Query with no pushdown (wants everything) -> miss.
-        assert!(c.probe(iv(0, 4), None).is_none());
+        assert!(c.probe(E, iv(0, 4), None).is_none());
     }
 
     #[test]
     fn unfiltered_entry_answers_any_pushdown() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(iv(0, 8), None, Arc::new(vec![row(1, "a")]));
+        c.insert(E, iv(0, 8), None, Arc::new(vec![row(1, "a")]));
         let p = Predicate::cmp("p_activity", CompareOp::Ge, 6.0);
-        assert!(c.probe(iv(0, 4), Some(&p)).is_some());
+        assert!(c.probe(E, iv(0, 4), Some(&p)).is_some());
     }
 
     #[test]
     fn insert_subsumes_smaller_entries() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(iv(2, 4), None, Arc::new(vec![row(2, "a")]));
-        c.insert(iv(0, 8), None, Arc::new(vec![row(2, "a"), row(5, "b")]));
+        c.insert(E, iv(2, 4), None, Arc::new(vec![row(2, "a")]));
+        c.insert(E, iv(0, 8), None, Arc::new(vec![row(2, "a"), row(5, "b")]));
         assert_eq!(c.entries.len(), 1, "small entry subsumed by the big one");
         // But a *filtered* big entry does not subsume an unfiltered
         // small one.
         let p = Predicate::cmp("p_activity", CompareOp::Ge, 6.0);
-        c.insert(iv(0, 8), Some(p), Arc::new(vec![row(5, "b")]));
+        c.insert(E, iv(0, 8), Some(p), Arc::new(vec![row(5, "b")]));
         assert_eq!(c.entries.len(), 2);
     }
 
@@ -497,15 +491,15 @@ mod tests {
             max_entries: 2,
             max_rows: 1000,
         });
-        c.insert(iv(0, 1), None, Arc::new(vec![row(0, "a")]));
-        c.insert(iv(1, 2), None, Arc::new(vec![row(1, "b")]));
+        c.insert(E, iv(0, 1), None, Arc::new(vec![row(0, "a")]));
+        c.insert(E, iv(1, 2), None, Arc::new(vec![row(1, "b")]));
         // Touch the first entry so the second becomes LRU.
-        assert!(c.probe(iv(0, 1), None).is_some());
-        c.insert(iv(2, 3), None, Arc::new(vec![row(2, "c")]));
+        assert!(c.probe(E, iv(0, 1), None).is_some());
+        c.insert(E, iv(2, 3), None, Arc::new(vec![row(2, "c")]));
         assert_eq!(c.entries.len(), 2);
         assert_eq!(c.stats().evictions, 1);
-        assert!(c.probe(iv(1, 2), None).is_none(), "LRU entry evicted");
-        assert!(c.probe(iv(0, 1), None).is_some(), "touched entry kept");
+        assert!(c.probe(E, iv(1, 2), None).is_none(), "LRU entry evicted");
+        assert!(c.probe(E, iv(0, 1), None).is_some(), "touched entry kept");
     }
 
     #[test]
@@ -514,8 +508,8 @@ mod tests {
             max_entries: 100,
             max_rows: 3,
         });
-        c.insert(iv(0, 4), None, Arc::new(vec![row(0, "a"), row(1, "b")]));
-        c.insert(iv(4, 8), None, Arc::new(vec![row(4, "c"), row(5, "d")]));
+        c.insert(E, iv(0, 4), None, Arc::new(vec![row(0, "a"), row(1, "b")]));
+        c.insert(E, iv(4, 8), None, Arc::new(vec![row(4, "c"), row(5, "d")]));
         assert_eq!(c.entries.len(), 1, "row budget forced eviction");
         assert!(c.cached_rows <= 3);
     }
@@ -527,6 +521,7 @@ mod tests {
             max_rows: 2,
         });
         c.insert(
+            E,
             iv(0, 8),
             None,
             Arc::new(vec![row(0, "a"), row(1, "b"), row(2, "c")]),
@@ -537,74 +532,47 @@ mod tests {
         );
         assert_eq!(c.stats().evictions, 1);
         // Smaller entries still cache fine afterwards.
-        c.insert(iv(0, 2), None, Arc::new(vec![row(0, "a")]));
+        c.insert(E, iv(0, 2), None, Arc::new(vec![row(0, "a")]));
         assert_eq!(c.entries.len(), 1);
     }
 
     #[test]
     fn invalidation() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(iv(0, 4), None, Arc::new(vec![row(0, "a")]));
-        c.insert(iv(4, 8), None, Arc::new(vec![row(5, "b")]));
-        c.invalidate_interval(iv(3, 5));
-        assert_eq!(c.entries.len(), 0, "both entries overlap [3,5)");
-        assert_eq!(c.stats().invalidations, 2);
+        c.insert(E, iv(0, 4), None, Arc::new(vec![row(0, "a")]));
+        c.insert(E, iv(4, 8), None, Arc::new(vec![row(5, "b")]));
+        assert_eq!(c.entries.len(), 2);
 
-        c.insert(iv(0, 4), None, Arc::new(vec![row(0, "a")]));
+        // A probe after an ingest drops every entry, each counted.
+        let later = SourceEpoch(2);
+        assert!(c.probe(later, iv(0, 4), None).is_none());
+        assert!(c.entries.is_empty());
+        assert_eq!(c.stats().invalidations, 2);
+        assert_eq!(c.cached_rows, 0);
+
+        // Rows fetched before the ingest are declined.
+        c.insert(E, iv(0, 4), None, Arc::new(vec![row(0, "a")]));
+        assert!(c.entries.is_empty());
+        assert!(c.probe(later, iv(0, 4), None).is_none());
+
+        // At the cache's epoch an insert lands; dropping it explicitly
+        // counts it too.
+        c.insert(later, iv(0, 4), None, Arc::new(vec![row(0, "a")]));
+        assert!(c.probe(later, iv(0, 4), None).is_some());
         c.invalidate_all();
         assert!(c.entries.is_empty());
-    }
-
-    #[test]
-    fn overlapping_interval_invalidation() {
-        // Entries on every side of the refresh window: strictly left,
-        // touching-left (half-open: no overlap), left-overlapping,
-        // contained, containing, right-overlapping, touching-right,
-        // strictly right.
-        let mut c = SemanticCache::new(CacheConfig::default());
-        let cases = [
-            (iv(0, 2), false),   // strictly left of [4, 8)
-            (iv(2, 4), false),   // touches lo: half-open, no overlap
-            (iv(3, 5), true),    // straddles lo
-            (iv(5, 6), true),    // contained
-            (iv(2, 10), true),   // contains the window
-            (iv(7, 9), true),    // straddles hi
-            (iv(8, 10), false),  // touches hi
-            (iv(10, 12), false), // strictly right
-        ];
-        // Distinct pushdowns keep the entries from subsuming each
-        // other on insert, so all eight coexist.
-        let pred = |i: usize| Predicate::eq("source_id", i as i64);
-        for (i, (interval, _)) in cases.iter().enumerate() {
-            c.insert(
-                *interval,
-                Some(pred(i)),
-                Arc::new(vec![row(interval.lo as i64, "x")]),
-            );
-        }
-        assert_eq!(c.entries.len(), 8);
-        c.invalidate_interval(iv(4, 8));
-        assert_eq!(c.stats().invalidations, 4);
-        for (i, (interval, doomed)) in cases.iter().enumerate() {
-            assert_eq!(
-                c.probe(*interval, Some(&pred(i))).is_none(),
-                *doomed,
-                "entry {interval:?} wrong after invalidating [4,8)"
-            );
-        }
-        // Row accounting survives targeted invalidation.
-        assert_eq!(c.cached_rows, 4);
-        assert_eq!(c.entries.len(), 4);
+        assert_eq!(c.cached_rows, 0);
+        assert_eq!(c.stats().invalidations, 3);
     }
 
     #[test]
     fn probes_always_equal_hits_plus_misses() {
         let mut c = SemanticCache::new(CacheConfig::default());
         assert_eq!(c.stats().hit_rate(), None, "never probed is not 0%");
-        c.insert(iv(0, 8), None, Arc::new(vec![row(1, "a")]));
-        let _ = c.probe(iv(0, 4), None);
-        let _ = c.probe(iv(6, 12), None);
-        let _ = c.probe(iv(2, 3), None);
+        c.insert(E, iv(0, 8), None, Arc::new(vec![row(1, "a")]));
+        let _ = c.probe(E, iv(0, 4), None);
+        let _ = c.probe(E, iv(6, 12), None);
+        let _ = c.probe(E, iv(2, 3), None);
         let s = c.stats();
         assert_eq!(s.probes, 3);
         assert_eq!(s.hits + s.misses, s.probes);
@@ -653,16 +621,17 @@ mod tests {
         use drugtree_store::expr::CompareOp::Ge;
         let mut c = SemanticCache::new(CacheConfig::default());
         c.insert(
+            E,
             iv(0, 8),
             Some(Predicate::cmp("p_activity", Ge, 6.0)),
             Arc::new(vec![row(1, "a"), row(3, "b")]),
         );
         // Stricter query bound: rows are a superset of what it needs.
         let strict = Predicate::cmp("p_activity", Ge, 7.5);
-        assert!(c.probe(iv(0, 4), Some(&strict)).is_some());
+        assert!(c.probe(E, iv(0, 4), Some(&strict)).is_some());
         // Looser query bound: entry may be missing rows in [5.0, 6.0).
         let loose = Predicate::cmp("p_activity", Ge, 5.0);
-        assert!(c.probe(iv(0, 4), Some(&loose)).is_none());
+        assert!(c.probe(E, iv(0, 4), Some(&loose)).is_none());
     }
 
     #[test]
@@ -671,24 +640,24 @@ mod tests {
         // The caller keeps its handle: the cache sorts a private copy
         // and leaves the caller's rows as they were.
         let unsorted = Arc::new(vec![row(6, "c"), row(1, "a"), row(3, "b")]);
-        c.insert(iv(0, 8), None, Arc::clone(&unsorted));
-        let hit = c.probe(iv(0, 8), None).unwrap();
+        c.insert(E, iv(0, 8), None, Arc::clone(&unsorted));
+        let hit = c.probe(E, iv(0, 8), None).unwrap();
         let ranks: Vec<i64> = hit.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(ranks, vec![1, 3, 6]);
         assert_eq!(unsorted[0], row(6, "c"));
         // Containment slicing works on what was sorted here.
-        assert_eq!(c.probe(iv(2, 5), None).unwrap().rows(), [row(3, "b")]);
+        assert_eq!(c.probe(E, iv(2, 5), None).unwrap().rows(), [row(3, "b")]);
     }
 
     #[test]
     fn probe_shares_the_entry_rows() {
         let mut c = SemanticCache::new(CacheConfig::default());
         let rows = Arc::new(vec![row(1, "a"), row(3, "b"), row(6, "c")]);
-        c.insert(iv(0, 8), None, Arc::clone(&rows));
+        c.insert(E, iv(0, 8), None, Arc::clone(&rows));
         // Sorted input is adopted as is: entry, inserter and every hit
         // read one allocation.
-        let whole = c.probe(iv(0, 8), None).unwrap();
-        let part = c.probe(iv(2, 7), None).unwrap();
+        let whole = c.probe(E, iv(0, 8), None).unwrap();
+        let part = c.probe(E, iv(2, 7), None).unwrap();
         assert!(Arc::ptr_eq(&whole.entry_rows, &rows));
         assert!(Arc::ptr_eq(&part.entry_rows, &rows));
         assert_eq!(whole.range, 0..3);
@@ -702,18 +671,18 @@ mod tests {
             max_entries: 1,
             ..CacheConfig::default()
         });
-        c.insert(iv(0, 8), None, Arc::new(vec![row(1, "a"), row(3, "b")]));
-        let before_invalidate = c.probe(iv(0, 4), None).unwrap();
+        c.insert(E, iv(0, 8), None, Arc::new(vec![row(1, "a"), row(3, "b")]));
+        let before_invalidate = c.probe(E, iv(0, 4), None).unwrap();
         c.invalidate_all();
         assert!(c.entries.is_empty());
         assert_eq!(c.cached_rows, 0);
         assert_eq!(before_invalidate.rows(), [row(1, "a"), row(3, "b")]);
 
-        c.insert(iv(0, 8), None, Arc::new(vec![row(2, "x")]));
-        let before_evict = c.probe(iv(0, 8), None).unwrap();
-        c.insert(iv(8, 16), None, Arc::new(vec![row(9, "y")]));
+        c.insert(E, iv(0, 8), None, Arc::new(vec![row(2, "x")]));
+        let before_evict = c.probe(E, iv(0, 8), None).unwrap();
+        c.insert(E, iv(8, 16), None, Arc::new(vec![row(9, "y")]));
         assert_eq!(c.stats().evictions, 1);
-        assert!(c.probe(iv(0, 8), None).is_none(), "entry evicted");
+        assert!(c.probe(E, iv(0, 8), None).is_none(), "entry evicted");
         assert_eq!(before_evict.rows(), [row(2, "x")]);
         assert_eq!(c.cached_rows, 1);
     }
@@ -725,7 +694,7 @@ mod tests {
             ..CacheConfig::default()
         });
         let rows = Arc::new(vec![row(0, "a"), row(1, "b"), row(2, "c")]);
-        c.insert(iv(0, 8), None, Arc::clone(&rows));
+        c.insert(E, iv(0, 8), None, Arc::clone(&rows));
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.cached_rows, 0);
         assert!(Arc::try_unwrap(rows).is_ok(), "the cache kept no handle");

@@ -183,38 +183,34 @@ impl Dataset {
         assays.nth(1).is_some()
     }
 
-    /// (name, record count) of every assay source, in registration order.
-    fn assay_counts(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.registry
-            .all()
-            .iter()
-            .filter(|s| s.kind() == SourceKind::Assay)
-            .map(|s| (s.name(), s.record_count()))
+    /// The sum, over every assay source (replicas included), of its
+    /// record count plus one: every ingest and registration raises it
+    /// (DESIGN.md §4g). Derived, not counted, so an ingest through a
+    /// source's own handle is seen too. Allocates nothing.
+    pub fn source_epoch(&self) -> SourceEpoch {
+        SourceEpoch(
+            self.registry
+                .all()
+                .iter()
+                .filter(|s| s.kind() == SourceKind::Assay)
+                .map(|s| s.record_count() as u64 + 1)
+                .sum(),
+        )
     }
 }
 
-/// A freshness record: the record count of every assay source when
-/// something was derived from them. Replicas no scan read are counted
-/// too, so an ingest into one is seen.
-#[derive(Debug, Clone)]
-pub(crate) struct AssayCounts(Vec<(String, usize)>);
+/// The one freshness rule: a derived structure (the local build, the
+/// statistics, the semantic cache) stamps the epoch it was built at and
+/// answers a query only at an epoch it still holds at. A query reads
+/// [`Dataset::source_epoch`] once, before it plans or fetches.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct SourceEpoch(pub(crate) u64);
 
-impl AssayCounts {
-    /// The counts as they are now.
-    pub(crate) fn now(dataset: &Dataset) -> AssayCounts {
-        AssayCounts(
-            dataset
-                .assay_counts()
-                .map(|(name, n)| (name.to_string(), n))
-                .collect(),
-        )
-    }
-
-    /// True when no assay source has been added, removed or changed
-    /// size since the record was made.
-    pub(crate) fn hold(&self, dataset: &Dataset) -> bool {
-        let recorded = self.0.iter().map(|(name, n)| (name.as_str(), *n));
-        dataset.assay_counts().eq(recorded)
+impl SourceEpoch {
+    /// True when what was derived at `self` still holds for a query at
+    /// `now`: no assay source has changed in between.
+    pub fn holds_at(self, now: SourceEpoch) -> bool {
+        self >= now
     }
 }
 

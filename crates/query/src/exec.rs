@@ -187,7 +187,7 @@ impl Executor {
         self.retry = retry;
     }
 
-    /// Collect (or refresh) overlay statistics. Charges the collection
+    /// Collect (or re-collect) overlay statistics. Charges the collection
     /// scan to the dataset clock.
     pub fn collect_stats(&mut self, dataset: &Dataset) -> Result<()> {
         let stats = OverlayStats::collect(dataset)?;
@@ -215,15 +215,9 @@ impl Executor {
         self.local.as_ref()?.mirror.as_ref()
     }
 
-    /// Drop all cached results (call after a source refresh).
+    /// Drop all cached results, so the next queries run cold.
     pub fn invalidate(&self) {
         self.cache.lock().invalidate_all();
-    }
-
-    /// Drop cached results overlapping a leaf interval (a targeted
-    /// refresh of one subtree's sources).
-    pub fn invalidate_interval(&self, interval: LeafInterval) {
-        self.cache.lock().invalidate_interval(interval);
     }
 
     /// Cumulative cache counters.
@@ -258,7 +252,8 @@ impl Executor {
         self.optimizer.plan(&inputs, query)
     }
 
-    /// The planner's inputs: the statistics, the explicit local build
+    /// The planner's inputs: the query's one source epoch, read here,
+    /// before any fetch (D2), the statistics, the explicit local build
     /// and `adaptive_view`.
     fn plan_inputs<'a>(
         &'a self,
@@ -267,6 +262,7 @@ impl Executor {
     ) -> PlanInputs<'a> {
         PlanInputs {
             dataset,
+            epoch: dataset.source_epoch(),
             stats: self.stats.as_ref(),
             local: self.local.as_ref(),
             adaptive_view,
@@ -403,7 +399,10 @@ impl Executor {
                 insert_on_miss,
                 concurrent_sources,
             } => {
-                let probe = self.cache.lock().probe(plan.interval, pushdown.as_ref());
+                let probe = self
+                    .cache
+                    .lock()
+                    .probe(inputs.epoch, plan.interval, pushdown.as_ref());
                 match probe {
                     Some(hit) => {
                         m.cache_hit = Some(true);
@@ -434,13 +433,14 @@ impl Executor {
                         if *insert_on_miss {
                             let shared = Arc::new(rows);
                             self.cache.lock().insert(
+                                inputs.epoch,
                                 plan.interval,
                                 pushdown.clone(),
                                 Arc::clone(&shared),
                             );
                             // The cache declines an entry over its row
-                            // budget; the rows are then this query's
-                            // alone again.
+                            // budget or from an epoch it has passed; the
+                            // rows are then this query's alone again.
                             match Arc::try_unwrap(shared) {
                                 Ok(rows) => ActivityRows::Owned(rows),
                                 Err(shared) => {
@@ -565,6 +565,7 @@ impl Executor {
                 )
                 .is_some();
             let feedback = QueryFeedback {
+                epoch: inputs.epoch,
                 matview_candidate,
                 served_by_adaptive,
                 fingerprint: crate::obs::answer_fingerprint(&plan),
@@ -1403,6 +1404,58 @@ mod tests {
         assert!(r.rows.is_empty());
         assert_eq!(r.metrics.source_requests, 0);
         assert_eq!(d.clock.now(), before);
+    }
+
+    /// Append a measurement to the one assay source, as a remote
+    /// deposition would.
+    fn ingest(d: &Dataset, acc: &str, ligand: &str, value_nm: f64) {
+        let record = crate::dataset::test_fixtures::activity(acc, ligand, value_nm, 2014);
+        d.registry
+            .by_kind(drugtree_sources::source::SourceKind::Assay)[0]
+            .ingest(drugtree_sources::assay_db::assay_row(&record))
+            .unwrap();
+    }
+
+    #[test]
+    fn statistics_prove_nothing_after_an_ingest() {
+        let d = small_dataset(SourceCapabilities::full());
+        let naive = executor(OptimizerConfig::naive());
+        let mut full = full_executor_with_stats(&d);
+        // P4 was empty when the statistics were collected; 5 nM is a
+        // pActivity of 8.3, above P4's recorded maximum.
+        ingest(&d, "P4", "L2", 5.0);
+        let clade_b = Query::activities(Scope::Subtree("cladeB".into()));
+        let potent =
+            Query::activities(Scope::Tree).filter(Predicate::cmp("p_activity", CompareOp::Ge, 8.0));
+        for (query, rows) in [(&clade_b, 2), (&potent, 3)] {
+            let want = naive.execute(&d, query).unwrap();
+            let got = full.execute(&d, query).unwrap();
+            assert_eq!(want.rows.len(), rows, "{query:?}");
+            assert_eq!(got.rows, want.rows, "{query:?}");
+            assert_eq!(got.metrics.pruned_leaves, 0, "{query:?}");
+        }
+        // Statistics collected again prove again: P2 (7.0 at most) is
+        // dropped, and the deposition is kept.
+        full.collect_stats(&d).unwrap();
+        let got = full.execute(&d, &potent).unwrap();
+        assert_eq!(got.metrics.pruned_leaves, 1);
+        assert_eq!(got.rows, naive.execute(&d, &potent).unwrap().rows);
+        assert_eq!(got.rows.len(), 3);
+    }
+
+    #[test]
+    fn a_cached_answer_is_not_served_after_an_ingest() {
+        let d = small_dataset(SourceCapabilities::full());
+        let naive = executor(OptimizerConfig::naive());
+        let full = executor(OptimizerConfig::full());
+        let clade_a = Query::activities(Scope::Subtree("cladeA".into()));
+        assert_eq!(full.execute(&d, &clade_a).unwrap().rows.len(), 3);
+        ingest(&d, "P2", "L2", 50.0);
+        let got = full.execute(&d, &clade_a).unwrap();
+        assert_eq!(got.metrics.cache_hit, Some(false));
+        assert_eq!(got.rows.len(), 4);
+        assert_eq!(got.rows, naive.execute(&d, &clade_a).unwrap().rows);
+        assert_eq!(full.cache_stats().invalidations, 1);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! over those rows; the mirror takes them as its table. A system that
 //! asks for both scans once.
 //!
-//! One freshness record covers the build: the record count of every
-//! assay source, replicas the build did not scan included, so a drifted
-//! replica invalidates it too.
+//! The build stamps the source epoch it read before its scan
+//! ([`Dataset::source_epoch`]): replicas the build did not scan count
+//! too, so a drifted replica makes it stale.
 
 use crate::columnar::ActivityColumns;
-use crate::dataset::{resolve_activity_rows, unify_assay_row, AssayCounts, Dataset};
+use crate::dataset::{resolve_activity_rows, unify_assay_row, Dataset, SourceEpoch};
 use crate::matview::MaterializedAggregates;
 use crate::Result;
 use drugtree_sources::source::{FetchRequest, SourceKind};
@@ -41,15 +41,15 @@ impl Keep {
     }
 }
 
-/// The view and/or mirror of one scan, with its freshness record.
+/// The view and/or mirror of one scan, with the epoch it was built at.
 #[derive(Debug, Clone)]
 pub struct LocalBuild {
     /// The per-node aggregate view, when kept.
     pub(crate) view: Option<MaterializedAggregates>,
     /// The columnar activity mirror, when kept.
     pub(crate) mirror: Option<ActivityColumns>,
-    /// Every assay source's record count at build time.
-    counts: AssayCounts,
+    /// The source epoch read before the scan.
+    epoch: SourceEpoch,
     /// Simulated cost of the build scan.
     pub build_cost: Duration,
 }
@@ -58,7 +58,7 @@ impl LocalBuild {
     /// Scan, resolve, then fold the view and/or move the rows into the
     /// mirror.
     pub fn build(dataset: &Dataset, keep: Keep) -> Result<LocalBuild> {
-        let counts = AssayCounts::now(dataset);
+        let epoch = dataset.source_epoch();
         let (rows, build_cost) = scan(dataset)?;
         let view = match keep {
             Keep::View | Keep::Both => Some(MaterializedAggregates::fold(dataset, &rows)?),
@@ -71,15 +71,15 @@ impl LocalBuild {
         Ok(LocalBuild {
             view,
             mirror,
-            counts,
+            epoch,
             build_cost,
         })
     }
 
-    /// True when no assay source has been added, removed or changed
-    /// size since the build.
-    pub fn is_fresh(&self, dataset: &Dataset) -> bool {
-        self.counts.hold(dataset)
+    /// True when no assay source has changed between the build and a
+    /// query at `epoch`.
+    pub fn is_fresh(&self, epoch: SourceEpoch) -> bool {
+        self.epoch.holds_at(epoch)
     }
 }
 

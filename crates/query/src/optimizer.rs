@@ -42,7 +42,7 @@
 //! latency model at a nominal 100 rows.
 
 use crate::ast::{columns, Groups, Query, QueryKind, SimilaritySpec, MAX_PREDICATE_DEPTH};
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, SourceEpoch};
 use crate::local::LocalBuild;
 use crate::matview::MaterializedAggregates;
 use crate::phases::{PassTrace, RewritePhase, RuleFiring, RuleOutcome, PHASE_ORDER};
@@ -144,13 +144,15 @@ impl OptimizerConfig {
     }
 }
 
-/// Everything the planner borrows besides the query. Only `dataset` is
-/// required; [`PlanInputs::new`] leaves the rest absent.
+/// Everything the planner borrows besides the query. Only `dataset` and
+/// its `epoch` are required; [`PlanInputs::new`] leaves the rest absent.
 #[derive(Clone, Copy)]
 pub struct PlanInputs<'a> {
     /// The dataset the plan will execute on.
     pub dataset: &'a Dataset,
-    /// Overlay statistics (pruning, selectivity, cardinality).
+    /// The query's source epoch, read once before planning.
+    pub epoch: SourceEpoch,
+    /// Overlay statistics (pruning while fresh, selectivity, cardinality).
     pub stats: Option<&'a OverlayStats>,
     /// The explicit local build: the aggregate view and/or the columnar
     /// mirror, read only while it is fresh.
@@ -161,10 +163,11 @@ pub struct PlanInputs<'a> {
 }
 
 impl<'a> PlanInputs<'a> {
-    /// Inputs with the dataset alone.
+    /// Inputs with the dataset and its current epoch alone.
     pub fn new(dataset: &'a Dataset) -> PlanInputs<'a> {
         PlanInputs {
             dataset,
+            epoch: dataset.source_epoch(),
             stats: None,
             local: None,
             adaptive_view: None,
@@ -202,7 +205,7 @@ impl Optimizer {
     pub fn plan(&self, inputs: &PlanInputs<'_>, query: &Query) -> Result<PhysicalPlan> {
         validate(query)?;
         // Each local build's one freshness check of this plan.
-        let fresh = |build: &&LocalBuild| build.is_fresh(inputs.dataset);
+        let fresh = |build: &&LocalBuild| build.is_fresh(inputs.epoch);
         let fresh_inputs = PlanInputs {
             local: inputs.local.filter(fresh),
             adaptive_view: inputs.adaptive_view.filter(fresh),
@@ -523,7 +526,9 @@ pub(crate) mod rules {
         if !rw.config.stats_pruning {
             return Ok(Off);
         }
-        let Some(stats) = rw.inputs.stats else {
+        // An ingest since the statistics may have filled a leaf they saw empty.
+        let epoch = rw.inputs.epoch;
+        let Some(stats) = rw.inputs.stats.filter(|s| s.epoch.holds_at(epoch)) else {
             return Ok(NotApplicable);
         };
         if stats.interval_count(rw.interval()) == 0 {
@@ -572,7 +577,7 @@ pub(crate) mod rules {
         // pushed: a value bound could ship a superseded measurement
         // whose successor fails it.
         let dataset = rw.inputs.dataset;
-        let measured_once = |s: &OverlayStats| s.facts_measured_once(dataset);
+        let measured_once = |s: &OverlayStats| s.facts_measured_once(rw.inputs.epoch);
         let key_only = dataset.resolves_conflicts() && !rw.inputs.stats.is_some_and(measured_once);
         let mut remote = Vec::new();
         let mut local = Vec::new();

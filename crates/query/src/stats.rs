@@ -14,7 +14,7 @@
 //!    before the resolve step, so a value bound is pushed only while
 //!    the collection pass's answer (yes) still holds.
 
-use crate::dataset::{unify_assay_row, AssayCounts, Dataset};
+use crate::dataset::{unify_assay_row, Dataset, SourceEpoch};
 use crate::Result;
 use drugtree_phylo::index::LeafInterval;
 use drugtree_sources::source::{FetchRequest, SourceKind};
@@ -217,10 +217,12 @@ pub struct OverlayStats {
     pub mw: Histogram,
     /// Simulated cost of the collection pass.
     pub collection_cost: Duration,
-    /// Where the deployment resolves conflicts: the source counts when
-    /// the pass saw each (leaf, ligand, activity type) once and every
-    /// replica held as many records as its group. `None` otherwise.
-    facts_once: Option<AssayCounts>,
+    /// The source epoch read before the collection scan (D4).
+    pub(crate) epoch: SourceEpoch,
+    /// Where the deployment resolves conflicts: the pass saw each
+    /// (leaf, ligand, activity type) once and every replica held as
+    /// many records as its group.
+    facts_once: bool,
 }
 
 impl OverlayStats {
@@ -228,6 +230,7 @@ impl OverlayStats {
     /// cheapest member) and one per other assay source. Counts are not
     /// deduplicated: they are estimates.
     pub fn collect(dataset: &Dataset) -> Result<OverlayStats> {
+        let epoch = dataset.source_epoch();
         let n = dataset.leaf_count();
         let mut counts = vec![0u64; n];
         let mut max_p = vec![f64::NEG_INFINITY; n];
@@ -283,17 +286,17 @@ impl OverlayStats {
             p_activity: Histogram::build(p_values, 32),
             mw: Histogram::build(mws, 32),
             collection_cost: cost,
-            facts_once: (facts.is_some() && !repeated && replicas_agree(dataset))
-                .then(|| AssayCounts::now(dataset)),
+            epoch,
+            facts_once: facts.is_some() && !repeated && replicas_agree(dataset),
         })
     }
 
-    /// True when the collection pass saw every fact measured once and
-    /// no assay source has changed since: a filter at the sources then
-    /// cannot keep a superseded measurement. Always false where the
-    /// deployment does not resolve conflicts (there it is not asked).
-    pub(crate) fn facts_measured_once(&self, dataset: &Dataset) -> bool {
-        self.facts_once.as_ref().is_some_and(|c| c.hold(dataset))
+    /// True when the pass saw every fact measured once and its epoch
+    /// holds at `epoch`: a filter at the sources then cannot keep a
+    /// superseded measurement (D3a). Always false where the deployment
+    /// does not resolve conflicts (there it is not asked).
+    pub(crate) fn facts_measured_once(&self, epoch: SourceEpoch) -> bool {
+        self.facts_once && self.epoch.holds_at(epoch)
     }
 
     /// Activity records attached to one leaf.
@@ -313,10 +316,11 @@ impl OverlayStats {
     }
 
     /// Maximum pActivity under an interval, O(1); `None` when the
-    /// interval holds no records.
+    /// interval holds no records. A concentration too small for its
+    /// molar value to be represented has a pActivity of +∞, kept here.
     pub fn interval_max_p(&self, iv: LeafInterval) -> Option<f64> {
         match self.max_p.max(iv.lo, iv.hi) {
-            Some(v) if v.is_finite() => Some(v),
+            Some(v) if v > f64::NEG_INFINITY => Some(v),
             _ => None,
         }
     }
@@ -536,6 +540,19 @@ mod tests {
         assert!(stats
             .interval_max_p(LeafInterval { lo: 3, hi: 4 })
             .is_none());
+    }
+
+    #[test]
+    fn an_infinite_p_activity_is_a_maximum() {
+        let d = small_dataset(SourceCapabilities::full());
+        // 5e-324 nM underflows to 0 M: pActivity +∞.
+        let record = crate::dataset::test_fixtures::activity("P4", "L2", 5e-324, 2013);
+        d.registry.by_kind(SourceKind::Assay)[0]
+            .ingest(drugtree_sources::assay_db::assay_row(&record))
+            .unwrap();
+        let stats = OverlayStats::collect(&d).unwrap();
+        let p4 = LeafInterval { lo: 3, hi: 4 };
+        assert_eq!(stats.interval_max_p(p4), Some(f64::INFINITY));
     }
 
     #[test]

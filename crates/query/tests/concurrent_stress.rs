@@ -3,7 +3,9 @@
 //! single-threaded replay of the same streams on a fresh executor of
 //! the same configuration. Divergence means the shared cache corrupted
 //! a result under contention; the replay also pins the cache
-//! accounting (`hits + misses == probes`).
+//! accounting (`hits + misses == probes`). A second case races an
+//! ingest against the shared executor: once every thread has joined,
+//! each query answers as the naive plan does, with nothing invalidated.
 //!
 //! Run with: `cargo test -p drugtree-query --test concurrent_stress`
 
@@ -17,13 +19,13 @@ use drugtree_phylo::newick::parse_newick;
 use drugtree_query::ast::Metric;
 use drugtree_query::local::Keep;
 use drugtree_query::{Dataset, Executor, Optimizer, OptimizerConfig, Query, Scope};
-use drugtree_sources::assay_db::assay_source;
+use drugtree_sources::assay_db::{assay_row, assay_source};
 use drugtree_sources::clock::VirtualClock;
 use drugtree_sources::federation::SourceRegistry;
 use drugtree_sources::latency::LatencyModel;
 use drugtree_sources::ligand_db::LigandRecord;
 use drugtree_sources::protein_db::ProteinRecord;
-use drugtree_sources::source::SourceCapabilities;
+use drugtree_sources::source::{SourceCapabilities, SourceKind};
 use drugtree_store::expr::{CompareOp, Predicate};
 use drugtree_store::value::Value;
 use std::sync::Arc;
@@ -329,6 +331,74 @@ fn eight_threads_match_single_threaded_replay() {
                 normalize(&r.rows),
                 concurrent[t][i],
                 "thread {t} query #{i} `{q}` diverges from single-threaded replay"
+            );
+        }
+    }
+}
+
+#[test]
+fn an_ingest_racing_the_shared_executor_leaves_no_stale_answer() {
+    let dataset = build_dataset();
+    let streams: Vec<Vec<Query>> = (0..THREADS - 1).map(thread_stream).collect();
+    let shared = serving_executor(&dataset);
+    // Warm the cache at the epoch the statistics and the view saw.
+    for q in streams.iter().flat_map(|s| &s[..20]) {
+        shared.execute(&dataset, q).expect("warm-up query");
+    }
+
+    // One thread deposits potent measurements, into the leaves the
+    // statistics saw empty and then across the tree, while the others
+    // query. Values below 1 nM stay distinct from every held one.
+    let late: Vec<ActivityRecord> = (0..LEAVES)
+        .filter(|rank| rank % 11 == 4)
+        .chain((0..LEAVES).step_by(5))
+        .enumerate()
+        .map(|(i, rank)| ActivityRecord {
+            protein_accession: format!("P{rank}"),
+            ligand_id: LIGANDS[i % LIGANDS.len()].0.into(),
+            activity_type: ActivityType::ALL[i % ActivityType::ALL.len()],
+            value_nm: 0.5 / (i + 1) as f64,
+            source: "late-deposition".into(),
+            year: 2016,
+        })
+        .collect();
+    std::thread::scope(|scope| {
+        for (t, stream) in streams.iter().enumerate() {
+            let (exec, dataset) = (&shared, &dataset);
+            scope.spawn(move || {
+                for (i, q) in stream.iter().enumerate() {
+                    exec.execute(dataset, q)
+                        .unwrap_or_else(|e| panic!("thread {t} query #{i} `{q}` failed: {e}"));
+                }
+            });
+        }
+        let dataset = &dataset;
+        let late = &late;
+        scope.spawn(move || {
+            let assay = &dataset.registry.by_kind(SourceKind::Assay)[0];
+            for record in late {
+                assay
+                    .ingest(assay_row(record))
+                    .expect("source accepts ingest");
+                std::thread::yield_now();
+            }
+        });
+    });
+
+    let stats = shared.cache_stats();
+    assert!(
+        stats.invalidations > 0,
+        "the ingest dropped entries: {stats:?}"
+    );
+    let naive = Executor::new(Optimizer::new(OptimizerConfig::naive()));
+    for (t, stream) in streams.iter().enumerate() {
+        for (i, q) in stream.iter().enumerate() {
+            let got = shared.execute(&dataset, q).expect("shared executor");
+            let want = naive.execute(&dataset, q).expect("naive plan");
+            assert_eq!(
+                normalize(&got.rows),
+                normalize(&want.rows),
+                "thread {t} query #{i} `{q}` is stale after the ingest"
             );
         }
     }

@@ -175,7 +175,8 @@ pub trait DataSource: Send + Sync {
     fn fetch(&self, request: &FetchRequest) -> Result<FetchResponse>;
     /// Cumulative counters.
     fn metrics(&self) -> MetricsSnapshot;
-    /// Number of records currently held (used for planning statistics).
+    /// Number of records currently held. Never decreases: sources are
+    /// append-only, and the query layer's source epoch relies on it.
     fn record_count(&self) -> usize;
     /// The latency profile the mediator assumes for this source (a real
     /// deployment measures this; the simulation reports its model).
@@ -347,8 +348,8 @@ impl DataSource for SimulatedSource {
         self.latency.clone()
     }
 
-    /// Appends a record (simulating a new remote deposition); used by
-    /// the materialized-view staleness experiment.
+    /// Appends a record (simulating a new remote deposition): the record
+    /// count rises, and with it the query layer's source epoch.
     fn ingest(&self, row: Vec<Value>) -> Result<()> {
         self.table.write().append_row(&row)?;
         Ok(())

@@ -75,7 +75,7 @@ impl Dashboard {
             charged.push(self.refresh().charged_cost);
             if runtime
                 .view()
-                .is_some_and(|v| v.is_fresh(self.system.dataset()))
+                .is_some_and(|v| v.is_fresh(self.system.dataset().source_epoch()))
             {
                 return charged;
             }
@@ -91,14 +91,22 @@ fn a_source_change_drops_the_view_and_the_next_break_even_rebuilds_it() {
     let bundle =
         SyntheticBundle::generate(&WorkloadSpec::default().leaves(128).ligands(32).seed(2201));
     let (system, runtime, sink) = adaptive_system(&bundle);
-    let mut dash = Dashboard::new(system);
+    let dash = Dashboard::new(system);
 
-    let break_even = dash.heat(&runtime).len();
+    // Each build comes at the first query whose charged latency takes
+    // the foregone total past the break-even proxy.
+    let proxy = dash.system.executor().stats().unwrap().collection_cost;
+    let crosses_once = |charged: &[Duration]| {
+        let foregone: Duration = charged.iter().sum();
+        foregone > proxy && foregone - charged[charged.len() - 1] <= proxy
+    };
+    let first = dash.heat(&runtime);
+    assert!(crosses_once(&first), "{first:?} vs {proxy:?}");
     for _ in 0..5 {
         assert_eq!(dash.refresh().source_requests, 0, "served by the view");
     }
 
-    // A remote deposition, then the refresh a deployment runs after it.
+    // A remote deposition, and no refresh: the deployment runs none.
     let record = drugtree_chem::affinity::ActivityRecord {
         protein_accession: "P0000".into(),
         ligand_id: "L0000".into(),
@@ -110,13 +118,12 @@ fn a_source_change_drops_the_view_and_the_next_break_even_rebuilds_it() {
     dash.system.dataset().registry.by_kind(SourceKind::Assay)[0]
         .ingest(assay_row(&record))
         .unwrap();
-    dash.system.refresh().unwrap();
 
-    let after = dash.heat(&runtime).len();
-    assert!(
-        after <= break_even,
-        "rebuilt within the break-even count: {after} vs {break_even}"
-    );
+    // The ledger restarted at the eviction. Without the pruning the
+    // statistics no longer prove, a candidate may cost less than before
+    // the ingest, so the rebuild may take more queries than the build.
+    let after = dash.heat(&runtime);
+    assert!(crosses_once(&after), "{after:?} vs {proxy:?}");
     for _ in 0..5 {
         assert_eq!(dash.refresh().source_requests, 0, "served by the new view");
     }

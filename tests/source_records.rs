@@ -21,6 +21,11 @@
 //! one row, its most recent measurement, on every plan. A second
 //! generator deploys well-formed records only, so that every case builds
 //! and repeated facts are common.
+//!
+//! After the cold and the warm pass, a few late measurements are
+//! ingested into every system's own sources (into every replica of a
+//! replicated deployment), and the query set runs a third time with
+//! nothing invalidated and no statistics re-collected.
 
 // Test code: panicking on a malformed fixture is the right failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -33,7 +38,7 @@ use drugtree_sources::assay_db::{assay_row, assay_source};
 use drugtree_sources::clock::{wall_now, VirtualClock};
 use drugtree_sources::ligand_db::LigandRecord;
 use drugtree_sources::protein_db::ProteinRecord;
-use drugtree_sources::source::SourceCapabilities;
+use drugtree_sources::source::{SourceCapabilities, SourceKind};
 use drugtree_sources::{LatencyModel, SourceRegistry};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -43,8 +48,8 @@ const NEWICK: &str =
     "(((P1:1,P2:1)c1:1,(P3:1,P4:1)c2:1)c12:1,((P5:1,P6:1)c3:1,(P7:1,P8:1)c4:1)c34:1)root;";
 /// The longest identifier or name the generator emits, in bytes.
 const MAX_TEXT_BYTES: usize = 1 << 20;
-/// Wall time one case (three builds, the query set twice on three systems)
-/// may take, unoptimised.
+/// Wall time one case (three builds, the query set three times on three
+/// systems) may take, unoptimised.
 const CASE_BUDGET: Duration = Duration::from_secs(20);
 
 /// Run on every system a case builds.
@@ -211,6 +216,9 @@ struct Deployment {
     /// source it goes to (modulo the sources), its year and its
     /// pActivity, spread evenly over the range the queries filter on.
     remeasured: Vec<(usize, usize, u16, f64)>,
+    /// Measurements deposited after the warm pass, each with the source
+    /// it goes to (modulo the sources).
+    late: Vec<(ActivityRecord, usize)>,
 }
 
 fn arb_deployment() -> impl Strategy<Value = Deployment> {
@@ -219,12 +227,14 @@ fn arb_deployment() -> impl Strategy<Value = Deployment> {
         0..10u32,
         proptest::collection::vec(0..3usize, 40),
         proptest::collection::vec((0..40usize, 0..3usize, 0..=u16::MAX, 4.0f64..9.0), 0..8),
+        proptest::collection::vec((arb_measurement(), 0..3usize), 1..4),
     )
-        .prop_map(|(sources, replicated, home, remeasured)| Deployment {
+        .prop_map(|(sources, replicated, home, remeasured, late)| Deployment {
             sources,
             replicated: replicated < 3,
             home,
             remeasured,
+            late,
         })
 }
 
@@ -251,6 +261,22 @@ impl Deployment {
             shards.fill(copy);
         }
         shards
+    }
+
+    /// Deposit the late measurements into a system's own sources: into
+    /// every replica when the sources are replicas.
+    fn ingest_late(&self, dataset: &Dataset) {
+        let sources = dataset.registry.by_kind(SourceKind::Assay);
+        for (record, to) in &self.late {
+            let targets = if self.replicated {
+                &sources[..]
+            } else {
+                std::slice::from_ref(&sources[to % sources.len()])
+            };
+            for source in targets {
+                source.ingest(assay_row(record)).unwrap();
+            }
+        }
     }
 }
 
@@ -350,12 +376,19 @@ fn run_case(
         ),
     ];
     // Each query on a cold cache (its own plan's fetches), then the set
-    // again, answered from what the earlier queries cached.
-    for cold in [true, false] {
+    // again, answered from what the earlier queries cached, then once
+    // more after late depositions, with nothing invalidated.
+    for pass in ["cold", "warm", "late"] {
+        if pass == "late" {
+            deployment.ingest_late(naive.dataset());
+            for (_, system) in &systems {
+                deployment.ingest_late(system.dataset());
+            }
+        }
         for text in QUERIES {
             let expected = naive.query(text).map(|r| normalise(&r.rows));
             for (name, system) in &systems {
-                if cold {
+                if pass == "cold" {
                     system.executor().invalidate();
                 }
                 let got = system.query(text).map(|r| normalise(&r.rows));
@@ -366,7 +399,7 @@ fn run_case(
                 };
                 if !same {
                     return Err(format!(
-                        "`{text}` (cold cache: {cold}): naive -> {:?}, {name} -> {:?}",
+                        "`{text}` ({pass} pass): naive -> {:?}, {name} -> {:?}",
                         expected.as_ref().map(Vec::len),
                         got.as_ref().map(Vec::len)
                     ));
