@@ -22,14 +22,18 @@ struct Options {
     sources: usize,
 }
 
-fn parse_args() -> Result<Options, String> {
+const USAGE: &str = "usage: drugtree [--leaves N] [--ligands N] [--seed N] [--sources N]";
+
+/// The shell's options from its arguments (the program name already
+/// skipped). A tree needs at least two leaves.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         leaves: 256,
         ligands: 32,
         seed: 7,
         sources: 1,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(flag) = args.next() {
         let mut take = |name: &str| -> Result<u64, String> {
             args.next()
@@ -43,7 +47,7 @@ fn parse_args() -> Result<Options, String> {
             "--seed" => opts.seed = take("--seed")?,
             "--sources" => opts.sources = take("--sources")? as usize,
             "--help" | "-h" => {
-                println!("usage: drugtree [--leaves N] [--ligands N] [--seed N] [--sources N]");
+                println!("{USAGE}");
                 println!("       drugtree top <export.jsonl>   fold a trace export into a workload summary");
                 println!("       drugtree advisor <export.jsonl>  show what the self-driving layer decided");
                 println!(
@@ -53,6 +57,9 @@ fn parse_args() -> Result<Options, String> {
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
+    }
+    if opts.leaves < 2 {
+        return Err(format!("--leaves: need at least 2, got {}", opts.leaves));
     }
     Ok(opts)
 }
@@ -183,10 +190,10 @@ fn main() {
     if raw.first().map(String::as_str) == Some("rules") {
         std::process::exit(run_rules());
     }
-    let opts = match parse_args() {
+    let opts = match parse_args(raw) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {e}\n{USAGE}");
             std::process::exit(2);
         }
     };
@@ -277,5 +284,25 @@ fn main() {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn parse(args: &[&str]) -> Result<usize, String> {
+        parse_args(args.iter().map(|a| (*a).to_string())).map(|o| o.leaves)
+    }
+
+    #[test]
+    fn a_tree_needs_two_leaves() {
+        assert_eq!(parse(&[]), Ok(256));
+        assert_eq!(parse(&["--leaves", "2"]), Ok(2));
+        for small in ["0", "1"] {
+            let refused = parse(&["--leaves", small]).unwrap_err();
+            assert!(refused.contains("at least 2"), "{refused}");
+        }
+        assert!(parse(&["--leaves"]).is_err());
     }
 }

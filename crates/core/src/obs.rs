@@ -202,12 +202,14 @@ impl TopReport {
     fn fold_serve(&mut self, event: &ServeEvent) {
         let acc = self.serve.entry(event.class.clone()).or_default();
         acc.class.clone_from(&event.class);
-        acc.admitted += event.admitted;
-        acc.shed += event.shed;
-        acc.hedged += event.hedged;
-        acc.hedges_won += event.hedges_won;
-        acc.deadline_missed += event.deadline_missed;
-        acc.outages += event.outages;
+        // The counters come from the export, so a sum may pass u64::MAX:
+        // it saturates rather than panic or wrap.
+        acc.admitted = acc.admitted.saturating_add(event.admitted);
+        acc.shed = acc.shed.saturating_add(event.shed);
+        acc.hedged = acc.hedged.saturating_add(event.hedged);
+        acc.hedges_won = acc.hedges_won.saturating_add(event.hedges_won);
+        acc.deadline_missed = acc.deadline_missed.saturating_add(event.deadline_missed);
+        acc.outages = acc.outages.saturating_add(event.outages);
     }
 
     /// Query events folded in.
@@ -622,6 +624,21 @@ mod tests {
             .unwrap();
         assert!(row.contains("100"), "admitted summed: {row}");
         assert!(row.contains("15"), "shed summed: {row}");
+    }
+
+    #[test]
+    fn serve_rollups_past_u64_max_saturate() {
+        let line = |seq: u64| {
+            format!(
+                r#"{{"event":"serve","seq":{seq},"class":"listing","admitted":{},"shed":1,"hedged":0,"hedges_won":0,"deadline_missed":0,"outages":0}}"#,
+                u64::MAX - 1
+            )
+        };
+        let report = top(&[line(0), line(1)]);
+        assert_eq!(report.skipped(), 0);
+        let acc = &report.serve["listing"];
+        assert_eq!((acc.admitted, acc.shed), (u64::MAX, 2));
+        assert!(report.render().contains(&u64::MAX.to_string()));
     }
 
     #[test]

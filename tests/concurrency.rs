@@ -8,16 +8,15 @@
 use drugtree::prelude::*;
 use drugtree_workload::queries::{mixed_stream, QueryWorkloadConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use support::system;
+
+mod support;
 
 #[test]
 fn parallel_clients_get_identical_answers() {
     let bundle =
         SyntheticBundle::generate(&WorkloadSpec::default().leaves(96).ligands(24).seed(77));
-    let system = DrugTree::builder()
-        .dataset(bundle.build_dataset())
-        .optimizer(OptimizerConfig::full())
-        .build()
-        .unwrap();
+    let shared = system(bundle.build_dataset(), OptimizerConfig::full(), None);
     let queries = mixed_stream(
         &bundle.tree,
         &bundle.index,
@@ -30,11 +29,7 @@ fn parallel_clients_get_identical_answers() {
     );
 
     // Reference answers, computed single-threaded on a separate system.
-    let reference_system = DrugTree::builder()
-        .dataset(bundle.build_dataset())
-        .optimizer(OptimizerConfig::full())
-        .build()
-        .unwrap();
+    let reference_system = system(bundle.build_dataset(), OptimizerConfig::full(), None);
     let reference: Vec<Vec<Vec<Value>>> = queries
         .iter()
         .map(|q| {
@@ -47,7 +42,7 @@ fn parallel_clients_get_identical_answers() {
     let mismatches = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for t in 0..8 {
-            let system = &system;
+            let system = &shared;
             let queries = &queries;
             let reference = &reference;
             let mismatches = &mismatches;
@@ -68,18 +63,14 @@ fn parallel_clients_get_identical_answers() {
     assert_eq!(mismatches.load(Ordering::Relaxed), 0);
 
     // The shared cache saw real traffic from all threads.
-    let stats = system.report().cache;
+    let stats = shared.report().cache;
     assert!(stats.hits + stats.misses >= queries.len() as u64);
 }
 
 #[test]
 fn parallel_sessions_share_the_cache() {
     let bundle = SyntheticBundle::generate(&WorkloadSpec::default().leaves(64).ligands(16).seed(5));
-    let system = DrugTree::builder()
-        .dataset(bundle.build_dataset())
-        .optimizer(OptimizerConfig::full())
-        .build()
-        .unwrap();
+    let system = system(bundle.build_dataset(), OptimizerConfig::full(), None);
 
     // Warm the cache from one "client".
     system.query("activities in tree").unwrap();

@@ -5,13 +5,16 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use drugtree::prelude::*;
-use drugtree_chem::affinity::{ActivityRecord, ActivityType};
+use drugtree_query::dataset::test_fixtures::activity;
 use drugtree_sources::assay_db::assay_source;
 use drugtree_sources::latency::LatencyModel;
 use drugtree_sources::ligand_db::{ligand_source, LigandRecord};
 use drugtree_sources::protein_db::{protein_source, ProteinRecord};
 use drugtree_sources::source::SourceCapabilities;
 use std::sync::Arc;
+use support::system;
+
+mod support;
 
 fn protein(acc: &str, seq: &str) -> ProteinRecord {
     ProteinRecord {
@@ -20,17 +23,6 @@ fn protein(acc: &str, seq: &str) -> ProteinRecord {
         organism: "test".into(),
         sequence: seq.into(),
         gene: None,
-    }
-}
-
-fn activity(acc: &str, lig: &str, nm: f64) -> ActivityRecord {
-    ActivityRecord {
-        protein_accession: acc.into(),
-        ligand_id: lig.into(),
-        activity_type: ActivityType::Ki,
-        value_nm: nm,
-        source: "test".into(),
-        year: 2012,
     }
 }
 
@@ -49,9 +41,9 @@ fn pipeline_from_sequences_to_queries() {
         LigandRecord::from_smiles("L2", "ethanol", "CCO").unwrap(),
     ];
     let activities = vec![
-        activity("A1", "L1", 10.0),
-        activity("A2", "L1", 30.0),
-        activity("B1", "L2", 5000.0),
+        activity("A1", "L1", 10.0, 2012),
+        activity("A2", "L1", 30.0, 2012),
+        activity("B1", "L2", 5000.0, 2012),
     ];
 
     let system = DrugTree::builder()
@@ -130,11 +122,7 @@ fn pipeline_from_sequences_to_queries() {
 #[test]
 fn refresh_cycle_keeps_results_correct() {
     let bundle = SyntheticBundle::generate(&WorkloadSpec::default().leaves(64).ligands(16));
-    let mut system = DrugTree::builder()
-        .dataset(bundle.build_dataset())
-        .optimizer(OptimizerConfig::full())
-        .build()
-        .unwrap();
+    let mut system = system(bundle.build_dataset(), OptimizerConfig::full(), None);
 
     let before = system.query("activities in tree").unwrap();
     let cached = system.query("activities in tree").unwrap();
@@ -151,11 +139,7 @@ fn refresh_cycle_keeps_results_correct() {
 #[test]
 fn parser_and_builder_queries_agree() {
     let bundle = SyntheticBundle::generate(&WorkloadSpec::default().leaves(64).ligands(16));
-    let system = DrugTree::builder()
-        .dataset(bundle.build_dataset())
-        .optimizer(OptimizerConfig::full())
-        .build()
-        .unwrap();
+    let system = system(bundle.build_dataset(), OptimizerConfig::full(), None);
 
     let text = system
         .query("activities in subtree('clade1') where p_activity >= 6 top 10 by p_activity desc")

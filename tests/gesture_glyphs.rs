@@ -5,73 +5,71 @@
 //! for one glyph row per drawn leaf or collapsed clade: its record
 //! count and best pActivity over the clade's interval ∩ the gesture's
 //! scope. The test generates gesture scripts (expands, inspects, pans,
-//! zooms) and, for every query a gesture asks, checks the answers of
-//! three systems — the naive plan, `full()`, and `full()` with the
-//! materialized view and the columnar mirror — against the naive
-//! listing of the same scope, folded through the same render list: the
-//! same groups in the same order, equal counts, and the best pActivity
-//! bit-equal to a max folded in rank order. An inspect whose leaves
-//! are all drawn still lists rows, and those must equal the listing.
+//! zooms) with late measurements ingested between gestures, and feeds
+//! them to the differential harness (`support`), so the view, the
+//! mirror, the statistics and the cache go stale mid-session. Every
+//! system's answer to every query a gesture asks is checked against the
+//! naive listing of the same scope, folded through the same render
+//! list: the same groups in the same order, equal counts, and the best
+//! pActivity bit-equal to a max folded in rank order. An inspect whose
+//! leaves are all drawn still lists rows, which the harness compares.
 
 // Test code: panicking on a malformed fixture is the right failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use drugtree::prelude::*;
 use drugtree_mobile::lod::{render_visible, GLYPH_METRICS};
-use drugtree_mobile::{GestureStep, QueryOutcome};
 use drugtree_phylo::index::LeafInterval;
 use drugtree_query::ast::Groups;
+use drugtree_query::dataset::test_fixtures::activity;
 use proptest::prelude::*;
-use std::sync::Arc;
+use proptest::test_runner::TestCaseError;
+use support::{Answer, Matrix, Step, Systems};
+
+mod support;
 
 /// 480 pixels over 384 leaves: a fullscreen viewport collapses every
 /// clade of fewer than ten leaves, and a viewport zoomed in two or four
 /// times collapses the smallest clades, some of them across its edge.
 const LEAVES: usize = 384;
 
-fn system(bundle: &SyntheticBundle, config: OptimizerConfig, local: bool) -> DrugTree {
-    let mut builder = DrugTree::builder()
-        .dataset(bundle.build_dataset())
-        .optimizer(config);
-    if local {
-        builder = builder.with_matview().with_columnar();
-    }
-    builder.build().unwrap()
+/// The nodes of a binary tree over [`LEAVES`] leaves: an expand's
+/// node is drawn modulo this.
+const NODES: u32 = 2 * LEAVES as u32 - 1;
+
+fn arb_gesture() -> impl Strategy<Value = Gesture> {
+    prop_oneof![
+        (0u32..10_000).prop_map(|n| Gesture::Expand {
+            node: NodeId(n % NODES)
+        }),
+        Just(Gesture::InspectViewport),
+        (-40.0f64..40.0).prop_map(|dy| Gesture::Pan { dy }),
+        (0.0f64..LEAVES as f64).prop_map(|focus_y| Gesture::ZoomIn { focus_y }),
+        (0.0f64..LEAVES as f64).prop_map(|focus_y| Gesture::ZoomOut { focus_y }),
+    ]
 }
 
-/// One generated gesture; an expand's node is reduced modulo the
-/// tree's size.
-#[derive(Debug, Clone)]
-enum Step {
-    Expand(u32),
-    Inspect,
-    Pan(f64),
-    ZoomIn(f64),
-    ZoomOut(f64),
-}
-
-impl Step {
-    fn gesture(&self, nodes: usize) -> Gesture {
-        match *self {
-            Step::Expand(n) => Gesture::Expand {
-                node: NodeId(n % nodes as u32),
-            },
-            Step::Inspect => Gesture::InspectViewport,
-            Step::Pan(dy) => Gesture::Pan { dy },
-            Step::ZoomIn(focus_y) => Gesture::ZoomIn { focus_y },
-            Step::ZoomOut(focus_y) => Gesture::ZoomOut { focus_y },
+/// The script as harness steps: after a gesture, one time in three, a
+/// potent late measurement of a leaf. The ingests come from the case's
+/// seed (an xorshift stream), so the drawn gestures stay the ones the
+/// generator drew before ingests were added.
+fn steps(seed: u64, script: &[Gesture]) -> Vec<Step> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut steps = Vec::new();
+    for gesture in script {
+        steps.push(Step::Gesture(gesture.clone()));
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        if state.is_multiple_of(3) {
+            let leaf = format!("P{:04}", (state >> 8) % LEAVES as u64);
+            let ligand = format!("L{:04}", (state >> 24) % 64);
+            let value_nm = [0.5, 3.0, 40.0][(state >> 40) as usize % 3];
+            let record = activity(&leaf, &ligand, value_nm, 2014);
+            steps.push(Step::Ingest(record, 0));
         }
     }
-}
-
-fn arb_step() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (0u32..10_000).prop_map(Step::Expand),
-        Just(Step::Inspect),
-        (-40.0f64..40.0).prop_map(Step::Pan),
-        (0.0f64..LEAVES as f64).prop_map(Step::ZoomIn),
-        (0.0f64..LEAVES as f64).prop_map(Step::ZoomOut),
-    ]
+    steps
 }
 
 /// The listing's record count and best pActivity (as bits) over
@@ -90,9 +88,52 @@ fn fold(listing: &QueryResult, group: LeafInterval, scope: LeafInterval) -> (i64
     (count, best.map(f64::to_bits))
 }
 
-fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort();
-    rows
+/// A glyph answer against the naive listing of its scope, folded
+/// through the render list its session draws.
+fn check_glyphs(
+    answer: &Answer<'_, '_>,
+    listing: &QueryResult,
+    dataset: &Dataset,
+) -> Result<(), String> {
+    let (Some(session), Step::Gesture(gesture)) = (answer.session, answer.step) else {
+        return Ok(());
+    };
+    let Scope::Interval(scope) = answer.query.scope else {
+        return Err("a gesture scopes an interval".into());
+    };
+    let (tree, index) = (&dataset.tree, &dataset.index);
+    let render = render_visible(tree, index, &session.viewport(), session.layout());
+    let QueryKind::Aggregate {
+        groups: Groups::Nodes(nodes),
+        metrics,
+    } = &answer.query.kind
+    else {
+        return if matches!(gesture, Gesture::InspectViewport) && render.collapsed_leaves == 0 {
+            Ok(())
+        } else {
+            Err(format!("{gesture:?} asked {:?}", answer.query.kind))
+        };
+    };
+    let rows = &answer.result.rows;
+    let drawn = matches!(gesture, Gesture::Expand { .. }) || render.collapsed_leaves > 0;
+    let glyphs = *nodes == render.glyph_nodes() && metrics[..] == GLYPH_METRICS[..];
+    if !drawn || !glyphs || rows.len() != nodes.len() {
+        let asked = format!("{} rows for {nodes:?} {metrics:?}", rows.len());
+        return Err(format!("{gesture:?}: {asked}, drew {render:?}"));
+    }
+    for (row, &node) in rows.iter().zip(nodes) {
+        let group = index.interval(node);
+        let (count, best) = fold(listing, group, scope);
+        let (lo, hi) = (i64::from(group.lo), i64::from(group.hi));
+        let expected = (Some(lo), Some(hi), Some(count), best);
+        let got = (row[1].as_int(), row[2].as_int(), row[3].as_int());
+        let got = (got.0, got.1, got.2, row[4].as_f64().map(f64::to_bits));
+        if got != expected {
+            let node = node.0;
+            return Err(format!("n{node}: {got:?}, the folded listing {expected:?}"));
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -101,81 +142,30 @@ proptest! {
     #[test]
     fn a_budgeted_gesture_answers_the_listing_folded_through_its_render_list(
         seed in 0u64..500,
-        script in proptest::collection::vec(arb_step(), 4..16),
+        script in proptest::collection::vec(arb_gesture(), 4..16),
     ) {
         let bundle = SyntheticBundle::generate(
             &WorkloadSpec::default().leaves(LEAVES).ligands(64).seed(seed),
         );
-        let oracle = system(&bundle, OptimizerConfig::naive(), false);
-        let systems = [
-            ("naive", system(&bundle, OptimizerConfig::naive(), false)),
-            ("full", system(&bundle, OptimizerConfig::full(), false)),
-            ("full+local", system(&bundle, OptimizerConfig::full(), true)),
-        ];
-        let (tree, index) = (&bundle.tree, &bundle.index);
-        let mut glyph_gestures = 0;
-        for (name, system) in &systems {
-            let mut session = system.mobile_session(NetworkProfile::WIFI);
-            for step in &script {
-                let gesture = step.gesture(tree.len());
-                let pending = match session.begin_gesture(&gesture).unwrap() {
-                    GestureStep::View(pending) => {
-                        session.commit_view(pending);
-                        continue;
-                    }
-                    GestureStep::Query(pending) => pending,
-                };
-                let Scope::Interval(scope) = pending.query.scope else {
-                    panic!("{name}: a gesture scopes an interval");
-                };
-                let render = render_visible(tree, index, &session.viewport(), session.layout());
-                let got = system.executor().execute(system.dataset(), &pending.query).unwrap();
-                let listing = oracle.execute(&Query::activities(Scope::Interval(scope))).unwrap();
-                match &pending.query.kind {
-                    QueryKind::Aggregate { groups: Groups::Nodes(nodes), metrics } => {
-                        glyph_gestures += 1;
-                        prop_assert!(
-                            matches!(gesture, Gesture::Expand { .. }) || render.collapsed_leaves > 0,
-                            "{}: an inspect of drawn leaves lists rows", name
-                        );
-                        prop_assert_eq!(nodes, &render.glyph_nodes(), "{}: {:?}", name, gesture);
-                        prop_assert_eq!(metrics.as_slice(), GLYPH_METRICS.as_slice());
-                        prop_assert_eq!(got.rows.len(), nodes.len(), "{}", name);
-                        for (row, &node) in got.rows.iter().zip(nodes) {
-                            let group = index.interval(node);
-                            let (count, best) = fold(&listing, group, scope);
-                            prop_assert_eq!(
-                                (row[1].as_int(), row[2].as_int()),
-                                (Some(i64::from(group.lo)), Some(i64::from(group.hi)))
-                            );
-                            prop_assert_eq!(row[3].as_int(), Some(count), "{} n{}", name, node.0);
-                            prop_assert_eq!(
-                                row[4].as_f64().map(f64::to_bits),
-                                best,
-                                "{} n{}", name, node.0
-                            );
-                        }
-                    }
-                    QueryKind::Activities => {
-                        prop_assert!(matches!(gesture, Gesture::InspectViewport));
-                        prop_assert_eq!(render.collapsed_leaves, 0, "{}", name);
-                        prop_assert_eq!(sorted(got.rows.clone()), sorted(listing.rows), "{}", name);
-                    }
-                    other => panic!("{name}: a gesture asked {other:?}"),
-                }
-                let result = Arc::new(got);
-                session.commit_query(
-                    pending,
-                    &QueryOutcome::Rows {
-                        charged: result.metrics.charged_cost,
-                        query_latency: result.metrics.virtual_cost,
-                        result,
-                    },
-                );
+        prop_assert_eq!(bundle.tree.len(), NODES as usize);
+        let systems = Systems::new(&Matrix::fixed(), || bundle.build_dataset());
+        let naive = systems.naive();
+        // The naive plan answers each step first: its scope's listing
+        // serves the step's other answers too.
+        let mut listing = None;
+        let mut glyph_answers = 0;
+        let run = systems.run_with(&steps(seed, &script), |answer| {
+            if answer.system == "naive" {
+                let scope = answer.query.scope.clone();
+                listing = Some(naive.execute(&Query::activities(scope)).unwrap());
+                glyph_answers += usize::from(matches!(answer.query.kind, QueryKind::Aggregate { .. }));
             }
-        }
-        // Every expand asks for glyphs, so a script with one checks some.
-        let expands = script.iter().filter(|s| matches!(s, Step::Expand(_))).count();
-        prop_assert!(glyph_gestures >= expands * systems.len());
+            check_glyphs(answer, listing.as_ref().unwrap(), naive.dataset())
+        });
+        run.map_err(TestCaseError::Fail)?;
+        // Every expand asks for glyphs, so a script with one checks some;
+        // every system answered each glyph query the naive plan answered.
+        let expands = script.iter().filter(|g| matches!(g, Gesture::Expand { .. })).count();
+        prop_assert!(glyph_answers >= expands);
     }
 }

@@ -1,31 +1,23 @@
 //! Cross-crate property tests: optimizer equivalence and cache
-//! coherence on randomly generated deployments and queries.
+//! coherence on randomly generated deployments and queries, fed to the
+//! differential harness (`support`).
 
 // Test code: panicking on a malformed fixture is the right failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use drugtree::prelude::*;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::collections::HashMap;
+use support::{Answer, Matrix, Step, Systems};
 
-/// Build a small deployment from proptest-chosen parameters.
-fn deployment(leaves: usize, ligands: usize, seed: u64) -> (SyntheticBundle, DrugTree, DrugTree) {
-    let spec = WorkloadSpec::default()
-        .leaves(leaves)
-        .ligands(ligands)
-        .seed(seed);
-    let bundle = SyntheticBundle::generate(&spec);
-    let naive = DrugTree::builder()
-        .dataset(bundle.build_dataset())
-        .optimizer(OptimizerConfig::naive())
-        .with_stats(false)
-        .build()
-        .unwrap();
-    let full = DrugTree::builder()
-        .dataset(bundle.build_dataset())
-        .optimizer(OptimizerConfig::full())
-        .build()
-        .unwrap();
-    (bundle, naive, full)
+mod support;
+
+/// The harness's systems over a small generated deployment.
+fn deployment(leaves: usize, ligands: usize, seed: u64) -> Systems {
+    let spec = WorkloadSpec::default().leaves(leaves).ligands(ligands);
+    let bundle = SyntheticBundle::generate(&spec.seed(seed));
+    Systems::new(&Matrix::fixed(), || bundle.build_dataset())
 }
 
 fn arb_query(max_leaves: usize) -> impl Strategy<Value = Query> {
@@ -55,68 +47,44 @@ fn arb_query(max_leaves: usize) -> impl Strategy<Value = Query> {
     })
 }
 
-fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort();
-    rows
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The fundamental soundness property: for random queries over a
-    /// random deployment, the fully optimized executor returns exactly
-    /// what the naive executor returns.
+    /// random deployment, every optimized system returns exactly what
+    /// the naive plan returns.
     #[test]
     fn optimizer_preserves_answers(
         seed in 0u64..500,
         queries in proptest::collection::vec(arb_query(48), 1..6),
     ) {
-        let (_, naive, full) = deployment(48, 12, seed);
-        for q in &queries {
-            let expected = naive.execute(q).unwrap();
-            let got = full.execute(q).unwrap();
-            if let QueryKind::TopK { .. } = q.kind {
-                // Tie-breaks may differ; compare ranking keys.
-                let keys = |r: &QueryResult| {
-                    let mut ks: Vec<Value> =
-                        r.rows.iter().map(|row| row[5].clone()).collect();
-                    ks.sort();
-                    ks
-                };
-                prop_assert_eq!(keys(&expected), keys(&got), "{:?}", q);
-            } else {
-                prop_assert_eq!(
-                    sorted(expected.rows),
-                    sorted(got.rows),
-                    "{:?}", q
-                );
-            }
-        }
+        let steps: Vec<Step> = queries.into_iter().map(Step::Query).collect();
+        deployment(48, 12, seed).run(&steps).map_err(TestCaseError::Fail)?;
     }
 
-    /// Cache coherence: interleaving random queries, every repeat of an
-    /// earlier query returns the same rows it returned the first time.
+    /// Cache coherence: interleaving random queries, every answer
+    /// (the repeats of earlier queries among them) is the naive plan's,
+    /// and every repeat on one system returns exactly the rows of its
+    /// first answer there: every column, no float rounding.
     #[test]
     fn cache_is_coherent_under_interleaving(
         seed in 0u64..200,
         queries in proptest::collection::vec(arb_query(32), 2..8),
         replay_order in proptest::collection::vec(0usize..8, 4..12),
     ) {
-        let spec = WorkloadSpec::default().leaves(32).ligands(8).seed(seed);
-        let bundle = SyntheticBundle::generate(&spec);
-        let system = DrugTree::builder()
-            .dataset(bundle.build_dataset())
-            .optimizer(OptimizerConfig::full())
-            .build()
-            .unwrap();
-        let mut first_answers: Vec<Option<Vec<Vec<Value>>>> = vec![None; queries.len()];
-        for &i in &replay_order {
-            let i = i % queries.len();
-            let rows = sorted(system.execute(&queries[i]).unwrap().rows);
-            match &first_answers[i] {
-                Some(expected) => prop_assert_eq!(expected, &rows, "query {}", i),
-                None => first_answers[i] = Some(rows),
-            }
-        }
+        let steps: Vec<Step> = replay_order
+            .iter()
+            .map(|&i| Step::Query(queries[i % queries.len()].clone()))
+            .collect();
+        let mut first = HashMap::new();
+        let repeat = |answer: &Answer<'_, '_>| {
+            let mut rows = answer.result.rows.clone();
+            rows.sort();
+            let key = (answer.system.to_string(), format!("{:?}", answer.query));
+            let first = first.entry(key).or_insert_with(|| rows.clone());
+            let same = *first == rows;
+            same.then_some(()).ok_or_else(|| format!("repeat {rows:?}, first {first:?}"))
+        };
+        deployment(32, 8, seed).run_with(&steps, repeat).map_err(TestCaseError::Fail)?;
     }
 }

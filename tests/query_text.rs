@@ -1,6 +1,7 @@
-//! Generated query text, run on three deployments of one 64-leaf
-//! bundle: the naive planner, the federated `full()` planner, and
-//! `full()` with the materialized view and the columnar mirror.
+//! Generated query text, fed to the differential harness
+//! (`support`) over one 64-leaf bundle: the naive planner against
+//! `full()` and `full()` with the materialized view and the columnar
+//! mirror, each warm and cold.
 //!
 //! The generator is structure-aware: it emits sentences of the text
 //! language (kind, scope, `where`, `containing`, `similar to`, `top`)
@@ -8,7 +9,7 @@
 //! lists of up to 10,000 values, and numeric edge cases (±2^53 ± 1,
 //! `i64::MIN`/`MAX`, `±1e999`, 400-digit integers and fractions,
 //! inverted `between`, similarity thresholds outside [0, 1]). For every
-//! query either all three systems return an error, or all three return
+//! query either every system returns an error, or every system returns
 //! the same normalised rows; none may panic.
 
 // Test code: panicking on a malformed fixture is the right failure.
@@ -16,6 +17,10 @@
 
 use drugtree::prelude::*;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use support::{Matrix, Step, Systems};
+
+mod support;
 
 /// Leaves of the bundle every query runs against.
 const LEAVES: usize = 64;
@@ -47,94 +52,19 @@ const TEXT_COLUMNS: &[&str] = &[
 const OPS: &[&str] = &["=", "!=", "<", "<=", ">", ">="];
 
 thread_local! {
-    /// The naive, federated and local deployments of one bundle, one
-    /// set per test thread, so no other test touches their caches.
-    static SYSTEMS: [(&'static str, DrugTree); 3] = {
+    /// The harness's systems over one bundle, one set per test thread,
+    /// so no other test touches their caches.
+    static SYSTEMS: Systems = {
         let bundle = SyntheticBundle::generate(&WorkloadSpec::default().leaves(LEAVES));
-        let build = |builder: DrugTreeBuilder| {
-            builder.dataset(bundle.build_dataset()).build().unwrap()
-        };
-        [
-            ("naive", build(DrugTree::builder().optimizer(OptimizerConfig::naive()))),
-            ("federated", build(DrugTree::builder().optimizer(OptimizerConfig::full()))),
-            (
-                "local",
-                build(
-                    DrugTree::builder()
-                        .optimizer(OptimizerConfig::full())
-                        .with_matview()
-                        .with_columnar(),
-                ),
-            ),
-        ]
+        Systems::new(&Matrix::fixed(), || bundle.build_dataset())
     };
 }
 
-/// Rows in a comparable form: floats rounded to 1e-9, rows sorted.
-fn normalise(rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
-    let mut out: Vec<Vec<Value>> = rows
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|v| match v {
-                    Value::Float(f) => Value::Float((f * 1e9).round() / 1e9),
-                    other => other.clone(),
-                })
-                .collect()
-        })
-        .collect();
-    out.sort();
-    out
-}
-
-/// The query text cut to its first 200 characters once it is longer
-/// than 400 bytes, so a failure message quotes a 1 MiB literal by its
-/// length.
-fn excerpt(text: &str) -> String {
-    if text.len() <= 400 {
-        return text.to_string();
-    }
-    let head: String = text.chars().take(200).collect();
-    format!("{head}… ({} bytes)", text.len())
-}
-
-/// Run `text` on every system: `Ok(true)` when all three answered
-/// with equal rows, `Ok(false)` when all three refused it. The two
-/// planned systems answer twice: on the cache earlier queries left,
-/// then on an emptied one, so neither a reused entry nor a cold fetch
-/// can hide a wrong answer behind the other.
+/// Run `text` on every system: `Ok(true)` when all answered alike,
+/// `Ok(false)` when all refused it.
 fn agree(text: &str) -> Result<bool, String> {
-    type Answer = Result<Vec<Vec<Value>>, DrugTreeError>;
-    let outcome = |answer: &Answer| match answer {
-        Ok(rows) => format!("{} rows", rows.len()),
-        Err(e) => format!("error {}", excerpt(&e.to_string())),
-    };
-    SYSTEMS.with(|systems| {
-        let run = |system: &DrugTree| system.query(text).map(|r| normalise(&r.rows));
-        let expected = run(&systems[0].1);
-        for (name, system) in &systems[1..] {
-            for cache in ["warm", "cold"] {
-                if cache == "cold" {
-                    system.executor().invalidate();
-                }
-                let got = run(system);
-                let same = match (&expected, &got) {
-                    (Ok(a), Ok(b)) => a == b,
-                    (Err(_), Err(_)) => true,
-                    _ => false,
-                };
-                if !same {
-                    return Err(format!(
-                        "`{}`: naive -> {}, {name} ({cache} cache) -> {}",
-                        excerpt(text),
-                        outcome(&expected),
-                        outcome(&got)
-                    ));
-                }
-            }
-        }
-        Ok(expected.is_ok())
-    })
+    let answered = SYSTEMS.with(|systems| systems.run(&[Step::Text(text.to_string())]))?;
+    Ok(answered == 1)
 }
 
 /// Numeric literals at the edges of the tokenizer, of the `i64` and
@@ -348,9 +278,7 @@ proptest! {
 
     #[test]
     fn generated_query_text_gets_one_answer_or_one_refusal(text in arb_query()) {
-        if let Err(divergence) = agree(&text) {
-            prop_assert!(false, "{}", divergence);
-        }
+        agree(&text).map_err(TestCaseError::Fail)?;
     }
 }
 

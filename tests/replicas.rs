@@ -8,31 +8,29 @@
 
 use drugtree::prelude::*;
 use drugtree_query::dataset::test_fixtures::{activity, small_dataset, test_latency};
-use drugtree_query::phases::ablatable_rules;
+use drugtree_query::local::Keep;
 use drugtree_sources::assay_db::{assay_row, assay_source};
 use drugtree_sources::source::SourceCapabilities;
 use drugtree_sources::SourceRegistry;
 use std::sync::Arc;
+use support::{normalise, system, Answer, Matrix, Step, Systems};
+
+mod support;
+
+/// 64 leaves behind three assay sources.
+fn three_sources() -> WorkloadSpec {
+    let spec = WorkloadSpec::default().leaves(64).ligands(16);
+    spec.seed(55).assay_sources(3)
+}
 
 fn replicated_bundle() -> SyntheticBundle {
-    SyntheticBundle::generate(
-        &WorkloadSpec::default()
-            .leaves(64)
-            .ligands(16)
-            .seed(55)
-            .assay_sources(3)
-            .replicated(true),
-    )
+    SyntheticBundle::generate(&three_sources().replicated(true))
 }
 
 #[test]
 fn cheapest_replica_serves_the_query() {
     let bundle = replicated_bundle();
-    let system = DrugTree::builder()
-        .dataset(bundle.build_dataset())
-        .optimizer(OptimizerConfig::full())
-        .build()
-        .unwrap();
+    let system = system(bundle.build_dataset(), OptimizerConfig::full(), None);
 
     let plan = system.explain("activities in tree").unwrap();
     assert!(
@@ -62,16 +60,9 @@ fn cheapest_replica_serves_the_query() {
 #[test]
 fn replica_selection_changes_cost_not_answers() {
     let bundle = replicated_bundle();
-    let with = DrugTree::builder()
-        .dataset(bundle.build_dataset())
-        .optimizer(OptimizerConfig::full())
-        .build()
-        .unwrap();
-    let without = DrugTree::builder()
-        .dataset(bundle.build_dataset())
-        .optimizer(OptimizerConfig::ablate("replica_selection").expect("known rule"))
-        .build()
-        .unwrap();
+    let with = system(bundle.build_dataset(), OptimizerConfig::full(), None);
+    let ablated = OptimizerConfig::ablate("replica_selection").unwrap();
+    let without = system(bundle.build_dataset(), ablated, None);
 
     for text in [
         "activities in tree",
@@ -80,11 +71,7 @@ fn replica_selection_changes_cost_not_answers() {
     ] {
         let a = with.query(text).unwrap();
         let b = without.query(text).unwrap();
-        let sorted = |mut rows: Vec<Vec<Value>>| {
-            rows.sort();
-            rows
-        };
-        assert_eq!(sorted(a.rows), sorted(b.rows), "{text}");
+        assert_eq!(normalise(&a.rows), normalise(&b.rows), "{text}");
         assert!(
             a.metrics.virtual_cost <= b.metrics.virtual_cost,
             "{text}: selection {:?} should not exceed fetch-all {:?}",
@@ -97,18 +84,8 @@ fn replica_selection_changes_cost_not_answers() {
 #[test]
 fn partitioned_sources_are_unaffected_by_the_rule() {
     // Without declared replicas the rule must fetch every source.
-    let bundle = SyntheticBundle::generate(
-        &WorkloadSpec::default()
-            .leaves(64)
-            .ligands(16)
-            .seed(55)
-            .assay_sources(3),
-    );
-    let system = DrugTree::builder()
-        .dataset(bundle.build_dataset())
-        .optimizer(OptimizerConfig::full())
-        .build()
-        .unwrap();
+    let bundle = SyntheticBundle::generate(&three_sources());
+    let system = system(bundle.build_dataset(), OptimizerConfig::full(), None);
     let plan = system.explain("activities in tree").unwrap();
     assert_eq!(plan.matches("SourceFetch").count(), 3, "{plan}");
     let r = system.query("activities in tree").unwrap();
@@ -120,17 +97,13 @@ fn replicated_matview_does_not_double_count() {
     // A view built over replicas must count each record once, and
     // aggregate answers must match the fetch path's.
     let bundle = replicated_bundle();
-    let with_view = DrugTree::builder()
-        .dataset(bundle.build_dataset())
-        .optimizer(OptimizerConfig::full())
-        .with_matview()
-        .build()
-        .unwrap();
-    let without_view = DrugTree::builder()
-        .dataset(bundle.build_dataset())
-        .optimizer(OptimizerConfig::ablate("use_matview").expect("known rule"))
-        .build()
-        .unwrap();
+    let with_view = system(
+        bundle.build_dataset(),
+        OptimizerConfig::full(),
+        Some(Keep::View),
+    );
+    let ablated = OptimizerConfig::ablate("use_matview").unwrap();
+    let without_view = system(bundle.build_dataset(), ablated, None);
     let a = with_view.query("aggregate count in tree").unwrap();
     assert_eq!(a.metrics.source_requests, 0, "view must answer");
     let b = without_view.query("aggregate count in tree").unwrap();
@@ -167,49 +140,35 @@ fn replica_pair_with_a_repeated_fact() -> Dataset {
 
 #[test]
 fn a_repeated_fact_in_a_replica_pair_is_one_row_on_every_plan() {
-    let system = |config: OptimizerConfig, local: bool| {
-        let mut builder = DrugTree::builder()
-            .dataset(replica_pair_with_a_repeated_fact())
-            .optimizer(config);
-        if local {
-            builder = builder.with_matview().with_columnar();
-        }
-        builder.build().unwrap()
-    };
-    let naive = system(OptimizerConfig::naive(), false);
-    let mut systems = vec![
-        ("full".to_string(), system(OptimizerConfig::full(), false)),
-        (
-            "full + view + mirror".to_string(),
-            system(OptimizerConfig::full(), true),
-        ),
-    ];
-    for rule in ablatable_rules() {
-        let config = OptimizerConfig::ablate(rule.name).unwrap();
-        systems.push((format!("ablate {}", rule.name), system(config, false)));
-    }
-
-    let count = naive.query("aggregate count in subtree('cladeA')").unwrap();
+    let systems = Systems::new(&Matrix::with_ablations(), replica_pair_with_a_repeated_fact);
+    let count = systems
+        .naive()
+        .query("aggregate count in subtree('cladeA')")
+        .unwrap();
     let p1 = count
         .rows
         .iter()
         .find(|r| r[0] == Value::from("P1"))
         .unwrap();
     assert_eq!(p1[3], Value::Int(2), "P1: L1 once (2013) and L2");
-    for text in [
+    let steps = [
         "aggregate count in subtree('cladeA')",
         "activities in subtree('cladeA')",
         "aggregate mean_p_activity in subtree('cladeA')",
-    ] {
-        let expected = naive.query(text).unwrap().rows;
-        for (name, system) in &systems {
-            let got = system.query(text).unwrap();
-            assert_eq!(got.rows, expected, "{name}: `{text}`");
-            if name.contains("mirror") {
-                assert_eq!(got.metrics.source_requests, 0, "{name}: `{text}` is local");
-            }
+    ]
+    .map(|text| Step::Text(text.to_string()));
+    // `full()` with the view and the mirror answers locally, warm or cold.
+    let local = |answer: &Answer<'_, '_>| {
+        let requests = answer.result.metrics.source_requests;
+        if answer.system.starts_with("full+view+mirror") && requests != 0 {
+            return Err(format!("{requests} source requests"));
         }
-    }
+        Ok(())
+    };
+    let answered = systems
+        .run_with(&steps, local)
+        .unwrap_or_else(|divergence| panic!("{divergence}"));
+    assert_eq!(answered, steps.len());
 }
 
 /// The view and the mirror share one freshness record, and it counts
@@ -219,13 +178,8 @@ fn a_repeated_fact_in_a_replica_pair_is_one_row_on_every_plan() {
 /// naive plan's answer.
 #[test]
 fn an_ingest_into_either_replica_makes_the_view_and_the_mirror_stale() {
-    let system = DrugTree::builder()
-        .dataset(replica_pair_with_a_repeated_fact())
-        .optimizer(OptimizerConfig::full())
-        .with_matview()
-        .with_columnar()
-        .build()
-        .unwrap();
+    let pair = replica_pair_with_a_repeated_fact();
+    let system = system(pair, OptimizerConfig::full(), Some(Keep::Both));
     let naive = Executor::new(Optimizer::new(OptimizerConfig::naive()));
     let queries = [
         Query::activities(Scope::Tree).aggregate(Metric::Count),
@@ -274,11 +228,8 @@ fn a_drifted_replica_gets_no_value_pushdown() {
     registry.by_name("copy-b").unwrap().ingest(late).unwrap();
     let mut dataset = small_dataset(SourceCapabilities::full());
     dataset.registry = registry;
-    let system = DrugTree::builder()
-        .dataset(dataset)
-        .optimizer(OptimizerConfig::ablate("replica_selection").unwrap())
-        .build()
-        .unwrap();
+    let ablated = OptimizerConfig::ablate("replica_selection").unwrap();
+    let system = system(dataset, ablated, None);
 
     let potent = "activities in subtree('cladeA') where p_activity >= 7";
     let plan = system.explain(potent).unwrap();

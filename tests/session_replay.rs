@@ -7,17 +7,12 @@
 
 use drugtree::prelude::*;
 use std::time::Duration;
+use support::{fleet_agrees, system};
+
+mod support;
 
 fn bundle() -> SyntheticBundle {
     SyntheticBundle::generate(&WorkloadSpec::default().leaves(128).ligands(32).seed(13))
-}
-
-fn system(bundle: &SyntheticBundle, config: OptimizerConfig) -> DrugTree {
-    DrugTree::builder()
-        .dataset(bundle.build_dataset())
-        .optimizer(config)
-        .build()
-        .unwrap()
 }
 
 fn script(bundle: &SyntheticBundle, seed: u64) -> Vec<Gesture> {
@@ -39,7 +34,7 @@ fn replaying_a_script_is_deterministic() {
     let gestures = script(&b, 4);
 
     let run = || {
-        let s = system(&b, OptimizerConfig::full());
+        let s = system(b.build_dataset(), OptimizerConfig::full(), None);
         let mut session = s.mobile_session(NetworkProfile::CELL_4G);
         gestures
             .iter()
@@ -64,7 +59,7 @@ fn optimized_session_outperforms_naive() {
     let gestures = script(&b, 8);
 
     let total = |config: OptimizerConfig| {
-        let s = system(&b, config);
+        let s = system(b.build_dataset(), config, None);
         let mut session = s.mobile_session(NetworkProfile::CELL_4G);
         let mut total = Duration::ZERO;
         for g in &gestures {
@@ -83,7 +78,7 @@ fn optimized_session_outperforms_naive() {
 #[test]
 fn drill_down_scripts_achieve_cache_hits() {
     let b = bundle();
-    let s = system(&b, OptimizerConfig::full());
+    let s = system(b.build_dataset(), OptimizerConfig::full(), None);
     let mut session = s.mobile_session(NetworkProfile::WIFI);
     for g in &script(&b, 15) {
         session.apply(g).unwrap();
@@ -104,7 +99,7 @@ fn drill_down_scripts_achieve_cache_hits() {
 #[test]
 fn view_only_gestures_never_touch_sources() {
     let b = bundle();
-    let s = system(&b, OptimizerConfig::full());
+    let s = system(b.build_dataset(), OptimizerConfig::full(), None);
     let requests_before: u64 = s
         .dataset()
         .registry
@@ -135,7 +130,7 @@ fn slower_networks_cost_more_never_change_results() {
     let mut row_counts: Vec<Vec<usize>> = Vec::new();
     let mut totals: Vec<Duration> = Vec::new();
     for profile in NetworkProfile::ALL {
-        let s = system(&b, OptimizerConfig::full());
+        let s = system(b.build_dataset(), OptimizerConfig::full(), None);
         let mut session = s.mobile_session(profile);
         let mut rows = Vec::new();
         let mut total = Duration::ZERO;
@@ -156,44 +151,15 @@ fn slower_networks_cost_more_never_change_results() {
     );
 }
 
-/// Records every gesture observation, in arrival order.
-#[derive(Default)]
-struct GestureLog(drugtree_sources::sync::Mutex<Vec<GestureObservation>>);
-
-impl Observer for GestureLog {
-    fn on_gesture(&self, gesture: &GestureObservation) {
-        self.0.lock().push(gesture.clone());
-    }
-}
-
-impl GestureLog {
-    /// Session `session`'s `(gesture, rows, payload_bytes)`, in order.
-    fn of(&self, session: u32) -> Vec<(&'static str, usize, usize)> {
-        let log = self.0.lock();
-        log.iter()
-            .filter(|g| g.session == Some(session))
-            .map(|g| (g.gesture, g.rows, g.payload_bytes))
-            .collect()
-    }
-}
-
 /// A fleet shares one cache and merges concurrent queries into
 /// flights; with no deadline, admission or storm policy none of that
 /// may change what a session sees. Each session of a Zipf fleet is
-/// replayed alone, gesture by gesture, on a fresh system.
+/// replayed alone, gesture by gesture, on a fresh system, by the
+/// harness's fleet check.
 #[test]
 fn a_fleet_session_answers_what_its_solo_replay_answers() {
-    use std::sync::Arc;
     const SESSIONS: usize = 64;
     let b = SyntheticBundle::generate(&WorkloadSpec::default().leaves(256).ligands(32).seed(31));
-    let observed = |log: &Arc<GestureLog>| {
-        DrugTree::builder()
-            .dataset(b.build_dataset())
-            .optimizer(OptimizerConfig::full())
-            .with_observer(Arc::clone(log) as Arc<dyn Observer>)
-            .build()
-            .unwrap()
-    };
     let workloads = zipf_sessions(
         &b.tree,
         &b.index,
@@ -205,30 +171,10 @@ fn a_fleet_session_answers_what_its_solo_replay_answers() {
             revisit_prob: 0.3,
         },
     );
-
-    let fleet_log = Arc::new(GestureLog::default());
-    let report = observed(&fleet_log)
-        .fleet()
-        .with_sessions(workloads.clone())
-        .run()
-        .unwrap();
+    let report = fleet_agrees(|| b.build_dataset(), &workloads).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(report.sessions, SESSIONS);
     assert!(
         report.sched.unwrap().flight_joins > 0,
         "the fleet merged some queries"
     );
-
-    for workload in &workloads {
-        let solo_log = Arc::new(GestureLog::default());
-        let solo = observed(&solo_log);
-        let mut session = solo.mobile_session(workload.network);
-        session.set_session_id(workload.session as u32);
-        for gesture in &workload.script {
-            session.apply(gesture).unwrap();
-        }
-        let id = workload.session as u32;
-        let expected = solo_log.of(id);
-        assert_eq!(expected.len(), workload.script.len());
-        assert_eq!(fleet_log.of(id), expected, "session {id}");
-    }
 }

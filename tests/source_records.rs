@@ -9,9 +9,10 @@
 //! duplicate), and otherwise unknown, empty or 1 MiB long; `value_nm`
 //! is mostly an ordinary concentration, and otherwise NaN, ±∞, ±0, a
 //! negative, a subnormal or a value near `f64::MAX`. Where the records
-//! build a system, a fixed query set runs on the naive planner, the
-//! federated `full()` planner and `full()` with the materialized view
-//! and the columnar mirror, which must return equal normalised rows.
+//! build a system, a fixed query set is fed to the differential
+//! harness (`support`): the naive planner against `full()` and `full()`
+//! with the materialized view and the columnar mirror, each warm and
+//! cold, which must return equal normalised rows.
 //!
 //! The records are deployed over one to three assay sources: as one
 //! source, as partitions, or as declared replicas holding every record.
@@ -22,10 +23,10 @@
 //! generator deploys well-formed records only, so that every case builds
 //! and repeated facts are common.
 //!
-//! After the cold and the warm pass, a few late measurements are
-//! ingested into every system's own sources (into every replica of a
-//! replicated deployment), and the query set runs a third time with
-//! nothing invalidated and no statistics re-collected.
+//! After the query set, a few late measurements are ingested into
+//! every system's own sources (into every replica of a replicated
+//! deployment), and the query set runs again with nothing invalidated
+//! and no statistics re-collected.
 
 // Test code: panicking on a malformed fixture is the right failure.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -38,18 +39,22 @@ use drugtree_sources::assay_db::{assay_row, assay_source};
 use drugtree_sources::clock::{wall_now, VirtualClock};
 use drugtree_sources::ligand_db::LigandRecord;
 use drugtree_sources::protein_db::ProteinRecord;
-use drugtree_sources::source::{SourceCapabilities, SourceKind};
+use drugtree_sources::source::SourceCapabilities;
 use drugtree_sources::{LatencyModel, SourceRegistry};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
+use support::{Matrix, Step, Systems};
+
+mod support;
 use std::time::Duration;
 
 const NEWICK: &str =
     "(((P1:1,P2:1)c1:1,(P3:1,P4:1)c2:1)c12:1,((P5:1,P6:1)c3:1,(P7:1,P8:1)c4:1)c34:1)root;";
 /// The longest identifier or name the generator emits, in bytes.
 const MAX_TEXT_BYTES: usize = 1 << 20;
-/// Wall time one case (three builds, the query set three times on three
-/// systems) may take, unoptimised.
+/// Wall time one case (three builds, the query set twice on five
+/// runners) may take, unoptimised.
 const CASE_BUDGET: Duration = Duration::from_secs(20);
 
 /// Run on every system a case builds.
@@ -216,8 +221,8 @@ struct Deployment {
     /// source it goes to (modulo the sources), its year and its
     /// pActivity, spread evenly over the range the queries filter on.
     remeasured: Vec<(usize, usize, u16, f64)>,
-    /// Measurements deposited after the warm pass, each with the source
-    /// it goes to (modulo the sources).
+    /// Measurements deposited after the first pass over the queries,
+    /// each with the source it goes to (modulo the sources).
     late: Vec<(ActivityRecord, usize)>,
 }
 
@@ -262,22 +267,6 @@ impl Deployment {
         }
         shards
     }
-
-    /// Deposit the late measurements into a system's own sources: into
-    /// every replica when the sources are replicas.
-    fn ingest_late(&self, dataset: &Dataset) {
-        let sources = dataset.registry.by_kind(SourceKind::Assay);
-        for (record, to) in &self.late {
-            let targets = if self.replicated {
-                &sources[..]
-            } else {
-                std::slice::from_ref(&sources[to % sources.len()])
-            };
-            for source in targets {
-                source.ingest(assay_row(record)).unwrap();
-            }
-        }
-    }
 }
 
 /// The records as a dataset over [`NEWICK`], or the first refusal.
@@ -312,102 +301,40 @@ fn build_dataset(
     Dataset::new(tree, index, overlay, registry, VirtualClock::new()).map_err(|e| e.to_string())
 }
 
-/// Rows in a comparable form: floats rounded to 1e-9, rows sorted.
-fn normalise(rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
-    let mut out: Vec<Vec<Value>> = rows
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|v| match v {
-                    Value::Float(f) => Value::Float((f * 1e9).round() / 1e9),
-                    other => other.clone(),
-                })
-                .collect()
-        })
-        .collect();
-    out.sort();
-    out
-}
-
-/// Build the records into the three systems and compare their answers:
-/// `Ok` when the records are refused, or when every query got one
-/// answer (or one refusal) from all three.
+/// Feed the records to the harness: `Ok` when they are refused, or
+/// when every query got one answer (or one refusal) from every system,
+/// before and after the late measurements.
 fn run_case(
     proteins: &[ProteinRecord],
     ligands: &[LigandRecord],
     activities: &[ActivityRecord],
     deployment: &Deployment,
 ) -> Result<(), String> {
-    let build = |builder: DrugTreeBuilder| -> Result<DrugTree, String> {
-        let dataset = build_dataset(proteins, ligands, activities, deployment)?;
-        builder.dataset(dataset).build().map_err(|e| e.to_string())
-    };
-    let Ok(naive) = build(DrugTree::builder().optimizer(OptimizerConfig::naive())) else {
+    let build = || build_dataset(proteins, ligands, activities, deployment);
+    let Ok(first) = build() else {
         return Ok(());
     };
+    let mut first = Some(first);
+    let dataset = || first.take().unwrap_or_else(|| build().unwrap());
+    let systems = Systems::new(&Matrix::fixed(), dataset);
 
     // Widening a raw row keeps exactly the rows whose accession is on
     // the tree and whose value is a concentration.
+    let naive = systems.naive().dataset();
     for record in activities {
-        let mapped = naive
-            .dataset()
-            .rank_of_accession(&record.protein_accession)
-            .is_some();
+        let mapped = naive.rank_of_accession(&record.protein_accession).is_some();
         let valid = record.value_nm.is_finite() && record.value_nm > 0.0;
-        let unified = unify_assay_row(naive.dataset(), assay_row(record));
+        let unified = unify_assay_row(naive, assay_row(record));
         if unified.is_some() != (mapped && valid) {
             return Err(format!("unify_assay_row kept {unified:?} for {record:?}"));
         }
     }
 
-    let systems = [
-        (
-            "federated",
-            build(DrugTree::builder().optimizer(OptimizerConfig::full()))?,
-        ),
-        (
-            "local",
-            build(
-                DrugTree::builder()
-                    .optimizer(OptimizerConfig::full())
-                    .with_matview()
-                    .with_columnar(),
-            )?,
-        ),
-    ];
-    // Each query on a cold cache (its own plan's fetches), then the set
-    // again, answered from what the earlier queries cached, then once
-    // more after late depositions, with nothing invalidated.
-    for pass in ["cold", "warm", "late"] {
-        if pass == "late" {
-            deployment.ingest_late(naive.dataset());
-            for (_, system) in &systems {
-                deployment.ingest_late(system.dataset());
-            }
-        }
-        for text in QUERIES {
-            let expected = naive.query(text).map(|r| normalise(&r.rows));
-            for (name, system) in &systems {
-                if pass == "cold" {
-                    system.executor().invalidate();
-                }
-                let got = system.query(text).map(|r| normalise(&r.rows));
-                let same = match (&expected, &got) {
-                    (Ok(a), Ok(b)) => a == b,
-                    (Err(_), Err(_)) => true,
-                    _ => false,
-                };
-                if !same {
-                    return Err(format!(
-                        "`{text}` ({pass} pass): naive -> {:?}, {name} -> {:?}",
-                        expected.as_ref().map(Vec::len),
-                        got.as_ref().map(Vec::len)
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
+    let queries = QUERIES.iter().map(|text| Step::Text((*text).to_string()));
+    let late = deployment.late.iter().cloned();
+    let late = late.map(|(record, to)| Step::Ingest(record, to));
+    let steps: Vec<Step> = queries.clone().chain(late).chain(queries).collect();
+    systems.run(&steps).map(drop)
 }
 
 proptest! {
@@ -421,9 +348,7 @@ proptest! {
         deployment in arb_deployment(),
     ) {
         let started = wall_now();
-        if let Err(divergence) = run_case(&proteins, &ligands, &activities, &deployment) {
-            prop_assert!(false, "{}", divergence);
-        }
+        run_case(&proteins, &ligands, &activities, &deployment).map_err(TestCaseError::Fail)?;
         let elapsed = wall_now().duration_since(started);
         prop_assert!(elapsed < CASE_BUDGET, "one case took {:?}", elapsed);
     }
@@ -446,8 +371,6 @@ proptest! {
             .collect();
         let ligands = [("L1", "CCO"), ("L2", "c1ccccc1"), ("L3", "CCN")]
             .map(|(id, smiles)| LigandRecord::from_smiles(id, id, smiles).unwrap());
-        if let Err(divergence) = run_case(&proteins, &ligands, &activities, &deployment) {
-            prop_assert!(false, "{}", divergence);
-        }
+        run_case(&proteins, &ligands, &activities, &deployment).map_err(TestCaseError::Fail)?;
     }
 }
