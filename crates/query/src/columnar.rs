@@ -12,9 +12,12 @@
 //!
 //! The build calls the fetch path's own row pipeline —
 //! [`unify_assay_row`](crate::dataset::unify_assay_row), then
-//! `dataset::resolve_activity_rows` — so a columnar scan plus the
-//! executor's unchanged residual/finish stages returns the same rows a
-//! federated fetch would.
+//! `dataset::resolve_activity_rows` — so a columnar scan returns the
+//! same rows a federated fetch would. A scan builds no row: it hands
+//! the positions its kernels selected to the executor's residual and
+//! finish stages, the ones every access path runs, which read the
+//! cells from the columns in place and build only the rows a query
+//! returns (design decision D16).
 //!
 //! [`Access::ColumnarScan`]: crate::plan::Access::ColumnarScan
 

@@ -8,7 +8,7 @@
 
 use crate::adaptive::{AdaptiveRuntime, QueryFeedback};
 use crate::ast::{Metric, Query};
-use crate::cache::{rank_of, CacheConfig, CacheStats, SemanticCache, SharedRows};
+use crate::cache::{CacheConfig, CacheStats, SemanticCache, SharedRows};
 use crate::columnar::ActivityColumns;
 use crate::dataset::{resolve_activity_rows, unified_schema, unify_assay_row, Dataset};
 use crate::local::{Keep, LocalBuild};
@@ -26,14 +26,13 @@ use drugtree_sources::batcher::batched_lookup_with_retry;
 pub use drugtree_sources::batcher::RetryPolicy;
 use drugtree_sources::clock::VirtualInstant;
 use drugtree_sources::sync::Mutex;
-use drugtree_store::bitmap::Bitmap;
 use drugtree_store::expr::{BoundPredicate, Predicate};
-use drugtree_store::kernel;
 use drugtree_store::segment::ColumnSlice;
 use drugtree_store::table::Table;
 use drugtree_store::value::Value;
 use rustc_hash::FxHashMap;
 use std::borrow::Cow;
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
@@ -345,43 +344,19 @@ impl Executor {
             notes: plan.notes.clone(),
         };
 
-        // Columnar aggregate fast path: a pure whole-row aggregate over
-        // the mirror needs no row materialization at all — the
-        // sum/count/max kernels fold each group's selected range
-        // directly from the column buffers.
-        if let Access::ColumnarScan { pushdown } = &plan.access {
-            if let Finish::Aggregate {
-                groups, metrics, ..
-            } = &plan.finish
-            {
-                if !metrics.contains(&Metric::DistinctLigands)
-                    && plan.residual == Predicate::True
-                    && plan.similarity.is_none()
-                    && plan.substructure.is_none()
-                    && !plan.ligand_join
-                {
-                    return self
-                        .columnar_aggregate(dataset, &plan, pushdown, groups, metrics, m, sink);
-                }
-            }
-        }
-
-        // 1. Obtain activity-half rows.
+        // 1. Obtain the activity half: rows (a fetch, a cache entry), or
+        // the mirror's columns and the positions its kernels selected.
+        let mut selected = None;
         let activity = match &plan.access {
             Access::ProvedEmpty => ActivityRows::Owned(Vec::new()),
             // Finish reads the view directly.
             Access::MaterializedView(_) => ActivityRows::Owned(Vec::new()),
             Access::ColumnarScan { pushdown } => {
-                let (_, selection) = self.columnar_select(
-                    dataset,
-                    &plan,
-                    pushdown,
-                    &mut m,
-                    sink.as_deref_mut(),
-                    "columnar-scan",
-                )?;
-                let cols = self.columnar_mirror()?;
-                ActivityRows::Owned(selection.iter_ones().map(|i| cols.table().row(i)).collect())
+                let (range, positions) =
+                    self.columnar_select(dataset, &plan, pushdown, &mut m, sink.as_deref_mut())?;
+                selected = Some(positions);
+                let table = self.columnar_mirror()?.table();
+                ActivityRows::Mirror(Box::new(std::array::from_fn(|c| table.column(c))), range)
             }
             Access::Fetch {
                 fetches,
@@ -456,55 +431,63 @@ impl Executor {
             }
         };
 
-        // Steps 2–5 borrow the activity rows and select *survivor
-        // positions*; no unified row exists until step 6 builds the
-        // ones that survive (design decision D16).
+        // Steps 2–5 read cells in place and select *survivor positions*;
+        // no unified row exists until step 6 builds the ones returned
+        // (design decision D16).
         let overlay_started = dataset.clock.now();
-        let rows = activity.as_slice();
-        let rows_in = rows.len() as u64;
-        let mut survivors: Vec<usize> = (0..rows.len()).collect();
+        let cells = activity.cells();
+        let mut survivors = selected.unwrap_or_else(|| (0..cells.len()).collect());
+        let rows_in = survivors.len() as u64;
 
-        // 2. Ligand join: per row, the catalog's row for its ligand,
-        // whose cells are read when a filter or the output needs them.
-        // Rows a filter is about to drop are joined only when the
-        // residual reads a ligand column.
+        // 2. Ligand join: per position, the catalog's row for its
+        // ligand, whose cells are read when a filter or the output needs
+        // them. Positions a filter is about to drop are joined only when
+        // the residual reads a ligand column.
         let residual = plan.residual.bind(unified_schema())?;
         let mut join = LigandJoin::default();
         let join_before_filters = plan.ligand_join && reads_ligand_cells(&residual);
         if plan.ligand_join {
-            if rows.iter().any(|r| r[2].as_text().is_none()) {
+            if survivors.iter().any(|&i| cells.ligand(i).is_none()) {
                 return Err(QueryError::Plan("non-text ligand_id".into()));
             }
-            join = LigandJoin::new(dataset.overlay.catalog().table(tables::LIGAND)?, rows.len());
+            join = LigandJoin::new(
+                dataset.overlay.catalog().table(tables::LIGAND)?,
+                cells.len(),
+            );
         }
         if join_before_filters {
-            join.probe(rows, &survivors);
+            join.probe(&cells, &survivors);
         }
 
         // 3. Residual filter, over activity cells ‖ ligand cells ‖ NULL.
         if plan.residual != Predicate::True {
-            survivors.retain(|&i| residual.matches_with(&|c| unified_cell(rows, &join, i, c)));
+            survivors.retain(|&i| residual.matches_with(&|c| unified_cell(&cells, &join, i, c)));
         }
 
-        // 4. Similarity filter.
+        // 4. Similarity filter, one Tanimoto per distinct ligand.
         if let Some(sim) = &plan.similarity {
+            let mut similar = PerLigand::default();
             survivors.retain(|&i| {
-                rows[i][2]
-                    .as_text()
-                    .and_then(|lig| dataset.overlay.catalogued_fingerprint(lig))
-                    .is_some_and(|fp| tanimoto(fp, &sim.fingerprint) >= sim.min_tanimoto)
+                cells.ligand(i).is_some_and(|lig| {
+                    similar.get(lig, |lig| {
+                        dataset
+                            .overlay
+                            .catalogued_fingerprint(lig)
+                            .is_some_and(|fp| tanimoto(fp, &sim.fingerprint) >= sim.min_tanimoto)
+                    })
+                })
             });
         }
 
         // 5. Substructure filter: fingerprint prescreen, then exact
-        // subgraph match, memoized per distinct ligand.
+        // subgraph match, once per distinct ligand.
         if let Some(sub) = &plan.substructure {
-            let mut verdicts: FxHashMap<&str, bool> = FxHashMap::default();
+            let mut verdicts = PerLigand::default();
             survivors.retain(|&i| {
-                let Some(lig) = rows[i][2].as_text() else {
+                let Some(lig) = cells.ligand(i) else {
                     return false;
                 };
-                *verdicts.entry(lig).or_insert_with(|| {
+                verdicts.get(lig, |lig| {
                     let Some(fp) = dataset.overlay.catalogued_fingerprint(lig) else {
                         return false;
                     };
@@ -519,7 +502,7 @@ impl Executor {
         }
 
         if plan.ligand_join && !join_before_filters {
-            join.probe(rows, &survivors);
+            join.probe(&cells, &survivors);
         }
 
         if let Some(tb) = sink.as_deref_mut() {
@@ -596,7 +579,8 @@ impl Executor {
     /// mirror: binary-search the plan interval to a contiguous row
     /// range, evaluate the bound pushdown as bitmap kernels over it,
     /// charge the modeled compute cost, and emit a [`Stage::Compute`]
-    /// span.
+    /// span. Returns the range and the selected rows' offsets in it,
+    /// ascending.
     fn columnar_select(
         &self,
         dataset: &Dataset,
@@ -604,97 +588,36 @@ impl Executor {
         pushdown: &ColumnarPushdown,
         m: &mut ExecMetrics,
         sink: Option<&mut TraceBuilder>,
-        detail: &str,
-    ) -> Result<(usize, Bitmap)> {
+    ) -> Result<(Range<usize>, Vec<usize>)> {
         let cols = self.columnar_mirror()?;
         let started = dataset.clock.now();
         let range = cols.rows_in(plan.interval)?;
         let scanned = range.len();
-        let selection = cols.table().eval(pushdown.bound(), range);
+        let selected: Vec<usize> = match pushdown.bound() {
+            // Nothing to evaluate: the whole range is selected.
+            BoundPredicate::True => (0..scanned).collect(),
+            bound => {
+                let selection = cols.table().eval(bound, range.clone());
+                let mut selected = Vec::with_capacity(selection.count_ones());
+                selected.extend(selection.iter_ones().map(|i| i - range.start));
+                selected
+            }
+        };
         let cost = crate::cost::columnar_scan_cost(scanned as u64);
         dataset.clock.advance(cost);
         m.charged_cost += cost;
         if let Some(tb) = sink {
-            let mut span = QuerySpan::new(Stage::Compute, detail, started);
+            let mut span = QuerySpan::new(Stage::Compute, kernel_detail(plan), started);
             span.ended = dataset.clock.now();
             span.actual = cost;
-            span.rows = Some(selection.count_ones() as u64);
+            span.rows = Some(selected.len() as u64);
             span.attrs = vec![
                 ("rows_scanned", scanned as u64),
-                ("rows_selected", selection.count_ones() as u64),
+                ("rows_selected", selected.len() as u64),
             ];
             tb.push(span);
         }
-        Ok((scanned, selection))
-    }
-
-    /// Aggregate-kernel fast path: fold each group interval's selected
-    /// range with the sum/count/max kernels, byte-identical to
-    /// materializing the rows and running the generic finish.
-    #[allow(clippy::too_many_arguments)]
-    fn columnar_aggregate(
-        &self,
-        dataset: &Dataset,
-        plan: &PhysicalPlan,
-        pushdown: &ColumnarPushdown,
-        groups: &[(NodeId, LeafInterval)],
-        metrics: &[Metric],
-        mut m: ExecMetrics,
-        mut sink: Option<&mut TraceBuilder>,
-    ) -> Result<QueryResult> {
-        let (_, selection) = self.columnar_select(
-            dataset,
-            plan,
-            pushdown,
-            &mut m,
-            sink.as_deref_mut(),
-            "columnar-aggregate",
-        )?;
-        let cols = self.columnar_mirror()?;
-        let finish_started = dataset.clock.now();
-        // p_activity is column 5 of the activity-half schema.
-        let p_col = cols.table().column(5);
-        // Gated by the caller; distinct counting needs the rows.
-        if metrics.contains(&Metric::DistinctLigands) {
-            return Err(QueryError::Plan(
-                "distinct-ligands has no aggregate kernel".into(),
-            ));
-        }
-        let mut out_rows = Vec::with_capacity(groups.len());
-        for &(node, iv) in groups {
-            let r = cols.rows_in(iv)?;
-            let mut mask = Bitmap::new(cols.len());
-            mask.set_range(r.start, r.end);
-            mask.and_assign(&selection);
-            let cells = metrics.iter().map(|metric| match metric {
-                Metric::Count => Value::Int(kernel::count(&mask) as i64),
-                Metric::MaxPActivity => kernel::max_value(p_col, &mask).unwrap_or(Value::Null),
-                Metric::MeanPActivity => {
-                    let n = kernel::count(&mask);
-                    if n == 0 {
-                        Value::Null
-                    } else {
-                        Value::Float(kernel::sum_f64(p_col, &mask) / n as f64)
-                    }
-                }
-                // Refused above.
-                Metric::DistinctLigands => Value::Null,
-            });
-            out_rows.push(group_row(dataset, node, iv, cells));
-        }
-        if let Some(tb) = sink {
-            let mut span = QuerySpan::new(Stage::Finish, "aggregate", finish_started);
-            span.ended = dataset.clock.now();
-            span.rows = Some(out_rows.len() as u64);
-            tb.push(span);
-        }
-        m.finished = dataset.clock.now();
-        m.virtual_cost = m.finished.since(m.started);
-        Ok(QueryResult {
-            columns: aggregate_columns(metrics),
-            rows: out_rows,
-            metrics: m,
-        })
+        Ok((range, selected))
     }
 
     fn run_fetches(
@@ -763,24 +686,34 @@ impl Executor {
 const ACTIVITY_CELLS: usize = crate::ast::columns::ACTIVITY.len();
 /// Cells the ligand join contributes (the ligand table minus its id).
 const LIGAND_CELLS: usize = crate::ast::columns::LIGAND.len();
+/// The activity half's `ligand_id` column.
+const LIGAND_ID: usize = 2;
+/// The activity half's `p_activity` column.
+const P_ACTIVITY: usize = 5;
 
-/// The activity-half rows step 1 obtained. Steps 2–6 borrow them; the
-/// output rows are built from them last, and only for survivors.
-enum ActivityRows {
-    /// Rows this query owns outright (direct fetch, columnar scan, a
-    /// miss the cache declined to keep): survivors are moved out.
+/// The activity half step 1 obtained. Steps 2–6 read its cells in
+/// place through [`Cells`]; output rows are built last, at their final
+/// width, and only for the positions returned.
+enum ActivityRows<'e> {
+    /// Rows this query owns outright (direct fetch, a miss the cache
+    /// declined to keep): returned cells are moved out.
     Owned(Vec<Vec<Value>>),
     /// A cache entry's immutable snapshot, shared with the cache (a
     /// hit, or a miss whose rows the cache kept), and the positions in
-    /// scope: survivors are cloned out.
+    /// scope: returned cells are cloned out.
     Shared(SharedRows, Range<usize>),
+    /// The mirror's columns and the row range its scan covered: a
+    /// position is an offset into the range, and a cell is read from
+    /// its column, so no row exists until one is returned.
+    Mirror(Box<[ColumnSlice<'e>; ACTIVITY_CELLS]>, Range<usize>),
 }
 
-impl ActivityRows {
-    fn as_slice(&self) -> &[Vec<Value>] {
+impl ActivityRows<'_> {
+    fn cells(&self) -> Cells<'_> {
         match self {
-            ActivityRows::Owned(rows) => rows,
-            ActivityRows::Shared(rows, range) => &rows[range.clone()],
+            ActivityRows::Owned(rows) => Cells::Rows(rows),
+            ActivityRows::Shared(rows, range) => Cells::Rows(&rows[range.clone()]),
+            ActivityRows::Mirror(columns, range) => Cells::Columns(columns, range.clone()),
         }
     }
 
@@ -799,60 +732,140 @@ impl ActivityRows {
                     .map(|&i| join.unified_row(i, rows[i].iter().cloned()))
                     .collect()
             }
+            ActivityRows::Mirror(columns, range) => picked
+                .iter()
+                .map(|&i| {
+                    let at = range.start + i;
+                    join.unified_row(i, columns.iter().map(|c| c.value_at(at)))
+                })
+                .collect(),
         }
     }
 }
 
-/// Step 2's ligand join: per activity row, the row of the overlay's
-/// ligand table it joins to, whose cells are read from the table's
-/// columns when a filter or the output needs them. A row with none
-/// joins NULL cells.
+/// The one accessor steps 2–6 read activity cells through, by
+/// position: a slice of rows (a fetch or a cache hit), or the mirror's
+/// columns over a row range.
+enum Cells<'a> {
+    Rows(&'a [Vec<Value>]),
+    Columns(&'a [ColumnSlice<'a>; ACTIVITY_CELLS], Range<usize>),
+}
+
+impl<'a> Cells<'a> {
+    /// Positions held.
+    fn len(&self) -> usize {
+        match self {
+            Cells::Rows(rows) => rows.len(),
+            Cells::Columns(_, range) => range.len(),
+        }
+    }
+
+    /// Activity cell `column` at position `i`: borrowed from its row,
+    /// or read from its column (a text cell as a handle to the mirror
+    /// dictionary's allocation).
+    fn cell(&self, i: usize, column: usize) -> Cow<'a, Value> {
+        match self {
+            Cells::Rows(rows) => Cow::Borrowed(&rows[i][column]),
+            Cells::Columns(columns, range) => Cow::Owned(columns[column].value_at(range.start + i)),
+        }
+    }
+
+    /// The ligand id at position `i`, borrowed from the one allocation
+    /// that holds it; `None` when it is not text.
+    fn ligand(&self, i: usize) -> Option<&'a str> {
+        match self {
+            Cells::Rows(rows) => rows[i][LIGAND_ID].as_text(),
+            Cells::Columns(columns, range) => columns[LIGAND_ID].text_at(range.start + i),
+        }
+    }
+
+    /// The leaf rank at position `i`, when it is an integer.
+    fn rank(&self, i: usize) -> Option<i64> {
+        match self {
+            Cells::Rows(rows) => rows[i][0].as_int(),
+            Cells::Columns(columns, range) => columns[0].int_at(range.start + i),
+        }
+    }
+
+    /// The pActivity at position `i`, when it is a number.
+    fn potency(&self, i: usize) -> Option<f64> {
+        match self {
+            Cells::Rows(rows) => rows[i][P_ACTIVITY].as_f64(),
+            Cells::Columns(columns, range) => columns[P_ACTIVITY].f64_at(range.start + i),
+        }
+    }
+}
+
+/// A value per distinct ligand, computed once per text allocation. Ids
+/// shipped in rows are handles to their source dictionary's one
+/// allocation, and ids read from the mirror are its dictionary's
+/// entries, so a memo keyed by the text's address hashes no bytes. The
+/// texts are borrowed for `'a`, the memo's whole life, so two equal
+/// addresses are one live allocation and hence one text; equal texts in
+/// two allocations are merely computed twice.
+struct PerLigand<'a, T> {
+    memo: FxHashMap<*const u8, T>,
+    texts: PhantomData<&'a str>,
+}
+
+impl<T> Default for PerLigand<'_, T> {
+    fn default() -> Self {
+        PerLigand {
+            memo: FxHashMap::default(),
+            texts: PhantomData,
+        }
+    }
+}
+
+impl<'a, T: Copy> PerLigand<'a, T> {
+    fn get(&mut self, id: &'a str, compute: impl FnOnce(&'a str) -> T) -> T {
+        *self.memo.entry(id.as_ptr()).or_insert_with(|| compute(id))
+    }
+}
+
+/// Step 2's ligand join: per activity position, the row of the
+/// overlay's ligand table it joins to, whose cells are read from the
+/// table's columns when a filter or the output needs them. A position
+/// with none joins NULL cells.
 #[derive(Default)]
 struct LigandJoin<'d> {
     /// The ligand table (ligand_id, then the LIGAND_CELLS joined) and
     /// its joined columns: name, smiles, mw, hbd, hba, rings. `None`
     /// when the plan joins nothing.
     table: Option<(&'d Table, [ColumnSlice<'d>; LIGAND_CELLS])>,
-    /// Per activity row, its ligand-table row.
+    /// Per activity position, its ligand-table row.
     rows: Vec<Option<u32>>,
 }
 
 impl<'d> LigandJoin<'d> {
-    /// A join of `rows` activity rows, none joined yet.
-    fn new(table: &'d Table, rows: usize) -> LigandJoin<'d> {
+    /// A join of `positions` activity positions, none joined yet.
+    fn new(table: &'d Table, positions: usize) -> LigandJoin<'d> {
         LigandJoin {
             table: Some((table, std::array::from_fn(|c| table.column(c + 1)))),
-            rows: vec![None; rows],
+            rows: vec![None; positions],
         }
     }
 
-    /// Join the rows at `targets` to the ligand table by its
+    /// Join the positions at `targets` to the ligand table by its
     /// `ligand_id` key, where the first row holding an id wins. A
-    /// ligand the table lacks leaves no row (NULL cells).
-    ///
-    /// Rows shipped from a source's table name one ligand by handles
-    /// to one allocation (its dictionary's), so the join memoises by
-    /// the handle's address and probes the key only on a miss. The rows
-    /// are borrowed for the whole loop, so two equal addresses are one
-    /// live allocation and hence one text; rows whose cells are not
-    /// shared just miss, and pay the probe each.
-    fn probe(&mut self, rows: &[Vec<Value>], targets: &[usize]) {
+    /// ligand the table lacks leaves no row (NULL cells). The key is
+    /// probed once per distinct ligand ([`PerLigand`]).
+    fn probe(&mut self, cells: &Cells<'_>, targets: &[usize]) {
         let Some((table, _)) = self.table else {
             return;
         };
-        let mut by_handle: FxHashMap<*const u8, Option<u32>> = FxHashMap::default();
+        let mut joined = PerLigand::default();
         for &i in targets {
-            let ligand_id = &rows[i][2];
-            let Value::Text(handle) = ligand_id else {
+            let Some(ligand) = cells.ligand(i) else {
                 continue;
             };
-            self.rows[i] = *by_handle
-                .entry(Arc::as_ptr(handle).cast())
-                .or_insert_with(|| table.key_rows(ligand_id).first().copied());
+            self.rows[i] = joined.get(ligand, |_| {
+                table.key_rows(&cells.cell(i, LIGAND_ID)).first().copied()
+            });
         }
     }
 
-    /// The joined columns and the row activity row `i` joined to.
+    /// The joined columns and the row position `i` joined to.
     fn joined(&self, i: usize) -> Option<(&[ColumnSlice<'_>; LIGAND_CELLS], usize)> {
         let (_, columns) = self.table.as_ref()?;
         Some((columns, (*self.rows.get(i)?)? as usize))
@@ -885,21 +898,39 @@ fn reads_ligand_cells(pred: &BoundPredicate) -> bool {
 }
 
 /// Cell `column` of the unified row at position `i`, without building
-/// the row: an activity cell (borrowed), a joined ligand cell (read
-/// from its column), or NULL.
+/// the row: an activity cell (read in place), a joined ligand cell
+/// (read from its column), or NULL.
 fn unified_cell<'a>(
-    rows: &'a [Vec<Value>],
+    cells: &Cells<'a>,
     join: &LigandJoin,
     i: usize,
     column: usize,
 ) -> Cow<'a, Value> {
     static NULL: Value = Value::Null;
     if column < ACTIVITY_CELLS {
-        return Cow::Borrowed(&rows[i][column]);
+        return cells.cell(i, column);
     }
     match join.joined(i) {
         Some((columns, at)) => Cow::Owned(columns[column - ACTIVITY_CELLS].value_at(at)),
         None => Cow::Borrowed(&NULL),
+    }
+}
+
+/// The Compute span's detail: `columnar-aggregate` for a pure
+/// aggregate, whose groups are folded from the kernels' selection with
+/// no filter step between, else `columnar-scan`.
+fn kernel_detail(plan: &PhysicalPlan) -> &'static str {
+    match &plan.finish {
+        Finish::Aggregate { metrics, .. }
+            if !metrics.contains(&Metric::DistinctLigands)
+                && plan.residual == Predicate::True
+                && plan.similarity.is_none()
+                && plan.substructure.is_none()
+                && !plan.ligand_join =>
+        {
+            "columnar-aggregate"
+        }
+        _ => "columnar-scan",
     }
 }
 
@@ -912,7 +943,8 @@ fn unified_columns() -> Vec<String> {
 }
 
 /// Step 6, finish, on survivor positions: rank, group or count over
-/// the borrowed rows, and build unified rows only for what is returned.
+/// cells read in place, and build unified rows only for what is
+/// returned.
 fn finish_survivors(
     dataset: &Dataset,
     plan: &PhysicalPlan,
@@ -921,6 +953,7 @@ fn finish_survivors(
     mut survivors: Vec<usize>,
     join: &LigandJoin,
 ) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
+    let cells = activity.cells();
     Ok(match &plan.finish {
         Finish::Collect => (unified_columns(), activity.into_unified(&survivors, join)),
         Finish::TopK {
@@ -928,19 +961,22 @@ fn finish_survivors(
             k,
             descending,
         } => {
-            let rows = activity.as_slice();
-            // Stable, like the row sort it replaces: ties keep rank order.
-            survivors.sort_by(|&a, &b| {
-                let column = column.index();
-                let ord =
-                    unified_cell(rows, join, a, column).cmp(&unified_cell(rows, join, b, column));
-                if *descending {
-                    ord.reverse()
-                } else {
-                    ord
-                }
-            });
-            survivors.truncate(*k);
+            let column = column.index();
+            // Ties keep rank order, as a stable sort would: the position
+            // breaks them, so the order is total, and selecting the k
+            // best before sorting them returns what a stable sort of
+            // every survivor cut at k returns.
+            let best_first = |a: &usize, b: &usize| {
+                let ord = unified_cell(&cells, join, *a, column)
+                    .cmp(&unified_cell(&cells, join, *b, column));
+                let ord = if *descending { ord.reverse() } else { ord };
+                ord.then(a.cmp(b))
+            };
+            if *k < survivors.len() {
+                survivors.select_nth_unstable_by(*k, best_first);
+                survivors.truncate(*k);
+            }
+            survivors.sort_unstable_by(best_first);
             (unified_columns(), activity.into_unified(&survivors, join))
         }
         Finish::Aggregate {
@@ -957,24 +993,24 @@ fn finish_survivors(
                     })
                     .collect()
             } else {
-                let rows = activity.as_slice();
-                // Every access hands over rank-sorted rows of the scope
-                // and filtering keeps positions ascending, so a group's
-                // rows are one run of survivors, found by binary search:
-                // those of its interval ∩ the scope.
-                debug_assert!(rows.is_sorted_by_key(|r| rank_of(r)));
+                // Every access hands over rank-sorted positions of the
+                // scope and filtering keeps them ascending, so a group's
+                // positions are one run of survivors, found by binary
+                // search: those of its interval ∩ the scope.
+                // A position without a rank sorts last, as `rank_of`
+                // sorts a row without one.
+                let rank = |i| cells.rank(i).unwrap_or(i64::MAX);
+                debug_assert!((1..cells.len()).all(|i| rank(i - 1) <= rank(i)));
                 groups
                     .iter()
                     .map(|&(node, iv)| {
-                        let start =
-                            survivors.partition_point(|&i| rank_of(&rows[i]) < i64::from(iv.lo));
-                        let end =
-                            survivors.partition_point(|&i| rank_of(&rows[i]) < i64::from(iv.hi));
+                        let start = survivors.partition_point(|&i| rank(i) < i64::from(iv.lo));
+                        let end = survivors.partition_point(|&i| rank(i) < i64::from(iv.hi));
                         let run = &survivors[start..end.max(start)];
-                        let cells = metrics
+                        let values = metrics
                             .iter()
-                            .map(|&metric| aggregate_group(rows, run, metric));
-                        group_row(dataset, node, iv, cells)
+                            .map(|&metric| aggregate_group(&cells, run, metric));
+                        group_row(dataset, node, iv, values)
                     })
                     .collect()
             };
@@ -986,11 +1022,10 @@ fn finish_survivors(
                 "accession".to_string(),
                 "count".to_string(),
             ];
-            let rows = activity.as_slice();
             let mut counts = vec![0i64; plan.interval.len() as usize];
             for &i in &survivors {
-                let slot = rows[i][0]
-                    .as_int()
+                let slot = cells
+                    .rank(i)
                     .and_then(|rank| (rank as u32).checked_sub(plan.interval.lo))
                     .and_then(|offset| counts.get_mut(offset as usize));
                 if let Some(slot) = slot {
@@ -1043,14 +1078,15 @@ fn group_row(
     row
 }
 
-/// One group's metric over the rows at `group` positions.
-fn aggregate_group(rows: &[Vec<Value>], group: &[usize], metric: Metric) -> Value {
-    let potencies = || group.iter().filter_map(|&i| rows[i][5].as_f64());
+/// One group's metric over the cells at `group` positions, folded in
+/// position (rank) order.
+fn aggregate_group(cells: &Cells<'_>, group: &[usize], metric: Metric) -> Value {
+    let potencies = || group.iter().filter_map(|&i| cells.potency(i));
     match metric {
         Metric::Count => Value::Int(group.len() as i64),
         Metric::DistinctLigands => {
             let distinct: std::collections::HashSet<&str> =
-                group.iter().filter_map(|&i| rows[i][2].as_text()).collect();
+                group.iter().filter_map(|&i| cells.ligand(i)).collect();
             Value::Int(distinct.len() as i64)
         }
         Metric::MaxPActivity => potencies()
@@ -1059,8 +1095,8 @@ fn aggregate_group(rows: &[Vec<Value>], group: &[usize], metric: Metric) -> Valu
             })
             .map_or(Value::Null, Value::Float),
         Metric::MeanPActivity => {
-            // Summed in rank order: the order the matview and the
-            // columnar kernels reproduce bit for bit.
+            // Summed in rank order: the order the matview reproduces
+            // bit for bit.
             let mut n = 0usize;
             let sum: f64 = potencies().inspect(|_| n += 1).sum();
             if n == 0 {

@@ -476,52 +476,6 @@ pub fn sum_f64(col: ColumnSlice<'_>, selection: &Bitmap) -> f64 {
     sum
 }
 
-/// Maximum value over selected, valid rows (`Value` ordering; `None`
-/// when nothing valid is selected).
-pub fn max_value(col: ColumnSlice<'_>, selection: &Bitmap) -> Option<Value> {
-    fold_extreme(col, selection, Ordering::Greater)
-}
-
-fn fold_extreme(col: ColumnSlice<'_>, selection: &Bitmap, keep: Ordering) -> Option<Value> {
-    match col.data {
-        ColumnData::Int(d) => {
-            let mut best: Option<i64> = None;
-            for_each_selected_valid(selection, col.validity, |i| {
-                best = Some(best.map_or(d[i], |b| if d[i].cmp(&b) == keep { d[i] } else { b }));
-            });
-            best.map(Value::Int)
-        }
-        ColumnData::Float(d) => {
-            let mut best: Option<f64> = None;
-            for_each_selected_valid(selection, col.validity, |i| {
-                best =
-                    Some(best.map_or(d[i], |b| if d[i].total_cmp(&b) == keep { d[i] } else { b }));
-            });
-            best.map(Value::Float)
-        }
-        ColumnData::Bool(_) | ColumnData::Str { .. } => {
-            let mut best: Option<Value> = None;
-            for i in selection.iter_ones() {
-                let v = col.value_at(i);
-                if v.is_null() {
-                    continue;
-                }
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        if v.cmp(&b) == keep {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            best
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,12 +572,9 @@ mod tests {
         sel.set_range(0, 4);
         assert_eq!(count(&sel), 4);
         assert_eq!(sum_f64(seg.slice(), &sel), 7.0);
-        assert_eq!(max_value(seg.slice(), &sel), Some(Value::Int(4)));
-        let empty = Bitmap::new(4);
-        assert_eq!(max_value(seg.slice(), &empty), None);
+        assert_eq!(sum_f64(seg.slice(), &Bitmap::new(4)), 0.0);
         let mut only_null = Bitmap::new(4);
         only_null.set(2);
-        assert_eq!(max_value(seg.slice(), &only_null), None);
         assert_eq!(sum_f64(seg.slice(), &only_null), 0.0);
     }
 }

@@ -184,7 +184,7 @@ pub struct ColumnSlice<'a> {
     pub validity: &'a Bitmap,
 }
 
-impl ColumnSlice<'_> {
+impl<'a> ColumnSlice<'a> {
     /// Number of rows in the view.
     pub fn len(&self) -> usize {
         self.validity.len()
@@ -208,6 +208,44 @@ impl ColumnSlice<'_> {
             ColumnData::Str { codes, dict } => {
                 dict.cell_of(codes[i]).unwrap_or_else(|| Value::from(""))
             }
+        }
+    }
+
+    /// The integer in cell `i`, read from the typed buffer (as
+    /// [`Value::as_int`] reads it): `None` for a NULL cell or a column
+    /// that is not `Int`.
+    #[inline]
+    pub fn int_at(&self, i: usize) -> Option<i64> {
+        match self.data {
+            ColumnData::Int(d) if self.validity.get(i) => Some(d[i]),
+            _ => None,
+        }
+    }
+
+    /// The numeric view of cell `i` (`Int` widened to `f64`, as
+    /// [`Value::as_f64`] reads it), read from the typed buffer: `None`
+    /// for a NULL cell or a column that is not numeric.
+    #[inline]
+    pub fn f64_at(&self, i: usize) -> Option<f64> {
+        if !self.validity.get(i) {
+            return None;
+        }
+        match self.data {
+            ColumnData::Float(d) => Some(d[i]),
+            ColumnData::Int(d) => Some(d[i] as f64),
+            ColumnData::Bool(_) | ColumnData::Str { .. } => None,
+        }
+    }
+
+    /// The text of cell `i`, borrowed from the column's dictionary, so
+    /// no handle is cloned: `None` for a NULL cell or a column that is
+    /// not text.
+    pub fn text_at(&self, i: usize) -> Option<&'a str> {
+        match self.data {
+            ColumnData::Str { codes, dict } if self.validity.get(i) => {
+                dict.values().get(codes[i] as usize).map(|s| &**s)
+            }
+            _ => None,
         }
     }
 }
@@ -254,6 +292,38 @@ mod tests {
             other => panic!("unexpected data {other:?}"),
         }
         assert_eq!(s.slice().value_at(3), Value::from("a"));
+        s.push_value(&Value::Null).unwrap();
+        let texts: Vec<_> = (0..5).map(|i| s.slice().text_at(i)).collect();
+        assert_eq!(texts, [Some("a"), Some("b"), Some("a"), Some("a"), None]);
+        // A text is the dictionary's one allocation, whichever row.
+        let at = |i| s.slice().text_at(i).unwrap().as_ptr();
+        assert_eq!(at(0), at(3));
+        let mut ints = Segment::new(ValueType::Int).unwrap();
+        ints.push_value(&Value::Int(1)).unwrap();
+        assert_eq!(ints.slice().text_at(0), None);
+        assert_eq!(s.slice().int_at(0), None);
+        assert_eq!(s.slice().f64_at(0), None);
+    }
+
+    #[test]
+    fn typed_getters_read_what_value_at_reads() {
+        let mut ints = Segment::new(ValueType::Int).unwrap();
+        let mut floats = Segment::new(ValueType::Float).unwrap();
+        for v in [Value::Int(-3), Value::Null, Value::Int(7)] {
+            ints.push_value(&v).unwrap();
+            floats.push_value(&v).unwrap();
+        }
+        floats.push_value(&Value::Float(2.5)).unwrap();
+        for i in 0..3 {
+            let cell = ints.slice().value_at(i);
+            assert_eq!(ints.slice().int_at(i), cell.as_int());
+            assert_eq!(ints.slice().f64_at(i), cell.as_f64());
+        }
+        for i in 0..4 {
+            let cell = floats.slice().value_at(i);
+            assert_eq!(floats.slice().f64_at(i), cell.as_f64());
+            assert_eq!(floats.slice().int_at(i), None);
+        }
     }
 
     #[test]

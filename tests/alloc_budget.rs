@@ -27,6 +27,15 @@
 //! bundle a fullscreen inspect folds 5,855 rows into 69 glyphs for 186
 //! allocator calls, plan included.
 //!
+//! A columnar scan reads the mirror's cells in place and builds a row
+//! only for what it returns, so a query that scans every mirrored row
+//! and returns a few allocates per returned row, not per scanned row;
+//! the third test pins that on a `.with_columnar()` system. Before the
+//! scan handed positions to the executor it built every selected row
+//! first: on this bundle a whole-tree `top 10 by p_activity desc` made
+//! **5,942 allocator calls and a similarity query returning 15 rows
+//! 5,938**, each of 5,855 rows scanned; this tree counts 74 and 81.
+//!
 //! This file holds the allocation tests alone on purpose: the counter
 //! is armed on each test's own thread, and a binary with a
 //! `#[global_allocator]` should not be shared with tests that have
@@ -101,15 +110,18 @@ const LIGANDS: usize = 1024;
 /// entry. Measured at 159 on the miss and 62 on the hit of this bundle.
 const PER_QUERY: u64 = 2 * LEAVES as u64;
 
-fn system() -> DrugTree {
-    let bundle = SyntheticBundle::generate(
+fn bundle() -> SyntheticBundle {
+    SyntheticBundle::generate(
         &WorkloadSpec::default()
             .leaves(LEAVES)
             .ligands(LIGANDS)
             .seed(23),
-    );
+    )
+}
+
+fn system() -> DrugTree {
     DrugTree::builder()
-        .dataset(bundle.build_dataset())
+        .dataset(bundle().build_dataset())
         .optimizer(OptimizerConfig::full())
         .build()
         .unwrap()
@@ -193,4 +205,59 @@ fn a_gesture_allocates_per_glyph_not_per_row() {
         on_hit <= 4 * glyphs + PER_QUERY,
         "hit: {on_hit} allocations for {glyphs} glyphs over {folded} rows"
     );
+}
+
+#[test]
+fn a_columnar_scan_allocates_per_returned_row_not_per_scanned_row() {
+    let bundle = bundle();
+    let system = DrugTree::builder()
+        .dataset(bundle.build_dataset())
+        .optimizer(OptimizerConfig::full())
+        .with_columnar()
+        .build()
+        .unwrap();
+    let scanned = system.executor().columnar().unwrap().len() as u64;
+    // Exactly one ligand's fingerprint: a few of the tree's rows.
+    let reference = bundle.activities[0].ligand_id.clone();
+    for (name, query) in [
+        (
+            "top 10",
+            Query::activities(Scope::Tree).top_k("p_activity", 10, true),
+        ),
+        (
+            "similarity",
+            Query::activities(Scope::Tree).similar_to(reference, 0.999),
+        ),
+    ] {
+        let run = || system.executor().execute(system.dataset(), &query).unwrap();
+        // The mirror keeps no answers: both calls scan, and the second
+        // is counted, past whatever the first initialised once.
+        let first = run();
+        let (result, allocations) = allocations_in(run);
+        assert_eq!(result.rows, first.rows);
+        assert_eq!(result.metrics.source_requests, 0, "{name}");
+        assert!(
+            result
+                .metrics
+                .notes
+                .iter()
+                .any(|n| n.contains("columnar-scan")),
+            "{name} is a columnar scan"
+        );
+
+        let returned = result.rows.len() as u64;
+        assert!(returned > 0, "{name} returns rows");
+        assert!(
+            scanned > 8 * (returned + PER_QUERY),
+            "{scanned} rows scanned for {returned}: a per-row count would hide"
+        );
+        println!(
+            "{name}: {returned} rows of {scanned} scanned, {allocations} allocations ({:.2}/row returned)",
+            allocations as f64 / returned as f64,
+        );
+        assert!(
+            allocations <= 4 * returned + PER_QUERY,
+            "{name}: {allocations} allocations for {returned} rows of {scanned} scanned"
+        );
+    }
 }

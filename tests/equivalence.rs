@@ -204,3 +204,85 @@ fn local_structures_return_the_naive_plans_mean_bit_for_bit() {
     }
     assert!(means > 1000, "compared {means} means");
 }
+
+/// A top-k ranks by a column where most rows tie (`year`,
+/// `activity_type`, `source`), so which tied rows make the cut, and in
+/// what order, is decided by the tie rule alone: rank order. The naive
+/// plan's answer is the scope's listing, stably sorted by the key and
+/// cut at k; every system, warm and cold, returns exactly its rows —
+/// every column, in order — the mirror's positions included.
+#[test]
+fn a_top_k_over_tied_columns_returns_the_naive_plans_rows_in_order() {
+    let spec = WorkloadSpec::default()
+        .leaves(512)
+        .ligands(128)
+        .seed(29)
+        .assay_sources(2);
+    let bundle = SyntheticBundle::generate(&spec);
+    // The largest clade below the root, and the smallest of 64 leaves
+    // or more.
+    let mut clades: Vec<(u32, String)> = bundle
+        .tree
+        .node_ids()
+        .filter(|&id| id != bundle.tree.root() && !bundle.tree.node_unchecked(id).is_leaf())
+        .filter_map(|id| {
+            let label = bundle.tree.node_unchecked(id).label.clone()?;
+            Some((bundle.index.interval(id).len(), label))
+        })
+        .collect();
+    clades.sort();
+    let largest = &clades.last().unwrap().1;
+    let middle = &clades.iter().find(|(leaves, _)| *leaves >= 64).unwrap().1;
+
+    let mut steps = Vec::new();
+    for scope in [
+        "in tree".to_string(),
+        format!("in subtree('{largest}')"),
+        format!("in subtree('{middle}')"),
+    ] {
+        for column in ["year", "activity_type", "source"] {
+            for direction in ["asc", "desc"] {
+                let text = format!("activities {scope} top 25 by {column} {direction}");
+                steps.push(Step::Text(text));
+            }
+        }
+    }
+    let systems = Systems::new(&Matrix::fixed(), || bundle.build_dataset());
+    let mut naive = Vec::new();
+    let answered = systems.run_with(&steps, |answer| {
+        let rows = &answer.result.rows;
+        if answer.system != "naive" {
+            if *rows != naive {
+                return Err(format!("{:?}: not the naive rows", answer.query));
+            }
+            return Ok(());
+        }
+        let QueryKind::TopK { by, k, descending } = &answer.query.kind else {
+            return Err(format!("{:?} is not a top-k", answer.query));
+        };
+        let key = answer.result.columns.iter().position(|c| c == by).unwrap();
+        let listing = Query {
+            kind: QueryKind::Activities,
+            ..answer.query.clone()
+        };
+        let mut expected = systems.naive().execute(&listing).unwrap().rows;
+        // Stable: ties keep the listing's rank order.
+        expected.sort_by(|a, b| {
+            let ord = a[key].cmp(&b[key]);
+            if *descending {
+                ord.reverse()
+            } else {
+                ord
+            }
+        });
+        // The cut falls inside a run of ties.
+        assert_eq!(expected[k - 1][key], expected[*k][key], "{listing:?}");
+        expected.truncate(*k);
+        naive = rows.clone();
+        if *rows != expected {
+            return Err(format!("{:?}: not the listing's first rows", answer.query));
+        }
+        Ok(())
+    });
+    assert_eq!(answered.unwrap_or_else(|d| panic!("{d}")), steps.len());
+}
