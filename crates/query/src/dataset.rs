@@ -1,10 +1,12 @@
 //! The queryable bundle: tree + index + overlay + federated sources.
 
 use crate::ast::Scope;
+use crate::plan::LeafSet;
 use crate::{QueryError, Result};
 use drugtree_integrate::overlay::{tables, Overlay};
 use drugtree_phylo::index::{LeafInterval, TreeIndex};
 use drugtree_phylo::tree::{NodeId, Tree};
+use drugtree_sources::batcher::SortedKeys;
 use drugtree_sources::clock::VirtualClock;
 use drugtree_sources::federation::SourceRegistry;
 use drugtree_sources::source::SourceKind;
@@ -32,8 +34,8 @@ pub struct Dataset {
     /// The session's virtual clock; all simulated latency is charged
     /// here.
     pub clock: Arc<VirtualClock>,
-    /// Leaf rank -> protein accession, as the text cell a fetch plan
-    /// keys on: planning a scope clones handles, not strings.
+    /// Leaf rank -> protein accession, as the text cell a fetch keys
+    /// on: a fetch clones handles, not strings.
     accession_by_rank: Vec<Option<Value>>,
     /// Protein accession -> leaf rank.
     rank_by_accession: FxHashMap<Arc<str>, u32>,
@@ -42,7 +44,7 @@ pub struct Dataset {
 impl Dataset {
     /// Assemble a dataset. The overlay's protein table provides the
     /// rank ↔ accession correspondence; two different accessions on
-    /// one leaf are refused.
+    /// one leaf, or one accession on two leaves, are refused.
     pub fn new(
         tree: Tree,
         index: TreeIndex,
@@ -65,7 +67,11 @@ impl Dataset {
                 .as_int()
                 .ok_or_else(|| QueryError::Plan("non-int leaf_rank".into()))?
                 as u32;
-            rank_by_accession.insert(Arc::clone(acc), rank);
+            // A fetch ships one key per leaf of its leaf set.
+            let held = rank_by_accession.insert(Arc::clone(acc), rank);
+            if held.is_some_and(|held| held != rank) {
+                return Err(QueryError::Plan(format!("{accession} is on two leaves")));
+            }
             if let Some(slot) = accession_by_rank.get_mut(rank as usize) {
                 // A fetch asks for a leaf by its one accession, so rows
                 // under a second one would reach only the local scans.
@@ -161,6 +167,16 @@ impl Dataset {
     ) -> impl Iterator<Item = (u32, &Value)> + '_ {
         (interval.lo..interval.hi.min(self.accession_by_rank.len() as u32))
             .filter_map(|r| self.accession_cell(r).map(|a| (r, a)))
+    }
+
+    /// The accession keys of `leaves`, sorted and deduplicated: what a
+    /// fetch of them ships, built when the fetch runs.
+    pub fn fetch_keys(&self, leaves: &LeafSet) -> SortedKeys {
+        let keys = leaves
+            .ranks()
+            .iter()
+            .filter_map(|&r| self.accession_cell(r));
+        SortedKeys::new(keys.cloned().collect())
     }
 
     /// Number of leaves in the tree.
@@ -480,6 +496,33 @@ mod tests {
             build(&["P1", "P2", "P1.2"]),
             Err(QueryError::Plan(_))
         ));
+    }
+
+    #[test]
+    fn one_protein_on_two_leaves_is_refused() {
+        use drugtree_integrate::overlay::{ligand_schema, protein_schema};
+        use drugtree_store::table::Table;
+        use drugtree_store::Catalog;
+        // A restored protein table may place an accession anywhere.
+        let build = |ranks: &[i64]| {
+            let d = small_dataset(SourceCapabilities::full());
+            let mut proteins = Table::new(tables::PROTEIN, protein_schema()).unwrap();
+            for &rank in ranks {
+                let name = Value::from("");
+                let row = [Value::from("P1"), name.clone(), name, Value::Int(rank)];
+                proteins.append_row(&row).unwrap();
+            }
+            let ligands = Table::new(tables::LIGAND, ligand_schema()).unwrap();
+            let mut catalog = Catalog::new();
+            catalog.create_table(proteins).unwrap();
+            catalog
+                .create_table(ligands.with_key("ligand_id").unwrap())
+                .unwrap();
+            let overlay = Overlay::from_catalog(catalog).unwrap();
+            Dataset::new(d.tree, d.index, overlay, d.registry, d.clock)
+        };
+        assert!(build(&[0, 0]).is_ok(), "one leaf twice");
+        assert!(matches!(build(&[0, 2]), Err(QueryError::Plan(_))));
     }
 
     #[test]

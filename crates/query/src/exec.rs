@@ -14,7 +14,7 @@ use crate::dataset::{resolve_activity_rows, unified_schema, unify_assay_row, Dat
 use crate::local::{Keep, LocalBuild};
 use crate::matview::MaterializedAggregates;
 use crate::optimizer::{Optimizer, PlanInputs};
-use crate::plan::{Access, ColumnarPushdown, FetchPlan, Finish, PhysicalPlan, ViewAccess};
+use crate::plan::{Access, ColumnarPushdown, FetchPlan, Finish, LeafSet, PhysicalPlan, ViewAccess};
 use crate::stats::OverlayStats;
 use crate::trace::{AnalyzedResult, Observer, QuerySpan, Stage, TraceBuilder};
 use crate::{QueryError, Result};
@@ -22,8 +22,8 @@ use drugtree_chem::similarity::tanimoto;
 use drugtree_integrate::overlay::tables;
 use drugtree_phylo::index::LeafInterval;
 use drugtree_phylo::tree::NodeId;
-use drugtree_sources::batcher::batched_lookup_with_retry;
 pub use drugtree_sources::batcher::RetryPolicy;
+use drugtree_sources::batcher::{batched_lookup_with_retry, SortedKeys};
 use drugtree_sources::clock::VirtualInstant;
 use drugtree_sources::sync::Mutex;
 use drugtree_store::expr::{BoundPredicate, Predicate};
@@ -441,11 +441,15 @@ impl Executor {
 
         // 2. Ligand join: per position, the catalog's row for its
         // ligand, whose cells are read when a filter or the output needs
-        // them. Positions a filter is about to drop are joined only when
-        // the residual reads a ligand column.
+        // them. Positions a filter is about to drop, or a top-k does not
+        // return, are joined only when the residual or the ranking reads
+        // a ligand column.
         let residual = plan.residual.bind(unified_schema())?;
         let mut join = LigandJoin::default();
-        let join_before_filters = plan.ligand_join && reads_ligand_cells(&residual);
+        let ranks_by_ligand = matches!(&plan.finish,
+            Finish::TopK { column, .. } if column.index() >= ACTIVITY_CELLS);
+        let join_before_filters =
+            plan.ligand_join && (reads_ligand_cells(&residual) || ranks_by_ligand);
         if plan.ligand_join {
             if survivors.iter().any(|&i| cells.ligand(i).is_none()) {
                 return Err(QueryError::Plan("non-text ligand_id".into()));
@@ -501,16 +505,40 @@ impl Executor {
             });
         }
 
-        if plan.ligand_join && !join_before_filters {
-            join.probe(&cells, &survivors);
-        }
-
         if let Some(tb) = sink.as_deref_mut() {
             let mut span = QuerySpan::new(Stage::Overlay, "", overlay_started);
             span.ended = dataset.clock.now();
             span.attrs.push(("rows_in", rows_in));
             span.attrs.push(("rows_out", survivors.len() as u64));
             tb.push(span);
+        }
+
+        // A top-k keeps its k best survivors, best first. Ties keep rank
+        // order, as a stable sort would: the position breaks them, so
+        // the order is total, and selecting the k best before sorting
+        // them returns what a stable sort of every survivor cut at k
+        // returns.
+        if let Finish::TopK {
+            column,
+            k,
+            descending,
+        } = &plan.finish
+        {
+            let column = column.index();
+            let best_first = |a: &usize, b: &usize| {
+                let ord = unified_cell(&cells, &join, *a, column)
+                    .cmp(&unified_cell(&cells, &join, *b, column));
+                let ord = if *descending { ord.reverse() } else { ord };
+                ord.then(a.cmp(b))
+            };
+            if *k < survivors.len() {
+                survivors.select_nth_unstable_by(*k, best_first);
+                survivors.truncate(*k);
+            }
+            survivors.sort_unstable_by(best_first);
+        }
+        if plan.ligand_join && !join_before_filters {
+            join.probe(&cells, &survivors);
         }
 
         // 6. Finish.
@@ -630,12 +658,18 @@ impl Executor {
     ) -> Result<Vec<Vec<Value>>> {
         let mut per_source_rows: Vec<Vec<Vec<Value>>> = Vec::with_capacity(fetches.len());
         let mut per_source_cost = Vec::with_capacity(fetches.len());
+        // The sources of a plan share one leaf set: its keys are built once.
+        let mut built: Option<(&LeafSet, SortedKeys)> = None;
         for f in fetches {
             let fetch_started = dataset.clock.now();
             let source = dataset.registry.by_name(f.source())?;
+            let (_, keys) = match built.take() {
+                Some(same) if *same.0 == f.leaves => built.insert(same),
+                _ => built.insert((&f.leaves, dataset.fetch_keys(&f.leaves))),
+            };
             let resp = batched_lookup_with_retry(
                 source.as_ref(),
-                &f.keys,
+                keys,
                 f.pushdown.as_ref(),
                 f.max_batch(),
                 f.dispatch(),
@@ -652,7 +686,7 @@ impl Executor {
                 span.rows = Some(resp.rows.len() as u64);
                 span.attrs = vec![
                     ("requests", resp.requests as u64),
-                    ("keys", f.keys.len() as u64),
+                    ("keys", keys.len() as u64),
                     ("retries", u64::from(resp.retries)),
                 ];
                 tb.push(span);
@@ -944,39 +978,18 @@ fn unified_columns() -> Vec<String> {
 
 /// Step 6, finish, on survivor positions: rank, group or count over
 /// cells read in place, and build unified rows only for what is
-/// returned.
+/// returned: a top-k's survivors are its k best, best first.
 fn finish_survivors(
     dataset: &Dataset,
     plan: &PhysicalPlan,
     view: Option<&MaterializedAggregates>,
     activity: ActivityRows,
-    mut survivors: Vec<usize>,
+    survivors: Vec<usize>,
     join: &LigandJoin,
 ) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
     let cells = activity.cells();
     Ok(match &plan.finish {
-        Finish::Collect => (unified_columns(), activity.into_unified(&survivors, join)),
-        Finish::TopK {
-            column,
-            k,
-            descending,
-        } => {
-            let column = column.index();
-            // Ties keep rank order, as a stable sort would: the position
-            // breaks them, so the order is total, and selecting the k
-            // best before sorting them returns what a stable sort of
-            // every survivor cut at k returns.
-            let best_first = |a: &usize, b: &usize| {
-                let ord = unified_cell(&cells, join, *a, column)
-                    .cmp(&unified_cell(&cells, join, *b, column));
-                let ord = if *descending { ord.reverse() } else { ord };
-                ord.then(a.cmp(b))
-            };
-            if *k < survivors.len() {
-                survivors.select_nth_unstable_by(*k, best_first);
-                survivors.truncate(*k);
-            }
-            survivors.sort_unstable_by(best_first);
+        Finish::Collect | Finish::TopK { .. } => {
             (unified_columns(), activity.into_unified(&survivors, join))
         }
         Finish::Aggregate {

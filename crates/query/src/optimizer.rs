@@ -8,8 +8,7 @@
 //!    becomes a leaf interval via the tree index (the "standard" from
 //!    tree/XML databases, design decision D1), similarity and
 //!    substructure references resolve to fingerprints/patterns, and
-//!    the assay sources, candidate keys, and ligand-join need are
-//!    discovered.
+//!    the assay sources and the ligand-join need are discovered.
 //! 2. **Canonicalize** normalizes the predicate
 //!    ([`crate::ast::canon::canonicalize`]): negation-normal form,
 //!    flattening, constant folding, `between` merging, and conjunct
@@ -21,6 +20,7 @@
 //! 4. **Lower** produces the physical shape: batching + concurrent
 //!    dispatch (D3), per-source fetch plans, access-path selection
 //!    (including the semantic cache wrap, D2), and the finish operator.
+//!    A fetch names leaf ranks ([`crate::plan::LeafSet`]), not keys.
 //!
 //! Every rule lives in the per-phase registry
 //! ([`crate::phases::REGISTRY`]) with a name, description, body (in
@@ -29,8 +29,8 @@
 //! rules` listing derive from one table. The driver runs each phase's
 //! rules once, in registry order, and records every firing in the
 //! plan's rule trace for EXPLAIN. The plan's parts are built by
-//! constructors that make six of its invariants hold by construction
-//! ([`crate::plan`]); [`Optimizer::plan`] checks the four that depend
+//! constructors that make seven of its invariants hold by construction
+//! ([`crate::plan`]); [`Optimizer::plan`] checks the three that depend
 //! on the dataset once, in every build ([`crate::validate`]).
 //! `OptimizerConfig::naive()` reproduces the unoptimized DrugTree
 //! described in the paper's opening: one sequential round-trip per leaf
@@ -47,7 +47,7 @@ use crate::local::LocalBuild;
 use crate::matview::MaterializedAggregates;
 use crate::phases::{PassTrace, RewritePhase, RuleFiring, RuleOutcome, PHASE_ORDER};
 use crate::plan::{
-    Access, ColumnarPushdown, FetchPlan, Finish, PhysicalPlan, ResolvedSimilarity,
+    Access, ColumnarPushdown, FetchPlan, Finish, LeafSet, PhysicalPlan, ResolvedSimilarity,
     ResolvedSubstructure, UnifiedColumn, ViewAccess,
 };
 use crate::stats::OverlayStats;
@@ -56,7 +56,6 @@ use drugtree_chem::fingerprint::Fingerprint;
 use drugtree_chem::smiles::parse_smiles;
 use drugtree_phylo::index::LeafInterval;
 use drugtree_phylo::tree::NodeId;
-use drugtree_sources::batcher::SortedKeys;
 use drugtree_sources::source::SourceKind;
 use drugtree_sources::DataSource;
 use drugtree_store::expr::{CompareOp, Predicate};
@@ -244,7 +243,6 @@ pub(crate) struct Rewrite<'a> {
     substructure: Option<ResolvedSubstructure>,
     assay_sources: Vec<Arc<dyn DataSource>>,
     ligand_join: bool,
-    keys: Vec<(u32, Value)>,
 
     // Canonicalize product: the normalized predicate. Starts as the
     // query predicate verbatim; with the rule off it stays
@@ -253,7 +251,9 @@ pub(crate) struct Rewrite<'a> {
 
     // Optimize products.
     residual: Option<Predicate>,
-    pruned: usize,
+    /// The fetch's leaves once statistics pruned them, and the count
+    /// dropped; `None` means every protein-bearing leaf of the interval.
+    pruned: Option<(LeafSet, usize)>,
     proved_empty: bool,
     pruning_bound: Option<f64>,
     pushdown: Option<Predicate>,
@@ -261,7 +261,6 @@ pub(crate) struct Rewrite<'a> {
     /// price their selectivity against the overlay histograms (which
     /// index local columns like `p_activity`, not remote `value_nm`).
     pushed_local: Option<Predicate>,
-    key_values: SortedKeys,
     expected_rows: u64,
     /// `Some` once replica selection ran; `None` means every assay
     /// source participates.
@@ -291,15 +290,13 @@ impl<'a> Rewrite<'a> {
             substructure: None,
             assay_sources: Vec::new(),
             ligand_join: false,
-            keys: Vec::new(),
             canonical: query.predicate.clone(),
             residual: None,
-            pruned: 0,
+            pruned: None,
             proved_empty: false,
             pruning_bound: None,
             pushdown: None,
             pushed_local: None,
-            key_values: SortedKeys::new(Vec::new()),
             expected_rows: 0,
             chosen_sources: None,
             view: None,
@@ -391,6 +388,7 @@ impl<'a> Rewrite<'a> {
 
     /// Assemble the physical plan from the finished draft.
     fn into_plan(self) -> PhysicalPlan {
+        let pruned_leaves = self.pruned.map_or(0, |(_, pruned)| pruned);
         let Some(access) = self.access else {
             unreachable!("Lower selected the access path")
         };
@@ -412,7 +410,7 @@ impl<'a> Rewrite<'a> {
         PhysicalPlan {
             scope_node,
             interval,
-            pruned_leaves: self.pruned,
+            pruned_leaves,
             access,
             // The full predicate re-applies client-side; pushdown only
             // reduces shipped rows, never correctness.
@@ -474,10 +472,6 @@ pub(crate) mod rules {
             return Err(QueryError::Plan("no assay sources registered".into()));
         }
         rw.assay_sources = sources;
-        rw.keys = dataset
-            .accessions_in(rw.interval())
-            .map(|(rank, acc)| (rank, acc.clone()))
-            .collect();
         let residual_needs_ligand = rw
             .query
             .predicate
@@ -538,28 +532,20 @@ pub(crate) mod rules {
         }
         let p_bound = min_p_activity_bound(&rw.canonical);
         rw.pruning_bound = p_bound;
-        let before = rw.keys.len();
-        rw.keys.retain(|(rank, _)| {
+        let (leaves, pruned) = LeafSet::new(rw.inputs.dataset, rw.interval(), |rank| {
             let leaf_iv = LeafInterval {
-                lo: *rank,
+                lo: rank,
                 hi: rank + 1,
             };
-            if stats.interval_count(leaf_iv) == 0 {
-                return false;
-            }
-            if let Some(bound) = p_bound {
-                if stats.interval_max_p(leaf_iv).is_none_or(|m| m < bound) {
-                    return false;
-                }
-            }
-            true
+            let weak = |bound| stats.interval_max_p(leaf_iv).is_none_or(|m| m < bound);
+            stats.interval_count(leaf_iv) > 0 && !p_bound.is_some_and(weak)
         });
-        rw.pruned = before - rw.keys.len();
-        if rw.pruned == 0 {
+        rw.pruned = Some((leaves, pruned));
+        if pruned == 0 {
             return Ok(NoChange);
         }
         rw.notes
-            .push(format!("stats-pruning: {} leaves dropped", rw.pruned));
+            .push(format!("stats-pruning: {pruned} leaves dropped"));
         Ok(Changed)
     }
 
@@ -609,10 +595,6 @@ pub(crate) mod rules {
     }
 
     pub(crate) fn cardinality_estimate(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
-        // Keys ship sorted and deduplicated: batching is deterministic
-        // and the executor's rank re-sort makes row order
-        // config-independent.
-        rw.key_values = SortedKeys::new(rw.keys.iter().map(|(_, k)| k.clone()).collect());
         rw.expected_rows = estimate_rows(rw.inputs.stats, rw.interval(), &rw.pushed_local);
         Ok(Changed)
     }
@@ -715,13 +697,18 @@ pub(crate) mod rules {
     }
 
     pub(crate) fn lower_fetches(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
+        // Every source's fetch shares one leaf set.
+        let leaves = match &rw.pruned {
+            Some((leaves, _)) => leaves.clone(),
+            None => LeafSet::new(rw.inputs.dataset, rw.interval(), |_| true).0,
+        };
         rw.fetches = rw
             .sources_for_fetch()
             .iter()
             .map(|s| {
                 FetchPlan::new(
                     s.as_ref(),
-                    rw.key_values.clone(),
+                    leaves.clone(),
                     rw.pushdown.clone(),
                     rw.config.batching,
                     rw.config.concurrent_dispatch,
@@ -1087,7 +1074,7 @@ mod tests {
             } => {
                 assert!(!concurrent_sources);
                 assert_eq!(fetches.len(), 1);
-                assert_eq!(fetches[0].keys.len(), 4);
+                assert_eq!(fetches[0].leaves.ranks().len(), 4);
                 assert!(!fetches[0].batched());
                 assert!(fetches[0].pushdown.is_none());
             }
@@ -1170,10 +1157,42 @@ mod tests {
         assert_eq!(plan.pruned_leaves, 1);
         match &plan.access {
             Access::CacheProbe { on_miss, .. } => {
-                assert_eq!(on_miss[0].keys.len(), 3);
+                assert_eq!(on_miss[0].leaves.ranks(), [0, 1, 2]);
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn a_plan_holds_no_accession_handle() {
+        let d = dataset();
+        let stats = OverlayStats::collect(&d).unwrap();
+        let view = LocalBuild::build(&d, Keep::View).unwrap();
+        let mirror = LocalBuild::build(&d, Keep::Mirror).unwrap();
+        let all = LeafInterval { lo: 0, hi: 4 };
+        let handles = || -> Vec<usize> {
+            d.accessions_in(all)
+                .map(|(_, accession)| match accession {
+                    Value::Text(text) => Arc::strong_count(text),
+                    other => panic!("{other:?}"),
+                })
+                .collect()
+        };
+        let before = handles();
+        let opt = Optimizer::new(OptimizerConfig::full());
+        let listing = Query::activities(Scope::Tree);
+        let aggregate = Query::activities(Scope::Tree).aggregate(Metric::Count);
+        let plans = [
+            opt.plan(&inputs(&d, Some(&stats), None), &listing),
+            opt.plan(&inputs(&d, Some(&stats), Some(&mirror)), &listing),
+            opt.plan(&inputs(&d, Some(&stats), Some(&view)), &aggregate),
+        ]
+        .map(Result::unwrap);
+        assert!(matches!(plans[0].access, Access::CacheProbe { .. }));
+        assert!(matches!(plans[1].access, Access::ColumnarScan { .. }));
+        assert!(matches!(plans[2].access, Access::MaterializedView(_)));
+        // The accession keys are built when a fetch runs, not before.
+        assert_eq!(handles(), before);
     }
 
     #[test]

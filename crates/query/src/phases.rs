@@ -175,7 +175,7 @@ pub const REGISTRY: &[RuleDef] = &[
     RuleDef {
         name: "column_discovery",
         phase: RewritePhase::Analyze,
-        description: "discover assay sources, candidate keys, and the ligand-join need",
+        description: "discover assay sources and the ligand-join need",
         toggle: None,
         apply: rules::column_discovery,
     },
@@ -212,7 +212,7 @@ pub const REGISTRY: &[RuleDef] = &[
     RuleDef {
         name: "cardinality_estimate",
         phase: RewritePhase::Optimize,
-        description: "sort/dedup the key set and estimate shipped rows from histograms",
+        description: "estimate shipped rows from histograms",
         toggle: None,
         apply: rules::cardinality_estimate,
     },
@@ -262,7 +262,7 @@ pub const REGISTRY: &[RuleDef] = &[
     RuleDef {
         name: "lower_fetches",
         phase: RewritePhase::Lower,
-        description: "build per-source fetch plans with latency estimates",
+        description: "build per-source fetch plans over one leaf set, with latency estimates",
         toggle: None,
         apply: rules::lower_fetches,
     },

@@ -3,17 +3,50 @@
 //! that establish what the executor relies on (DESIGN.md §4b).
 
 use crate::ast::{Groups, Metric, Query, QueryKind};
-use crate::dataset::{activity_half_schema, unified_schema};
+use crate::dataset::{activity_half_schema, unified_schema, Dataset};
 use crate::Result;
 use drugtree_chem::fingerprint::Fingerprint;
 use drugtree_phylo::index::{LeafInterval, TreeIndex};
 use drugtree_phylo::tree::NodeId;
-use drugtree_sources::batcher::{Dispatch, SortedKeys};
+use drugtree_sources::batcher::Dispatch;
 use drugtree_sources::DataSource;
 use drugtree_store::expr::{BoundPredicate, Predicate};
 use drugtree_store::value::Value;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Duration;
+
+/// The leaves a fetch asks for, by rank, ascending: the protein-bearing
+/// leaves of an interval that statistics did not prune. The sources of
+/// one plan share it; a fetch builds its accession keys when it runs
+/// ([`Dataset::fetch_keys`]). [`LeafSet::new`] is the only constructor,
+/// so every rank is a protein-bearing leaf of the interval, and kept
+/// plus pruned is their count; a pruned leaf cannot be planted back:
+///
+/// ```compile_fail
+/// let resurrected = drugtree_query::plan::LeafSet(std::sync::Arc::from([0u32, 1, 2, 3]));
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct LeafSet(Arc<[u32]>);
+
+impl LeafSet {
+    /// The protein-bearing leaves of `interval` that `keep` holds, and
+    /// how many it dropped.
+    pub fn new(
+        dataset: &Dataset,
+        interval: LeafInterval,
+        mut keep: impl FnMut(u32) -> bool,
+    ) -> (LeafSet, usize) {
+        let ranks = dataset.accessions_in(interval).map(|(rank, _)| rank);
+        let (kept, pruned): (Vec<u32>, Vec<u32>) = ranks.partition(|&rank| keep(rank));
+        (LeafSet(kept.into()), pruned.len())
+    }
+
+    /// The leaf ranks, ascending.
+    pub fn ranks(&self) -> &[u32] {
+        &self.0
+    }
+}
 
 /// One source's share of a federated fetch.
 ///
@@ -28,8 +61,8 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FetchPlan {
     source: String,
-    /// Keys (protein accessions) to look up.
-    pub keys: SortedKeys,
+    /// The leaves whose accessions the fetch looks up.
+    pub(crate) leaves: LeafSet,
     /// Predicate pushed into the source (already capability-checked).
     pub pushdown: Option<Predicate>,
     batched: bool,
@@ -43,13 +76,13 @@ pub struct FetchPlan {
 }
 
 impl FetchPlan {
-    /// A fetch of `keys` from `source`. A batched fetch sends up to the
-    /// source's declared `max_batch` keys per request, a non-batched
-    /// one a key per request; the latency estimate comes from the
-    /// source's self-declared latency model.
+    /// A fetch of the accessions of `leaves` from `source`. A batched
+    /// fetch sends up to the source's declared `max_batch` keys per
+    /// request, a non-batched one a key per request; the latency
+    /// estimate comes from the source's self-declared latency model.
     pub fn new(
         source: &dyn DataSource,
-        keys: SortedKeys,
+        leaves: LeafSet,
         pushdown: Option<Predicate>,
         batched: bool,
         concurrent: bool,
@@ -60,7 +93,7 @@ impl FetchPlan {
         } else {
             1
         };
-        let requests = keys.len().div_ceil(max_batch).max(1);
+        let requests = leaves.ranks().len().div_ceil(max_batch).max(1);
         let model = source.latency_model();
         let transfer = model.per_row * (expected_rows as u32);
         let est_cost = if concurrent {
@@ -71,7 +104,7 @@ impl FetchPlan {
         };
         FetchPlan {
             source: source.name().to_string(),
-            keys,
+            leaves,
             pushdown,
             batched,
             max_batch,
@@ -459,7 +492,7 @@ fn fmt_fetch(f: &FetchPlan) -> String {
         "SourceFetch source={} keys={} pushdown={} batched={} max_batch={} concurrent={} \
          est_cost={:?} est_rows={}",
         f.source,
-        f.keys.len(),
+        f.leaves.ranks().len(),
         fmt_pred_opt(f.pushdown.as_ref()),
         f.batched,
         f.max_batch,
@@ -529,8 +562,10 @@ mod tests {
         d.registry.by_name("assay-sim").unwrap()
     }
 
-    fn keys(accessions: &[&str]) -> SortedKeys {
-        SortedKeys::new(accessions.iter().map(|&a| Value::from(a)).collect())
+    /// The small dataset's leaves in `[lo, hi)`: P1..P4 at ranks 0..4.
+    fn leaves(lo: u32, hi: u32) -> LeafSet {
+        let d = crate::dataset::test_fixtures::small_dataset(SourceCapabilities::full());
+        LeafSet::new(&d, LeafInterval { lo, hi }, |_| true).0
     }
 
     #[test]
@@ -543,7 +578,7 @@ mod tests {
             access: Access::Fetch {
                 fetches: vec![FetchPlan::new(
                     source.as_ref(),
-                    keys(&["P2", "P1"]),
+                    leaves(0, 2),
                     Some(Predicate::cmp("p_activity", CompareOp::Ge, 6.0)),
                     true,
                     true,
@@ -588,16 +623,16 @@ mod tests {
     #[test]
     fn fetch_plans_take_their_batch_from_the_source() {
         let full = assay_source(SourceCapabilities::full());
-        let batched = FetchPlan::new(full.as_ref(), keys(&["P1", "P2"]), None, true, true, 0);
+        let batched = FetchPlan::new(full.as_ref(), leaves(0, 2), None, true, true, 0);
         assert_eq!(
             (batched.max_batch(), batched.dispatch()),
             (100, Dispatch::Concurrent)
         );
-        let sequential = FetchPlan::new(full.as_ref(), keys(&["P1"]), None, true, false, 0);
+        let sequential = FetchPlan::new(full.as_ref(), leaves(0, 1), None, true, false, 0);
         assert_eq!(sequential.dispatch(), Dispatch::Sequential);
         // Unbatched: one key per request, one request at a time, even
         // under concurrent dispatch (the ablate-batching plan).
-        let naive = FetchPlan::new(full.as_ref(), keys(&["P1", "P2"]), None, false, true, 0);
+        let naive = FetchPlan::new(full.as_ref(), leaves(0, 2), None, false, true, 0);
         assert_eq!(
             (naive.max_batch(), naive.dispatch()),
             (1, Dispatch::Sequential)
@@ -605,11 +640,11 @@ mod tests {
         assert!(naive.concurrent, "EXPLAIN still prints the flag");
         // A dump-only source accepts one key per request.
         let minimal = assay_source(SourceCapabilities::minimal());
-        let plan = FetchPlan::new(minimal.as_ref(), keys(&["P1", "P2"]), None, true, false, 0);
+        let plan = FetchPlan::new(minimal.as_ref(), leaves(0, 2), None, true, false, 0);
         assert_eq!(plan.max_batch(), 1);
         // Two sequential round-trips at 10 ms.
         assert_eq!(plan.est_cost, Duration::from_millis(20));
-        assert_eq!(plan.keys, keys(&["P1", "P2", "P1"]));
+        assert_eq!(plan.leaves.ranks(), [0, 1]);
     }
 
     #[test]

@@ -2,20 +2,20 @@
 //! dataset.
 //!
 //! A [`PhysicalPlan`] keeps ten invariants; DESIGN.md §4b maps each to
-//! what guarantees it. Six hold by construction: the plan's parts are
+//! what guarantees it. Seven hold by construction: the plan's parts are
 //! built only by constructors that establish them ([`crate::plan`], and
-//! [`Dataset::resolve_scope`] for the interval). [`PlanValidator`]
-//! checks the other four against the [`Dataset`] the plan will execute
+//! [`Dataset::resolve_scope`] for the interval). Among them,
+//! *pruning-consistency*: a fetch names its leaves by a
+//! [`LeafSet`](crate::plan::LeafSet), whose one constructor takes the
+//! dataset, the interval and the pruning rule, so no pruned leaf and no
+//! leaf outside the interval can reach a fetch. [`PlanValidator`]
+//! checks the other three against the [`Dataset`] the plan will execute
 //! on:
 //!
 //! * **fetch-source-resolves** — every fetch names a registered source.
 //! * **pushdown-capability** — pushdown predicates reference only
 //!   columns that physically exist in the remote assay schema and are
 //!   evaluable by the target source's declared capabilities.
-//! * **pruning-consistency** — statistics-pruned leaves never reappear
-//!   in a fetch key set: every key maps to a leaf inside the interval,
-//!   and key count plus pruned count equals the interval's
-//!   protein-bearing leaf count.
 //! * **cache-key-consistency** — a cache probe's predicate key equals
 //!   the miss-path pushdown plus (at most) the statistics-pruning
 //!   `p_activity >=` bound; anything else would reuse cached entries
@@ -57,8 +57,6 @@ impl fmt::Display for InvariantViolation {
 pub const RULE_SOURCE_RESOLVES: &str = "fetch-source-resolves";
 /// Rule name: pushdown predicates evaluable by the target source.
 pub const RULE_PUSHDOWN_CAPABILITY: &str = "pushdown-capability";
-/// Rule name: pruned leaves absent from fetch key sets.
-pub const RULE_PRUNING: &str = "pruning-consistency";
 /// Rule name: cache probe key consistent with the miss-path pushdown.
 pub const RULE_CACHE_KEY: &str = "cache-key-consistency";
 
@@ -74,7 +72,7 @@ impl<'a> PlanValidator<'a> {
         PlanValidator { dataset }
     }
 
-    /// Check the four runtime invariants, collecting all violations
+    /// Check the three runtime invariants, collecting all violations
     /// (never panics, never stops at the first finding).
     pub fn check(&self, plan: &PhysicalPlan) -> Vec<InvariantViolation> {
         let mut out = Vec::new();
@@ -85,8 +83,6 @@ impl<'a> PlanValidator<'a> {
 
     fn check_fetches(&self, plan: &PhysicalPlan, out: &mut Vec<InvariantViolation>) {
         for (path, fetch) in fetches_of(&plan.access) {
-            self.check_pruning(plan, &path, fetch, out);
-
             let Ok(source) = self.dataset.registry.by_name(fetch.source()) else {
                 out.push(InvariantViolation {
                     rule: RULE_SOURCE_RESOLVES,
@@ -125,52 +121,6 @@ impl<'a> PlanValidator<'a> {
                     });
                 }
             }
-        }
-    }
-
-    fn check_pruning(
-        &self,
-        plan: &PhysicalPlan,
-        path: &str,
-        fetch: &FetchPlan,
-        out: &mut Vec<InvariantViolation>,
-    ) {
-        let in_scope = self.dataset.accessions_in(plan.interval).count();
-        for key in fetch.keys.iter() {
-            let rank = key
-                .as_text()
-                .and_then(|acc| self.dataset.rank_of_accession(acc));
-            match rank {
-                Some(r) if plan.interval.contains_rank(r) => {}
-                Some(r) => out.push(InvariantViolation {
-                    rule: RULE_PRUNING,
-                    path: path.to_string(),
-                    explanation: format!(
-                        "key {key} addresses leaf {r}, outside the scope interval \
-                         [{}, {})",
-                        plan.interval.lo, plan.interval.hi
-                    ),
-                }),
-                None => out.push(InvariantViolation {
-                    rule: RULE_PRUNING,
-                    path: path.to_string(),
-                    explanation: format!("key {key} maps to no leaf of the tree"),
-                }),
-            }
-        }
-        // A pruned leaf that "reappears" inflates the key count past
-        // what the interval can supply after pruning.
-        if fetch.keys.len() + plan.pruned_leaves != in_scope {
-            out.push(InvariantViolation {
-                rule: RULE_PRUNING,
-                path: path.to_string(),
-                explanation: format!(
-                    "{} keys + {} pruned leaves != {} protein-bearing leaves in scope",
-                    fetch.keys.len(),
-                    plan.pruned_leaves,
-                    in_scope
-                ),
-            });
         }
     }
 
@@ -287,9 +237,7 @@ mod tests {
     use crate::optimizer::{Optimizer, OptimizerConfig, PlanInputs};
     use crate::stats::OverlayStats;
     use drugtree_sources::assay_db::assay_source;
-    use drugtree_sources::batcher::SortedKeys;
     use drugtree_sources::source::SourceCapabilities;
-    use drugtree_store::value::Value;
 
     fn planned(dataset: &Dataset, config: OptimizerConfig, query: &Query) -> PhysicalPlan {
         let stats = OverlayStats::collect(dataset).unwrap();
@@ -321,17 +269,13 @@ mod tests {
         mutate_fetches(plan, |f| {
             *f = FetchPlan::new(
                 &bogus,
-                f.keys.clone(),
+                f.leaves.clone(),
                 f.pushdown.clone(),
                 f.batched(),
                 f.concurrent,
                 f.est_rows,
             );
         });
-    }
-
-    fn keys(accessions: &[&str]) -> SortedKeys {
-        SortedKeys::new(accessions.iter().map(|&a| Value::from(a)).collect())
     }
 
     fn rules_of(violations: &[InvariantViolation]) -> Vec<&'static str> {
@@ -412,38 +356,16 @@ mod tests {
     }
 
     #[test]
-    fn rejects_reappearing_pruned_leaves() {
-        let d = small_dataset(SourceCapabilities::full());
-        // Full config with stats prunes P4 (no activities): 3 keys + 1
-        // pruned. Resurrecting the pruned key breaks the count.
-        let mut plan = planned(&d, OptimizerConfig::full(), &Query::activities(Scope::Tree));
-        assert_eq!(plan.pruned_leaves, 1);
-        mutate_fetches(&mut plan, |f| f.keys = keys(&["P1", "P2", "P3", "P4"]));
-        assert!(rules_of(&PlanValidator::new(&d).check(&plan)).contains(&RULE_PRUNING));
-
-        // A key addressing a leaf outside the scope interval is the
-        // same class of corruption.
-        let mut plan = planned(
-            &d,
-            OptimizerConfig::naive(),
-            &Query::activities(Scope::Subtree("cladeA".into())),
-        );
-        mutate_fetches(&mut plan, |f| f.keys = keys(&["P3"]));
-        assert!(rules_of(&PlanValidator::new(&d).check(&plan)).contains(&RULE_PRUNING));
-    }
-
-    #[test]
     fn violations_render_and_collect() {
         let d = small_dataset(SourceCapabilities::full());
         let mut plan = planned(&d, OptimizerConfig::full(), &filtered_query());
         retarget_to_unregistered_source(&mut plan);
-        mutate_fetches(&mut plan, |f| f.keys = keys(&["P1", "P2", "P3", "P4"]));
         if let Access::CacheProbe { pushdown, .. } = &mut plan.access {
             *pushdown = None;
         }
         let violations = PlanValidator::new(&d).check(&plan);
         let rules = rules_of(&violations);
-        for rule in [RULE_SOURCE_RESOLVES, RULE_PRUNING, RULE_CACHE_KEY] {
+        for rule in [RULE_SOURCE_RESOLVES, RULE_CACHE_KEY] {
             assert!(
                 rules.contains(&rule),
                 "collects all findings: {violations:?}"

@@ -4,8 +4,11 @@
 //! the same configuration. Divergence means the shared cache corrupted
 //! a result under contention; the replay also pins the cache
 //! accounting (`hits + misses == probes`). A second case races an
-//! ingest against the shared executor: once every thread has joined,
-//! each query answers as the naive plan does, with nothing invalidated.
+//! ingest against the shared executor: each query thread holds after
+//! its first queries until the first deposit lands, so the rest of its
+//! stream races the remaining deposits at a later epoch; once every
+//! thread has joined, each query answers as the naive plan does, with
+//! nothing invalidated.
 //!
 //! Run with: `cargo test -p drugtree-query --test concurrent_stress`
 
@@ -28,12 +31,14 @@ use drugtree_sources::protein_db::ProteinRecord;
 use drugtree_sources::source::{SourceCapabilities, SourceKind};
 use drugtree_store::expr::{CompareOp, Predicate};
 use drugtree_store::value::Value;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const THREADS: usize = 8;
 const QUERIES_PER_THREAD: usize = 200;
 const LEAVES: usize = 24;
+/// Queries a racing thread runs before the first deposit lands.
+const BEFORE_INGEST: usize = 20;
 
 // ---------------------------------------------------------------------
 // Deterministic PRNG (xorshift64*), as in the differential oracle.
@@ -342,7 +347,7 @@ fn an_ingest_racing_the_shared_executor_leaves_no_stale_answer() {
     let streams: Vec<Vec<Query>> = (0..THREADS - 1).map(thread_stream).collect();
     let shared = serving_executor(&dataset);
     // Warm the cache at the epoch the statistics and the view saw.
-    for q in streams.iter().flat_map(|s| &s[..20]) {
+    for q in streams.iter().flat_map(|s| &s[..BEFORE_INGEST]) {
         shared.execute(&dataset, q).expect("warm-up query");
     }
 
@@ -362,24 +367,33 @@ fn an_ingest_racing_the_shared_executor_leaves_no_stale_answer() {
             year: 2016,
         })
         .collect();
+    // Every query thread and the ingest thread meet once: the queries
+    // after it run at the first deposit's epoch or a later one, so the
+    // entries warmed above are dropped however the threads interleave.
+    let first_deposit = Barrier::new(streams.len() + 1);
     std::thread::scope(|scope| {
         for (t, stream) in streams.iter().enumerate() {
-            let (exec, dataset) = (&shared, &dataset);
+            let (exec, dataset, first_deposit) = (&shared, &dataset, &first_deposit);
             scope.spawn(move || {
                 for (i, q) in stream.iter().enumerate() {
+                    if i == BEFORE_INGEST {
+                        first_deposit.wait();
+                    }
                     exec.execute(dataset, q)
                         .unwrap_or_else(|e| panic!("thread {t} query #{i} `{q}` failed: {e}"));
                 }
             });
         }
-        let dataset = &dataset;
-        let late = &late;
+        let (dataset, late, first_deposit) = (&dataset, &late, &first_deposit);
         scope.spawn(move || {
             let assay = &dataset.registry.by_kind(SourceKind::Assay)[0];
-            for record in late {
+            for (i, record) in late.iter().enumerate() {
                 assay
                     .ingest(assay_row(record))
                     .expect("source accepts ingest");
+                if i == 0 {
+                    first_deposit.wait();
+                }
                 std::thread::yield_now();
             }
         });
