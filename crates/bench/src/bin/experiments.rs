@@ -51,7 +51,7 @@ fn main() {
         ("e6", drugtree_bench::e6_federation::run),
         ("e7", drugtree_bench::e7_matview::run),
         ("e8", drugtree_bench::e8_lod::run),
-        ("e10", drugtree_bench::e10_prefetch::run),
+        ("e10", drugtree_bench::e10_browsing::run),
         ("e11", drugtree_bench::e11_serving::run),
         ("e13", drugtree_bench::e13_observability::run),
         ("e14", drugtree_bench::e14_fleet_obs::run),

@@ -1,28 +1,20 @@
 //! E17: closing the telemetry → optimizer feedback loop.
 //!
-//! One deployment runs two phases against the same adaptive runtime —
-//! an aggregate stream that heats the auto-materialization advisor,
-//! and a mixed mobile fleet (Zipf drill-down scripts + lateral
-//! scripts) whose sessions classify their own gesture pattern and
-//! switch prefetch policy per session. The sweep compares two modes:
+//! One deployment runs an aggregate stream that heats the
+//! auto-materialization advisor. The sweep compares two modes:
 //!
-//! - **off**: no adaptive runtime and no prefetch: neither loop runs.
-//! - **on**: both loops live.
+//! - **off**: no adaptive runtime: the loop does not run.
+//! - **on**: the loop is live.
 //!
 //! Paper-shape expectation: the loop closes — the aggregate shape is
 //! auto-materialized past break-even and later aggregates cost
-//! nothing, and sessions diverge on prefetch policy by classified
-//! pattern. What the prefetch gate is worth in hit rate, latency and
-//! source requests is E10's comparison, not this one's. The whole
-//! sweep is virtual-clock deterministic: a double run renders
-//! byte-identically, adapt-event stream included (pinned by the
-//! `adapt digest` column).
+//! nothing. The whole sweep is virtual-clock deterministic: a double
+//! run renders byte-identically, adapt-event stream included (pinned
+//! by the `adapt digest` column).
 
 use crate::table::ExperimentTable;
 use crate::{fmt_ms, mean, RunConfig};
 use drugtree::prelude::*;
-use drugtree_mobile::gestures::lateral_script;
-use drugtree_mobile::pattern::SessionPattern;
 use drugtree_query::parser::parse_query;
 use drugtree_query::AdaptiveRuntime;
 use std::sync::Arc;
@@ -30,7 +22,7 @@ use std::time::Duration;
 
 /// FNV-1a over the exported adapt-event stream: one hex cell pins the
 /// whole decision log, so the benchdiff baseline (and the double-run
-/// test) catches any drift in what the loops decided.
+/// test) catches any drift in what the loop decided.
 fn digest(lines: &[String]) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for line in lines {
@@ -44,11 +36,7 @@ fn digest(lines: &[String]) -> String {
 
 /// Run E17.
 pub fn run(config: RunConfig) -> ExperimentTable {
-    let (leaves, agg_n, gestures) = if config.quick {
-        (96, 24, 40)
-    } else {
-        (256, 60, 150)
-    };
+    let (leaves, agg_n) = if config.quick { (96, 24) } else { (256, 60) };
     let bundle = SyntheticBundle::generate(
         &WorkloadSpec::default()
             .leaves(leaves)
@@ -56,33 +44,11 @@ pub fn run(config: RunConfig) -> ExperimentTable {
             .seed(1717),
     );
     let aggregate = parse_query("aggregate count in tree").expect("parses");
-    let scripts: Vec<Vec<Gesture>> = (0..8)
-        .map(|i| {
-            let lateral = i % 2 == 1;
-            let gc = GestureConfig {
-                len: gestures,
-                seed: 17 + i,
-                zipf_theta: if lateral { 0.0 } else { 0.6 },
-                revisit_prob: if lateral { 0.0 } else { 0.2 },
-            };
-            if lateral {
-                lateral_script(&bundle.tree, &bundle.index, &gc)
-            } else {
-                drill_down_script(&bundle.tree, &bundle.index, &gc)
-            }
-        })
-        .collect();
 
     let mut table = ExperimentTable::new(
         "E17",
-        format!("telemetry-to-optimizer feedback loops, {leaves} leaves, adaptation off vs on"),
-        vec![
-            "mode",
-            "auto-built",
-            "agg mean latency",
-            "prefetching sessions",
-            "adapt digest",
-        ],
+        format!("telemetry-to-optimizer feedback loop, {leaves} leaves, adaptation off vs on"),
+        vec!["mode", "auto-built", "agg mean latency", "adapt digest"],
     );
 
     for adaptive in [false, true] {
@@ -98,7 +64,7 @@ pub fn run(config: RunConfig) -> ExperimentTable {
         }
         let system = builder.build().expect("system builds");
 
-        // Phase 1 — aggregate stream: repeated whole-tree aggregates
+        // The aggregate stream: repeated whole-tree aggregates
         // (cache invalidated between, as a refreshing deployment sees
         // them) accumulate foregone cost in the advisor; in `on` mode
         // it crosses break-even mid-stream and later queries are
@@ -108,22 +74,6 @@ pub fn run(config: RunConfig) -> ExperimentTable {
             system.executor().invalidate();
             let r = system.execute(&aggregate).expect("aggregate executes");
             agg_latencies.push(r.metrics.charged_cost);
-        }
-
-        // Phase 2 — mobile fleet: alternating Zipf drill-down and
-        // lateral sessions. off = no prefetch; on = per-session
-        // classification gates it.
-        let mut prefetching = 0usize;
-        for (id, script) in scripts.iter().enumerate() {
-            let mut session = system.mobile_session(NetworkProfile::CELL_4G);
-            session.set_session_id(id as u32);
-            if adaptive {
-                session.enable_prefetch();
-            }
-            for g in script {
-                session.apply(g).expect("gesture applies");
-            }
-            prefetching += usize::from(session.prefetch_pattern() == Some(SessionPattern::Lateral));
         }
 
         let built = runtime.as_ref().map_or(0, |rt| {
@@ -139,7 +89,6 @@ pub fn run(config: RunConfig) -> ExperimentTable {
             .into(),
             built.to_string(),
             fmt_ms(mean(&agg_latencies)),
-            prefetching.to_string(),
             if adaptive {
                 digest(&sink.lines())
             } else {
@@ -149,8 +98,7 @@ pub fn run(config: RunConfig) -> ExperimentTable {
     }
 
     table.note(format!(
-        "{agg_n} aggregates then 8 sessions x {gestures} gestures; \
-         break-even proxy = statistics collection cost",
+        "{agg_n} aggregates; break-even proxy = statistics collection cost"
     ));
     table.note(
         "agg latency spans pre- and post-materialization queries; the adapt digest pins the \
@@ -188,17 +136,6 @@ mod tests {
             agg("adaptation on") < agg("adaptation off"),
             "the view must pay for itself: {t:?}"
         );
-
-        // Per-session prefetch divergence: some but not all sessions
-        // end up prefetching under classification.
-        let prefetching: usize = cell(&t, "adaptation on", "prefetching sessions")
-            .parse()
-            .expect("parses");
-        assert!(
-            prefetching > 0 && prefetching < 8,
-            "sessions must diverge by pattern: {prefetching}/8"
-        );
-        assert_eq!(cell(&t, "adaptation off", "prefetching sessions"), "0");
     }
 
     /// The whole sweep is virtual-clock deterministic: two runs render

@@ -11,7 +11,7 @@
 //! machine-independent); wall-clock CPU costs of the kernels are
 //! measured separately by `benchmark/`'s layer probes.
 
-pub mod e10_prefetch;
+pub mod e10_browsing;
 pub mod e11_serving;
 pub mod e13_observability;
 pub mod e14_fleet_obs;

@@ -122,9 +122,8 @@ impl DrugTreeBuilder {
     }
 
     /// Install the self-driving runtime (design decision D15): the
-    /// advisor auto-builds the aggregate view past break-even, drops
-    /// it when a source change makes it stale, and mobile sessions
-    /// report their prefetch switches to it. Build the runtime with
+    /// advisor auto-builds the aggregate view past break-even and drops
+    /// it when a source change makes it stale. Build the runtime with
     /// `AdaptiveRuntime::new` (optionally `.with_export(sink)` to
     /// stream `adapt` events for `drugtree advisor`).
     pub fn with_adaptive(mut self, runtime: Arc<AdaptiveRuntime>) -> Self {

@@ -113,9 +113,9 @@ pub fn drill_down_script(tree: &Tree, index: &TreeIndex, config: &GestureConfig)
 
 /// Generate a *lateral browsing* script: the user steps sideways
 /// through clades at the same depth (e.g. paging through subfamilies),
-/// expanding each in turn. This is the access pattern predictive
-/// prefetching targets — the next expansion is a sibling, which no
-/// containment-based cache entry covers.
+/// expanding each in turn. No earlier clade's cache entry covers the
+/// next expansion, a sibling, by containment: it hits only when the
+/// walk comes back to a clade whose entry the cache still holds.
 pub fn lateral_script(tree: &Tree, index: &TreeIndex, config: &GestureConfig) -> Vec<Gesture> {
     let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x1A7E);
     // Pick the shallowest depth offering at least 4 clades; walk them

@@ -13,11 +13,6 @@
 //!   collapse into aggregate glyphs (design decision D6).
 //! * [`network`] — mobile network profiles (WiFi/4G/3G/EDGE) charging
 //!   transfer time to the virtual clock.
-//! * [`prefetch`] — predictive cache warming of likely-next clades
-//!   (siblings, then the parent; fixed fan-out and size filter).
-//! * [`pattern`] — online gesture-stream classification (drill-down
-//!   vs. lateral): the gate that lets a session prefetch only while it
-//!   browses laterally (design decision D15).
 //! * [`progressive`] — chunked result delivery, the only delivery a
 //!   session makes: first usable content early, the rest streaming
 //!   behind it.
@@ -37,8 +32,6 @@ pub mod layout;
 pub mod lod;
 pub mod machine;
 pub mod network;
-pub mod pattern;
-pub mod prefetch;
 pub mod progressive;
 pub mod session;
 pub mod viewport;
@@ -47,7 +40,6 @@ pub use error::MobileError;
 pub use fleet_workload::{zipf_sessions, SessionWorkload};
 pub use machine::{MachineState, SessionMachine};
 pub use network::NetworkProfile;
-pub use pattern::{ExpandRelation, PatternClassifier, SessionPattern};
 pub use session::{
     DegradedReason, Gesture, GestureStep, MobileSession, QueryOutcome, QueryPending, ViewPending,
 };

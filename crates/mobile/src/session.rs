@@ -10,8 +10,6 @@
 use crate::layout::TreeLayout;
 use crate::lod::{render_visible, RenderList, GLYPH_METRICS};
 use crate::network::NetworkProfile;
-use crate::pattern::{PatternClassifier, SessionPattern};
-use crate::prefetch::candidates;
 use crate::progressive::{progressive_delivery, DEFAULT_CHUNK_ROWS};
 use crate::viewport::Viewport;
 use crate::{MobileError, Result};
@@ -77,8 +75,6 @@ impl Gesture {
 /// What one gesture cost and produced.
 #[derive(Debug, Clone)]
 pub struct InteractionResult {
-    /// Clades prefetched in the background after this gesture.
-    pub prefetched: usize,
     /// Gesture kind label.
     pub gesture: &'static str,
     /// Result rows (0 for pure view changes). For a budgeted gesture —
@@ -137,8 +133,6 @@ pub struct QueryPending {
     kind: &'static str,
     /// The query this gesture needs answered.
     pub query: Query,
-    /// The tapped node, for post-gesture prefetching (`Expand` only).
-    node: Option<NodeId>,
     /// Leaves drawn one by one, and leaves hidden in glyphs, by the
     /// render list of the gesture's viewport (drawn once, at begin).
     visible_leaves: usize,
@@ -209,18 +203,9 @@ pub struct MobileSession<'a> {
     layout: Arc<TreeLayout>,
     viewport: Viewport,
     network: NetworkProfile,
-    prefetch: Option<PrefetchGate>,
     session_id: Option<u32>,
     keep_log: bool,
     log: Vec<InteractionResult>,
-}
-
-/// The per-session prefetch gate: the online classifier plus the last
-/// policy it reported (so only *switches* emit adapt events).
-#[derive(Debug, Default)]
-struct PrefetchGate {
-    classifier: PatternClassifier,
-    reported: Option<bool>,
 }
 
 impl<'a> MobileSession<'a> {
@@ -250,27 +235,10 @@ impl<'a> MobileSession<'a> {
             layout,
             viewport,
             network,
-            prefetch: None,
             session_id: None,
             keep_log: true,
             log: Vec::new(),
         }
-    }
-
-    /// Enable predictive prefetching after `Expand` gestures. It fires
-    /// only while the session's gesture stream classifies as lateral
-    /// browsing (experiment E10's profitable regime) and stays off for
-    /// drill-down or unclassified streams. Policy switches are
-    /// reported to the executor's adaptive runtime (when one is
-    /// installed) so they land in the `adapt` event stream.
-    pub fn enable_prefetch(&mut self) {
-        self.prefetch = Some(PrefetchGate::default());
-    }
-
-    /// The current gesture-stream classification, when prefetch is
-    /// enabled.
-    pub fn prefetch_pattern(&self) -> Option<SessionPattern> {
-        self.prefetch.as_ref().map(|g| g.classifier.pattern())
     }
 
     /// Tag this session with a serving-fleet id: every gesture
@@ -344,9 +312,10 @@ impl<'a> MobileSession<'a> {
                 if node.index() >= self.dataset.tree.len() {
                     return Err(MobileError::UnknownNode(format!("n{}", node.0)));
                 }
-                let (viewport, render, query) = self.expand(*node);
-                self.viewport = viewport;
-                query_step(gesture.kind(), query, Some(*node), &render)
+                let iv = self.dataset.index.interval(*node);
+                self.viewport.focus_interval(iv);
+                let render = self.render(&self.viewport);
+                query_step(gesture.kind(), glyph_query(iv, &render), &render)
             }
             Gesture::InspectViewport => {
                 let iv = self.viewport.visible_leaves(&self.layout);
@@ -356,28 +325,15 @@ impl<'a> MobileSession<'a> {
                 } else {
                     Query::activities(Scope::Interval(iv))
                 };
-                query_step(gesture.kind(), query, None, &render)
+                query_step(gesture.kind(), query, &render)
             }
             Gesture::RunQuery(query) => query_step(
                 gesture.kind(),
                 (**query).clone(),
-                None,
                 &self.render(&self.viewport),
             ),
         };
         Ok(step)
-    }
-
-    /// What an expand of `node` does: the viewport focused on its
-    /// clade, that viewport's render list, and the query for one glyph
-    /// row per drawn item.
-    fn expand(&self, node: NodeId) -> (Viewport, RenderList, Query) {
-        let iv = self.dataset.index.interval(node);
-        let mut viewport = self.viewport;
-        viewport.focus_interval(iv);
-        let render = self.render(&viewport);
-        let query = glyph_query(iv, &render);
-        (viewport, render, query)
     }
 
     fn view_pending(&self, kind: &'static str) -> GestureStep {
@@ -407,7 +363,6 @@ impl<'a> MobileSession<'a> {
             });
         }
         let result = InteractionResult {
-            prefetched: 0,
             gesture: kind,
             rows: 0,
             query_latency: Duration::ZERO,
@@ -433,12 +388,11 @@ impl<'a> MobileSession<'a> {
     ) -> InteractionResult {
         let QueryPending {
             kind,
-            node,
             visible_leaves,
             collapsed_leaves,
             ..
         } = pending;
-        let mut interaction = match outcome {
+        let interaction = match outcome {
             QueryOutcome::Rows {
                 result,
                 charged,
@@ -461,7 +415,6 @@ impl<'a> MobileSession<'a> {
                     });
                 }
                 InteractionResult {
-                    prefetched: 0,
                     gesture: kind,
                     rows: result.rows.len(),
                     query_latency: *query_latency,
@@ -493,7 +446,6 @@ impl<'a> MobileSession<'a> {
                     });
                 }
                 InteractionResult {
-                    prefetched: 0,
                     gesture: kind,
                     rows: 0,
                     query_latency: *charged,
@@ -507,61 +459,14 @@ impl<'a> MobileSession<'a> {
                 }
             }
         };
-        if let (Some(node), QueryOutcome::Rows { .. }) = (node, outcome) {
-            if self.prefetch_allowed(node) {
-                interaction.prefetched = self.prefetch_after(node);
-            }
-        }
         self.push_log(&interaction);
         interaction
-    }
-
-    /// Advance the prefetch gate (when enabled) with this expansion
-    /// and decide whether prefetch may fire. Only *switches* are
-    /// reported to the executor's adaptive runtime — and the initial
-    /// "off" state is the default, not a switch.
-    fn prefetch_allowed(&mut self, node: NodeId) -> bool {
-        let Some(gate) = self.prefetch.as_mut() else {
-            return false;
-        };
-        let pattern = gate.classifier.observe_expand(&self.dataset.tree, node);
-        let on = pattern == SessionPattern::Lateral;
-        if gate.reported != Some(on) {
-            let first = gate.reported.is_none();
-            gate.reported = Some(on);
-            if on || !first {
-                if let Some(rt) = self.executor.adaptive() {
-                    rt.note_prefetch_switch(
-                        self.session_id,
-                        pattern.label(),
-                        on,
-                        self.dataset.clock.now().0,
-                    );
-                }
-            }
-        }
-        on
     }
 
     fn push_log(&mut self, result: &InteractionResult) {
         if self.keep_log {
             self.log.push(result.clone());
         }
-    }
-
-    /// Warm the cache with the likely-next clades, each by the query an
-    /// expand of it would ask. Runs during user think time: the virtual
-    /// clock advances (sources do real work) but no interaction waits
-    /// on it. Prefetch failures are ignored — a failed speculation must
-    /// never surface to the user.
-    fn prefetch_after(&self, node: NodeId) -> usize {
-        candidates(&self.dataset.tree, &self.dataset.index, node)
-            .into_iter()
-            .filter(|&candidate| {
-                let (_, _, query) = self.expand(candidate);
-                self.executor.execute(self.dataset, &query).is_ok()
-            })
-            .count()
     }
 
     fn render(&self, viewport: &Viewport) -> RenderList {
@@ -575,16 +480,10 @@ impl<'a> MobileSession<'a> {
 }
 
 /// A query gesture awaiting execution, with what `render` drew.
-fn query_step(
-    kind: &'static str,
-    query: Query,
-    node: Option<NodeId>,
-    render: &RenderList,
-) -> GestureStep {
+fn query_step(kind: &'static str, query: Query, render: &RenderList) -> GestureStep {
     GestureStep::Query(QueryPending {
         kind,
         query,
-        node,
         visible_leaves: render.visible_leaves,
         collapsed_leaves: render.collapsed_leaves,
     })
@@ -777,119 +676,6 @@ mod tests {
             assert_eq!(s.log().len(), logged, "{gesture:?} was logged");
             assert_eq!(s.apply(&Gesture::InspectViewport).unwrap().rows, rows);
         }
-    }
-
-    /// Expand each labelled clade in turn.
-    fn expand_all(
-        s: &mut MobileSession<'_>,
-        d: &Dataset,
-        labels: &[&str],
-    ) -> Vec<InteractionResult> {
-        labels
-            .iter()
-            .map(|l| {
-                let node = d.index.by_label(l).unwrap();
-                s.apply(&Gesture::Expand { node }).unwrap()
-            })
-            .collect()
-    }
-
-    /// Sibling slides between P3 and P4 open the prefetch gate, then
-    /// the user backs out to cladeB and slides over to cladeA.
-    const LATERAL: [&str; 6] = ["P3", "P4", "P3", "P4", "cladeB", "cladeA"];
-
-    #[test]
-    fn prefetch_turns_sibling_expands_into_hits() {
-        let d = dataset();
-        // Without prefetch: cladeA was never asked for, so it misses.
-        let e = executor();
-        let mut s = MobileSession::new(&d, &e, NetworkProfile::CELL_4G);
-        let cold = expand_all(&mut s, &d, &LATERAL);
-        assert_eq!(cold[5].cache_hit, Some(false));
-
-        // With prefetch: once the gate opens, cladeB (the parent of
-        // P4) and then its sibling cladeA are warmed during think time.
-        let e = executor();
-        let mut s = MobileSession::new(&d, &e, NetworkProfile::CELL_4G);
-        s.enable_prefetch();
-        let warm = expand_all(&mut s, &d, &LATERAL);
-        assert!(warm[4].prefetched > 0, "sibling and parent prefetched");
-        assert_eq!(warm[5].cache_hit, Some(true));
-        assert_eq!(warm[5].query_latency, Duration::ZERO);
-    }
-
-    #[test]
-    fn prefetch_does_not_inflate_interaction_latency() {
-        let d = dataset();
-        let e = executor();
-        let mut plain = MobileSession::new(&d, &e, NetworkProfile::CELL_4G);
-        let r_plain = expand_all(&mut plain, &d, &LATERAL[..4]);
-
-        let e = executor();
-        let mut pre = MobileSession::new(&d, &e, NetworkProfile::CELL_4G);
-        pre.enable_prefetch();
-        let r_pre = expand_all(&mut pre, &d, &LATERAL[..4]);
-        assert!(r_pre[3].prefetched > 0, "the gate opened");
-        for (plain, pre) in r_plain.iter().zip(&r_pre) {
-            assert_eq!(plain.first_usable, pre.first_usable);
-            assert_eq!(plain.complete, pre.complete);
-        }
-    }
-
-    #[test]
-    fn prefetch_gates_by_pattern_and_reports_switches() {
-        use drugtree_query::obs::VecSink;
-        use drugtree_query::AdaptiveRuntime;
-
-        let d = dataset();
-        let sink = Arc::new(VecSink::new());
-        let mut e = executor();
-        e.enable_adaptive(Arc::new(
-            AdaptiveRuntime::new()
-                .with_export(Arc::clone(&sink) as Arc<dyn drugtree_query::obs::Sink>),
-        ));
-        let mut s = MobileSession::new(&d, &e, NetworkProfile::CELL_4G);
-        s.set_session_id(7);
-        s.enable_prefetch();
-
-        let clade_a = d.index.by_label("cladeA").unwrap();
-        let clade_b = d.index.by_label("cladeB").unwrap();
-        // Unclassified opening: prefetch must not fire.
-        let first = s.apply(&Gesture::Expand { node: clade_a }).unwrap();
-        assert_eq!(first.prefetched, 0, "unknown pattern keeps prefetch off");
-        assert_eq!(s.prefetch_pattern(), Some(SessionPattern::Unknown));
-        // Sustained sibling slides flip the session lateral.
-        let mut last = first;
-        for node in [clade_b, clade_a, clade_b, clade_a] {
-            last = s.apply(&Gesture::Expand { node }).unwrap();
-        }
-        assert_eq!(s.prefetch_pattern(), Some(SessionPattern::Lateral));
-        assert!(last.prefetched > 0, "lateral pattern switches prefetch on");
-        let switches: Vec<String> = sink
-            .lines()
-            .into_iter()
-            .filter(|l| l.contains("\"loop_name\":\"prefetch\""))
-            .collect();
-        assert_eq!(switches.len(), 1, "one switch event: {switches:?}");
-        assert!(switches[0].contains("session:7"));
-        assert!(switches[0].contains("lateral"));
-    }
-
-    #[test]
-    fn prefetch_stays_off_for_drill_down() {
-        let d = dataset();
-        let e = executor();
-        let mut s = MobileSession::new(&d, &e, NetworkProfile::CELL_4G);
-        s.enable_prefetch();
-        // Drill: cladeA → P1 → cladeA's leaf children, only descents
-        // (and re-ascents through containment hits stay cached — use
-        // fresh descents from the root side).
-        let root_child = d.index.by_label("cladeA").unwrap();
-        let p1 = d.index.by_label("P1").unwrap();
-        s.apply(&Gesture::Expand { node: root_child }).unwrap();
-        let mid = s.apply(&Gesture::Expand { node: p1 }).unwrap();
-        assert_eq!(mid.prefetched, 0, "descents never enable prefetch");
-        assert_ne!(s.prefetch_pattern(), Some(SessionPattern::Lateral));
     }
 
     #[test]

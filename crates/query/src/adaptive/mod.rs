@@ -1,17 +1,12 @@
 //! The self-driving layer (design decision D15): telemetry fed back
 //! into planning, with every adaptation observable.
 //!
-//! Two feedback loops close over the observability stream, each owning
-//! a decision (EXPERIMENTS.md, "Feedback-loop audit"):
-//!
-//! * [`advisor`] — slow matview-answerable shapes accumulate foregone
-//!   cost (dedup count × charged latency); past the E7 break-even the
-//!   aggregate view is built automatically, amortization is tracked,
-//!   and a view that never pays off, or that a source change made
-//!   stale, is evicted.
-//! * gated prefetch lives in the mobile crate (per-session gesture
-//!   classification), but reports its policy switches here so they
-//!   flow into the same `adapt` event stream.
+//! One feedback loop closes over the observability stream and owns a
+//! decision (EXPERIMENTS.md, "Feedback-loop audit"): the [`advisor`].
+//! Slow matview-answerable shapes accumulate foregone cost (dedup
+//! count × charged latency); past the E7 break-even the aggregate view
+//! is built automatically, amortization is tracked, and a view that
+//! never pays off, or that a source change made stale, is evicted.
 //!
 //! Every decision emits an `"adapt"` JSONL record through
 //! [`TraceExport`]; `drugtree advisor` renders the decision log.
@@ -31,7 +26,6 @@ use crate::obs::export::AdaptDecision;
 use crate::obs::{Sink, TraceExport};
 use crate::Result;
 use drugtree_sources::sync::{Mutex, RwLock};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -57,15 +51,13 @@ pub struct QueryFeedback {
     pub break_even_proxy: Duration,
 }
 
-/// Counters and state across both loops, for reports and E17.
+/// The loop's counters and state, for reports and E17.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdaptiveSnapshot {
     /// Auto-materialization loop state.
     pub advisor: AdvisorSnapshot,
     /// Whether an adaptively-built view is currently installed.
     pub view_built: bool,
-    /// Prefetch policy switches reported by mobile sessions.
-    pub prefetch_switches: u64,
 }
 
 /// `loop_name` of the auto-materialization loop's events.
@@ -82,7 +74,6 @@ const LOOP_MATVIEW: &str = "matview";
 pub struct AdaptiveRuntime {
     view: RwLock<Option<Arc<LocalBuild>>>,
     advisor: Mutex<MatviewAdvisor>,
-    prefetch_switches: AtomicU64,
     export: Option<TraceExport>,
 }
 
@@ -111,7 +102,7 @@ impl AdaptiveRuntime {
         self.view.read().clone()
     }
 
-    /// Counters and state across both loops.
+    /// The loop's counters and state.
     pub fn snapshot(&self) -> AdaptiveSnapshot {
         // Hoisted so no guard is alive while the next class is taken
         // (struct-literal temporaries live to the end of the literal).
@@ -119,7 +110,6 @@ impl AdaptiveRuntime {
         AdaptiveSnapshot {
             advisor,
             view_built: self.view.read().is_some(),
-            prefetch_switches: self.prefetch_switches.load(Ordering::Relaxed),
         }
     }
 
@@ -204,34 +194,6 @@ impl AdaptiveRuntime {
             after_ns: 0,
         });
         Ok(())
-    }
-
-    /// Report a per-session prefetch policy switch from the mobile
-    /// layer (classified pattern → new policy), so the decision lands
-    /// in the same `adapt` stream as the query-side loop.
-    pub fn note_prefetch_switch(
-        &self,
-        session: Option<u32>,
-        pattern: &str,
-        prefetch_on: bool,
-        now_ns: u64,
-    ) {
-        self.prefetch_switches.fetch_add(1, Ordering::Relaxed);
-        self.emit(AdaptDecision {
-            at_ns: now_ns,
-            loop_name: "prefetch".to_string(),
-            action: "apply".to_string(),
-            subject: match session {
-                Some(id) => format!("session:{id}"),
-                None => "session:-".to_string(),
-            },
-            reason: format!(
-                "gesture stream classified {pattern}: prefetch {}",
-                if prefetch_on { "on" } else { "off" }
-            ),
-            before_ns: 0,
-            after_ns: 0,
-        });
     }
 
     fn emit(&self, decision: AdaptDecision) {

@@ -93,6 +93,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted by the LRU policy.
     pub evictions: u64,
+    /// Inserts declined: a result larger than the row budget, or one
+    /// fetched before a source changed.
+    pub declined: u64,
     /// Entries dropped by invalidation or by a later source epoch.
     pub invalidations: u64,
 }
@@ -181,12 +184,14 @@ impl SemanticCache {
     }
 
     /// Insert a fetch result of a query at `epoch`, sharing `rows` with
-    /// the caller. Rows need not be pre-sorted: unsorted input is sorted
-    /// here (on a private copy when the caller still holds the `Arc`).
-    /// Entries subsumed by the new one are dropped (the new entry
-    /// answers everything they could). When the insert is declined (a
-    /// source changed since `epoch`) or budget enforcement evicts the
-    /// new entry itself, the caller's `Arc` is unique again.
+    /// the caller. A result larger than the whole row budget, or one
+    /// fetched before a source changed, is declined: nothing is
+    /// sorted, dropped or evicted, and the caller's `Arc` is unique
+    /// again. Otherwise rows need not be pre-sorted: unsorted input is
+    /// sorted here (on a private copy when the caller still holds the
+    /// `Arc`). Entries subsumed by the new one are dropped (the new
+    /// entry answers everything they could), then the least recently
+    /// used entries are evicted until the cache is within budget.
     pub fn insert(
         &mut self,
         epoch: SourceEpoch,
@@ -195,7 +200,8 @@ impl SemanticCache {
         mut rows: SharedRows,
     ) {
         self.advance_to(epoch);
-        if !epoch.holds_at(self.epoch) {
+        if !epoch.holds_at(self.epoch) || rows.len() > self.config.max_rows {
+            self.stats.declined += 1;
             return;
         }
         if !rows.is_sorted_by_key(|r| rank_of(r)) {
@@ -262,11 +268,10 @@ impl SemanticCache {
         self.lru.retain(|id| self.entries.contains_key(id));
     }
 
+    /// Evict the least recently used entries until both budgets hold.
+    /// The newest entry fits the row budget alone (`insert` declines
+    /// any larger), so the row budget never evicts it.
     fn enforce_limits(&mut self) {
-        // Strict budgets: an entry larger than the whole row budget is
-        // evicted immediately (whole-database results are not worth
-        // caching on a constrained client), so it can never crowd out
-        // the drill-down-sized entries the mobile workload reuses.
         while self.entries.len() > self.config.max_entries
             || (self.cached_rows > self.config.max_rows && !self.entries.is_empty())
         {
@@ -530,10 +535,29 @@ mod tests {
             c.entries.is_empty(),
             "whole-database result exceeds the budget"
         );
-        assert_eq!(c.stats().evictions, 1);
+        assert_eq!((c.stats().declined, c.stats().evictions), (1, 0));
         // Smaller entries still cache fine afterwards.
         c.insert(E, iv(0, 2), None, Arc::new(vec![row(0, "a")]));
         assert_eq!(c.entries.len(), 1);
+    }
+
+    /// A result larger than the row budget is declined before anything
+    /// is dropped or evicted: the drill-down-sized entries it subsumes
+    /// keep answering.
+    #[test]
+    fn an_oversized_insert_keeps_the_entries_it_subsumes() {
+        let mut c = SemanticCache::new(CacheConfig {
+            max_entries: 100,
+            max_rows: 4,
+        });
+        c.insert(E, iv(0, 4), None, Arc::new(vec![row(0, "a"), row(1, "b")]));
+        c.insert(E, iv(4, 8), None, Arc::new(vec![row(4, "c"), row(5, "d")]));
+        let whole = (0..5).map(|r| row(r, "x")).collect();
+        c.insert(E, iv(0, 8), None, Arc::new(whole));
+        assert!(c.probe(E, iv(0, 4), None).is_some());
+        assert!(c.probe(E, iv(4, 8), None).is_some());
+        assert_eq!(c.cached_rows, 4);
+        assert_eq!((c.stats().declined, c.stats().evictions), (1, 0));
     }
 
     #[test]
@@ -553,6 +577,7 @@ mod tests {
         // Rows fetched before the ingest are declined.
         c.insert(E, iv(0, 4), None, Arc::new(vec![row(0, "a")]));
         assert!(c.entries.is_empty());
+        assert_eq!((c.stats().declined, c.stats().evictions), (1, 0));
         assert!(c.probe(later, iv(0, 4), None).is_none());
 
         // At the cache's epoch an insert lands; dropping it explicitly
@@ -695,7 +720,7 @@ mod tests {
         });
         let rows = Arc::new(vec![row(0, "a"), row(1, "b"), row(2, "c")]);
         c.insert(E, iv(0, 8), None, Arc::clone(&rows));
-        assert_eq!(c.stats().evictions, 1);
+        assert_eq!((c.stats().declined, c.stats().evictions), (1, 0));
         assert_eq!(c.cached_rows, 0);
         assert!(Arc::try_unwrap(rows).is_ok(), "the cache kept no handle");
     }

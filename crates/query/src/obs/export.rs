@@ -159,13 +159,13 @@ pub struct AdaptEvent {
     pub seq: u64,
     /// Virtual clock at decision time, nanoseconds.
     pub at_ns: u64,
-    /// Which feedback loop fired: `"matview"` or `"prefetch"`. (Named
+    /// Which feedback loop fired: `"matview"`. (Named
     /// `loop_name` in the JSON too — the vendored serde stand-in has
     /// no rename support, and `loop` is reserved.)
     pub loop_name: String,
     /// What happened: `"apply"` or `"evict"`.
     pub action: String,
-    /// What was adapted (an answer shape, the view, a session id).
+    /// What was adapted (an answer shape, the view).
     pub subject: String,
     /// Why the loop fired (break-even crossed, source changed, …).
     pub reason: String,
@@ -312,7 +312,7 @@ impl TraceExport {
 pub struct AdaptDecision {
     /// Virtual clock at decision time, nanoseconds.
     pub at_ns: u64,
-    /// Feedback loop name (`"matview"`, `"prefetch"`).
+    /// Feedback loop name (`"matview"`).
     pub loop_name: String,
     /// `"apply"` or `"evict"`.
     pub action: String,

@@ -1,16 +1,15 @@
 //! The self-driving layer end to end: an [`AdaptiveRuntime`] watches
 //! one deployment, auto-materializes the hot aggregate past its
-//! break-even, lets a mobile session classify its own gesture pattern
-//! and switch prefetch policy — and exports every decision as
-//! `{"event":"adapt"}` JSONL records that
-//! `drugtree advisor <export.jsonl>` renders.
+//! break-even — and exports every decision as `{"event":"adapt"}`
+//! JSONL records that `drugtree advisor <export.jsonl>` renders.
+//! Everything it prints is on the virtual clock, so the output is
+//! pinned byte for byte:
 //!
 //! ```sh
-//! cargo run --release --example self_driving
+//! cargo run --release --example self_driving | diff examples/self_driving.out -
 //! ```
 
 use drugtree::prelude::*;
-use drugtree_mobile::gestures::lateral_script;
 use drugtree_query::parser::parse_query;
 use drugtree_query::AdaptiveRuntime;
 use std::sync::Arc;
@@ -30,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_adaptive(Arc::clone(&runtime))
         .build()?;
 
-    // Loop 1 — auto-materialization: a refreshing dashboard re-runs a
+    // Auto-materialization: a refreshing dashboard re-runs a
     // whole-tree aggregate; the advisor accumulates the foregone cost,
     // builds the view when it crosses break-even, and later refreshes
     // are served from it.
@@ -47,36 +46,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         system.execute(&aggregate)?;
     }
 
-    // Loop 2 — gated prefetch: a sideways-browsing session
-    // classifies itself as lateral and switches prefetch on (a
-    // drill-down session would leave it off).
-    let mut session = system.mobile_session(NetworkProfile::CELL_4G);
-    session.set_session_id(7);
-    session.enable_prefetch();
-    let script = lateral_script(
-        &bundle.tree,
-        &bundle.index,
-        &GestureConfig {
-            len: 40,
-            seed: 7,
-            zipf_theta: 0.0,
-            revisit_prob: 0.0,
-        },
-    );
-    for g in &script {
-        session.apply(g)?;
-    }
-    drop(session);
     sink.flush()?;
 
     let snapshot = runtime.snapshot();
     println!(
-        "auto-built view: {} ({} hits saved {:?} for a {:?} build), prefetch switches: {}\n",
+        "auto-built view: {} ({} hits saved {:?} for a {:?} build)\n",
         snapshot.view_built,
         snapshot.advisor.hits,
         snapshot.advisor.saved,
         snapshot.advisor.build_cost,
-        snapshot.prefetch_switches,
     );
 
     // What `drugtree advisor <export.jsonl>` prints.

@@ -62,19 +62,24 @@ proptest! {
         deployment(48, 12, seed).run(&steps).map_err(TestCaseError::Fail)?;
     }
 
-    /// Cache coherence: interleaving random queries, every answer
-    /// (the repeats of earlier queries among them) is the naive plan's,
-    /// and every repeat on one system returns exactly the rows of its
-    /// first answer there: every column, no float rounding.
+    /// Cache coherence: interleaving random queries and cache drops,
+    /// every answer (the repeats of earlier queries among them) is the
+    /// naive plan's, and every repeat on one system returns exactly the
+    /// rows of its first answer there, across a drop too: every column,
+    /// no float rounding.
     #[test]
     fn cache_is_coherent_under_interleaving(
         seed in 0u64..200,
         queries in proptest::collection::vec(arb_query(32), 2..8),
-        replay_order in proptest::collection::vec(0usize..8, 4..12),
+        replay_order in proptest::collection::vec(0usize..9, 4..12),
     ) {
+        // 8 is past every query list: it drops the caches.
         let steps: Vec<Step> = replay_order
             .iter()
-            .map(|&i| Step::Query(queries[i % queries.len()].clone()))
+            .map(|&i| match i {
+                8 => Step::Invalidate,
+                i => Step::Query(queries[i % queries.len()].clone()),
+            })
             .collect();
         let mut first = HashMap::new();
         let repeat = |answer: &Answer<'_, '_>| {

@@ -6,8 +6,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use drugtree::prelude::*;
+use drugtree_mobile::gestures::lateral_script;
+use drugtree_query::cache::CacheConfig;
 use std::time::Duration;
-use support::{fleet_agrees, system};
+use support::{fleet_agrees, system, Matrix, Step, Systems};
 
 mod support;
 
@@ -94,6 +96,37 @@ fn drill_down_scripts_achieve_cache_hits() {
         .filter(|r| r.cache_hit.is_some())
         .count();
     assert!(queries > 10, "script should contain many queries");
+}
+
+/// A whole-tree expand fetches more rows than a budget of half the
+/// activities: the cache declines it and keeps what it holds. Every
+/// answer of a drill-down and of a lateral session, each opening and
+/// ending on the whole tree, is still the naive plan's.
+#[test]
+fn a_small_row_budget_changes_no_answer() {
+    let b = bundle();
+    let cache = CacheConfig {
+        max_rows: b.activities.len() / 2,
+        ..CacheConfig::default()
+    };
+    let lateral = GestureConfig {
+        len: 40,
+        seed: 21,
+        zipf_theta: 0.0,
+        revisit_prob: 0.0,
+    };
+    let whole_tree = Gesture::Expand {
+        node: b.tree.root(),
+    };
+    for script in [script(&b, 21), lateral_script(&b.tree, &b.index, &lateral)] {
+        let mut steps = vec![Step::Gesture(whole_tree.clone())];
+        steps.extend(script.into_iter().map(Step::Gesture));
+        steps.push(Step::Gesture(whole_tree.clone()));
+        let systems = Systems::new(&Matrix::fixed().with_cache(cache), || b.build_dataset());
+        systems.run(&steps).unwrap();
+        let stats = systems.get("full").report().cache;
+        assert!(stats.declined >= 2 && stats.hits > 0, "{stats:?}");
+    }
 }
 
 #[test]

@@ -23,6 +23,7 @@
 use drugtree::prelude::*;
 use drugtree_chem::affinity::ActivityRecord;
 use drugtree_mobile::{GestureStep, QueryOutcome};
+use drugtree_query::cache::CacheConfig;
 use drugtree_query::local::Keep;
 use drugtree_query::phases::ablatable_rules;
 use drugtree_query::QueryError;
@@ -54,18 +55,26 @@ pub enum Step {
 }
 
 /// The systems checked against the naive plan: a name, a configuration
-/// and the local structures built.
-pub struct Matrix(Vec<(String, OptimizerConfig, Option<Keep>)>);
+/// and the local structures built; and the cache every planned run has.
+pub struct Matrix(Vec<(String, OptimizerConfig, Option<Keep>)>, CacheConfig);
 
 impl Matrix {
     /// `full()`, and `full()` with the view and the mirror.
     pub fn fixed() -> Matrix {
         let full = OptimizerConfig::full();
         let name = String::from;
-        Matrix(vec![
-            (name("full"), full, None),
-            (name("full+view+mirror"), full, Some(Keep::Both)),
-        ])
+        Matrix(
+            vec![
+                (name("full"), full, None),
+                (name("full+view+mirror"), full, Some(Keep::Both)),
+            ],
+            CacheConfig::default(),
+        )
+    }
+
+    /// The same systems, each run with a cache of `cache`'s budgets.
+    pub fn with_cache(self, cache: CacheConfig) -> Matrix {
+        Matrix(self.0, cache)
     }
 
     /// The fixed matrix plus every single-rule ablation of `full()`,
@@ -86,7 +95,18 @@ impl Matrix {
 /// `dataset` behind `config`, with the local structures `keep` names.
 /// The naive plan reads no statistics, so none are collected for it.
 pub fn system(dataset: Dataset, config: OptimizerConfig, keep: Option<Keep>) -> DrugTree {
+    cached_system(dataset, config, keep, CacheConfig::default())
+}
+
+/// [`system`] with a cache of `cache`'s budgets.
+fn cached_system(
+    dataset: Dataset,
+    config: OptimizerConfig,
+    keep: Option<Keep>,
+    cache: CacheConfig,
+) -> DrugTree {
     let builder = DrugTree::builder().dataset(dataset).optimizer(config);
+    let builder = builder.cache(cache);
     let builder = builder.with_stats(config != OptimizerConfig::naive());
     let builder = match keep {
         None => builder,
@@ -124,10 +144,10 @@ impl Systems {
         let naive = system(dataset(), OptimizerConfig::naive(), None);
         let mut systems = vec![("naive".to_string(), naive, None)];
         for (name, config, keep) in &matrix.0 {
-            let system = system(dataset(), *config, *keep);
+            let system = cached_system(dataset(), *config, *keep, matrix.1);
             // The builder's steps, for a second executor on one dataset
             // (a dataset per run made source_records 1.5 times as slow).
-            let mut cold = Executor::new(Optimizer::new(*config));
+            let mut cold = Executor::with_cache_config(Optimizer::new(*config), matrix.1);
             cold.collect_stats(system.dataset()).unwrap();
             if let Some(keep) = *keep {
                 cold.build_local(system.dataset(), keep).unwrap();
