@@ -290,11 +290,7 @@ pub fn run(config: RunConfig) -> ExperimentTable {
         &FleetScenario {
             deadline: Some(DeadlinePolicy::uniform(Duration::from_millis(150))),
             admission: Some(AdmissionControl::max_open(32)),
-            hedging: Some(HedgePolicy {
-                enabled: true,
-                quantile: 0.95,
-                warmup: 16,
-            }),
+            hedging: Some(HedgePolicy { enabled: true }),
             ..Default::default()
         },
     );

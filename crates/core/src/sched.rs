@@ -22,17 +22,18 @@
 //!   the flight and share one execution. This is the system's only
 //!   cross-session coalescing layer.
 //! * **Admission control** — a bound on concurrently open flights;
-//!   arrivals beyond it are *shed* with a degraded result and a small
-//!   rejection cost, counted per query class.
-//! * **Per-class deadlines** — a participant whose queue wait plus
-//!   execution cost exceeds its class deadline times out with a
+//!   arrivals beyond it are *shed* with a degraded result and a
+//!   [`SHED_COST`] rejection round-trip, counted per query class.
+//! * **Deadlines** — a participant whose queue wait plus execution cost
+//!   exceeds the client deadline (one for every class) times out with a
 //!   degraded result charged exactly the deadline; completions that
 //!   land past the deadline after delivery count as soft misses.
-//! * **Hedged requests** — when a flight's execution cost exceeds the
-//!   learned percentile of its class's cost history, the scheduler
-//!   models a hedge against a replica: the effective cost is capped at
-//!   `percentile + replica estimate`, and hedges that actually improve
-//!   latency are counted as wins.
+//! * **Hedged requests** — once a class has [`HEDGE_WARMUP`]
+//!   observations, a flight whose execution cost exceeds the
+//!   [`HEDGE_QUANTILE`] of its class's cost history is hedged against a
+//!   replica: the effective cost is capped at `percentile + replica
+//!   estimate`, and hedges that actually improve latency are counted as
+//!   wins.
 //! * **Outage storms** — an execution that fails at a source (e.g. a
 //!   [`FlakySource`](drugtree_sources::flaky::FlakySource) storm
 //!   window) degrades every participant with a partial result charged
@@ -76,31 +77,23 @@ impl DeadlinePolicy {
         }
     }
 
-    /// The deadline in effect for `class`: the same for every class.
-    pub fn deadline_for(&self, _class: QueryClass) -> Option<Duration> {
+    /// The deadline in effect, the same for every query class.
+    pub fn deadline(&self) -> Option<Duration> {
         self.default
     }
 }
 
+/// Virtual cost charged to a shed query: the client's rejection
+/// round-trip.
+pub const SHED_COST: Duration = Duration::from_millis(5);
+
 /// Load shedding at the scheduler's front door.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdmissionControl {
     /// Maximum concurrently open (not yet dispatched) flights; `0`
     /// means unlimited. Joining an already-open flight is always
     /// admitted — it adds no server work.
     pub max_open_flights: usize,
-    /// Virtual cost charged to a shed query: the client's rejection
-    /// round-trip.
-    pub shed_cost: Duration,
-}
-
-impl Default for AdmissionControl {
-    fn default() -> AdmissionControl {
-        AdmissionControl {
-            max_open_flights: 0,
-            shed_cost: Duration::from_millis(5),
-        }
-    }
 }
 
 impl AdmissionControl {
@@ -108,31 +101,23 @@ impl AdmissionControl {
     pub fn max_open(max: usize) -> AdmissionControl {
         AdmissionControl {
             max_open_flights: max,
-            ..AdmissionControl::default()
         }
     }
 }
 
-/// Hedged requests against replicas after a learned-percentile delay.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Quantile of a class's observed execution-cost history at which a
+/// hedge fires.
+pub const HEDGE_QUANTILE: f64 = 0.95;
+
+/// Observations a class needs before its percentile is trusted.
+pub const HEDGE_WARMUP: u64 = 16;
+
+/// Hedged requests against replicas after a learned-percentile delay
+/// ([`HEDGE_QUANTILE`], after [`HEDGE_WARMUP`] observations).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HedgePolicy {
     /// Whether hedging is armed at all.
     pub enabled: bool,
-    /// Quantile (0.0–1.0) of the class's observed execution-cost
-    /// history at which the hedge fires.
-    pub quantile: f64,
-    /// Observations a class needs before its percentile is trusted.
-    pub warmup: u64,
-}
-
-impl Default for HedgePolicy {
-    fn default() -> HedgePolicy {
-        HedgePolicy {
-            enabled: false,
-            quantile: 0.95,
-            warmup: 16,
-        }
-    }
 }
 
 /// Counters describing one fleet run's scheduling work.
@@ -386,7 +371,7 @@ impl Sched<'_> {
             self.counters[class.index()].shed += 1;
             let outcome = QueryOutcome::Degraded {
                 reason: DegradedReason::Shed,
-                charged: admission.shed_cost,
+                charged: SHED_COST,
             };
             self.commit_query(session, pending, &outcome);
             return;
@@ -437,7 +422,7 @@ impl Sched<'_> {
                 let query_latency = result.metrics.virtual_cost;
                 let (effective, hedged, hedge_won) = self.hedge(idx, &flight.query, cost);
                 self.hists[idx].record_duration(cost);
-                let deadline = self.config.deadline.deadline_for(flight.class);
+                let deadline = self.config.deadline.deadline();
                 for part in flight.parts {
                     let wait = Duration::from_nanos(now.saturating_sub(part.arrived));
                     {
@@ -507,16 +492,14 @@ impl Sched<'_> {
     /// Hedging decision for one executed flight: `(effective cost,
     /// hedged?, won?)`.
     fn hedge(&self, idx: usize, query: &Query, cost: Duration) -> (Duration, bool, bool) {
-        let policy = self.config.hedging;
-        if !policy.enabled {
+        if !self.config.hedging.enabled {
             return (cost, false, false);
         }
         let snapshot = self.hists[idx].snapshot();
-        if snapshot.count < policy.warmup {
+        if snapshot.count < HEDGE_WARMUP {
             return (cost, false, false);
         }
-        let learned =
-            Duration::from_nanos(snapshot.quantile(policy.quantile.clamp(0.0, 1.0)) as u64);
+        let learned = Duration::from_nanos(snapshot.quantile(HEDGE_QUANTILE) as u64);
         if cost <= learned {
             return (cost, false, false);
         }
@@ -557,14 +540,8 @@ mod tests {
     #[test]
     fn deadline_policy_layers_defaults_and_overrides() {
         let p = DeadlinePolicy::uniform(Duration::from_millis(100));
-        assert_eq!(
-            p.deadline_for(QueryClass::Listing),
-            Some(Duration::from_millis(100))
-        );
-        assert_eq!(
-            DeadlinePolicy::none().deadline_for(QueryClass::Listing),
-            None
-        );
+        assert_eq!(p.deadline(), Some(Duration::from_millis(100)));
+        assert_eq!(DeadlinePolicy::none().deadline(), None);
     }
 
     #[test]

@@ -85,11 +85,7 @@ fn run_pinned_fleet() -> (ServeReport, Vec<String>) {
         .with_sessions(workloads)
         .with_deadline_policy(DeadlinePolicy::uniform(Duration::from_millis(150)))
         .with_admission_control(AdmissionControl::max_open(32))
-        .with_hedging(HedgePolicy {
-            enabled: true,
-            quantile: 0.95,
-            warmup: 16,
-        })
+        .with_hedging(HedgePolicy { enabled: true })
         .run()
         .expect("fleet serves");
     (report, sink.lines())

@@ -29,7 +29,7 @@
 //! epoch first drops every entry, since any ingest makes every older
 //! entry suspect; an insert from an earlier epoch is declined.
 
-use crate::dataset::SourceEpoch;
+use crate::dataset::{RankedRows, SourceEpoch};
 use drugtree_phylo::index::LeafInterval;
 use drugtree_store::expr::Predicate;
 use drugtree_store::value::Value;
@@ -40,7 +40,7 @@ use std::sync::Arc;
 
 /// Rank-sorted activity rows shared between a cache entry and the
 /// queries reading it. Never mutated once an entry holds it.
-pub type SharedRows = Arc<Vec<Vec<Value>>>;
+pub type SharedRows = Arc<RankedRows>;
 
 /// One cached fetch result.
 #[derive(Debug, Clone)]
@@ -93,6 +93,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted by the LRU policy.
     pub evictions: u64,
+    /// Entries dropped because a new entry answers everything they did.
+    pub subsumed: u64,
     /// Inserts declined: a result larger than the row budget, or one
     /// fetched before a source changed.
     pub declined: u64,
@@ -185,27 +187,22 @@ impl SemanticCache {
 
     /// Insert a fetch result of a query at `epoch`, sharing `rows` with
     /// the caller. A result larger than the whole row budget, or one
-    /// fetched before a source changed, is declined: nothing is
-    /// sorted, dropped or evicted, and the caller's `Arc` is unique
-    /// again. Otherwise rows need not be pre-sorted: unsorted input is
-    /// sorted here (on a private copy when the caller still holds the
-    /// `Arc`). Entries subsumed by the new one are dropped (the new
-    /// entry answers everything they could), then the least recently
-    /// used entries are evicted until the cache is within budget.
+    /// fetched before a source changed, is declined: nothing is dropped
+    /// or evicted, and the caller's `Arc` is unique again. Otherwise
+    /// entries subsumed by the new one are dropped (the new entry
+    /// answers everything they could), then the least recently used
+    /// entries are evicted until the cache is within budget.
     pub fn insert(
         &mut self,
         epoch: SourceEpoch,
         interval: LeafInterval,
         pushdown: Option<Predicate>,
-        mut rows: SharedRows,
+        rows: SharedRows,
     ) {
         self.advance_to(epoch);
         if !epoch.holds_at(self.epoch) || rows.len() > self.config.max_rows {
             self.stats.declined += 1;
             return;
-        }
-        if !rows.is_sorted_by_key(|r| rank_of(r)) {
-            Arc::make_mut(&mut rows).sort_by_key(|r| rank_of(r));
         }
         // Drop entries the new one subsumes.
         let subsumed: Vec<u64> = self
@@ -217,6 +214,7 @@ impl SemanticCache {
             })
             .map(|(&id, _)| id)
             .collect();
+        self.stats.subsumed += subsumed.len() as u64;
         self.remove_ids(&subsumed);
 
         let id = self.next_id;
@@ -404,6 +402,10 @@ mod tests {
         vec![Value::Int(rank), Value::from(tag)]
     }
 
+    fn shared(rows: Vec<Vec<Value>>) -> SharedRows {
+        Arc::new(RankedRows::new(rows))
+    }
+
     impl CacheHit {
         /// The rows restricted to the probe interval.
         fn rows(&self) -> &[Vec<Value>] {
@@ -414,7 +416,7 @@ mod tests {
     #[test]
     fn exact_hit() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(E, iv(0, 4), None, Arc::new(vec![row(0, "a"), row(2, "b")]));
+        c.insert(E, iv(0, 4), None, shared(vec![row(0, "a"), row(2, "b")]));
         let hit = c.probe(E, iv(0, 4), None).unwrap();
         assert_eq!(hit.rows().len(), 2);
         assert_eq!(c.stats().hits, 1);
@@ -427,7 +429,7 @@ mod tests {
             E,
             iv(0, 8),
             None,
-            Arc::new(vec![row(1, "a"), row(3, "b"), row(6, "c")]),
+            shared(vec![row(1, "a"), row(3, "b"), row(6, "c")]),
         );
         // Drill-down: child interval [2,5).
         let hit = c.probe(E, iv(2, 5), None).unwrap();
@@ -442,7 +444,7 @@ mod tests {
     #[test]
     fn non_contained_probe_misses() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(E, iv(2, 5), None, Arc::new(vec![row(3, "a")]));
+        c.insert(E, iv(2, 5), None, shared(vec![row(3, "a")]));
         assert!(
             c.probe(E, iv(0, 4), None).is_none(),
             "partial overlap is a miss"
@@ -459,7 +461,7 @@ mod tests {
 
         let mut c = SemanticCache::new(CacheConfig::default());
         // Entry fetched under p_ge.
-        c.insert(E, iv(0, 8), Some(p_ge), Arc::new(vec![row(1, "a")]));
+        c.insert(E, iv(0, 8), Some(p_ge), shared(vec![row(1, "a")]));
         // Query pushing down p_ge AND year: entry's rows are a superset.
         assert!(c.probe(E, iv(0, 4), Some(&both)).is_some());
         // Query pushing down only year: entry may be missing rows
@@ -472,7 +474,7 @@ mod tests {
     #[test]
     fn unfiltered_entry_answers_any_pushdown() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(E, iv(0, 8), None, Arc::new(vec![row(1, "a")]));
+        c.insert(E, iv(0, 8), None, shared(vec![row(1, "a")]));
         let p = Predicate::cmp("p_activity", CompareOp::Ge, 6.0);
         assert!(c.probe(E, iv(0, 4), Some(&p)).is_some());
     }
@@ -480,14 +482,16 @@ mod tests {
     #[test]
     fn insert_subsumes_smaller_entries() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(E, iv(2, 4), None, Arc::new(vec![row(2, "a")]));
-        c.insert(E, iv(0, 8), None, Arc::new(vec![row(2, "a"), row(5, "b")]));
+        c.insert(E, iv(2, 4), None, shared(vec![row(2, "a")]));
+        c.insert(E, iv(0, 8), None, shared(vec![row(2, "a"), row(5, "b")]));
         assert_eq!(c.entries.len(), 1, "small entry subsumed by the big one");
+        assert_eq!((c.stats().subsumed, c.stats().evictions), (1, 0));
         // But a *filtered* big entry does not subsume an unfiltered
         // small one.
         let p = Predicate::cmp("p_activity", CompareOp::Ge, 6.0);
-        c.insert(E, iv(0, 8), Some(p), Arc::new(vec![row(5, "b")]));
+        c.insert(E, iv(0, 8), Some(p), shared(vec![row(5, "b")]));
         assert_eq!(c.entries.len(), 2);
+        assert_eq!(c.stats().subsumed, 1);
     }
 
     #[test]
@@ -496,11 +500,11 @@ mod tests {
             max_entries: 2,
             max_rows: 1000,
         });
-        c.insert(E, iv(0, 1), None, Arc::new(vec![row(0, "a")]));
-        c.insert(E, iv(1, 2), None, Arc::new(vec![row(1, "b")]));
+        c.insert(E, iv(0, 1), None, shared(vec![row(0, "a")]));
+        c.insert(E, iv(1, 2), None, shared(vec![row(1, "b")]));
         // Touch the first entry so the second becomes LRU.
         assert!(c.probe(E, iv(0, 1), None).is_some());
-        c.insert(E, iv(2, 3), None, Arc::new(vec![row(2, "c")]));
+        c.insert(E, iv(2, 3), None, shared(vec![row(2, "c")]));
         assert_eq!(c.entries.len(), 2);
         assert_eq!(c.stats().evictions, 1);
         assert!(c.probe(E, iv(1, 2), None).is_none(), "LRU entry evicted");
@@ -513,8 +517,8 @@ mod tests {
             max_entries: 100,
             max_rows: 3,
         });
-        c.insert(E, iv(0, 4), None, Arc::new(vec![row(0, "a"), row(1, "b")]));
-        c.insert(E, iv(4, 8), None, Arc::new(vec![row(4, "c"), row(5, "d")]));
+        c.insert(E, iv(0, 4), None, shared(vec![row(0, "a"), row(1, "b")]));
+        c.insert(E, iv(4, 8), None, shared(vec![row(4, "c"), row(5, "d")]));
         assert_eq!(c.entries.len(), 1, "row budget forced eviction");
         assert!(c.cached_rows <= 3);
     }
@@ -529,7 +533,7 @@ mod tests {
             E,
             iv(0, 8),
             None,
-            Arc::new(vec![row(0, "a"), row(1, "b"), row(2, "c")]),
+            shared(vec![row(0, "a"), row(1, "b"), row(2, "c")]),
         );
         assert!(
             c.entries.is_empty(),
@@ -537,7 +541,7 @@ mod tests {
         );
         assert_eq!((c.stats().declined, c.stats().evictions), (1, 0));
         // Smaller entries still cache fine afterwards.
-        c.insert(E, iv(0, 2), None, Arc::new(vec![row(0, "a")]));
+        c.insert(E, iv(0, 2), None, shared(vec![row(0, "a")]));
         assert_eq!(c.entries.len(), 1);
     }
 
@@ -550,10 +554,10 @@ mod tests {
             max_entries: 100,
             max_rows: 4,
         });
-        c.insert(E, iv(0, 4), None, Arc::new(vec![row(0, "a"), row(1, "b")]));
-        c.insert(E, iv(4, 8), None, Arc::new(vec![row(4, "c"), row(5, "d")]));
+        c.insert(E, iv(0, 4), None, shared(vec![row(0, "a"), row(1, "b")]));
+        c.insert(E, iv(4, 8), None, shared(vec![row(4, "c"), row(5, "d")]));
         let whole = (0..5).map(|r| row(r, "x")).collect();
-        c.insert(E, iv(0, 8), None, Arc::new(whole));
+        c.insert(E, iv(0, 8), None, shared(whole));
         assert!(c.probe(E, iv(0, 4), None).is_some());
         assert!(c.probe(E, iv(4, 8), None).is_some());
         assert_eq!(c.cached_rows, 4);
@@ -563,8 +567,8 @@ mod tests {
     #[test]
     fn invalidation() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(E, iv(0, 4), None, Arc::new(vec![row(0, "a")]));
-        c.insert(E, iv(4, 8), None, Arc::new(vec![row(5, "b")]));
+        c.insert(E, iv(0, 4), None, shared(vec![row(0, "a")]));
+        c.insert(E, iv(4, 8), None, shared(vec![row(5, "b")]));
         assert_eq!(c.entries.len(), 2);
 
         // A probe after an ingest drops every entry, each counted.
@@ -575,14 +579,14 @@ mod tests {
         assert_eq!(c.cached_rows, 0);
 
         // Rows fetched before the ingest are declined.
-        c.insert(E, iv(0, 4), None, Arc::new(vec![row(0, "a")]));
+        c.insert(E, iv(0, 4), None, shared(vec![row(0, "a")]));
         assert!(c.entries.is_empty());
         assert_eq!((c.stats().declined, c.stats().evictions), (1, 0));
         assert!(c.probe(later, iv(0, 4), None).is_none());
 
         // At the cache's epoch an insert lands; dropping it explicitly
         // counts it too.
-        c.insert(later, iv(0, 4), None, Arc::new(vec![row(0, "a")]));
+        c.insert(later, iv(0, 4), None, shared(vec![row(0, "a")]));
         assert!(c.probe(later, iv(0, 4), None).is_some());
         c.invalidate_all();
         assert!(c.entries.is_empty());
@@ -594,7 +598,7 @@ mod tests {
     fn probes_always_equal_hits_plus_misses() {
         let mut c = SemanticCache::new(CacheConfig::default());
         assert_eq!(c.stats().hit_rate(), None, "never probed is not 0%");
-        c.insert(E, iv(0, 8), None, Arc::new(vec![row(1, "a")]));
+        c.insert(E, iv(0, 8), None, shared(vec![row(1, "a")]));
         let _ = c.probe(E, iv(0, 4), None);
         let _ = c.probe(E, iv(6, 12), None);
         let _ = c.probe(E, iv(2, 3), None);
@@ -649,7 +653,7 @@ mod tests {
             E,
             iv(0, 8),
             Some(Predicate::cmp("p_activity", Ge, 6.0)),
-            Arc::new(vec![row(1, "a"), row(3, "b")]),
+            shared(vec![row(1, "a"), row(3, "b")]),
         );
         // Stricter query bound: rows are a superset of what it needs.
         let strict = Predicate::cmp("p_activity", Ge, 7.5);
@@ -660,27 +664,11 @@ mod tests {
     }
 
     #[test]
-    fn rows_sorted_on_insert() {
-        let mut c = SemanticCache::new(CacheConfig::default());
-        // The caller keeps its handle: the cache sorts a private copy
-        // and leaves the caller's rows as they were.
-        let unsorted = Arc::new(vec![row(6, "c"), row(1, "a"), row(3, "b")]);
-        c.insert(E, iv(0, 8), None, Arc::clone(&unsorted));
-        let hit = c.probe(E, iv(0, 8), None).unwrap();
-        let ranks: Vec<i64> = hit.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
-        assert_eq!(ranks, vec![1, 3, 6]);
-        assert_eq!(unsorted[0], row(6, "c"));
-        // Containment slicing works on what was sorted here.
-        assert_eq!(c.probe(E, iv(2, 5), None).unwrap().rows(), [row(3, "b")]);
-    }
-
-    #[test]
     fn probe_shares_the_entry_rows() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        let rows = Arc::new(vec![row(1, "a"), row(3, "b"), row(6, "c")]);
+        let rows = shared(vec![row(1, "a"), row(3, "b"), row(6, "c")]);
         c.insert(E, iv(0, 8), None, Arc::clone(&rows));
-        // Sorted input is adopted as is: entry, inserter and every hit
-        // read one allocation.
+        // Entry, inserter and every hit read one allocation.
         let whole = c.probe(E, iv(0, 8), None).unwrap();
         let part = c.probe(E, iv(2, 7), None).unwrap();
         assert!(Arc::ptr_eq(&whole.entry_rows, &rows));
@@ -696,16 +684,16 @@ mod tests {
             max_entries: 1,
             ..CacheConfig::default()
         });
-        c.insert(E, iv(0, 8), None, Arc::new(vec![row(1, "a"), row(3, "b")]));
+        c.insert(E, iv(0, 8), None, shared(vec![row(1, "a"), row(3, "b")]));
         let before_invalidate = c.probe(E, iv(0, 4), None).unwrap();
         c.invalidate_all();
         assert!(c.entries.is_empty());
         assert_eq!(c.cached_rows, 0);
         assert_eq!(before_invalidate.rows(), [row(1, "a"), row(3, "b")]);
 
-        c.insert(E, iv(0, 8), None, Arc::new(vec![row(2, "x")]));
+        c.insert(E, iv(0, 8), None, shared(vec![row(2, "x")]));
         let before_evict = c.probe(E, iv(0, 8), None).unwrap();
-        c.insert(E, iv(8, 16), None, Arc::new(vec![row(9, "y")]));
+        c.insert(E, iv(8, 16), None, shared(vec![row(9, "y")]));
         assert_eq!(c.stats().evictions, 1);
         assert!(c.probe(E, iv(0, 8), None).is_none(), "entry evicted");
         assert_eq!(before_evict.rows(), [row(2, "x")]);
@@ -718,7 +706,7 @@ mod tests {
             max_rows: 2,
             ..CacheConfig::default()
         });
-        let rows = Arc::new(vec![row(0, "a"), row(1, "b"), row(2, "c")]);
+        let rows = shared(vec![row(0, "a"), row(1, "b"), row(2, "c")]);
         c.insert(E, iv(0, 8), None, Arc::clone(&rows));
         assert_eq!((c.stats().declined, c.stats().evictions), (1, 0));
         assert_eq!(c.cached_rows, 0);

@@ -21,11 +21,10 @@
 //!
 //! [`Access::ColumnarScan`]: crate::plan::Access::ColumnarScan
 
-use crate::dataset::activity_half_schema;
+use crate::dataset::{activity_half_schema, RankedRows};
 use crate::Result;
 use drugtree_phylo::index::LeafInterval;
 use drugtree_store::table::Table;
-use drugtree_store::value::Value;
 use std::ops::Range;
 
 /// All activity rows, column-oriented and rank-sorted.
@@ -36,8 +35,9 @@ pub struct ActivityColumns {
 
 impl ActivityColumns {
     /// Take ownership of resolved, rank-sorted rows as the mirror's table.
-    pub(crate) fn new(rows: Vec<Vec<Value>>) -> Result<ActivityColumns> {
-        let mut table = Table::from_rows("activity", activity_half_schema().clone(), rows)?;
+    pub(crate) fn new(rows: RankedRows) -> Result<ActivityColumns> {
+        let schema = activity_half_schema().clone();
+        let mut table = Table::from_rows("activity", schema, rows.into_vec())?;
         table.declare_sorted("leaf_rank")?;
         Ok(ActivityColumns { table })
     }

@@ -292,17 +292,49 @@ pub fn unify_assay_row(dataset: &Dataset, row: Vec<Value>) -> Option<Vec<Value>>
     Some(unified)
 }
 
+/// Activity rows in leaf-rank order, as the resolve step hands them to
+/// the semantic cache, the columnar mirror and the aggregate view.
+/// `RankedRows::new` is the only constructor, and it sorts, so no
+/// holder checks the order again:
+///
+/// ```compile_fail
+/// let unsorted = drugtree_query::dataset::RankedRows(Vec::new());
+/// ```
+#[derive(Debug)]
+pub struct RankedRows(Vec<Vec<Value>>);
+
+impl RankedRows {
+    /// Stable-sort `rows` by leaf rank (column 0; rows without one last).
+    pub(crate) fn new(mut rows: Vec<Vec<Value>>) -> RankedRows {
+        rows.sort_by_key(|row| crate::cache::rank_of(row));
+        RankedRows(rows)
+    }
+
+    /// The rows, in rank order.
+    pub(crate) fn into_vec(self) -> Vec<Vec<Value>> {
+        self.0
+    }
+}
+
+impl std::ops::Deref for RankedRows {
+    type Target = [Vec<Value>];
+
+    fn deref(&self) -> &[Vec<Value>] {
+        &self.0
+    }
+}
+
 /// Resolve unified activity rows into what every row path returns: when
 /// the deployment [resolves conflicts](Dataset::resolves_conflicts), the
 /// most recent measurement of each (leaf, ligand, activity type), the
 /// first in row order on a tie; then a stable sort by leaf rank. Kept rows
 /// keep their order, so rows within a leaf follow source order, then
 /// scan order, on the fetch path and in the local build alike.
-pub(crate) fn resolve_activity_rows(dataset: &Dataset, rows: &mut Vec<Vec<Value>>) {
+pub(crate) fn resolve_activity_rows(dataset: &Dataset, mut rows: Vec<Vec<Value>>) -> RankedRows {
     if dataset.resolves_conflicts() {
-        dedupe_most_recent(rows);
+        dedupe_most_recent(&mut rows);
     }
-    rows.sort_by_key(|row| crate::cache::rank_of(row));
+    RankedRows::new(rows)
 }
 
 /// Keep the most recent measurement per (rank, ligand, type), in place.

@@ -33,9 +33,6 @@ pub enum QueryError {
     /// An unknown optimizer rule name was passed to
     /// [`crate::optimizer::OptimizerConfig::ablate`].
     UnknownRule(String),
-    /// The plan violated structural invariants (see
-    /// [`crate::validate::PlanValidator`]).
-    Invariant(Vec<crate::validate::InvariantViolation>),
     /// Underlying store failure.
     Store(drugtree_store::StoreError),
     /// Underlying source failure.
@@ -67,13 +64,6 @@ impl fmt::Display for QueryError {
             }
             QueryError::Plan(msg) => write!(f, "planning error: {msg}"),
             QueryError::UnknownRule(rule) => write!(f, "unknown optimizer rule {rule:?}"),
-            QueryError::Invariant(violations) => {
-                write!(f, "plan violates {} invariant(s):", violations.len())?;
-                for v in violations {
-                    write!(f, "\n  {v}")?;
-                }
-                Ok(())
-            }
             QueryError::Store(e) => write!(f, "store error: {e}"),
             QueryError::Source(e) => write!(f, "source error: {e}"),
             QueryError::Phylo(e) => write!(f, "tree error: {e}"),

@@ -10,7 +10,7 @@ use crate::adaptive::{AdaptiveRuntime, QueryFeedback};
 use crate::ast::{Metric, Query};
 use crate::cache::{CacheConfig, CacheStats, SemanticCache, SharedRows};
 use crate::columnar::ActivityColumns;
-use crate::dataset::{resolve_activity_rows, unified_schema, unify_assay_row, Dataset};
+use crate::dataset::{resolve_activity_rows, unified_schema, unify_assay_row, Dataset, RankedRows};
 use crate::local::{Keep, LocalBuild};
 use crate::matview::MaterializedAggregates;
 use crate::optimizer::{Optimizer, PlanInputs};
@@ -361,24 +361,22 @@ impl Executor {
             Access::Fetch {
                 fetches,
                 concurrent_sources,
-            } => ActivityRows::Owned(self.run_fetches(
-                dataset,
-                fetches,
-                *concurrent_sources,
-                &mut m,
-                sink.as_deref_mut(),
-            )?),
-            Access::CacheProbe {
-                pushdown,
-                on_miss,
-                insert_on_miss,
-                concurrent_sources,
-            } => {
-                let probe = self
+            } => ActivityRows::Owned(
+                self.run_fetches(
+                    dataset,
+                    fetches,
+                    *concurrent_sources,
+                    &mut m,
+                    sink.as_deref_mut(),
+                )?
+                .into_vec(),
+            ),
+            Access::CacheProbe(probe) => {
+                let found = self
                     .cache
                     .lock()
-                    .probe(inputs.epoch, plan.interval, pushdown.as_ref());
-                match probe {
+                    .probe(inputs.epoch, plan.interval, probe.key());
+                match found {
                     Some(hit) => {
                         m.cache_hit = Some(true);
                         if let Some(tb) = sink.as_deref_mut() {
@@ -400,31 +398,31 @@ impl Executor {
                         }
                         let rows = self.run_fetches(
                             dataset,
-                            on_miss,
-                            *concurrent_sources,
+                            probe.on_miss(),
+                            probe.concurrent_sources(),
                             &mut m,
                             sink.as_deref_mut(),
                         )?;
-                        if *insert_on_miss {
+                        if probe.insert_on_miss() {
                             let shared = Arc::new(rows);
                             self.cache.lock().insert(
                                 inputs.epoch,
                                 plan.interval,
-                                pushdown.clone(),
+                                probe.key().cloned(),
                                 Arc::clone(&shared),
                             );
                             // The cache declines an entry over its row
                             // budget or from an epoch it has passed; the
                             // rows are then this query's alone again.
                             match Arc::try_unwrap(shared) {
-                                Ok(rows) => ActivityRows::Owned(rows),
+                                Ok(rows) => ActivityRows::Owned(rows.into_vec()),
                                 Err(shared) => {
                                     let all = 0..shared.len();
                                     ActivityRows::Shared(shared, all)
                                 }
                             }
                         } else {
-                            ActivityRows::Owned(rows)
+                            ActivityRows::Owned(rows.into_vec())
                         }
                     }
                 }
@@ -655,22 +653,21 @@ impl Executor {
         concurrent_sources: bool,
         m: &mut ExecMetrics,
         mut sink: Option<&mut TraceBuilder>,
-    ) -> Result<Vec<Vec<Value>>> {
+    ) -> Result<RankedRows> {
         let mut per_source_rows: Vec<Vec<Vec<Value>>> = Vec::with_capacity(fetches.len());
         let mut per_source_cost = Vec::with_capacity(fetches.len());
         // The sources of a plan share one leaf set: its keys are built once.
         let mut built: Option<(&LeafSet, SortedKeys)> = None;
         for f in fetches {
             let fetch_started = dataset.clock.now();
-            let source = dataset.registry.by_name(f.source())?;
             let (_, keys) = match built.take() {
                 Some(same) if *same.0 == f.leaves => built.insert(same),
                 _ => built.insert((&f.leaves, dataset.fetch_keys(&f.leaves))),
             };
             let resp = batched_lookup_with_retry(
-                source.as_ref(),
+                f.handle(),
                 keys,
-                f.pushdown.as_ref(),
+                f.pushdown(),
                 f.max_batch(),
                 f.dispatch(),
                 self.retry,
@@ -710,9 +707,8 @@ impl Executor {
         dataset.clock.advance(total_cost);
         m.charged_cost += total_cost;
 
-        let mut rows: Vec<Vec<Value>> = per_source_rows.into_iter().flatten().collect();
-        resolve_activity_rows(dataset, &mut rows);
-        Ok(rows)
+        let rows = per_source_rows.into_iter().flatten().collect();
+        Ok(resolve_activity_rows(dataset, rows))
     }
 }
 

@@ -46,8 +46,6 @@
 //! * [`adaptive`] — the self-driving layer: the auto-materialization
 //!   advisor and the `adapt` event stream closing the telemetry →
 //!   optimizer feedback loop (design decision D15).
-//! * [`validate`] — plan-invariant validation (structural checks every
-//!   emitted plan must pass, run once by the optimizer).
 
 pub mod adaptive;
 pub mod ast;
@@ -66,7 +64,6 @@ pub mod phases;
 pub mod plan;
 pub mod stats;
 pub mod trace;
-pub mod validate;
 
 pub use adaptive::{AdaptiveRuntime, AdaptiveSnapshot};
 pub use ast::{Query, QueryKind, Scope};
@@ -83,7 +80,6 @@ pub use phases::{PassTrace, RewritePhase, RuleDef, RuleFiring, RuleOutcome};
 pub use trace::{
     AnalyzedResult, GestureObservation, MetricsRegistry, Observer, QuerySpan, QueryTrace, Stage,
 };
-pub use validate::{InvariantViolation, PlanValidator};
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, QueryError>;

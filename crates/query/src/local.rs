@@ -13,11 +13,10 @@
 //! too, so a drifted replica makes it stale.
 
 use crate::columnar::ActivityColumns;
-use crate::dataset::{resolve_activity_rows, unify_assay_row, Dataset, SourceEpoch};
+use crate::dataset::{resolve_activity_rows, unify_assay_row, Dataset, RankedRows, SourceEpoch};
 use crate::matview::MaterializedAggregates;
 use crate::Result;
 use drugtree_sources::source::{FetchRequest, SourceKind};
-use drugtree_store::value::Value;
 use std::time::Duration;
 
 /// What a local build keeps of its scan.
@@ -85,7 +84,7 @@ impl LocalBuild {
 
 /// Every distinct assay source's rows, unified, resolved and
 /// rank-sorted, with the cost of the scan.
-pub(crate) fn scan(dataset: &Dataset) -> Result<(Vec<Vec<Value>>, Duration)> {
+pub(crate) fn scan(dataset: &Dataset) -> Result<(RankedRows, Duration)> {
     let mut rows = Vec::new();
     let mut cost = Duration::ZERO;
     for source in dataset.registry.distinct_by_kind(SourceKind::Assay) {
@@ -97,8 +96,7 @@ pub(crate) fn scan(dataset: &Dataset) -> Result<(Vec<Vec<Value>>, Duration)> {
                 .filter_map(|raw| unify_assay_row(dataset, raw)),
         );
     }
-    resolve_activity_rows(dataset, &mut rows);
-    Ok((rows, cost))
+    Ok((resolve_activity_rows(dataset, rows), cost))
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! source change makes it stale (experiment E7 measures the
 //! build-cost/speedup trade).
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, RankedRows};
 use crate::Result;
 use drugtree_phylo::tree::NodeId;
 use drugtree_store::value::Value;
@@ -37,13 +37,13 @@ impl MaterializedAggregates {
     /// Fold resolved, rank-sorted rows up each leaf-to-root path. Rank
     /// order is the order the naive plan sums in, so a float sum (and
     /// hence `mean_p_activity`) is bit-for-bit the naive plan's.
-    pub(crate) fn fold(dataset: &Dataset, rows: &[Vec<Value>]) -> Result<MaterializedAggregates> {
+    pub(crate) fn fold(dataset: &Dataset, rows: &RankedRows) -> Result<MaterializedAggregates> {
         let n = dataset.tree.len();
         let mut count = vec![0u64; n];
         let mut max_p = vec![f64::NEG_INFINITY; n];
         let mut sum_p = vec![0.0f64; n];
         let mut ligand_sets: Vec<FxHashSet<&str>> = vec![FxHashSet::default(); n];
-        for row in rows {
+        for row in rows.iter() {
             // `unify_assay_row` produced this row, so the column types
             // are fixed; skip rather than panic if not.
             let (Some(rank), Some(ligand), Some(p)) =

@@ -62,17 +62,14 @@ pub fn answer_fingerprint(plan: &PhysicalPlan) -> u64 {
 pub fn plan_shape(plan: &PhysicalPlan) -> String {
     let mut s = String::new();
     match &plan.access {
-        Access::CacheProbe {
-            pushdown,
-            on_miss,
-            insert_on_miss,
-            concurrent_sources,
-        } => {
+        Access::CacheProbe(probe) => {
             let _ = write!(
                 s,
-                "cache-probe(pushdown={}, insert={insert_on_miss}, concurrent={concurrent_sources}, miss=[{}])",
-                pred_shape_opt(pushdown.as_ref()),
-                join_fetches(on_miss),
+                "cache-probe(pushdown={}, insert={}, concurrent={}, miss=[{}])",
+                pred_shape_opt(probe.key()),
+                probe.insert_on_miss(),
+                probe.concurrent_sources(),
+                join_fetches(probe.on_miss()),
             );
         }
         Access::Fetch {
@@ -149,7 +146,7 @@ fn fetch_shape(f: &FetchPlan) -> String {
     format!(
         "{}(pushdown={}, batched={}, concurrent={})",
         f.source(),
-        pred_shape_opt(f.pushdown.as_ref()),
+        pred_shape_opt(f.pushdown()),
         f.batched(),
         f.concurrent
     )

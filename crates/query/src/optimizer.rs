@@ -29,9 +29,8 @@
 //! rules` listing derive from one table. The driver runs each phase's
 //! rules once, in registry order, and records every firing in the
 //! plan's rule trace for EXPLAIN. The plan's parts are built by
-//! constructors that make seven of its invariants hold by construction
-//! ([`crate::plan`]); [`Optimizer::plan`] checks the three that depend
-//! on the dataset once, in every build ([`crate::validate`]).
+//! constructors that make its ten invariants hold by construction
+//! ([`crate::plan`]), so a finished plan is not checked again.
 //! `OptimizerConfig::naive()` reproduces the unoptimized DrugTree
 //! described in the paper's opening: one sequential round-trip per leaf
 //! per source, all filtering client-side, no caching, no pruning.
@@ -47,8 +46,8 @@ use crate::local::LocalBuild;
 use crate::matview::MaterializedAggregates;
 use crate::phases::{PassTrace, RewritePhase, RuleFiring, RuleOutcome, PHASE_ORDER};
 use crate::plan::{
-    Access, ColumnarPushdown, FetchPlan, Finish, LeafSet, PhysicalPlan, ResolvedSimilarity,
-    ResolvedSubstructure, UnifiedColumn, ViewAccess,
+    Access, CacheProbe, ColumnarPushdown, FetchLowering, Finish, LeafSet, PhysicalPlan,
+    ResolvedSimilarity, ResolvedSubstructure, SourcePushdown, UnifiedColumn, ViewAccess,
 };
 use crate::stats::OverlayStats;
 use crate::{QueryError, Result};
@@ -59,7 +58,6 @@ use drugtree_phylo::tree::NodeId;
 use drugtree_sources::source::SourceKind;
 use drugtree_sources::DataSource;
 use drugtree_store::expr::{CompareOp, Predicate};
-use drugtree_store::value::Value;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -198,9 +196,7 @@ impl Optimizer {
         self.config
     }
 
-    /// Plan a query. The finished plan is validated here, in every
-    /// build, and nowhere else: a plan this returns has passed the
-    /// [`crate::validate`] rules against `inputs.dataset`.
+    /// Plan a query.
     pub fn plan(&self, inputs: &PlanInputs<'_>, query: &Query) -> Result<PhysicalPlan> {
         validate(query)?;
         // Each local build's one freshness check of this plan.
@@ -214,12 +210,7 @@ impl Optimizer {
         for phase in PHASE_ORDER {
             rw.run_phase(phase)?;
         }
-        let plan = rw.into_plan();
-        let violations = crate::validate::PlanValidator::new(inputs.dataset).check(&plan);
-        if !violations.is_empty() {
-            return Err(QueryError::Invariant(violations));
-        }
-        Ok(plan)
+        Ok(rw.into_plan())
     }
 }
 
@@ -256,11 +247,7 @@ pub(crate) struct Rewrite<'a> {
     pruned: Option<(LeafSet, usize)>,
     proved_empty: bool,
     pruning_bound: Option<f64>,
-    pushdown: Option<Predicate>,
-    /// Local (pre-translation) forms of the pushed conjuncts, used to
-    /// price their selectivity against the overlay histograms (which
-    /// index local columns like `p_activity`, not remote `value_nm`).
-    pushed_local: Option<Predicate>,
+    pushdown: Option<SourcePushdown>,
     expected_rows: u64,
     /// `Some` once replica selection ran; `None` means every assay
     /// source participates.
@@ -268,10 +255,9 @@ pub(crate) struct Rewrite<'a> {
     view: Option<ViewAccess>,
     columnar_ready: bool,
     cache_wrap: bool,
-    cache_pred: Option<Predicate>,
 
     // Lower products.
-    fetches: Vec<FetchPlan>,
+    lowering: Option<FetchLowering>,
     access: Option<Access>,
     finish: Option<Finish>,
 }
@@ -296,14 +282,12 @@ impl<'a> Rewrite<'a> {
             proved_empty: false,
             pruning_bound: None,
             pushdown: None,
-            pushed_local: None,
             expected_rows: 0,
             chosen_sources: None,
             view: None,
             columnar_ready: false,
             cache_wrap: false,
-            cache_pred: None,
-            fetches: Vec::new(),
+            lowering: None,
             access: None,
             finish: None,
         }
@@ -553,49 +537,24 @@ pub(crate) mod rules {
         if !rw.config.pushdown {
             return Ok(Off);
         }
-        // Conjuncts translated into the remote assay schema (derived
-        // columns like p_activity become value_nm bounds) and supported
-        // by every assay source; the local forms are kept for
-        // histogram pricing. A source filters before the resolve step,
-        // so where the deployment resolves conflicts and a fact may have
-        // been measured twice (no statistics say otherwise, or the
-        // sources changed since), only a conjunct over a fact's key is
-        // pushed: a value bound could ship a superseded measurement
-        // whose successor fails it.
-        let dataset = rw.inputs.dataset;
-        let measured_once = |s: &OverlayStats| s.facts_measured_once(rw.inputs.epoch);
-        let key_only = dataset.resolves_conflicts() && !rw.inputs.stats.is_some_and(measured_once);
-        let mut remote = Vec::new();
-        let mut local = Vec::new();
-        for conjunct in conjuncts_of(&rw.canonical) {
-            let Some(r) = remote_form(conjunct) else {
-                continue;
-            };
-            if key_only && !r.columns().iter().all(|c| FACT_KEY_COLUMNS.contains(c)) {
-                continue;
-            }
-            if rw
-                .assay_sources
-                .iter()
-                .all(|s| s.capabilities().supports_predicate(&r))
-            {
-                remote.push(r);
-                local.push(conjunct.clone());
-            }
-        }
-        if remote.is_empty() {
+        // What every assay source can evaluate (`SourcePushdown::new`):
+        // conjuncts translated into the remote assay schema (derived
+        // columns like p_activity become value_nm bounds), restricted to
+        // a fact's key where a fact may have been measured twice.
+        rw.pushdown = SourcePushdown::new(&rw.inputs, &rw.assay_sources, &rw.canonical);
+        let Some(pushdown) = &rw.pushdown else {
             return Ok(NotApplicable);
-        }
-        let combined = remote.into_iter().fold(Predicate::True, Predicate::and);
-        rw.notes
-            .push(format!("pushdown: {}", crate::plan::fmt_pred(&combined)));
-        rw.pushdown = Some(combined);
-        rw.pushed_local = Some(local.into_iter().fold(Predicate::True, Predicate::and));
+        };
+        rw.notes.push(format!(
+            "pushdown: {}",
+            crate::plan::fmt_pred(pushdown.predicate())
+        ));
         Ok(Changed)
     }
 
     pub(crate) fn cardinality_estimate(rw: &mut Rewrite<'_>) -> Result<RuleOutcome> {
-        rw.expected_rows = estimate_rows(rw.inputs.stats, rw.interval(), &rw.pushed_local);
+        let pushed = rw.pushdown.as_ref().map(SourcePushdown::local);
+        rw.expected_rows = estimate_rows(rw.inputs.stats, rw.interval(), pushed);
         Ok(Changed)
     }
 
@@ -661,19 +620,8 @@ pub(crate) mod rules {
         if !rw.config.semantic_cache {
             return Ok(Off);
         }
-        // The cache key must capture every row-reducing effect of this
-        // plan's fetch: the source pushdown AND any statistics-pruning
-        // potency bound (pruned leaves' weak rows are absent from the
-        // fetched set, so an entry without the bound in its key would
-        // wrongly answer unfiltered probes).
-        let mut key = rw.pushdown.clone().unwrap_or(Predicate::True);
-        if let Some(bound) = rw.pruning_bound {
-            key = key.and(Predicate::cmp("p_activity", CompareOp::Ge, bound));
-        }
-        rw.cache_pred = match key {
-            Predicate::True => None,
-            other => Some(other),
-        };
+        // `CacheProbe::new` keys the probe by the pushdown and the
+        // pruning bound.
         rw.cache_wrap = true;
         Ok(Changed)
     }
@@ -702,20 +650,13 @@ pub(crate) mod rules {
             Some((leaves, _)) => leaves.clone(),
             None => LeafSet::new(rw.inputs.dataset, rw.interval(), |_| true).0,
         };
-        rw.fetches = rw
-            .sources_for_fetch()
-            .iter()
-            .map(|s| {
-                FetchPlan::new(
-                    s.as_ref(),
-                    leaves.clone(),
-                    rw.pushdown.clone(),
-                    rw.config.batching,
-                    rw.config.concurrent_dispatch,
-                    rw.expected_rows,
-                )
-            })
-            .collect();
+        rw.lowering = Some(FetchLowering {
+            sources: rw.sources_for_fetch(),
+            leaves,
+            batched: rw.config.batching,
+            concurrent: rw.config.concurrent_dispatch,
+            expected_rows: rw.expected_rows,
+        });
         Ok(Changed)
     }
 
@@ -734,20 +675,25 @@ pub(crate) mod rules {
                 "columnar-scan: interval [{}, {}) served by vectorized kernels",
                 interval.lo, interval.hi
             ));
+            let pushdown = rw.pushdown.as_ref().map(|p| p.predicate().clone());
             Access::ColumnarScan {
-                pushdown: ColumnarPushdown::bind(rw.pushdown.clone())?,
-            }
-        } else if rw.cache_wrap {
-            Access::CacheProbe {
-                pushdown: rw.cache_pred.clone(),
-                on_miss: std::mem::take(&mut rw.fetches),
-                insert_on_miss: true,
-                concurrent_sources: rw.config.concurrent_dispatch,
+                pushdown: ColumnarPushdown::bind(pushdown)?,
             }
         } else {
-            Access::Fetch {
-                fetches: std::mem::take(&mut rw.fetches),
-                concurrent_sources: rw.config.concurrent_dispatch,
+            let Some(lowering) = &rw.lowering else {
+                unreachable!("lower_fetches ran before access_select")
+            };
+            if rw.cache_wrap {
+                Access::CacheProbe(CacheProbe::new(
+                    lowering,
+                    rw.pushdown.take(),
+                    rw.pruning_bound,
+                ))
+            } else {
+                Access::Fetch {
+                    fetches: lowering.fetches(rw.pushdown.as_ref()),
+                    concurrent_sources: lowering.concurrent,
+                }
             }
         });
         Ok(Changed)
@@ -845,66 +791,6 @@ fn min_p_activity_bound(pred: &Predicate) -> Option<f64> {
         })
 }
 
-/// The remote columns that name a fact: a conjunct over them alone keeps
-/// or drops every measurement of a fact together.
-const FACT_KEY_COLUMNS: &[&str] = &["protein_accession", "ligand_id", "activity_type"];
-
-/// Columns that physically exist in the remote assay schema.
-pub(crate) const REMOTE_COLUMNS: &[&str] = &[
-    "protein_accession",
-    "ligand_id",
-    "activity_type",
-    "value_nm",
-    "source",
-    "year",
-];
-
-/// Translate one conjunct into its remote evaluable form, or `None`
-/// when it cannot be pushed.
-///
-/// `p_activity` is derived locally (`-log10(value_nm * 1e-9)`), so its
-/// bounds translate into `value_nm` bounds with the comparison flipped
-/// (larger pActivity = smaller concentration). Translated bounds are
-/// widened by one part in 10^9 so floating-point error at the boundary
-/// can only ship an extra row (dropped by the residual), never lose
-/// one. Equality on a derived float is not translated.
-fn remote_form(conjunct: &Predicate) -> Option<Predicate> {
-    match conjunct {
-        Predicate::Compare { column, op, value } if column == "p_activity" => {
-            let p = value.as_f64()?;
-            let (op, slack) = match op {
-                CompareOp::Ge => (CompareOp::Le, 1.0 + 1e-9),
-                CompareOp::Gt => (CompareOp::Lt, 1.0 + 1e-9),
-                CompareOp::Le => (CompareOp::Ge, 1.0 - 1e-9),
-                CompareOp::Lt => (CompareOp::Gt, 1.0 - 1e-9),
-                CompareOp::Eq | CompareOp::Ne => return None,
-            };
-            Some(Predicate::Compare {
-                column: "value_nm".into(),
-                op,
-                value: Value::Float(p_to_nm(p) * slack),
-            })
-        }
-        Predicate::Between { column, lo, hi } if column == "p_activity" => {
-            let (lo, hi) = (lo.as_f64()?, hi.as_f64()?);
-            Some(Predicate::Between {
-                column: "value_nm".into(),
-                lo: Value::Float(p_to_nm(hi) * (1.0 - 1e-9)),
-                hi: Value::Float(p_to_nm(lo) * (1.0 + 1e-9)),
-            })
-        }
-        other => {
-            let remote = other.columns().iter().all(|c| REMOTE_COLUMNS.contains(c));
-            remote.then(|| other.clone())
-        }
-    }
-}
-
-/// Concentration (nM) at a given pActivity.
-fn p_to_nm(p: f64) -> f64 {
-    10f64.powf(9.0 - p)
-}
-
 pub(crate) fn conjuncts_of(p: &Predicate) -> Vec<&Predicate> {
     match p {
         Predicate::And(ps) => ps.iter().flat_map(conjuncts_of).collect(),
@@ -993,13 +879,11 @@ fn build_finish(
 fn estimate_rows(
     stats: Option<&OverlayStats>,
     interval: LeafInterval,
-    pushdown: &Option<Predicate>,
+    pushdown: Option<&Predicate>,
 ) -> u64 {
     stats.map_or(interval.len() as u64, |s| {
         let base = s.interval_count(interval);
-        let sel = pushdown
-            .as_ref()
-            .map_or(1.0, |p| s.predicate_selectivity(p));
+        let sel = pushdown.map_or(1.0, |p| s.predicate_selectivity(p));
         (base as f64 * sel).ceil() as u64
     })
 }
@@ -1011,14 +895,10 @@ fn combine_access_cost(access: &Access) -> Duration {
         Access::Fetch {
             fetches,
             concurrent_sources,
-        } => (fetches, *concurrent_sources),
+        } => (fetches.as_slice(), *concurrent_sources),
         // The cache hit path costs ~nothing; estimate the miss path so
         // EXPLAIN shows the worst case.
-        Access::CacheProbe {
-            on_miss,
-            concurrent_sources,
-            ..
-        } => (on_miss, *concurrent_sources),
+        Access::CacheProbe(probe) => (probe.on_miss(), probe.concurrent_sources()),
         // Columnar scans price via the compute model, not fetch
         // estimates; the caller special-cases them before combining.
         Access::ColumnarScan { .. } | Access::MaterializedView(_) | Access::ProvedEmpty => {
@@ -1043,6 +923,7 @@ mod tests {
     use crate::dataset::test_fixtures::small_dataset;
     use crate::local::Keep;
     use drugtree_sources::source::SourceCapabilities;
+    use drugtree_store::value::Value;
 
     fn dataset() -> Dataset {
         small_dataset(SourceCapabilities::full())
@@ -1076,7 +957,7 @@ mod tests {
                 assert_eq!(fetches.len(), 1);
                 assert_eq!(fetches[0].leaves.ranks().len(), 4);
                 assert!(!fetches[0].batched());
-                assert!(fetches[0].pushdown.is_none());
+                assert!(fetches[0].pushdown().is_none());
             }
             other => panic!("expected Fetch, got {other:?}"),
         }
@@ -1097,15 +978,10 @@ mod tests {
             .plan(&inputs(&d, Some(&stats), None), &q)
             .unwrap();
         match &plan.access {
-            Access::CacheProbe {
-                pushdown,
-                on_miss,
-                insert_on_miss,
-                ..
-            } => {
-                assert!(insert_on_miss);
-                assert!(pushdown.is_some(), "p_activity filter is pushable");
-                assert!(on_miss.iter().all(|f| f.batched() && f.concurrent));
+            Access::CacheProbe(probe) => {
+                assert!(probe.insert_on_miss());
+                assert!(probe.key().is_some(), "p_activity filter is pushable");
+                assert!(probe.on_miss().iter().all(|f| f.batched() && f.concurrent));
             }
             other => panic!("expected CacheProbe, got {other:?}"),
         }
@@ -1121,12 +997,12 @@ mod tests {
         let plan = Optimizer::new(OptimizerConfig::full())
             .plan(&inputs(&d, None, None), &q)
             .unwrap();
-        let pushdown = match &plan.access {
-            Access::CacheProbe { pushdown, .. } => pushdown.clone(),
+        let key = match &plan.access {
+            Access::CacheProbe(probe) => probe.key().cloned(),
             other => panic!("{other:?}"),
         };
         // Only the year conjunct is pushable.
-        let p = pushdown.expect("year pushable");
+        let p = key.expect("year pushable");
         assert!(crate::plan::fmt_pred(&p).contains("year"));
         assert!(!crate::plan::fmt_pred(&p).contains("mw"));
     }
@@ -1140,7 +1016,7 @@ mod tests {
             .plan(&inputs(&d, None, None), &q)
             .unwrap();
         match &plan.access {
-            Access::CacheProbe { pushdown, .. } => assert!(pushdown.is_none()),
+            Access::CacheProbe(probe) => assert!(probe.key().is_none()),
             other => panic!("{other:?}"),
         }
     }
@@ -1156,8 +1032,8 @@ mod tests {
             .unwrap();
         assert_eq!(plan.pruned_leaves, 1);
         match &plan.access {
-            Access::CacheProbe { on_miss, .. } => {
-                assert_eq!(on_miss[0].leaves.ranks(), [0, 1, 2]);
+            Access::CacheProbe(probe) => {
+                assert_eq!(probe.on_miss()[0].leaves.ranks(), [0, 1, 2]);
             }
             other => panic!("{other:?}"),
         }
@@ -1188,7 +1064,7 @@ mod tests {
             opt.plan(&inputs(&d, Some(&stats), Some(&view)), &aggregate),
         ]
         .map(Result::unwrap);
-        assert!(matches!(plans[0].access, Access::CacheProbe { .. }));
+        assert!(matches!(plans[0].access, Access::CacheProbe(_)));
         assert!(matches!(plans[1].access, Access::ColumnarScan { .. }));
         assert!(matches!(plans[2].access, Access::MaterializedView(_)));
         // The accession keys are built when a fetch runs, not before.
@@ -1397,41 +1273,6 @@ mod tests {
                 Err(QueryError::UnknownRule(_))
             ));
         }
-    }
-
-    #[test]
-    fn remote_form_translates_derived_columns() {
-        // p_activity >= 8  <=>  value_nm <= 10 (widened by 1e-9).
-        let p = Predicate::cmp("p_activity", CompareOp::Ge, 8.0);
-        match remote_form(&p).unwrap() {
-            Predicate::Compare { column, op, value } => {
-                assert_eq!(column, "value_nm");
-                assert_eq!(op, CompareOp::Le);
-                let v = value.as_f64().unwrap();
-                assert!((v - 10.0).abs() < 1e-6 && v >= 10.0, "got {v}");
-            }
-            other => panic!("{other:?}"),
-        }
-        // Between flips and swaps bounds.
-        let p = Predicate::between("p_activity", 6.0, 8.0);
-        match remote_form(&p).unwrap() {
-            Predicate::Between { column, lo, hi } => {
-                assert_eq!(column, "value_nm");
-                assert!(lo.as_f64().unwrap() < hi.as_f64().unwrap());
-                assert!((lo.as_f64().unwrap() - 10.0).abs() < 1e-6);
-                assert!((hi.as_f64().unwrap() - 1000.0).abs() < 1e-3);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Equality on a derived float is never pushed.
-        assert!(remote_form(&Predicate::eq("p_activity", 8.0)).is_none());
-        // Local-only coordinates are never pushed.
-        assert!(remote_form(&Predicate::eq("leaf_rank", 3i64)).is_none());
-        // Ligand columns are never pushed.
-        assert!(remote_form(&Predicate::cmp("mw", CompareOp::Lt, 500.0)).is_none());
-        // Native remote columns pass through unchanged.
-        let p = Predicate::eq("year", 2012i64);
-        assert_eq!(remote_form(&p).unwrap(), p);
     }
 
     #[test]

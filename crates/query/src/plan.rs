@@ -1,18 +1,21 @@
-//! Physical plans and EXPLAIN rendering. A fetch, a top-k column, a
-//! columnar pushdown and a view access are built only by constructors
-//! that establish what the executor relies on (DESIGN.md §4b).
+//! Physical plans and EXPLAIN rendering. A fetch, its source pushdown,
+//! a cache probe, a top-k column, a columnar pushdown and a view access
+//! are built only by constructors that establish what the executor
+//! relies on (DESIGN.md §4b).
 
 use crate::ast::{Groups, Metric, Query, QueryKind};
 use crate::dataset::{activity_half_schema, unified_schema, Dataset};
+use crate::optimizer::{conjuncts_of, PlanInputs};
+use crate::stats::OverlayStats;
 use crate::Result;
 use drugtree_chem::fingerprint::Fingerprint;
 use drugtree_phylo::index::{LeafInterval, TreeIndex};
 use drugtree_phylo::tree::NodeId;
 use drugtree_sources::batcher::Dispatch;
 use drugtree_sources::DataSource;
-use drugtree_store::expr::{BoundPredicate, Predicate};
+use drugtree_store::expr::{BoundPredicate, CompareOp, Predicate};
 use drugtree_store::value::Value;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -48,23 +51,59 @@ impl LeafSet {
     }
 }
 
+/// The source a fetch reads: the handle the planner took from the
+/// dataset's registry, so running the fetch looks nothing up. A plan
+/// prints and compares it by name.
+#[derive(Clone)]
+struct FetchSource(Arc<dyn DataSource>);
+
+impl fmt::Debug for FetchSource {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.0.name(), f)
+    }
+}
+
+impl PartialEq for FetchSource {
+    fn eq(&self, other: &FetchSource) -> bool {
+        self.0.name() == other.0.name()
+    }
+}
+
 /// One source's share of a federated fetch.
 ///
-/// The source, and the batching that follows from its capability, are
-/// fixed by [`FetchPlan::new`]:
+/// The source, its pushdown, and the batching that follows from its
+/// capability are fixed by [`FetchPlan::new`]:
 ///
 /// ```compile_fail
 /// fn widen(fetch: &mut drugtree_query::plan::FetchPlan) {
 ///     fetch.max_batch = 1_000; // private: derived from the source
 /// }
 /// ```
+///
+/// A fetch is built from the registry's handle to its source, not from
+/// a name the executor would have to resolve:
+///
+/// ```compile_fail
+/// use drugtree_query::plan::{FetchPlan, LeafSet};
+/// fn by_name(leaves: LeafSet) -> FetchPlan {
+///     FetchPlan::new("assay-sim", leaves, None, true, true, 0)
+/// }
+/// ```
+///
+/// and its pushdown only from `SourcePushdown::new`:
+///
+/// ```compile_fail
+/// use drugtree_store::expr::{CompareOp, Predicate};
+/// fn push(fetch: &mut drugtree_query::plan::FetchPlan) {
+///     fetch.pushdown = Some(Predicate::cmp("mw", CompareOp::Lt, 500.0));
+/// }
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FetchPlan {
-    source: String,
+    source: FetchSource,
     /// The leaves whose accessions the fetch looks up.
     pub(crate) leaves: LeafSet,
-    /// Predicate pushed into the source (already capability-checked).
-    pub pushdown: Option<Predicate>,
+    pushdown: Option<SourcePushdown>,
     batched: bool,
     max_batch: usize,
     /// Dispatch the batches concurrently (vs sequentially).
@@ -81,9 +120,9 @@ impl FetchPlan {
     /// request, a non-batched one a key per request; the latency
     /// estimate comes from the source's self-declared latency model.
     pub fn new(
-        source: &dyn DataSource,
+        source: &Arc<dyn DataSource>,
         leaves: LeafSet,
-        pushdown: Option<Predicate>,
+        pushdown: Option<SourcePushdown>,
         batched: bool,
         concurrent: bool,
         expected_rows: u64,
@@ -103,7 +142,7 @@ impl FetchPlan {
             model.base_rtt * requests as u32 + transfer
         };
         FetchPlan {
-            source: source.name().to_string(),
+            source: FetchSource(Arc::clone(source)),
             leaves,
             pushdown,
             batched,
@@ -116,7 +155,17 @@ impl FetchPlan {
 
     /// Source name.
     pub fn source(&self) -> &str {
-        &self.source
+        self.source.0.name()
+    }
+
+    /// The source itself, as the registry held it at planning.
+    pub(crate) fn handle(&self) -> &dyn DataSource {
+        self.source.0.as_ref()
+    }
+
+    /// The predicate pushed into the source, in the remote assay schema.
+    pub fn pushdown(&self) -> Option<&Predicate> {
+        self.pushdown.as_ref().map(SourcePushdown::predicate)
     }
 
     /// Whether keys are coalesced into multi-key requests.
@@ -139,6 +188,176 @@ impl FetchPlan {
             Dispatch::Sequential
         }
     }
+}
+
+/// What every fetch of one plan shares: the sources it asks, one fetch
+/// each, the leaves, the dispatch, and the rows it expects.
+pub(crate) struct FetchLowering {
+    /// The sources fetched from, one fetch each.
+    pub(crate) sources: Vec<Arc<dyn DataSource>>,
+    /// The leaves every fetch asks for.
+    pub(crate) leaves: LeafSet,
+    /// Coalesce keys into multi-key requests.
+    pub(crate) batched: bool,
+    /// Dispatch batches and sources concurrently.
+    pub(crate) concurrent: bool,
+    /// The cardinality estimate each fetch is priced at.
+    pub(crate) expected_rows: u64,
+}
+
+impl FetchLowering {
+    /// One fetch per source, every one under `pushdown`.
+    pub(crate) fn fetches(&self, pushdown: Option<&SourcePushdown>) -> Vec<FetchPlan> {
+        self.sources
+            .iter()
+            .map(|source| {
+                FetchPlan::new(
+                    source,
+                    self.leaves.clone(),
+                    pushdown.cloned(),
+                    self.batched,
+                    self.concurrent,
+                    self.expected_rows,
+                )
+            })
+            .collect()
+    }
+}
+
+/// The conjuncts of a query's predicate that the sources evaluate
+/// themselves, in the remote assay schema. `SourcePushdown::new` is
+/// the only constructor, so a pushdown names only columns the remote
+/// schema has, and only what every assay source the plan may fetch
+/// from declared it can evaluate:
+///
+/// ```compile_fail
+/// use drugtree_store::expr::{CompareOp, Predicate};
+/// let unchecked = drugtree_query::plan::SourcePushdown {
+///     remote: Predicate::cmp("year", CompareOp::Ge, 2012i64),
+///     local: Predicate::cmp("year", CompareOp::Ge, 2012i64),
+/// };
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct SourcePushdown {
+    /// The pushed conjuncts, translated into the remote assay schema.
+    remote: Predicate,
+    /// The same conjuncts in their local forms.
+    local: Predicate,
+}
+
+impl SourcePushdown {
+    /// The conjuncts of `predicate` with a remote form that each of
+    /// `sources` supports, or `None` when there are none. A source
+    /// filters before the resolve step, so where the deployment resolves
+    /// conflicts and a fact may have been measured twice (no statistics
+    /// say otherwise, or the sources changed since), only a conjunct
+    /// over a fact's key is pushed: a value bound could ship a
+    /// superseded measurement whose successor fails it.
+    pub(crate) fn new(
+        inputs: &PlanInputs<'_>,
+        sources: &[Arc<dyn DataSource>],
+        predicate: &Predicate,
+    ) -> Option<SourcePushdown> {
+        let measured_once = |s: &OverlayStats| s.facts_measured_once(inputs.epoch);
+        let key_only =
+            inputs.dataset.resolves_conflicts() && !inputs.stats.is_some_and(measured_once);
+        let mut remote = Vec::new();
+        let mut local = Vec::new();
+        for conjunct in conjuncts_of(predicate) {
+            let Some(r) = remote_form(conjunct) else {
+                continue;
+            };
+            if key_only && !r.columns().iter().all(|c| FACT_KEY_COLUMNS.contains(c)) {
+                continue;
+            }
+            if sources
+                .iter()
+                .all(|s| s.capabilities().supports_predicate(&r))
+            {
+                remote.push(r);
+                local.push(conjunct.clone());
+            }
+        }
+        if remote.is_empty() {
+            return None;
+        }
+        let all = |ps: Vec<Predicate>| ps.into_iter().fold(Predicate::True, Predicate::and);
+        Some(SourcePushdown {
+            remote: all(remote),
+            local: all(local),
+        })
+    }
+
+    /// The pushed conjuncts as the sources evaluate them.
+    pub(crate) fn predicate(&self) -> &Predicate {
+        &self.remote
+    }
+
+    /// The pushed conjuncts in their local forms: the overlay histograms
+    /// index local columns like `p_activity`, not the remote `value_nm`.
+    pub(crate) fn local(&self) -> &Predicate {
+        &self.local
+    }
+}
+
+/// The remote columns that name a fact: a conjunct over them alone keeps
+/// or drops every measurement of a fact together.
+const FACT_KEY_COLUMNS: &[&str] = &["protein_accession", "ligand_id", "activity_type"];
+
+/// Columns that physically exist in the remote assay schema.
+const REMOTE_COLUMNS: &[&str] = &[
+    "protein_accession",
+    "ligand_id",
+    "activity_type",
+    "value_nm",
+    "source",
+    "year",
+];
+
+/// Translate one conjunct into its remote evaluable form, or `None`
+/// when it cannot be pushed.
+///
+/// `p_activity` is derived locally (`-log10(value_nm * 1e-9)`), so its
+/// bounds translate into `value_nm` bounds with the comparison flipped
+/// (larger pActivity = smaller concentration). Translated bounds are
+/// widened by one part in 10^9 so floating-point error at the boundary
+/// can only ship an extra row (dropped by the residual), never lose
+/// one. Equality on a derived float is not translated.
+fn remote_form(conjunct: &Predicate) -> Option<Predicate> {
+    match conjunct {
+        Predicate::Compare { column, op, value } if column == "p_activity" => {
+            let p = value.as_f64()?;
+            let (op, slack) = match op {
+                CompareOp::Ge => (CompareOp::Le, 1.0 + 1e-9),
+                CompareOp::Gt => (CompareOp::Lt, 1.0 + 1e-9),
+                CompareOp::Le => (CompareOp::Ge, 1.0 - 1e-9),
+                CompareOp::Lt => (CompareOp::Gt, 1.0 - 1e-9),
+                CompareOp::Eq | CompareOp::Ne => return None,
+            };
+            Some(Predicate::Compare {
+                column: "value_nm".into(),
+                op,
+                value: Value::Float(p_to_nm(p) * slack),
+            })
+        }
+        Predicate::Between { column, lo, hi } if column == "p_activity" => {
+            let (lo, hi) = (lo.as_f64()?, hi.as_f64()?);
+            Some(Predicate::Between {
+                column: "value_nm".into(),
+                lo: Value::Float(p_to_nm(hi) * (1.0 - 1e-9)),
+                hi: Value::Float(p_to_nm(lo) * (1.0 + 1e-9)),
+            })
+        }
+        other => {
+            let remote = other.columns().iter().all(|c| REMOTE_COLUMNS.contains(c));
+            remote.then(|| other.clone())
+        }
+    }
+}
+
+/// Concentration (nM) at a given pActivity.
+fn p_to_nm(p: f64) -> f64 {
+    10f64.powf(9.0 - p)
 }
 
 /// A column of the unified schema, by index. [`UnifiedColumn::named`]
@@ -240,20 +459,77 @@ impl ViewAccess {
     }
 }
 
+/// A semantic-cache probe and the fetch that fills the cache on a miss.
+/// `CacheProbe::new` is the only constructor: it lowers every miss
+/// fetch under one pushdown and derives the probe key from that same
+/// pushdown, so cached rows are keyed by what shipped them:
+///
+/// ```compile_fail
+/// use drugtree_query::plan::{CacheProbe, FetchPlan};
+/// fn unkeyed(on_miss: Vec<FetchPlan>) -> CacheProbe {
+///     CacheProbe { key: None, on_miss, insert_on_miss: true, concurrent_sources: true }
+/// }
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct CacheProbe {
+    key: Option<Predicate>,
+    on_miss: Vec<FetchPlan>,
+    insert_on_miss: bool,
+    concurrent_sources: bool,
+}
+
+impl CacheProbe {
+    /// A probe keyed by `pushdown` and, when statistics pruned leaves by
+    /// a potency bound, `p_activity >= pruning_bound` too: the pruned
+    /// leaves' rows are absent from what the miss path ships, so an
+    /// entry keyed without the bound would wrongly answer unfiltered
+    /// probes. On a miss it fetches `lowering`'s sources under
+    /// `pushdown` and inserts the rows.
+    pub(crate) fn new(
+        lowering: &FetchLowering,
+        pushdown: Option<SourcePushdown>,
+        pruning_bound: Option<f64>,
+    ) -> CacheProbe {
+        let on_miss = lowering.fetches(pushdown.as_ref());
+        let mut key = pushdown.map_or(Predicate::True, |p| p.remote);
+        if let Some(bound) = pruning_bound {
+            key = key.and(Predicate::cmp("p_activity", CompareOp::Ge, bound));
+        }
+        CacheProbe {
+            key: (key != Predicate::True).then_some(key),
+            on_miss,
+            insert_on_miss: true,
+            concurrent_sources: lowering.concurrent,
+        }
+    }
+
+    /// The key a cache entry must match: every row-reducing effect of
+    /// the miss path's fetch.
+    pub fn key(&self) -> Option<&Predicate> {
+        self.key.as_ref()
+    }
+
+    /// The per-source fetches run when the probe misses.
+    pub fn on_miss(&self) -> &[FetchPlan] {
+        &self.on_miss
+    }
+
+    /// Whether the miss result is inserted back into the cache.
+    pub fn insert_on_miss(&self) -> bool {
+        self.insert_on_miss
+    }
+
+    /// Whether per-source results may be combined concurrently.
+    pub fn concurrent_sources(&self) -> bool {
+        self.concurrent_sources
+    }
+}
+
 /// How the activity rows are obtained.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Access {
     /// Served from the semantic cache.
-    CacheProbe {
-        /// Pushdown key the probe must match.
-        pushdown: Option<Predicate>,
-        /// Fallback when the probe misses.
-        on_miss: Vec<FetchPlan>,
-        /// Whether the miss result is inserted back into the cache.
-        insert_on_miss: bool,
-        /// Whether per-source results may be combined concurrently.
-        concurrent_sources: bool,
-    },
+    CacheProbe(CacheProbe),
     /// Fetched from the federated sources.
     Fetch {
         /// Per-source fetch plans.
@@ -372,18 +648,14 @@ impl PhysicalPlan {
             self.estimated_rows,
         );
         match &self.access {
-            Access::CacheProbe {
-                pushdown,
-                on_miss,
-                insert_on_miss,
-                ..
-            } => {
+            Access::CacheProbe(probe) => {
                 let _ = writeln!(
                     out,
-                    "  CacheProbe pushdown={} insert_on_miss={insert_on_miss}",
-                    fmt_pred_opt(pushdown.as_ref())
+                    "  CacheProbe pushdown={} insert_on_miss={}",
+                    fmt_pred_opt(probe.key()),
+                    probe.insert_on_miss()
                 );
-                for f in on_miss {
+                for f in probe.on_miss() {
                     let _ = writeln!(out, "    miss-> {}", fmt_fetch(f));
                 }
             }
@@ -491,9 +763,9 @@ fn fmt_fetch(f: &FetchPlan) -> String {
     format!(
         "SourceFetch source={} keys={} pushdown={} batched={} max_batch={} concurrent={} \
          est_cost={:?} est_rows={}",
-        f.source,
+        f.source(),
         f.leaves.ranks().len(),
-        fmt_pred_opt(f.pushdown.as_ref()),
+        fmt_pred_opt(f.pushdown()),
         f.batched,
         f.max_batch,
         f.concurrent,
@@ -555,7 +827,6 @@ fn fmt_literal(v: &Value) -> String {
 mod tests {
     use super::*;
     use drugtree_sources::source::SourceCapabilities;
-    use drugtree_store::expr::CompareOp;
 
     fn assay_source(caps: SourceCapabilities) -> std::sync::Arc<dyn DataSource> {
         let d = crate::dataset::test_fixtures::small_dataset(caps);
@@ -576,14 +847,7 @@ mod tests {
             interval: LeafInterval { lo: 2, hi: 9 },
             pruned_leaves: 2,
             access: Access::Fetch {
-                fetches: vec![FetchPlan::new(
-                    source.as_ref(),
-                    leaves(0, 2),
-                    Some(Predicate::cmp("p_activity", CompareOp::Ge, 6.0)),
-                    true,
-                    true,
-                    7,
-                )],
+                fetches: vec![FetchPlan::new(&source, leaves(0, 2), None, true, true, 7)],
                 concurrent_sources: true,
             },
             residual: Predicate::cmp("mw", CompareOp::Lt, 500.0),
@@ -623,16 +887,16 @@ mod tests {
     #[test]
     fn fetch_plans_take_their_batch_from_the_source() {
         let full = assay_source(SourceCapabilities::full());
-        let batched = FetchPlan::new(full.as_ref(), leaves(0, 2), None, true, true, 0);
+        let batched = FetchPlan::new(&full, leaves(0, 2), None, true, true, 0);
         assert_eq!(
             (batched.max_batch(), batched.dispatch()),
             (100, Dispatch::Concurrent)
         );
-        let sequential = FetchPlan::new(full.as_ref(), leaves(0, 1), None, true, false, 0);
+        let sequential = FetchPlan::new(&full, leaves(0, 1), None, true, false, 0);
         assert_eq!(sequential.dispatch(), Dispatch::Sequential);
         // Unbatched: one key per request, one request at a time, even
         // under concurrent dispatch (the ablate-batching plan).
-        let naive = FetchPlan::new(full.as_ref(), leaves(0, 2), None, false, true, 0);
+        let naive = FetchPlan::new(&full, leaves(0, 2), None, false, true, 0);
         assert_eq!(
             (naive.max_batch(), naive.dispatch()),
             (1, Dispatch::Sequential)
@@ -640,11 +904,46 @@ mod tests {
         assert!(naive.concurrent, "EXPLAIN still prints the flag");
         // A dump-only source accepts one key per request.
         let minimal = assay_source(SourceCapabilities::minimal());
-        let plan = FetchPlan::new(minimal.as_ref(), leaves(0, 2), None, true, false, 0);
+        let plan = FetchPlan::new(&minimal, leaves(0, 2), None, true, false, 0);
         assert_eq!(plan.max_batch(), 1);
         // Two sequential round-trips at 10 ms.
         assert_eq!(plan.est_cost, Duration::from_millis(20));
         assert_eq!(plan.leaves.ranks(), [0, 1]);
+    }
+
+    #[test]
+    fn remote_form_translates_derived_columns() {
+        // p_activity >= 8  <=>  value_nm <= 10 (widened by 1e-9).
+        let p = Predicate::cmp("p_activity", CompareOp::Ge, 8.0);
+        match remote_form(&p).unwrap() {
+            Predicate::Compare { column, op, value } => {
+                assert_eq!(column, "value_nm");
+                assert_eq!(op, CompareOp::Le);
+                let v = value.as_f64().unwrap();
+                assert!((v - 10.0).abs() < 1e-6 && v >= 10.0, "got {v}");
+            }
+            other => panic!("{other:?}"),
+        }
+        // Between flips and swaps bounds.
+        let p = Predicate::between("p_activity", 6.0, 8.0);
+        match remote_form(&p).unwrap() {
+            Predicate::Between { column, lo, hi } => {
+                assert_eq!(column, "value_nm");
+                assert!(lo.as_f64().unwrap() < hi.as_f64().unwrap());
+                assert!((lo.as_f64().unwrap() - 10.0).abs() < 1e-6);
+                assert!((hi.as_f64().unwrap() - 1000.0).abs() < 1e-3);
+            }
+            other => panic!("{other:?}"),
+        }
+        // Equality on a derived float is never pushed.
+        assert!(remote_form(&Predicate::eq("p_activity", 8.0)).is_none());
+        // Local-only coordinates are never pushed.
+        assert!(remote_form(&Predicate::eq("leaf_rank", 3i64)).is_none());
+        // Ligand columns are never pushed.
+        assert!(remote_form(&Predicate::cmp("mw", CompareOp::Lt, 500.0)).is_none());
+        // Native remote columns pass through unchanged.
+        let p = Predicate::eq("year", 2012i64);
+        assert_eq!(remote_form(&p).unwrap(), p);
     }
 
     #[test]

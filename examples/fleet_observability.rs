@@ -71,11 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .fleet()
         .with_sessions(workloads)
         .with_deadline_policy(DeadlinePolicy::uniform(Duration::from_millis(250)))
-        .with_hedging(HedgePolicy {
-            enabled: true,
-            quantile: 0.95,
-            warmup: 16,
-        })
+        .with_hedging(HedgePolicy { enabled: true })
         .run()?;
     sink.flush()?;
 

@@ -11,9 +11,11 @@ use drugtree_chem::affinity::ActivityRecord;
 use drugtree_query::ast::Metric;
 use drugtree_query::dataset::test_fixtures::{activity, small_dataset, test_latency};
 use drugtree_query::local::Keep;
+use drugtree_query::plan::Access;
 use drugtree_sources::assay_db::assay_source;
-use drugtree_sources::source::SourceCapabilities;
+use drugtree_sources::source::{SourceCapabilities, SourceKind};
 use drugtree_sources::SourceRegistry;
+use drugtree_store::expr::Predicate;
 use drugtree_workload::queries::{mixed_stream, QueryWorkloadConfig};
 use std::sync::Arc;
 use support::{normalise, system, Matrix, Step, Systems};
@@ -96,6 +98,93 @@ fn multi_source_partitioning_is_transparent() {
         let b = normalise(&sys_four.query(text).unwrap().rows);
         assert_eq!(a, b, "{text}");
     }
+}
+
+/// `bundle`'s records split between two assay sources: one evaluates
+/// every predicate, the other is dump-only.
+fn mixed_capabilities(bundle: &SyntheticBundle) -> Dataset {
+    let mut dataset = bundle.build_dataset();
+    let mut registry = SourceRegistry::new();
+    for source in dataset.registry.all() {
+        if source.kind() != SourceKind::Assay {
+            registry.register(Arc::clone(source)).unwrap();
+        }
+    }
+    let (even, odd): (Vec<_>, Vec<_>) = (0..bundle.activities.len()).partition(|i| i % 2 == 0);
+    for (name, caps, picked) in [
+        ("assay-full", SourceCapabilities::full(), even),
+        ("assay-dump", SourceCapabilities::minimal(), odd),
+    ] {
+        let records: Vec<ActivityRecord> = picked
+            .iter()
+            .map(|&i| bundle.activities[i].clone())
+            .collect();
+        let source = assay_source(name, &records, caps, test_latency()).unwrap();
+        registry.register(Arc::new(source)).unwrap();
+    }
+    dataset.registry = registry;
+    dataset
+}
+
+/// A federation of a `full()` and a `minimal()` assay source: no fetch
+/// carries a pushdown, since the dump-only source evaluates none, and no
+/// probe key holds a remote conjunct (at most the pruning bound on the
+/// local `p_activity`); every answer is the naive plan's.
+#[test]
+fn a_mixed_capability_federation_pushes_nothing_and_agrees_with_naive() {
+    let bundle =
+        SyntheticBundle::generate(&WorkloadSpec::default().leaves(64).ligands(16).seed(29));
+    let mut steps: Vec<Step> = [
+        "activities where p_activity >= 6.5",
+        "activities where year >= 2012 and activity_type = 'Ki'",
+        "activities where p_activity between 5 and 8 and year < 2015",
+        "aggregate count in tree where p_activity >= 7",
+    ]
+    .map(|text| Step::Text(text.into()))
+    .into();
+    let stream = mixed_stream(
+        &bundle.tree,
+        &bundle.index,
+        &bundle.ligands,
+        &QueryWorkloadConfig {
+            len: 32,
+            seed: 41,
+            scope_theta: 0.8,
+        },
+    );
+    steps.extend(stream.into_iter().map(Step::Query));
+
+    let planned = system(mixed_capabilities(&bundle), OptimizerConfig::full(), None);
+    let mut probes = 0;
+    for step in &steps {
+        let query = match step {
+            Step::Text(text) => Query::parse(text).unwrap(),
+            Step::Query(query) => query.clone(),
+            other => panic!("{other:?}"),
+        };
+        let plan = planned
+            .executor()
+            .analyze(planned.dataset(), &query)
+            .unwrap()
+            .plan;
+        let fetches = match &plan.access {
+            Access::Fetch { fetches, .. } => fetches.as_slice(),
+            Access::CacheProbe(probe) => {
+                probes += 1;
+                let key = probe.key().map(Predicate::columns).unwrap_or_default();
+                assert!(key.iter().all(|c| *c == "p_activity"), "{query}: {key:?}");
+                probe.on_miss()
+            }
+            _ => &[],
+        };
+        assert!(fetches.iter().all(|f| f.pushdown().is_none()), "{query}");
+    }
+    assert!(probes > 0, "the cache wraps the fetches");
+
+    let systems = Systems::new(&Matrix::with_ablations(), || mixed_capabilities(&bundle));
+    systems
+        .run(&steps)
+        .unwrap_or_else(|divergence| panic!("{divergence}"));
 }
 
 /// The 4-leaf fixture behind two labs' assay sources, not replicas.
