@@ -10,11 +10,12 @@
 //! * the leaf interval the rows cover,
 //! * the pushdown predicate they were fetched under (`None` = all
 //!   rows), and
-//! * the unified activity rows, **sorted by leaf rank** so containment
-//!   hits slice by binary search instead of scanning, held as one
-//!   immutable shared snapshot (`Arc`): a hit borrows the entry's rows
-//!   instead of copying them, and keeps reading its snapshot even if
-//!   the entry is evicted or invalidated meanwhile.
+//! * the activity batch the fetch returned
+//!   ([`ActivityColumns`]), **sorted by leaf rank** so a containment
+//!   hit is a binary search of its rank segment instead of a scan,
+//!   held as one immutable shared snapshot (`Arc`): a hit borrows the
+//!   entry's batch instead of copying it, and keeps reading its
+//!   snapshot even if the entry is evicted or invalidated meanwhile.
 //!
 //! A query `(interval Q, pushdown P)` is answerable by an entry
 //! `(interval E, pushdown F)` iff `E ⊇ Q` and `F` is *implied by* `P`
@@ -29,18 +30,14 @@
 //! epoch first drops every entry, since any ingest makes every older
 //! entry suspect; an insert from an earlier epoch is declined.
 
-use crate::dataset::{RankedRows, SourceEpoch};
+use crate::columnar::ActivityColumns;
+use crate::dataset::SourceEpoch;
 use drugtree_phylo::index::LeafInterval;
 use drugtree_store::expr::Predicate;
-use drugtree_store::value::Value;
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Rank-sorted activity rows shared between a cache entry and the
-/// queries reading it. Never mutated once an entry holds it.
-pub type SharedRows = Arc<RankedRows>;
 
 /// One cached fetch result.
 #[derive(Debug, Clone)]
@@ -49,16 +46,16 @@ pub struct CacheEntry {
     pub interval: LeafInterval,
     /// Pushdown predicate the rows were fetched under (`None` = all).
     pub pushdown: Option<Predicate>,
-    /// Unified activity rows, sorted by leaf rank (column 0).
-    pub rows: SharedRows,
+    /// The fetched activity batch, shared with the queries reading it.
+    pub rows: Arc<ActivityColumns>,
 }
 
-/// Result of a successful probe: the matched entry's rows, shared, and
-/// the part of them the probe interval covers.
+/// Result of a successful probe: the matched entry's batch, shared, and
+/// the part of it the probe interval covers.
 #[derive(Debug)]
 pub struct CacheHit {
-    /// All rows of the matched entry (shared with it, not copied).
-    pub entry_rows: SharedRows,
+    /// The matched entry's whole batch (shared with it, not copied).
+    pub entry_rows: Arc<ActivityColumns>,
     /// Positions in `entry_rows` whose leaf rank falls in the probe
     /// interval.
     pub range: Range<usize>,
@@ -175,7 +172,7 @@ impl SemanticCache {
                 self.stats.hits += 1;
                 Some(CacheHit {
                     entry_rows: Arc::clone(&entry.rows),
-                    range: rank_range(&entry.rows, interval),
+                    range: entry.rows.rows_in(interval),
                 })
             }
             None => {
@@ -185,8 +182,8 @@ impl SemanticCache {
         }
     }
 
-    /// Insert a fetch result of a query at `epoch`, sharing `rows` with
-    /// the caller. A result larger than the whole row budget, or one
+    /// Insert a fetch result of a query at `epoch`, sharing its batch
+    /// with the caller. A result larger than the whole row budget, or one
     /// fetched before a source changed, is declined: nothing is dropped
     /// or evicted, and the caller's `Arc` is unique again. Otherwise
     /// entries subsumed by the new one are dropped (the new entry
@@ -197,7 +194,7 @@ impl SemanticCache {
         epoch: SourceEpoch,
         interval: LeafInterval,
         pushdown: Option<Predicate>,
-        rows: SharedRows,
+        rows: Arc<ActivityColumns>,
     ) {
         self.advance_to(epoch);
         if !epoch.holds_at(self.epoch) || rows.len() > self.config.max_rows {
@@ -282,20 +279,6 @@ impl SemanticCache {
             self.stats.evictions += 1;
         }
     }
-}
-
-/// Sort key of an activity row: its leaf rank (column 0), rows without
-/// one last.
-pub(crate) fn rank_of(row: &[Value]) -> i64 {
-    row.first().and_then(Value::as_int).unwrap_or(i64::MAX)
-}
-
-/// Binary-search rank-sorted rows down to the positions whose leaf rank
-/// falls in `interval`.
-pub(crate) fn rank_range(rows: &[Vec<Value>], interval: LeafInterval) -> Range<usize> {
-    let lo = rows.partition_point(|r| rank_of(r) < i64::from(interval.lo));
-    let hi = rows.partition_point(|r| rank_of(r) < i64::from(interval.hi));
-    lo..hi
 }
 
 /// Sound (incomplete) implication: does `query` imply `entry`?
@@ -389,6 +372,7 @@ fn conjunct_implies(q: &Predicate, e: &Predicate) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::tests::{batch_of, ranks};
     use drugtree_store::expr::CompareOp;
 
     /// The source epoch every test but `invalidation` runs at.
@@ -398,53 +382,45 @@ mod tests {
         LeafInterval { lo, hi }
     }
 
-    fn row(rank: i64, tag: &str) -> Vec<Value> {
-        vec![Value::Int(rank), Value::from(tag)]
-    }
-
-    fn shared(rows: Vec<Vec<Value>>) -> SharedRows {
-        Arc::new(RankedRows::new(rows))
+    /// A batch of one row per rank.
+    fn shared(ranks: &[u32]) -> Arc<ActivityColumns> {
+        batch_of(ranks, "L")
     }
 
     impl CacheHit {
-        /// The rows restricted to the probe interval.
-        fn rows(&self) -> &[Vec<Value>] {
-            &self.entry_rows[self.range.clone()]
+        /// The ranks of the rows in the probe interval.
+        fn ranks(&self) -> Vec<i64> {
+            ranks(&self.entry_rows, self.range.clone())
         }
     }
 
     #[test]
     fn exact_hit() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(E, iv(0, 4), None, shared(vec![row(0, "a"), row(2, "b")]));
+        c.insert(E, iv(0, 4), None, shared(&[0, 2]));
         let hit = c.probe(E, iv(0, 4), None).unwrap();
-        assert_eq!(hit.rows().len(), 2);
+        assert_eq!(hit.ranks().len(), 2);
         assert_eq!(c.stats().hits, 1);
     }
 
     #[test]
     fn containment_hit_slices_rows() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(
-            E,
-            iv(0, 8),
-            None,
-            shared(vec![row(1, "a"), row(3, "b"), row(6, "c")]),
-        );
+        c.insert(E, iv(0, 8), None, shared(&[1, 3, 6]));
         // Drill-down: child interval [2,5).
         let hit = c.probe(E, iv(2, 5), None).unwrap();
-        assert_eq!(hit.rows(), [row(3, "b")]);
+        assert_eq!(hit.ranks(), [3]);
         assert_eq!(hit.entry_rows.len(), 3, "the whole entry is shared");
         // Sibling interval outside: rows empty but still a hit (the
         // cache *knows* there is nothing there).
         let hit = c.probe(E, iv(7, 8), None).unwrap();
-        assert!(hit.rows().is_empty());
+        assert!(hit.ranks().is_empty());
     }
 
     #[test]
     fn non_contained_probe_misses() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(E, iv(2, 5), None, shared(vec![row(3, "a")]));
+        c.insert(E, iv(2, 5), None, shared(&[3]));
         assert!(
             c.probe(E, iv(0, 4), None).is_none(),
             "partial overlap is a miss"
@@ -461,7 +437,7 @@ mod tests {
 
         let mut c = SemanticCache::new(CacheConfig::default());
         // Entry fetched under p_ge.
-        c.insert(E, iv(0, 8), Some(p_ge), shared(vec![row(1, "a")]));
+        c.insert(E, iv(0, 8), Some(p_ge), shared(&[1]));
         // Query pushing down p_ge AND year: entry's rows are a superset.
         assert!(c.probe(E, iv(0, 4), Some(&both)).is_some());
         // Query pushing down only year: entry may be missing rows
@@ -474,7 +450,7 @@ mod tests {
     #[test]
     fn unfiltered_entry_answers_any_pushdown() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(E, iv(0, 8), None, shared(vec![row(1, "a")]));
+        c.insert(E, iv(0, 8), None, shared(&[1]));
         let p = Predicate::cmp("p_activity", CompareOp::Ge, 6.0);
         assert!(c.probe(E, iv(0, 4), Some(&p)).is_some());
     }
@@ -482,14 +458,14 @@ mod tests {
     #[test]
     fn insert_subsumes_smaller_entries() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(E, iv(2, 4), None, shared(vec![row(2, "a")]));
-        c.insert(E, iv(0, 8), None, shared(vec![row(2, "a"), row(5, "b")]));
+        c.insert(E, iv(2, 4), None, shared(&[2]));
+        c.insert(E, iv(0, 8), None, shared(&[2, 5]));
         assert_eq!(c.entries.len(), 1, "small entry subsumed by the big one");
         assert_eq!((c.stats().subsumed, c.stats().evictions), (1, 0));
         // But a *filtered* big entry does not subsume an unfiltered
         // small one.
         let p = Predicate::cmp("p_activity", CompareOp::Ge, 6.0);
-        c.insert(E, iv(0, 8), Some(p), shared(vec![row(5, "b")]));
+        c.insert(E, iv(0, 8), Some(p), shared(&[5]));
         assert_eq!(c.entries.len(), 2);
         assert_eq!(c.stats().subsumed, 1);
     }
@@ -500,11 +476,11 @@ mod tests {
             max_entries: 2,
             max_rows: 1000,
         });
-        c.insert(E, iv(0, 1), None, shared(vec![row(0, "a")]));
-        c.insert(E, iv(1, 2), None, shared(vec![row(1, "b")]));
+        c.insert(E, iv(0, 1), None, shared(&[0]));
+        c.insert(E, iv(1, 2), None, shared(&[1]));
         // Touch the first entry so the second becomes LRU.
         assert!(c.probe(E, iv(0, 1), None).is_some());
-        c.insert(E, iv(2, 3), None, shared(vec![row(2, "c")]));
+        c.insert(E, iv(2, 3), None, shared(&[2]));
         assert_eq!(c.entries.len(), 2);
         assert_eq!(c.stats().evictions, 1);
         assert!(c.probe(E, iv(1, 2), None).is_none(), "LRU entry evicted");
@@ -517,8 +493,8 @@ mod tests {
             max_entries: 100,
             max_rows: 3,
         });
-        c.insert(E, iv(0, 4), None, shared(vec![row(0, "a"), row(1, "b")]));
-        c.insert(E, iv(4, 8), None, shared(vec![row(4, "c"), row(5, "d")]));
+        c.insert(E, iv(0, 4), None, shared(&[0, 1]));
+        c.insert(E, iv(4, 8), None, shared(&[4, 5]));
         assert_eq!(c.entries.len(), 1, "row budget forced eviction");
         assert!(c.cached_rows <= 3);
     }
@@ -529,19 +505,14 @@ mod tests {
             max_entries: 100,
             max_rows: 2,
         });
-        c.insert(
-            E,
-            iv(0, 8),
-            None,
-            shared(vec![row(0, "a"), row(1, "b"), row(2, "c")]),
-        );
+        c.insert(E, iv(0, 8), None, shared(&[0, 1, 2]));
         assert!(
             c.entries.is_empty(),
             "whole-database result exceeds the budget"
         );
         assert_eq!((c.stats().declined, c.stats().evictions), (1, 0));
         // Smaller entries still cache fine afterwards.
-        c.insert(E, iv(0, 2), None, shared(vec![row(0, "a")]));
+        c.insert(E, iv(0, 2), None, shared(&[0]));
         assert_eq!(c.entries.len(), 1);
     }
 
@@ -554,10 +525,9 @@ mod tests {
             max_entries: 100,
             max_rows: 4,
         });
-        c.insert(E, iv(0, 4), None, shared(vec![row(0, "a"), row(1, "b")]));
-        c.insert(E, iv(4, 8), None, shared(vec![row(4, "c"), row(5, "d")]));
-        let whole = (0..5).map(|r| row(r, "x")).collect();
-        c.insert(E, iv(0, 8), None, shared(whole));
+        c.insert(E, iv(0, 4), None, shared(&[0, 1]));
+        c.insert(E, iv(4, 8), None, shared(&[4, 5]));
+        c.insert(E, iv(0, 8), None, shared(&[0, 1, 2, 3, 4]));
         assert!(c.probe(E, iv(0, 4), None).is_some());
         assert!(c.probe(E, iv(4, 8), None).is_some());
         assert_eq!(c.cached_rows, 4);
@@ -567,8 +537,8 @@ mod tests {
     #[test]
     fn invalidation() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        c.insert(E, iv(0, 4), None, shared(vec![row(0, "a")]));
-        c.insert(E, iv(4, 8), None, shared(vec![row(5, "b")]));
+        c.insert(E, iv(0, 4), None, shared(&[0]));
+        c.insert(E, iv(4, 8), None, shared(&[5]));
         assert_eq!(c.entries.len(), 2);
 
         // A probe after an ingest drops every entry, each counted.
@@ -579,14 +549,14 @@ mod tests {
         assert_eq!(c.cached_rows, 0);
 
         // Rows fetched before the ingest are declined.
-        c.insert(E, iv(0, 4), None, shared(vec![row(0, "a")]));
+        c.insert(E, iv(0, 4), None, shared(&[0]));
         assert!(c.entries.is_empty());
         assert_eq!((c.stats().declined, c.stats().evictions), (1, 0));
         assert!(c.probe(later, iv(0, 4), None).is_none());
 
         // At the cache's epoch an insert lands; dropping it explicitly
         // counts it too.
-        c.insert(later, iv(0, 4), None, shared(vec![row(0, "a")]));
+        c.insert(later, iv(0, 4), None, shared(&[0]));
         assert!(c.probe(later, iv(0, 4), None).is_some());
         c.invalidate_all();
         assert!(c.entries.is_empty());
@@ -598,7 +568,7 @@ mod tests {
     fn probes_always_equal_hits_plus_misses() {
         let mut c = SemanticCache::new(CacheConfig::default());
         assert_eq!(c.stats().hit_rate(), None, "never probed is not 0%");
-        c.insert(E, iv(0, 8), None, shared(vec![row(1, "a")]));
+        c.insert(E, iv(0, 8), None, shared(&[1]));
         let _ = c.probe(E, iv(0, 4), None);
         let _ = c.probe(E, iv(6, 12), None);
         let _ = c.probe(E, iv(2, 3), None);
@@ -653,7 +623,7 @@ mod tests {
             E,
             iv(0, 8),
             Some(Predicate::cmp("p_activity", Ge, 6.0)),
-            shared(vec![row(1, "a"), row(3, "b")]),
+            shared(&[1, 3]),
         );
         // Stricter query bound: rows are a superset of what it needs.
         let strict = Predicate::cmp("p_activity", Ge, 7.5);
@@ -666,7 +636,7 @@ mod tests {
     #[test]
     fn probe_shares_the_entry_rows() {
         let mut c = SemanticCache::new(CacheConfig::default());
-        let rows = shared(vec![row(1, "a"), row(3, "b"), row(6, "c")]);
+        let rows = shared(&[1, 3, 6]);
         c.insert(E, iv(0, 8), None, Arc::clone(&rows));
         // Entry, inserter and every hit read one allocation.
         let whole = c.probe(E, iv(0, 8), None).unwrap();
@@ -684,19 +654,19 @@ mod tests {
             max_entries: 1,
             ..CacheConfig::default()
         });
-        c.insert(E, iv(0, 8), None, shared(vec![row(1, "a"), row(3, "b")]));
+        c.insert(E, iv(0, 8), None, shared(&[1, 3]));
         let before_invalidate = c.probe(E, iv(0, 4), None).unwrap();
         c.invalidate_all();
         assert!(c.entries.is_empty());
         assert_eq!(c.cached_rows, 0);
-        assert_eq!(before_invalidate.rows(), [row(1, "a"), row(3, "b")]);
+        assert_eq!(before_invalidate.ranks(), [1, 3]);
 
-        c.insert(E, iv(0, 8), None, shared(vec![row(2, "x")]));
+        c.insert(E, iv(0, 8), None, shared(&[2]));
         let before_evict = c.probe(E, iv(0, 8), None).unwrap();
-        c.insert(E, iv(8, 16), None, shared(vec![row(9, "y")]));
+        c.insert(E, iv(8, 16), None, shared(&[9]));
         assert_eq!(c.stats().evictions, 1);
         assert!(c.probe(E, iv(0, 8), None).is_none(), "entry evicted");
-        assert_eq!(before_evict.rows(), [row(2, "x")]);
+        assert_eq!(before_evict.ranks(), [2]);
         assert_eq!(c.cached_rows, 1);
     }
 
@@ -706,7 +676,7 @@ mod tests {
             max_rows: 2,
             ..CacheConfig::default()
         });
-        let rows = shared(vec![row(0, "a"), row(1, "b"), row(2, "c")]);
+        let rows = shared(&[0, 1, 2]);
         c.insert(E, iv(0, 8), None, Arc::clone(&rows));
         assert_eq!((c.stats().declined, c.stats().evictions), (1, 0));
         assert_eq!(c.cached_rows, 0);

@@ -186,8 +186,9 @@ impl Dataset {
 
     /// True when the registry holds more than one assay source, replicas
     /// counted: the deployment then treats a (leaf, ligand, activity
-    /// type) as one fact, and [`resolve_activity_rows`] keeps its most
-    /// recent measurement, whichever sources a plan reads. A one-source
+    /// type) as one fact, and the batch constructor
+    /// ([`ActivityColumns::widen`](crate::columnar::ActivityColumns))
+    /// keeps its most recent measurement, whichever sources a plan reads. A one-source
     /// deployment's rows are the source's, as it holds them. Allocates
     /// nothing: the fetch path asks on every miss.
     pub(crate) fn resolves_conflicts(&self) -> bool {
@@ -251,11 +252,12 @@ pub fn unified_schema() -> &'static Schema {
 }
 
 /// Schema of the activity-only half (what sources ship, plus the
-/// locally derived leaf_rank and p_activity columns). Built once.
-pub fn activity_half_schema() -> &'static Schema {
-    static SCHEMA: OnceLock<Schema> = OnceLock::new();
+/// locally derived leaf_rank and p_activity columns). Built once and
+/// shared by every activity batch.
+pub fn activity_half_schema() -> &'static Arc<Schema> {
+    static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
     SCHEMA.get_or_init(|| {
-        Schema::new(vec![
+        Arc::new(Schema::new(vec![
             Column::required("leaf_rank", ValueType::Int),
             Column::required("protein_accession", ValueType::Text),
             Column::required("ligand_id", ValueType::Text),
@@ -264,102 +266,27 @@ pub fn activity_half_schema() -> &'static Schema {
             Column::required("p_activity", ValueType::Float),
             Column::required("source", ValueType::Text),
             Column::required("year", ValueType::Int),
-        ])
+        ]))
     })
 }
 
-/// Widen a raw assay-source row into the activity half of the unified
-/// layout, resolving the leaf rank. The row is consumed: its cells move
-/// into the widened row, none is copied. Returns `None` for rows whose
-/// accession is not on the tree (dropped, counted by metrics).
-pub fn unify_assay_row(dataset: &Dataset, row: Vec<Value>) -> Option<Vec<Value>> {
-    // Assay source order: protein_accession, ligand_id, activity_type,
-    // value_nm, source, year.
-    let rank = dataset.rank_of_accession(row.first()?.as_text()?)?;
-    let value_nm = row.get(3)?.as_f64()?;
-    if !(value_nm.is_finite() && value_nm > 0.0) || row.len() < 6 {
+/// The one widening rule: the leaf rank and pActivity of a raw
+/// assay-source row (protein_accession, ligand_id, activity_type,
+/// value_nm, source, year), or `None` when the row is no activity
+/// record: its accession is not on the tree, its `value_nm` is not
+/// finite and positive, or a cell is missing or not of the source
+/// schema's type. The batch constructor
+/// ([`ActivityColumns::widen`](crate::columnar::ActivityColumns)) and
+/// the statistics read source rows through it alone.
+pub fn unify_assay_row(dataset: &Dataset, row: &[Value]) -> Option<(u32, f64)> {
+    let [Value::Text(accession), Value::Text(_), Value::Text(_), value_nm, Value::Text(_), Value::Int(_), ..] =
+        row
+    else {
         return None;
-    }
-    let p_activity = -(value_nm * 1e-9).log10();
-    let mut cells = row.into_iter();
-    let mut unified = Vec::with_capacity(crate::ast::columns::ACTIVITY.len());
-    unified.push(Value::from(rank));
-    unified.extend(cells.by_ref().take(3));
-    cells.next(); // value_nm, re-issued as a Float below
-    unified.push(Value::Float(value_nm));
-    unified.push(Value::Float(p_activity));
-    unified.extend(cells.take(2));
-    Some(unified)
-}
-
-/// Activity rows in leaf-rank order, as the resolve step hands them to
-/// the semantic cache, the columnar mirror and the aggregate view.
-/// `RankedRows::new` is the only constructor, and it sorts, so no
-/// holder checks the order again:
-///
-/// ```compile_fail
-/// let unsorted = drugtree_query::dataset::RankedRows(Vec::new());
-/// ```
-#[derive(Debug)]
-pub struct RankedRows(Vec<Vec<Value>>);
-
-impl RankedRows {
-    /// Stable-sort `rows` by leaf rank (column 0; rows without one last).
-    pub(crate) fn new(mut rows: Vec<Vec<Value>>) -> RankedRows {
-        rows.sort_by_key(|row| crate::cache::rank_of(row));
-        RankedRows(rows)
-    }
-
-    /// The rows, in rank order.
-    pub(crate) fn into_vec(self) -> Vec<Vec<Value>> {
-        self.0
-    }
-}
-
-impl std::ops::Deref for RankedRows {
-    type Target = [Vec<Value>];
-
-    fn deref(&self) -> &[Vec<Value>] {
-        &self.0
-    }
-}
-
-/// Resolve unified activity rows into what every row path returns: when
-/// the deployment [resolves conflicts](Dataset::resolves_conflicts), the
-/// most recent measurement of each (leaf, ligand, activity type), the
-/// first in row order on a tie; then a stable sort by leaf rank. Kept rows
-/// keep their order, so rows within a leaf follow source order, then
-/// scan order, on the fetch path and in the local build alike.
-pub(crate) fn resolve_activity_rows(dataset: &Dataset, mut rows: Vec<Vec<Value>>) -> RankedRows {
-    if dataset.resolves_conflicts() {
-        dedupe_most_recent(&mut rows);
-    }
-    RankedRows::new(rows)
-}
-
-/// Keep the most recent measurement per (rank, ligand, type), in place.
-fn dedupe_most_recent(rows: &mut Vec<Vec<Value>>) {
-    let year = |row: &[Value]| row[7].as_int().unwrap_or(0);
-    let mut best: FxHashMap<(i64, &str, &str), usize> = FxHashMap::default();
-    for (i, row) in rows.iter().enumerate() {
-        let key = (
-            row[0].as_int().unwrap_or(-1),
-            row[2].as_text().unwrap_or_default(),
-            row[3].as_text().unwrap_or_default(),
-        );
-        match best.get(&key) {
-            Some(&kept) if year(&rows[kept]) >= year(row) => {}
-            _ => {
-                best.insert(key, i);
-            }
-        }
-    }
-    let mut kept = vec![false; rows.len()];
-    for i in best.into_values() {
-        kept[i] = true;
-    }
-    let mut kept = kept.into_iter();
-    rows.retain(|_| kept.next().unwrap_or(false));
+    };
+    let rank = dataset.rank_of_accession(accession)?;
+    let value_nm = value_nm.as_f64()?;
+    (value_nm.is_finite() && value_nm > 0.0).then(|| (rank, -(value_nm * 1e-9).log10()))
 }
 
 /// Small deterministic fixtures shared by this crate's tests, the
@@ -595,46 +522,22 @@ mod tests {
             Value::from("sim"),
             Value::Int(2012),
         ];
-        let row = unify_assay_row(&d, raw.clone()).unwrap();
-        assert_eq!(row.len(), 8);
-        assert_eq!(row[1..4], raw[0..3]);
-        assert_eq!(row[6..], raw[4..]);
-        assert_eq!(row[0], Value::Int(1)); // P2's rank
-        assert!((row[5].as_f64().unwrap() - 6.0).abs() < 1e-9);
-        // Unknown accession -> dropped.
-        let mut bad = raw.clone();
-        bad[0] = Value::from("QX");
-        assert!(unify_assay_row(&d, bad).is_none());
-        // Non-positive value -> dropped.
-        let mut bad = raw.clone();
-        bad[3] = Value::Float(0.0);
-        assert!(unify_assay_row(&d, bad).is_none());
-        // A short row -> dropped.
-        assert!(unify_assay_row(&d, raw[..5].to_vec()).is_none());
-    }
-
-    #[test]
-    fn dedupe_keeps_the_most_recent_in_row_order() {
-        let mk = |ligand: &str, year: i64| {
-            vec![
-                Value::Int(0),
-                Value::from("P1"),
-                Value::from(ligand),
-                Value::from("Ki"),
-                Value::Float(10.0),
-                Value::Float(8.0),
-                Value::from("s"),
-                Value::Int(year),
-            ]
-        };
-        let mut rows = vec![
-            mk("L1", 2010),
-            mk("L2", 2011),
-            mk("L1", 2013),
-            mk("L1", 2013),
-        ];
-        dedupe_most_recent(&mut rows);
-        assert_eq!(rows, vec![mk("L2", 2011), mk("L1", 2013)]);
+        let (rank, p) = unify_assay_row(&d, &raw).unwrap();
+        assert_eq!(rank, 1); // P2's rank
+        assert!((p - 6.0).abs() < 1e-9);
+        // Unknown accession, a non-positive value, a short row, a cell
+        // of another type -> dropped.
+        for (at, cell) in [
+            (0, Value::from("QX")),
+            (3, Value::Float(0.0)),
+            (3, Value::from("1000")),
+            (5, Value::Float(2012.0)),
+        ] {
+            let mut bad = raw.clone();
+            bad[at] = cell;
+            assert!(unify_assay_row(&d, &bad).is_none(), "{bad:?}");
+        }
+        assert!(unify_assay_row(&d, &raw[..5]).is_none());
     }
 
     #[test]

@@ -8,9 +8,9 @@
 
 use crate::adaptive::{AdaptiveRuntime, QueryFeedback};
 use crate::ast::{Metric, Query};
-use crate::cache::{CacheConfig, CacheStats, SemanticCache, SharedRows};
-use crate::columnar::ActivityColumns;
-use crate::dataset::{resolve_activity_rows, unified_schema, unify_assay_row, Dataset, RankedRows};
+use crate::cache::{CacheConfig, CacheStats, SemanticCache};
+use crate::columnar::{ActivityColumns, LIGAND_ID, P_ACTIVITY, RANK};
+use crate::dataset::{unified_schema, Dataset};
 use crate::local::{Keep, LocalBuild};
 use crate::matview::MaterializedAggregates;
 use crate::optimizer::{Optimizer, PlanInputs};
@@ -31,7 +31,6 @@ use drugtree_store::segment::ColumnSlice;
 use drugtree_store::table::Table;
 use drugtree_store::value::Value;
 use rustc_hash::FxHashMap;
-use std::borrow::Cow;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
@@ -211,7 +210,7 @@ impl Executor {
 
     /// The columnar activity mirror, if built.
     pub fn columnar(&self) -> Option<&ActivityColumns> {
-        self.local.as_ref()?.mirror.as_ref()
+        self.local.as_ref()?.mirror.as_deref()
     }
 
     /// Drop all cached results, so the next queries run cold.
@@ -344,33 +343,35 @@ impl Executor {
             notes: plan.notes.clone(),
         };
 
-        // 1. Obtain the activity half: rows (a fetch, a cache entry), or
-        // the mirror's columns and the positions its kernels selected.
+        // 1. Obtain the activity half: a batch (a fetch, a cache entry,
+        // the mirror) and the range of it in scope; on the mirror, also
+        // the positions its kernels selected.
         let mut selected = None;
-        let activity = match &plan.access {
-            Access::ProvedEmpty => ActivityRows::Owned(Vec::new()),
+        let whole = |batch: Arc<ActivityColumns>| {
+            let all = 0..batch.len();
+            (batch, all)
+        };
+        let (batch, range) = match &plan.access {
             // Finish reads the view directly.
-            Access::MaterializedView(_) => ActivityRows::Owned(Vec::new()),
+            Access::ProvedEmpty | Access::MaterializedView(_) => {
+                whole(Arc::new(ActivityColumns::widen(dataset, &[])?.0))
+            }
             Access::ColumnarScan { pushdown } => {
                 let (range, positions) =
                     self.columnar_select(dataset, &plan, pushdown, &mut m, sink.as_deref_mut())?;
                 selected = Some(positions);
-                let table = self.columnar_mirror()?.table();
-                ActivityRows::Mirror(Box::new(std::array::from_fn(|c| table.column(c))), range)
+                (Arc::clone(self.columnar_mirror()?), range)
             }
             Access::Fetch {
                 fetches,
                 concurrent_sources,
-            } => ActivityRows::Owned(
-                self.run_fetches(
-                    dataset,
-                    fetches,
-                    *concurrent_sources,
-                    &mut m,
-                    sink.as_deref_mut(),
-                )?
-                .into_vec(),
-            ),
+            } => whole(Arc::new(self.run_fetches(
+                dataset,
+                fetches,
+                *concurrent_sources,
+                &mut m,
+                sink.as_deref_mut(),
+            )?)),
             Access::CacheProbe(probe) => {
                 let found = self
                     .cache
@@ -385,7 +386,7 @@ impl Executor {
                             span.rows = Some(hit.range.len() as u64);
                             tb.push(span);
                         }
-                        ActivityRows::Shared(hit.entry_rows, hit.range)
+                        (hit.entry_rows, hit.range)
                     }
                     None => {
                         m.cache_hit = Some(false);
@@ -396,34 +397,20 @@ impl Executor {
                                 dataset.clock.now(),
                             ));
                         }
-                        let rows = self.run_fetches(
+                        let batch = Arc::new(self.run_fetches(
                             dataset,
                             probe.on_miss(),
                             probe.concurrent_sources(),
                             &mut m,
                             sink.as_deref_mut(),
-                        )?;
-                        if probe.insert_on_miss() {
-                            let shared = Arc::new(rows);
-                            self.cache.lock().insert(
-                                inputs.epoch,
-                                plan.interval,
-                                probe.key().cloned(),
-                                Arc::clone(&shared),
-                            );
-                            // The cache declines an entry over its row
-                            // budget or from an epoch it has passed; the
-                            // rows are then this query's alone again.
-                            match Arc::try_unwrap(shared) {
-                                Ok(rows) => ActivityRows::Owned(rows.into_vec()),
-                                Err(shared) => {
-                                    let all = 0..shared.len();
-                                    ActivityRows::Shared(shared, all)
-                                }
-                            }
-                        } else {
-                            ActivityRows::Owned(rows.into_vec())
-                        }
+                        )?);
+                        self.cache.lock().insert(
+                            inputs.epoch,
+                            plan.interval,
+                            probe.key().cloned(),
+                            Arc::clone(&batch),
+                        );
+                        whole(batch)
                     }
                 }
             }
@@ -433,7 +420,7 @@ impl Executor {
         // no unified row exists until step 6 builds the ones returned
         // (design decision D16).
         let overlay_started = dataset.clock.now();
-        let cells = activity.cells();
+        let cells = Cells::new(&batch, range);
         let mut survivors = selected.unwrap_or_else(|| (0..cells.len()).collect());
         let rows_in = survivors.len() as u64;
 
@@ -547,8 +534,7 @@ impl Executor {
             Finish::Aggregate { .. } => "aggregate",
             Finish::CountPerLeaf => "count-per-leaf",
         };
-        let (columns, out_rows) =
-            finish_survivors(dataset, &plan, view, activity, survivors, &join)?;
+        let (columns, out_rows) = finish_survivors(dataset, &plan, view, &cells, survivors, &join)?;
         if let Some(tb) = sink {
             let mut span = QuerySpan::new(Stage::Finish, finish_label, finish_started);
             span.ended = dataset.clock.now();
@@ -596,8 +582,10 @@ impl Executor {
 
     /// The built mirror, or a plan error — a `ColumnarScan` access can
     /// only be planned when the executor carries one.
-    fn columnar_mirror(&self) -> Result<&ActivityColumns> {
-        self.columnar()
+    fn columnar_mirror(&self) -> Result<&Arc<ActivityColumns>> {
+        self.local
+            .as_ref()
+            .and_then(|l| l.mirror.as_ref())
             .ok_or_else(|| QueryError::Plan("columnar plan without a built mirror".into()))
     }
 
@@ -617,7 +605,7 @@ impl Executor {
     ) -> Result<(Range<usize>, Vec<usize>)> {
         let cols = self.columnar_mirror()?;
         let started = dataset.clock.now();
-        let range = cols.rows_in(plan.interval)?;
+        let range = cols.rows_in(plan.interval);
         let scanned = range.len();
         let selected: Vec<usize> = match pushdown.bound() {
             // Nothing to evaluate: the whole range is selected.
@@ -646,6 +634,8 @@ impl Executor {
         Ok((range, selected))
     }
 
+    /// Run a plan's fetches and widen what every source shipped into
+    /// one activity batch.
     fn run_fetches(
         &self,
         dataset: &Dataset,
@@ -653,8 +643,8 @@ impl Executor {
         concurrent_sources: bool,
         m: &mut ExecMetrics,
         mut sink: Option<&mut TraceBuilder>,
-    ) -> Result<RankedRows> {
-        let mut per_source_rows: Vec<Vec<Vec<Value>>> = Vec::with_capacity(fetches.len());
+    ) -> Result<ActivityColumns> {
+        let mut shipped: Vec<Vec<Value>> = Vec::new();
         let mut per_source_cost = Vec::with_capacity(fetches.len());
         // The sources of a plan share one leaf set: its keys are built once.
         let mut built: Option<(&LeafSet, SortedKeys)> = None;
@@ -688,15 +678,12 @@ impl Executor {
                 ];
                 tb.push(span);
             }
-            let mut unified = Vec::with_capacity(resp.rows.len());
-            for raw in resp.rows {
-                match unify_assay_row(dataset, raw) {
-                    Some(row) => unified.push(row),
-                    None => m.rows_unmapped += 1,
-                }
-            }
-            per_source_rows.push(unified);
             per_source_cost.push(resp.cost);
+            if shipped.is_empty() {
+                shipped = resp.rows;
+            } else {
+                shipped.extend(resp.rows);
+            }
         }
 
         let total_cost = if concurrent_sources {
@@ -707,8 +694,9 @@ impl Executor {
         dataset.clock.advance(total_cost);
         m.charged_cost += total_cost;
 
-        let rows = per_source_rows.into_iter().flatten().collect();
-        Ok(resolve_activity_rows(dataset, rows))
+        let (batch, unmapped) = ActivityColumns::widen(dataset, &shipped)?;
+        m.rows_unmapped += unmapped;
+        Ok(batch)
     }
 }
 
@@ -716,120 +704,65 @@ impl Executor {
 const ACTIVITY_CELLS: usize = crate::ast::columns::ACTIVITY.len();
 /// Cells the ligand join contributes (the ligand table minus its id).
 const LIGAND_CELLS: usize = crate::ast::columns::LIGAND.len();
-/// The activity half's `ligand_id` column.
-const LIGAND_ID: usize = 2;
-/// The activity half's `p_activity` column.
-const P_ACTIVITY: usize = 5;
-
-/// The activity half step 1 obtained. Steps 2–6 read its cells in
-/// place through [`Cells`]; output rows are built last, at their final
-/// width, and only for the positions returned.
-enum ActivityRows<'e> {
-    /// Rows this query owns outright (direct fetch, a miss the cache
-    /// declined to keep): returned cells are moved out.
-    Owned(Vec<Vec<Value>>),
-    /// A cache entry's immutable snapshot, shared with the cache (a
-    /// hit, or a miss whose rows the cache kept), and the positions in
-    /// scope: returned cells are cloned out.
-    Shared(SharedRows, Range<usize>),
-    /// The mirror's columns and the row range its scan covered: a
-    /// position is an offset into the range, and a cell is read from
-    /// its column, so no row exists until one is returned.
-    Mirror(Box<[ColumnSlice<'e>; ACTIVITY_CELLS]>, Range<usize>),
-}
-
-impl ActivityRows<'_> {
-    fn cells(&self) -> Cells<'_> {
-        match self {
-            ActivityRows::Owned(rows) => Cells::Rows(rows),
-            ActivityRows::Shared(rows, range) => Cells::Rows(&rows[range.clone()]),
-            ActivityRows::Mirror(columns, range) => Cells::Columns(columns, range.clone()),
-        }
-    }
-
-    /// Build the unified output rows at `picked` positions (each at
-    /// most once), in that order.
-    fn into_unified(self, picked: &[usize], join: &LigandJoin) -> Vec<Vec<Value>> {
-        match self {
-            ActivityRows::Owned(mut rows) => picked
-                .iter()
-                .map(|&i| join.unified_row(i, std::mem::take(&mut rows[i]).into_iter()))
-                .collect(),
-            ActivityRows::Shared(rows, range) => {
-                let rows = &rows[range];
-                picked
-                    .iter()
-                    .map(|&i| join.unified_row(i, rows[i].iter().cloned()))
-                    .collect()
-            }
-            ActivityRows::Mirror(columns, range) => picked
-                .iter()
-                .map(|&i| {
-                    let at = range.start + i;
-                    join.unified_row(i, columns.iter().map(|c| c.value_at(at)))
-                })
-                .collect(),
-        }
-    }
-}
 
 /// The one accessor steps 2–6 read activity cells through, by
-/// position: a slice of rows (a fetch or a cache hit), or the mirror's
-/// columns over a row range.
-enum Cells<'a> {
-    Rows(&'a [Vec<Value>]),
-    Columns(&'a [ColumnSlice<'a>; ACTIVITY_CELLS], Range<usize>),
+/// position: a batch's columns over the range in scope. A position is
+/// an offset into the range, and a cell is read from its column, so no
+/// row exists until one is returned.
+struct Cells<'a> {
+    columns: [ColumnSlice<'a>; ACTIVITY_CELLS],
+    range: Range<usize>,
 }
 
 impl<'a> Cells<'a> {
+    fn new(batch: &'a ActivityColumns, range: Range<usize>) -> Cells<'a> {
+        let table = batch.table();
+        Cells {
+            columns: std::array::from_fn(|c| table.column(c)),
+            range,
+        }
+    }
+
     /// Positions held.
     fn len(&self) -> usize {
-        match self {
-            Cells::Rows(rows) => rows.len(),
-            Cells::Columns(_, range) => range.len(),
-        }
+        self.range.len()
     }
 
-    /// Activity cell `column` at position `i`: borrowed from its row,
-    /// or read from its column (a text cell as a handle to the mirror
-    /// dictionary's allocation).
-    fn cell(&self, i: usize, column: usize) -> Cow<'a, Value> {
-        match self {
-            Cells::Rows(rows) => Cow::Borrowed(&rows[i][column]),
-            Cells::Columns(columns, range) => Cow::Owned(columns[column].value_at(range.start + i)),
-        }
+    /// Activity cell `column` at position `i` (a text cell as a handle
+    /// to the batch dictionary's allocation).
+    fn cell(&self, i: usize, column: usize) -> Value {
+        self.columns[column].value_at(self.range.start + i)
     }
 
-    /// The ligand id at position `i`, borrowed from the one allocation
-    /// that holds it; `None` when it is not text.
+    /// The ligand id at position `i`, borrowed from the batch
+    /// dictionary's one allocation of it; `None` when it is not text.
     fn ligand(&self, i: usize) -> Option<&'a str> {
-        match self {
-            Cells::Rows(rows) => rows[i][LIGAND_ID].as_text(),
-            Cells::Columns(columns, range) => columns[LIGAND_ID].text_at(range.start + i),
-        }
+        self.columns[LIGAND_ID].text_at(self.range.start + i)
     }
 
     /// The leaf rank at position `i`, when it is an integer.
     fn rank(&self, i: usize) -> Option<i64> {
-        match self {
-            Cells::Rows(rows) => rows[i][0].as_int(),
-            Cells::Columns(columns, range) => columns[0].int_at(range.start + i),
-        }
+        self.columns[RANK].int_at(self.range.start + i)
     }
 
     /// The pActivity at position `i`, when it is a number.
     fn potency(&self, i: usize) -> Option<f64> {
-        match self {
-            Cells::Rows(rows) => rows[i][P_ACTIVITY].as_f64(),
-            Cells::Columns(columns, range) => columns[P_ACTIVITY].f64_at(range.start + i),
-        }
+        self.columns[P_ACTIVITY].f64_at(self.range.start + i)
+    }
+
+    /// Build the unified output rows at `picked` positions, in that
+    /// order.
+    fn unified_rows(&self, picked: &[usize], join: &LigandJoin) -> Vec<Vec<Value>> {
+        picked
+            .iter()
+            .map(|&i| join.unified_row(i, (0..ACTIVITY_CELLS).map(|c| self.cell(i, c))))
+            .collect()
     }
 }
 
 /// A value per distinct ligand, computed once per text allocation. Ids
-/// shipped in rows are handles to their source dictionary's one
-/// allocation, and ids read from the mirror are its dictionary's
-/// entries, so a memo keyed by the text's address hashes no bytes. The
+/// are read from a batch's dictionary, which holds one allocation per
+/// string, so a memo keyed by the text's address hashes no bytes. The
 /// texts are borrowed for `'a`, the memo's whole life, so two equal
 /// addresses are one live allocation and hence one text; equal texts in
 /// two allocations are merely computed twice.
@@ -930,19 +863,13 @@ fn reads_ligand_cells(pred: &BoundPredicate) -> bool {
 /// Cell `column` of the unified row at position `i`, without building
 /// the row: an activity cell (read in place), a joined ligand cell
 /// (read from its column), or NULL.
-fn unified_cell<'a>(
-    cells: &Cells<'a>,
-    join: &LigandJoin,
-    i: usize,
-    column: usize,
-) -> Cow<'a, Value> {
-    static NULL: Value = Value::Null;
+fn unified_cell(cells: &Cells<'_>, join: &LigandJoin, i: usize, column: usize) -> Value {
     if column < ACTIVITY_CELLS {
         return cells.cell(i, column);
     }
     match join.joined(i) {
-        Some((columns, at)) => Cow::Owned(columns[column - ACTIVITY_CELLS].value_at(at)),
-        None => Cow::Borrowed(&NULL),
+        Some((columns, at)) => columns[column - ACTIVITY_CELLS].value_at(at),
+        None => Value::Null,
     }
 }
 
@@ -979,14 +906,13 @@ fn finish_survivors(
     dataset: &Dataset,
     plan: &PhysicalPlan,
     view: Option<&MaterializedAggregates>,
-    activity: ActivityRows,
+    cells: &Cells<'_>,
     survivors: Vec<usize>,
     join: &LigandJoin,
 ) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
-    let cells = activity.cells();
     Ok(match &plan.finish {
         Finish::Collect | Finish::TopK { .. } => {
-            (unified_columns(), activity.into_unified(&survivors, join))
+            (unified_columns(), cells.unified_rows(&survivors, join))
         }
         Finish::Aggregate {
             groups, metrics, ..
@@ -1005,9 +931,8 @@ fn finish_survivors(
                 // Every access hands over rank-sorted positions of the
                 // scope and filtering keeps them ascending, so a group's
                 // positions are one run of survivors, found by binary
-                // search: those of its interval ∩ the scope.
-                // A position without a rank sorts last, as `rank_of`
-                // sorts a row without one.
+                // search: those of its interval ∩ the scope. A batch's
+                // ranks are never NULL.
                 let rank = |i| cells.rank(i).unwrap_or(i64::MAX);
                 debug_assert!((1..cells.len()).all(|i| rank(i - 1) <= rank(i)));
                 groups
@@ -1018,7 +943,7 @@ fn finish_survivors(
                         let run = &survivors[start..end.max(start)];
                         let values = metrics
                             .iter()
-                            .map(|&metric| aggregate_group(&cells, run, metric));
+                            .map(|&metric| aggregate_group(cells, run, metric));
                         group_row(dataset, node, iv, values)
                     })
                     .collect()

@@ -1,28 +1,29 @@
 //! The one local build behind the aggregate view and the columnar
 //! mirror.
 //!
-//! [`LocalBuild::build`] scans one assay source per replica group,
-//! widens each row with [`unify_assay_row`] and runs the fetch path's
-//! resolve step (`dataset::resolve_activity_rows`): the rows a fetch of
-//! the whole tree would return, by the same code. The view is a fold
-//! over those rows; the mirror takes them as its table. A system that
-//! asks for both scans once.
+//! [`LocalBuild::build`] scans one assay source per replica group and
+//! widens what they ship into one activity batch
+//! (`ActivityColumns::widen`, the fetch path's constructor): the rows
+//! a fetch of the whole tree would return, by the same code. The view
+//! is a fold over the batch's columns; the mirror is the batch. A
+//! system that asks for both scans once.
 //!
 //! The build stamps the source epoch it read before its scan
 //! ([`Dataset::source_epoch`]): replicas the build did not scan count
 //! too, so a drifted replica makes it stale.
 
 use crate::columnar::ActivityColumns;
-use crate::dataset::{resolve_activity_rows, unify_assay_row, Dataset, RankedRows, SourceEpoch};
+use crate::dataset::{Dataset, SourceEpoch};
 use crate::matview::MaterializedAggregates;
 use crate::Result;
 use drugtree_sources::source::{FetchRequest, SourceKind};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What a local build keeps of its scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Keep {
-    /// The aggregate view; the rows are dropped after the fold.
+    /// The aggregate view; the batch is dropped after the fold.
     View,
     /// The columnar mirror.
     Mirror,
@@ -46,7 +47,7 @@ pub struct LocalBuild {
     /// The per-node aggregate view, when kept.
     pub(crate) view: Option<MaterializedAggregates>,
     /// The columnar activity mirror, when kept.
-    pub(crate) mirror: Option<ActivityColumns>,
+    pub(crate) mirror: Option<Arc<ActivityColumns>>,
     /// The source epoch read before the scan.
     epoch: SourceEpoch,
     /// Simulated cost of the build scan.
@@ -54,17 +55,17 @@ pub struct LocalBuild {
 }
 
 impl LocalBuild {
-    /// Scan, resolve, then fold the view and/or move the rows into the
+    /// Scan and widen, then fold the view and/or keep the batch as the
     /// mirror.
     pub fn build(dataset: &Dataset, keep: Keep) -> Result<LocalBuild> {
         let epoch = dataset.source_epoch();
-        let (rows, build_cost) = scan(dataset)?;
+        let (batch, build_cost) = scan(dataset)?;
         let view = match keep {
-            Keep::View | Keep::Both => Some(MaterializedAggregates::fold(dataset, &rows)?),
+            Keep::View | Keep::Both => Some(MaterializedAggregates::fold(dataset, &batch)?),
             Keep::Mirror => None,
         };
         let mirror = match keep {
-            Keep::Mirror | Keep::Both => Some(ActivityColumns::new(rows)?),
+            Keep::Mirror | Keep::Both => Some(Arc::new(batch)),
             Keep::View => None,
         };
         Ok(LocalBuild {
@@ -82,21 +83,18 @@ impl LocalBuild {
     }
 }
 
-/// Every distinct assay source's rows, unified, resolved and
-/// rank-sorted, with the cost of the scan.
-pub(crate) fn scan(dataset: &Dataset) -> Result<(RankedRows, Duration)> {
+/// Every distinct assay source's rows as one activity batch, with the
+/// cost of the scan.
+pub(crate) fn scan(dataset: &Dataset) -> Result<(ActivityColumns, Duration)> {
     let mut rows = Vec::new();
     let mut cost = Duration::ZERO;
     for source in dataset.registry.distinct_by_kind(SourceKind::Assay) {
         let resp = source.fetch(&FetchRequest::scan())?;
         cost += resp.cost;
-        rows.extend(
-            resp.rows
-                .into_iter()
-                .filter_map(|raw| unify_assay_row(dataset, raw)),
-        );
+        rows.extend(resp.rows);
     }
-    Ok((resolve_activity_rows(dataset, rows), cost))
+    let (batch, _) = ActivityColumns::widen(dataset, &rows)?;
+    Ok((batch, cost))
 }
 
 #[cfg(test)]

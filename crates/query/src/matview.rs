@@ -3,12 +3,13 @@
 //! A collapsed tree UI labels every visible branch with "n ligands,
 //! best pKi x.y". Recomputing that on every pan would re-fetch the
 //! world; the view folds all per-node aggregates in one pass over the
-//! rows of the [local build](crate::local) and answers aggregate
-//! queries in microseconds. The build's freshness record tells when a
+//! activity batch of the [local build](crate::local) and answers
+//! aggregate queries in microseconds. The build's freshness record tells when a
 //! source change makes it stale (experiment E7 measures the
 //! build-cost/speedup trade).
 
-use crate::dataset::{Dataset, RankedRows};
+use crate::columnar::{ActivityColumns, LIGAND_ID, P_ACTIVITY, RANK};
+use crate::dataset::Dataset;
 use crate::Result;
 use drugtree_phylo::tree::NodeId;
 use drugtree_store::value::Value;
@@ -34,20 +35,29 @@ impl MaterializedAggregates {
         MaterializedAggregates::fold(dataset, &crate::local::scan(dataset)?.0)
     }
 
-    /// Fold resolved, rank-sorted rows up each leaf-to-root path. Rank
-    /// order is the order the naive plan sums in, so a float sum (and
-    /// hence `mean_p_activity`) is bit-for-bit the naive plan's.
-    pub(crate) fn fold(dataset: &Dataset, rows: &RankedRows) -> Result<MaterializedAggregates> {
+    /// Fold a batch's rows up each leaf-to-root path. The batch is
+    /// rank-sorted, the order the naive plan sums in, so a float sum
+    /// (and hence `mean_p_activity`) is bit-for-bit the naive plan's.
+    pub(crate) fn fold(
+        dataset: &Dataset,
+        batch: &ActivityColumns,
+    ) -> Result<MaterializedAggregates> {
         let n = dataset.tree.len();
         let mut count = vec![0u64; n];
         let mut max_p = vec![f64::NEG_INFINITY; n];
         let mut sum_p = vec![0.0f64; n];
         let mut ligand_sets: Vec<FxHashSet<&str>> = vec![FxHashSet::default(); n];
-        for row in rows.iter() {
-            // `unify_assay_row` produced this row, so the column types
-            // are fixed; skip rather than panic if not.
+        let table = batch.table();
+        let (ranks, ligands, potencies) = (
+            table.column(RANK),
+            table.column(LIGAND_ID),
+            table.column(P_ACTIVITY),
+        );
+        for i in 0..batch.len() {
+            // The batch's columns are typed and complete; skip rather
+            // than panic if not.
             let (Some(rank), Some(ligand), Some(p)) =
-                (row[0].as_int(), row[2].as_text(), row[5].as_f64())
+                (ranks.int_at(i), ligands.text_at(i), potencies.f64_at(i))
             else {
                 continue;
             };

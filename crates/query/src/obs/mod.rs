@@ -65,9 +65,8 @@ pub fn plan_shape(plan: &PhysicalPlan) -> String {
         Access::CacheProbe(probe) => {
             let _ = write!(
                 s,
-                "cache-probe(pushdown={}, insert={}, concurrent={}, miss=[{}])",
+                "cache-probe(pushdown={}, concurrent={}, miss=[{}])",
                 pred_shape_opt(probe.key()),
-                probe.insert_on_miss(),
                 probe.concurrent_sources(),
                 join_fetches(probe.on_miss()),
             );

@@ -979,7 +979,6 @@ mod tests {
             .unwrap();
         match &plan.access {
             Access::CacheProbe(probe) => {
-                assert!(probe.insert_on_miss());
                 assert!(probe.key().is_some(), "p_activity filter is pushable");
                 assert!(probe.on_miss().iter().all(|f| f.batched() && f.concurrent));
             }

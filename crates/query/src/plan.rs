@@ -467,14 +467,13 @@ impl ViewAccess {
 /// ```compile_fail
 /// use drugtree_query::plan::{CacheProbe, FetchPlan};
 /// fn unkeyed(on_miss: Vec<FetchPlan>) -> CacheProbe {
-///     CacheProbe { key: None, on_miss, insert_on_miss: true, concurrent_sources: true }
+///     CacheProbe { key: None, on_miss, concurrent_sources: true }
 /// }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheProbe {
     key: Option<Predicate>,
     on_miss: Vec<FetchPlan>,
-    insert_on_miss: bool,
     concurrent_sources: bool,
 }
 
@@ -498,7 +497,6 @@ impl CacheProbe {
         CacheProbe {
             key: (key != Predicate::True).then_some(key),
             on_miss,
-            insert_on_miss: true,
             concurrent_sources: lowering.concurrent,
         }
     }
@@ -512,11 +510,6 @@ impl CacheProbe {
     /// The per-source fetches run when the probe misses.
     pub fn on_miss(&self) -> &[FetchPlan] {
         &self.on_miss
-    }
-
-    /// Whether the miss result is inserted back into the cache.
-    pub fn insert_on_miss(&self) -> bool {
-        self.insert_on_miss
     }
 
     /// Whether per-source results may be combined concurrently.
@@ -649,12 +642,7 @@ impl PhysicalPlan {
         );
         match &self.access {
             Access::CacheProbe(probe) => {
-                let _ = writeln!(
-                    out,
-                    "  CacheProbe pushdown={} insert_on_miss={}",
-                    fmt_pred_opt(probe.key()),
-                    probe.insert_on_miss()
-                );
+                let _ = writeln!(out, "  CacheProbe pushdown={}", fmt_pred_opt(probe.key()));
                 for f in probe.on_miss() {
                     let _ = writeln!(out, "    miss-> {}", fmt_fetch(f));
                 }

@@ -242,18 +242,13 @@ impl OverlayStats {
         for source in dataset.registry.distinct_by_kind(SourceKind::Assay) {
             let resp = source.fetch(&FetchRequest::scan())?;
             cost += resp.cost;
-            for raw in resp.rows {
-                if let Some(row) = unify_assay_row(dataset, raw) {
-                    // `unify_assay_row` fixed the column types; skip
-                    // rather than panic if not.
-                    let (Some(rank), Some(p)) = (row[0].as_int(), row[5].as_f64()) else {
-                        continue;
-                    };
+            for raw in &resp.rows {
+                if let Some((rank, p)) = unify_assay_row(dataset, raw) {
                     if let Some(facts) = &mut facts {
                         // Ligand and type by hash: a collision only
                         // makes the answer more cautious.
                         let mut h = FxHasher::default();
-                        (&row[2], &row[3]).hash(&mut h);
+                        (&raw[1], &raw[2]).hash(&mut h);
                         repeated |= !facts.insert((rank, h.finish()));
                     }
                     let rank = rank as usize;

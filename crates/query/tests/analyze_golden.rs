@@ -45,7 +45,7 @@ fn golden_full_analyze() {
         analyzed.render(),
         "\
 Plan: scope=n1 interval=[0, 2) pruned_leaves=0 est_cost=12ms est_rows=2 | actual: cost=12ms rows=2 err=0.00
-  CacheProbe pushdown=year >= 2012 insert_on_miss=true | actual: miss
+  CacheProbe pushdown=year >= 2012 | actual: miss
     miss-> SourceFetch source=assay-sim keys=2 pushdown=year >= 2012 batched=true max_batch=100 concurrent=true est_cost=12ms est_rows=2 | actual: cost=12ms rows=2 requests=1
   Residual: year >= 2012
   LigandJoin

@@ -53,7 +53,7 @@ fn golden_full_explain() {
         plan.explain(),
         "\
 Plan: scope=n1 interval=[0, 2) pruned_leaves=0 est_cost=12ms est_rows=2
-  CacheProbe pushdown=year >= 2012 insert_on_miss=true
+  CacheProbe pushdown=year >= 2012
     miss-> SourceFetch source=assay-sim keys=2 pushdown=year >= 2012 batched=true max_batch=100 concurrent=true est_cost=12ms est_rows=2
   Residual: year >= 2012
   LigandJoin
@@ -114,7 +114,7 @@ fn toggle_canonicalize() {
     assert!(on.contains("# pushdown: year >= 2012"), "{on}");
     assert!(on.contains("Residual: year >= 2012"), "{on}");
     assert!(on.contains("canonicalize=changed"), "{on}");
-    assert!(off.contains("CacheProbe pushdown=- "), "{off}");
+    assert!(off.contains("CacheProbe pushdown=-\n"), "{off}");
     assert!(off.contains("keys=2 pushdown=- "), "{off}");
     assert!(!off.contains("# pushdown"), "{off}");
     assert!(off.contains("Residual: not not year >= 2012"), "{off}");
@@ -170,7 +170,6 @@ fn toggle_semantic_cache() {
     let d = small_dataset(full_caps());
     let (on, off) = toggled(&d, "semantic_cache", &year_query());
     assert!(on.contains("CacheProbe"), "{on}");
-    assert!(on.contains("insert_on_miss=true"), "{on}");
     assert!(off.contains("Fetch concurrent_sources=true"), "{off}");
     assert!(!off.contains("CacheProbe"), "{off}");
 }

@@ -34,15 +34,15 @@ impl Dictionary {
     }
 
     /// Intern `s`, returning its code (existing or freshly assigned).
-    pub fn intern(&mut self, s: &str) -> u32 {
-        // Looked up by `&str` first: a repeat allocates nothing.
-        if let Some(&code) = self.map.get(s) {
+    /// A new string keeps the caller's allocation, so interning copies
+    /// no bytes, and a repeat allocates nothing.
+    pub fn intern(&mut self, s: &Arc<str>) -> u32 {
+        if let Some(&code) = self.map.get(&**s) {
             return code;
         }
         let code = self.values.len() as u32;
-        let s: Arc<str> = Arc::from(s);
-        self.values.push(Arc::clone(&s));
-        self.map.insert(s, code);
+        self.values.push(Arc::clone(s));
+        self.map.insert(Arc::clone(s), code);
         code
     }
 
@@ -78,9 +78,9 @@ mod tests {
     fn intern_is_idempotent() {
         let mut d = Dictionary::new();
         assert!(d.is_empty());
-        let a = d.intern("assay-a");
-        let b = d.intern("assay-b");
-        assert_eq!(d.intern("assay-a"), a);
+        let a = d.intern(&Arc::from("assay-a"));
+        let b = d.intern(&Arc::from("assay-b"));
+        assert_eq!(d.intern(&Arc::from("assay-a")), a);
         assert_ne!(a, b);
         assert_eq!(d.len(), 2);
         assert_eq!(d.values(), &[Arc::from("assay-a"), Arc::from("assay-b")]);
@@ -89,9 +89,9 @@ mod tests {
     #[test]
     fn cells_of_equal_strings_share_one_allocation() {
         let mut d = Dictionary::new();
-        let a = d.intern("P00001");
+        let a = d.intern(&Arc::from("P00001"));
         let a = d.cell_of(a).unwrap();
-        let b = d.intern(&String::from("P00001"));
+        let b = d.intern(&Arc::from(String::from("P00001")));
         let b = d.cell_of(b).unwrap();
         let (Value::Text(a), Value::Text(b)) = (&a, &b) else {
             panic!("text cells");
@@ -103,5 +103,15 @@ mod tests {
         assert!(Arc::ptr_eq(a, &c));
         assert_eq!(d.len(), 1);
         assert_eq!(d.cell_of(1), None);
+    }
+
+    #[test]
+    fn an_intern_keeps_the_first_allocation() {
+        let mut d = Dictionary::new();
+        let first: Arc<str> = Arc::from("L1");
+        assert_eq!(d.intern(&first), 0);
+        assert_eq!(d.intern(&Arc::from("L1")), 0);
+        assert!(Arc::ptr_eq(&d.values()[0], &first));
+        assert_eq!(d.intern(&Arc::from("L2")), 1);
     }
 }

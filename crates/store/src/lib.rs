@@ -11,7 +11,7 @@
 //! * [`value`] — dynamically-typed cell values with a total order.
 //! * [`schema`] — column/table schemas.
 //! * [`expr`] — predicate expressions evaluated against rows.
-//! * [`table`] — tables: segments, key index, sort-aware range slicing.
+//! * [`table`] — tables: segments and a key index.
 //! * [`catalog`] — a named collection of tables.
 //! * [`snapshot`] — JSON snapshot persistence for catalogs.
 //! * [`bitmap`] — packed selection/validity bitmaps.

@@ -69,6 +69,23 @@ impl Segment {
         })
     }
 
+    /// A segment over a filled typed buffer, every cell valid: the bulk
+    /// form of [`push_value`](Segment::push_value), for a builder that
+    /// typed its cells already. A `Str` buffer's codes must be the
+    /// dictionary's.
+    pub fn from_data(data: SegmentData) -> Segment {
+        let len = match &data {
+            SegmentData::Int(d) => d.len(),
+            SegmentData::Float(d) => d.len(),
+            SegmentData::Bool(d) => d.len(),
+            SegmentData::Str { codes, .. } => codes.len(),
+        };
+        Segment {
+            data,
+            validity: Bitmap::full(len),
+        }
+    }
+
     /// Number of rows (valid or not).
     pub fn len(&self) -> usize {
         self.validity.len()
@@ -324,6 +341,23 @@ mod tests {
             assert_eq!(floats.slice().f64_at(i), cell.as_f64());
             assert_eq!(floats.slice().int_at(i), None);
         }
+    }
+
+    #[test]
+    fn a_filled_buffer_reads_as_pushed_cells() {
+        let mut dict = Dictionary::new();
+        let codes = ["b", "a", "b"].map(|t| dict.intern(&t.into())).to_vec();
+        let texts = Segment::from_data(SegmentData::Str { codes, dict });
+        let mut pushed = Segment::new(ValueType::Text).unwrap();
+        for t in ["b", "a", "b"] {
+            pushed.push_value(&Value::from(t)).unwrap();
+        }
+        assert_eq!(texts, pushed);
+        let floats = Segment::from_data(SegmentData::Float(vec![1.5, -2.0]));
+        assert_eq!(floats.len(), 2);
+        assert_eq!(floats.validity().count_ones(), 2);
+        assert_eq!(floats.slice().f64_at(1), Some(-2.0));
+        assert!(Segment::from_data(SegmentData::Int(Vec::new())).is_empty());
     }
 
     #[test]

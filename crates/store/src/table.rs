@@ -4,24 +4,23 @@
 //! Rows are addressed by ordinal and built on demand ([`Table::row`],
 //! [`Table::cell`]); what the store holds is the columns. The query
 //! executor takes zero-copy [`ColumnSlice`] views and runs vectorized
-//! kernels over row ranges instead of gathering rows. A table sorted by
-//! an integer column (the Euler-tour leaf rank, in the query engine's
-//! use) answers interval scopes with a binary search that yields a
-//! contiguous row range — the optimizer's interval rewrite becomes a
-//! range-slice, not a row gather. A keyed table (a source's federation
-//! key, the overlay's ligand id) answers equality on its key column
-//! from a hash index that [`Table::append_row`] keeps current.
+//! kernels over row ranges instead of gathering rows. A table is built
+//! a row at a time ([`Table::append_row`]) or from filled segments at
+//! once ([`Table::from_segments`]). A keyed table (a source's
+//! federation key, the overlay's ligand id) answers equality on its key
+//! column from a hash index that [`Table::append_row`] keeps current.
 
 use crate::bitmap::Bitmap;
 use crate::expr::BoundPredicate;
 use crate::kernel;
 use crate::schema::Schema;
-use crate::segment::{ColumnSlice, Segment, SegmentData};
+use crate::segment::{ColumnSlice, Segment};
 use crate::value::{Value, ValueType};
 use crate::{Result, StoreError};
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Largest `Int` magnitude a Float column accepts: wider integers have
 /// no exact `f64`, so the segment could not hold them unchanged.
@@ -35,22 +34,22 @@ struct KeyIndex {
     rows: FxHashMap<Value, Vec<u32>>,
 }
 
-/// A column-oriented table with optional sort metadata and key index.
+/// A column-oriented table with an optional key index.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
-    schema: Schema,
+    /// Shared, so tables built to one schema do not each copy it.
+    schema: Arc<Schema>,
     segments: Vec<Segment>,
     len: usize,
-    /// Column index declared ascending-sorted (non-null Int), if any.
-    sorted_by: Option<usize>,
     key: Option<KeyIndex>,
 }
 
 impl Table {
     /// An empty table for a schema. Every column must have a storable
     /// type (no `ValueType::Null` columns).
-    pub fn new(name: impl Into<String>, schema: Schema) -> Result<Table> {
+    pub fn new(name: impl Into<String>, schema: impl Into<Arc<Schema>>) -> Result<Table> {
+        let schema = schema.into();
         let segments = schema
             .columns()
             .iter()
@@ -61,13 +60,16 @@ impl Table {
             schema,
             segments,
             len: 0,
-            sorted_by: None,
             key: None,
         })
     }
 
     /// Build a table by appending rows in order.
-    pub fn from_rows<I>(name: impl Into<String>, schema: Schema, rows: I) -> Result<Table>
+    pub fn from_rows<I>(
+        name: impl Into<String>,
+        schema: impl Into<Arc<Schema>>,
+        rows: I,
+    ) -> Result<Table>
     where
         I: IntoIterator,
         I::Item: AsRef<[Value]>,
@@ -77,6 +79,42 @@ impl Table {
             t.append_row(row.as_ref())?;
         }
         Ok(t)
+    }
+
+    /// A table over filled segments, one per schema column in order and
+    /// all of one length: the bulk form of appending rows. A segment of
+    /// another type or length, or a NULL in a required column, is
+    /// refused.
+    pub fn from_segments(
+        name: impl Into<String>,
+        schema: impl Into<Arc<Schema>>,
+        segments: Vec<Segment>,
+    ) -> Result<Table> {
+        let schema = schema.into();
+        let len = segments.first().map_or(0, Segment::len);
+        if segments.len() != schema.arity() || u32::try_from(len).is_err() {
+            return Err(StoreError::Columnar(format!(
+                "{} segments of {len} rows for {} columns",
+                segments.len(),
+                schema.arity()
+            )));
+        }
+        for (column, segment) in schema.columns().iter().zip(&segments) {
+            let complete = column.nullable || segment.validity().count_ones() == len;
+            if segment.value_type() != column.ty || segment.len() != len || !complete {
+                return Err(StoreError::Columnar(format!(
+                    "segment does not fit column {:?}",
+                    column.name
+                )));
+            }
+        }
+        Ok(Table {
+            name: name.into(),
+            schema,
+            segments,
+            len,
+            key: None,
+        })
     }
 
     /// Make `column` the table's key: its rows are indexed by their
@@ -113,13 +151,6 @@ impl Table {
         self.len == 0
     }
 
-    /// The declared sort column, if [`declare_sorted`] has run.
-    ///
-    /// [`declare_sorted`]: Table::declare_sorted
-    pub fn sorted_by(&self) -> Option<usize> {
-        self.sorted_by
-    }
-
     /// The key column, if [`with_key`] declared one.
     ///
     /// [`with_key`]: Table::with_key
@@ -146,17 +177,6 @@ impl Table {
         }
         let at = u32::try_from(self.len)
             .map_err(|_| StoreError::Columnar("a table holds at most 2^32 rows".to_string()))?;
-        if let Some(col) = self.sorted_by {
-            let last = self
-                .len
-                .checked_sub(1)
-                .map(|i| self.segments[col].slice().value_at(i));
-            if row[col].is_null() || matches!(&last, Some(prev) if prev > &row[col]) {
-                return Err(StoreError::Columnar(format!(
-                    "append violates declared sort order on column {col}"
-                )));
-            }
-        }
         for (cell, seg) in row.iter().zip(&mut self.segments) {
             seg.push_value(cell)?;
         }
@@ -182,49 +202,6 @@ impl Table {
             .as_ref()
             .and_then(|k| k.rows.get(key))
             .map_or(&[], Vec::as_slice)
-    }
-
-    /// Declare `column` ascending-sorted; verifies it is a fully
-    /// non-NULL Int column in non-decreasing order. Enables
-    /// [`range_of_i64`] binary searches.
-    ///
-    /// [`range_of_i64`]: Table::range_of_i64
-    pub fn declare_sorted(&mut self, column: &str) -> Result<()> {
-        let col = self.schema.column_index(column)?;
-        let seg = &self.segments[col];
-        let SegmentData::Int(data) = seg.data() else {
-            return Err(StoreError::Columnar(format!(
-                "sort column {column:?} must be Int, is {:?}",
-                seg.value_type()
-            )));
-        };
-        if seg.validity().count_ones() != self.len {
-            return Err(StoreError::Columnar(format!(
-                "sort column {column:?} contains NULLs"
-            )));
-        }
-        if data.windows(2).any(|w| w[0] > w[1]) {
-            return Err(StoreError::Columnar(format!(
-                "column {column:?} is not sorted ascending"
-            )));
-        }
-        self.sorted_by = Some(col);
-        Ok(())
-    }
-
-    /// The contiguous row range whose sort-column values fall in the
-    /// half-open interval `[lo, hi)`. Errors unless a sort column has
-    /// been declared.
-    pub fn range_of_i64(&self, lo: i64, hi: i64) -> Result<Range<usize>> {
-        let col = self.sorted_by.ok_or_else(|| {
-            StoreError::Columnar("range_of_i64 requires a declared sort column".to_string())
-        })?;
-        let SegmentData::Int(data) = self.segments[col].data() else {
-            unreachable!("declare_sorted only accepts Int columns");
-        };
-        let start = data.partition_point(|&v| v < lo);
-        let end = data.partition_point(|&v| v < hi);
-        Ok(start..end.max(start))
     }
 
     /// Zero-copy view of one column.
@@ -264,7 +241,7 @@ impl Table {
     pub(crate) fn to_snapshot(&self) -> TableSnapshot {
         TableSnapshot {
             name: self.name.clone(),
-            schema: self.schema.clone(),
+            schema: Schema::clone(&self.schema),
             rows: (0..self.len).map(|i| self.row(i)).collect(),
             indexes: self
                 .key_column()
@@ -328,6 +305,7 @@ mod tests {
     use super::*;
     use crate::expr::{CompareOp, Predicate};
     use crate::schema::Column;
+    use crate::segment::SegmentData;
 
     fn activity_schema() -> Schema {
         Schema::new(vec![
@@ -345,9 +323,7 @@ mod tests {
             vec![Value::Int(5), Value::from("assay-b"), Value::Float(2.5)],
             vec![Value::Int(9), Value::from("assay-a"), Value::Float(7.0)],
         ];
-        let mut t = Table::from_rows("activity", activity_schema(), rows).unwrap();
-        t.declare_sorted("leaf_rank").unwrap();
-        t
+        Table::from_rows("activity", activity_schema(), rows).unwrap()
     }
 
     #[test]
@@ -360,7 +336,6 @@ mod tests {
             vec![Value::Int(2), Value::from("assay-a"), Value::Null]
         );
         assert_eq!(t.cell(3, 2), Value::Float(2.5));
-        assert_eq!(t.sorted_by(), Some(0));
         assert_eq!(t.key_column(), None);
     }
 
@@ -430,31 +405,38 @@ mod tests {
     }
 
     #[test]
-    fn interval_range_binary_search() {
+    fn segments_build_the_table_rows_would() {
         let t = sample();
-        assert_eq!(t.range_of_i64(2, 6).unwrap(), 1..4);
-        assert_eq!(t.range_of_i64(0, 10).unwrap(), 0..5);
-        assert_eq!(t.range_of_i64(3, 5).unwrap(), 3..3);
-        assert_eq!(t.range_of_i64(10, 20).unwrap(), 5..5);
-        let unsorted = Table::new("x", activity_schema()).unwrap();
-        assert!(unsorted.range_of_i64(0, 1).is_err());
-    }
-
-    #[test]
-    fn sorted_declaration_verifies() {
-        let rows = vec![
-            vec![Value::Int(5), Value::from("a"), Value::Null],
-            vec![Value::Int(3), Value::from("a"), Value::Null],
-        ];
-        let mut t = Table::from_rows("x", activity_schema(), rows).unwrap();
-        assert!(t.declare_sorted("leaf_rank").is_err());
-        assert!(t.declare_sorted("source").is_err());
-        // Appends that would break a declared order are rejected.
-        let mut t = sample();
-        let bad = vec![Value::Int(1), Value::from("a"), Value::Null];
-        assert!(t.append_row(&bad).is_err());
-        let ok = vec![Value::Int(9), Value::from("a"), Value::Null];
-        t.append_row(&ok).unwrap();
+        let segments = (0..3)
+            .map(|c| {
+                let mut s = Segment::new(t.schema().columns()[c].ty).unwrap();
+                (0..t.len()).for_each(|i| s.push_value(&t.cell(i, c)).unwrap());
+                s
+            })
+            .collect::<Vec<_>>();
+        let built = Table::from_segments("activity", activity_schema(), segments.clone()).unwrap();
+        assert_eq!(
+            (0..5).map(|i| built.row(i)).collect::<Vec<_>>(),
+            (0..5).map(|i| t.row(i)).collect::<Vec<_>>()
+        );
+        // Too few segments, one too short, a NULL in a required column.
+        assert!(Table::from_segments("x", activity_schema(), segments[..2].to_vec()).is_err());
+        let mut short = segments.clone();
+        short[2] = Segment::from_data(SegmentData::Float(vec![1.0]));
+        assert!(Table::from_segments("x", activity_schema(), short).is_err());
+        let mut nulls = segments;
+        let mut ranks = Segment::new(ValueType::Int).unwrap();
+        for v in [
+            Value::Int(0),
+            Value::Null,
+            Value::Int(2),
+            Value::Int(5),
+            Value::Int(9),
+        ] {
+            ranks.push_value(&v).unwrap();
+        }
+        nulls[0] = ranks;
+        assert!(Table::from_segments("x", activity_schema(), nulls).is_err());
     }
 
     #[test]

@@ -155,10 +155,10 @@ proptest! {
         };
         let mut pool = Dictionary::new();
         for s in &noise {
-            pool.intern(s);
+            pool.intern(&s.as_str().into());
         }
         let made = |s: &String, pool: &mut Dictionary| {
-            let code = pool.intern(s);
+            let code = pool.intern(&s.as_str().into());
             let pooled = pool.cell_of(code).unwrap();
             [Value::from(s.as_str()), Value::from(s.clone()), pooled.clone(), pooled]
         };

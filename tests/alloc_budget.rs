@@ -4,33 +4,37 @@
 //! mobile session runs, and what it costs is decided by how often each
 //! returned row visits the allocator on its way from the source's
 //! table to `QueryResult.rows`. With text cells shared (`Value::Text`
-//! is an `Arc<str>`) and fetched rows moved rather than re-cloned, a
-//! row costs three allocations on a cache miss — the source's shipped
-//! row, the widened activity row the cache keeps, the 14-cell result
-//! row — and one on a hit, the result row alone.
+//! is an `Arc<str>`) and fetched rows widened into typed columns, a
+//! row costs two allocations on a cache miss — the source's shipped
+//! row and the 14-cell result row; the activity batch the cache keeps
+//! allocates per column, not per row — and one on a hit, the result row
+//! alone.
 //!
 //! The same test run against the parent of the change that introduced
 //! it (`Value::Text(String)`, every hop deep-copying its strings)
 //! counted, on this very bundle (5,855 rows), **17.61 allocations per
 //! returned row on the miss and 7.46 on the hit**; this tree counts
-//! 3.03 and 1.01 (17,724 and 5,917 calls), as it did before sources
-//! and the overlay kept their rows in column segments (17,720 and
-//! 5,917: a source's fetch now allocates its column views once). The
+//! 3.03 and 1.01 (17,724 and 5,917 calls) while a fetch and a cache
+//! entry held one widened `Vec<Value>` per row, and 2.03 and 1.01
+//! (11,905 and 5,916) since both hold the batch's typed columns. The
 //! budget below leaves one allocation per row of slack on either path,
-//! so a reintroduced per-row copy fails it on any machine.
+//! so a reintroduced per-row copy fails it on any machine. A hit of a
+//! small clade, sliced from the whole tree's entry, allocates per row
+//! it returns, never per row the entry holds: 161 calls for 114 of
+//! 5,855 rows; the second test pins that.
 //!
 //! A gesture no longer runs that listing: an expand, or an inspect of a
 //! viewport with collapsed clades, asks for one glyph row per drawn
 //! leaf or collapsed clade, folded from the same cached rows. On a hit
 //! it allocates per glyph — the result row and its label — and never
-//! per row of the clade it folds; the second test pins that. On this
+//! per row of the clade it folds; the third test pins that. On this
 //! bundle a fullscreen inspect folds 5,855 rows into 69 glyphs for 186
 //! allocator calls, plan included.
 //!
 //! A columnar scan reads the mirror's cells in place and builds a row
 //! only for what it returns, so a query that scans every mirrored row
 //! and returns a few allocates per returned row, not per scanned row;
-//! the third test pins that on a `.with_columnar()` system. Before the
+//! the fourth test pins that on a `.with_columnar()` system. Before the
 //! scan handed positions to the executor it built every selected row
 //! first: on this bundle a whole-tree `top 10 by p_activity desc` made
 //! **5,942 allocator calls and a similarity query returning 15 rows
@@ -46,6 +50,7 @@
 
 use drugtree::prelude::*;
 use drugtree_mobile::GestureStep;
+use drugtree_phylo::index::LeafInterval;
 use drugtree_query::ast::{Query, Scope};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -106,8 +111,9 @@ const LIGANDS: usize = 1024;
 
 /// What a query may allocate whatever it returns: the plan (its keys,
 /// one per leaf in scope, held in a few vectors), the fetch requests
-/// with their column names, the growth of the row vectors, the cache
-/// entry. Measured at 159 on the miss and 62 on the hit of this bundle.
+/// with their column names, the growth of the row vectors, the
+/// batch's columns and dictionaries. Measured at 195 on the miss and 61
+/// on the hit of this bundle.
 const PER_QUERY: u64 = 2 * LEAVES as u64;
 
 fn bundle() -> SyntheticBundle {
@@ -155,12 +161,41 @@ fn a_listing_allocates_per_row_what_the_budget_allows() {
         on_hit as f64 / rows as f64,
     );
     assert!(
-        on_miss <= 4 * rows + PER_QUERY,
+        on_miss <= 3 * rows + PER_QUERY,
         "miss: {on_miss} allocations for {rows} rows"
     );
     assert!(
         on_hit <= 2 * rows + PER_QUERY,
         "hit: {on_hit} allocations for {rows} rows"
+    );
+}
+
+#[test]
+fn a_small_clade_hit_allocates_per_row_returned_not_per_row_cached() {
+    let system = system();
+    let run = |query: &Query| system.executor().execute(system.dataset(), query).unwrap();
+    let whole = run(&Query::activities(Scope::Tree));
+    let clade = Query::activities(Scope::Interval(LeafInterval { lo: 0, hi: 4 }));
+    let (warm, on_hit) = allocations_in(|| run(&clade));
+    assert_eq!(warm.metrics.cache_hit, Some(true));
+    assert_eq!(
+        warm.metrics.source_requests, 0,
+        "the whole-tree entry answers"
+    );
+
+    let (cached, returned) = (whole.rows.len() as u64, warm.rows.len() as u64);
+    assert!(returned > 0, "the clade holds rows");
+    assert!(
+        cached > 8 * (returned + PER_QUERY),
+        "{cached} rows cached for {returned}: a per-cached-row count would hide"
+    );
+    println!(
+        "{returned} rows of {cached} cached: {on_hit} allocations on the hit ({:.2}/row returned)",
+        on_hit as f64 / returned as f64,
+    );
+    assert!(
+        on_hit <= 2 * returned + PER_QUERY,
+        "hit: {on_hit} allocations for {returned} rows of {cached} cached"
     );
 }
 

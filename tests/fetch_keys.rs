@@ -74,10 +74,9 @@ fn best_by_rank(dataset: &Dataset) -> Vec<Option<f64>> {
     let mut best: Vec<Option<f64>> = vec![None; dataset.leaf_count()];
     for source in dataset.registry.by_kind(SourceKind::Assay) {
         for raw in source.fetch(&FetchRequest::scan()).unwrap().rows {
-            let Some(row) = unify_assay_row(dataset, raw) else {
+            let Some((rank, p)) = unify_assay_row(dataset, &raw) else {
                 continue;
             };
-            let (rank, p) = (row[0].as_int().unwrap(), row[5].as_f64().unwrap());
             let slot = &mut best[rank as usize];
             *slot = Some(slot.map_or(p, |held: f64| held.max(p)));
         }

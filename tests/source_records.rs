@@ -324,7 +324,7 @@ fn run_case(
     for record in activities {
         let mapped = naive.rank_of_accession(&record.protein_accession).is_some();
         let valid = record.value_nm.is_finite() && record.value_nm > 0.0;
-        let unified = unify_assay_row(naive, assay_row(record));
+        let unified = unify_assay_row(naive, &assay_row(record));
         if unified.is_some() != (mapped && valid) {
             return Err(format!("unify_assay_row kept {unified:?} for {record:?}"));
         }
