@@ -25,8 +25,8 @@ use drugtree_query::optimizer::{Optimizer, OptimizerConfig};
 use drugtree_query::{AdaptiveRuntime, Dataset, Executor, Observer};
 use drugtree_sources::clock::VirtualClock;
 use drugtree_sources::federation::SourceRegistry;
-use drugtree_sources::ligand_db::ligand_from_row;
-use drugtree_sources::protein_db::protein_from_row;
+use drugtree_sources::ligand_db::ligand_records;
+use drugtree_sources::protein_db::protein_records;
 use drugtree_sources::source::{DataSource, FetchRequest, SourceKind};
 use std::sync::Arc;
 
@@ -168,14 +168,8 @@ fn build_from_sources(registry: SourceRegistry) -> Result<Dataset, DrugTreeError
         .fetch(&FetchRequest::scan())
         .map_err(|e| DrugTreeError::Builder(e.to_string()))?;
     clock.advance(resp.cost);
-    let proteins: Vec<_> = resp
-        .rows
-        .iter()
-        .map(|r| {
-            protein_from_row(r)
-                .ok_or_else(|| DrugTreeError::Integrate("malformed protein row".into()))
-        })
-        .collect::<Result<_, _>>()?;
+    let proteins = protein_records(&resp.table)
+        .ok_or_else(|| DrugTreeError::Integrate("malformed protein row".into()))?;
     if proteins.is_empty() {
         return Err(DrugTreeError::Builder("protein source is empty".into()));
     }
@@ -204,13 +198,8 @@ fn build_from_sources(registry: SourceRegistry) -> Result<Dataset, DrugTreeError
                 .fetch(&FetchRequest::scan())
                 .map_err(|e| DrugTreeError::Builder(e.to_string()))?;
             clock.advance(resp.cost);
-            resp.rows
-                .iter()
-                .map(|r| {
-                    ligand_from_row(r)
-                        .ok_or_else(|| DrugTreeError::Integrate("malformed ligand row".into()))
-                })
-                .collect::<Result<Vec<_>, _>>()?
+            ligand_records(&resp.table)
+                .ok_or_else(|| DrugTreeError::Integrate("malformed ligand row".into()))?
         }
         Err(_) => Vec::new(),
     };

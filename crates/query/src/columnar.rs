@@ -6,10 +6,13 @@
 //! A fetch returns one, a semantic-cache entry holds one, the [local
 //! build](crate::local) folds one into the aggregate view and keeps one
 //! as the columnar mirror. One constructor,
-//! `ActivityColumns::widen`, builds them all from raw source rows by
-//! the same rules ([`unify_assay_row`], then the conflict rule where
-//! the deployment resolves conflicts, then a stable sort by leaf rank),
-//! so every access path returns the same rows.
+//! `ActivityColumns::widen`, builds them all from the typed columns the
+//! sources shipped by the same rules ([`AssayRows::unify`], then the
+//! conflict rule where the deployment resolves conflicts, then a stable
+//! sort by leaf rank), so every access path returns the same rows. No
+//! `Value` row exists between a source's segments and the batch:
+//! numbers are copied buffer to buffer, and text moves as dictionary
+//! codes, re-coded once per distinct string.
 //!
 //! A leaf interval is a binary-searched row *range* of a batch
 //! ([`ActivityColumns::rows_in`]): a cache hit slices its entry that
@@ -23,13 +26,12 @@
 //!
 //! [`Access::ColumnarScan`]: crate::plan::Access::ColumnarScan
 
-use crate::dataset::{activity_half_schema, unify_assay_row, Dataset};
+use crate::dataset::{activity_half_schema, AssayCells, AssayRows, Dataset};
 use crate::Result;
 use drugtree_phylo::index::LeafInterval;
 use drugtree_store::dict::Dictionary;
 use drugtree_store::segment::{ColumnData, Segment, SegmentData};
 use drugtree_store::table::Table;
-use drugtree_store::value::Value;
 use rustc_hash::FxHashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -56,84 +58,100 @@ pub struct ActivityColumns {
     table: Table,
 }
 
-/// A source row that widened: its position among the source rows, its
-/// leaf rank and its pActivity.
+/// A shipped row that widened: the batch it came in and its row there,
+/// its leaf rank and its pActivity.
 #[derive(Debug, Clone, Copy)]
 struct Kept {
     rank: u32,
-    at: usize,
+    batch: u32,
+    row: u32,
     p_activity: f64,
 }
 
+impl Kept {
+    /// The stable order: by rank, then by position among the shipped
+    /// rows (batch, then row).
+    fn order(&self) -> (u32, u32, u32) {
+        (self.rank, self.batch, self.row)
+    }
+}
+
 impl ActivityColumns {
-    /// Widen raw assay-source rows (every source's, in source order)
-    /// into a batch, and count the rows that are no activity record.
-    /// One pass reads each row's rank and pActivity
-    /// ([`unify_assay_row`]); where the deployment
+    /// Widen what assay sources shipped (every source's batches, in
+    /// source order) into a batch, and count the rows that are no
+    /// activity record. One pass reads each row's rank and pActivity
+    /// ([`AssayRows::unify`]: the rank once per distinct accession
+    /// code); where the deployment
     /// [resolves conflicts](Dataset::resolves_conflicts), only the most
     /// recent measurement of each (leaf, ligand, activity type) is
     /// kept, the first in row order on a tie; then the kept rows are
     /// stably sorted by rank, so rows within a leaf keep source order,
-    /// then scan order, and their cells are written straight into typed
-    /// buffers.
-    pub(crate) fn widen(
-        dataset: &Dataset,
-        rows: &[Vec<Value>],
-    ) -> Result<(ActivityColumns, usize)> {
-        let mut kept = Vec::with_capacity(rows.len());
-        for (at, row) in rows.iter().enumerate() {
-            if let Some((rank, p_activity)) = unify_assay_row(dataset, row) {
-                kept.push(Kept {
-                    rank,
-                    at,
-                    p_activity,
-                });
+    /// then scan order, and their cells are copied from the shipped
+    /// columns into typed buffers, text re-coded once per distinct
+    /// string into the batch's dictionaries.
+    pub(crate) fn widen(dataset: &Dataset, shipped: &[Table]) -> Result<(ActivityColumns, usize)> {
+        let views: Vec<AssayRows> = shipped.iter().map(|t| AssayRows::new(dataset, t)).collect();
+        let mut kept = Vec::with_capacity(shipped.iter().map(Table::len).sum());
+        for (batch, rows) in (0..).zip(&views) {
+            for row in 0..rows.len() {
+                if let Some((rank, p_activity)) = rows.unify(row) {
+                    kept.push(Kept {
+                        rank,
+                        batch,
+                        row: row as u32,
+                        p_activity,
+                    });
+                }
             }
         }
-        let unmapped = rows.len() - kept.len();
+        let unmapped = shipped.iter().map(Table::len).sum::<usize>() - kept.len();
+        let mut text = [
+            AssayCells::ACCESSION,
+            AssayCells::LIGAND,
+            AssayCells::KIND,
+            AssayCells::SOURCE,
+        ]
+        .map(|column| TextColumn::new(&views, column));
         if dataset.resolves_conflicts() {
-            keep_most_recent(rows, &mut kept);
+            keep_most_recent(&views, &mut text, &mut kept);
         }
         // Positions are distinct, so this order is the stable one.
-        kept.sort_unstable_by_key(|k| (k.rank, k.at));
-        Ok((ActivityColumns::fill(rows, &kept)?, unmapped))
-    }
+        kept.sort_unstable_by_key(Kept::order);
 
-    /// Write the `kept` rows, in that order, into the eight segments.
-    fn fill(rows: &[Vec<Value>], kept: &[Kept]) -> Result<ActivityColumns> {
-        let n = kept.len();
-        let (mut ranks, mut years) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        let (mut values, mut potencies) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        let [mut accessions, mut ligands, mut kinds, mut sources] =
-            std::array::from_fn(|_| TextColumn::with_capacity(n));
-        for k in kept {
-            // `unify_assay_row` kept only rows of this shape.
-            let [Value::Text(accession), Value::Text(ligand), Value::Text(kind), value_nm, Value::Text(source), Value::Int(year), ..] =
-                &rows[k.at][..]
-            else {
-                unreachable!("a kept row has the source schema's cells");
-            };
-            ranks.push(i64::from(k.rank));
-            accessions.push(accession);
-            ligands.push(ligand);
-            kinds.push(kind);
-            values.push(value_nm.as_f64().unwrap_or(f64::NAN));
-            potencies.push(k.p_activity);
-            sources.push(source);
-            years.push(*year);
-        }
+        let cells = |k: &Kept| match views[k.batch as usize].cells() {
+            Some(cells) => (cells, k.row as usize),
+            None => unreachable!("a kept row has the assay schema's cells"),
+        };
+        let ranks = kept.iter().map(|k| i64::from(k.rank)).collect();
+        let values = kept
+            .iter()
+            .map(|k| {
+                let (cells, row) = cells(k);
+                cells.value_nm.f64_at(row).unwrap_or(f64::NAN)
+            })
+            .collect();
+        let potencies = kept.iter().map(|k| k.p_activity).collect();
+        let years = kept
+            .iter()
+            .map(|k| {
+                let (cells, row) = cells(k);
+                cells.year[row]
+            })
+            .collect();
+        let [accessions, ligands, kinds, sources] =
+            text.map(|column| column.into_segment(&views, &kept));
         let segments = vec![
             Segment::from_data(SegmentData::Int(ranks)),
-            accessions.into_segment(),
-            ligands.into_segment(),
-            kinds.into_segment(),
+            accessions,
+            ligands,
+            kinds,
             Segment::from_data(SegmentData::Float(values)),
             Segment::from_data(SegmentData::Float(potencies)),
-            sources.into_segment(),
+            sources,
             Segment::from_data(SegmentData::Int(years)),
         ];
         let table = Table::from_segments("activity", Arc::clone(activity_half_schema()), segments)?;
-        Ok(ActivityColumns { table })
+        Ok((ActivityColumns { table }, unmapped))
     }
 
     /// Number of activity rows.
@@ -183,64 +201,83 @@ impl ActivityColumns {
     }
 }
 
-/// One text column being filled: its codes and its dictionary, which
-/// keeps the source's allocation of each distinct string. Source cells
-/// are handles to their source dictionary's one allocation per string,
-/// so a map from a cell's address to its code answers a repeat without
-/// hashing the text; a string met at a second address still gets its
-/// one code from the dictionary. The cells are borrowed for the whole
-/// fill, so an address names one live allocation.
-struct TextColumn {
-    codes: Vec<u32>,
-    dict: Dictionary,
-    by_address: FxHashMap<*const u8, u32>,
-    /// The previous cell's address and code: rows of one leaf, filled
-    /// in a run, repeat their accession.
-    last: (*const u8, u32),
+/// One text column being filled: the distinct strings its codes name,
+/// each the shipped allocation of it. Each code of a shipped batch is
+/// re-coded once, on first use, through a map keyed by the borrowed
+/// text, so a string is hashed once per batch it arrives in, never once
+/// per row, and the batch's dictionary is built from the distinct
+/// strings without hashing them again.
+struct TextColumn<'t> {
+    /// Which of the shipped text columns this is.
+    column: usize,
+    values: Vec<Arc<str>>,
+    by_text: FxHashMap<&'t str, u32>,
+    /// Per shipped batch, the batch code of each of its codes;
+    /// `u32::MAX` until first used.
+    recoded: Vec<Vec<u32>>,
 }
 
-impl TextColumn {
-    fn with_capacity(n: usize) -> TextColumn {
+impl<'t> TextColumn<'t> {
+    fn new(views: &[AssayRows<'t>], column: usize) -> TextColumn<'t> {
+        let distinct = |v: &AssayRows| v.cells().map_or(0, |c| c.text[column].1.len());
+        let recoded: Vec<Vec<u32>> = views.iter().map(|v| vec![u32::MAX; distinct(v)]).collect();
+        let most = recoded.iter().map(Vec::len).max().unwrap_or(0);
         TextColumn {
-            codes: Vec::with_capacity(n),
-            dict: Dictionary::new(),
-            by_address: FxHashMap::default(),
-            last: (std::ptr::null(), 0),
+            column,
+            values: Vec::with_capacity(most),
+            by_text: FxHashMap::with_capacity_and_hasher(most, Default::default()),
+            recoded,
         }
     }
 
-    fn push(&mut self, text: &Arc<str>) {
-        let address = text.as_ptr();
-        if self.last.0 != address {
-            let dict = &mut self.dict;
-            let code = *self
-                .by_address
-                .entry(address)
-                .or_insert_with(|| dict.intern(text));
-            self.last = (address, code);
+    /// The batch code of a kept row's cell.
+    fn code(&mut self, views: &[AssayRows<'t>], k: &Kept) -> u32 {
+        let Some(cells) = views[k.batch as usize].cells() else {
+            unreachable!("a kept row has the assay schema's cells");
+        };
+        let (codes, shipped) = cells.text[self.column];
+        let code = codes[k.row as usize] as usize;
+        let slot = &mut self.recoded[k.batch as usize][code];
+        if *slot == u32::MAX {
+            let text = &shipped.values()[code];
+            let values = &mut self.values;
+            *slot = *self.by_text.entry(&**text).or_insert_with(|| {
+                values.push(Arc::clone(text));
+                values.len() as u32 - 1
+            });
         }
-        self.codes.push(self.last.1);
+        *slot
     }
 
-    fn into_segment(self) -> Segment {
+    /// The column of the `kept` rows, in that order.
+    fn into_segment(mut self, views: &[AssayRows<'t>], kept: &[Kept]) -> Segment {
+        let codes = kept.iter().map(|k| self.code(views, k)).collect();
         Segment::from_data(SegmentData::Str {
-            codes: self.codes,
-            dict: self.dict,
+            codes,
+            dict: Dictionary::from_distinct(self.values),
         })
     }
 }
 
 /// Keep the most recent measurement per (rank, ligand, type) among the
-/// `kept` rows, the first in row order on a tie, in place.
-fn keep_most_recent(rows: &[Vec<Value>], kept: &mut Vec<Kept>) {
-    let year = |k: &Kept| rows[k.at][5].as_int().unwrap_or(0);
-    let mut best: FxHashMap<(u32, &str, &str), usize> = FxHashMap::default();
+/// `kept` rows, the first in row order on a tie, in place. Ligand and
+/// type are compared by their batch codes, so the rule hashes integers.
+fn keep_most_recent<'t>(
+    views: &[AssayRows<'t>],
+    text: &mut [TextColumn<'t>; 4],
+    kept: &mut Vec<Kept>,
+) {
+    let year = |k: &Kept| {
+        views[k.batch as usize]
+            .cells()
+            .map_or(0, |c| c.year[k.row as usize])
+    };
+    let mut best: FxHashMap<(u32, u32, u32), usize> = FxHashMap::default();
     for (i, k) in kept.iter().enumerate() {
-        let row = &rows[k.at];
         let key = (
             k.rank,
-            row[1].as_text().unwrap_or_default(),
-            row[2].as_text().unwrap_or_default(),
+            text[AssayCells::LIGAND].code(views, k),
+            text[AssayCells::KIND].code(views, k),
         );
         match best.get(&key) {
             Some(&held) if year(&kept[held]) >= year(k) => {}
@@ -262,35 +299,28 @@ pub(crate) mod tests {
     use super::*;
     use crate::dataset::test_fixtures::small_dataset;
     use crate::local::{Keep, LocalBuild};
+    use drugtree_sources::assay_db::assay_schema;
     use drugtree_sources::source::SourceCapabilities;
     use drugtree_store::expr::{CompareOp, Predicate};
+    use drugtree_store::value::Value;
 
     /// A batch of one row per rank, in the order given, each naming
     /// `tag` as its ligand; no dataset needed.
     pub(crate) fn batch_of(ranks: &[u32], tag: &str) -> Arc<ActivityColumns> {
-        let rows: Vec<Vec<Value>> = ranks
-            .iter()
-            .map(|_| {
-                vec![
-                    Value::from("P"),
-                    Value::from(tag),
-                    Value::from("Ki"),
-                    Value::Float(10.0),
-                    Value::from("s"),
-                    Value::Int(2012),
-                ]
-            })
-            .collect();
-        let kept: Vec<Kept> = ranks
-            .iter()
-            .enumerate()
-            .map(|(at, &rank)| Kept {
-                rank,
-                at,
-                p_activity: 8.0,
-            })
-            .collect();
-        Arc::new(ActivityColumns::fill(&rows, &kept).unwrap())
+        let rows = ranks.iter().map(|&rank| {
+            [
+                Value::Int(i64::from(rank)),
+                Value::from("P"),
+                Value::from(tag),
+                Value::from("Ki"),
+                Value::Float(10.0),
+                Value::Float(8.0),
+                Value::from("s"),
+                Value::Int(2012),
+            ]
+        });
+        let table = Table::from_rows("activity", Arc::clone(activity_half_schema()), rows).unwrap();
+        Arc::new(ActivityColumns { table })
     }
 
     /// The ranks of a batch's rows in `range`.
@@ -317,6 +347,11 @@ pub(crate) mod tests {
         ]
     }
 
+    /// What an assay source holding `rows` ships for a scan.
+    fn shipped(rows: &[Vec<Value>]) -> Table {
+        Table::from_rows("assays", assay_schema(), rows).unwrap()
+    }
+
     #[test]
     fn build_mirrors_all_activity_rows() {
         let (c, d) = mirror_and_dataset();
@@ -340,51 +375,63 @@ pub(crate) mod tests {
     }
 
     /// Widening keeps activity records alone, sorts them stably by rank
-    /// and reads each cell as the source shipped it.
+    /// across the shipped batches and reads each cell as the source
+    /// shipped it.
     #[test]
     fn widening_sorts_stably_and_drops_what_is_no_record() {
         let d = small_dataset(SourceCapabilities::full());
-        let rows = vec![
+        let first = vec![
             raw("P3", "L3", 1.0, 2013),
             raw("P1", "L2", 2000.0, 2011),
             raw("QX", "L1", 10.0, 2012),
-            raw("P1", "L1", 10.0, 2012),
-            raw("P2", "L1", -1.0, 2012),
         ];
-        let (batch, unmapped) = ActivityColumns::widen(&d, &rows).unwrap();
+        let second = vec![raw("P1", "L1", 10.0, 2012), raw("P2", "L1", -1.0, 2012)];
+        let batches = [shipped(&first), shipped(&second)];
+        let (batch, unmapped) = ActivityColumns::widen(&d, &batches).unwrap();
         assert_eq!(unmapped, 2);
         assert_eq!(ranks(&batch, 0..batch.len()), [0, 0, 2]);
         let row = batch.table().row(1);
-        assert_eq!(row[1..5], rows[3][..4]);
+        assert_eq!(row[1..5], second[0][..4]);
         assert_eq!(row[5], Value::Float(8.0));
-        assert_eq!(row[6..], rows[3][4..]);
+        assert_eq!(row[6..], second[0][4..]);
         assert_eq!(batch.table().cell(0, LIGAND_ID), Value::from("L2"));
-        // A text is one code however many allocations shipped it.
+        // A text is one code however many batches shipped it, and the
+        // batch keeps one batch's allocation of it.
         let lab = batch.table().column(6);
         assert_eq!(
             lab.text_at(0).unwrap().as_ptr(),
-            lab.text_at(2).unwrap().as_ptr()
+            lab.text_at(1).unwrap().as_ptr()
         );
+        let ColumnData::Str { dict, .. } = lab.data else {
+            panic!("source is text");
+        };
+        assert_eq!(dict.len(), 1);
         assert!(ActivityColumns::widen(&d, &[]).unwrap().0.is_empty());
+        // A batch of another shape widens no row.
+        let projected = batches[0].gather(&[0, 1], &[0, 1, 2, 3, 4]);
+        assert_eq!(ActivityColumns::widen(&d, &[projected]).unwrap().1, 2);
     }
 
     #[test]
     fn conflicts_keep_the_most_recent_in_row_order() {
-        let mut kept: Vec<Kept> = (0..4)
-            .map(|at| Kept {
+        let d = small_dataset(SourceCapabilities::full());
+        let batches = [
+            shipped(&[raw("P1", "L1", 10.0, 2010), raw("P1", "L2", 10.0, 2011)]),
+            shipped(&[raw("P1", "L1", 20.0, 2013), raw("P1", "L1", 30.0, 2013)]),
+        ];
+        let views: Vec<AssayRows> = batches.iter().map(|t| AssayRows::new(&d, t)).collect();
+        let mut kept: Vec<Kept> = [(0, 0), (0, 1), (1, 0), (1, 1)]
+            .map(|(batch, row)| Kept {
                 rank: 0,
-                at,
+                batch,
+                row,
                 p_activity: 8.0,
             })
-            .collect();
-        let rows = vec![
-            raw("P1", "L1", 10.0, 2010),
-            raw("P1", "L2", 10.0, 2011),
-            raw("P1", "L1", 20.0, 2013),
-            raw("P1", "L1", 30.0, 2013),
-        ];
-        keep_most_recent(&rows, &mut kept);
-        assert_eq!(kept.iter().map(|k| k.at).collect::<Vec<_>>(), [1, 2]);
+            .to_vec();
+        let mut text = [0, 1, 2, 3].map(|column| TextColumn::new(&views, column));
+        keep_most_recent(&views, &mut text, &mut kept);
+        let at: Vec<(u32, u32)> = kept.iter().map(|k| (k.batch, k.row)).collect();
+        assert_eq!(at, [(0, 1), (1, 0)]);
     }
 
     #[test]

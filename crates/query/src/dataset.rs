@@ -10,7 +10,11 @@ use drugtree_sources::batcher::SortedKeys;
 use drugtree_sources::clock::VirtualClock;
 use drugtree_sources::federation::SourceRegistry;
 use drugtree_sources::source::SourceKind;
+use drugtree_store::bitmap::Bitmap;
+use drugtree_store::dict::Dictionary;
 use drugtree_store::schema::{Column, Schema};
+use drugtree_store::segment::{ColumnData, ColumnSlice};
+use drugtree_store::table::Table;
 use drugtree_store::value::{Value, ValueType};
 use rustc_hash::FxHashMap;
 use std::sync::{Arc, OnceLock};
@@ -270,23 +274,124 @@ pub fn activity_half_schema() -> &'static Arc<Schema> {
     })
 }
 
-/// The one widening rule: the leaf rank and pActivity of a raw
-/// assay-source row (protein_accession, ligand_id, activity_type,
-/// value_nm, source, year), or `None` when the row is no activity
-/// record: its accession is not on the tree, its `value_nm` is not
-/// finite and positive, or a cell is missing or not of the source
-/// schema's type. The batch constructor
+/// An assay source's shipped rows (protein_accession, ligand_id,
+/// activity_type, value_nm, source, year), read through the one
+/// widening rule ([`AssayRows::unify`]). The batch constructor
 /// ([`ActivityColumns::widen`](crate::columnar::ActivityColumns)) and
-/// the statistics read source rows through it alone.
-pub fn unify_assay_row(dataset: &Dataset, row: &[Value]) -> Option<(u32, f64)> {
-    let [Value::Text(accession), Value::Text(_), Value::Text(_), value_nm, Value::Text(_), Value::Int(_), ..] =
-        row
-    else {
-        return None;
-    };
-    let rank = dataset.rank_of_accession(accession)?;
-    let value_nm = value_nm.as_f64()?;
-    (value_nm.is_finite() && value_nm > 0.0).then(|| (rank, -(value_nm * 1e-9).log10()))
+/// the statistics read shipped rows through it alone. The leaf rank is
+/// resolved once per distinct accession the batch holds, not per row.
+pub struct AssayRows<'t> {
+    len: usize,
+    /// The cells, when the batch has the assay schema's shape.
+    cells: Option<AssayCells<'t>>,
+    /// The leaf rank of each accession code; `None` off the tree.
+    ranks: Vec<Option<u32>>,
+}
+
+/// The typed cells of a shipped assay batch.
+pub(crate) struct AssayCells<'t> {
+    /// Codes and dictionary of the four text columns, indexed by
+    /// [`AssayCells::ACCESSION`], [`AssayCells::LIGAND`],
+    /// [`AssayCells::KIND`] and [`AssayCells::SOURCE`].
+    pub(crate) text: [(&'t [u32], &'t Dictionary); 4],
+    pub(crate) value_nm: ColumnSlice<'t>,
+    pub(crate) year: &'t [i64],
+    /// Validity of the six columns; `None` for a required column, which
+    /// holds no NULL.
+    valid: [Option<&'t Bitmap>; 6],
+}
+
+impl<'t> AssayCells<'t> {
+    pub(crate) const ACCESSION: usize = 0;
+    pub(crate) const LIGAND: usize = 1;
+    pub(crate) const KIND: usize = 2;
+    pub(crate) const SOURCE: usize = 3;
+
+    /// The cells of `shipped`, when it has the assay schema's shape:
+    /// six columns or more, the four text columns text, the year column
+    /// Int.
+    fn of(shipped: &'t Table) -> Option<AssayCells<'t>> {
+        if shipped.schema().arity() < 6 {
+            return None;
+        }
+        let columns: [ColumnSlice<'t>; 6] = std::array::from_fn(|c| shipped.column(c));
+        let valid = std::array::from_fn(|c| {
+            let nullable = shipped.schema().columns()[c].nullable;
+            nullable.then_some(columns[c].validity)
+        });
+        let [accession, ligand, kind, value_nm, source, year] = columns;
+        let text = |c: ColumnSlice<'t>| match c.data {
+            ColumnData::Str { codes, dict } => Some((codes, dict)),
+            _ => None,
+        };
+        let ColumnData::Int(year) = year.data else {
+            return None;
+        };
+        Some(AssayCells {
+            text: [text(accession)?, text(ligand)?, text(kind)?, text(source)?],
+            value_nm,
+            year,
+            valid,
+        })
+    }
+
+    /// The text of row `i` in text column `column`. Panics on a NULL
+    /// cell, which no unified row holds.
+    pub(crate) fn text(&self, column: usize, i: usize) -> &'t Arc<str> {
+        let (codes, dict) = self.text[column];
+        &dict.values()[codes[i] as usize]
+    }
+}
+
+impl<'t> AssayRows<'t> {
+    /// Read `shipped` as assay rows. A batch that is not of the assay
+    /// schema's shape (fewer than six columns, or a text, the value or
+    /// the year column of another type) unifies no row.
+    pub fn new(dataset: &Dataset, shipped: &'t Table) -> AssayRows<'t> {
+        let cells = AssayCells::of(shipped);
+        let ranks = cells.as_ref().map_or_else(Vec::new, |cells| {
+            let accessions = cells.text[AssayCells::ACCESSION].1.values();
+            accessions
+                .iter()
+                .map(|a| dataset.rank_of_accession(a))
+                .collect()
+        });
+        AssayRows {
+            len: shipped.len(),
+            cells,
+            ranks,
+        }
+    }
+
+    /// Rows shipped.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when nothing was shipped.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The one widening rule: the leaf rank and pActivity of row `i`,
+    /// or `None` when it is no activity record: its accession is not
+    /// on the tree, its `value_nm` is not finite and positive, or a
+    /// cell is NULL.
+    pub fn unify(&self, i: usize) -> Option<(u32, f64)> {
+        let cells = self.cells.as_ref()?;
+        if !cells.valid.iter().flatten().all(|v| v.get(i)) {
+            return None;
+        }
+        let code = cells.text[AssayCells::ACCESSION].0[i];
+        let rank = (*self.ranks.get(code as usize)?)?;
+        let value_nm = cells.value_nm.f64_at(i)?;
+        (value_nm.is_finite() && value_nm > 0.0).then(|| (rank, -(value_nm * 1e-9).log10()))
+    }
+
+    /// The typed cells, when the batch has the assay schema's shape.
+    pub(crate) fn cells(&self) -> Option<&AssayCells<'t>> {
+        self.cells.as_ref()
+    }
 }
 
 /// Small deterministic fixtures shared by this crate's tests, the
@@ -522,22 +627,51 @@ mod tests {
             Value::from("sim"),
             Value::Int(2012),
         ];
-        let (rank, p) = unify_assay_row(&d, &raw).unwrap();
+        let loose = |row: &[Value]| {
+            let columns = row
+                .iter()
+                .enumerate()
+                .map(|(c, cell)| {
+                    let ty = if cell.is_null() {
+                        ValueType::Int
+                    } else {
+                        cell.value_type()
+                    };
+                    Column::nullable(format!("c{c}"), ty)
+                })
+                .collect();
+            Table::from_rows("shipped", Schema::new(columns), [row]).unwrap()
+        };
+        let shipped = loose(&raw);
+        let rows = AssayRows::new(&d, &shipped);
+        assert_eq!(rows.len(), 1);
+        let (rank, p) = rows.unify(0).unwrap();
         assert_eq!(rank, 1); // P2's rank
         assert!((p - 6.0).abs() < 1e-9);
-        // Unknown accession, a non-positive value, a short row, a cell
-        // of another type -> dropped.
+        // An Int value_nm reads as its number.
+        let mut int_value = raw.clone();
+        int_value[3] = Value::Int(1000);
+        assert_eq!(
+            AssayRows::new(&d, &loose(&int_value)).unify(0),
+            Some((1, p))
+        );
+        // Unknown accession, a non-positive value, a NULL, a short row,
+        // a cell of another type -> dropped.
         for (at, cell) in [
             (0, Value::from("QX")),
             (3, Value::Float(0.0)),
+            (3, Value::Null),
             (3, Value::from("1000")),
             (5, Value::Float(2012.0)),
+            (1, Value::Int(1)),
         ] {
             let mut bad = raw.clone();
             bad[at] = cell;
-            assert!(unify_assay_row(&d, &bad).is_none(), "{bad:?}");
+            let shipped = loose(&bad);
+            assert!(AssayRows::new(&d, &shipped).unify(0).is_none(), "{bad:?}");
         }
-        assert!(unify_assay_row(&d, &raw[..5]).is_none());
+        let short = loose(&raw[..5]);
+        assert!(AssayRows::new(&d, &short).unify(0).is_none());
     }
 
     #[test]

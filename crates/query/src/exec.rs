@@ -49,8 +49,9 @@ pub struct ExecMetrics {
     pub source_requests: usize,
     /// Activity rows shipped from sources.
     pub rows_fetched: usize,
-    /// Fetched rows dropped by `unify_assay_row`: their accession is
-    /// not on the tree, or their `value_nm` is not finite and positive.
+    /// Fetched rows dropped by the widening rule (`AssayRows::unify`):
+    /// their accession is not on the tree, or their `value_nm` is not
+    /// finite and positive.
     pub rows_unmapped: usize,
     /// Cache outcome: `None` when the plan had no cache probe.
     pub cache_hit: Option<bool>,
@@ -644,7 +645,7 @@ impl Executor {
         m: &mut ExecMetrics,
         mut sink: Option<&mut TraceBuilder>,
     ) -> Result<ActivityColumns> {
-        let mut shipped: Vec<Vec<Value>> = Vec::new();
+        let mut shipped: Vec<Table> = Vec::new();
         let mut per_source_cost = Vec::with_capacity(fetches.len());
         // The sources of a plan share one leaf set: its keys are built once.
         let mut built: Option<(&LeafSet, SortedKeys)> = None;
@@ -662,28 +663,25 @@ impl Executor {
                 f.dispatch(),
                 self.retry,
             )?;
+            let rows = resp.rows();
             m.retries += resp.retries as usize;
-            m.source_requests += resp.requests;
-            m.rows_fetched += resp.rows.len();
+            m.source_requests += resp.requests();
+            m.rows_fetched += rows;
             if let Some(tb) = sink.as_deref_mut() {
                 let mut span = QuerySpan::new(Stage::Fetch, f.source(), fetch_started);
                 span.actual = resp.cost;
                 span.est_cost = Some(f.est_cost);
                 span.est_rows = Some(f.est_rows);
-                span.rows = Some(resp.rows.len() as u64);
+                span.rows = Some(rows as u64);
                 span.attrs = vec![
-                    ("requests", resp.requests as u64),
+                    ("requests", resp.requests() as u64),
                     ("keys", keys.len() as u64),
                     ("retries", u64::from(resp.retries)),
                 ];
                 tb.push(span);
             }
             per_source_cost.push(resp.cost);
-            if shipped.is_empty() {
-                shipped = resp.rows;
-            } else {
-                shipped.extend(resp.rows);
-            }
+            shipped.extend(resp.batches);
         }
 
         let total_cost = if concurrent_sources {

@@ -2,7 +2,7 @@
 //! mirror.
 //!
 //! [`LocalBuild::build`] scans one assay source per replica group and
-//! widens what they ship into one activity batch
+//! widens the typed batches they ship into one activity batch
 //! (`ActivityColumns::widen`, the fetch path's constructor): the rows
 //! a fetch of the whole tree would return, by the same code. The view
 //! is a fold over the batch's columns; the mirror is the batch. A
@@ -86,14 +86,14 @@ impl LocalBuild {
 /// Every distinct assay source's rows as one activity batch, with the
 /// cost of the scan.
 pub(crate) fn scan(dataset: &Dataset) -> Result<(ActivityColumns, Duration)> {
-    let mut rows = Vec::new();
+    let mut shipped = Vec::new();
     let mut cost = Duration::ZERO;
     for source in dataset.registry.distinct_by_kind(SourceKind::Assay) {
         let resp = source.fetch(&FetchRequest::scan())?;
         cost += resp.cost;
-        rows.extend(resp.rows);
+        shipped.push(resp.table);
     }
-    let (batch, _) = ActivityColumns::widen(dataset, &rows)?;
+    let (batch, _) = ActivityColumns::widen(dataset, &shipped)?;
     Ok((batch, cost))
 }
 

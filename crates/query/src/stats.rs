@@ -14,7 +14,7 @@
 //!    before the resolve step, so a value bound is pushed only while
 //!    the collection pass's answer (yes) still holds.
 
-use crate::dataset::{unify_assay_row, Dataset, SourceEpoch};
+use crate::dataset::{AssayCells, AssayRows, Dataset, SourceEpoch};
 use crate::Result;
 use drugtree_phylo::index::LeafInterval;
 use drugtree_sources::source::{FetchRequest, SourceKind};
@@ -242,13 +242,15 @@ impl OverlayStats {
         for source in dataset.registry.distinct_by_kind(SourceKind::Assay) {
             let resp = source.fetch(&FetchRequest::scan())?;
             cost += resp.cost;
-            for raw in &resp.rows {
-                if let Some((rank, p)) = unify_assay_row(dataset, raw) {
-                    if let Some(facts) = &mut facts {
+            let rows = AssayRows::new(dataset, &resp.table);
+            for i in 0..rows.len() {
+                if let Some((rank, p)) = rows.unify(i) {
+                    if let (Some(facts), Some(cells)) = (&mut facts, rows.cells()) {
                         // Ligand and type by hash: a collision only
                         // makes the answer more cautious.
                         let mut h = FxHasher::default();
-                        (&raw[1], &raw[2]).hash(&mut h);
+                        cells.text(AssayCells::LIGAND, i).hash(&mut h);
+                        cells.text(AssayCells::KIND, i).hash(&mut h);
                         repeated |= !facts.insert((rank, h.finish()));
                     }
                     let rank = rank as usize;

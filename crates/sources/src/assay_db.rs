@@ -3,7 +3,7 @@
 use crate::latency::LatencyModel;
 use crate::source::{SimulatedSource, SourceCapabilities, SourceKind};
 use crate::Result;
-use drugtree_chem::affinity::{ActivityRecord, ActivityType};
+use drugtree_chem::affinity::ActivityRecord;
 use drugtree_store::schema::{Column, Schema};
 use drugtree_store::table::Table;
 use drugtree_store::value::{Value, ValueType};
@@ -32,18 +32,6 @@ pub fn assay_row(r: &ActivityRecord) -> Vec<Value> {
         Value::from(r.source.as_str()),
         Value::Int(r.year as i64),
     ]
-}
-
-/// Parse a fetched row back into a record.
-pub fn assay_from_row(row: &[Value]) -> Option<ActivityRecord> {
-    Some(ActivityRecord {
-        protein_accession: row.first()?.as_text()?.to_string(),
-        ligand_id: row.get(1)?.as_text()?.to_string(),
-        activity_type: ActivityType::parse(row.get(2)?.as_text()?)?,
-        value_nm: row.get(3)?.as_f64()?,
-        source: row.get(4)?.as_text()?.to_string(),
-        year: row.get(5)?.as_int()? as u16,
-    })
 }
 
 /// Build an assay source from validated records.
@@ -75,6 +63,7 @@ pub fn assay_source(
 mod tests {
     use super::*;
     use crate::source::{DataSource, FetchRequest};
+    use drugtree_chem::affinity::ActivityType;
 
     fn records() -> Vec<ActivityRecord> {
         vec![
@@ -118,13 +107,11 @@ mod tests {
         let resp = src
             .fetch(&FetchRequest::lookup(vec![Value::from("P01")]))
             .unwrap();
-        assert_eq!(resp.rows.len(), 2);
-        let recs: Vec<ActivityRecord> = resp
-            .rows
-            .iter()
-            .map(|r| assay_from_row(r).unwrap())
-            .collect();
-        assert!(recs.iter().all(|r| r.protein_accession == "P01"));
+        let shipped: Vec<Vec<Value>> = (0..resp.table.len()).map(|i| resp.table.row(i)).collect();
+        assert_eq!(
+            shipped,
+            [assay_row(&records()[0]), assay_row(&records()[1])]
+        );
     }
 
     #[test]
@@ -134,14 +121,21 @@ mod tests {
         assert!(assay_source("x", &bad, SourceCapabilities::full(), LatencyModel::free()).is_err());
     }
 
+    /// A scan ships every record's cells as its row holds them, in
+    /// deposit order.
     #[test]
-    fn row_roundtrip() {
-        for r in records() {
-            assert_eq!(assay_from_row(&assay_row(&r)).unwrap(), r);
+    fn a_scan_ships_every_record() {
+        let src = assay_source(
+            "b",
+            &records(),
+            SourceCapabilities::full(),
+            LatencyModel::free(),
+        )
+        .unwrap();
+        let resp = src.fetch(&FetchRequest::scan()).unwrap();
+        assert_eq!(resp.table.schema(), &assay_schema());
+        for (i, r) in records().iter().enumerate() {
+            assert_eq!(resp.table.row(i), assay_row(r));
         }
-        // Unknown activity type text fails closed.
-        let mut row = assay_row(&records()[0]);
-        row[2] = Value::from("Kq");
-        assert!(assay_from_row(&row).is_none());
     }
 }

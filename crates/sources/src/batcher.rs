@@ -9,6 +9,7 @@ use crate::clock::{parallel_cost, sequential_cost};
 use crate::source::{DataSource, FetchRequest, FetchResponse};
 use crate::{Result, SourceError};
 use drugtree_store::expr::Predicate;
+use drugtree_store::table::Table;
 use drugtree_store::value::Value;
 use std::ops::Deref;
 use std::time::Duration;
@@ -111,15 +112,25 @@ pub enum Dispatch {
 /// The combined result of a batched fetch.
 #[derive(Debug, Clone)]
 pub struct BatchedResponse {
-    /// All rows across batches.
-    pub rows: Vec<Vec<Value>>,
-    /// Number of successful round-trips issued.
-    pub requests: usize,
+    /// Each successful round-trip's shipped rows, in request order.
+    pub batches: Vec<Table>,
     /// Transient failures retried along the way.
     pub retries: u32,
     /// Combined simulated cost under the chosen dispatch mode
     /// (including failed attempts' timeouts and backoffs).
     pub cost: Duration,
+}
+
+impl BatchedResponse {
+    /// Number of successful round-trips issued.
+    pub fn requests(&self) -> usize {
+        self.batches.len()
+    }
+
+    /// Rows shipped across every batch.
+    pub fn rows(&self) -> usize {
+        self.batches.iter().map(Table::len).sum()
+    }
 }
 
 /// Fetch `keys` from `source` in requests of at most `max_batch` keys
@@ -146,15 +157,12 @@ pub fn batched_lookup_with_retry(
         responses.push(resp);
     }
 
-    let requests = responses.len();
     let cost = match dispatch {
         Dispatch::Sequential => sequential_cost(responses.iter().map(|r| r.cost)),
         Dispatch::Concurrent => parallel_cost(responses.iter().map(|r| r.cost)),
     };
-    let rows = responses.into_iter().flat_map(|r| r.rows).collect();
     Ok(BatchedResponse {
-        rows,
-        requests,
+        batches: responses.into_iter().map(|r| r.table).collect(),
         retries,
         cost,
     })
@@ -216,16 +224,24 @@ mod tests {
     fn batching_reduces_round_trips() {
         let s = source(10, 30);
         let batched = lookup(&s, &keys(30), None, 10, Dispatch::Sequential).unwrap();
-        assert_eq!(batched.requests, 3);
-        assert_eq!(batched.rows.len(), 30);
+        assert_eq!(batched.requests(), 3);
+        assert_eq!(batched.rows(), 30);
+        // One typed batch per request, each its keys' rows in key order.
+        for (b, batch) in batched.batches.iter().enumerate() {
+            let keys: Vec<Value> = (0..batch.len()).map(|i| batch.cell(i, 0)).collect();
+            let want: Vec<Value> = (10 * b as i64..10 * (b as i64 + 1))
+                .map(Value::Int)
+                .collect();
+            assert_eq!(keys, want);
+        }
         // 3 * (100ms + 10 rows * 1ms) = 330ms.
         assert_eq!(batched.cost, Duration::from_millis(330));
 
         let naive = lookup(&s, &keys(30), None, 1, Dispatch::Sequential).unwrap();
-        assert_eq!(naive.requests, 30);
+        assert_eq!(naive.requests(), 30);
         // 30 * 101ms.
         assert_eq!(naive.cost, Duration::from_millis(3030));
-        assert_eq!(naive.rows.len(), 30);
+        assert_eq!(naive.rows(), 30);
         assert!(batched.cost < naive.cost);
     }
 
@@ -233,7 +249,7 @@ mod tests {
     fn concurrent_dispatch_takes_max() {
         let s = source(10, 30);
         let resp = lookup(&s, &keys(30), None, 10, Dispatch::Concurrent).unwrap();
-        assert_eq!(resp.requests, 3);
+        assert_eq!(resp.requests(), 3);
         // max over three equal-cost batches.
         assert_eq!(resp.cost, Duration::from_millis(110));
     }
@@ -245,8 +261,8 @@ mod tests {
         assert_eq!(ks, keys(5));
         assert!(ks.windows(2).all(|pair| pair[0] < pair[1]));
         let resp = lookup(&source(10, 5), &ks, None, 10, Dispatch::Sequential).unwrap();
-        assert_eq!(resp.requests, 1);
-        assert_eq!(resp.rows.len(), 5);
+        assert_eq!(resp.requests(), 1);
+        assert_eq!(resp.rows(), 5);
     }
 
     #[test]
@@ -260,9 +276,9 @@ mod tests {
             Dispatch::Sequential,
         )
         .unwrap();
-        assert_eq!(resp.requests, 0);
+        assert_eq!(resp.requests(), 0);
         assert_eq!(resp.cost, Duration::ZERO);
-        assert!(resp.rows.is_empty());
+        assert!(resp.batches.is_empty());
     }
 
     #[test]
@@ -271,10 +287,10 @@ mod tests {
         let s = source(2, 10);
         let pred = Predicate::cmp("v", CompareOp::Ge, 50i64);
         let resp = lookup(&s, &keys(10), Some(&pred), 2, Dispatch::Sequential).unwrap();
-        assert_eq!(resp.requests, 5);
-        assert_eq!(resp.rows.len(), 5); // v = 50..90
+        assert_eq!(resp.requests(), 5);
+        assert_eq!(resp.rows(), 5); // v = 50..90
         let naive = lookup(&s, &keys(10), Some(&pred), 1, Dispatch::Sequential).unwrap();
-        assert_eq!(naive.rows.len(), 5);
+        assert_eq!(naive.rows(), 5);
     }
 
     #[test]
@@ -302,7 +318,7 @@ mod tests {
             retry,
         )
         .unwrap();
-        assert_eq!(resp.rows.len(), 20);
+        assert_eq!(resp.rows(), 20);
         assert!(resp.retries > 0, "some requests must have been retried");
         // Two clean batches would cost 2*(100 + 10*1) = 220ms; retries
         // add at least one 500ms timeout.
@@ -357,6 +373,6 @@ mod tests {
     fn respects_source_batch_limit() {
         let s = source(1, 4);
         let resp = lookup(&s, &keys(4), None, 1, Dispatch::Sequential).unwrap();
-        assert_eq!(resp.requests, 4, "max_batch=1 degenerates to singletons");
+        assert_eq!(resp.requests(), 4, "max_batch=1 degenerates to singletons");
     }
 }

@@ -294,4 +294,19 @@ mod tests {
         assert_eq!(s.record_count(), 1);
         assert!(s.capabilities().eq_pushdown);
     }
+
+    /// A fetch that does not fail is the inner source's response: the
+    /// same typed rows, cost and counts.
+    #[test]
+    fn a_passing_fetch_forwards_the_typed_response() {
+        let direct = inner().fetch(&FetchRequest::scan()).unwrap();
+        let s = FlakySource::new(inner(), 0.0, Duration::ZERO, 1);
+        let request = FetchRequest::lookup(vec![Value::from("P1")])
+            .with_projection(vec!["gene".into(), "accession".into()]);
+        let resp = s.fetch(&request).unwrap();
+        assert_eq!(resp.table.row(0), [Value::Null, Value::from("P1")]);
+        assert_eq!(resp.rows_scanned, 1);
+        assert_eq!(resp.cost, direct.cost);
+        assert_eq!(s.metrics().rows_returned, 1);
+    }
 }

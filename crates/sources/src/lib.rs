@@ -13,7 +13,9 @@
 //!   seeded jitter).
 //! * [`source`] — the [`source::DataSource`] trait, fetch requests
 //!   with capability-checked predicate pushdown, and the generic
-//!   [`source::SimulatedSource`].
+//!   [`source::SimulatedSource`]. A fetch answers with typed columns
+//!   (a store `Table` gathered from the source's segments by row
+//!   position), never with `Value` rows.
 //! * [`protein_db`], [`ligand_db`], [`assay_db`] — the three concrete
 //!   source shapes DrugTree federates (UniProt-, ChEMBL-, and
 //!   BindingDB-like).

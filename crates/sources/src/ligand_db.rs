@@ -81,17 +81,27 @@ pub fn ligand_row(r: &LigandRecord) -> Vec<Value> {
     ]
 }
 
-/// Parse a fetched row back into a record.
-pub fn ligand_from_row(row: &[Value]) -> Option<LigandRecord> {
-    Some(LigandRecord {
-        ligand_id: row.first()?.as_text()?.to_string(),
-        name: row.get(1)?.as_text()?.to_string(),
-        smiles: row.get(2)?.as_text()?.to_string(),
-        molecular_weight: row.get(3)?.as_f64()?,
-        hbd: row.get(4)?.as_int()? as u32,
-        hba: row.get(5)?.as_int()? as u32,
-        rings: row.get(6)?.as_int()? as u32,
-    })
+/// The records a fetch shipped, read from its typed columns in
+/// [`ligand_schema`] order; `None` when a row lacks a cell of its
+/// column's type.
+pub fn ligand_records(shipped: &Table) -> Option<Vec<LigandRecord>> {
+    if shipped.schema().arity() < 7 {
+        return shipped.is_empty().then(Vec::new);
+    }
+    let [id, name, smiles, mw, hbd, hba, rings] = std::array::from_fn(|c| shipped.column(c));
+    (0..shipped.len())
+        .map(|i| {
+            Some(LigandRecord {
+                ligand_id: id.text_at(i)?.to_string(),
+                name: name.text_at(i)?.to_string(),
+                smiles: smiles.text_at(i)?.to_string(),
+                molecular_weight: mw.f64_at(i)?,
+                hbd: hbd.int_at(i)? as u32,
+                hba: hba.int_at(i)? as u32,
+                rings: rings.int_at(i)? as u32,
+            })
+        })
+        .collect()
 }
 
 /// Build a ligand source from records.
@@ -146,14 +156,22 @@ mod tests {
         let resp = src
             .fetch(&FetchRequest::scan().with_predicate(Predicate::cmp("mw", CompareOp::Gt, 100.0)))
             .unwrap();
-        assert_eq!(resp.rows.len(), 1);
-        assert_eq!(ligand_from_row(&resp.rows[0]).unwrap().ligand_id, "L1");
+        let shipped = ligand_records(&resp.table).unwrap();
+        assert_eq!(shipped.len(), 1);
+        assert_eq!(shipped[0].ligand_id, "L1");
+        let all = src.fetch(&FetchRequest::scan()).unwrap();
+        assert_eq!(ligand_records(&all.table).unwrap(), records);
     }
 
     #[test]
-    fn row_roundtrip() {
+    fn records_refuse_a_mistyped_cell() {
         let r = LigandRecord::from_smiles("L1", "caffeine", "Cn1cnc2c1c(=O)n(C)c(=O)n2C").unwrap();
-        assert_eq!(ligand_from_row(&ligand_row(&r)).unwrap(), r);
-        assert!(ligand_from_row(&[Value::Null]).is_none());
+        let mut typed = Table::new("l", ligand_schema()).unwrap();
+        typed.append_row(&ligand_row(&r)).unwrap();
+        assert_eq!(ligand_records(&typed).unwrap(), [r]);
+        // hbd where mw belongs: not a number of the mw column's type.
+        let swapped = typed.gather(&[0], &[0, 1, 2, 4, 3, 5, 6]);
+        assert!(ligand_records(&swapped).is_none());
+        assert!(ligand_records(&typed.gather(&[0], &[0])).is_none());
     }
 }

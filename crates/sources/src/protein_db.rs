@@ -44,15 +44,26 @@ pub fn protein_row(r: &ProteinRecord) -> Vec<Value> {
     ]
 }
 
-/// Parse a fetched row back into a record.
-pub fn protein_from_row(row: &[Value]) -> Option<ProteinRecord> {
-    Some(ProteinRecord {
-        accession: row.first()?.as_text()?.to_string(),
-        name: row.get(1)?.as_text()?.to_string(),
-        organism: row.get(2)?.as_text()?.to_string(),
-        sequence: row.get(3)?.as_text()?.to_string(),
-        gene: row.get(4).and_then(|v| v.as_text()).map(str::to_string),
-    })
+/// The records a fetch shipped, read from its typed columns in
+/// [`protein_schema`] order; `None` when a row lacks a required text
+/// cell.
+pub fn protein_records(shipped: &Table) -> Option<Vec<ProteinRecord>> {
+    let text = |column: usize, i: usize| {
+        (column < shipped.schema().arity())
+            .then(|| shipped.column(column).text_at(i))?
+            .map(str::to_string)
+    };
+    (0..shipped.len())
+        .map(|i| {
+            Some(ProteinRecord {
+                accession: text(0, i)?,
+                name: text(1, i)?,
+                organism: text(2, i)?,
+                sequence: text(3, i)?,
+                gene: text(4, i),
+            })
+        })
+        .collect()
 }
 
 /// Build a protein source from records.
@@ -114,15 +125,24 @@ mod tests {
         let resp = src
             .fetch(&FetchRequest::lookup(vec![Value::from("P02")]))
             .unwrap();
-        assert_eq!(resp.rows.len(), 1);
-        let rec = protein_from_row(&resp.rows[0]).unwrap();
-        assert_eq!(rec, records()[1]);
-        assert_eq!(rec.gene, None);
+        assert_eq!(protein_records(&resp.table).unwrap(), records()[1..]);
+        let all = src.fetch(&FetchRequest::scan()).unwrap();
+        assert_eq!(protein_records(&all.table).unwrap(), records());
     }
 
     #[test]
-    fn from_row_rejects_malformed() {
-        assert!(protein_from_row(&[Value::Int(1)]).is_none());
-        assert!(protein_from_row(&[]).is_none());
+    fn records_refuse_a_missing_text_cell() {
+        let mut short = Table::new(
+            "p",
+            Schema::new(vec![Column::required("accession", ValueType::Text)]),
+        )
+        .unwrap();
+        assert_eq!(protein_records(&short), Some(Vec::new()));
+        short.append_row(&[Value::from("P1")]).unwrap();
+        assert!(protein_records(&short).is_none());
+        let mut typed = Table::new("p", protein_schema()).unwrap();
+        typed.append_row(&protein_row(&records()[0])).unwrap();
+        let moved = typed.gather(&[0], &[1, 0, 2, 3]);
+        assert_eq!(protein_records(&moved).unwrap()[0].accession, "Kinase A");
     }
 }

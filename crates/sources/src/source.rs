@@ -1,10 +1,17 @@
 //! The data-source abstraction and the generic simulated source.
+//!
+//! A fetch answers with typed columns: a [`FetchResponse`] carries a
+//! store [`Table`] of the shipped rows, gathered by position from the
+//! source's own segments ([`Table::gather`]). Numbers are copied from
+//! the typed buffers and text travels as codes into a dictionary that
+//! holds the source's allocations, so no fetch builds a `Value` row.
+//! What a request costs is still computed from the rows it scanned and
+//! the rows it shipped.
 
 use crate::latency::{LatencyModel, RequestCounter};
 use crate::{Result, SourceError};
-use drugtree_store::expr::{BoundPredicate, CompareOp, Predicate};
+use drugtree_store::expr::{CompareOp, Predicate};
 use drugtree_store::schema::Schema;
-use drugtree_store::segment::ColumnSlice;
 use drugtree_store::table::Table;
 use drugtree_store::value::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,10 +119,10 @@ impl FetchRequest {
 /// The rows and simulated cost of one fetch.
 #[derive(Debug, Clone)]
 pub struct FetchResponse {
-    /// Returned column names, in row order.
-    pub columns: Vec<String>,
-    /// Result rows.
-    pub rows: Vec<Vec<Value>>,
+    /// The shipped rows, typed: the requested columns, in request
+    /// order (every column of the source's schema without a
+    /// projection), one row per shipped record.
+    pub table: Table,
     /// Rows the source had to examine server-side.
     pub rows_scanned: usize,
     /// Simulated wall time of the request (charge to a clock).
@@ -269,39 +276,19 @@ impl DataSource for SimulatedSource {
             }
         }
 
-        let (filter, reads) = match &request.predicate {
-            Some(p) => (
-                Some(p.bind(schema)?),
-                p.columns()
-                    .into_iter()
-                    .map(|c| schema.column_index(c))
-                    .collect::<std::result::Result<Vec<_>, _>>()?,
-            ),
-            None => (None, Vec::new()),
-        };
-
-        let projection_idx: Option<Vec<usize>> = match &request.projection {
-            Some(cols) => Some(
-                cols.iter()
-                    .map(|c| schema.column_index(c))
-                    .collect::<std::result::Result<Vec<_>, _>>()?,
-            ),
+        let filter = match &request.predicate {
+            Some(p) => Some(p.bind(schema)?),
             None => None,
         };
-        let columns: Vec<String> = match &request.projection {
-            Some(cols) => cols.clone(),
-            None => schema.columns().iter().map(|c| c.name.clone()).collect(),
+        let columns: Vec<usize> = match &request.projection {
+            Some(cols) => cols
+                .iter()
+                .map(|c| schema.column_index(c))
+                .collect::<std::result::Result<_, _>>()?,
+            None => (0..schema.arity()).collect(),
         };
 
-        let mut shipper = RowShipper {
-            columns: table.columns(),
-            filter,
-            reads,
-            projection: projection_idx,
-            scratch: vec![Value::Null; schema.arity()],
-        };
-        let mut rows = Vec::new();
-        let rows_scanned = match &request.keys {
+        let (mut rows, rows_scanned) = match &request.keys {
             Some(keys) => {
                 if keys.len() > self.capabilities.max_batch {
                     return Err(SourceError::BatchTooLarge {
@@ -310,27 +297,28 @@ impl DataSource for SimulatedSource {
                         got: keys.len(),
                     });
                 }
-                let mut matched = 0usize;
+                let mut rows = Vec::new();
                 for key in keys {
-                    let at = table.key_rows(key);
-                    matched += at.len();
-                    rows.extend(at.iter().filter_map(|&i| shipper.ship(i as usize)));
+                    rows.extend_from_slice(table.key_rows(key));
                 }
-                matched.max(keys.len())
+                let matched = rows.len();
+                (rows, matched.max(keys.len()))
             }
-            None => {
-                rows.extend((0..table.len()).filter_map(|i| shipper.ship(i)));
-                table.len()
-            }
+            // `Table::append_row` keeps every ordinal within `u32`.
+            None => ((0..table.len() as u32).collect(), table.len()),
         };
+        if let Some(filter) = &filter {
+            let cells = table.columns();
+            rows.retain(|&i| filter.matches_with(&|c| cells[c].value_at(i as usize)));
+        }
+        let shipped = table.gather(&rows, &columns);
 
         let cost = self
             .latency
-            .request_cost(rows_scanned, rows.len(), self.counter.next());
-        self.metrics.record(rows.len(), cost);
+            .request_cost(rows_scanned, shipped.len(), self.counter.next());
+        self.metrics.record(shipped.len(), cost);
         Ok(FetchResponse {
-            columns,
-            rows,
+            table: shipped,
             rows_scanned,
             cost,
         })
@@ -356,38 +344,6 @@ impl DataSource for SimulatedSource {
     }
 }
 
-/// Builds the rows one fetch ships, straight from the table's columns.
-struct RowShipper<'t> {
-    columns: Vec<ColumnSlice<'t>>,
-    /// The pushdown predicate, and the columns it reads.
-    filter: Option<BoundPredicate>,
-    reads: Vec<usize>,
-    /// Shipped column positions; `None` ships every column.
-    projection: Option<Vec<usize>>,
-    /// The row the filter tests, reused across rows: only the cells it
-    /// reads are filled in, the others stay NULL.
-    scratch: Vec<Value>,
-}
-
-impl RowShipper<'_> {
-    /// Row `i` as shipped, or `None` when the filter rejects it: one
-    /// allocation per shipped row, and none for a rejected one.
-    fn ship(&mut self, i: usize) -> Option<Vec<Value>> {
-        if let Some(filter) = &self.filter {
-            for &c in &self.reads {
-                self.scratch[c] = self.columns[c].value_at(i);
-            }
-            if !filter.matches(&self.scratch) {
-                return None;
-            }
-        }
-        Some(match &self.projection {
-            Some(idx) => idx.iter().map(|&c| self.columns[c].value_at(i)).collect(),
-            None => self.columns.iter().map(|c| c.value_at(i)).collect(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,10 +354,17 @@ mod tests {
         let schema = Schema::new(vec![
             Column::required("acc", ValueType::Text),
             Column::required("len", ValueType::Int),
+            Column::nullable("gene", ValueType::Text),
         ]);
         let mut t = Table::new("proteins", schema).unwrap();
-        for (acc, len) in [("P1", 100i64), ("P2", 200), ("P3", 300)] {
-            t.append_row(&[Value::from(acc), Value::Int(len)]).unwrap();
+        for (acc, len, gene) in [("P1", 100i64, "G1"), ("P2", 200, ""), ("P3", 300, "G3")] {
+            let gene = if gene.is_empty() {
+                Value::Null
+            } else {
+                Value::from(gene)
+            };
+            t.append_row(&[Value::from(acc), Value::Int(len), gene])
+                .unwrap();
         }
         SimulatedSource::new(
             "uniprot-sim",
@@ -414,13 +377,28 @@ mod tests {
         .unwrap()
     }
 
+    /// The shipped rows, read back cell by cell.
+    fn rows(resp: &FetchResponse) -> Vec<Vec<Value>> {
+        (0..resp.table.len()).map(|i| resp.table.row(i)).collect()
+    }
+
+    /// The shipped column names, in order.
+    fn names(resp: &FetchResponse) -> Vec<&str> {
+        let columns = resp.table.schema().columns();
+        columns.iter().map(|c| c.name.as_str()).collect()
+    }
+
     #[test]
     fn scan_returns_everything() {
         let s = sample_source(SourceCapabilities::full());
         let resp = s.fetch(&FetchRequest::scan()).unwrap();
-        assert_eq!(resp.rows.len(), 3);
+        assert_eq!(resp.table.len(), 3);
         assert_eq!(resp.rows_scanned, 3);
-        assert_eq!(resp.columns, vec!["acc", "len"]);
+        assert_eq!(names(&resp), ["acc", "len", "gene"]);
+        assert_eq!(
+            rows(&resp)[2],
+            [Value::from("P3"), Value::Int(300), Value::from("G3")]
+        );
         assert_eq!(s.record_count(), 3);
     }
 
@@ -429,19 +407,33 @@ mod tests {
         let s = sample_source(SourceCapabilities::full());
         let resp = s
             .fetch(&FetchRequest::lookup(vec![
-                Value::from("P2"),
                 Value::from("P3"),
+                Value::from("P2"),
             ]))
             .unwrap();
-        assert_eq!(resp.rows.len(), 2);
+        // Rows ship in key order.
+        let accessions: Vec<Value> = rows(&resp).into_iter().map(|r| r[0].clone()).collect();
+        assert_eq!(accessions, [Value::from("P3"), Value::from("P2")]);
         // Keyed access examines only matches, not the whole table.
         assert_eq!(resp.rows_scanned, 2);
         // Missing keys return nothing but still count as probes.
         let resp = s
             .fetch(&FetchRequest::lookup(vec![Value::from("P9")]))
             .unwrap();
-        assert!(resp.rows.is_empty());
+        assert!(resp.table.is_empty());
         assert_eq!(resp.rows_scanned, 1);
+    }
+
+    /// A shipped text cell is the source's own allocation of it.
+    #[test]
+    fn shipped_text_shares_the_source_allocation() {
+        let s = sample_source(SourceCapabilities::full());
+        let a = s
+            .fetch(&FetchRequest::lookup(vec![Value::from("P1")]))
+            .unwrap();
+        let b = s.fetch(&FetchRequest::scan()).unwrap();
+        let text = |resp: &FetchResponse, i| resp.table.column(0).text_at(i).unwrap().as_ptr();
+        assert_eq!(text(&a, 0), text(&b, 0));
     }
 
     #[test]
@@ -449,8 +441,23 @@ mod tests {
         let s = sample_source(SourceCapabilities::full());
         let req = FetchRequest::scan().with_predicate(Predicate::cmp("len", CompareOp::Gt, 150i64));
         let resp = s.fetch(&req).unwrap();
-        assert_eq!(resp.rows.len(), 2);
+        assert_eq!(
+            rows(&resp).iter().map(|r| r[1].clone()).collect::<Vec<_>>(),
+            [Value::Int(200), Value::Int(300)]
+        );
         assert_eq!(resp.rows_scanned, 3, "server still scanned everything");
+        // On a keyed lookup the filter drops rows after the probe: the
+        // scan count is the matches, the shipped rows what passed.
+        let req = FetchRequest::lookup(vec![Value::from("P1"), Value::from("P3")])
+            .with_predicate(Predicate::cmp("len", CompareOp::Gt, 150i64));
+        let resp = s.fetch(&req).unwrap();
+        assert_eq!(
+            rows(&resp),
+            [[Value::from("P3"), Value::Int(300), Value::from("G3")]]
+        );
+        assert_eq!(resp.rows_scanned, 2);
+        let bad = FetchRequest::scan().with_predicate(Predicate::eq("bogus", 1i64));
+        assert!(s.fetch(&bad).is_err());
     }
 
     #[test]
@@ -479,18 +486,37 @@ mod tests {
             err,
             SourceError::BatchTooLarge { max: 1, got: 2, .. }
         ));
+        assert_eq!(s.metrics().requests, 0, "a refused batch is no request");
     }
 
     #[test]
     fn projection() {
         let s = sample_source(SourceCapabilities::full());
         let resp = s
-            .fetch(&FetchRequest::scan().with_projection(vec!["len".into()]))
+            .fetch(&FetchRequest::scan().with_projection(vec!["len".into(), "acc".into()]))
             .unwrap();
-        assert_eq!(resp.columns, vec!["len"]);
-        assert!(resp.rows.iter().all(|r| r.len() == 1));
+        assert_eq!(names(&resp), ["len", "acc"]);
+        assert_eq!(rows(&resp)[0], [Value::Int(100), Value::from("P1")]);
         let bad = s.fetch(&FetchRequest::scan().with_projection(vec!["bogus".into()]));
         assert!(bad.is_err());
+    }
+
+    /// A nullable column ships its NULLs as NULLs, on a scan and on a
+    /// projected lookup alike.
+    #[test]
+    fn nulls_survive_the_gather() {
+        let s = sample_source(SourceCapabilities::full());
+        let resp = s.fetch(&FetchRequest::scan()).unwrap();
+        let genes: Vec<Value> = rows(&resp).into_iter().map(|r| r[2].clone()).collect();
+        assert_eq!(genes, [Value::from("G1"), Value::Null, Value::from("G3")]);
+        let resp = s
+            .fetch(
+                &FetchRequest::lookup(vec![Value::from("P2"), Value::from("P3")])
+                    .with_projection(vec!["gene".into()]),
+            )
+            .unwrap();
+        assert_eq!(rows(&resp), [[Value::Null], [Value::from("G3")]]);
+        assert_eq!(resp.table.column(0).text_at(0), None);
     }
 
     #[test]
@@ -526,11 +552,12 @@ mod tests {
     #[test]
     fn ingest_visible_to_next_fetch() {
         let s = sample_source(SourceCapabilities::full());
-        s.ingest(vec![Value::from("P4"), Value::Int(400)]).unwrap();
+        s.ingest(vec![Value::from("P4"), Value::Int(400), Value::Null])
+            .unwrap();
         let resp = s
             .fetch(&FetchRequest::lookup(vec![Value::from("P4")]))
             .unwrap();
-        assert_eq!(resp.rows.len(), 1);
+        assert_eq!(resp.table.len(), 1);
     }
 
     #[test]
@@ -559,4 +586,68 @@ mod tests {
         assert_eq!(resp.cost, Duration::from_millis(20));
         assert_eq!(s.metrics().busy, Duration::from_millis(20));
     }
+
+    /// The charge of a fixed request sequence on a jittered model, to
+    /// the nanosecond: the rows scanned and shipped that the cost is
+    /// computed from are the ones rows-shipping sources counted.
+    #[test]
+    fn the_charge_of_a_fixed_request_sequence_is_pinned() {
+        let schema = Schema::new(vec![
+            Column::required("k", ValueType::Text),
+            Column::required("v", ValueType::Int),
+        ]);
+        let mut t = Table::new("t", schema).unwrap();
+        for i in 0..40i64 {
+            t.append_row(&[Value::from(format!("K{}", i % 7).as_str()), Value::Int(i)])
+                .unwrap();
+        }
+        let s = SimulatedSource::new(
+            "pinned",
+            SourceKind::Assay,
+            t,
+            "k",
+            SourceCapabilities::full(),
+            LatencyModel {
+                base_rtt: Duration::from_millis(40),
+                per_row: Duration::from_micros(300),
+                per_row_scanned: Duration::from_micros(20),
+                jitter: 0.25,
+                seed: 9,
+            },
+        )
+        .unwrap();
+        let keys = ["K1", "K3", "K9"].map(Value::from).to_vec();
+        let requests = [
+            FetchRequest::lookup(keys.clone()),
+            FetchRequest::lookup(keys).with_predicate(Predicate::cmp("v", CompareOp::Ge, 20i64)),
+            FetchRequest::scan().with_predicate(Predicate::cmp("v", CompareOp::Lt, 5i64)),
+            FetchRequest::scan(),
+        ];
+        let got: Vec<(usize, usize, u128)> = requests
+            .iter()
+            .map(|r| {
+                let resp = s.fetch(r).unwrap();
+                (resp.rows_scanned, resp.table.len(), resp.cost.as_nanos())
+            })
+            .collect();
+        assert_eq!(got, PINNED_CHARGES);
+        assert_eq!(
+            s.metrics(),
+            MetricsSnapshot {
+                requests: 4,
+                rows_returned: 63,
+                busy: Duration::from_nanos(178_080_760),
+            }
+        );
+    }
+
+    /// (rows scanned, rows shipped, cost in ns) of each request above,
+    /// as the sources that shipped `Value` rows charged them; together
+    /// 63 rows and 178.08076 ms busy.
+    const PINNED_CHARGES: [(usize, usize, u128); 4] = [
+        (12, 12, 47_837_391),
+        (12, 6, 31_882_890),
+        (40, 5, 50_908_081),
+        (40, 40, 47_452_398),
+    ];
 }

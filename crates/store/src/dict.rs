@@ -11,7 +11,8 @@
 //! hands out the one shared [`Value::Text`] allocation per distinct
 //! string, which is how a source's table keeps a million rows naming a
 //! few thousand accessions and ligands from owning a million copies,
-//! and how every row it ships shares them.
+//! and how every batch it ships shares them: a gathered segment's
+//! dictionary holds the same allocations (`Segment::gather`).
 
 use crate::value::Value;
 use rustc_hash::FxHashMap;
@@ -21,11 +22,22 @@ use std::sync::Arc;
 ///
 /// Codes are assigned in first-intern order and never change, so a
 /// segment's code vector stays valid as new values arrive.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     values: Vec<Arc<str>>,
+    /// Codes by string. A dictionary gathered from another's strings
+    /// starts without it and builds it on its first intern, so a batch
+    /// that is only read never hashes its text.
     map: FxHashMap<Arc<str>, u32>,
 }
+
+impl PartialEq for Dictionary {
+    fn eq(&self, other: &Dictionary) -> bool {
+        self.values == other.values
+    }
+}
+
+impl Eq for Dictionary {}
 
 impl Dictionary {
     /// An empty dictionary.
@@ -33,10 +45,35 @@ impl Dictionary {
         Dictionary::default()
     }
 
+    /// A dictionary of `values`, coded in order, for a builder that
+    /// deduplicated them already: no string is hashed until something is
+    /// interned. The values must be distinct; a repeated string would
+    /// hold two codes.
+    pub fn from_distinct(values: Vec<Arc<str>>) -> Dictionary {
+        debug_assert!(
+            values.len()
+                == values
+                    .iter()
+                    .collect::<std::collections::HashSet<_>>()
+                    .len(),
+            "the values of a dictionary are distinct"
+        );
+        Dictionary {
+            values,
+            map: FxHashMap::default(),
+        }
+    }
+
     /// Intern `s`, returning its code (existing or freshly assigned).
     /// A new string keeps the caller's allocation, so interning copies
     /// no bytes, and a repeat allocates nothing.
     pub fn intern(&mut self, s: &Arc<str>) -> u32 {
+        if self.map.len() < self.values.len() {
+            self.map = (0..)
+                .zip(&self.values)
+                .map(|(code, s)| (Arc::clone(s), code))
+                .collect();
+        }
         if let Some(&code) = self.map.get(&**s) {
             return code;
         }
@@ -103,6 +140,15 @@ mod tests {
         assert!(Arc::ptr_eq(a, &c));
         assert_eq!(d.len(), 1);
         assert_eq!(d.cell_of(1), None);
+    }
+
+    #[test]
+    fn a_gathered_dictionary_interns_as_a_built_one() {
+        let mut d = Dictionary::from_distinct(vec![Arc::from("L2"), Arc::from("L1")]);
+        assert_eq!(d.intern(&Arc::from("L1")), 1);
+        assert_eq!(d.intern(&Arc::from("L3")), 2);
+        assert_eq!(d.intern(&Arc::from("L2")), 0);
+        assert_eq!(d.len(), 3);
     }
 
     #[test]

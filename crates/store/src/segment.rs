@@ -14,6 +14,8 @@ use crate::bitmap::Bitmap;
 use crate::dict::Dictionary;
 use crate::value::{Value, ValueType};
 use crate::{Result, StoreError};
+use rustc_hash::FxHashMap;
+use std::sync::Arc;
 
 /// Largest `i64` magnitude exactly representable as `f64`. Ints wider
 /// than this cannot be widened into a Float segment without changing
@@ -84,6 +86,46 @@ impl Segment {
             data,
             validity: Bitmap::full(len),
         }
+    }
+
+    /// The cells at `rows`, in that order, as a new segment of this
+    /// type: numbers and flags are copied from the typed buffer, and
+    /// text is re-coded into a dictionary of the distinct strings met,
+    /// which holds this segment dictionary's own allocations, so no
+    /// text is copied or hashed. `complete` says every cell is valid
+    /// (the column is required), which spares a validity test per row.
+    /// Panics past the segment's rows, as slice indexing does.
+    pub(crate) fn gather(&self, rows: &[u32], complete: bool) -> Segment {
+        let valid = |r: u32| complete || self.validity.get(r as usize);
+        let validity = if complete {
+            Bitmap::full(rows.len())
+        } else {
+            let mut validity = Bitmap::new(rows.len());
+            for (i, &r) in rows.iter().enumerate() {
+                if valid(r) {
+                    validity.set(i);
+                }
+            }
+            validity
+        };
+        let data = match &self.data {
+            SegmentData::Int(d) => SegmentData::Int(rows.iter().map(|&r| d[r as usize]).collect()),
+            SegmentData::Float(d) => {
+                SegmentData::Float(rows.iter().map(|&r| d[r as usize]).collect())
+            }
+            SegmentData::Bool(d) => {
+                SegmentData::Bool(rows.iter().map(|&r| d[r as usize]).collect())
+            }
+            // A lookup table when the dictionary is not much larger than
+            // the gather, a hash map when it is.
+            SegmentData::Str { codes, dict } if dict.len() <= 4 * rows.len() => {
+                recode(rows, codes, dict, valid, &mut vec![u32::MAX; dict.len()])
+            }
+            SegmentData::Str { codes, dict } => {
+                recode(rows, codes, dict, valid, &mut FxHashMap::default())
+            }
+        };
+        Segment { data, validity }
     }
 
     /// Number of rows (valid or not).
@@ -170,6 +212,63 @@ impl Segment {
     /// The validity bitmap (bit set ⇔ non-NULL).
     pub fn validity(&self) -> &Bitmap {
         &self.validity
+    }
+}
+
+/// A source dictionary's codes mapped to a gathered segment's, each
+/// `u32::MAX` until assigned.
+trait Recoded {
+    fn slot(&mut self, code: u32) -> &mut u32;
+}
+
+impl Recoded for Vec<u32> {
+    fn slot(&mut self, code: u32) -> &mut u32 {
+        &mut self[code as usize]
+    }
+}
+
+impl Recoded for FxHashMap<u32, u32> {
+    fn slot(&mut self, code: u32) -> &mut u32 {
+        self.entry(code).or_insert(u32::MAX)
+    }
+}
+
+/// The text cells at `rows`, re-coded into a dictionary of the distinct
+/// strings met, in first-met order.
+fn recode(
+    rows: &[u32],
+    codes: &[u32],
+    dict: &Dictionary,
+    valid: impl Fn(u32) -> bool,
+    recoded: &mut impl Recoded,
+) -> SegmentData {
+    let mut values: Vec<Arc<str>> = Vec::new();
+    // Rows of one key arrive in a run: the previous cell's code answers
+    // most of them without a lookup.
+    let mut last = (u32::MAX, 0);
+    let codes = rows
+        .iter()
+        .map(|&r| {
+            // A NULL cell keeps a placeholder code, as `push_value`
+            // stores one.
+            if !valid(r) {
+                return 0;
+            }
+            let code = codes[r as usize];
+            if code != last.0 {
+                let slot = recoded.slot(code);
+                if *slot == u32::MAX {
+                    values.push(Arc::clone(&dict.values()[code as usize]));
+                    *slot = values.len() as u32 - 1;
+                }
+                last = (code, *slot);
+            }
+            last.1
+        })
+        .collect();
+    SegmentData::Str {
+        codes,
+        dict: Dictionary::from_distinct(values),
     }
 }
 

@@ -5,10 +5,12 @@
 //! [`Table::cell`]); what the store holds is the columns. The query
 //! executor takes zero-copy [`ColumnSlice`] views and runs vectorized
 //! kernels over row ranges instead of gathering rows. A table is built
-//! a row at a time ([`Table::append_row`]) or from filled segments at
-//! once ([`Table::from_segments`]). A keyed table (a source's
-//! federation key, the overlay's ligand id) answers equality on its key
-//! column from a hash index that [`Table::append_row`] keeps current.
+//! a row at a time ([`Table::append_row`]), from filled segments at
+//! once ([`Table::from_segments`]), or gathered from another table's
+//! rows by position ([`Table::gather`]: what a source ships). A keyed
+//! table (a source's federation key, the overlay's ligand id) answers
+//! equality on its key column from a hash index that
+//! [`Table::append_row`] keeps current.
 
 use crate::bitmap::Bitmap;
 use crate::expr::BoundPredicate;
@@ -115,6 +117,36 @@ impl Table {
             len,
             key: None,
         })
+    }
+
+    /// The rows at `rows`, in that order, of the columns at `columns`,
+    /// in that order, as a new unkeyed table: numbers are copied from
+    /// the typed buffers, and text is re-coded into a dictionary per
+    /// column of the distinct strings gathered, holding this table's
+    /// allocations, so no text is copied or hashed. Taking every column
+    /// in schema order shares the schema too. Panics past the table's
+    /// rows or columns, as slice indexing does.
+    pub fn gather(&self, rows: &[u32], columns: &[usize]) -> Table {
+        let schema = if columns.iter().copied().eq(0..self.schema.arity()) {
+            Arc::clone(&self.schema)
+        } else {
+            let all = self.schema.columns();
+            Arc::new(Schema::new(
+                columns.iter().map(|&c| all[c].clone()).collect(),
+            ))
+        };
+        Table {
+            name: self.name.clone(),
+            schema,
+            // A required column holds no NULL (`append_row` and
+            // `from_segments` refuse one).
+            segments: columns
+                .iter()
+                .map(|&c| self.segments[c].gather(rows, !self.schema.columns()[c].nullable))
+                .collect(),
+            len: rows.len(),
+            key: None,
+        }
     }
 
     /// Make `column` the table's key: its rows are indexed by their
@@ -437,6 +469,31 @@ mod tests {
         }
         nulls[0] = ranks;
         assert!(Table::from_segments("x", activity_schema(), nulls).is_err());
+    }
+
+    #[test]
+    fn a_gather_reads_as_the_rows_it_names() {
+        let t = sample();
+        let all = t.gather(&[4, 2, 2, 0], &[0, 1, 2]);
+        assert!(
+            std::ptr::eq(all.schema(), t.schema()),
+            "the schema is shared"
+        );
+        assert_eq!(
+            (0..4).map(|i| all.row(i)).collect::<Vec<_>>(),
+            [4, 2, 2, 0].map(|i| t.row(i))
+        );
+        // A NULL survives, and text is the source's allocation.
+        assert_eq!(all.cell(1, 2), Value::Null);
+        assert_eq!(
+            all.column(1).text_at(3).unwrap().as_ptr(),
+            t.column(1).text_at(0).unwrap().as_ptr()
+        );
+        let picked = t.gather(&[3, 1], &[2, 0]);
+        assert_eq!(picked.schema().columns()[0].name, "value_nm");
+        assert_eq!(picked.row(0), [Value::Float(2.5), Value::Int(5)]);
+        assert_eq!(picked.key_column(), None);
+        assert!(t.gather(&[], &[1]).is_empty());
     }
 
     #[test]

@@ -4,32 +4,37 @@
 //! mobile session runs, and what it costs is decided by how often each
 //! returned row visits the allocator on its way from the source's
 //! table to `QueryResult.rows`. With text cells shared (`Value::Text`
-//! is an `Arc<str>`) and fetched rows widened into typed columns, a
-//! row costs two allocations on a cache miss — the source's shipped
-//! row and the 14-cell result row; the activity batch the cache keeps
-//! allocates per column, not per row — and one on a hit, the result row
-//! alone.
+//! is an `Arc<str>`) and a fetch shipping typed columns gathered from
+//! the source's segments, a row costs one allocation on a cache miss
+//! and one on a hit — the 14-cell result row; the shipped batch and the
+//! activity batch the cache keeps allocate per column, not per row.
 //!
 //! The same test run against the parent of the change that introduced
 //! it (`Value::Text(String)`, every hop deep-copying its strings)
 //! counted, on this very bundle (5,855 rows), **17.61 allocations per
-//! returned row on the miss and 7.46 on the hit**; this tree counts
+//! returned row on the miss and 7.46 on the hit**; this tree counted
 //! 3.03 and 1.01 (17,724 and 5,917 calls) while a fetch and a cache
-//! entry held one widened `Vec<Value>` per row, and 2.03 and 1.01
-//! (11,905 and 5,916) since both hold the batch's typed columns. The
-//! budget below leaves one allocation per row of slack on either path,
-//! so a reintroduced per-row copy fails it on any machine. A hit of a
-//! small clade, sliced from the whole tree's entry, allocates per row
-//! it returns, never per row the entry holds: 161 calls for 114 of
-//! 5,855 rows; the second test pins that.
+//! entry held one widened `Vec<Value>` per row, 2.03 and 1.01 (11,905
+//! and 5,916) while the source still shipped one `Vec<Value>` per row
+//! into a typed batch, and counts 1.04 and 1.01 (6,067 and 5,916) now
+//! that it ships typed columns. The budget below leaves about one
+//! allocation per row of slack on either path, so a reintroduced
+//! per-row copy fails it on any machine. A hit of a small clade, sliced
+//! from the whole tree's entry, allocates per row it returns, never per
+//! row the entry holds: 161 calls for 114 of 5,855 rows; the second
+//! test pins that.
 //!
 //! A gesture no longer runs that listing: an expand, or an inspect of a
 //! viewport with collapsed clades, asks for one glyph row per drawn
-//! leaf or collapsed clade, folded from the same cached rows. On a hit
-//! it allocates per glyph — the result row and its label — and never
-//! per row of the clade it folds; the third test pins that. On this
-//! bundle a fullscreen inspect folds 5,855 rows into 69 glyphs for 186
-//! allocator calls, plan included.
+//! leaf or collapsed clade, folded from the same rows. On a hit it
+//! allocates per glyph — the result row and its label — and never per
+//! row of the clade it folds; on a miss it allocates per glyph, per
+//! request and per column, never per row shipped. The third test pins
+//! both. On this bundle a fullscreen inspect folds 5,855 rows into 69
+//! glyphs for 186 allocator calls on the hit and 363 on the miss (two
+//! requests, 1,182 distinct strings shipped), plan included; while the
+//! source shipped one `Vec<Value>` per row the miss counted more than
+//! the 5,855 rows it shipped.
 //!
 //! A columnar scan reads the mirror's cells in place and builds a row
 //! only for what it returns, so a query that scans every mirrored row
@@ -49,6 +54,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use drugtree::prelude::*;
+use drugtree_chem::affinity::ActivityRecord;
 use drugtree_mobile::GestureStep;
 use drugtree_phylo::index::LeafInterval;
 use drugtree_query::ast::{Query, Scope};
@@ -112,8 +118,8 @@ const LIGANDS: usize = 1024;
 /// What a query may allocate whatever it returns: the plan (its keys,
 /// one per leaf in scope, held in a few vectors), the fetch requests
 /// with their column names, the growth of the row vectors, the
-/// batch's columns and dictionaries. Measured at 195 on the miss and 61
-/// on the hit of this bundle.
+/// shipped and activity batches' columns and dictionaries. Measured at
+/// 212 on the miss and 61 on the hit of this bundle.
 const PER_QUERY: u64 = 2 * LEAVES as u64;
 
 fn bundle() -> SyntheticBundle {
@@ -161,7 +167,7 @@ fn a_listing_allocates_per_row_what_the_budget_allows() {
         on_hit as f64 / rows as f64,
     );
     assert!(
-        on_miss <= 3 * rows + PER_QUERY,
+        on_miss <= 2 * rows + PER_QUERY,
         "miss: {on_miss} allocations for {rows} rows"
     );
     assert!(
@@ -216,7 +222,7 @@ fn a_gesture_allocates_per_glyph_not_per_row() {
             .execute(system.dataset(), gesture)
             .unwrap()
     };
-    let (cold, _) = allocations_in(run);
+    let (cold, on_miss) = allocations_in(run);
     let (warm, on_hit) = allocations_in(run);
     assert_eq!(cold.metrics.cache_hit, Some(false));
     assert_eq!(warm.metrics.cache_hit, Some(true));
@@ -228,18 +234,48 @@ fn a_gesture_allocates_per_glyph_not_per_row() {
         .iter()
         .map(|r| r[3].as_int().unwrap() as u64)
         .sum();
+    let (requests, shipped) = (
+        cold.metrics.source_requests as u64,
+        cold.metrics.rows_fetched as u64,
+    );
+    let strings = distinct_strings(&bundle());
     assert!(
         folded > 8 * (glyphs + PER_QUERY),
         "{folded} rows folded into {glyphs} glyphs: a per-row count would hide"
     );
+    assert!(
+        shipped > 2 * (4 * glyphs + 8 * requests + strings + PER_QUERY),
+        "{shipped} rows shipped: a per-shipped-row count would hide"
+    );
     println!(
-        "{glyphs} glyphs over {folded} rows: {on_hit} allocations on the hit ({:.2}/glyph)",
+        "{glyphs} glyphs over {folded} rows: {on_miss} allocations on the miss \
+         ({requests} requests, {shipped} rows shipped, {strings} distinct strings), \
+         {on_hit} on the hit ({:.2}/glyph)",
         on_hit as f64 / glyphs as f64,
+    );
+    assert!(
+        on_miss <= 4 * glyphs + 8 * requests + strings + PER_QUERY,
+        "miss: {on_miss} allocations for {glyphs} glyphs, {requests} requests, \
+         {strings} distinct strings, {shipped} rows shipped"
     );
     assert!(
         on_hit <= 4 * glyphs + PER_QUERY,
         "hit: {on_hit} allocations for {glyphs} glyphs over {folded} rows"
     );
+}
+
+/// The distinct strings the bundle's activity records name: accessions,
+/// ligand ids, activity types and labs, each counted once per column.
+fn distinct_strings(bundle: &SyntheticBundle) -> u64 {
+    let column = |cell: fn(&ActivityRecord) -> &str| {
+        let distinct: std::collections::HashSet<&str> =
+            bundle.activities.iter().map(cell).collect();
+        distinct.len() as u64
+    };
+    column(|a| &a.protein_accession)
+        + column(|a| &a.ligand_id)
+        + column(|a| a.activity_type.label())
+        + column(|a| &a.source)
 }
 
 #[test]

@@ -12,7 +12,7 @@
 use drugtree::prelude::*;
 use drugtree_phylo::index::LeafInterval;
 use drugtree_query::dataset::test_fixtures::small_dataset;
-use drugtree_query::dataset::unify_assay_row;
+use drugtree_query::dataset::AssayRows;
 use drugtree_query::Dataset;
 use drugtree_sources::batcher::SortedKeys;
 use drugtree_sources::latency::LatencyModel;
@@ -73,8 +73,10 @@ impl DataSource for Recording {
 fn best_by_rank(dataset: &Dataset) -> Vec<Option<f64>> {
     let mut best: Vec<Option<f64>> = vec![None; dataset.leaf_count()];
     for source in dataset.registry.by_kind(SourceKind::Assay) {
-        for raw in source.fetch(&FetchRequest::scan()).unwrap().rows {
-            let Some((rank, p)) = unify_assay_row(dataset, &raw) else {
+        let shipped = source.fetch(&FetchRequest::scan()).unwrap().table;
+        let rows = AssayRows::new(dataset, &shipped);
+        for i in 0..rows.len() {
+            let Some((rank, p)) = rows.unify(i) else {
                 continue;
             };
             let slot = &mut best[rank as usize];

@@ -1,8 +1,8 @@
 //! Generated source records through the integration path: protein,
 //! ligand and activity records with hostile fields go through
-//! `OverlayBuilder::build`, `assay_source`, `Dataset::new` and
-//! `unify_assay_row`, which must answer with a value or an error, never
-//! a panic, and in bounded time.
+//! `OverlayBuilder::build`, `assay_source`, `Dataset::new` and the
+//! widening rule (`AssayRows::unify`), which must answer with a value or
+//! an error, never a panic, and in bounded time.
 //!
 //! The generator is structure-aware: identifiers are mostly ones the
 //! 8-leaf tree or the ligand catalogue knows (so records join and
@@ -34,13 +34,14 @@
 use drugtree::prelude::*;
 use drugtree_chem::affinity::{ActivityRecord, ActivityType};
 use drugtree_integrate::overlay::OverlayBuilder;
-use drugtree_query::dataset::unify_assay_row;
-use drugtree_sources::assay_db::{assay_row, assay_source};
+use drugtree_query::dataset::AssayRows;
+use drugtree_sources::assay_db::{assay_row, assay_schema, assay_source};
 use drugtree_sources::clock::{wall_now, VirtualClock};
 use drugtree_sources::ligand_db::LigandRecord;
 use drugtree_sources::protein_db::ProteinRecord;
 use drugtree_sources::source::SourceCapabilities;
 use drugtree_sources::{LatencyModel, SourceRegistry};
+use drugtree_store::table::Table;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
@@ -318,15 +319,18 @@ fn run_case(
     let dataset = || first.take().unwrap_or_else(|| build().unwrap());
     let systems = Systems::new(&Matrix::fixed(), dataset);
 
-    // Widening a raw row keeps exactly the rows whose accession is on
-    // the tree and whose value is a concentration.
+    // Widening a shipped row keeps exactly the rows whose accession is
+    // on the tree and whose value is a concentration.
     let naive = systems.naive().dataset();
-    for record in activities {
+    let rows = activities.iter().map(assay_row);
+    let shipped = Table::from_rows("assays", assay_schema(), rows).map_err(|e| e.to_string())?;
+    let widened = AssayRows::new(naive, &shipped);
+    for (i, record) in activities.iter().enumerate() {
         let mapped = naive.rank_of_accession(&record.protein_accession).is_some();
         let valid = record.value_nm.is_finite() && record.value_nm > 0.0;
-        let unified = unify_assay_row(naive, &assay_row(record));
+        let unified = widened.unify(i);
         if unified.is_some() != (mapped && valid) {
-            return Err(format!("unify_assay_row kept {unified:?} for {record:?}"));
+            return Err(format!("AssayRows::unify kept {unified:?} for {record:?}"));
         }
     }
 
